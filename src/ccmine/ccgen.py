@@ -100,7 +100,9 @@ class CCDictionary:
             for k, vals in cc.items()
         }
         self.meta: dict = dict(meta or {})
-        self._nn_cache: dict[int, EmbeddingTable] = {}
+        # (table, its lexicon view); holding the table keeps the identity
+        # check sound, where an id() could be reused after collection
+        self._nn_cache: tuple[EmbeddingTable, EmbeddingTable] | None = None
 
     def __contains__(self, concept: str) -> bool:
         return normalize_concept(concept) in self.cc
@@ -114,14 +116,12 @@ class CCDictionary:
     def lexicon_table(self, table: EmbeddingTable) -> EmbeddingTable:
         """A view of ``table`` restricted to this dictionary's concepts, so
         nearest-neighbor lookups cannot land on non-lexicon entries."""
-        key = id(table)
-        cached = self._nn_cache.get(key)
-        if cached is not None:
-            return cached
+        if self._nn_cache is not None and self._nn_cache[0] is table:
+            return self._nn_cache[1]
         names = sorted(self.cc)
         vectors = np.vstack([table.vector(name) for name in names])
         sub = EmbeddingTable(names, vectors)
-        self._nn_cache[key] = sub
+        self._nn_cache = (table, sub)
         return sub
 
     # ---- serialization ----

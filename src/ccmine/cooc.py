@@ -44,6 +44,7 @@ _DUMP_ROWS = 1 << 16
 # largest dimension whose pair codes i * dim + j fit in int64
 _MAX_DIM = 2**31
 _TRIPLET = re.compile(r"[0-9]+\t[0-9]+\t[0-9]+")
+_COUNT_LINE = re.compile(r"([0-9]+)\t([0-9]+)")
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
@@ -338,10 +339,10 @@ def load_counts(path: str | Path) -> list[int]:
         raise FormatError("counts file row count does not match header dimension")
     occurrence = []
     for row, line in enumerate(body_lines):
-        parts = line.split("\t")
-        if len(parts) != 2 or int(parts[0]) != row:
+        fields = _COUNT_LINE.fullmatch(line)
+        if fields is None or int(fields[1]) != row:
             raise FormatError(f"bad counts line for row {row}: {line!r}")
-        occurrence.append(int(parts[1]))
+        occurrence.append(int(fields[2]))
     return occurrence
 
 

@@ -178,9 +178,8 @@ class ScanStats:
 
 def iter_caption_lines(path: str | Path):
     """Yield decoded text lines of a corpus file, gzip-transparent."""
-    with open_maybe_gzip(path) as fh:
-        for line in io.TextIOWrapper(fh, encoding="utf-8"):
-            yield line
+    with open_maybe_gzip(path) as fh, io.TextIOWrapper(fh, encoding="utf-8") as text:
+        yield from text
 
 
 def parse_caption(line: str) -> tuple[str, str] | None:

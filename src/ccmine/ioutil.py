@@ -31,11 +31,12 @@ def open_maybe_gzip(path: str | Path) -> BinaryIO:
     Detection is by the two magic bytes, not the file extension.
     """
     fh = open(path, "rb")
-    magic = fh.read(2)
-    fh.seek(0)
-    if magic == GZIP_MAGIC:
-        return gzip.open(fh, "rb")  # type: ignore[return-value]
-    return fh
+    if fh.read(2) != GZIP_MAGIC:
+        fh.seek(0)
+        return fh
+    fh.close()
+    # opened by name, so closing the gzip stream closes the file too
+    return gzip.open(path, "rb")  # type: ignore[return-value]
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:

@@ -33,6 +33,7 @@ from .segment import (
     FeatureMap,
     PromptSet,
     build_prompt_set,
+    query_masks,
     read_seg_grid,
     remap_cc_to_background,
     segment_pixels,
@@ -53,18 +54,27 @@ def iou(pred: np.ndarray, gt: np.ndarray, ignore: np.ndarray | None = None) -> f
     gt = np.asarray(gt, dtype=bool)
     if pred.shape != gt.shape:
         raise ValidationError(f"mask shapes differ: {pred.shape} vs {gt.shape}")
+    keep = None
     if ignore is not None:
         ignore = np.asarray(ignore, dtype=bool)
         if ignore.shape != pred.shape:
             raise ValidationError("ignore mask shape differs from prediction")
         keep = ~ignore
-        pred = pred & keep
-        gt = gt & keep
-    union = int(np.count_nonzero(pred | gt))
+    intersection, union = intersection_union(pred, gt, keep)
     if union == 0:
         return None
-    intersection = int(np.count_nonzero(pred & gt))
     return intersection / union
+
+
+def intersection_union(
+    pred: np.ndarray, gt_mask: np.ndarray, keep: np.ndarray | None = None
+) -> tuple[int, int]:
+    """Pixel counts of the intersection and the union of two boolean masks,
+    counting only pixels where ``keep`` is True (all pixels when None)."""
+    if keep is not None:
+        pred = pred & keep
+        gt_mask = gt_mask & keep
+    return int(np.count_nonzero(pred & gt_mask)), int(np.count_nonzero(pred | gt_mask))
 
 
 @dataclass
@@ -97,10 +107,11 @@ class GroundTruth:
     def shape(self) -> tuple[int, int]:
         return self.ids.shape  # type: ignore[return-value]
 
-    def ignore_mask(self) -> np.ndarray | None:
+    def keep_mask(self) -> np.ndarray | None:
+        """Pixels that are scored: all but the ignore id (None: all pixels)."""
         if self.ignore_id is None:
             return None
-        return self.ids == self.ignore_id
+        return self.ids != self.ignore_id
 
     def evaluable_ids(self) -> list[int]:
         """Unique class ids to score: everything but ignore and background."""
@@ -171,33 +182,47 @@ def iou_single_image(
 ) -> ImageResult:
     """Score each annotated class of one image in isolation.
 
-    The image is segmented once per class with the class as the only real
-    query and its contrastive concepts as competitors; the prediction is
-    the set of pixels won by the query.  Classes whose segmentation fails
-    (for instance a missing embedding) are recorded and skipped.
+    Each class is the only real query, with its contrastive concepts as
+    competitors; the prediction is the set of pixels won by the query.  The
+    image is segmented once, for the union of every class's prompts, and
+    each class is decided on its own subset of the planes.  Classes whose
+    prompts fail to resolve (for instance a missing embedding) are recorded
+    and skipped.
     """
     h, w = gt.shape
     result = ImageResult(image_id=image_id)
-    ignore = gt.ignore_mask()
-    for class_id in gt.evaluable_ids():
+    classes = gt.evaluable_ids()
+    errors: dict[int, str] = {}
+    contests: dict[int, tuple[int, list[int]]] = {}
+    prompt_index: dict[str, int] = {}
+    for class_id in classes:
         label = gt.labels[class_id]
         try:
             cc = cc_source(label)
             prompt_labels = [label] + [c for c in cc.concepts if c != label]
             cc_mask = [False] + [True] * (len(prompt_labels) - 1)
-            prompts = build_prompt_set(prompt_labels, cc_mask, embeddings)
-            pixmap = segment_pixels(features, prompts, h, w, upsample=upsample)
+            build_prompt_set(prompt_labels, cc_mask, embeddings)  # checks only
         except CCMineError as exc:
-            result.failures.append((label, str(exc)))
+            errors[class_id] = str(exc)
             continue
-        pred = pixmap == 0
-        gt_mask = gt.ids == class_id
-        if ignore is not None:
-            keep = ~ignore
-            pred = pred & keep
-            gt_mask = gt_mask & keep
-        intersection = int(np.count_nonzero(pred & gt_mask))
-        union = int(np.count_nonzero(pred | gt_mask))
+        index = [prompt_index.setdefault(p, len(prompt_index)) for p in prompt_labels]
+        contests[class_id] = (index[0], index[1:])
+    masks: dict[int, np.ndarray] = {}
+    if contests:
+        try:
+            prompts = build_prompt_set(list(prompt_index), [False] * len(prompt_index), embeddings)
+            won = query_masks(features, prompts, list(contests.values()), h, w, upsample)
+        except CCMineError as exc:
+            errors.update(dict.fromkeys(contests, str(exc)))
+        else:
+            masks = dict(zip(contests, won))
+    keep = gt.keep_mask()
+    for class_id in classes:
+        label = gt.labels[class_id]
+        if class_id in errors:
+            result.failures.append((label, errors[class_id]))
+            continue
+        intersection, union = intersection_union(masks[class_id], gt.ids == class_id, keep)
         result.scores.append(ClassScore(class_id, label, intersection, union))
     return result
 
@@ -213,7 +238,7 @@ def iou_single_image_sigmoid(
     squashed similarity strictly exceeds the threshold."""
     h, w = gt.shape
     result = ImageResult(image_id=image_id)
-    ignore = gt.ignore_mask()
+    keep = gt.keep_mask()
     for class_id in gt.evaluable_ids():
         label = gt.labels[class_id]
         try:
@@ -221,14 +246,7 @@ def iou_single_image_sigmoid(
         except CCMineError as exc:
             result.failures.append((label, str(exc)))
             continue
-        pred = score > threshold
-        gt_mask = gt.ids == class_id
-        if ignore is not None:
-            keep = ~ignore
-            pred = pred & keep
-            gt_mask = gt_mask & keep
-        intersection = int(np.count_nonzero(pred & gt_mask))
-        union = int(np.count_nonzero(pred | gt_mask))
+        intersection, union = intersection_union(score > threshold, gt.ids == class_id, keep)
         result.scores.append(ClassScore(class_id, label, intersection, union))
     return result
 
@@ -298,8 +316,7 @@ def classic_image(
     h, w = gt.shape
     pixmap = segment_pixels(features, prompts, h, w, upsample=upsample)
     pixmap = remap_cc_to_background(pixmap, prompts, background_label)
-    ignore = gt.ignore_mask()
-    keep = None if ignore is None else ~ignore
+    keep = gt.keep_mask()
     label_to_id = {label: class_id for class_id, label in gt.labels.items()}
     if gt.background_id is not None and background_label not in label_to_id:
         label_to_id[background_label] = gt.background_id
@@ -309,16 +326,8 @@ def classic_image(
             continue
         pred = pixmap == index
         class_id = label_to_id.get(label)
-        gt_mask = (
-            np.zeros_like(pred) if class_id is None else gt.ids == class_id
-        )
-        if keep is not None:
-            pred = pred & keep
-            gt_mask = gt_mask & keep
-        counts[label] = (
-            int(np.count_nonzero(pred & gt_mask)),
-            int(np.count_nonzero(pred | gt_mask)),
-        )
+        gt_mask = np.zeros_like(pred) if class_id is None else gt.ids == class_id
+        counts[label] = intersection_union(pred, gt_mask, keep)
     return counts
 
 
@@ -367,12 +376,11 @@ def sigmoid_sweep(
     hi = -np.inf
     for image_id, features, gt in items:
         h, w = gt.shape
-        ignore = gt.ignore_mask()
+        keep = gt.keep_mask()
         for class_id in gt.evaluable_ids():
             label = gt.labels[class_id]
             score = sigmoid_score_field(features, embeddings.vector(label), h, w)
-            gt_mask = gt.ids == class_id
-            cached.append((image_id, label, score, gt_mask, ignore))
+            cached.append((image_id, label, score, gt.ids == class_id, keep))
             lo = min(lo, float(score.min()))
             hi = max(hi, float(score.max()))
     if not cached:
@@ -382,16 +390,8 @@ def sigmoid_sweep(
     for threshold in thresholds:
         by_image: dict[str, list[float]] = {}
         acc: dict[str, list[int]] = {}
-        for image_id, label, score, gt_mask, ignore in cached:
-            pred = score > threshold
-            if ignore is not None:
-                keepm = ~ignore
-                pred = pred & keepm
-                gt_mask_k = gt_mask & keepm
-            else:
-                gt_mask_k = gt_mask
-            i = int(np.count_nonzero(pred & gt_mask_k))
-            u = int(np.count_nonzero(pred | gt_mask_k))
+        for image_id, label, score, gt_mask, keep in cached:
+            i, u = intersection_union(score > threshold, gt_mask, keep)
             if u > 0:
                 by_image.setdefault(image_id, []).append(i / u)
             bucket = acc.setdefault(label, [0, 0])

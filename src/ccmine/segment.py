@@ -141,34 +141,39 @@ def patch_logits(features: FeatureMap, prompts: PromptSet) -> np.ndarray:
     return np.clip(features.unit @ prompts.vectors.T, -1.0, 1.0)
 
 
+def _interp_weights(n_in: int, n_out: int) -> np.ndarray:
+    """(n_out, n_in) linear interpolation weights, half-pixel aligned with
+    clamped borders: each row holds at most two nonzero weights."""
+    pos = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    lo = np.floor(pos)
+    frac = pos - lo
+    lo = lo.astype(np.int64)
+    rows = np.arange(n_out)
+    weights = np.zeros((n_out, n_in))
+    np.add.at(weights, (rows, np.clip(lo, 0, n_in - 1)), 1.0 - frac)
+    np.add.at(weights, (rows, np.clip(lo + 1, 0, n_in - 1)), frac)
+    return weights
+
+
 def bilinear_resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear upsampling with half-pixel alignment and clamped borders.
 
     Output pixel centers map to input coordinates
     ``(x + 0.5) * (in / out) - 0.5``; samples beyond the border replicate
-    the edge value.
+    the edge value.  A ``(h, w[, L])`` grid comes back ``(out_h, out_w[, L])``.
+    The interpolation is separable, so each plane is ``Ry @ plane @ Rx.T``
+    with two small weight matrices; for a stack the result is a view of a
+    planes-first ``(L, out_h, out_w)`` array.
     """
     if out_h < 1 or out_w < 1:
         raise ValidationError("output size must be positive")
     arr = np.asarray(grid, dtype=np.float64)
     squeeze = arr.ndim == 2
-    if squeeze:
-        arr = arr[:, :, None]
-    h, w = arr.shape[:2]
-    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    y0 = np.floor(ys)
-    x0 = np.floor(xs)
-    wy = (ys - y0)[:, None, None]
-    wx = (xs - x0)[None, :, None]
-    y0i = np.clip(y0.astype(np.int64), 0, h - 1)
-    y1i = np.clip(y0.astype(np.int64) + 1, 0, h - 1)
-    x0i = np.clip(x0.astype(np.int64), 0, w - 1)
-    x1i = np.clip(x0.astype(np.int64) + 1, 0, w - 1)
-    top = arr[y0i][:, x0i] * (1.0 - wx) + arr[y0i][:, x1i] * wx
-    bottom = arr[y1i][:, x0i] * (1.0 - wx) + arr[y1i][:, x1i] * wx
-    out = top * (1.0 - wy) + bottom * wy
-    return out[:, :, 0] if squeeze else out
+    planes = np.ascontiguousarray(arr[None] if squeeze else np.moveaxis(arr, 2, 0))
+    n, h, w = planes.shape
+    rows = _interp_weights(h, out_h) @ planes
+    out = (rows.reshape(n * out_h, w) @ _interp_weights(w, out_w).T).reshape(n, out_h, out_w)
+    return out[0] if squeeze else np.moveaxis(out, 0, 2)
 
 
 def nearest_resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -190,8 +195,8 @@ def upsample_and_argmax(logits: np.ndarray, out_h: int, out_w: int) -> np.ndarra
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 3:
         raise ValidationError("logits must be a (h, w, L) array")
-    upsampled = bilinear_resize(logits, out_h, out_w)
-    return upsampled.argmax(axis=2).astype(np.int32)
+    planes = np.moveaxis(bilinear_resize(logits, out_h, out_w), 2, 0)
+    return planes.argmax(axis=0).astype(np.int32)
 
 
 def segment_pixels(
@@ -215,6 +220,41 @@ def segment_pixels(
         patch_labels = logits.argmax(axis=2).astype(np.int32)
         return nearest_resize(patch_labels, out_h, out_w)
     raise ValidationError(f"upsample must be 'logits' or 'labels', got {upsample!r}")
+
+
+def query_masks(
+    features: FeatureMap,
+    prompts: PromptSet,
+    contests: list[tuple[int, list[int]]],
+    out_h: int,
+    out_w: int,
+    upsample: str = "logits",
+) -> list[np.ndarray]:
+    """Pixels each query wins against its rivals, from one segmentation.
+
+    Each contest ``(query, rivals)`` holds indices into ``prompts``.  Its
+    mask is True where the query's logit is at least every rival's: the
+    pixels ``segment_pixels`` labels 0 for the prompts ``[query] + rivals``,
+    since argmax ties go to the lowest index.  The logit planes are
+    computed, and for ``upsample="logits"`` upsampled, once for the whole
+    prompt set, so prompts shared between contests cost one plane.  With
+    ``"labels"`` the decision is made per patch and resized nearest-neighbor.
+    """
+    logits = patch_logits(features, prompts)
+    if upsample == "logits":
+        planes = np.moveaxis(bilinear_resize(logits, out_h, out_w), 2, 0)
+    elif upsample == "labels":
+        planes = np.moveaxis(logits, 2, 0)
+    else:
+        raise ValidationError(f"upsample must be 'logits' or 'labels', got {upsample!r}")
+    masks = []
+    for query, rivals in contests:
+        best = np.full(planes.shape[1:], -np.inf)
+        for k in rivals:
+            np.maximum(best, planes[k], out=best)
+        won = planes[query] >= best
+        masks.append(won if upsample == "logits" else nearest_resize(won, out_h, out_w))
+    return masks
 
 
 def apply_cc_mask(pixmap: np.ndarray, prompts: PromptSet) -> np.ndarray:

@@ -180,6 +180,16 @@ class TestDictionaryIO:
         assert list(sub.names) == ["boat", "water"]
         assert d.lexicon_table(toy_embeddings) is sub
 
+    def test_lexicon_table_not_reused_for_a_new_table(self):
+        # each table is dropped before the next is made, so CPython tends to
+        # hand the new one the freed table's id
+        d = CCDictionary({"boat": [], "water": []})
+        for k in range(1, 30):
+            table = EmbeddingTable(["boat", "water"], [[1.0, float(k)], [float(k), 1.0]])
+            sub = d.lexicon_table(table)
+            assert np.allclose(sub.vector("boat"), table.vector("boat"))
+            del table, sub
+
 
 class TestCCD:
     @pytest.fixture

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -238,6 +239,17 @@ class TestBuildCC:
         code, _, err = self.build(capsys, mined, paths, tmp_path / "cc.json")
         assert code == 3
         assert "digest" in err
+
+    def test_counts_with_non_integer_field_is_format_error(self, capsys, mined, paths, tmp_path):
+        _, counts_path = mined
+        lines = counts_path.read_text().splitlines()
+        lines[1] = "a\t" + lines[1].split("\t")[1]
+        body = "".join(line + "\n" for line in lines[1:-1])
+        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        counts_path.write_text(f"{lines[0]}\n{body}#sha256:{digest}\n")
+        code, _, err = self.build(capsys, mined, paths, tmp_path / "cc.json")
+        assert code == 3
+        assert "bad counts line" in err
 
     def test_gamma_flag(self, capsys, mined, paths, tmp_path):
         out = tmp_path / "cc.json"

@@ -175,6 +175,15 @@ class TestSerialization:
         with pytest.raises(FormatError):
             load_counts(path)
 
+    @pytest.mark.parametrize("line", ["a\t1", "0\tx", "0\t", "0\t1\t1", "0 1", "0\t1.5"])
+    def test_counts_bad_field_rejected(self, line, tmp_path):
+        body = line + "\n"
+        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        path = tmp_path / "occ.counts"
+        path.write_text(f"ccmine-counts v1 1\n{body}#sha256:{digest}\n")
+        with pytest.raises(FormatError, match="bad counts line"):
+            load_counts(path)
+
 
 class TestNormalize:
     def test_directional_frequencies(self, toy_corpus_path, toy_lexicon):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import string
+import warnings
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -245,6 +248,22 @@ class TestScanCorpus:
         )
         assert stats.total == 4
         assert len(sets) == 4
+
+    @pytest.mark.parametrize("fixture", ["toy_corpus_path", "toy_corpus_gz_path"])
+    @pytest.mark.parametrize("take", [None, 1])
+    def test_reading_leaves_no_file_open(self, request, fixture, take):
+        # a whole read and one abandoned after its first line
+        path = request.getfixturevalue(fixture)
+        # recorded rather than raised: an error raised in a finalizer is
+        # swallowed as unraisable
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            lines = iter_caption_lines(path)
+            got = list(islice(lines, take))
+            del lines
+            gc.collect()
+        assert len(got) == (take or len(TOY_CAPTIONS))
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_malformed_lines_counted_and_skipped(self, tmp_path, toy_lexicon):
         path = tmp_path / "corpus.jsonl"

@@ -6,9 +6,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccmine.ccgen import CCDictionary, CCSet, cc_bg, cc_d, cc_none
-from ccmine.errors import FormatError, ValidationError
+from ccmine.embed import EmbeddingTable
+from ccmine.errors import CCMineError, FormatError, ValidationError
 from ccmine.metrics import (
     ClassScore,
     GroundTruth,
@@ -16,6 +19,7 @@ from ccmine.metrics import (
     aggregate_classic,
     aggregate_iou_single,
     classic_image,
+    intersection_union,
     iou,
     iou_single_image,
     iou_single_image_sigmoid,
@@ -23,7 +27,7 @@ from ccmine.metrics import (
     sigmoid_sweep,
     write_report,
 )
-from ccmine.segment import build_prompt_set, sigmoid
+from ccmine.segment import FeatureMap, build_prompt_set, segment_pixels, sigmoid
 
 from conftest import (
     EXPECTED_DICT_G001,
@@ -161,6 +165,123 @@ class TestIoUSingle:
             scene_features, scene_gt, threshold, toy_embeddings
         )
         assert result.scores[0].iou == pytest.approx(1.0)
+
+
+def per_class_reference(features, gt, cc_plan, table, upsample):
+    """IoU-single with one ``segment_pixels`` call per class, the class as
+    prompt 0: the scoring the per-image prompt union replaced."""
+    h, w = gt.shape
+    keep = None if gt.ignore_id is None else gt.ids != gt.ignore_id
+    scores, failures = [], []
+    for class_id in gt.evaluable_ids():
+        label = gt.labels[class_id]
+        prompt_labels = [label] + [c for c in cc_plan[label] if c != label]
+        try:
+            prompts = build_prompt_set(
+                prompt_labels, [False] + [True] * (len(prompt_labels) - 1), table
+            )
+            pixmap = segment_pixels(features, prompts, h, w, upsample=upsample)
+        except CCMineError as exc:
+            failures.append((label, str(exc)))
+            continue
+        pred = pixmap == 0
+        gt_mask = gt.ids == class_id
+        if keep is not None:
+            pred, gt_mask = pred & keep, gt_mask & keep
+        inter = int(np.count_nonzero(pred & gt_mask))
+        union = int(np.count_nonzero(pred | gt_mask))
+        scores.append(ClassScore(class_id, label, inter, union))
+    return scores, failures
+
+
+_EMBEDDED = [f"k{j}" for j in range(8)]
+_CONCEPTS = _EMBEDDED + ["zz-missing"]
+
+
+def union_case(seed, class_labels, cc_plan, patch_hw, out_hw, use_ignore):
+    # one-hot embeddings make every logit an exact feature component, so k6
+    # and k7 (copies of k0 and k1) tie exactly with them in any prompt set
+    rng = np.random.default_rng(seed)
+    dim = 6
+    table = EmbeddingTable(_EMBEDDED, np.eye(dim)[[j % dim for j in range(len(_EMBEDDED))]])
+    features = FeatureMap(rng.standard_normal((*patch_hw, dim)))
+    labels = {cid + 1: lab for cid, lab in enumerate(class_labels)}
+    pool = [0, *labels] + ([9] if use_ignore else [])
+    ids = rng.choice(pool, size=out_hw).astype(np.int32)
+    gt = GroundTruth(ids, labels, ignore_id=9 if use_ignore else None, background_id=0)
+
+    def source(q):
+        return CCSet(query=q, kind="none", concepts=list(cc_plan[q]))
+
+    return features, gt, source, table
+
+
+class TestIoUSingleUnion:
+    """One segmentation of the union of an image's prompts scores every
+    class exactly as one segmentation per class does."""
+
+    @pytest.mark.parametrize("upsample", ["logits", "labels"])
+    def test_fixed_case(self, upsample):
+        class_labels = ["k0", "k1", "k2", "k3"]
+        cc_plan = {
+            "k0": ["k1", "k5", "k6"],  # k1 is itself a class; k6 ties with k0
+            "k1": ["k5", "k0", "k1"],  # shares k5 with k0; its own label is dropped
+            "k2": ["k6", "zz-missing"],  # a CC without an embedding: k2 fails alone
+            "k3": [],  # no competitors: the class claims every pixel
+        }
+        features, gt, source, table = union_case(3, class_labels, cc_plan, (5, 6), (11, 13), True)
+        result = iou_single_image(features, gt, source, table, upsample=upsample)
+        scores, failures = per_class_reference(features, gt, cc_plan, table, upsample)
+        assert result.scores == scores
+        assert result.failures == failures
+        assert [f[0] for f in failures] == ["k2"]
+        assert [s.label for s in scores] == ["k0", "k1", "k3"]
+        keep = gt.ids != 9
+        assert scores[-1].union == int(np.count_nonzero(keep))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(_CONCEPTS), min_size=1, max_size=4, unique=True),
+        st.data(),
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        st.tuples(st.integers(1, 14), st.integers(1, 14)),
+        st.booleans(),
+        st.sampled_from(["logits", "labels"]),
+    )
+    def test_matches_per_class_segmentation(
+        self, seed, class_labels, data, patch_hw, out_hw, use_ignore, upsample
+    ):
+        # CC lists may repeat a concept (a prompt-set error for that class
+        # only), name another class, the class itself or a missing concept
+        cc_plan = {
+            label: data.draw(st.lists(st.sampled_from(_CONCEPTS), max_size=5))
+            for label in class_labels
+        }
+        features, gt, source, table = union_case(
+            seed, class_labels, cc_plan, patch_hw, out_hw, use_ignore
+        )
+        result = iou_single_image(features, gt, source, table, upsample=upsample)
+        scores, failures = per_class_reference(features, gt, cc_plan, table, upsample)
+        assert result.scores == scores
+        assert result.failures == failures
+
+    def test_bad_upsample_fails_every_class(self):
+        features, gt, source, table = union_case(
+            1, ["k0", "k1"], {"k0": ["k1"], "k1": []}, (3, 3), (6, 6), False
+        )
+        result = iou_single_image(features, gt, source, table, upsample="nearest")
+        assert not result.scores
+        assert [f[0] for f in result.failures] == ["k0", "k1"]
+
+
+class TestIntersectionUnion:
+    def test_counts_only_kept_pixels(self):
+        pred = np.array([[True, True, False, False]])
+        gt = np.array([[True, False, True, False]])
+        assert intersection_union(pred, gt) == (1, 3)
+        keep = np.array([[True, False, True, True]])
+        assert intersection_union(pred, gt, keep) == (1, 2)
 
 
 class TestAggregateIoUSingle:

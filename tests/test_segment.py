@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ccmine.errors import FormatError, MissingEmbeddingError, ValidationError
 from ccmine.segment import (
@@ -25,6 +28,34 @@ from ccmine.segment import (
 )
 
 from conftest import make_scene_features
+
+
+def gather_bilinear_resize(grid, out_h, out_w):
+    """Bilinear upsampling by four gathers per output pixel: the form the
+    separable ``bilinear_resize`` replaced, kept as its reference."""
+    arr = np.asarray(grid, dtype=np.float64)
+    squeeze = arr.ndim == 2
+    if squeeze:
+        arr = arr[:, :, None]
+    h, w = arr.shape[:2]
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    y0 = np.floor(ys)
+    x0 = np.floor(xs)
+    wy = (ys - y0)[:, None, None]
+    wx = (xs - x0)[None, :, None]
+    y0i = np.clip(y0.astype(np.int64), 0, h - 1)
+    y1i = np.clip(y0.astype(np.int64) + 1, 0, h - 1)
+    x0i = np.clip(x0.astype(np.int64), 0, w - 1)
+    x1i = np.clip(x0.astype(np.int64) + 1, 0, w - 1)
+    top = arr[y0i][:, x0i] * (1.0 - wx) + arr[y0i][:, x1i] * wx
+    bottom = arr[y1i][:, x0i] * (1.0 - wx) + arr[y1i][:, x1i] * wx
+    out = top * (1.0 - wy) + bottom * wy
+    return out[:, :, 0] if squeeze else out
+
+
+_side = st.integers(1, 9)
+_out_side = st.integers(1, 40)
 
 
 def prompt_set(labels, cc_mask, axes):
@@ -139,6 +170,42 @@ class TestResize:
             bilinear_resize(np.ones((2, 2)), 0, 4)
         with pytest.raises(ValidationError):
             nearest_resize(np.ones((2, 2)), 2, 0)
+
+
+class TestSeparableResizeAgainstGathers:
+    @settings(max_examples=150, deadline=None)
+    @given(_side, _side, st.integers(1, 5), _out_side, _out_side, st.data())
+    def test_same_values(self, h, w, planes, out_h, out_w, data):
+        grid = data.draw(
+            hnp.arrays(np.float64, (h, w, planes), elements=st.floats(-1.0, 1.0))
+        )
+        got = bilinear_resize(grid, out_h, out_w)
+        want = gather_bilinear_resize(grid, out_h, out_w)
+        assert got.shape == want.shape == (out_h, out_w, planes)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        flat = bilinear_resize(grid[:, :, 0], out_h, out_w)
+        assert flat.shape == (out_h, out_w)
+        assert np.max(np.abs(flat - want[:, :, 0])) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _side,
+        _side,
+        _out_side,
+        _out_side,
+        st.lists(st.integers(0, 4), min_size=1, max_size=8),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(9, 9, 9, 9, [0, 0, 1], 1)  # equal size
+    @example(9, 7, 2, 3, [2, 0, 2, 0], 2)  # downsampling
+    def test_same_labels_under_exact_ties(self, h, w, out_h, out_w, order, seed):
+        # continuous random planes, some repeated: repeats tie exactly
+        base = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(h, w, 5))
+        logits = base[:, :, order]
+        got = upsample_and_argmax(logits, out_h, out_w)
+        want = gather_bilinear_resize(logits, out_h, out_w).argmax(axis=2)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
 
 
 class TestSegmentation:
