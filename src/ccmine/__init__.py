@@ -18,9 +18,18 @@ from .ccgen import (
     cc_none,
     cc_privileged,
 )
-from .cooc import CandidateSet, CoocMatrix, FreqMatrix, build_cooc, mine_corpus, normalize, select_candidates
+from .cooc import (
+    CandidateSet,
+    CoocMatrix,
+    FreqMatrix,
+    build_cooc,
+    mine_corpus,
+    normalize,
+    select_all,
+    select_candidates,
+)
 from .corpus import Lexicon, match_concepts, normalize_concept, scan_corpus, tokenize
-from .embed import EmbeddingTable, TableProvider, ToyEmbeddingProvider, cosine, nearest_neighbor
+from .embed import EmbeddingTable, TableProvider, ToyEmbeddingProvider, cosine, cosines, nearest_neighbor
 from .errors import (
     CCMineError,
     FormatError,
@@ -35,6 +44,7 @@ from .filters import (
     FilterConfig,
     VisibilityTable,
     filter_abstract,
+    filter_rows,
     filter_semantic,
     remove_stopwords,
     run_pipeline,

@@ -25,11 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .cooc import CoocMatrix, FreqMatrix, normalize as cooc_normalize, select_candidates
+from .cooc import CoocMatrix, normalize as cooc_normalize, select_all
 from .corpus import Lexicon, normalize_concept
-from .embed import EmbeddingProvider, EmbeddingTable, cosine, nearest_neighbor
+from .embed import EmbeddingProvider, EmbeddingTable, cosines, nearest_neighbor
 from .errors import FormatError, ValidationError
-from .filters import FilterConfig, FilterOutcome, VisibilityOracle, VisibilityTable, run_pipeline
+from .filters import FilterConfig, FilterOutcome, VisibilityOracle, VisibilityTable, filter_rows
 from .ioutil import atomic_write_text
 from .llm import LLMClient, ask_cc
 
@@ -193,29 +193,49 @@ def build_dictionary(
     extra_meta: dict | None = None,
 ) -> tuple[CCDictionary, dict[str, FilterOutcome]]:
     """Select candidates above ``gamma`` for every lexicon concept and run
-    them through the filtering pipeline."""
+    them through the filtering pipeline, all concepts at once.
+
+    ``meta`` records the build parameters, the candidates each filter stage
+    removed over all concepts (``filter_counts``) and the kept concepts
+    whose visibility stayed unresolved (``unresolved_kept``).
+    """
     filter_config = filter_config or FilterConfig()
-    freq: FreqMatrix = cooc_normalize(matrix, occurrence, lexicon)
-    cc: dict[str, list[str]] = {}
-    outcomes: dict[str, FilterOutcome] = {}
-    for i, concept in enumerate(lexicon.concepts):
-        candidates = [lexicon.concepts[j] for j in select_candidates(freq, i, gamma).members]
-        outcome = run_pipeline(
-            candidates,
-            concept,
-            embeddings,
-            visibility,
-            config=filter_config,
-            oracle=oracle,
-            oracle_source=oracle_source,
+    freq = cooc_normalize(matrix, occurrence, lexicon)
+    row, col = select_all(freq, gamma)
+    concepts = lexicon.concepts
+    outcomes = dict(
+        zip(
+            concepts,
+            filter_rows(
+                concepts,
+                len(concepts),
+                row,
+                col,
+                embeddings,
+                visibility,
+                config=filter_config,
+                oracle=oracle,
+                oracle_source=oracle_source,
+            ),
         )
-        cc[concept] = outcome.kept
-        outcomes[concept] = outcome
+    )
+    cc = {concept: outcome.kept for concept, outcome in outcomes.items()}
+    removed = {
+        stage: sum(len(getattr(o, attr)) for o in outcomes.values())
+        for stage, attr in (
+            ("stopword", "removed_stopword"),
+            ("invisible", "removed_invisible"),
+            ("similar", "removed_similar"),
+            ("kept", "kept"),
+        )
+    }
     meta = {
         "gamma": gamma,
         "delta": filter_config.delta,
         "built_at": build_timestamp(),
         "filter_version": "stopwords>visibility>semantic/v1",
+        "filter_counts": {"candidates": len(col), **removed},
+        "unresolved_kept": sorted({c for o in outcomes.values() for c in o.unresolved_kept}),
     }
     meta.update(extra_meta or {})
     return CCDictionary(cc, meta), outcomes
@@ -276,7 +296,8 @@ def cc_multi(
     queries = [s.query for s in cc_sets]
     if len(queries) != len(set(queries)):
         raise ValidationError("duplicate queries in multi-query merge")
-    query_vecs = {qn: embeddings.vector(qn) for qn in queries}
+    query_vecs = [embeddings.vector(qn) for qn in queries]
+    query_index = {qn: k for k, qn in enumerate(queries)}
     order: list[str] = []
     sources: dict[str, list[str]] = {}
     for cc_set in cc_sets:
@@ -286,19 +307,27 @@ def cc_multi(
                 order.append(concept)
             if cc_set.query not in contributed:
                 contributed.append(cc_set.query)
+    merged = [c for c in order if c not in query_index]
+    vectors = np.array([embeddings.vector(c) for c in merged]).reshape(len(merged), embeddings.dim)
+    query_rows = np.array(query_vecs).reshape(len(queries), embeddings.dim)
+    # admitted[q, m]: merged concept m is at most beta similar to query q
+    sims = cosines(
+        np.tile(vectors, (len(queries), 1)), np.repeat(query_rows, len(merged), axis=0)
+    )
+    admitted = (sims <= beta).reshape(len(queries), len(merged))
+    column = {concept: m for m, concept in enumerate(merged)}
     kept: list[str] = []
     excluded: list[str] = []
     for concept in order:
-        if concept in query_vecs:
+        if concept in query_index:
             excluded.append(concept)
             continue
-        vec = embeddings.vector(concept)
         if scope == "all":
-            ok = all(cosine(vec, query_vecs[qn]) <= beta for qn in queries)
+            ok = admitted[:, column[concept]].all()
         else:
             # the union over source queries keeps a concept admitted by any
             # of the queries that contributed it
-            ok = any(cosine(vec, query_vecs[src]) <= beta for src in sources[concept])
+            ok = any(admitted[query_index[src], column[concept]] for src in sources[concept])
         if ok:
             kept.append(concept)
         else:

@@ -105,10 +105,7 @@ class Settings:
         self.config: dict = {}
         config_path = getattr(args, "config", None)
         if config_path:
-            try:
-                raw = Path(config_path).read_text(encoding="utf-8")
-            except OSError:
-                raise
+            raw = Path(config_path).read_text(encoding="utf-8")
             try:
                 self.config = json.loads(raw)
             except ValueError:
@@ -284,8 +281,11 @@ def cmd_build_cc(args: argparse.Namespace) -> int:
         oracle=oracle,
         oracle_source=oracle_source,
         extra_meta={
-            "lexicon_digest": sha256_file(args.lexicon),
+            "lexicon_digest": lexicon.source_digest,
             "corpus_digest": sha256_file(args.matrix),
+            "counts_digest": sha256_file(args.counts),
+            "embeddings_digest": sha256_file(args.embeddings),
+            "visibility_digest": sha256_file(args.visibility) if args.visibility else None,
         },
     )
     dictionary.save(args.out)

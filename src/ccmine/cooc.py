@@ -349,13 +349,32 @@ def load_counts(path: str | Path) -> list[int]:
 # ---- row normalization and candidate selection ----
 
 
-@dataclass
+@dataclass(eq=False)
 class FreqMatrix:
-    """Row-normalized co-occurrence frequencies; directional by design."""
+    """Row-normalized co-occurrence frequencies; directional by design.
+
+    CSR arrays: row ``i``'s columns are ``indices[indptr[i]:indptr[i + 1]]``,
+    ascending, with frequencies ``data`` at the same positions.  ``rank``
+    is each concept's position in ascending string order, which breaks
+    frequency ties in candidate selection.
+    """
 
     dim: int
-    rows: dict[int, dict[int, float]]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    rank: np.ndarray
     lexicon: Lexicon
+
+    @property
+    def rows(self) -> dict[int, dict[int, float]]:
+        """``{i: {j: freq}}`` over the rows that hold entries."""
+        rows: dict[int, dict[int, float]] = {}
+        cols, data = self.indices.tolist(), self.data.tolist()
+        for i, (lo, hi) in enumerate(zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist())):
+            if hi > lo:
+                rows[i] = dict(zip(cols[lo:hi], data[lo:hi]))
+        return rows
 
 
 def normalize(matrix: CoocMatrix, occurrence: list[int], lexicon: Lexicon) -> FreqMatrix:
@@ -384,13 +403,15 @@ def normalize(matrix: CoocMatrix, occurrence: list[int], lexicon: Lexicon) -> Fr
                     f"pair count {count[k]} for ({lexicon.concepts[a]!r}, "
                     f"{lexicon.concepts[b]!r}) exceeds occurrence count {n}"
                 )
-    rows: dict[int, dict[int, float]] = {}
-    for a, b, f_ab, f_ba in zip(
-        i.tolist(), j.tolist(), (count / n_i).tolist(), (count / n_j).tolist()
-    ):
-        rows.setdefault(a, {})[b] = f_ab
-        rows.setdefault(b, {})[a] = f_ba
-    return FreqMatrix(dim=matrix.dim, rows=rows, lexicon=lexicon)
+    row = np.concatenate([i, j])
+    col = np.concatenate([j, i])
+    freq = np.concatenate([count / n_i, count / n_j])
+    order = np.argsort(row * matrix.dim + col)
+    indptr = np.zeros(matrix.dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=matrix.dim), out=indptr[1:])
+    rank = np.empty(matrix.dim, dtype=np.int64)
+    rank[sorted(range(matrix.dim), key=lexicon.concepts.__getitem__)] = np.arange(matrix.dim)
+    return FreqMatrix(matrix.dim, indptr, col[order], freq[order], rank, lexicon)
 
 
 @dataclass
@@ -399,6 +420,23 @@ class CandidateSet:
 
     target: int
     members: list[int]
+
+
+def _ranked(freq: FreqMatrix, lo: int, hi: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) ids of the CSR entries in ``[lo, hi)`` above ``gamma``,
+    by ascending row, then descending frequency, then ascending concept
+    string."""
+    keep = lo + np.flatnonzero(freq.data[lo:hi] > gamma)
+    row = np.searchsorted(freq.indptr, keep, side="right") - 1
+    col = freq.indices[keep]
+    order = np.lexsort((freq.rank[col], -freq.data[keep], row))
+    return row[order], col[order]
+
+
+def select_all(freq: FreqMatrix, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's candidates at once, as (row, column) id arrays sorted by
+    row; each row's run is ordered as ``select_candidates`` orders it."""
+    return _ranked(freq, 0, len(freq.indices), gamma)
 
 
 def select_candidates(freq: FreqMatrix, i: int, gamma: float) -> CandidateSet:
@@ -410,11 +448,8 @@ def select_candidates(freq: FreqMatrix, i: int, gamma: float) -> CandidateSet:
     """
     if not (0 <= i < freq.dim):
         raise ValidationError(f"concept id {i} out of range for dim {freq.dim}")
-    row = freq.rows.get(i, {})
-    chosen = [(j, f) for j, f in row.items() if f > gamma]
-    concepts = freq.lexicon.concepts
-    chosen.sort(key=lambda item: (-item[1], concepts[item[0]]))
-    return CandidateSet(target=i, members=[j for j, _ in chosen])
+    _, members = _ranked(freq, int(freq.indptr[i]), int(freq.indptr[i + 1]), gamma)
+    return CandidateSet(target=i, members=members.tolist())
 
 
 # ---- parallel corpus mining ----

@@ -45,23 +45,22 @@ class EmbeddingTable:
     def __init__(self, names: list[str], vectors) -> None:
         if len(names) != len(set(names)):
             raise ValidationError("embedding table names must be unique")
-        arr = np.asarray(vectors, dtype=np.float64)
+        arr = np.asarray(vectors)
+        if arr.dtype != np.float32:
+            arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != len(names):
             raise ValidationError("vectors must be a (len(names), dim) array")
         if arr.shape[1] == 0:
             raise ValidationError("embedding dimension must be positive")
         self.names: list[str] = list(names)
         self.dim: int = int(arr.shape[1])
-        raw_rows = []
-        unit_rows = []
-        for name, row in zip(self.names, arr):
-            raw, unit = _as_unit(row, f"embedding for {name!r}")
-            raw_rows.append(raw)
-            unit_rows.append(unit)
         # float32 form is what serialization writes; float64 form is what
-        # similarity math uses
-        self._raw = np.vstack(raw_rows) if raw_rows else np.zeros((0, self.dim), "<f4")
-        self._unit = np.vstack(unit_rows) if unit_rows else np.zeros((0, self.dim))
+        # similarity math uses.  Rows are converted one at a time, so no
+        # float64 copy of the whole input is ever made.
+        self._raw = np.empty(arr.shape, dtype="<f4")
+        self._unit = np.empty(arr.shape, dtype=np.float64)
+        for k, (name, row) in enumerate(zip(self.names, arr)):
+            self._raw[k], self._unit[k] = _as_unit(row, f"embedding for {name!r}")
         self._index = {name: k for k, name in enumerate(self.names)}
 
     def __len__(self) -> int:
@@ -69,6 +68,16 @@ class EmbeddingTable:
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
+
+    @property
+    def unit(self) -> np.ndarray:
+        """The unit vectors in float64, one row per name."""
+        return self._unit
+
+    def positions(self, names) -> np.ndarray:
+        """Row of each name in the table; -1 where a name has none."""
+        index = self._index
+        return np.array([index.get(name, -1) for name in names], dtype=np.int64)
 
     def vector(self, name: str) -> np.ndarray:
         try:
@@ -146,17 +155,35 @@ class EmbeddingTable:
         Path(path).write_text("".join(lines), encoding="utf-8")
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+def cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine similarity of each row of ``a`` with the same row of ``b``,
+    clamped into [-1, 1].
+
+    Every sum runs along one row (``einsum``), never through a matrix
+    product, whose blocking changes with the batch shape; so a pair gets
+    the same bits alone as in any batch, and ``cosine`` is exactly the
+    one-row case.  Threshold decisions at an exact tie depend on that.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValidationError(f"vector shapes differ or are not (n, dim): {a.shape} vs {b.shape}")
+    norm_a = _row_norms(a)
+    norm_b = _row_norms(b)
+    if not (norm_a.all() and norm_b.all()):
+        raise ValidationError("cosine is undefined for zero vectors")
+    return np.clip(np.einsum("ij,ij->i", a, b) / (norm_a * norm_b), -1.0, 1.0)
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity of two vectors, clamped into [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ValidationError(f"vector dimensions differ: {a.shape[0]} vs {b.shape[0]}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValidationError("cosine is undefined for zero vectors")
-    return float(np.clip(np.dot(a / na, b / nb), -1.0, 1.0))
+    a = np.asarray(a, dtype=np.float64).reshape(1, -1)
+    b = np.asarray(b, dtype=np.float64).reshape(1, -1)
+    return float(cosines(a, b)[0])
 
 
 def nearest_neighbor(query: np.ndarray, table: EmbeddingTable) -> tuple[str, float]:

@@ -17,15 +17,19 @@ import json
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .corpus import normalize_concept
-from .embed import EmbeddingTable, cosine
-from .errors import CCMineError, FormatError, ValidationError
+from .embed import EmbeddingTable, cosines
+from .errors import CCMineError, FormatError, MissingEmbeddingError, ValidationError
 from .ioutil import atomic_write_text
 
 DEFAULT_STOPWORDS = frozenset({"image", "photo", "picture", "view"})
 DEFAULT_DELTA = 0.8
+# candidate vectors gathered at once by the semantic stage
+_GATHER_ROWS = 256
 
 _ALLOWED_SOURCES = ("cached", "llm", "manual")
 
@@ -151,10 +155,139 @@ class FilterOutcome:
     unresolved_kept: list[str] = field(default_factory=list)
 
 
+def _intern(keys) -> tuple[list[str], np.ndarray]:
+    """Distinct keys in first-seen order, and each key's position among them."""
+    position: dict[str, int] = {}
+    ids = [position.setdefault(key, len(position)) for key in keys]
+    return list(position), np.array(ids, dtype=np.int64)
+
+
+def _stopword_flags(names: Sequence[str], stopwords) -> np.ndarray:
+    """Per name: is it a stop-word?  ``names`` are normalized."""
+    stop = {normalize_concept(s) for s in stopwords}
+    return np.array([name in stop for name in names], dtype=bool)
+
+
+def _visibility_flags(
+    names: Sequence[str],
+    ids: np.ndarray,
+    table: VisibilityTable,
+    oracle: VisibilityOracle | None,
+    source: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per name, (invisible, unresolved), looked up for the names in ``ids``.
+
+    Each unknown name goes to the oracle once, in the order ``ids`` first
+    holds it.  A name that no oracle is configured for, or whose oracle call
+    fails (service outage), stays unresolved: the caller keeps and flags
+    it, since availability problems must not silently shrink candidate
+    lists.
+    """
+    invisible = np.zeros(len(names), dtype=bool)
+    unresolved = np.zeros(len(names), dtype=bool)
+    distinct, first = np.unique(ids, return_index=True)
+    for k in distinct[np.argsort(first)].tolist():
+        visible = table.get(names[k])
+        if visible is None and oracle is not None:
+            try:
+                visible = table.resolve(names[k], oracle, source=source)
+            except CCMineError:
+                pass
+        if visible is None:
+            unresolved[k] = True
+        else:
+            invisible[k] = not visible
+    return invisible, unresolved
+
+
+def _similar_flags(
+    names: Sequence[str],
+    targets: int,
+    row: np.ndarray,
+    col: np.ndarray,
+    live: np.ndarray,
+    table: EmbeddingTable,
+    delta: float,
+) -> np.ndarray:
+    """Per pair: is the cosine of candidate ``names[col]`` to its target
+    ``names[row]`` strictly above ``delta``?  Only ``live`` pairs compare.
+
+    Every target needs an embedding, and so does every live candidate; the
+    error names the first one missing in row order, each row's target
+    before its candidates.
+    """
+    at = table.positions(names)
+    missing_target = np.flatnonzero(at[:targets] < 0)
+    missing_pair = np.flatnonzero(live & (at[col] < 0))
+    if len(missing_target) or len(missing_pair):
+        t = missing_target[0] if len(missing_target) else targets
+        if len(missing_pair) and row[missing_pair[0]] < t:
+            raise MissingEmbeddingError(names[col[missing_pair[0]]])
+        raise MissingEmbeddingError(names[t])
+    similar = np.zeros(len(row), dtype=bool)
+    pairs = np.flatnonzero(live)
+    unit = table.unit
+    # bounded gathers keep the transient vector copies small
+    for start in range(0, len(pairs), _GATHER_ROWS):
+        part = pairs[start : start + _GATHER_ROWS]
+        similar[part] = cosines(unit[at[col[part]]], unit[at[row[part]]]) > delta
+    return similar
+
+
+def _split_rows(labels: np.ndarray, row: np.ndarray, mask: np.ndarray, targets: int) -> list[list]:
+    """``labels[mask]`` cut into one list per row ``0 .. targets - 1``."""
+    picked = np.flatnonzero(mask)
+    items = labels[picked].tolist()
+    bounds = np.searchsorted(row[picked], np.arange(targets + 1)).tolist()
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def filter_rows(
+    names: Sequence[str],
+    targets: int,
+    row: np.ndarray,
+    col: np.ndarray,
+    embeddings: EmbeddingTable,
+    visibility: VisibilityTable,
+    config: FilterConfig | None = None,
+    oracle: VisibilityOracle | None = None,
+    oracle_source: str = "llm",
+    labels: Sequence[str] | None = None,
+) -> list[FilterOutcome]:
+    """Apply stop-word, visibility, and semantic filters, in that order, to
+    the candidate lists of many targets at once.
+
+    ``names`` are distinct normalized concepts.  Row ``r < targets`` filters
+    for target ``names[r]`` the candidates ``names[col[p]]`` of the pairs
+    ``p`` with ``row[p] == r``, in pair order; ``row`` ascends.  Outcomes
+    name each pair's candidate by ``labels[p]``, by default its name.  An
+    unknown concept goes to the oracle once, however many rows hold it, so
+    a failed answer flags it in every row.
+    """
+    config = config or FilterConfig()
+    if labels is None:
+        labels = np.array(names, dtype=object)[col]
+    else:
+        labels = np.array(labels, dtype=object)
+    stopword = _stopword_flags(names, config.stopwords)[col]
+    invisible, unresolved = _visibility_flags(
+        names, col[~stopword], visibility, oracle, oracle_source
+    )
+    invisible, unresolved = invisible[col], unresolved[col]
+    live = ~stopword & ~invisible
+    similar = _similar_flags(names, targets, row, col, live, embeddings, config.delta)
+    kept = live & ~similar
+    fields = (kept, stopword, invisible, similar, kept & unresolved)
+    return [
+        FilterOutcome(*lists)
+        for lists in zip(*(_split_rows(labels, row, mask, targets) for mask in fields))
+    ]
+
+
 def remove_stopwords(candidates: list[str], stopwords=DEFAULT_STOPWORDS) -> list[str]:
     """Drop candidates whose normalized form is a stop-word; keep order."""
-    stop = {normalize_concept(s) for s in stopwords}
-    return [c for c in candidates if normalize_concept(c) not in stop]
+    stopword = _stopword_flags([normalize_concept(c) for c in candidates], stopwords)
+    return [c for c, stop in zip(candidates, stopword.tolist()) if not stop]
 
 
 def filter_abstract(
@@ -166,31 +299,22 @@ def filter_abstract(
 ) -> list[str]:
     """Keep candidates that name something visible.
 
-    Unknown concepts are resolved through the oracle and cached.  If the
-    oracle fails (service outage) or none is configured, the candidate is
-    kept and flagged in ``outcome.unresolved_kept``: availability problems
-    must not silently shrink candidate lists.
+    Unknown concepts are resolved through the oracle, once each, and
+    cached.  If the oracle fails (service outage) or none is configured,
+    the candidate is kept and flagged in ``outcome.unresolved_kept``:
+    availability problems must not silently shrink candidate lists.
     """
+    outcome = outcome if outcome is not None else FilterOutcome()
+    names, ids = _intern(map(normalize_concept, candidates))
+    invisible, unresolved = _visibility_flags(names, ids, table, oracle, source)
     kept: list[str] = []
-    for candidate in candidates:
-        cached = table.get(candidate)
-        if cached is None:
-            if oracle is None:
-                kept.append(candidate)
-                if outcome is not None:
-                    outcome.unresolved_kept.append(candidate)
-                continue
-            try:
-                cached = table.resolve(candidate, oracle, source=source)
-            except CCMineError:
-                kept.append(candidate)
-                if outcome is not None:
-                    outcome.unresolved_kept.append(candidate)
-                continue
-        if cached:
-            kept.append(candidate)
-        elif outcome is not None:
+    for candidate, k in zip(candidates, ids.tolist()):
+        if unresolved[k]:
+            outcome.unresolved_kept.append(candidate)
+        elif invisible[k]:
             outcome.removed_invisible.append(candidate)
+            continue
+        kept.append(candidate)
     return kept
 
 
@@ -203,16 +327,14 @@ def filter_semantic(
 ) -> list[str]:
     """Drop candidates with cosine similarity to the target strictly above
     ``delta``; similarity exactly equal to ``delta`` survives."""
-    target_vec = table.vector(normalize_concept(target))
-    kept = []
-    for candidate in candidates:
-        sim = cosine(table.vector(normalize_concept(candidate)), target_vec)
-        if sim > delta:
-            if outcome is not None:
-                outcome.removed_similar.append(candidate)
-        else:
-            kept.append(candidate)
-    return kept
+    names, ids = _intern(map(normalize_concept, [target, *candidates]))
+    col = ids[1:]
+    row = np.zeros(len(col), dtype=np.int64)
+    similar = _similar_flags(names, 1, row, col, np.ones(len(col), dtype=bool), table, delta)
+    flags = similar.tolist()
+    if outcome is not None:
+        outcome.removed_similar.extend(c for c, s in zip(candidates, flags) if s)
+    return [c for c, s in zip(candidates, flags) if not s]
 
 
 def run_pipeline(
@@ -224,19 +346,20 @@ def run_pipeline(
     oracle: VisibilityOracle | None = None,
     oracle_source: str = "llm",
 ) -> FilterOutcome:
-    """Apply stop-word, visibility, and semantic filters in that order."""
-    config = config or FilterConfig()
-    outcome = FilterOutcome(kept=[])
-    stage = []
-    stop = {normalize_concept(s) for s in config.stopwords}
-    for c in candidates:
-        if normalize_concept(c) in stop:
-            outcome.removed_stopword.append(c)
-        else:
-            stage.append(c)
-    stage = filter_abstract(stage, visibility, oracle, source=oracle_source, outcome=outcome)
-    stage = filter_semantic(stage, target, embeddings, config.delta, outcome=outcome)
-    outcome.kept = stage
-    final = set(stage)
-    outcome.unresolved_kept = [c for c in outcome.unresolved_kept if c in final]
+    """Apply stop-word, visibility, and semantic filters in that order: the
+    one-target case of ``filter_rows``."""
+    names, ids = _intern(map(normalize_concept, [target, *candidates]))
+    col = ids[1:]
+    (outcome,) = filter_rows(
+        names,
+        1,
+        np.zeros(len(col), dtype=np.int64),
+        col,
+        embeddings,
+        visibility,
+        config,
+        oracle,
+        oracle_source,
+        labels=candidates,
+    )
     return outcome

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccmine.ccgen import (
     CCDictionary,
@@ -19,10 +21,11 @@ from ccmine.ccgen import (
     cc_none,
     cc_privileged,
 )
-from ccmine.cooc import mine_corpus
-from ccmine.embed import EmbeddingTable
-from ccmine.errors import FormatError, ValidationError
-from ccmine.filters import VisibilityTable
+from ccmine.cooc import CoocMatrix, mine_corpus
+from ccmine.corpus import Lexicon, normalize_concept
+from ccmine.embed import EmbeddingTable, cosine
+from ccmine.errors import CCMineError, FormatError, MissingEmbeddingError, ValidationError
+from ccmine.filters import DEFAULT_STOPWORDS, FilterConfig, FilterOutcome, VisibilityTable
 from ccmine.llm import LLMClient
 
 from conftest import EXPECTED_DICT_G001, EXPECTED_DICT_G099
@@ -316,3 +319,280 @@ class TestBuildTimestamp:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "soon")
         with pytest.raises(ValidationError):
             build_timestamp()
+
+
+# ---- the per-concept loops the array code replaced, kept as references ----
+#
+# They call the library's scalar ``cosine``, which is the one-row case of the
+# batched helper, so a delta or beta set to an exact similarity means the
+# same thing on both sides.
+
+
+def loop_pipeline(candidates, target, embeddings, visibility, config, oracle, oracle_source):
+    outcome = FilterOutcome(kept=[])
+    stop = {normalize_concept(s) for s in config.stopwords}
+    stage = []
+    for c in candidates:
+        if normalize_concept(c) in stop:
+            outcome.removed_stopword.append(c)
+        else:
+            stage.append(c)
+    visible = []
+    for c in stage:
+        cached = visibility.get(c)
+        if cached is None:
+            if oracle is None:
+                visible.append(c)
+                outcome.unresolved_kept.append(c)
+                continue
+            try:
+                cached = visibility.resolve(c, oracle, source=oracle_source)
+            except CCMineError:
+                visible.append(c)
+                outcome.unresolved_kept.append(c)
+                continue
+        if cached:
+            visible.append(c)
+        else:
+            outcome.removed_invisible.append(c)
+    target_vec = embeddings.vector(normalize_concept(target))
+    for c in visible:
+        if cosine(embeddings.vector(normalize_concept(c)), target_vec) > config.delta:
+            outcome.removed_similar.append(c)
+        else:
+            outcome.kept.append(c)
+    final = set(outcome.kept)
+    outcome.unresolved_kept = [c for c in outcome.unresolved_kept if c in final]
+    return outcome
+
+
+def loop_build(matrix, occurrence, lexicon, embeddings, visibility, gamma, config, oracle):
+    concepts = lexicon.concepts
+    rows: dict[int, dict[int, float]] = {}
+    for (a, b), count in matrix.pairs.items():
+        rows.setdefault(a, {})[b] = count / occurrence[a]
+        rows.setdefault(b, {})[a] = count / occurrence[b]
+    cc, outcomes = {}, {}
+    for i, concept in enumerate(concepts):
+        chosen = [(j, f) for j, f in rows.get(i, {}).items() if f > gamma]
+        chosen.sort(key=lambda item: (-item[1], concepts[item[0]]))
+        candidates = [concepts[j] for j, _ in chosen]
+        outcome = loop_pipeline(
+            candidates, concept, embeddings, visibility, config, oracle, "llm"
+        )
+        cc[concept] = outcome.kept
+        outcomes[concept] = outcome
+    return cc, outcomes
+
+
+def loop_cc_multi(cc_sets, embeddings, beta, scope):
+    queries = [s.query for s in cc_sets]
+    query_vecs = {qn: embeddings.vector(qn) for qn in queries}
+    order, sources = [], {}
+    for cc_set in cc_sets:
+        for concept in cc_set.concepts:
+            contributed = sources.setdefault(concept, [])
+            if not contributed:
+                order.append(concept)
+            if cc_set.query not in contributed:
+                contributed.append(cc_set.query)
+    kept, excluded = [], []
+    for concept in order:
+        if concept in query_vecs:
+            excluded.append(concept)
+            continue
+        vec = embeddings.vector(concept)
+        if scope == "all":
+            ok = all(cosine(vec, query_vecs[qn]) <= beta for qn in queries)
+        else:
+            ok = any(cosine(vec, query_vecs[src]) <= beta for src in sources[concept])
+        (kept if ok else excluded).append(concept)
+    return kept, excluded
+
+
+# names sort differently from their ids once shuffled, and two are stop-words
+POOL = ["photo", "zebra", "apple", "mango", "kiwi", "boat", "dock", "image", "eel", "fig"]
+
+
+@st.composite
+def embedding_tables(draw, concepts):
+    """One-hot rows (exact similarities 0 and 1) or Gaussian rows, with
+    repeated and rescaled vectors; sometimes a concept has none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 8))
+        base = np.eye(dim)[rng.integers(0, dim, len(concepts))]
+    else:
+        dim = draw(st.integers(1, 300))
+        base = rng.standard_normal((len(concepts), dim))
+    pick = [draw(st.integers(0, len(concepts) - 1)) for _ in concepts]
+    scale = [draw(st.sampled_from([1.0, 2.0, 0.5])) for _ in concepts]
+    vectors = base[pick] * np.array(scale)[:, None]
+    absent = set()
+    if draw(st.integers(0, 3)) == 0:
+        absent = draw(st.sets(st.sampled_from(concepts), max_size=2))
+    names = [c for c in concepts if c not in absent]
+    rows = vectors[[concepts.index(c) for c in names]].reshape(len(names), dim)
+    return EmbeddingTable(names, rows)
+
+
+@st.composite
+def build_cases(draw):
+    n = draw(st.integers(1, 8))
+    concepts = draw(st.permutations(POOL))[:n]
+    occurrence = [draw(st.integers(1, 4)) for _ in range(n)]
+    pairs = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            count = draw(st.integers(0, min(occurrence[a], occurrence[b])))
+            if count:
+                pairs[(a, b)] = count
+    # fractions count / occurrence hit frequencies exactly
+    gamma = draw(
+        st.one_of(
+            st.builds(lambda c, o: c / o, st.integers(0, 4), st.integers(1, 4)),
+            st.floats(0.0, 1.0),
+        )
+    )
+    table = draw(embedding_tables(concepts))
+    delta = draw(st.sampled_from([0.0, 0.5, 0.8, 1.0, None]))
+    if delta is None:
+        # exactly the similarity of a co-occurring pair, when both have vectors
+        a, b = draw(st.sampled_from(sorted(pairs) or [(0, 0)]))
+        a, b = concepts[a], concepts[b]
+        delta = cosine(table.vector(a), table.vector(b)) if {a, b} <= set(table.names) else 0.8
+    stopwords = draw(
+        st.sampled_from([DEFAULT_STOPWORDS, frozenset({" Zebra", "kiwi"}), frozenset()])
+    )
+    known = {c: draw(st.sampled_from([True, False, None])) for c in concepts}
+    answers = {c: draw(st.sampled_from(["accept", "reject", "raise"])) for c in concepts}
+    with_oracle = draw(st.booleans())
+    return dict(
+        concepts=concepts,
+        occurrence=occurrence,
+        pairs=pairs,
+        gamma=gamma,
+        table=table,
+        config=FilterConfig(stopwords=stopwords, delta=delta),
+        known=known,
+        answers=answers,
+        with_oracle=with_oracle,
+    )
+
+
+def run_build(case, build):
+    """(result or the concept a MissingEmbeddingError named, oracle calls,
+    final visibility answers)."""
+    calls = []
+
+    def oracle(concept):
+        calls.append(concept)
+        if case["answers"][concept] == "raise":
+            raise CCMineError("visibility service down")
+        return case["answers"][concept] == "accept"
+
+    visibility = VisibilityTable(
+        {c: (v, "manual") for c, v in case["known"].items() if v is not None}
+    )
+    lexicon = Lexicon(case["concepts"])
+    matrix = CoocMatrix(len(lexicon), case["pairs"])
+    try:
+        result = build(
+            matrix,
+            case["occurrence"],
+            lexicon,
+            case["table"],
+            visibility,
+            case["gamma"],
+            case["config"],
+            oracle if case["with_oracle"] else None,
+        )
+    except MissingEmbeddingError as exc:
+        result = ("missing", exc.concept)
+    return result, calls, {c: visibility.get(c) for c in case["concepts"]}
+
+
+def array_build(matrix, occurrence, lexicon, embeddings, visibility, gamma, config, oracle):
+    dictionary, outcomes = build_dictionary(
+        matrix,
+        occurrence,
+        lexicon,
+        embeddings,
+        visibility,
+        gamma=gamma,
+        filter_config=config,
+        oracle=oracle,
+    )
+    return dictionary.cc, outcomes
+
+
+class TestBuildAgainstPerConceptLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(case=build_cases())
+    def test_same_dictionary_outcomes_and_oracle_calls(self, case):
+        want, want_calls, want_answers = run_build(case, loop_build)
+        got, got_calls, got_answers = run_build(case, array_build)
+        assert got == want
+        if want[0] == "missing":
+            return
+        # the loop retries a failed oracle call at every occurrence; the
+        # array build asks once and flags the concept everywhere
+        if not any(case["answers"][c] == "raise" for c in want_calls):
+            assert got_calls == want_calls
+            assert got_answers == want_answers
+        assert len(got_calls) == len(set(got_calls))
+
+    def test_failed_oracle_answer_is_asked_once_and_flagged_in_meta(
+        self, toy_corpus_path, toy_lexicon, toy_embeddings
+    ):
+        calls = []
+
+        def oracle(concept):
+            calls.append(concept)
+            if concept == "sunset":
+                raise CCMineError("visibility service down")
+            return True
+
+        matrix, stats = mine_corpus(toy_corpus_path, toy_lexicon)
+        dictionary, outcomes = build_dictionary(
+            matrix, stats.occurrence, toy_lexicon, toy_embeddings, VisibilityTable(), oracle=oracle
+        )
+        assert calls.count("sunset") == 1
+        assert dictionary.cc == EXPECTED_DICT_G001
+        assert outcomes["boat"].unresolved_kept == ["sunset"]
+        assert outcomes["dock"].unresolved_kept == ["sunset"]
+        assert dictionary.meta["unresolved_kept"] == ["sunset"]
+        assert dictionary.meta["filter_counts"] == {
+            "candidates": 12,
+            "stopword": 1,
+            "invisible": 0,
+            "similar": 2,
+            "kept": 9,
+        }
+
+
+class TestCCMultiAgainstLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_kept_and_excluded(self, data):
+        concepts = data.draw(st.permutations(POOL))[: data.draw(st.integers(1, 8))]
+        table = data.draw(embedding_tables(concepts))
+        queries = data.draw(st.lists(st.sampled_from(concepts), unique=True, max_size=4))
+        sets = [
+            CCSet(q, "llm", data.draw(st.lists(st.sampled_from(concepts), max_size=6)))
+            for q in queries
+        ]
+        beta = data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0, None]))
+        if beta is None:
+            present = table.names or [None]
+            a, b = data.draw(st.sampled_from(present)), data.draw(st.sampled_from(present))
+            beta = cosine(table.vector(a), table.vector(b)) if a is not None else 0.9
+        scope = data.draw(st.sampled_from(["all", "source"]))
+
+        def outcome(merge):
+            try:
+                return merge(sets, table, beta, scope)
+            except MissingEmbeddingError as exc:
+                return ("missing", exc.concept)
+
+        assert outcome(cc_multi) == outcome(loop_cc_multi)

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ccmine import cli
 from ccmine.ccgen import CCDictionary
 from ccmine.cli import main
 from ccmine.cooc import CoocMatrix
+from ccmine.errors import CCMineError
 from ccmine.metrics import GroundTruth
 from ccmine.segment import BOTTOM, SegMap, sigmoid
 
@@ -217,6 +219,57 @@ class TestBuildCC:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_meta_records_digests_and_filter_diagnostics(
+        self, capsys, mined, paths, tmp_path, monkeypatch
+    ):
+        calls = []
+
+        def oracle(concept):
+            calls.append(concept)
+            if concept == "sunset":
+                raise CCMineError("visibility service down")
+            return True
+
+        monkeypatch.setattr(cli, "visibility_oracle", lambda client, markers: oracle)
+        out = tmp_path / "cc.json"
+        code, _, _ = self.build(
+            capsys,
+            mined,
+            paths,
+            out,
+            "--unknown-visibility", "llm",
+            "--llm-endpoint", "http://127.0.0.1:1/v1/completions",
+        )
+        assert code == 0
+        built = CCDictionary.load(out)
+        # the concept the oracle could not answer is kept and flagged
+        assert built.cc == EXPECTED_DICT_G001
+        assert calls.count("sunset") == 1
+        assert built.meta["unresolved_kept"] == ["sunset"]
+        assert built.meta["filter_counts"] == {
+            "candidates": 12,
+            "stopword": 1,
+            "invisible": 0,
+            "similar": 2,
+            "kept": 9,
+        }
+
+        def sha(path):
+            return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+        matrix_path, counts_path = mined
+        assert built.meta["lexicon_digest"] == sha(paths["lexicon"])
+        assert built.meta["corpus_digest"] == sha(matrix_path)
+        assert built.meta["counts_digest"] == sha(counts_path)
+        assert built.meta["embeddings_digest"] == sha(paths["embeddings"])
+        assert built.meta["visibility_digest"] is None
+
+        code, _, _ = self.build(capsys, mined, paths, out, "--visibility", paths["visibility"])
+        assert code == 0
+        built = CCDictionary.load(out)
+        assert built.meta["visibility_digest"] == sha(paths["visibility"])
+        assert built.meta["unresolved_kept"] == []
 
     def test_save_visibility(self, capsys, mined, paths, tmp_path):
         out = tmp_path / "cc.json"

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccmine.embed import (
     EmbeddingTable,
     ToyEmbeddingProvider,
+    _as_unit,
     cosine,
+    cosines,
     nearest_neighbor,
 )
 from ccmine.errors import FormatError, MissingEmbeddingError, ValidationError
@@ -67,6 +73,34 @@ class TestTable:
         assert lines[1].startswith("b\t")
 
 
+class TestTableConstruction:
+    @pytest.mark.parametrize("dtype", ["<f4", np.float64])
+    def test_arrays_equal_per_row_as_unit(self, dtype):
+        rng = np.random.default_rng(5)
+        vectors = (rng.standard_normal((40, 33)) * rng.uniform(0.1, 9.0, (40, 1))).astype(dtype)
+        names = [f"n{k}" for k in range(40)]
+        table = EmbeddingTable(names, vectors)
+        assert table._raw.dtype == np.dtype("<f4") and table._unit.dtype == np.float64
+        for k, row in enumerate(vectors):
+            raw, unit = _as_unit(row, names[k])
+            assert np.array_equal(table._raw[k], raw)
+            assert np.array_equal(table._unit[k], unit)
+
+    def test_loads_peak_memory_stays_near_the_table(self):
+        rng = np.random.default_rng(6)
+        vectors = rng.standard_normal((2000, 512))
+        data = EmbeddingTable([f"c{k:04d}" for k in range(2000)], vectors).dumps()
+        del vectors
+        tracemalloc.start()
+        try:
+            table = EmbeddingTable.loads(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        final = table._raw.nbytes + table._unit.nbytes
+        assert peak < 2 * final, (peak, final)
+
+
 class TestCosine:
     def test_known_value(self):
         assert cosine(np.array([0.6, 0.8]), np.array([0.0, 1.0])) == pytest.approx(0.8)
@@ -87,6 +121,40 @@ class TestCosine:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValidationError):
             cosine(np.zeros(2), np.array([1.0, 0.0]))
+
+
+class TestBatchedCosine:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 80),
+        dim=st.integers(1, 768),
+        seed=st.integers(0, 2**32 - 1),
+        one_vector=st.booleans(),
+        single=st.booleans(),
+    )
+    def test_each_row_equals_its_one_row_case(self, n, dim, seed, one_vector, single):
+        # exact-tie decisions (similarity equal to delta or beta) need a
+        # pair's similarity not to depend on the batch it is computed in
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, dim)).astype(np.float32 if single else np.float64)
+        b = rng.standard_normal((1 if one_vector else n, dim))
+        b = np.broadcast_to(b, a.shape)
+        got = cosines(a, b)
+        alone = np.array([cosine(x, y) for x, y in zip(a, b)])
+        swapped = np.array([cosine(y, x) for x, y in zip(a, b)])
+        assert got.tobytes() == alone.tobytes() == swapped.tobytes()
+        lo = n // 3
+        assert cosines(a[lo:], b[lo:]).tobytes() == got[lo:].tobytes()
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ValidationError):
+            cosines(np.ones((2, 3)), np.ones((3, 3)))
+        with pytest.raises(ValidationError):
+            cosines(np.ones(3), np.ones(3))
+
+    def test_zero_row_rejected(self):
+        with pytest.raises(ValidationError):
+            cosines(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones((2, 2)))
 
 
 class TestNearestNeighbor:

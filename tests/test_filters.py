@@ -147,6 +147,20 @@ class TestAbstractFilter:
         assert kept == ["fog"]
         assert outcome.unresolved_kept == ["fog"]
 
+    def test_failed_oracle_asked_once_per_concept(self):
+        calls = []
+
+        def oracle(concept):
+            calls.append(concept)
+            raise CCMineError("oracle offline")
+
+        outcome = FilterOutcome()
+        candidates = ["fog", "mist", "Fog"]
+        kept = filter_abstract(candidates, VisibilityTable({}), oracle=oracle, outcome=outcome)
+        assert kept == candidates
+        assert outcome.unresolved_kept == candidates
+        assert calls == ["fog", "mist"]
+
     def test_oracle_result_cached_in_table(self):
         table = VisibilityTable()
         kept = filter_abstract(["fog"], table, oracle=lambda c: False)
