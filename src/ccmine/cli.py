@@ -19,6 +19,8 @@ import json
 import logging
 import os
 import sys
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import ccgen, metrics
@@ -53,88 +55,133 @@ from .filters import (
     reject_unknown,
 )
 from .ioutil import atomic_write_text, sha256_file
-from .llm import LLMClient, visibility_oracle
+from .llm import API_STYLES, LLMClient, visibility_oracle
 from .segment import (
     FeatureMap,
     PromptSet,
+    SegMap,
     apply_cc_mask,
     build_prompt_set,
     remap_cc_to_background,
     segment_pixels,
-    SegMap,
 )
 
 log = logging.getLogger("ccmine")
 
-_CONFIG_KEYS = {
-    "workers",
-    "gamma",
-    "delta",
-    "beta",
-    "beta_scope",
-    "stopwords",
-    "aggregation",
-    "upsample",
-    "cc_mode",
-    "segmenter",
-    "sigmoid_threshold",
-    "steps",
-    "unknown_visibility",
-    "background_label",
-    "include_markers",
-    "llm",
+
+@dataclass(frozen=True)
+class Option:
+    """One run-config key: its value type, allowed values and default.
+
+    ``flag`` spells the command-line flag when it is not ``--`` plus the
+    key with ``.`` and ``_`` turned into ``-``.
+    """
+
+    type: type
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    flag: str | None = None
+    help: str | None = None
+
+
+# every run-config key; ``llm.<name>`` is ``<name>`` in the config's "llm"
+# object and the ``LLMClient`` field of that name
+OPTIONS: dict[str, Option] = {
+    "workers": Option(int),
+    "gamma": Option(float, ccgen.DEFAULT_GAMMA),
+    "delta": Option(float, DEFAULT_DELTA),
+    "beta": Option(float, ccgen.DEFAULT_BETA),
+    "beta_scope": Option(str, "all", ("all", "source")),
+    "stopwords": Option(list, DEFAULT_STOPWORDS),
+    "aggregation": Option(str, "class", ("class", "image")),
+    "upsample": Option(str, "logits", ("logits", "labels")),
+    "cc_mode": Option(str, "bg", ("none", "bg", "dict", "llm", "privileged")),
+    "segmenter": Option(str, "argmax", ("argmax", "sigmoid")),
+    "sigmoid_threshold": Option(float),
+    "steps": Option(int, 30, help="sample count for the sigmoid sweep"),
+    "unknown_visibility": Option(str, "reject", ("reject", "accept", "llm")),
+    "background_label": Option(str, BACKGROUND),
+    "include_markers": Option(bool, True),
+    "llm.endpoint": Option(str),
+    "llm.model": Option(str),
+    "llm.api_style": Option(str, choices=API_STYLES, flag="--api-style"),
+    "llm.temperature": Option(float),
+    "llm.max_tokens": Option(int),
+    "llm.timeout": Option(float),
+    "llm.max_attempts": Option(int, flag="--llm-attempts"),
+    "llm.cache_dir": Option(str, flag="--llm-cache"),
 }
 
-_LLM_CONFIG_KEYS = {
-    "endpoint",
-    "model",
-    "api_style",
-    "temperature",
-    "max_tokens",
-    "timeout",
-    "max_attempts",
-    "cache_dir",
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    bool: "true or false",
+    list: "a list of strings",
 }
+
+
+def _has_type(value, kind: type) -> bool:
+    if isinstance(value, bool):  # JSON true/false are Python ints too
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is list:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, kind)
+
+
+def _load_config(path: str) -> dict:
+    """The run-config as ``OPTIONS`` keys, each value checked against its
+    option; numbers for float options come back as floats."""
+    raw = Path(path).read_text(encoding="utf-8")
+    try:
+        config = json.loads(raw)
+    except ValueError:
+        raise ValidationError(f"run config {path} is not valid JSON") from None
+    if not isinstance(config, dict):
+        raise ValidationError("run config must be a JSON object")
+    llm_cfg = config.pop("llm", {})
+    if not isinstance(llm_cfg, dict):
+        raise ValidationError("run-config 'llm' must be an object")
+    flat = dict(config)
+    flat.update((f"llm.{name}", value) for name, value in llm_cfg.items())
+    unknown = [k for k in config if "." in k or k not in OPTIONS]
+    unknown += [k for k in flat if k.startswith("llm.") and k not in OPTIONS]
+    if unknown:
+        raise ValidationError(f"unknown run-config keys: {sorted(unknown)}")
+    for key, value in flat.items():
+        if value is None:  # null leaves the key unset
+            continue
+        opt = OPTIONS[key]
+        if not _has_type(value, opt.type):
+            raise ValidationError(
+                f"run-config {key!r} must be {_TYPE_NAMES[opt.type]}, got {value!r}"
+            )
+        if opt.choices is not None and value not in opt.choices:
+            raise ValidationError(
+                f"run-config {key!r} must be one of {list(opt.choices)}, got {value!r}"
+            )
+        if opt.type is float:
+            flat[key] = float(value)
+    return flat
 
 
 class Settings:
-    """Flag-over-config resolution for one command invocation."""
+    """Flag-over-config-over-default resolution for one command invocation."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.config: dict = {}
         config_path = getattr(args, "config", None)
-        if config_path:
-            raw = Path(config_path).read_text(encoding="utf-8")
-            try:
-                self.config = json.loads(raw)
-            except ValueError:
-                raise ValidationError(f"run config {config_path} is not valid JSON") from None
-            if not isinstance(self.config, dict):
-                raise ValidationError("run config must be a JSON object")
-            unknown = set(self.config) - _CONFIG_KEYS
-            if unknown:
-                raise ValidationError(f"unknown run-config keys: {sorted(unknown)}")
-            llm_cfg = self.config.get("llm", {})
-            if not isinstance(llm_cfg, dict):
-                raise ValidationError("run-config 'llm' must be an object")
-            unknown = set(llm_cfg) - _LLM_CONFIG_KEYS
-            if unknown:
-                raise ValidationError(f"unknown run-config llm keys: {sorted(unknown)}")
+        self.config = _load_config(config_path) if config_path else {}
 
-    def get(self, name: str, default=None):
-        value = getattr(self.args, name, None)
-        if value is not None:
-            return value
-        if name in self.config:
-            return self.config[name]
-        return default
-
-    def llm_get(self, name: str, default=None):
-        value = getattr(self.args, f"llm_{name}", None)
-        if value is not None:
-            return value
-        return self.config.get("llm", {}).get(name, default)
+    def get(self, key: str):
+        """The value of an ``OPTIONS`` key: its flag, else the config, else
+        the option's default."""
+        value = getattr(self.args, _dest(key), None)
+        if value is None:
+            value = self.config.get(key)
+        return OPTIONS[key].default if value is None else value
 
     def workers(self) -> int:
         value = self.get("workers")
@@ -147,71 +194,161 @@ class Settings:
                     raise ValidationError(
                         f"CCMINE_WORKERS must be an integer, got {env!r}"
                     ) from None
-        value = 1 if value is None else int(value)
+        value = 1 if value is None else value
         if value < 1:
             raise ValidationError("workers must be >= 1")
         return value
 
-    def llm_client(self, required: bool = True) -> LLMClient | None:
-        endpoint = self.llm_get("endpoint")
-        if endpoint is None:
-            if required:
-                raise ValidationError("an LLM endpoint is required for this mode")
-            return None
-        return LLMClient(
-            endpoint=endpoint,
-            model=self.llm_get("model", "default"),
-            api_style=self.llm_get("api_style", "raw"),
-            temperature=float(self.llm_get("temperature", 0.0)),
-            max_tokens=int(self.llm_get("max_tokens", 256)),
-            timeout=float(self.llm_get("timeout", 30.0)),
-            max_attempts=int(self.llm_get("max_attempts", 4)),
-            cache_dir=self.llm_get("cache_dir"),
-        )
+    def llm_client(self) -> LLMClient:
+        """A client from the ``llm.*`` values that are set; ``LLMClient``
+        supplies the rest."""
+        fields = {
+            key.removeprefix("llm."): value
+            for key in OPTIONS
+            if key.startswith("llm.") and (value := self.get(key)) is not None
+        }
+        if "endpoint" not in fields:
+            raise ValidationError("an LLM endpoint is required for this mode")
+        return LLMClient(**fields)
 
 
-def _parse_classes(settings: Settings) -> list[str] | None:
-    raw = getattr(settings.args, "classes", None)
-    if raw:
-        return [normalize_concept(c) for c in raw.split(",") if normalize_concept(c)]
-    path = getattr(settings.args, "classes_file", None)
-    if path:
-        out = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+def _dest(key: str) -> str:
+    return key.replace(".", "_")
+
+
+def _classes(args: argparse.Namespace, dataset=None) -> list[str] | None:
+    """The ``--classes``/``--classes-file`` list; when neither names a class
+    and a dataset is given, every label of its ground truth, sorted."""
+    classes = None
+    if args.classes:
+        classes = [normalize_concept(c) for c in args.classes.split(",") if normalize_concept(c)]
+    elif args.classes_file:
+        classes = []
+        for line in Path(args.classes_file).read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
-                out.append(normalize_concept(line))
-        return out
-    return None
+                classes.append(normalize_concept(line))
+    if classes or dataset is None:
+        return classes
+    return sorted({label for _id, _f, gt in dataset for label in gt.labels.values()})
 
 
-def _make_cc_source(
-    mode: str,
-    *,
-    dictionary: CCDictionary | None = None,
-    embeddings: EmbeddingTable | None = None,
+def _cc_source(
+    settings: Settings,
+    embeddings: EmbeddingTable | None,
+    classes: list[str] | None,
     provider=None,
-    client: LLMClient | None = None,
-    classes: list[str] | None = None,
-    include_markers: bool = True,
-):
-    if mode == "none":
-        return cc_none
-    if mode == "bg":
-        return cc_bg
+) -> metrics.CCSource:
+    """The CC generator ``cc_mode`` names, with what it needs loaded.
+
+    ``dict`` mode embeds unknown queries with ``provider``, by default a
+    lookup in ``embeddings``.
+    """
+    mode = settings.get("cc_mode")
     if mode == "dict":
-        if dictionary is None or embeddings is None:
+        if settings.args.cc_dict is None or embeddings is None:
             raise ValidationError("cc-mode 'dict' needs --cc-dict and --embeddings")
-        return lambda q: cc_d(q, dictionary, embeddings, provider)
+        dictionary = CCDictionary.load(settings.args.cc_dict)
+        provider = provider or TableProvider(embeddings)
+        return partial(cc_d, dictionary=dictionary, embeddings=embeddings, provider=provider)
     if mode == "llm":
-        if client is None:
-            raise ValidationError("cc-mode 'llm' needs an LLM endpoint")
-        return lambda q: cc_llm(q, client, include_markers)
+        return partial(
+            cc_llm, client=settings.llm_client(), include_markers=settings.get("include_markers")
+        )
     if mode == "privileged":
         if classes is None:
             raise ValidationError("cc-mode 'privileged' needs the dataset class list")
-        return lambda q: cc_privileged(q, classes)
-    raise ValidationError(f"unknown cc-mode {mode!r}")
+        return partial(cc_privileged, classes=classes)
+    return cc_none if mode == "none" else cc_bg
+
+
+def _load_dataset(args: argparse.Namespace, failures: list[dict] | None = None):
+    """(image id, features, ground truth) of every ``.feat`` file, sorted by
+    id.  An image that fails to load is raised, or with ``failures`` given
+    logged, recorded there and skipped."""
+    feature_paths = sorted(Path(args.features_dir).glob("*.feat"))
+    if not feature_paths:
+        raise ValidationError(f"no .feat files under {args.features_dir}")
+    dataset = []
+    for feat_path in feature_paths:
+        image_id = feat_path.name[: -len(".feat")]
+        try:
+            features = FeatureMap.load(feat_path)
+            gt = metrics.load_ground_truth(Path(args.gt_dir) / (image_id + ".seg"))
+        except (OSError, CCMineError) as exc:
+            if failures is None:
+                raise
+            log.warning("image %s failed to load: %s", image_id, exc)
+            failures.append({"id": image_id, "error": str(exc)})
+            continue
+        dataset.append((image_id, features, gt))
+    return dataset
+
+
+def _build_inputs(args: argparse.Namespace):
+    """Lexicon, co-occurrence matrix, occurrence counts and visibility table
+    for building a dictionary."""
+    lexicon = Lexicon.from_file(args.lexicon)
+    matrix = CoocMatrix.load(args.matrix)
+    occurrence = load_counts(args.counts)
+    visibility = (
+        VisibilityTable.from_file(args.visibility) if args.visibility else VisibilityTable()
+    )
+    return lexicon, matrix, occurrence, visibility
+
+
+def _query_prompts(
+    settings: Settings,
+    queries: list[str],
+    cc_source,
+    embeddings: EmbeddingTable,
+    beta: float | None = None,
+) -> PromptSet:
+    """Prompts for explicit queries: their CC sets, merged when needed.
+    ``beta`` overrides the run's ``beta``."""
+    if len(queries) == 1:
+        cc = cc_source(queries[0])
+        labels = [queries[0]] + [c for c in cc.concepts if c != queries[0]]
+        mask = [False] + [True] * (len(labels) - 1)
+        return build_prompt_set(labels, mask, embeddings)
+    background_label = settings.get("background_label")
+    cc_sets = [
+        CCSet(query=q, kind="none", concepts=[]) if q == background_label else cc_source(q)
+        for q in queries
+    ]
+    merged, _excluded = cc_multi(
+        cc_sets,
+        embeddings,
+        beta=settings.get("beta") if beta is None else beta,
+        scope=settings.get("beta_scope"),
+    )
+    labels = queries + merged
+    mask = [False] * len(queries) + [True] * len(merged)
+    return build_prompt_set(labels, mask, embeddings)
+
+
+def _classic_prompts(
+    settings: Settings,
+    classes: list[str],
+    cc_source,
+    embeddings: EmbeddingTable,
+    beta: float | None = None,
+) -> PromptSet:
+    """Prompts of the classic protocol: the background query first, then
+    every other class, with their CCs merged."""
+    background_label = settings.get("background_label")
+    queries = [background_label] + [c for c in classes if c != background_label]
+    return _query_prompts(settings, queries, cc_source, embeddings, beta)
+
+
+def _classic_report(settings: Settings, dataset, prompts: PromptSet) -> dict:
+    per_image = [
+        metrics.classic_image(
+            features, gt, prompts, settings.get("background_label"), settings.get("upsample")
+        )
+        for _id, features, gt in dataset
+    ]
+    return metrics.aggregate_classic(per_image)
 
 
 # ---- mine ----
@@ -241,42 +378,26 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_build_cc(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    lexicon = Lexicon.from_file(args.lexicon)
-    matrix = CoocMatrix.load(args.matrix)
-    occurrence = load_counts(args.counts)
+    lexicon, matrix, occurrence, visibility = _build_inputs(args)
     embeddings = EmbeddingTable.load(args.embeddings)
-    visibility = (
-        VisibilityTable.from_file(args.visibility) if args.visibility else VisibilityTable()
-    )
-    gamma = float(settings.get("gamma", ccgen.DEFAULT_GAMMA))
-    delta = float(settings.get("delta", DEFAULT_DELTA))
-    stopwords = settings.get("stopwords")
     config = FilterConfig(
-        stopwords=frozenset(normalize_concept(s) for s in stopwords)
-        if stopwords is not None
-        else DEFAULT_STOPWORDS,
-        delta=delta,
+        stopwords=frozenset(normalize_concept(s) for s in settings.get("stopwords")),
+        delta=settings.get("delta"),
     )
-    policy = settings.get("unknown_visibility", "reject")
+    policy = settings.get("unknown_visibility")
     if policy == "llm":
-        client = settings.llm_client(required=True)
-        oracle = visibility_oracle(client, bool(settings.get("include_markers", True)))
+        oracle = visibility_oracle(settings.llm_client(), settings.get("include_markers"))
         oracle_source = "llm"
-    elif policy == "accept":
-        oracle, oracle_source = accept_unknown, "manual"
-    elif policy == "reject":
-        oracle, oracle_source = reject_unknown, "manual"
     else:
-        raise ValidationError(
-            f"unknown-visibility must be reject, accept, or llm, got {policy!r}"
-        )
+        oracle = accept_unknown if policy == "accept" else reject_unknown
+        oracle_source = "manual"
     dictionary, _outcomes = build_dictionary(
         matrix,
         occurrence,
         lexicon,
         embeddings,
         visibility,
-        gamma=gamma,
+        gamma=settings.get("gamma"),
         filter_config=config,
         oracle=oracle,
         oracle_source=oracle_source,
@@ -301,28 +422,11 @@ def cmd_build_cc(args: argparse.Namespace) -> int:
 
 def cmd_gen_cc(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    mode = args.mode if args.mode is not None else settings.get("cc_mode", "bg")
-    include_markers = bool(settings.get("include_markers", True))
-    dictionary = CCDictionary.load(args.cc_dict) if args.cc_dict else None
     embeddings = EmbeddingTable.load(args.embeddings) if args.embeddings else None
     provider = None
-    if embeddings is not None:
-        if args.provider == "toy":
-            provider = ToyEmbeddingProvider(seed=args.toy_seed, dim=embeddings.dim)
-        else:
-            provider = TableProvider(embeddings)
-    client = settings.llm_client(required=(mode == "llm"))
-    classes = _parse_classes(settings)
-    source = _make_cc_source(
-        mode,
-        dictionary=dictionary,
-        embeddings=embeddings,
-        provider=provider,
-        client=client,
-        classes=classes,
-        include_markers=include_markers,
-    )
-    cc = source(args.query)
+    if embeddings is not None and args.provider == "toy":
+        provider = ToyEmbeddingProvider(seed=args.toy_seed, dim=embeddings.dim)
+    cc = _cc_source(settings, embeddings, _classes(args), provider)(args.query)
     payload = {
         "query": cc.query,
         "kind": cc.kind,
@@ -340,32 +444,6 @@ def cmd_gen_cc(args: argparse.Namespace) -> int:
 # ---- segment ----
 
 
-def _build_query_prompts(
-    queries: list[str],
-    cc_source,
-    embeddings: EmbeddingTable,
-    beta: float,
-    beta_scope: str,
-    background_label: str,
-) -> PromptSet:
-    """Prompts for explicit queries: their CC sets, merged when needed."""
-    if len(queries) == 1:
-        cc = cc_source(queries[0])
-        labels = [queries[0]] + [c for c in cc.concepts if c != queries[0]]
-        mask = [False] + [True] * (len(labels) - 1)
-        return build_prompt_set(labels, mask, embeddings)
-    cc_sets = []
-    for q in queries:
-        if q == background_label:
-            cc_sets.append(CCSet(query=q, kind="none", concepts=[]))
-        else:
-            cc_sets.append(cc_source(q))
-    merged, _excluded = cc_multi(cc_sets, embeddings, beta=beta, scope=beta_scope)
-    labels = queries + merged
-    mask = [False] * len(queries) + [True] * len(merged)
-    return build_prompt_set(labels, mask, embeddings)
-
-
 def cmd_segment(args: argparse.Namespace) -> int:
     settings = Settings(args)
     features = FeatureMap.load(args.features)
@@ -375,34 +453,13 @@ def cmd_segment(args: argparse.Namespace) -> int:
         raise ValidationError("at least one --query is required")
     if len(queries) != len(set(queries)):
         raise ValidationError("duplicate queries")
-    mode = settings.get("cc_mode", "bg")
-    dictionary = CCDictionary.load(args.cc_dict) if args.cc_dict else None
-    client = settings.llm_client(required=(mode == "llm"))
-    classes = _parse_classes(settings)
-    source = _make_cc_source(
-        mode,
-        dictionary=dictionary,
-        embeddings=embeddings,
-        provider=TableProvider(embeddings),
-        client=client,
-        classes=classes,
-        include_markers=bool(settings.get("include_markers", True)),
-    )
-    background_label = settings.get("background_label", BACKGROUND)
-    prompts = _build_query_prompts(
-        queries,
-        source,
-        embeddings,
-        beta=float(settings.get("beta", ccgen.DEFAULT_BETA)),
-        beta_scope=settings.get("beta_scope", "all"),
-        background_label=background_label,
-    )
+    source = _cc_source(settings, embeddings, _classes(args))
+    prompts = _query_prompts(settings, queries, source, embeddings)
     out_h = args.height or features.h
     out_w = args.width or features.w
-    upsample = settings.get("upsample", "logits")
-    pixmap = segment_pixels(features, prompts, out_h, out_w, upsample=upsample)
+    pixmap = segment_pixels(features, prompts, out_h, out_w, upsample=settings.get("upsample"))
     if args.remap_background:
-        pixmap = remap_cc_to_background(pixmap, prompts, background_label)
+        pixmap = remap_cc_to_background(pixmap, prompts, settings.get("background_label"))
     elif not args.keep_cc:
         pixmap = apply_cc_mask(pixmap, prompts)
     names = {
@@ -417,100 +474,40 @@ def cmd_segment(args: argparse.Namespace) -> int:
 # ---- eval ----
 
 
-def _dataset_items(features_dir: str, gt_dir: str):
-    """Pairs of (image id, feature path, ground-truth path), sorted by id."""
-    feature_paths = sorted(Path(features_dir).glob("*.feat"))
-    if not feature_paths:
-        raise ValidationError(f"no .feat files under {features_dir}")
-    items = []
-    for fp in feature_paths:
-        stem = fp.name[: -len(".feat")]
-        items.append((stem, fp, Path(gt_dir) / (stem + ".seg")))
-    return items
-
-
-def _dataset_class_labels(gts: dict[str, metrics.GroundTruth]) -> list[str]:
-    labels: set[str] = set()
-    for gt in gts.values():
-        labels.update(gt.labels.values())
-    return sorted(labels)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     settings = Settings(args)
     embeddings = EmbeddingTable.load(args.embeddings)
-    metric = args.metric
-    aggregation = settings.get("aggregation", "class")
-    upsample = settings.get("upsample", "logits")
-    mode = settings.get("cc_mode", "bg")
-    background_label = settings.get("background_label", BACKGROUND)
-    items = _dataset_items(args.features_dir, args.gt_dir)
-
     image_failures: list[dict] = []
-    loaded: list[tuple[str, FeatureMap, metrics.GroundTruth]] = []
-    for image_id, feat_path, gt_path in items:
-        try:
-            features = FeatureMap.load(feat_path)
-            gt = metrics.load_ground_truth(gt_path)
-            loaded.append((image_id, features, gt))
-        except (OSError, CCMineError) as exc:
-            log.warning("image %s failed to load: %s", image_id, exc)
-            image_failures.append({"id": image_id, "error": str(exc)})
-
-    gts = {image_id: gt for image_id, _f, gt in loaded}
-    dictionary = CCDictionary.load(args.cc_dict) if args.cc_dict else None
-    client = settings.llm_client(required=(mode == "llm"))
-    classes = _parse_classes(settings) or _dataset_class_labels(gts)
-    source = _make_cc_source(
-        mode,
-        dictionary=dictionary,
-        embeddings=embeddings,
-        provider=TableProvider(embeddings),
-        client=client,
-        classes=classes,
-        include_markers=bool(settings.get("include_markers", True)),
-    )
-
-    segmenter = settings.get("segmenter", "argmax")
-    if metric == "iou-single":
-        results = []
-        for image_id, features, gt in loaded:
-            if segmenter == "sigmoid":
-                threshold = settings.get("sigmoid_threshold")
-                if threshold is None:
-                    raise ValidationError("--sigmoid-threshold is required for the sigmoid segmenter")
-                result = metrics.iou_single_image_sigmoid(
-                    features, gt, float(threshold), embeddings, image_id=image_id
+    dataset = _load_dataset(args, image_failures)
+    classes = _classes(args, dataset)
+    source = _cc_source(settings, embeddings, classes)
+    upsample = settings.get("upsample")
+    segmenter = settings.get("segmenter")
+    if args.metric == "iou-single":
+        if segmenter == "sigmoid":
+            threshold = settings.get("sigmoid_threshold")
+            if threshold is None:
+                raise ValidationError("--sigmoid-threshold is required for the sigmoid segmenter")
+            results = [
+                metrics.iou_single_image_sigmoid(f, gt, threshold, embeddings, image_id=i)
+                for i, f, gt in dataset
+            ]
+        else:
+            results = [
+                metrics.iou_single_image(
+                    f, gt, source, embeddings, upsample=upsample, image_id=i
                 )
-            else:
-                result = metrics.iou_single_image(
-                    features, gt, source, embeddings, upsample=upsample, image_id=image_id
-                )
-            results.append(result)
-        report = metrics.aggregate_iou_single(results, mode=aggregation)
+                for i, f, gt in dataset
+            ]
+        report = metrics.aggregate_iou_single(results, mode=settings.get("aggregation"))
         class_failures = sum(len(r.failures) for r in results)
-    elif metric == "miou-classic":
-        queries = [background_label] + [c for c in classes if c != background_label]
-        prompts = _build_query_prompts(
-            queries,
-            source,
-            embeddings,
-            beta=float(settings.get("beta", ccgen.DEFAULT_BETA)),
-            beta_scope=settings.get("beta_scope", "all"),
-            background_label=background_label,
-        )
-        per_image = []
-        for image_id, features, gt in loaded:
-            per_image.append(
-                metrics.classic_image(features, gt, prompts, background_label, upsample)
-            )
-        report = metrics.aggregate_classic(per_image)
-        class_failures = 0
     else:
-        raise ValidationError(f"unknown metric {metric!r}")
+        prompts = _classic_prompts(settings, classes, source, embeddings)
+        report = _classic_report(settings, dataset, prompts)
+        class_failures = 0
 
     report["meta"] = {
-        "cc_mode": mode,
+        "cc_mode": settings.get("cc_mode"),
         "embeddings_digest": sha256_file(args.embeddings),
         "cc_dict_digest": sha256_file(args.cc_dict) if args.cc_dict else None,
         "segmenter": segmenter,
@@ -518,7 +515,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "image_failures": image_failures,
     }
     metrics.write_report(report, args.out_json, args.out_tsv)
-    print(json.dumps({"mean": report["mean"], "metric": metric}, sort_keys=True))
+    print(json.dumps({"mean": report["mean"], "metric": args.metric}, sort_keys=True))
     if image_failures or class_failures:
         log.warning(
             "%d image failures, %d class failures", len(image_failures), class_failures
@@ -533,106 +530,109 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     settings = Settings(args)
     embeddings = EmbeddingTable.load(args.embeddings)
-    items = _dataset_items(args.features_dir, args.gt_dir)
-    loaded = []
-    for image_id, feat_path, gt_path in items:
-        loaded.append(
-            (image_id, FeatureMap.load(feat_path), metrics.load_ground_truth(gt_path))
-        )
+    dataset = _load_dataset(args)
     if args.param == "sigmoid":
-        steps = int(settings.get("steps", 30))
-        report = metrics.sigmoid_sweep(loaded, embeddings, steps=steps)
-    elif args.param in ("gamma", "delta"):
-        if not args.values:
-            raise ValidationError(f"--values is required for a {args.param} sweep")
+        report = metrics.sigmoid_sweep(dataset, embeddings, steps=settings.get("steps"))
+        metrics.write_report(report, args.out_json, args.out_tsv)
+        return 0
+    if not args.values:
+        raise ValidationError(f"--values is required for a {args.param} sweep")
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"--values must be comma-separated numbers, got {args.values!r}"
+        ) from None
+    rows = []
+    if args.param == "beta":
+        classes = _classes(args, dataset)
+        source = _cc_source(settings, embeddings, classes)
+        for value in values:
+            prompts = _classic_prompts(settings, classes, source, embeddings, beta=value)
+            rows.append(
+                {"value": value, "mean_class": _classic_report(settings, dataset, prompts)["mean"]}
+            )
+        report = {"metric": "miou-classic-sweep", "param": "beta", "rows": rows}
+    else:
         if not (args.matrix and args.counts and args.lexicon):
             raise ValidationError(
                 f"a {args.param} sweep needs --matrix, --counts, and --lexicon"
             )
-        lexicon = Lexicon.from_file(args.lexicon)
-        matrix = CoocMatrix.load(args.matrix)
-        occurrence = load_counts(args.counts)
-        visibility = (
-            VisibilityTable.from_file(args.visibility)
-            if args.visibility
-            else VisibilityTable()
-        )
-        values = [float(v) for v in args.values.split(",")]
-        rows = []
+        lexicon, matrix, occurrence, visibility = _build_inputs(args)
+        provider = TableProvider(embeddings)
         for value in values:
-            gamma = value if args.param == "gamma" else float(settings.get("gamma", ccgen.DEFAULT_GAMMA))
-            delta = value if args.param == "delta" else float(settings.get("delta", DEFAULT_DELTA))
             dictionary, _ = build_dictionary(
                 matrix,
                 occurrence,
                 lexicon,
                 embeddings,
                 visibility,
-                gamma=gamma,
-                filter_config=FilterConfig(delta=delta),
+                gamma=value if args.param == "gamma" else settings.get("gamma"),
+                filter_config=FilterConfig(
+                    delta=value if args.param == "delta" else settings.get("delta")
+                ),
                 oracle=accept_unknown,
                 oracle_source="manual",
             )
-            source = _make_cc_source(
-                "dict",
-                dictionary=dictionary,
-                embeddings=embeddings,
-                provider=TableProvider(embeddings),
-            )
+            source = partial(cc_d, dictionary=dictionary, embeddings=embeddings, provider=provider)
             results = [
-                metrics.iou_single_image(f, gt, source, embeddings, image_id=i)
-                for i, f, gt in loaded
+                metrics.iou_single_image(
+                    f, gt, source, embeddings, upsample=settings.get("upsample"), image_id=i
+                )
+                for i, f, gt in dataset
             ]
             agg = metrics.aggregate_iou_single(results)
             rows.append(
-                {
-                    "value": value,
-                    "mean_class": agg["mean_class"],
-                    "mean_image": agg["mean_image"],
-                }
+                {"value": value, "mean_class": agg["mean_class"], "mean_image": agg["mean_image"]}
             )
         report = {"metric": "iou-single-sweep", "param": args.param, "rows": rows}
-    elif args.param == "beta":
-        if not args.values:
-            raise ValidationError("--values is required for a beta sweep")
-        background_label = settings.get("background_label", BACKGROUND)
-        mode = settings.get("cc_mode", "bg")
-        dictionary = CCDictionary.load(args.cc_dict) if args.cc_dict else None
-        classes = _parse_classes(settings) or _dataset_class_labels(
-            {i: gt for i, _f, gt in loaded}
-        )
-        source = _make_cc_source(
-            mode,
-            dictionary=dictionary,
-            embeddings=embeddings,
-            provider=TableProvider(embeddings),
-            classes=classes,
-        )
-        queries = [background_label] + [c for c in classes if c != background_label]
-        rows = []
-        for value in (float(v) for v in args.values.split(",")):
-            prompts = _build_query_prompts(
-                queries,
-                source,
-                embeddings,
-                beta=value,
-                beta_scope=settings.get("beta_scope", "all"),
-                background_label=background_label,
-            )
-            per_image = [
-                metrics.classic_image(f, gt, prompts, background_label)
-                for _i, f, gt in loaded
-            ]
-            agg = metrics.aggregate_classic(per_image)
-            rows.append({"value": value, "mean_class": agg["mean"]})
-        report = {"metric": "miou-classic-sweep", "param": "beta", "rows": rows}
-    else:
-        raise ValidationError(f"unknown sweep parameter {args.param!r}")
     metrics.write_report(report, args.out_json, args.out_tsv)
     return 0
 
 
 # ---- parser ----
+
+
+def _add_options(p: argparse.ArgumentParser, *keys: str) -> None:
+    """Flags for ``OPTIONS`` keys, typed and restricted by the table."""
+    for key in keys:
+        opt = OPTIONS[key]
+        flag = opt.flag or "--" + key.replace(".", "-").replace("_", "-")
+        p.add_argument(flag, dest=_dest(key), type=opt.type, choices=opt.choices, help=opt.help)
+
+
+def _add_llm_flags(p: argparse.ArgumentParser) -> None:
+    _add_options(p, *(key for key in OPTIONS if key.startswith("llm.")))
+    p.add_argument(
+        "--no-markers",
+        dest="include_markers",
+        action="store_const",
+        const=False,
+        help="render prompts without instruction markers",
+    )
+
+
+def _add_cc_flags(p: argparse.ArgumentParser, mode_flag: str = "--cc-mode") -> None:
+    p.add_argument(mode_flag, dest="cc_mode", choices=OPTIONS["cc_mode"].choices)
+    p.add_argument("--cc-dict", dest="cc_dict")
+    p.add_argument("--classes")
+    p.add_argument("--classes-file", dest="classes_file")
+
+
+def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--features-dir", dest="features_dir", required=True)
+    p.add_argument("--gt-dir", dest="gt_dir", required=True)
+    p.add_argument("--embeddings", required=True)
+    p.add_argument("--out-json", dest="out_json", required=True)
+    p.add_argument("--out-tsv", dest="out_tsv")
+
+
+def _add_build_flags(p: argparse.ArgumentParser, required: bool) -> None:
+    p.add_argument("--matrix", required=required)
+    p.add_argument("--counts", required=required)
+    p.add_argument("--lexicon", required=required)
+    p.add_argument("--visibility")
+    _add_options(p, "gamma", "delta")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -643,66 +643,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON run-config; explicit flags win")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("mine", help="count concept co-occurrences over a caption corpus")
-    add_common(p)
+    p = command("mine", cmd_mine, "count concept co-occurrences over a caption corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--out-matrix", required=True)
     p.add_argument("--out-counts", required=True)
-    p.add_argument("--workers", type=int)
-    p.set_defaults(func=cmd_mine)
+    _add_options(p, "workers")
 
-    p = sub.add_parser("build-cc", help="build a filtered contrastive-concept dictionary")
-    add_common(p)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--counts", required=True)
-    p.add_argument("--lexicon", required=True)
+    p = command("build-cc", cmd_build_cc, "build a filtered contrastive-concept dictionary")
+    _add_build_flags(p, required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--visibility")
     p.add_argument("--save-visibility")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument(
-        "--unknown-visibility",
-        dest="unknown_visibility",
-        choices=("reject", "accept", "llm"),
-    )
+    _add_options(p, "unknown_visibility")
     _add_llm_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_cc)
 
-    p = sub.add_parser("gen-cc", help="produce the contrastive concepts for one query")
-    add_common(p)
-    p.add_argument("--mode", choices=("bg", "dict", "llm", "privileged", "none"))
+    p = command("gen-cc", cmd_gen_cc, "produce the contrastive concepts for one query")
+    _add_cc_flags(p, mode_flag="--mode")
     p.add_argument("--query", required=True)
-    p.add_argument("--cc-dict", dest="cc_dict")
     p.add_argument("--embeddings")
-    p.add_argument("--classes")
-    p.add_argument("--classes-file", dest="classes_file")
     p.add_argument("--provider", choices=("table", "toy"), default="table")
     p.add_argument("--toy-seed", type=int, default=0)
     _add_llm_flags(p)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_gen_cc)
 
-    p = sub.add_parser("segment", help="segment a stored feature map with text prompts")
-    add_common(p)
+    p = command("segment", cmd_segment, "segment a stored feature map with text prompts")
     p.add_argument("--features", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--query", action="append", default=[], help="repeatable")
-    p.add_argument("--cc-mode", dest="cc_mode", choices=("none", "bg", "dict", "llm", "privileged"))
-    p.add_argument("--cc-dict", dest="cc_dict")
-    p.add_argument("--classes")
-    p.add_argument("--classes-file", dest="classes_file")
+    _add_cc_flags(p)
     p.add_argument("--height", type=int)
     p.add_argument("--width", type=int)
-    p.add_argument("--upsample", choices=("logits", "labels"))
-    p.add_argument("--beta", type=float)
-    p.add_argument("--beta-scope", dest="beta_scope", choices=("all", "source"))
-    p.add_argument("--background-label", dest="background_label")
+    _add_options(p, "upsample", "beta", "beta_scope", "background_label")
     group = p.add_mutually_exclusive_group()
     group.add_argument(
         "--keep-cc",
@@ -716,74 +694,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_llm_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("eval", help="evaluate segmentation quality over a dataset")
-    add_common(p)
-    p.add_argument("--features-dir", dest="features_dir", required=True)
-    p.add_argument("--gt-dir", dest="gt_dir", required=True)
-    p.add_argument("--embeddings", required=True)
+    p = command("eval", cmd_eval, "evaluate segmentation quality over a dataset")
+    _add_dataset_flags(p)
     p.add_argument("--metric", choices=("iou-single", "miou-classic"), default="iou-single")
-    p.add_argument("--cc-mode", dest="cc_mode", choices=("none", "bg", "dict", "llm", "privileged"))
-    p.add_argument("--cc-dict", dest="cc_dict")
-    p.add_argument("--classes")
-    p.add_argument("--classes-file", dest="classes_file")
-    p.add_argument("--aggregation", choices=("class", "image"))
-    p.add_argument("--segmenter", choices=("argmax", "sigmoid"))
-    p.add_argument("--sigmoid-threshold", dest="sigmoid_threshold", type=float)
-    p.add_argument("--upsample", choices=("logits", "labels"))
-    p.add_argument("--beta", type=float)
-    p.add_argument("--beta-scope", dest="beta_scope", choices=("all", "source"))
-    p.add_argument("--background-label", dest="background_label")
-    p.add_argument("--workers", type=int, help="accepted for config parity; evaluation is deterministic for any value")
+    _add_cc_flags(p)
+    _add_options(
+        p, "aggregation", "segmenter", "sigmoid_threshold", "upsample", "beta", "beta_scope",
+        "background_label",
+    )
     _add_llm_flags(p)
-    p.add_argument("--out-json", dest="out_json", required=True)
-    p.add_argument("--out-tsv", dest="out_tsv")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="repeat an evaluation over a threshold grid")
-    add_common(p)
+    p = command("sweep", cmd_sweep, "repeat an evaluation over a threshold grid")
     p.add_argument("--param", choices=("sigmoid", "gamma", "delta", "beta"), required=True)
     p.add_argument("--values", help="comma-separated grid for gamma/delta/beta sweeps")
-    p.add_argument("--steps", type=int, help="sample count for the sigmoid sweep")
-    p.add_argument("--features-dir", dest="features_dir", required=True)
-    p.add_argument("--gt-dir", dest="gt_dir", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--matrix")
-    p.add_argument("--counts")
-    p.add_argument("--lexicon")
-    p.add_argument("--visibility")
-    p.add_argument("--cc-mode", dest="cc_mode", choices=("none", "bg", "dict", "llm", "privileged"))
-    p.add_argument("--cc-dict", dest="cc_dict")
-    p.add_argument("--classes")
-    p.add_argument("--classes-file", dest="classes_file")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--beta-scope", dest="beta_scope", choices=("all", "source"))
-    p.add_argument("--background-label", dest="background_label")
-    p.add_argument("--out-json", dest="out_json", required=True)
-    p.add_argument("--out-tsv", dest="out_tsv")
-    p.set_defaults(func=cmd_sweep)
+    _add_options(p, "steps")
+    _add_dataset_flags(p)
+    _add_build_flags(p, required=False)
+    _add_cc_flags(p)
+    _add_options(p, "beta_scope", "background_label")
 
     return parser
-
-
-def _add_llm_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--llm-endpoint", dest="llm_endpoint")
-    p.add_argument("--llm-model", dest="llm_model")
-    p.add_argument("--api-style", dest="llm_api_style", choices=("raw", "chat"))
-    p.add_argument("--llm-temperature", dest="llm_temperature", type=float)
-    p.add_argument("--llm-max-tokens", dest="llm_max_tokens", type=int)
-    p.add_argument("--llm-timeout", dest="llm_timeout", type=float)
-    p.add_argument("--llm-attempts", dest="llm_max_attempts", type=int)
-    p.add_argument("--llm-cache", dest="llm_cache_dir")
-    p.add_argument(
-        "--no-markers",
-        dest="include_markers",
-        action="store_const",
-        const=False,
-        help="render prompts without instruction markers",
-    )
 
 
 def main(argv=None) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import deque
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -455,6 +456,9 @@ def select_candidates(freq: FreqMatrix, i: int, gamma: float) -> CandidateSet:
 # ---- parallel corpus mining ----
 
 _WORKER_LEXICON: Lexicon | None = None
+# chunks in flight per worker: one running, the rest queued so no worker
+# waits on the parent between chunks
+_WINDOW_PER_WORKER = 3
 
 
 def _worker_init(concepts: list[str]) -> None:
@@ -481,6 +485,22 @@ def _chunked(iterable, size: int):
         yield chunk
 
 
+def _map_window(pool, fn, items, window: int):
+    """``pool.map(fn, items)`` with at most ``window`` calls in flight.
+
+    ``Executor.map`` submits every item before it yields the first result,
+    so memory grows with the input; here the next item is read only once
+    the oldest result has been taken.  Results come in input order.
+    """
+    pending: deque = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) >= window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def mine_corpus(
     corpus_path: str | Path,
     lexicon: Lexicon,
@@ -490,8 +510,9 @@ def mine_corpus(
     """Scan a corpus file and produce co-occurrence counts plus scan stats.
 
     With ``workers > 1`` the caption stream is processed in chunks by a
-    process pool.  Partial counts merge by integer addition, so the result
-    is identical for every worker count and chunk size.
+    process pool, with ``_WINDOW_PER_WORKER`` chunks in flight per worker.
+    Partial counts merge by integer addition, so the result is identical
+    for every worker count and chunk size.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
@@ -504,7 +525,10 @@ def mine_corpus(
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_worker_init, initargs=(lexicon.concepts,)
     ) as pool:
-        for chunk_stats, keys, counts in pool.map(_count_chunk, _chunked(lines, chunk_size)):
+        chunks = _chunked(lines, chunk_size)
+        for chunk_stats, keys, counts in _map_window(
+            pool, _count_chunk, chunks, _WINDOW_PER_WORKER * workers
+        ):
             stats.merge(chunk_stats)
             sums.add(keys, counts)
     return CoocMatrix._from_codes(len(lexicon), *sums.fold()), stats

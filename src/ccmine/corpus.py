@@ -9,8 +9,7 @@ Matching is deliberately simple and fast: captions are lowercased, split on
 Unicode whitespace, and ASCII punctuation is stripped at token boundaries
 only.  A concept matches when its token sequence appears as a contiguous run
 of caption tokens.  Repeated matches within one caption count once (set
-semantics).  No stemming is applied; an optional plural-folding switch
-exists but defaults to off.
+semantics).  No stemming is applied.
 """
 
 from __future__ import annotations
@@ -31,6 +30,9 @@ _PUNCT = string.punctuation
 _has_punct = re.compile(f"[{re.escape(_PUNCT)}]").search
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_WS = " \t\n\r"
+# what surrogateescape decodes a non-UTF-8 byte to; valid UTF-8 never
+# decodes to a surrogate
+_undecodable = re.compile("[\udc80-\udcff]").search
 
 
 def normalize_concept(raw: str) -> str:
@@ -41,14 +43,7 @@ def normalize_concept(raw: str) -> str:
     return " ".join(raw.lower().split())
 
 
-def _fold_plural(token: str) -> str:
-    # naive fold; only used when plural folding is switched on
-    if len(token) > 3 and token.endswith("s"):
-        return token[:-1]
-    return token
-
-
-def tokenize(text: str, fold_plurals: bool = False) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Lowercase whitespace tokens with boundary punctuation stripped.
 
     Punctuation interior to a token (hyphens, apostrophes) is preserved;
@@ -59,8 +54,6 @@ def tokenize(text: str, fold_plurals: bool = False) -> list[str]:
     # whitespace tokens are never empty, so only stripping can empty one
     if _has_punct(text):
         toks = [t for t in (t.strip(_PUNCT) for t in toks) if t]
-    if fold_plurals:
-        toks = [_fold_plural(t) for t in toks]
     return toks
 
 
@@ -123,12 +116,11 @@ class ConceptMatcher:
     those first tokens skip that scan.
     """
 
-    def __init__(self, lexicon: Lexicon, fold_plurals: bool = False):
-        self.fold_plurals = fold_plurals
+    def __init__(self, lexicon: Lexicon):
         self._single: dict[str, int] = {}
         self._multi: dict[str, list[tuple[list[str], int]]] = {}
         for cid, concept in enumerate(lexicon.concepts):
-            toks = tokenize(concept, fold_plurals)
+            toks = tokenize(concept)
             if not toks:
                 raise FormatError(f"concept {concept!r} has no matchable tokens")
             if len(toks) == 1 and toks[0] not in self._single:
@@ -137,7 +129,7 @@ class ConceptMatcher:
                 self._multi.setdefault(toks[0], []).append((toks, cid))
 
     def match(self, caption: str) -> set[int]:
-        toks = tokenize(caption, self.fold_plurals)
+        toks = tokenize(caption)
         out = set(map(self._single.get, toks))
         out.discard(None)
         multi = self._multi
@@ -177,13 +169,27 @@ class ScanStats:
 
 
 def iter_caption_lines(path: str | Path):
-    """Yield decoded text lines of a corpus file, gzip-transparent."""
-    with open_maybe_gzip(path) as fh, io.TextIOWrapper(fh, encoding="utf-8") as text:
+    """Yield decoded text lines of a corpus file, gzip-transparent.
+
+    Bytes that are not UTF-8 decode to lone surrogates (``surrogateescape``)
+    instead of raising, so ``parse_caption`` can count their line as one
+    malformed record.
+    """
+    with open_maybe_gzip(path) as fh, io.TextIOWrapper(
+        fh, encoding="utf-8", errors="surrogateescape"
+    ) as text:
         yield from text
 
 
 def parse_caption(line: str) -> tuple[str, str] | None:
-    """Parse one corpus line into (id, text), or None when malformed."""
+    """Parse one corpus line into (id, text), or None when malformed.
+
+    A line holding an undecodable byte (see ``iter_caption_lines``) is
+    malformed.
+    """
+    # isascii is a flag test, so only non-ASCII lines pay for the search
+    if not line.isascii() and _undecodable(line):
+        return None
     # json.loads without its wrapper calls: skip JSON whitespace, decode one
     # value, allow only JSON whitespace after it (a BOM fails in both)
     try:

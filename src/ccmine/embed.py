@@ -146,14 +146,6 @@ class EmbeddingTable:
     def load(cls, path: str | Path) -> "EmbeddingTable":
         return cls.loads(Path(path).read_bytes())
 
-    def export_text(self, path: str | Path) -> None:
-        """Debug-friendly dump: one ``name<TAB>v0,v1,...`` line per entry."""
-        lines = []
-        for k in sorted(range(len(self.names)), key=self.names.__getitem__):
-            floats = ",".join(repr(float(x)) for x in self._raw[k])
-            lines.append(f"{self.names[k]}\t{floats}\n")
-        Path(path).write_text("".join(lines), encoding="utf-8")
-
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))

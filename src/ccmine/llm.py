@@ -142,6 +142,7 @@ def _requests_transport(url: str, payload: dict, timeout: float) -> tuple[int, s
 
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+API_STYLES = ("raw", "chat")
 
 
 @dataclass
@@ -167,17 +168,27 @@ class LLMClient:
     sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
 
     def __post_init__(self):
-        if self.api_style not in ("raw", "chat"):
+        if self.api_style not in API_STYLES:
             raise ValidationError(f"api_style must be 'raw' or 'chat', got {self.api_style!r}")
         if self.cache_dir is None:
             env = os.environ.get("CCMINE_LLM_CACHE")
             self.cache_dir = Path(env) if env else Path.home() / ".cache" / "ccmine" / "llm"
-        self.cache_dir = Path(self.cache_dir)
+        self.cache_dir = Path(self.cache_dir).expanduser()
 
     # ---- cache ----
 
     def _cache_path(self, key: str) -> Path:
         return self.cache_dir / f"{key}.json"
+
+    def _cached(self, path: Path) -> str | None:
+        """The cached completion text, or None on a miss.  A file that is
+        not a complete cache record is a miss; ``complete`` overwrites it."""
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except (FileNotFoundError, ValueError):  # ValueError: not UTF-8 or not JSON
+            return None
+        text = record.get("text") if isinstance(record, dict) else None
+        return text if isinstance(text, str) else None
 
     def cache_key(self, prompt: str) -> str:
         material = json.dumps(
@@ -229,9 +240,9 @@ class LLMClient:
         """Return the completion for a prompt, consulting the cache first."""
         key = cache_key or self.cache_key(prompt)
         path = self._cache_path(key)
-        if path.exists():
-            cached = json.loads(path.read_text(encoding="utf-8"))
-            return cached["text"]
+        cached = self._cached(path)
+        if cached is not None:
+            return cached
         payload = self._payload(prompt)
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):

@@ -310,18 +310,6 @@ def sigmoid_score_field(
     return bilinear_resize(sigmoid(cos), out_h, out_w)
 
 
-def sigmoid_threshold_segment(
-    features: FeatureMap,
-    query_vec: np.ndarray,
-    out_h: int,
-    out_w: int,
-    threshold: float,
-) -> np.ndarray:
-    """Boolean query mask: pixels whose sigmoid score strictly exceeds the
-    threshold; everything else is the dummy label."""
-    return sigmoid_score_field(features, query_vec, out_h, out_w) > threshold
-
-
 # ---- label-map artifact ----
 
 

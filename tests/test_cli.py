@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import gzip
 import hashlib
 import json
 from pathlib import Path
@@ -19,6 +21,7 @@ from ccmine.segment import BOTTOM, SegMap, sigmoid
 
 from conftest import (
     EXPECTED_DICT_G001,
+    TOY_CAPTIONS,
     TOY_CONCEPTS,
     make_scene_features,
     make_sweep_features,
@@ -142,6 +145,42 @@ class TestMine:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_undecodable_lines_are_malformed(
+        self, tmp_path, toy_lexicon_path, capsys, compress, workers
+    ):
+        good = [json.dumps(c).encode() + b"\n" for c in TOY_CAPTIONS]
+        bad = [
+            b'{"id": "x1", "text": "a boat \xff on the water"}\n',
+            b'{"id": "x2", "text": "a boat near the dock \xc3"}\n',
+            b'{"id": "x3", "text": "caf\xc3\xa9 \xed\xa0\x80 boat"}\n',
+            b'{"id": "x4", "text": "boat \xe2\x82"}',  # truncated at end of file
+        ]
+        outputs = []
+        for tag, body in (("clean", b"".join(good)), ("dirty", b"".join(
+            [good[0], bad[0], good[1], bad[1], bad[2], good[2], good[3], bad[3]]
+        ))):
+            corpus = tmp_path / f"{tag}.jsonl"
+            corpus.write_bytes(gzip.compress(body) if compress else body)
+            code, out, _ = run(
+                capsys,
+                "mine",
+                "--corpus", corpus,
+                "--lexicon", toy_lexicon_path,
+                "--out-matrix", tmp_path / f"{tag}.m",
+                "--out-counts", tmp_path / f"{tag}.c",
+                "--workers", workers,
+            )
+            assert code == 0
+            summary = json.loads(out)
+            outputs.append(
+                ((tmp_path / f"{tag}.m").read_bytes(), (tmp_path / f"{tag}.c").read_bytes())
+            )
+        assert summary["captions"] == len(good) + len(bad)
+        assert summary["malformed"] == len(bad)
+        assert outputs[0] == outputs[1]
 
     def test_bad_workers_rejected(
         self, tmp_path, toy_corpus_path, toy_lexicon_path, capsys
@@ -759,3 +798,264 @@ class TestSweep:
         )
         assert code == 3
         assert "matrix" in err
+
+
+# Each subcommand's flags as (required, choices), frozen from the parser
+# before its flags were declared through shared groups and the options
+# table; ``eval --workers``, which did nothing, is the one flag removed.
+_LLM_FLAGS = {
+    "--llm-endpoint": (False, None),
+    "--llm-model": (False, None),
+    "--api-style": (False, ("chat", "raw")),
+    "--llm-temperature": (False, None),
+    "--llm-max-tokens": (False, None),
+    "--llm-timeout": (False, None),
+    "--llm-attempts": (False, None),
+    "--llm-cache": (False, None),
+    "--no-markers": (False, None),
+}
+_CC_MODES = ("bg", "dict", "llm", "none", "privileged")
+_CC_FLAGS = {
+    "--cc-mode": (False, _CC_MODES),
+    "--cc-dict": (False, None),
+    "--classes": (False, None),
+    "--classes-file": (False, None),
+}
+_DATASET_FLAGS = {
+    "--features-dir": (True, None),
+    "--gt-dir": (True, None),
+    "--embeddings": (True, None),
+    "--out-json": (True, None),
+    "--out-tsv": (False, None),
+}
+_PROMPT_FLAGS = {
+    "--upsample": (False, ("labels", "logits")),
+    "--beta": (False, None),
+    "--beta-scope": (False, ("all", "source")),
+    "--background-label": (False, None),
+}
+FLAG_INVENTORY = {
+    "mine": {
+        "--config": (False, None),
+        "--corpus": (True, None),
+        "--lexicon": (True, None),
+        "--out-matrix": (True, None),
+        "--out-counts": (True, None),
+        "--workers": (False, None),
+    },
+    "build-cc": {
+        "--config": (False, None),
+        "--matrix": (True, None),
+        "--counts": (True, None),
+        "--lexicon": (True, None),
+        "--embeddings": (True, None),
+        "--visibility": (False, None),
+        "--save-visibility": (False, None),
+        "--gamma": (False, None),
+        "--delta": (False, None),
+        "--unknown-visibility": (False, ("accept", "llm", "reject")),
+        **_LLM_FLAGS,
+        "--out": (True, None),
+    },
+    "gen-cc": {
+        "--config": (False, None),
+        "--mode": (False, _CC_MODES),
+        "--query": (True, None),
+        "--cc-dict": (False, None),
+        "--embeddings": (False, None),
+        "--classes": (False, None),
+        "--classes-file": (False, None),
+        "--provider": (False, ("table", "toy")),
+        "--toy-seed": (False, None),
+        **_LLM_FLAGS,
+        "--out": (False, None),
+    },
+    "segment": {
+        "--config": (False, None),
+        "--features": (True, None),
+        "--embeddings": (True, None),
+        "--query": (False, None),
+        **_CC_FLAGS,
+        "--height": (False, None),
+        "--width": (False, None),
+        **_PROMPT_FLAGS,
+        "--keep-cc": (False, None),
+        "--remap-background": (False, None),
+        **_LLM_FLAGS,
+        "--out": (True, None),
+    },
+    "eval": {
+        "--config": (False, None),
+        **_DATASET_FLAGS,
+        "--metric": (False, ("iou-single", "miou-classic")),
+        **_CC_FLAGS,
+        "--aggregation": (False, ("class", "image")),
+        "--segmenter": (False, ("argmax", "sigmoid")),
+        "--sigmoid-threshold": (False, None),
+        **_PROMPT_FLAGS,
+        **_LLM_FLAGS,
+    },
+    "sweep": {
+        "--config": (False, None),
+        "--param": (True, ("beta", "delta", "gamma", "sigmoid")),
+        "--values": (False, None),
+        "--steps": (False, None),
+        **_DATASET_FLAGS,
+        "--matrix": (False, None),
+        "--counts": (False, None),
+        "--lexicon": (False, None),
+        "--visibility": (False, None),
+        **_CC_FLAGS,
+        "--gamma": (False, None),
+        "--delta": (False, None),
+        "--beta-scope": (False, ("all", "source")),
+        "--background-label": (False, None),
+    },
+}
+
+
+def subparsers() -> dict:
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def write_config(tmp_path, config: dict) -> Path:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+# a value of the wrong type for each option type
+_WRONG = {int: "x", float: "abc", str: 5, bool: "yes", list: 5}
+
+
+def nest(key: str, value) -> dict:
+    """A run-config setting one ``OPTIONS`` key."""
+    if key.startswith("llm."):
+        return {"llm": {key.removeprefix("llm."): value}}
+    return {key: value}
+
+
+class TestWiring:
+    def test_flag_inventory(self):
+        got = {}
+        for name, sub in subparsers().items():
+            got[name] = {
+                flag: (a.required, tuple(sorted(a.choices)) if a.choices else None)
+                for a in sub._actions
+                for flag in a.option_strings
+                if flag not in ("-h", "--help")
+            }
+        assert got == FLAG_INVENTORY
+
+    def test_readme_config_loads(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("## Configuration"):]
+        block = section[section.index("```json") + len("```json"): section.index("```\n\n")]
+        config = json.loads(block)
+        path = write_config(tmp_path, config)
+        args = cli.build_parser().parse_args(["gen-cc", "--config", str(path), "--query", "x"])
+        settings = cli.Settings(args)
+        for key in cli.OPTIONS:
+            name = key.removeprefix("llm.")
+            expected = (config["llm"] if key.startswith("llm.") else config)[name]
+            assert settings.get(key) == expected
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert settings.llm_client().cache_dir == tmp_path / ".cache" / "ccmine"
+
+    def test_numbers_for_float_keys_become_floats(self, tmp_path):
+        path = write_config(tmp_path, {"gamma": 1, "llm": {"temperature": 0}})
+        args = cli.build_parser().parse_args(["gen-cc", "--config", str(path), "--query", "x"])
+        settings = cli.Settings(args)
+        assert type(settings.get("gamma")) is float
+        assert type(settings.get("llm.temperature")) is float
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [(key, _WRONG[opt.type]) for key, opt in sorted(cli.OPTIONS.items())]
+        + [
+            ("workers", True),
+            ("steps", 2.5),
+            ("gamma", False),
+            ("stopwords", ["image", 1]),
+            ("cc_mode", "nope"),
+            ("llm.api_style", "soap"),
+        ],
+    )
+    def test_bad_config_value_exits_3(self, capsys, tmp_path, key, value):
+        path = write_config(tmp_path, nest(key, value))
+        code, _, err = run(capsys, "gen-cc", "--config", path, "--query", "car")
+        assert code == 3
+        assert key in err
+
+    def test_beta_sweep_reaches_config_llm(self, capsys, tmp_path, toy_embeddings_path):
+        features_dir, gt_dir = write_classic_dataset(tmp_path)
+        path = write_config(
+            tmp_path,
+            {
+                "cc_mode": "llm",
+                "llm": {
+                    "endpoint": "http://127.0.0.1:1/v1/completions",
+                    "max_attempts": 1,
+                    "timeout": 2,
+                    "cache_dir": str(tmp_path / "cache"),
+                },
+            },
+        )
+        code, _, err = run(
+            capsys,
+            "sweep",
+            "--config", path,
+            "--param", "beta",
+            "--values", "0.5",
+            "--features-dir", features_dir,
+            "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path,
+            "--out-json", tmp_path / "sweep.json",
+        )
+        assert code == 4, err
+
+    def test_beta_sweep_honours_upsample(
+        self, capsys, tmp_path, toy_embeddings_path, dict_path, monkeypatch
+    ):
+        seen = []
+        classic_image = cli.metrics.classic_image
+
+        def spy(*args):
+            seen.append(args[4])
+            return classic_image(*args)
+
+        monkeypatch.setattr(cli.metrics, "classic_image", spy)
+        features_dir, gt_dir = write_classic_dataset(tmp_path)
+        path = write_config(tmp_path, {"upsample": "labels"})
+        code, _, _ = run(
+            capsys,
+            "sweep",
+            "--config", path,
+            "--param", "beta",
+            "--values", "0.5,0.9",
+            "--features-dir", features_dir,
+            "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path,
+            "--cc-mode", "dict",
+            "--cc-dict", dict_path,
+            "--out-json", tmp_path / "sweep.json",
+        )
+        assert code == 0
+        assert seen == ["labels", "labels"]
+
+    def test_bad_sweep_values_exit_3(self, capsys, tmp_path, toy_embeddings_path):
+        features_dir, gt_dir = write_classic_dataset(tmp_path)
+        code, _, err = run(
+            capsys,
+            "sweep",
+            "--param", "beta",
+            "--values", "0.5,x",
+            "--features-dir", features_dir,
+            "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path,
+            "--out-json", tmp_path / "sweep.json",
+        )
+        assert code == 3
+        assert "--values" in err

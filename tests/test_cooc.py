@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -248,3 +249,22 @@ class TestMineCorpus:
         assert parallel.pairs == serial.pairs
         assert parallel_stats.occurrence == serial_stats.occurrence
         assert parallel_stats.total == serial_stats.total
+
+
+class TestMapWindow:
+    @pytest.mark.parametrize("window", [1, 3, 6])
+    def test_reads_at_most_window_ahead(self, window):
+        read = []
+
+        def items():
+            for k in range(20):
+                read.append(k)
+                yield k
+
+        taken = 0
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for got in cooc._map_window(pool, lambda x: x * x, items(), window):
+                assert len(read) <= taken + window
+                assert got == taken * taken
+                taken += 1
+        assert taken == 20

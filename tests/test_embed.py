@@ -64,14 +64,6 @@ class TestTable:
         with pytest.raises(FormatError):
             EmbeddingTable.load(path)
 
-    def test_export_text(self, tmp_path):
-        table = EmbeddingTable(["b", "a"], np.eye(2))
-        path = tmp_path / "t.tsv"
-        table.export_text(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("a\t")
-        assert lines[1].startswith("b\t")
-
 
 class TestTableConstruction:
     @pytest.mark.parametrize("dtype", ["<f4", np.float64])

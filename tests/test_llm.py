@@ -184,6 +184,35 @@ class TestClient:
         client = LLMClient(endpoint="http://x")
         assert client.cache_dir == tmp_path / "envcache"
 
+    def test_cache_dir_expands_home(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        client, _ = make_client(tmp_path, lambda *a: (200, json.dumps({"text": "yes"})),
+                                cache_dir="~/.cache/ccmine")
+        assert client.cache_dir == tmp_path / ".cache" / "ccmine"
+        client.complete("p")
+        assert len(list((tmp_path / ".cache" / "ccmine").glob("*.json"))) == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"", b'{"model": "default", "prompt": "p", "te', b"\xff\xfe", b"[]", b'{"model": "m"}',
+         b'{"text": 3}'],
+    )
+    def test_unusable_cache_file_is_a_miss_and_overwritten(self, tmp_path, content):
+        calls = []
+
+        def transport(url, payload, timeout):
+            calls.append(payload)
+            return 200, json.dumps({"text": "fresh"})
+
+        client, _ = make_client(tmp_path, transport)
+        path = client.cache_dir / f"{client.cache_key('p')}.json"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(content)
+        assert client.complete("p") == "fresh"
+        assert json.loads(path.read_text(encoding="utf-8"))["text"] == "fresh"
+        assert client.complete("p") == "fresh"
+        assert len(calls) == 1
+
 
 class TestAsks:
     def test_ask_cc_parses_and_caches_by_concept(self, tmp_path):

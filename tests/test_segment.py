@@ -23,7 +23,6 @@ from ccmine.segment import (
     segment_pixels,
     sigmoid,
     sigmoid_score_field,
-    sigmoid_threshold_segment,
     upsample_and_argmax,
 )
 
@@ -305,12 +304,6 @@ class TestSigmoid:
         field = sigmoid_score_field(fm, np.array([1.0, 0.0, 0.0]), 8, 8)
         assert field.shape == (8, 8)
         assert np.all((field > 0.0) & (field < 1.0))
-
-    def test_threshold_is_strict(self):
-        fm = FeatureMap([[[0.0, 1.0, 0.0]]])
-        # cosine to the query is exactly 0, so the score is exactly 0.5
-        mask = sigmoid_threshold_segment(fm, np.array([1.0, 0.0, 0.0]), 1, 1, 0.5)
-        assert not mask[0, 0]
 
     def test_zero_query_rejected(self):
         fm = make_scene_features()
