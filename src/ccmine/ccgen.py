@@ -21,6 +21,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -95,9 +96,9 @@ class CCDictionary:
     """
 
     def __init__(self, cc: dict[str, list[str]], meta: dict | None = None):
+        norm = cache(normalize_concept)  # each concept recurs in many lists
         self.cc: dict[str, list[str]] = {
-            normalize_concept(k): [normalize_concept(v) for v in vals]
-            for k, vals in cc.items()
+            norm(k): [norm(v) for v in vals] for k, vals in cc.items()
         }
         self.meta: dict = dict(meta or {})
         # (table, its lexicon view); holding the table keeps the identity

@@ -20,7 +20,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import ccgen, metrics
@@ -216,9 +216,10 @@ def _dest(key: str) -> str:
     return key.replace(".", "_")
 
 
-def _classes(args: argparse.Namespace, dataset=None) -> list[str] | None:
+def _classes(args: argparse.Namespace, image_ids: list[str] | None = None) -> list[str] | None:
     """The ``--classes``/``--classes-file`` list; when neither names a class
-    and a dataset is given, every label of its ground truth, sorted."""
+    and dataset images are given, every label their ground-truth sidecars
+    name, sorted.  An unreadable sidecar is left to the image's own load."""
     classes = None
     if args.classes:
         classes = [normalize_concept(c) for c in args.classes.split(",") if normalize_concept(c)]
@@ -228,9 +229,16 @@ def _classes(args: argparse.Namespace, dataset=None) -> list[str] | None:
             line = line.strip()
             if line and not line.startswith("#"):
                 classes.append(normalize_concept(line))
-    if classes or dataset is None:
+    if classes or image_ids is None:
         return classes
-    return sorted({label for _id, _f, gt in dataset for label in gt.labels.values()})
+    labels: set[str] = set()
+    for image_id in image_ids:
+        try:
+            names, _ignore, _background = metrics.read_gt_sidecar(_gt_path(args, image_id))
+        except (OSError, CCMineError):
+            continue
+        labels.update(names.values())
+    return sorted(labels)
 
 
 def _cc_source(
@@ -262,27 +270,35 @@ def _cc_source(
     return cc_none if mode == "none" else cc_bg
 
 
-def _load_dataset(args: argparse.Namespace, failures: list[dict] | None = None):
-    """(image id, features, ground truth) of every ``.feat`` file, sorted by
-    id.  An image that fails to load is raised, or with ``failures`` given
-    logged, recorded there and skipped."""
+def _dataset_ids(args: argparse.Namespace) -> list[str]:
+    """Ids of the ``.feat`` files under ``--features-dir``, sorted."""
     feature_paths = sorted(Path(args.features_dir).glob("*.feat"))
     if not feature_paths:
         raise ValidationError(f"no .feat files under {args.features_dir}")
-    dataset = []
-    for feat_path in feature_paths:
-        image_id = feat_path.name[: -len(".feat")]
+    return [path.name[: -len(".feat")] for path in feature_paths]
+
+
+def _gt_path(args: argparse.Namespace, image_id: str) -> Path:
+    return Path(args.gt_dir) / (image_id + ".seg")
+
+
+def _load_dataset(
+    args: argparse.Namespace, image_ids: list[str], failures: list[dict] | None = None
+):
+    """(image id, features, ground truth) of each image in turn, loaded only
+    when the previous one is done with.  An image that fails to load is
+    raised, or with ``failures`` given logged, recorded there and skipped."""
+    for image_id in image_ids:
         try:
-            features = FeatureMap.load(feat_path)
-            gt = metrics.load_ground_truth(Path(args.gt_dir) / (image_id + ".seg"))
+            features = FeatureMap.load(Path(args.features_dir) / (image_id + ".feat"))
+            gt = metrics.load_ground_truth(_gt_path(args, image_id))
         except (OSError, CCMineError) as exc:
             if failures is None:
                 raise
             log.warning("image %s failed to load: %s", image_id, exc)
             failures.append({"id": image_id, "error": str(exc)})
             continue
-        dataset.append((image_id, features, gt))
-    return dataset
+        yield image_id, features, gt
 
 
 def _build_inputs(args: argparse.Namespace):
@@ -295,6 +311,42 @@ def _build_inputs(args: argparse.Namespace):
         VisibilityTable.from_file(args.visibility) if args.visibility else VisibilityTable()
     )
     return lexicon, matrix, occurrence, visibility
+
+
+def _dictionary(
+    settings: Settings,
+    inputs,
+    embeddings: EmbeddingTable,
+    gamma: float | None = None,
+    delta: float | None = None,
+    extra_meta: dict | None = None,
+) -> CCDictionary:
+    """A dictionary built from ``_build_inputs`` with the run's stop-words,
+    unknown-visibility policy, gamma and delta; ``gamma`` and ``delta``
+    override the run's values."""
+    lexicon, matrix, occurrence, visibility = inputs
+    config = FilterConfig(
+        stopwords=frozenset(normalize_concept(s) for s in settings.get("stopwords")),
+        delta=settings.get("delta") if delta is None else delta,
+    )
+    policy = settings.get("unknown_visibility")
+    if policy == "llm":
+        oracle = visibility_oracle(settings.llm_client(), settings.get("include_markers"))
+    else:
+        oracle = accept_unknown if policy == "accept" else reject_unknown
+    dictionary, _outcomes = build_dictionary(
+        matrix,
+        occurrence,
+        lexicon,
+        embeddings,
+        visibility,
+        gamma=settings.get("gamma") if gamma is None else gamma,
+        filter_config=config,
+        oracle=oracle,
+        oracle_source="llm" if policy == "llm" else "manual",
+        extra_meta=extra_meta,
+    )
+    return dictionary
 
 
 def _query_prompts(
@@ -378,29 +430,13 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_build_cc(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    lexicon, matrix, occurrence, visibility = _build_inputs(args)
+    inputs = _build_inputs(args)
+    lexicon, _matrix, _occurrence, visibility = inputs
     embeddings = EmbeddingTable.load(args.embeddings)
-    config = FilterConfig(
-        stopwords=frozenset(normalize_concept(s) for s in settings.get("stopwords")),
-        delta=settings.get("delta"),
-    )
-    policy = settings.get("unknown_visibility")
-    if policy == "llm":
-        oracle = visibility_oracle(settings.llm_client(), settings.get("include_markers"))
-        oracle_source = "llm"
-    else:
-        oracle = accept_unknown if policy == "accept" else reject_unknown
-        oracle_source = "manual"
-    dictionary, _outcomes = build_dictionary(
-        matrix,
-        occurrence,
-        lexicon,
+    dictionary = _dictionary(
+        settings,
+        inputs,
         embeddings,
-        visibility,
-        gamma=settings.get("gamma"),
-        filter_config=config,
-        oracle=oracle,
-        oracle_source=oracle_source,
         extra_meta={
             "lexicon_digest": lexicon.source_digest,
             "corpus_digest": sha256_file(args.matrix),
@@ -477,34 +513,36 @@ def cmd_segment(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     settings = Settings(args)
     embeddings = EmbeddingTable.load(args.embeddings)
+    image_ids = _dataset_ids(args)
     image_failures: list[dict] = []
-    dataset = _load_dataset(args, image_failures)
-    classes = _classes(args, dataset)
-    source = _cc_source(settings, embeddings, classes)
+    dataset = _load_dataset(args, image_ids, image_failures)
     upsample = settings.get("upsample")
     segmenter = settings.get("segmenter")
-    if args.metric == "iou-single":
+    if args.metric == "miou-classic":
+        classes = _classes(args, image_ids)
+        source = _cc_source(settings, embeddings, classes)
+        prompts = _classic_prompts(settings, classes, source, embeddings)
+        report = _classic_report(settings, dataset, prompts)
+        class_failures = 0
+    else:
         if segmenter == "sigmoid":
             threshold = settings.get("sigmoid_threshold")
             if threshold is None:
                 raise ValidationError("--sigmoid-threshold is required for the sigmoid segmenter")
-            results = [
-                metrics.iou_single_image_sigmoid(f, gt, threshold, embeddings, image_id=i)
-                for i, f, gt in dataset
-            ]
+            score = partial(
+                metrics.iou_single_image_sigmoid, threshold=threshold, embeddings=embeddings
+            )
         else:
-            results = [
-                metrics.iou_single_image(
-                    f, gt, source, embeddings, upsample=upsample, image_id=i
-                )
-                for i, f, gt in dataset
-            ]
+            source = _cc_source(settings, embeddings, _classes(args, image_ids))
+            score = partial(
+                metrics.iou_single_image,
+                cc_source=source,
+                embeddings=embeddings,
+                upsample=upsample,
+            )
+        results = [score(f, gt, image_id=i) for i, f, gt in dataset]
         report = metrics.aggregate_iou_single(results, mode=settings.get("aggregation"))
         class_failures = sum(len(r.failures) for r in results)
-    else:
-        prompts = _classic_prompts(settings, classes, source, embeddings)
-        report = _classic_report(settings, dataset, prompts)
-        class_failures = 0
 
     report["meta"] = {
         "cc_mode": settings.get("cc_mode"),
@@ -530,9 +568,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     settings = Settings(args)
     embeddings = EmbeddingTable.load(args.embeddings)
-    dataset = _load_dataset(args)
+    image_ids = _dataset_ids(args)
     if args.param == "sigmoid":
-        report = metrics.sigmoid_sweep(dataset, embeddings, steps=settings.get("steps"))
+        report = metrics.sigmoid_sweep(
+            _load_dataset(args, image_ids), embeddings, steps=settings.get("steps")
+        )
         metrics.write_report(report, args.out_json, args.out_tsv)
         return 0
     if not args.values:
@@ -543,10 +583,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"--values must be comma-separated numbers, got {args.values!r}"
         ) from None
+    # every value passes over the whole dataset
+    dataset = list(_load_dataset(args, image_ids))
     rows = []
     if args.param == "beta":
-        classes = _classes(args, dataset)
-        source = _cc_source(settings, embeddings, classes)
+        classes = _classes(args, image_ids)
+        # only the merge of the CC sets depends on beta
+        source = cache(_cc_source(settings, embeddings, classes))
         for value in values:
             prompts = _classic_prompts(settings, classes, source, embeddings, beta=value)
             rows.append(
@@ -558,22 +601,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValidationError(
                 f"a {args.param} sweep needs --matrix, --counts, and --lexicon"
             )
-        lexicon, matrix, occurrence, visibility = _build_inputs(args)
+        inputs = _build_inputs(args)
         provider = TableProvider(embeddings)
         for value in values:
-            dictionary, _ = build_dictionary(
-                matrix,
-                occurrence,
-                lexicon,
-                embeddings,
-                visibility,
-                gamma=value if args.param == "gamma" else settings.get("gamma"),
-                filter_config=FilterConfig(
-                    delta=value if args.param == "delta" else settings.get("delta")
-                ),
-                oracle=accept_unknown,
-                oracle_source="manual",
-            )
+            dictionary = _dictionary(settings, inputs, embeddings, **{args.param: value})
             source = partial(cc_d, dictionary=dictionary, embeddings=embeddings, provider=provider)
             results = [
                 metrics.iou_single_image(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -122,13 +122,22 @@ class GroundTruth:
 def load_ground_truth(path: str | Path) -> GroundTruth:
     """Read a CCSEG1 grid plus its JSON sidecar with class names and the
     optional ignore/background ids."""
-    path = Path(path)
+    labels, ignore_id, background_id = read_gt_sidecar(path)
+    grid = read_seg_grid(Path(path).read_bytes())
+    return GroundTruth(grid, labels, ignore_id=ignore_id, background_id=background_id)
+
+
+def read_gt_sidecar(path: str | Path) -> tuple[dict[int, str], int | None, int | None]:
+    """Class names by id, ignore id and background id from the JSON sidecar
+    of the ground-truth grid at ``path``, without reading the grid."""
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise FormatError(f"ground-truth sidecar missing: {sidecar_path}")
-    grid = read_seg_grid(path.read_bytes())
-    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    raw_labels = sidecar.get("labels")
+    try:
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    except ValueError:
+        raise FormatError(f"ground-truth sidecar {sidecar_path} is not valid JSON") from None
+    raw_labels = sidecar.get("labels") if isinstance(sidecar, dict) else None
     if not isinstance(raw_labels, dict):
         raise FormatError("ground-truth sidecar must carry a 'labels' object")
     labels: dict[int, str] = {}
@@ -145,7 +154,7 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
     for name, value in (("ignore_id", ignore_id), ("background_id", background_id)):
         if value is not None and not isinstance(value, int):
             raise FormatError(f"sidecar {name} must be an integer or null")
-    return GroundTruth(grid, labels, ignore_id=ignore_id, background_id=background_id)
+    return labels, ignore_id, background_id
 
 
 @dataclass
@@ -359,7 +368,7 @@ def aggregate_classic(per_image_counts: list[dict[str, tuple[int, int]]]) -> dic
 
 
 def sigmoid_sweep(
-    items: list[tuple[str, FeatureMap, GroundTruth]],
+    items: Iterable[tuple[str, FeatureMap, GroundTruth]],
     embeddings: EmbeddingTable,
     steps: int = 30,
 ) -> dict:

@@ -31,6 +31,9 @@ BOTTOM = -1  # in-memory dummy label; serialized as 0xFFFF
 _BOTTOM_U16 = 0xFFFF
 _FEAT_MAGIC = b"CCFEAT1"
 _SEG_MAGIC = b"CCSEG1"
+# float64 bytes of upsampled logits decided at once: a band of output rows
+# holds about this much, whatever the image size
+BAND_BYTES = 512 << 10
 
 
 class FeatureMap:
@@ -141,18 +144,54 @@ def patch_logits(features: FeatureMap, prompts: PromptSet) -> np.ndarray:
     return np.clip(features.unit @ prompts.vectors.T, -1.0, 1.0)
 
 
-def _interp_weights(n_in: int, n_out: int) -> np.ndarray:
-    """(n_out, n_in) linear interpolation weights, half-pixel aligned with
-    clamped borders: each row holds at most two nonzero weights."""
+def _row_taps(n_in: int, n_out: int):
+    """Half-pixel aligned linear interpolation with clamped borders as two
+    taps per output index: ``out[y] = w0[y] * in[lo[y]] + w1[y] * in[hi[y]]``."""
     pos = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     lo = np.floor(pos)
     frac = pos - lo
     lo = lo.astype(np.int64)
+    return np.clip(lo, 0, n_in - 1), np.clip(lo + 1, 0, n_in - 1), 1.0 - frac, frac
+
+
+def _interp_weights(n_in: int, n_out: int) -> np.ndarray:
+    """(n_out, n_in) linear interpolation weights, half-pixel aligned with
+    clamped borders: each row holds at most two nonzero weights."""
+    lo, hi, w0, w1 = _row_taps(n_in, n_out)
     rows = np.arange(n_out)
     weights = np.zeros((n_out, n_in))
-    np.add.at(weights, (rows, np.clip(lo, 0, n_in - 1)), 1.0 - frac)
-    np.add.at(weights, (rows, np.clip(lo + 1, 0, n_in - 1)), frac)
+    np.add.at(weights, (rows, lo), w0)
+    np.add.at(weights, (rows, hi), w1)
     return weights
+
+
+def _check_size(out_h: int, out_w: int) -> None:
+    if out_h < 1 or out_w < 1:
+        raise ValidationError("output size must be positive")
+
+
+def _bands(logits: np.ndarray, out_h: int, out_w: int):
+    """Bilinearly upsampled ``(h, w, L)`` logits, one band of output rows at
+    a time: yields ``(rows, band)`` with ``band`` the ``(n, out_w, L)``
+    values of the output rows in slice ``rows``.
+
+    The columns are interpolated once, ``Rx @ logits``; each band is then a
+    two-tap lerp of those along y.  The lerp is elementwise, so a pixel's
+    values do not depend on the band it falls in, and memory holds the
+    ``(h, out_w, L)`` columns plus about ``BAND_BYTES`` of band.
+    """
+    h, w, n = logits.shape
+    cols = _interp_weights(w, out_w) @ logits
+    lo, hi, w0, w1 = _row_taps(h, out_h)
+    step = max(1, BAND_BYTES // (8 * n * out_w))
+    for start in range(0, out_h, step):
+        rows = slice(start, min(start + step, out_h))
+        band = cols[lo[rows]]
+        band *= w0[rows, None, None]
+        tap = cols[hi[rows]]
+        tap *= w1[rows, None, None]
+        band += tap
+        yield rows, band
 
 
 def bilinear_resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -165,8 +204,7 @@ def bilinear_resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     with two small weight matrices; for a stack the result is a view of a
     planes-first ``(L, out_h, out_w)`` array.
     """
-    if out_h < 1 or out_w < 1:
-        raise ValidationError("output size must be positive")
+    _check_size(out_h, out_w)
     arr = np.asarray(grid, dtype=np.float64)
     squeeze = arr.ndim == 2
     planes = np.ascontiguousarray(arr[None] if squeeze else np.moveaxis(arr, 2, 0))
@@ -178,8 +216,7 @@ def bilinear_resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 def nearest_resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Nearest-neighbor resize with the same half-pixel convention."""
-    if out_h < 1 or out_w < 1:
-        raise ValidationError("output size must be positive")
+    _check_size(out_h, out_w)
     arr = np.asarray(grid)
     h, w = arr.shape[:2]
     ys = np.clip(np.floor((np.arange(out_h) + 0.5) * (h / out_h)).astype(np.int64), 0, h - 1)
@@ -188,15 +225,19 @@ def nearest_resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def upsample_and_argmax(logits: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Upsample per-prompt logit planes, then take the per-pixel argmax.
+    """Upsample per-prompt logit planes, then take the per-pixel argmax,
+    one band of output rows at a time.
 
     Ties resolve to the lowest prompt index (numpy argmax order).
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 3:
         raise ValidationError("logits must be a (h, w, L) array")
-    planes = np.moveaxis(bilinear_resize(logits, out_h, out_w), 2, 0)
-    return planes.argmax(axis=0).astype(np.int32)
+    _check_size(out_h, out_w)
+    labels = np.empty((out_h, out_w), dtype=np.int32)
+    for rows, band in _bands(logits, out_h, out_w):
+        labels[rows] = band.argmax(axis=2)
+    return labels
 
 
 def segment_pixels(
@@ -236,25 +277,30 @@ def query_masks(
     mask is True where the query's logit is at least every rival's: the
     pixels ``segment_pixels`` labels 0 for the prompts ``[query] + rivals``,
     since argmax ties go to the lowest index.  The logit planes are
-    computed, and for ``upsample="logits"`` upsampled, once for the whole
-    prompt set, so prompts shared between contests cost one plane.  With
-    ``"labels"`` the decision is made per patch and resized nearest-neighbor.
+    computed, and for ``upsample="logits"`` upsampled band by band, once for
+    the whole prompt set, so prompts shared between contests cost one plane.
+    With ``"labels"`` the decision is made per patch and resized
+    nearest-neighbor.
     """
     logits = patch_logits(features, prompts)
-    if upsample == "logits":
-        planes = np.moveaxis(bilinear_resize(logits, out_h, out_w), 2, 0)
-    elif upsample == "labels":
-        planes = np.moveaxis(logits, 2, 0)
-    else:
+    if upsample == "labels":
+        return [
+            nearest_resize(_wins(logits, query, rivals), out_h, out_w)
+            for query, rivals in contests
+        ]
+    if upsample != "logits":
         raise ValidationError(f"upsample must be 'logits' or 'labels', got {upsample!r}")
-    masks = []
-    for query, rivals in contests:
-        best = np.full(planes.shape[1:], -np.inf)
-        for k in rivals:
-            np.maximum(best, planes[k], out=best)
-        won = planes[query] >= best
-        masks.append(won if upsample == "logits" else nearest_resize(won, out_h, out_w))
+    _check_size(out_h, out_w)
+    masks = [np.empty((out_h, out_w), dtype=bool) for _ in contests]
+    for rows, band in _bands(logits, out_h, out_w):
+        for mask, (query, rivals) in zip(masks, contests):
+            mask[rows] = _wins(band, query, rivals)
     return masks
+
+
+def _wins(stack: np.ndarray, query: int, rivals: list[int]) -> np.ndarray:
+    """Where prompt ``query`` of a ``(..., L)`` stack is at least every rival."""
+    return stack[..., query] >= stack[..., rivals].max(axis=-1, initial=-np.inf)
 
 
 def apply_cc_mask(pixmap: np.ndarray, prompts: PromptSet) -> np.ndarray:
@@ -376,7 +422,7 @@ class SegMap:
     @classmethod
     def loads(cls, data: bytes, sidecar: dict) -> "SegMap":
         grid = read_seg_grid(data)
-        raw_names = sidecar.get("labels")
+        raw_names = sidecar.get("labels") if isinstance(sidecar, dict) else None
         if not isinstance(raw_names, dict):
             raise FormatError("label map sidecar must carry a 'labels' object")
         names: dict[int, str] = {}
@@ -396,5 +442,8 @@ class SegMap:
         sidecar_path = Path(str(path) + ".json")
         if not sidecar_path.exists():
             raise FormatError(f"label map sidecar missing: {sidecar_path}")
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        try:
+            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        except ValueError:
+            raise FormatError(f"label map sidecar {sidecar_path} is not valid JSON") from None
         return cls.loads(path.read_bytes(), sidecar)

@@ -156,6 +156,20 @@ class TestDictionaryIO:
         d = CCDictionary({" Boat ": ["  Water", "DOCK"]})
         assert d.get("boat") == ["water", "dock"]
 
+    @pytest.mark.parametrize(
+        "cc",
+        [
+            {k: list(v) for k, v in EXPECTED_DICT_G001.items()},
+            {" Boat ": ["  Water", "DOCK", "water "], "WATER": ["boat", " BOAT"], "dock": []},
+        ],
+    )
+    def test_loads_normalizes_as_each_string_alone(self, cc):
+        text = json.dumps({"meta": {}, "cc": cc})
+        want = {
+            normalize_concept(k): [normalize_concept(v) for v in vals] for k, vals in cc.items()
+        }
+        assert CCDictionary.loads(text).cc == want
+
     def test_get_returns_copy(self):
         d = CCDictionary({"boat": ["water"]})
         d.get("boat").append("x")

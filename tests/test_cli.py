@@ -653,6 +653,66 @@ class TestEval:
         assert code == 3
         assert "sigmoid-threshold" in err
 
+    def test_sigmoid_segmenter_builds_no_cc_source(self, capsys, tmp_path, toy_embeddings_path):
+        # llm mode without an endpoint: fine, since the sigmoid test asks no LLM
+        code, out_json, _, err = self.eval_single(
+            capsys,
+            tmp_path,
+            toy_embeddings_path,
+            "llm",
+            None,
+            "--segmenter", "sigmoid",
+            "--sigmoid-threshold", "0.6",
+        )
+        assert code == 0, err
+        assert json.loads(out_json.read_text())["meta"]["cc_mode"] == "llm"
+
+    def test_images_are_loaded_one_at_a_time(
+        self, capsys, tmp_path, toy_embeddings_path, dict_path, monkeypatch
+    ):
+        events = []
+        load = cli.FeatureMap.load.__func__
+        score = cli.metrics.iou_single_image
+
+        def spy_load(cls, path):
+            events.append(("load", Path(path).stem))
+            return load(cls, path)
+
+        def spy_score(features, gt, *args, image_id="", **kwargs):
+            events.append(("score", image_id))
+            return score(features, gt, *args, image_id=image_id, **kwargs)
+
+        monkeypatch.setattr(cli.FeatureMap, "load", classmethod(spy_load))
+        monkeypatch.setattr(cli.metrics, "iou_single_image", spy_score)
+        code, _, _, _ = self.eval_single(
+            capsys, tmp_path, toy_embeddings_path, "dict", dict_path
+        )
+        assert code == 0
+        assert events == [
+            ("load", "img0"), ("score", "img0"), ("load", "img1"), ("score", "img1")
+        ]
+
+    def test_sidecar_that_is_not_json_is_an_image_failure(
+        self, capsys, tmp_path, toy_embeddings_path, dict_path
+    ):
+        features_dir, gt_dir = write_scene_dataset(tmp_path, ("img0", "img1"))
+        (gt_dir / "img1.seg.json").write_text("{not json")
+        out_json = tmp_path / "report.json"
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--features-dir", features_dir,
+            "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path,
+            "--cc-mode", "dict",
+            "--cc-dict", dict_path,
+            "--out-json", out_json,
+        )
+        assert code == 3
+        failures = json.loads(out_json.read_text())["meta"]["image_failures"]
+        assert [f["id"] for f in failures] == ["img1"]
+        assert "not valid JSON" in failures[0]["error"]
+
     def test_broken_image_recorded_and_exit_3(
         self, capsys, tmp_path, toy_embeddings_path, dict_path
     ):
@@ -740,7 +800,7 @@ class TestSweep:
         assert values[-1] == 0.0
 
     def test_gamma_sweep(
-        self, capsys, tmp_path, mined, toy_lexicon_path, toy_embeddings_path
+        self, capsys, tmp_path, mined, toy_lexicon_path, toy_embeddings_path, toy_visibility_path
     ):
         matrix_path, counts_path = mined
         features_dir, gt_dir = write_scene_dataset(tmp_path)
@@ -756,6 +816,7 @@ class TestSweep:
             "--matrix", matrix_path,
             "--counts", counts_path,
             "--lexicon", toy_lexicon_path,
+            "--visibility", toy_visibility_path,
             "--out-json", out_json,
         )
         assert code == 0
@@ -783,6 +844,83 @@ class TestSweep:
         assert code == 0
         rows = json.loads(out_json.read_text())["rows"]
         assert [row["mean_class"] for row in rows] == [pytest.approx(1.0)] * 2
+
+    @pytest.mark.parametrize("with_visibility", [True, False])
+    def test_gamma_sweep_row_equals_build_then_eval(
+        self,
+        capsys,
+        tmp_path,
+        mined,
+        toy_lexicon_path,
+        toy_embeddings_path,
+        toy_visibility_path,
+        with_visibility,
+    ):
+        matrix_path, counts_path = mined
+        features_dir, gt_dir = write_scene_dataset(tmp_path, ("img0", "img1"))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"stopwords": ["water"]}))
+        build = ["--matrix", matrix_path, "--counts", counts_path, "--lexicon", toy_lexicon_path]
+        if with_visibility:
+            build += ["--visibility", toy_visibility_path]
+        data = [
+            "--features-dir", features_dir,
+            "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path,
+            "--config", config,
+        ]
+        sweep_json = tmp_path / "sweep.json"
+        code, _, _ = run(
+            capsys, "sweep", "--param", "gamma", "--values", "0.01,0.99",
+            *data, *build, "--out-json", sweep_json,
+        )
+        assert code == 0
+        rows = json.loads(sweep_json.read_text())["rows"]
+        for row in rows:
+            cc_json = tmp_path / f"cc-{row['value']}.json"
+            eval_json = tmp_path / f"eval-{row['value']}.json"
+            code, _, _ = run(
+                capsys, "build-cc", "--gamma", row["value"], *build,
+                "--embeddings", toy_embeddings_path, "--config", config, "--out", cc_json,
+            )
+            assert code == 0
+            code, _, _ = run(
+                capsys, "eval", *data, "--cc-mode", "dict", "--cc-dict", cc_json,
+                "--out-json", eval_json,
+            )
+            assert code == 0
+            report = json.loads(eval_json.read_text())
+            assert row["mean_class"] == report["mean_class"]
+            assert row["mean_image"] == report["mean_image"]
+        # the config's stop-word bites: without it, gamma 0.01 scores 1.0
+        assert rows[0]["mean_class"] < 1.0
+
+    def test_beta_sweep_asks_each_class_once(
+        self, capsys, tmp_path, toy_embeddings_path, dict_path, monkeypatch
+    ):
+        calls = []
+        real = cli.cc_d
+
+        def spy(q, **kwargs):
+            calls.append(q)
+            return real(q, **kwargs)
+
+        monkeypatch.setattr(cli, "cc_d", spy)
+        features_dir, gt_dir = write_classic_dataset(tmp_path)
+        code, _, _ = run(
+            capsys,
+            "sweep",
+            "--param", "beta",
+            "--values", "0.5,0.9,0.99",
+            "--features-dir", features_dir,
+            "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path,
+            "--cc-mode", "dict",
+            "--cc-dict", dict_path,
+            "--out-json", tmp_path / "sweep.json",
+        )
+        assert code == 0
+        assert sorted(calls) == ["boat", "water"]
 
     def test_gamma_sweep_needs_inputs(self, capsys, tmp_path, toy_embeddings_path):
         features_dir, gt_dir = write_scene_dataset(tmp_path)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ccmine import segment
 from ccmine.errors import FormatError, MissingEmbeddingError, ValidationError
 from ccmine.segment import (
     BOTTOM,
@@ -19,6 +23,7 @@ from ccmine.segment import (
     build_prompt_set,
     nearest_resize,
     patch_logits,
+    query_masks,
     remap_cc_to_background,
     segment_pixels,
     sigmoid,
@@ -207,6 +212,114 @@ class TestSeparableResizeAgainstGathers:
         assert np.array_equal(got, want)
 
 
+def _band_rows(rows: int, prompts: int, out_w: int):
+    """Patch the band budget so that a band holds ``rows`` output rows."""
+    return mock.patch.object(segment, "BAND_BYTES", 8 * prompts * out_w * rows)
+
+
+def _rival_max(planes, rivals):
+    best = np.full(planes.shape[:2], -np.inf)
+    for k in rivals:
+        np.maximum(best, planes[:, :, k], out=best)
+    return best
+
+
+def _random_case(seed, h, w, n):
+    """Features and prompts with continuous random logits, and one contest
+    per prompt against a random subset of the others (possibly none)."""
+    rng = np.random.default_rng(seed)
+    features = FeatureMap(rng.normal(size=(h, w, 4)))
+    prompts = PromptSet([f"p{k}" for k in range(n)], rng.normal(size=(n, 4)), [False] * n)
+    contests = [(q, [k for k in range(n) if k != q and rng.random() < 0.6]) for q in range(n)]
+    return features, prompts, contests
+
+
+_case = (_side, _side, st.integers(1, 6), _out_side, _out_side, st.integers(0, 2**32 - 1))
+
+
+class TestBandedUpsampling:
+    """Segmentation decides one band of output rows at a time; the full
+    ``(out_h, out_w, L)`` stack of ``bilinear_resize`` is the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(*_case)
+    @example(3, 5, 1, 7, 2, 0)  # one prompt, output narrower than input
+    def test_argmax_matches_full_stack(self, h, w, n, out_h, out_w, seed):
+        logits = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(h, w, n))
+        full = bilinear_resize(logits, out_h, out_w)
+        got = upsample_and_argmax(logits, out_h, out_w)
+        top = np.sort(full, axis=2)
+        clear = top[:, :, -1] - top[:, :, -2] > 1e-9 if n > 1 else np.ones(got.shape, bool)
+        assert got.shape == (out_h, out_w)
+        assert np.array_equal(got[clear], full.argmax(axis=2)[clear])
+
+    @settings(max_examples=150, deadline=None)
+    @given(*_case)
+    def test_query_masks_match_full_stack(self, h, w, n, out_h, out_w, seed):
+        features, prompts, contests = _random_case(seed, h, w, n)
+        full = bilinear_resize(patch_logits(features, prompts), out_h, out_w)
+        got = query_masks(features, prompts, contests, out_h, out_w)
+        for (query, rivals), mask in zip(contests, got):
+            best = _rival_max(full, rivals)
+            clear = np.abs(full[:, :, query] - best) > 1e-9
+            assert mask.shape == (out_h, out_w)
+            assert np.array_equal(mask[clear], (full[:, :, query] >= best)[clear])
+
+    @settings(max_examples=100, deadline=None)
+    @given(*_case)
+    def test_band_height_does_not_change_decisions(self, h, w, n, out_h, out_w, seed):
+        features, prompts, contests = _random_case(seed, h, w, n)
+        logits = patch_logits(features, prompts)
+        labels, masks = [], []
+        for rows in (1, 7, out_h):
+            with _band_rows(rows, n, out_w):
+                labels.append(upsample_and_argmax(logits, out_h, out_w))
+                masks.append(query_masks(features, prompts, contests, out_h, out_w))
+        for other in labels[1:]:
+            assert np.array_equal(other, labels[0])
+        for other in masks[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(other, masks[0]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_side, _out_side, st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_two_tap_lerp_is_the_weight_matrix(self, n_in, n_out, cols, seed):
+        plane = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_in, cols))
+        lo, hi, w0, w1 = segment._row_taps(n_in, n_out)
+        lerp = w0[:, None] * plane[lo] + w1[:, None] * plane[hi]
+        assert np.max(np.abs(lerp - segment._interp_weights(n_in, n_out) @ plane)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(*_case)
+    def test_bands_tile_the_upsampled_stack(self, h, w, n, out_h, out_w, seed):
+        logits = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(h, w, n))
+        with _band_rows(7, n, out_w):
+            bands = list(segment._bands(logits, out_h, out_w))
+        assert [rows.start for rows, _ in bands] == list(range(0, out_h, 7))
+        stack = np.concatenate([band for _, band in bands])
+        assert np.max(np.abs(stack - bilinear_resize(logits, out_h, out_w))) <= 1e-12
+
+    def test_query_wins_exact_ties(self):
+        # prompt 2 repeats the query's vector, so their planes are equal
+        features = FeatureMap(np.random.default_rng(3).normal(size=(3, 4, 3)))
+        vectors = [[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [1.0, 0.2, 0.0]]
+        prompts = PromptSet(["q", "r", "twin"], vectors, [False] * 3)
+        with _band_rows(2, 3, 9):
+            twin, both = query_masks(features, prompts, [(0, [2]), (0, [1, 2])], 7, 9)
+        assert twin.all()
+        assert np.array_equal(both, segment_pixels(features, prompts, 7, 9) == 0)
+
+    def test_memory_bounded_by_a_band(self):
+        # the full (448, 448, 40) float64 stack alone would be 64 MB
+        logits = np.random.default_rng(5).uniform(-1.0, 1.0, size=(32, 32, 40))
+        tracemalloc.start()
+        try:
+            upsample_and_argmax(logits, 448, 448)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
+
 class TestSegmentation:
     def test_argmax_after_upsample_known(self):
         # the 0.75/0.25 crossover decides labels away from patch centers
@@ -332,6 +445,14 @@ class TestSegMap:
         path = tmp_path / "out.seg"
         seg.save(path)
         (tmp_path / "out.seg.json").unlink()
+        with pytest.raises(FormatError, match="sidecar"):
+            SegMap.load(path)
+
+    @pytest.mark.parametrize("text", ["{bad", "[]"])
+    def test_sidecar_not_a_json_object_rejected(self, tmp_path, text):
+        path = tmp_path / "out.seg"
+        SegMap(np.zeros((1, 1), dtype=int), {0: "boat"}).save(path)
+        (tmp_path / "out.seg.json").write_text(text)
         with pytest.raises(FormatError, match="sidecar"):
             SegMap.load(path)
 
