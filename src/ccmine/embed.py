@@ -29,14 +29,10 @@ _MAGIC = b"CCEMB1"
 _NORM_TOLERANCE = 1e-4
 
 
-def _as_unit(vec: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Return (raw float32, unit float64) forms of a vector."""
-    v64 = np.asarray(vec, dtype=np.float64).reshape(-1)
-    norm = float(np.linalg.norm(v64))
-    if norm == 0.0 or not np.isfinite(norm):
-        raise ValidationError(f"{what} has zero or non-finite norm")
-    unit = v64 / norm
-    return unit.astype("<f4"), unit
+def _norm(row: np.ndarray) -> float:
+    """Euclidean norm of one float64 row, bit for bit ``np.linalg.norm``
+    (which is this ``dot``); a batched sum would move the last bits."""
+    return float(np.sqrt(row.dot(row)))
 
 
 class EmbeddingTable:
@@ -45,22 +41,28 @@ class EmbeddingTable:
     def __init__(self, names: list[str], vectors) -> None:
         if len(names) != len(set(names)):
             raise ValidationError("embedding table names must be unique")
-        arr = np.asarray(vectors)
-        if arr.dtype != np.float32:
-            arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != len(names):
+        unit = np.array(vectors, dtype=np.float64)
+        if unit.ndim != 2 or unit.shape[0] != len(names):
             raise ValidationError("vectors must be a (len(names), dim) array")
-        if arr.shape[1] == 0:
+        if unit.shape[1] == 0:
             raise ValidationError("embedding dimension must be positive")
+        norms = np.array([_norm(row) for row in unit])
+        self._set_rows(names, unit, norms)
+
+    def _set_rows(self, names: list[str], unit: np.ndarray, norms: np.ndarray) -> None:
+        """Take ``unit`` (float64, each row not yet divided by its norm in
+        ``norms``) and normalize it in place."""
+        bad = ~(np.isfinite(norms) & (norms != 0.0))
+        if bad.any():
+            name = names[int(np.argmax(bad))]
+            raise ValidationError(f"embedding for {name!r} has zero or non-finite norm")
         self.names: list[str] = list(names)
-        self.dim: int = int(arr.shape[1])
+        self.dim: int = int(unit.shape[1])
         # float32 form is what serialization writes; float64 form is what
-        # similarity math uses.  Rows are converted one at a time, so no
-        # float64 copy of the whole input is ever made.
-        self._raw = np.empty(arr.shape, dtype="<f4")
-        self._unit = np.empty(arr.shape, dtype=np.float64)
-        for k, (name, row) in enumerate(zip(self.names, arr)):
-            self._raw[k], self._unit[k] = _as_unit(row, f"embedding for {name!r}")
+        # similarity math uses
+        unit /= norms[:, None]
+        self._unit = unit
+        self._raw = unit.astype("<f4")
         self._index = {name: k for k, name in enumerate(self.names)}
 
     def __len__(self) -> int:
@@ -116,7 +118,8 @@ class EmbeddingTable:
         if dim == 0:
             raise FormatError("embedding table dimension is zero")
         names: list[str] = []
-        vectors = np.zeros((count, dim), dtype="<f4")
+        unit = np.empty((count, dim), dtype=np.float64)
+        norms = np.empty(count)
         for k in range(count):
             if len(data) < offset + 2:
                 raise FormatError("truncated embedding table entry")
@@ -127,20 +130,22 @@ class EmbeddingTable:
                 raise FormatError("truncated embedding table entry")
             name = data[offset : offset + name_len].decode("utf-8")
             offset += name_len
-            vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
+            row = unit[k]
+            row[:] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
             offset += 4 * dim
-            norm = float(np.linalg.norm(vec.astype(np.float64)))
-            if abs(norm - 1.0) > _NORM_TOLERANCE:
+            norm = norms[k] = _norm(row)
+            if not abs(norm - 1.0) <= _NORM_TOLERANCE:  # NaN fails too
                 raise FormatError(f"embedding for {name!r} is not unit norm ({norm:.6f})")
             names.append(name)
-            vectors[k] = vec
         if offset != len(data):
             raise FormatError("trailing bytes after embedding table entries")
         if names != sorted(names):
             raise FormatError("embedding table names are not sorted ascending")
         if len(names) != len(set(names)):
             raise FormatError("embedding table contains duplicate names")
-        return cls(names, vectors)
+        table = cls.__new__(cls)
+        table._set_rows(names, unit, norms)
+        return table
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":

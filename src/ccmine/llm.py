@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-import requests
-
 from .corpus import normalize_concept
 from .errors import ResponseParseError, ServiceError, TransportError, ValidationError
 from .ioutil import atomic_write_text
@@ -134,6 +132,8 @@ Transport = Callable[[str, dict, float], tuple[int, str]]
 
 
 def _requests_transport(url: str, payload: dict, timeout: float) -> tuple[int, str]:
+    import requests  # only a live endpoint needs it, and it is slow to import
+
     try:
         resp = requests.post(url, json=payload, timeout=timeout)
     except requests.RequestException as exc:

@@ -98,8 +98,8 @@ class GroundTruth:
             allowed.add(self.ignore_id)
         if self.background_id is not None:
             allowed.add(self.background_id)
-        present = set(np.unique(self.ids).tolist())
-        unknown = present - allowed
+        self._present = np.unique(self.ids).tolist()
+        unknown = set(self._present) - allowed
         if unknown:
             raise ValidationError(f"ground truth contains unlabeled ids: {sorted(unknown)}")
 
@@ -116,7 +116,7 @@ class GroundTruth:
     def evaluable_ids(self) -> list[int]:
         """Unique class ids to score: everything but ignore and background."""
         skip = {self.ignore_id, self.background_id}
-        return [int(i) for i in np.unique(self.ids) if int(i) not in skip]
+        return [i for i in self._present if i not in skip]
 
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
@@ -376,11 +376,13 @@ def sigmoid_sweep(
 
     Score fields are computed once per (image, class); thresholds are
     ``steps`` values linearly spaced between the global minimum and maximum
-    of those fields, endpoints included.
+    of those fields, endpoints included.  Each field is kept only as the
+    sorted scores of its kept ground-truth-positive and negative pixels,
+    so a binary search counts its pixels above every threshold at once.
     """
     if steps < 2:
         raise ValidationError("a sweep needs at least two threshold steps")
-    cached = []
+    fields = []
     lo = np.inf
     hi = -np.inf
     for image_id, features, gt in items:
@@ -389,18 +391,35 @@ def sigmoid_sweep(
         for class_id in gt.evaluable_ids():
             label = gt.labels[class_id]
             score = sigmoid_score_field(features, embeddings.vector(label), h, w)
-            cached.append((image_id, label, score, gt.ids == class_id, keep))
             lo = min(lo, float(score.min()))
             hi = max(hi, float(score.max()))
-    if not cached:
+            gt_mask = gt.ids == class_id
+            pos = score[gt_mask]  # a class pixel is never an ignored one
+            neg = score[~gt_mask if keep is None else ~gt_mask & keep]
+            del score, gt_mask
+            pos.sort()
+            neg.sort()
+            fields.append((image_id, label, pos, neg))
+    if not fields:
         raise ValidationError("no evaluable classes in the sweep inputs")
     thresholds = np.linspace(lo, hi, steps)
+    # pixels strictly above t: the intersection's are the positives above
+    # t, the union's are every positive plus the negatives above t
+    counts = [
+        (
+            image_id,
+            label,
+            (len(pos) - np.searchsorted(pos, thresholds, "right")).tolist(),
+            (len(pos) + len(neg) - np.searchsorted(neg, thresholds, "right")).tolist(),
+        )
+        for image_id, label, pos, neg in fields
+    ]
     rows = []
-    for threshold in thresholds:
+    for k, threshold in enumerate(thresholds):
         by_image: dict[str, list[float]] = {}
         acc: dict[str, list[int]] = {}
-        for image_id, label, score, gt_mask, keep in cached:
-            i, u = intersection_union(score > threshold, gt_mask, keep)
+        for image_id, label, inter, union in counts:
+            i, u = inter[k], union[k]
             if u > 0:
                 by_image.setdefault(image_id, []).append(i / u)
             bucket = acc.setdefault(label, [0, 0])

@@ -6,6 +6,9 @@ import argparse
 import gzip
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1076,6 +1079,14 @@ def nest(key: str, value) -> dict:
 
 
 class TestWiring:
+    def test_import_leaves_requests_unloaded(self):
+        # only a live LLM endpoint needs requests; every command pays its import
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, ccmine.cli; assert 'requests' not in sys.modules, 'requests imported'"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_flag_inventory(self):
         got = {}
         for name, sub in subparsers().items():

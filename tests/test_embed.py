@@ -12,12 +12,24 @@ from hypothesis import strategies as st
 from ccmine.embed import (
     EmbeddingTable,
     ToyEmbeddingProvider,
-    _as_unit,
     cosine,
     cosines,
     nearest_neighbor,
 )
 from ccmine.errors import FormatError, MissingEmbeddingError, ValidationError
+
+
+def _as_unit(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(raw float32, unit float64) forms of one vector, normalized on its
+    own by ``np.linalg.norm``: the reference for the table's rows."""
+    v64 = np.asarray(vec, dtype=np.float64).reshape(-1)
+    unit = v64 / float(np.linalg.norm(v64))
+    return unit.astype("<f4"), unit
+
+
+def _with_last_record_float(data: bytes, value: float) -> bytes:
+    """A serialized table whose final vector component is ``value``."""
+    return data[:-4] + np.array([value], dtype="<f4").tobytes()
 
 
 class TestTable:
@@ -64,6 +76,12 @@ class TestTable:
         with pytest.raises(FormatError):
             EmbeddingTable.load(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_load_rejects_non_finite_vector(self, value):
+        data = EmbeddingTable(["a", "b"], np.eye(2)).dumps()
+        with pytest.raises(FormatError, match="'b'"):
+            EmbeddingTable.loads(_with_last_record_float(data, value))
+
 
 class TestTableConstruction:
     @pytest.mark.parametrize("dtype", ["<f4", np.float64])
@@ -74,9 +92,32 @@ class TestTableConstruction:
         table = EmbeddingTable(names, vectors)
         assert table._raw.dtype == np.dtype("<f4") and table._unit.dtype == np.float64
         for k, row in enumerate(vectors):
-            raw, unit = _as_unit(row, names[k])
+            raw, unit = _as_unit(row)
             assert np.array_equal(table._raw[k], raw)
             assert np.array_equal(table._unit[k], unit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        dim=st.integers(1, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_loaded_arrays_equal_per_row_as_unit(self, n, dim, seed):
+        # the loader normalizes the stored float32 rows with the norm it
+        # checks them by; each row must get the bits it gets alone
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((n, dim)) * rng.uniform(0.1, 9.0, (n, 1))
+        data = EmbeddingTable([f"n{k:02d}" for k in range(n)], vectors).dumps()
+        table = EmbeddingTable.loads(data)
+        stored = np.frombuffer(data, dtype=np.uint8)[14:].reshape(n, 5 + 4 * dim)[:, 5:]
+        for k, record in enumerate(stored):
+            raw, unit = _as_unit(record.copy().view("<f4"))
+            assert np.array_equal(table._raw[k], raw)
+            assert np.array_equal(table._unit[k], unit)
+
+    def test_zero_norm_names_the_entry(self):
+        with pytest.raises(ValidationError, match="'b'"):
+            EmbeddingTable(["a", "b", "c"], np.array([[1.0, 0.0], [0.0, 0.0], [np.nan, 1.0]]))
 
     def test_loads_peak_memory_stays_near_the_table(self):
         rng = np.random.default_rng(6)

@@ -27,7 +27,13 @@ from ccmine.metrics import (
     sigmoid_sweep,
     write_report,
 )
-from ccmine.segment import FeatureMap, build_prompt_set, segment_pixels, sigmoid
+from ccmine.segment import (
+    FeatureMap,
+    build_prompt_set,
+    segment_pixels,
+    sigmoid,
+    sigmoid_score_field,
+)
 
 from conftest import (
     EXPECTED_DICT_G001,
@@ -70,6 +76,16 @@ class TestGroundTruth:
         ids = np.array([[1, 2], [0, 255]])
         gt = GroundTruth(ids, {1: "boat", 2: "water"}, ignore_id=255, background_id=0)
         assert gt.evaluable_ids() == [1, 2]
+
+    def test_present_ids_are_found_once(self, monkeypatch):
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        ids = np.array([[3, 1, 255], [0, 3, 2]])
+        gt = GroundTruth(ids, {1: "a", 2: "b", 3: "c"}, ignore_id=255, background_id=0)
+        assert gt.evaluable_ids() == [1, 2, 3]
+        assert gt.evaluable_ids() == [1, 2, 3]
+        assert len(calls) == 1
 
     def test_unlabeled_id_rejected(self):
         with pytest.raises(ValidationError, match="unlabeled"):
@@ -407,6 +423,101 @@ class TestSigmoidSweep:
     def test_needs_two_steps(self):
         with pytest.raises(ValidationError):
             self.sweep(steps=1)
+
+
+def sweep_reference(items, embeddings, steps):
+    """The sigmoid sweep with one ``intersection_union`` pass over every
+    score field per threshold: what the sorted-score counts replaced."""
+    cached = []
+    lo, hi = np.inf, -np.inf
+    for image_id, features, gt in items:
+        h, w = gt.shape
+        keep = gt.keep_mask()
+        for class_id in gt.evaluable_ids():
+            label = gt.labels[class_id]
+            score = sigmoid_score_field(features, embeddings.vector(label), h, w)
+            cached.append((image_id, label, score, gt.ids == class_id, keep))
+            lo = min(lo, float(score.min()))
+            hi = max(hi, float(score.max()))
+    thresholds = np.linspace(lo, hi, steps)
+    rows = []
+    for threshold in thresholds:
+        by_image, acc = {}, {}
+        for image_id, label, score, gt_mask, keep in cached:
+            i, u = intersection_union(score > threshold, gt_mask, keep)
+            if u > 0:
+                by_image.setdefault(image_id, []).append(i / u)
+            bucket = acc.setdefault(label, [0, 0])
+            bucket[0] += i
+            bucket[1] += u
+        image_means = [sum(v) / len(v) for v in by_image.values()]
+        mean_image = sum(image_means) / len(image_means) if image_means else 0.0
+        class_ious = [i / u for i, u in acc.values() if u > 0]
+        mean_class = sum(class_ious) / len(class_ious) if class_ious else 0.0
+        rows.append(
+            {"threshold": float(threshold), "mean_class": mean_class, "mean_image": mean_image}
+        )
+    return {
+        "metric": "iou-single-sigmoid-sweep",
+        "score_min": lo,
+        "score_max": hi,
+        "steps": steps,
+        "rows": rows,
+    }
+
+
+class TestSigmoidSweepAgainstLoop:
+    """Counting each field's pixels above every threshold by binary search
+    on its sorted scores gives the per-threshold mask loop's report."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        images=st.lists(
+            st.tuples(
+                st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                st.lists(st.sampled_from(_EMBEDDED[:4]), min_size=1, max_size=3, unique=True),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        use_ignore=st.booleans(),
+        steps=st.integers(2, 60),
+    )
+    def test_report_equals_per_threshold_loop(self, seed, images, use_ignore, steps):
+        # patches come from a pool of three vectors, and upsampling clamps
+        # at the edges, so many pixels share a score exactly, the global
+        # minimum and maximum among them: the end thresholds tie pixels
+        rng = np.random.default_rng(seed)
+        dim = 4
+        table = EmbeddingTable(_EMBEDDED, rng.standard_normal((len(_EMBEDDED), dim)))
+        pool = rng.standard_normal((3, dim))
+        items = []
+        for n, (patch_hw, out_hw, labels) in enumerate(images):
+            features = FeatureMap(pool[rng.integers(0, 3, patch_hw)])
+            ids = {cid + 1: label for cid, label in enumerate(labels)}
+            choices = [0, *ids] + ([9] if use_ignore else [])
+            grid = rng.choice(choices, size=out_hw).astype(np.int32)
+            gt = GroundTruth(grid, ids, ignore_id=9 if use_ignore else None, background_id=0)
+            items.append((f"img{n}", features, gt))
+        if not any(gt.evaluable_ids() for _, _, gt in items):
+            with pytest.raises(ValidationError):
+                sigmoid_sweep(items, table, steps=steps)
+            return
+        expected = sweep_reference(items, table, steps)
+        assert sigmoid_sweep(items, table, steps=steps) == expected
+
+    def test_scores_on_a_threshold_are_not_above_it(self):
+        # one flat field: every pixel scores the minimum, which is also the
+        # maximum, so every threshold ties every pixel and none is above it
+        table = EmbeddingTable(["boat"], np.array([[1.0, 0.0]]))
+        gt = GroundTruth(np.array([[1, 0], [9, 1]]), {1: "boat"}, ignore_id=9, background_id=0)
+        items = [("img0", FeatureMap(np.ones((1, 1, 2))), gt)]
+        report = sigmoid_sweep(items, table, steps=3)
+        assert report == sweep_reference(items, table, 3)
+        assert report["score_min"] == report["score_max"]
+        assert [row["mean_class"] for row in report["rows"]] == [0.0, 0.0, 0.0]
 
 
 class TestWriteReport:
