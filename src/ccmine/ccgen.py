@@ -119,9 +119,7 @@ class CCDictionary:
         nearest-neighbor lookups cannot land on non-lexicon entries."""
         if self._nn_cache is not None and self._nn_cache[0] is table:
             return self._nn_cache[1]
-        names = sorted(self.cc)
-        vectors = np.vstack([table.vector(name) for name in names])
-        sub = EmbeddingTable(names, vectors)
+        sub = table.subset(sorted(self.cc))
         self._nn_cache = (table, sub)
         return sub
 

@@ -49,18 +49,19 @@ class EmbeddingTable:
         norms = np.array([_norm(row) for row in unit])
         self._set_rows(names, unit, norms)
 
-    def _set_rows(self, names: list[str], unit: np.ndarray, norms: np.ndarray) -> None:
-        """Take ``unit`` (float64, each row not yet divided by its norm in
-        ``norms``) and normalize it in place."""
-        bad = ~(np.isfinite(norms) & (norms != 0.0))
-        if bad.any():
-            name = names[int(np.argmax(bad))]
-            raise ValidationError(f"embedding for {name!r} has zero or non-finite norm")
+    def _set_rows(self, names: list[str], unit: np.ndarray, norms: np.ndarray | None) -> None:
+        """Take ``unit`` (float64) and, given ``norms``, divide each row by
+        its norm in place; without ``norms`` the rows are unit already."""
+        if norms is not None:
+            bad = ~(np.isfinite(norms) & (norms != 0.0))
+            if bad.any():
+                name = names[int(np.argmax(bad))]
+                raise ValidationError(f"embedding for {name!r} has zero or non-finite norm")
+            unit /= norms[:, None]
         self.names: list[str] = list(names)
         self.dim: int = int(unit.shape[1])
         # float32 form is what serialization writes; float64 form is what
         # similarity math uses
-        unit /= norms[:, None]
         self._unit = unit
         self._raw = unit.astype("<f4")
         self._index = {name: k for k, name in enumerate(self.names)}
@@ -80,6 +81,15 @@ class EmbeddingTable:
         """Row of each name in the table; -1 where a name has none."""
         index = self._index
         return np.array([index.get(name, -1) for name in names], dtype=np.int64)
+
+    def subset(self, names: list[str]) -> "EmbeddingTable":
+        """The rows of ``names`` in that order, bit for bit (not normalized again)."""
+        rows = self.positions(names)
+        if (rows < 0).any():
+            raise MissingEmbeddingError(names[int(np.argmax(rows < 0))])
+        sub = EmbeddingTable.__new__(EmbeddingTable)
+        sub._set_rows(names, self._unit[rows], None)
+        return sub
 
     def vector(self, name: str) -> np.ndarray:
         try:

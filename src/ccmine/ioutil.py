@@ -4,17 +4,12 @@ from __future__ import annotations
 
 import gzip
 import hashlib
-import io
 import os
 import tempfile
 from pathlib import Path
 from typing import BinaryIO
 
 GZIP_MAGIC = b"\x1f\x8b"
-
-
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def sha256_file(path: str | Path) -> str:
@@ -62,8 +57,3 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def read_text(path: str | Path) -> str:
-    with open_maybe_gzip(path) as fh:
-        return io.TextIOWrapper(fh, encoding="utf-8").read()

@@ -111,9 +111,6 @@ PART_REMOVAL = PromptTemplate(
     ),
 )
 
-TEMPLATES = {t.kind: t for t in (CC_GENERATION, VISIBILITY, PART_REMOVAL)}
-
-
 def render(template: PromptTemplate, q: str, include_markers: bool = True) -> str:
     """Fill the template's single slot with a normalized concept string."""
     q = normalize_concept(q)
@@ -131,14 +128,32 @@ def render(template: PromptTemplate, q: str, include_markers: bool = True) -> st
 Transport = Callable[[str, dict, float], tuple[int, str]]
 
 
-def _requests_transport(url: str, payload: dict, timeout: float) -> tuple[int, str]:
-    import requests  # only a live endpoint needs it, and it is slow to import
+def _http_transport(url: str, payload: dict, timeout: float) -> tuple[int, str]:
+    """POST ``payload`` as JSON.  Every status comes back to the caller, 3xx
+    too (a POST is never re-sent on a redirect); any other failure, a
+    timeout included, is a ``TransportError``."""
+    # imported here: only a live endpoint needs them, and they are slow to import
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None  # so the 3xx is raised as an HTTPError, not followed
 
     try:
-        resp = requests.post(url, json=payload, timeout=timeout)
-    except requests.RequestException as exc:
+        body = json.dumps(payload).encode("utf-8")  # with a body, the method is POST
+        request = urllib.request.Request(url, body, {"Content-Type": "application/json"})
+        if request.type not in ("http", "https"):  # urlopen would read file:// and ftp://
+            raise TransportError(f"completion endpoint must be an http(s) URL: {url!r}")
+        try:
+            resp = urllib.request.build_opener(NoRedirect).open(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:  # a non-2xx status, with its body
+            resp = exc
+        with resp:
+            return resp.status, resp.read().decode("utf-8", errors="replace")
+    except (OSError, http.client.HTTPException, ValueError) as exc:
         raise TransportError(f"completion endpoint unreachable: {exc}") from exc
-    return resp.status_code, resp.text
 
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
@@ -164,7 +179,7 @@ class LLMClient:
     max_attempts: int = 4
     backoff_base: float = 0.5
     cache_dir: str | Path | None = None
-    transport: Transport = field(default=_requests_transport, repr=False)
+    transport: Transport = field(default=_http_transport, repr=False)
     sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
 
     def __post_init__(self):

@@ -35,6 +35,7 @@ from .segment import (
     build_prompt_set,
     query_masks,
     read_seg_grid,
+    read_sidecar,
     remap_cc_to_background,
     segment_pixels,
     sigmoid_score_field,
@@ -130,29 +131,16 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
 def read_gt_sidecar(path: str | Path) -> tuple[dict[int, str], int | None, int | None]:
     """Class names by id, ignore id and background id from the JSON sidecar
     of the ground-truth grid at ``path``, without reading the grid."""
-    sidecar_path = Path(str(path) + ".json")
-    if not sidecar_path.exists():
-        raise FormatError(f"ground-truth sidecar missing: {sidecar_path}")
-    try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    except ValueError:
-        raise FormatError(f"ground-truth sidecar {sidecar_path} is not valid JSON") from None
-    raw_labels = sidecar.get("labels") if isinstance(sidecar, dict) else None
-    if not isinstance(raw_labels, dict):
-        raise FormatError("ground-truth sidecar must carry a 'labels' object")
+    sidecar, names = read_sidecar(path)
     labels: dict[int, str] = {}
-    for k, v in raw_labels.items():
-        try:
-            idx = int(k)
-        except ValueError:
-            raise FormatError(f"sidecar label index {k!r} is not an integer") from None
-        if not isinstance(v, str) or not v.strip():
-            raise FormatError(f"sidecar label name for index {k} must be a non-empty string")
-        labels[idx] = " ".join(v.lower().split())
+    for idx, name in names.items():
+        if not name.strip():
+            raise FormatError(f"sidecar label name for index {idx} must be a non-empty string")
+        labels[idx] = " ".join(name.lower().split())
     ignore_id = sidecar.get("ignore_id")
     background_id = sidecar.get("background_id")
     for name, value in (("ignore_id", ignore_id), ("background_id", background_id)):
-        if value is not None and not isinstance(value, int):
+        if value is not None and type(value) is not int:  # true/false are ints too
             raise FormatError(f"sidecar {name} must be an integer or null")
     return labels, ignore_id, background_id
 

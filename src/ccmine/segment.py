@@ -378,6 +378,29 @@ def read_seg_grid(data: bytes) -> np.ndarray:
     return grid
 
 
+def read_sidecar(path: str | Path) -> tuple[dict, dict[int, str]]:
+    """The JSON object in ``<path>.json`` and its ``labels`` keyed by integer index."""
+    sidecar_path = Path(str(path) + ".json")
+    try:
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise FormatError(f"label map sidecar missing: {sidecar_path}") from None
+    except ValueError:  # not UTF-8 or not JSON
+        raise FormatError(f"label map sidecar {sidecar_path} is not valid JSON") from None
+    raw_names = sidecar.get("labels") if isinstance(sidecar, dict) else None
+    if not isinstance(raw_names, dict):
+        raise FormatError(f"label map sidecar {sidecar_path} must carry a 'labels' object")
+    names: dict[int, str] = {}
+    for k, v in raw_names.items():
+        if not isinstance(v, str):
+            raise FormatError(f"sidecar label name for index {k} is not a string")
+        try:
+            names[int(k)] = v
+        except ValueError:
+            raise FormatError(f"sidecar label index {k!r} is not an integer") from None
+    return sidecar, names
+
+
 @dataclass
 class SegMap:
     """A dense label-index map with names for each index.
@@ -420,30 +443,6 @@ class SegMap:
         )
 
     @classmethod
-    def loads(cls, data: bytes, sidecar: dict) -> "SegMap":
-        grid = read_seg_grid(data)
-        raw_names = sidecar.get("labels") if isinstance(sidecar, dict) else None
-        if not isinstance(raw_names, dict):
-            raise FormatError("label map sidecar must carry a 'labels' object")
-        names: dict[int, str] = {}
-        for k, v in raw_names.items():
-            try:
-                idx = int(k)
-            except ValueError:
-                raise FormatError(f"sidecar label index {k!r} is not an integer") from None
-            if not isinstance(v, str):
-                raise FormatError(f"sidecar label name for index {k} is not a string")
-            names[idx] = v
-        return cls(grid, names)
-
-    @classmethod
     def load(cls, path: str | Path) -> "SegMap":
-        path = Path(path)
-        sidecar_path = Path(str(path) + ".json")
-        if not sidecar_path.exists():
-            raise FormatError(f"label map sidecar missing: {sidecar_path}")
-        try:
-            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        except ValueError:
-            raise FormatError(f"label map sidecar {sidecar_path} is not valid JSON") from None
-        return cls.loads(path.read_bytes(), sidecar)
+        _, names = read_sidecar(path)
+        return cls(read_seg_grid(Path(path).read_bytes()), names)

@@ -1,11 +1,16 @@
 """Shared fixtures: a tiny caption corpus with a known co-occurrence
-structure, a hand-checked embedding geometry, and a synthetic two-region
-scene where mined contrastive concepts provably help."""
+structure, a hand-checked embedding geometry, a synthetic two-region
+scene where mined contrastive concepts provably help, and a completion
+endpoint on a loopback socket."""
 
 from __future__ import annotations
 
+import gc
 import gzip
 import json
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -246,3 +251,87 @@ def make_sweep_features() -> FeatureMap:
     grid[:, 2] = SWEEP_LOW_VEC
     grid[:, 3] = SWEEP_MID_VEC
     return FeatureMap(grid)
+
+
+# ---- a completion endpoint on 127.0.0.1 ----
+
+LLM_CC_ANSWER = "building, tree, car"
+
+
+def default_answer(handler, payload: dict) -> None:
+    """Answer in the payload's style: "yes" to a visibility prompt, the
+    ``LLM_CC_ANSWER`` list to anything else."""
+    prompt = payload["messages"][0]["content"] if "messages" in payload else payload["prompt"]
+    text = "yes" if "something that one can see" in prompt else LLM_CC_ANSWER
+    if "messages" in payload:
+        reply = {"choices": [{"message": {"role": "assistant", "content": text}}]}
+    else:
+        reply = {"text": text}
+    send(handler, 200, json.dumps(reply).encode("utf-8"))
+
+
+def send(handler, status: int, body: bytes, length: int | None = None, **headers) -> None:
+    """Write one reply; ``length`` may claim more bytes than ``body`` holds."""
+    handler.send_response(status)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(body) if length is None else length))
+    for name, value in headers.items():
+        handler.send_header(name, value)
+    handler.end_headers()
+    handler.wfile.write(body)
+
+
+class _CompletionHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append(
+            {"path": self.path, "content_type": self.headers["Content-Type"], "body": body}
+        )
+        answer = self.server.script.pop(0) if self.server.script else default_answer
+        answer(self, json.loads(body))
+
+    def log_message(self, *args):
+        pass
+
+
+class CompletionServer(ThreadingHTTPServer):
+    """Records each POST in ``requests`` and answers it with the next
+    callable of ``script`` (``answer(handler, payload)``), or with
+    ``default_answer`` once the script is used up.  ``release`` ends every
+    ``stall``; ``errors`` keeps what a handler raised (a client that timed
+    out and hung up, say)."""
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _CompletionHandler)
+        self.requests: list[dict] = []
+        self.script: list = []
+        self.errors: list[BaseException] = []
+        self.release = threading.Event()
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/completions"
+
+    def stall(self, handler, payload) -> None:
+        self.release.wait(10)
+
+    def handle_error(self, request, client_address):
+        self.errors.append(sys.exc_info()[1])
+
+
+_PROXY_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+@pytest.fixture
+def llm_server(monkeypatch):
+    for name in _PROXY_VARS:  # loopback traffic must not go through a proxy
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    server = CompletionServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join()
+        gc.collect()  # finalize what a test left in reference cycles

@@ -207,6 +207,22 @@ class TestDictionaryIO:
             assert np.allclose(sub.vector("boat"), table.vector("boat"))
             del table, sub
 
+    def test_lexicon_table_rows_are_the_table_rows_bit_for_bit(self):
+        # normalizing a unit row a second time moves the last bits of many
+        rng = np.random.default_rng(5)
+        names = [f"c{k:03d}" for k in range(500)]
+        table = EmbeddingTable(names, rng.standard_normal((500, 64)))
+        kept = sorted(rng.choice(names, 300, replace=False).tolist())
+        sub = CCDictionary({name: [] for name in kept}).lexicon_table(table)
+        assert sub.names == kept
+        for name in kept:
+            assert np.array_equal(sub.vector(name), table.vector(name))
+
+    def test_lexicon_table_names_a_concept_without_embedding(self, toy_embeddings):
+        d = CCDictionary({"boat": [], "zebra": [], "water": []})
+        with pytest.raises(MissingEmbeddingError, match="zebra"):
+            d.lexicon_table(toy_embeddings)
+
 
 class TestCCD:
     @pytest.fixture

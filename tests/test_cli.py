@@ -716,6 +716,30 @@ class TestEval:
         assert [f["id"] for f in failures] == ["img1"]
         assert "not valid JSON" in failures[0]["error"]
 
+    @pytest.mark.parametrize("key", ["ignore_id", "background_id"])
+    def test_boolean_sidecar_id_is_an_image_failure(
+        self, capsys, tmp_path, toy_embeddings_path, dict_path, key
+    ):
+        features_dir, gt_dir = write_scene_dataset(tmp_path, ("img0", "img1"))
+        sidecar_path = gt_dir / "img1.seg.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar_path.write_text(json.dumps({**sidecar, key: True}))
+        out_json = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys,
+            "eval",
+            "--features-dir", features_dir,
+            "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path,
+            "--cc-mode", "dict",
+            "--cc-dict", dict_path,
+            "--out-json", out_json,
+        )
+        assert code == 3
+        (failure,) = json.loads(out_json.read_text())["meta"]["image_failures"]
+        assert failure["id"] == "img1"
+        assert key in failure["error"]
+
     def test_broken_image_recorded_and_exit_3(
         self, capsys, tmp_path, toy_embeddings_path, dict_path
     ):
@@ -1078,13 +1102,23 @@ def nest(key: str, value) -> dict:
     return {key: value}
 
 
+def run_python(code: str, *argv) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's ccmine."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [str(a) for a in argv]
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+
+
 class TestWiring:
     def test_import_leaves_requests_unloaded(self):
-        # only a live LLM endpoint needs requests; every command pays its import
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = "import sys, ccmine.cli; assert 'requests' not in sys.modules, 'requests imported'"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        # only a live LLM endpoint needs them; every command would pay their import
+        code = (
+            "import sys, ccmine.cli\n"
+            "for name in ('requests', 'urllib.request', 'http.client'):\n"
+            "    assert name not in sys.modules, name + ' imported'"
+        )
+        proc = run_python(code)
         assert proc.returncode == 0, proc.stderr
 
     def test_flag_inventory(self):
@@ -1208,3 +1242,57 @@ class TestWiring:
         )
         assert code == 3
         assert "--values" in err
+
+
+class TestLLMEndpoint:
+    """The CLI against a completion endpoint on 127.0.0.1, in a fresh
+    interpreter where the ``requests`` package cannot be imported."""
+
+    NO_REQUESTS = (
+        "import sys\n"
+        "sys.modules['requests'] = None  # importing it now raises ImportError\n"
+        "from ccmine.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))"
+    )
+
+    def test_gen_cc_and_build_cc_round_trip(
+        self, llm_server, mined, tmp_path, toy_lexicon_path, toy_embeddings_path
+    ):
+        endpoint = ("--llm-endpoint", llm_server.url, "--llm-cache", tmp_path / "cache")
+        proc = run_python(self.NO_REQUESTS, "gen-cc", "--mode", "llm", "--query", "road", *endpoint)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["concepts"] == ["background", "building", "tree", "car"]
+
+        matrix_path, counts_path = mined
+        out = tmp_path / "cc.json"
+        proc = run_python(
+            self.NO_REQUESTS,
+            "build-cc",
+            "--matrix", matrix_path,
+            "--counts", counts_path,
+            "--lexicon", toy_lexicon_path,
+            "--embeddings", toy_embeddings_path,
+            "--unknown-visibility", "llm",
+            "--out", out,
+            *endpoint,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the endpoint calls every concept visible, as the accept policy does
+        assert CCDictionary.load(out).cc == EXPECTED_DICT_G001
+        prompts = [json.loads(r["body"])["prompt"] for r in llm_server.requests]
+        assert sum("something that one can see" in p for p in prompts) == len(prompts) - 1
+
+    def test_timeout_exits_4(self, llm_server, tmp_path):
+        llm_server.script = [llm_server.stall]
+        proc = run_python(
+            self.NO_REQUESTS,
+            "gen-cc",
+            "--mode", "llm",
+            "--query", "road",
+            "--llm-endpoint", llm_server.url,
+            "--llm-cache", tmp_path / "cache",
+            "--llm-timeout", "0.2",
+            "--llm-attempts", "1",
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "timed out" in proc.stderr

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from ccmine.llm import (
     PART_REMOVAL,
     VISIBILITY,
     LLMClient,
+    _http_transport,
     ask_cc,
     ask_cc_many,
     ask_visibility,
@@ -28,6 +30,8 @@ from ccmine.llm import (
     render,
     visibility_oracle,
 )
+
+from conftest import LLM_CC_ANSWER, send
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -247,6 +251,118 @@ class TestAsks:
             "road": ["thing for road", "other"],
             "car": ["thing for car", "other"],
         }
+
+
+def reply(status: int, body: bytes = b"{}", **kwargs):
+    """A scripted answer: one reply with this status and body."""
+    return lambda handler, payload: send(handler, status, body, **kwargs)
+
+
+# an unclosed response, error body or socket fails the test: a
+# ResourceWarning comes from a finalizer, so pytest reports it as an
+# unraisable-exception warning, and the server fixture collects garbage at
+# teardown so that objects held in reference cycles are finalized too
+no_leaks = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
+
+@no_leaks
+class TestHTTPTransport:
+    """The default transport against a real server on 127.0.0.1."""
+
+    def client(self, tmp_path, url, **kwargs):
+        sleeps = []
+        kwargs.setdefault("timeout", 5.0)
+        client = LLMClient(url, cache_dir=tmp_path / "cache", sleep=sleeps.append, **kwargs)
+        return client, sleeps
+
+    @pytest.mark.parametrize("api_style", ["raw", "chat"])
+    def test_reply_in_each_style(self, tmp_path, llm_server, api_style):
+        client, sleeps = self.client(tmp_path, llm_server.url, api_style=api_style)
+        assert client.complete("list things") == LLM_CC_ANSWER
+        (request,) = llm_server.requests
+        assert request["path"] == "/v1/completions"
+        assert request["content_type"] == "application/json"
+        assert json.loads(request["body"]) == client._payload("list things")
+        assert sleeps == []
+
+    def test_retryable_status_is_retried_once(self, tmp_path, llm_server):
+        llm_server.script = [reply(503)]
+        client, sleeps = self.client(tmp_path, llm_server.url)
+        assert client.complete("p") == LLM_CC_ANSWER
+        assert len(llm_server.requests) == 2
+        assert sleeps == [client.backoff_base]
+
+    def test_other_status_fails_fast_with_its_body(self, tmp_path, llm_server):
+        llm_server.script = [reply(404, b"no such model")]
+        client, sleeps = self.client(tmp_path, llm_server.url)
+        with pytest.raises(ServiceError, match="404: no such model"):
+            client.complete("p")
+        assert len(llm_server.requests) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("status", [302, 307])
+    def test_redirect_is_not_followed(self, tmp_path, llm_server, status):
+        llm_server.script = [reply(status, Location=llm_server.url)]
+        client, _ = self.client(tmp_path, llm_server.url)
+        with pytest.raises(ServiceError, match=str(status)):
+            client.complete("p")
+        assert len(llm_server.requests) == 1
+
+    def test_undecodable_bytes_are_replaced(self, tmp_path, llm_server):
+        llm_server.script = [reply(200, b'{"text": "caf\xe9"}')]
+        client, _ = self.client(tmp_path, llm_server.url)
+        assert client.complete("p") == "caf\ufffd"
+
+    def test_reply_slower_than_the_timeout(self, tmp_path, llm_server):
+        llm_server.script = [llm_server.stall]
+        client, _ = self.client(tmp_path, llm_server.url, timeout=0.2, max_attempts=1)
+        with pytest.raises(TransportError):
+            client.complete("p")
+
+    def test_body_slower_than_the_timeout(self, tmp_path, llm_server):
+        def headers_then_stall(handler, payload):
+            send(handler, 200, b"", length=20)
+            handler.wfile.flush()
+            llm_server.stall(handler, payload)
+
+        llm_server.script = [headers_then_stall]
+        client, _ = self.client(tmp_path, llm_server.url, timeout=0.2, max_attempts=1)
+        with pytest.raises(TransportError):
+            client.complete("p")
+
+    def test_truncated_body(self, tmp_path, llm_server):
+        llm_server.script = [reply(200, b'{"text": ', length=100)]
+        client, _ = self.client(tmp_path, llm_server.url, max_attempts=1)
+        with pytest.raises(TransportError):
+            client.complete("p")
+
+    def test_closed_port(self, tmp_path):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        client, sleeps = self.client(tmp_path, f"http://127.0.0.1:{port}/", max_attempts=2)
+        with pytest.raises(TransportError, match="unreachable"):
+            client.complete("p")
+        assert sleeps == [client.backoff_base]
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:notaport/", "http://[::1/", "no-scheme"])
+    def test_malformed_url(self, url):
+        with pytest.raises(TransportError):
+            _http_transport(url, {}, 1.0)
+
+    def test_only_http_endpoints(self, tmp_path, monkeypatch):
+        answer = tmp_path / "answer.json"
+        answer.write_text(json.dumps({"text": "read from disk"}), encoding="utf-8")
+
+        def no_connection(*args, **kwargs):
+            raise AssertionError("a connection was opened")
+
+        monkeypatch.setattr(socket, "create_connection", no_connection)
+        for url in (answer.as_uri(), "ftp://127.0.0.1/answer.json", "FILE://" + str(answer)):
+            with pytest.raises(TransportError, match="http"):
+                _http_transport(url, {}, 1.0)
 
 
 class TestParseCCList:

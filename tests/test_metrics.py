@@ -120,6 +120,17 @@ class TestGroundTruth:
         with pytest.raises(FormatError):
             load_ground_truth(gt_dir / "img0.seg")
 
+    @pytest.mark.parametrize("key", ["ignore_id", "background_id"])
+    def test_loader_rejects_boolean_id(self, tmp_path, key):
+        # bool is an int subclass: true would silently become id 1
+        _, gt_dir = write_scene_dataset(tmp_path)
+        sidecar_path = gt_dir / "img0.seg.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar[key] = True
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(FormatError, match=key):
+            load_ground_truth(gt_dir / "img0.seg")
+
 
 class TestIoUSingle:
     def test_scene_without_cc(self, scene_features, scene_gt, toy_embeddings):
