@@ -20,6 +20,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,27 +32,32 @@ BOTTOM = -1  # in-memory dummy label; serialized as 0xFFFF
 _BOTTOM_U16 = 0xFFFF
 _FEAT_MAGIC = b"CCFEAT1"
 _SEG_MAGIC = b"CCSEG1"
-# float64 bytes of upsampled logits decided at once: a band of output rows
-# holds about this much, whatever the image size
+# float64 bytes of upsampled logits decided at once: a band of output
+# pixels holds about this much, whatever the image size
 BAND_BYTES = 512 << 10
+# a lead at both interpolation taps that a two-tap lerp cannot overturn,
+# relative to the larger of 1 and the largest |logit|: the lerp's rounding
+# moves a value by under 1e-15 of that
+MARGIN = 1e-12
 
 
 class FeatureMap:
     """A (h, w, d) grid of unit-normalized patch features."""
 
-    def __init__(self, data) -> None:
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != 3:
+    def __init__(self, data, _raw: np.ndarray | None = None) -> None:
+        # ``_raw``: the float32 payload to save, when loaded from one
+        unit = np.array(data, dtype=np.float64)
+        if unit.ndim != 3:
             raise ValidationError("feature map must be a (h, w, d) array")
-        h, w, d = arr.shape
+        h, w, d = unit.shape
         if h < 1 or w < 1 or d < 1:
             raise ValidationError("feature map dimensions must be positive")
-        norms = np.linalg.norm(arr, axis=2)
+        norms = np.linalg.norm(unit, axis=2)
         if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
             raise ValidationError("feature map contains zero or non-finite patch vectors")
-        unit = arr / norms[:, :, None]
+        unit /= norms[:, :, None]
         self.h, self.w, self.d = int(h), int(w), int(d)
-        self._raw = unit.astype("<f4")
+        self._raw = unit.astype("<f4") if _raw is None else _raw
         self._unit = unit
 
     @property
@@ -80,11 +86,9 @@ class FeatureMap:
                 f"feature map payload is {len(data) - off} bytes, expected {expected}"
             )
         arr = np.frombuffer(data, dtype="<f4", offset=off).reshape(h, w, d)
-        fm = cls(arr)
         # echo the stored payload on re-save so load/save round-trips are
         # byte-identical even where renormalization would re-round
-        fm._raw = arr
-        return fm
+        return cls(arr, _raw=arr)
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureMap":
@@ -170,28 +174,80 @@ def _check_size(out_h: int, out_w: int) -> None:
         raise ValidationError("output size must be positive")
 
 
-def _bands(logits: np.ndarray, out_h: int, out_w: int):
-    """Bilinearly upsampled ``(h, w, L)`` logits, one band of output rows at
-    a time: yields ``(rows, band)`` with ``band`` the ``(n, out_w, L)``
-    values of the output rows in slice ``rows``.
+class _Runs(NamedTuple):
+    """Output rows grouped into runs of consecutive rows that interpolate
+    between the same two input rows: run ``r`` is output rows
+    ``bounds[r]:bounds[r + 1]`` with taps ``lo[r]`` and ``hi[r]``."""
 
-    The columns are interpolated once, ``Rx @ logits``; each band is then a
-    two-tap lerp of those along y.  The lerp is elementwise, so a pixel's
-    values do not depend on the band it falls in, and memory holds the
-    ``(h, out_w, L)`` columns plus about ``BAND_BYTES`` of band.
+    bounds: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    w0: np.ndarray  # per output row
+    w1: np.ndarray
+    of_row: np.ndarray  # each output row's run
+
+
+def _runs(n_in: int, n_out: int) -> _Runs:
+    lo, hi, w0, w1 = _row_taps(n_in, n_out)
+    first = np.flatnonzero(np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])])
+    bounds = np.r_[first, n_out]
+    of_row = np.repeat(np.arange(len(first)), np.diff(bounds))
+    return _Runs(bounds, lo[first], hi[first], w0, w1, of_row)
+
+
+def _columns(logits: np.ndarray, out_h: int, out_w: int):
+    """``(cols, runs, margin)`` for bilinearly upsampling ``(h, w, L)``
+    logits to ``(out_h, out_w)``.
+
+    ``cols = Rx @ logits`` are the ``(h, out_w, L)`` columns interpolated
+    along x.  An output pixel of run ``r`` in row ``y`` then has the values
+    ``w0[y] * cols[lo[r]] + w1[y] * cols[hi[r]]``, computed elementwise.
+    Both weights are nonnegative and multiplication and addition round to
+    nearest, so a pixel's value is nondecreasing in each tap value: a plane
+    at least another at both taps is at least it at every pixel of the run,
+    and one ahead by more than ``margin`` at both taps (rounding moves a
+    lerp by far less) is strictly ahead at every pixel.
     """
+    _check_size(out_h, out_w)
     h, w, n = logits.shape
+    scale = float(np.max(np.abs(logits)))
+    if not np.isfinite(scale):
+        raise ValidationError("logits must be finite")
     cols = _interp_weights(w, out_w) @ logits
-    lo, hi, w0, w1 = _row_taps(h, out_h)
-    step = max(1, BAND_BYTES // (8 * n * out_w))
-    for start in range(0, out_h, step):
-        rows = slice(start, min(start + step, out_h))
-        band = cols[lo[rows]]
-        band *= w0[rows, None, None]
-        tap = cols[hi[rows]]
-        tap *= w1[rows, None, None]
-        band += tap
-        yield rows, band
+    return cols, _runs(h, out_h), MARGIN * max(1.0, scale)
+
+
+def _refine(cols: np.ndarray, runs: _Runs, undecided: np.ndarray, by_plane: bool = False):
+    """Upsample the pixels the taps leave undecided: for each run ``r``
+    with columns ``xs`` set in the ``(runs, out_w)`` mask (a slice when
+    all are, which spares the gathers), yields ``(rows, xs, band)`` with
+    ``band`` the values at output rows ``rows`` and columns ``xs``,
+    ``(n, len(xs), L)``, or ``(n, L, len(xs))`` ``by_plane``, where a max
+    over some planes is an elementwise max of whole rows.  The lerp is
+    elementwise, so a pixel's values do not depend on which other pixels
+    share its band.  Bands hold about ``BAND_BYTES`` (one row at least) in
+    reused buffers: each is valid until the next is yielded.
+    """
+    _, out_w, n = cols.shape
+    room = max(BAND_BYTES // 8, out_w * n)  # float64 values of a band
+    band_buf, tap_buf = np.empty(room), np.empty(room)
+    for r in np.flatnonzero(undecided.any(axis=1)):
+        xs = slice(None) if undecided[r].all() else np.flatnonzero(undecided[r])
+        lo = cols[runs.lo[r], xs]
+        hi = cols[runs.hi[r], xs]
+        if by_plane:
+            lo, hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
+        stop = runs.bounds[r + 1]
+        step = room // lo.size
+        for start in range(runs.bounds[r], stop, step):
+            rows = slice(start, min(start + step, stop))
+            shape = (rows.stop - rows.start, *lo.shape)
+            band = band_buf[: shape[0] * lo.size].reshape(shape)
+            tap = tap_buf[: shape[0] * lo.size].reshape(shape)
+            np.multiply(lo, runs.w0[rows, None, None], out=band)
+            np.multiply(hi, runs.w1[rows, None, None], out=tap)
+            band += tap
+            yield rows, xs, band
 
 
 def bilinear_resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -225,19 +281,37 @@ def nearest_resize(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def upsample_and_argmax(logits: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Upsample per-prompt logit planes, then take the per-pixel argmax,
-    one band of output rows at a time.
+    """Upsample per-prompt logit planes, then take the per-pixel argmax.
 
-    Ties resolve to the lowest prompt index (numpy argmax order).
+    Ties resolve to the lowest prompt index (numpy argmax order).  A run of
+    output rows between the same two patch rows takes, at each column, the
+    prompt that leads every other by more than ``MARGIN`` at both taps; the
+    other pixels are upsampled and decided as they are.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 3:
-        raise ValidationError("logits must be a (h, w, L) array")
-    _check_size(out_h, out_w)
-    labels = np.empty((out_h, out_w), dtype=np.int32)
-    for rows, band in _bands(logits, out_h, out_w):
-        labels[rows] = band.argmax(axis=2)
+    if logits.ndim != 3 or logits.size == 0:
+        raise ValidationError("logits must be a nonempty (h, w, L) array")
+    cols, runs, margin = _columns(logits, out_h, out_w)
+    best = cols.argmax(axis=2)
+    clear = _lead(cols, best) > margin
+    first, second = best[runs.lo], best[runs.hi]
+    undecided = (first != second) | ~clear[runs.lo] | ~clear[runs.hi]
+    labels = first.astype(np.int32)[runs.of_row]
+    for rows, xs, band in _refine(cols, runs, undecided):
+        labels[rows, xs] = band.argmax(axis=2)
     return labels
+
+
+def _lead(cols: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """How far each column's ``best`` plane is ahead of the runner-up
+    (``inf`` for one plane).  The best values are set aside in ``cols``
+    while it takes the runner-up's, then written back."""
+    at = best[..., None]
+    top = np.take_along_axis(cols, at, axis=2)
+    np.put_along_axis(cols, at, -np.inf, axis=2)
+    runner_up = cols.max(axis=2)
+    np.put_along_axis(cols, at, top, axis=2)
+    return top[..., 0] - runner_up
 
 
 def segment_pixels(
@@ -277,10 +351,12 @@ def query_masks(
     mask is True where the query's logit is at least every rival's: the
     pixels ``segment_pixels`` labels 0 for the prompts ``[query] + rivals``,
     since argmax ties go to the lowest index.  The logit planes are
-    computed, and for ``upsample="logits"`` upsampled band by band, once for
-    the whole prompt set, so prompts shared between contests cost one plane.
-    With ``"labels"`` the decision is made per patch and resized
-    nearest-neighbor.
+    computed, and for ``upsample="logits"`` interpolated along x, once for
+    the whole prompt set.  Each contest is then decided at the two taps of
+    each run of output rows between the same two patch rows, wherever they
+    settle it; the pixels some contest leaves open are upsampled once for
+    all contests and decided as they are.  With ``"labels"`` the decision
+    is made per patch and resized nearest-neighbor.
     """
     logits = patch_logits(features, prompts)
     if upsample == "labels":
@@ -290,17 +366,38 @@ def query_masks(
         ]
     if upsample != "logits":
         raise ValidationError(f"upsample must be 'logits' or 'labels', got {upsample!r}")
-    _check_size(out_h, out_w)
-    masks = [np.empty((out_h, out_w), dtype=bool) for _ in contests]
-    for rows, band in _bands(logits, out_h, out_w):
+    cols, runs, margin = _columns(logits, out_h, out_w)
+    masks = []
+    undecided = np.zeros((len(runs.lo), out_w), dtype=bool)
+    for query, rivals in contests:
+        won, decided = _contest_at_taps(cols, runs, query, rivals, margin)
+        masks.append(won[runs.of_row])
+        undecided |= ~decided
+    for rows, xs, band in _refine(cols, runs, undecided, by_plane=True):
         for mask, (query, rivals) in zip(masks, contests):
-            mask[rows] = _wins(band, query, rivals)
+            mask[rows, xs] = _wins(band, query, rivals, axis=1)
     return masks
 
 
-def _wins(stack: np.ndarray, query: int, rivals: list[int]) -> np.ndarray:
-    """Where prompt ``query`` of a ``(..., L)`` stack is at least every rival."""
-    return stack[..., query] >= stack[..., rivals].max(axis=-1, initial=-np.inf)
+def _contest_at_taps(cols: np.ndarray, runs: _Runs, query: int, rivals: list[int], margin: float):
+    """``(won, decided)`` per (run, column): the query wins every pixel
+    where it is at least every rival at both taps, and loses every pixel
+    where some rival is ahead by more than ``margin`` at both."""
+    is_rival = np.zeros(cols.shape[2], dtype=bool)
+    is_rival[rivals] = True
+    q = cols[:, :, query, None]
+    # a bool matrix product is "any": any rival ahead of the query
+    beaten = (cols > q) @ is_rival
+    won = ~(beaten[runs.lo] | beaten[runs.hi])
+    ahead = cols > q + margin
+    lost = (ahead[runs.lo] & ahead[runs.hi]) @ is_rival
+    return won, won | lost
+
+
+def _wins(stack: np.ndarray, query: int, rivals: list[int], axis: int = -1) -> np.ndarray:
+    """Where prompt ``query`` of a stack with prompts along ``axis`` is at
+    least every rival."""
+    return stack.take(query, axis) >= stack.take(rivals, axis).max(axis=axis, initial=-np.inf)
 
 
 def apply_cc_mask(pixmap: np.ndarray, prompts: PromptSet) -> np.ndarray:
@@ -379,10 +476,24 @@ def read_seg_grid(data: bytes) -> np.ndarray:
 
 
 def read_sidecar(path: str | Path) -> tuple[dict, dict[int, str]]:
-    """The JSON object in ``<path>.json`` and its ``labels`` keyed by integer index."""
+    """The JSON object in ``<path>.json`` and its ``labels`` keyed by integer
+    index.  Each index is written in canonical decimal (``"1"``, not
+    ``"01"`` or ``"+1"``) and no key of an object repeats, so no two
+    entries can name the same index."""
     sidecar_path = Path(str(path) + ".json")
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        # plain json keeps the last of a repeated key silently
+        obj: dict = {}
+        for k, v in pairs:
+            if k in obj:
+                raise FormatError(f"label map sidecar {sidecar_path} repeats the key {k!r}")
+            obj[k] = v
+        return obj
+
     try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        text = sidecar_path.read_text(encoding="utf-8")
+        sidecar = json.loads(text, object_pairs_hook=unique_keys)
     except FileNotFoundError:
         raise FormatError(f"label map sidecar missing: {sidecar_path}") from None
     except ValueError:  # not UTF-8 or not JSON
@@ -395,9 +506,12 @@ def read_sidecar(path: str | Path) -> tuple[dict, dict[int, str]]:
         if not isinstance(v, str):
             raise FormatError(f"sidecar label name for index {k} is not a string")
         try:
-            names[int(k)] = v
+            idx = int(k)
         except ValueError:
             raise FormatError(f"sidecar label index {k!r} is not an integer") from None
+        if str(idx) != k:
+            raise FormatError(f"sidecar label index {k!r} is not written as {str(idx)!r}")
+        names[idx] = v
     return sidecar, names
 
 

@@ -740,6 +740,30 @@ class TestEval:
         assert failure["id"] == "img1"
         assert key in failure["error"]
 
+    def test_non_canonical_sidecar_id_is_an_image_failure(
+        self, capsys, tmp_path, toy_embeddings_path, dict_path
+    ):
+        features_dir, gt_dir = write_scene_dataset(tmp_path, ("img0", "img1"))
+        sidecar_path = gt_dir / "img1.seg.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["labels"]["01"] = "water"
+        sidecar_path.write_text(json.dumps(sidecar))
+        out_json = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys,
+            "eval",
+            "--features-dir", features_dir,
+            "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path,
+            "--cc-mode", "dict",
+            "--cc-dict", dict_path,
+            "--out-json", out_json,
+        )
+        assert code == 3
+        (failure,) = json.loads(out_json.read_text())["meta"]["image_failures"]
+        assert failure["id"] == "img1"
+        assert "'01'" in failure["error"]
+
     def test_broken_image_recorded_and_exit_3(
         self, capsys, tmp_path, toy_embeddings_path, dict_path
     ):

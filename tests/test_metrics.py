@@ -120,6 +120,21 @@ class TestGroundTruth:
         with pytest.raises(FormatError):
             load_ground_truth(gt_dir / "img0.seg")
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            # "01" would silently rename class 1
+            '{"0": "background", "1": "boat", "01": "water"}',
+            '{"0": "background", "+1": "boat"}',
+            '{"0": "background", "1": "boat", "1": "water"}',
+        ],
+    )
+    def test_loader_rejects_non_canonical_or_repeated_ids(self, tmp_path, labels):
+        _, gt_dir = write_scene_dataset(tmp_path)
+        (gt_dir / "img0.seg.json").write_text('{"labels": ' + labels + ', "background_id": 0}')
+        with pytest.raises(FormatError, match="sidecar"):
+            load_ground_truth(gt_dir / "img0.seg")
+
     @pytest.mark.parametrize("key", ["ignore_id", "background_id"])
     def test_loader_rejects_boolean_id(self, tmp_path, key):
         # bool is an int subclass: true would silently become id 1

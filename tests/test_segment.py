@@ -58,6 +58,45 @@ def gather_bilinear_resize(grid, out_h, out_w):
     return out[:, :, 0] if squeeze else out
 
 
+def band_upsample(logits, out_h, out_w):
+    """Every pixel's upsampled logits, one band of output rows at a time:
+    the band path that the tap decisions replaced, kept as their
+    reference.  Yields ``(rows, band)`` with ``band`` ``(n, out_w, L)``."""
+    h, w, n = logits.shape
+    cols = segment._interp_weights(w, out_w) @ logits
+    lo, hi, w0, w1 = segment._row_taps(h, out_h)
+    step = max(1, segment.BAND_BYTES // (8 * n * out_w))
+    for start in range(0, out_h, step):
+        rows = slice(start, min(start + step, out_h))
+        band = cols[lo[rows]]
+        band *= w0[rows, None, None]
+        tap = cols[hi[rows]]
+        tap *= w1[rows, None, None]
+        band += tap
+        yield rows, band
+
+
+def band_argmax(logits, out_h, out_w):
+    labels = np.empty((out_h, out_w), dtype=np.int32)
+    for rows, band in band_upsample(logits, out_h, out_w):
+        labels[rows] = band.argmax(axis=2)
+    return labels
+
+
+def band_masks(logits, contests, out_h, out_w):
+    masks = [np.empty((out_h, out_w), dtype=bool) for _ in contests]
+    for rows, band in band_upsample(logits, out_h, out_w):
+        for mask, (query, rivals) in zip(masks, contests):
+            mask[rows] = band[..., query] >= band[..., rivals].max(axis=-1, initial=-np.inf)
+    return masks
+
+
+def masks_of_logits(logits, contests, out_h, out_w):
+    """``query_masks`` on given patch logits."""
+    with mock.patch.object(segment, "patch_logits", return_value=logits):
+        return query_masks(None, None, contests, out_h, out_w)
+
+
 _side = st.integers(1, 9)
 _out_side = st.integers(1, 40)
 
@@ -96,6 +135,18 @@ class TestFeatureMap:
         first = path.read_bytes()
         FeatureMap.load(path).save(path)
         assert path.read_bytes() == first
+
+    def test_loads_keeps_the_stored_payload(self):
+        data = make_scene_features().dumps()
+        fm = FeatureMap.loads(data)
+        assert fm._raw.base is not None  # a view of the bytes, not a copy
+        assert fm.dumps() == data
+        assert np.allclose(np.linalg.norm(fm.unit, axis=2), 1.0)
+
+    def test_does_not_modify_its_input(self):
+        data = np.full((2, 2, 3), 2.0)
+        FeatureMap(data)
+        assert np.all(data == 2.0)
 
     def test_loads_rejects_bad_magic(self):
         with pytest.raises(FormatError):
@@ -238,7 +289,7 @@ _case = (_side, _side, st.integers(1, 6), _out_side, _out_side, st.integers(0, 2
 
 
 class TestBandedUpsampling:
-    """Segmentation decides one band of output rows at a time; the full
+    """Segmentation upsamples undecided pixels a band at a time; the full
     ``(out_h, out_w, L)`` stack of ``bilinear_resize`` is the reference."""
 
     @settings(max_examples=150, deadline=None)
@@ -288,16 +339,6 @@ class TestBandedUpsampling:
         lerp = w0[:, None] * plane[lo] + w1[:, None] * plane[hi]
         assert np.max(np.abs(lerp - segment._interp_weights(n_in, n_out) @ plane)) <= 1e-12
 
-    @settings(max_examples=100, deadline=None)
-    @given(*_case)
-    def test_bands_tile_the_upsampled_stack(self, h, w, n, out_h, out_w, seed):
-        logits = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(h, w, n))
-        with _band_rows(7, n, out_w):
-            bands = list(segment._bands(logits, out_h, out_w))
-        assert [rows.start for rows, _ in bands] == list(range(0, out_h, 7))
-        stack = np.concatenate([band for _, band in bands])
-        assert np.max(np.abs(stack - bilinear_resize(logits, out_h, out_w))) <= 1e-12
-
     def test_query_wins_exact_ties(self):
         # prompt 2 repeats the query's vector, so their planes are equal
         features = FeatureMap(np.random.default_rng(3).normal(size=(3, 4, 3)))
@@ -310,14 +351,116 @@ class TestBandedUpsampling:
 
     def test_memory_bounded_by_a_band(self):
         # the full (448, 448, 40) float64 stack alone would be 64 MB
-        logits = np.random.default_rng(5).uniform(-1.0, 1.0, size=(32, 32, 40))
-        tracemalloc.start()
-        try:
-            upsample_and_argmax(logits, 448, 448)
-            _size, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 << 20
+        rng = np.random.default_rng(5)
+        random = rng.uniform(-1.0, 1.0, size=(32, 32, 40))
+        # all planes tied: no argmax is decided at the taps
+        tied = np.repeat(rng.uniform(-1.0, 1.0, size=(32, 32, 1)), 40, axis=2)
+        # every contest swaps its lead between each two patch rows, by less
+        # than the margin: no contest is decided at the taps
+        swapped = np.repeat(rng.uniform(-0.5, 0.5, size=(32, 32, 1)), 40, axis=2)
+        swapped[1::2, :, 0::2] += 1e-14
+        swapped[0::2, :, 1::2] += 1e-14
+        contests = [(q, [k for k in range(40) if k % 2 != q % 2]) for q in range(4)]
+        for logits in (random, tied, swapped):
+            tracemalloc.start()
+            try:
+                labels = upsample_and_argmax(logits, 448, 448)
+                masks = masks_of_logits(logits, contests, 448, 448)
+                _size, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 << 20
+            assert np.array_equal(labels, band_argmax(logits, 448, 448))
+            assert all(map(np.array_equal, masks, band_masks(logits, contests, 448, 448)))
+
+
+# tap value differences that the decisions must get exactly right
+_NUDGES = (0.0, segment.MARGIN, -segment.MARGIN, 2 * segment.MARGIN, "up", "down")
+
+
+def _nudged(plane, nudge):
+    if nudge == "up":
+        return np.nextafter(plane, np.inf)
+    if nudge == "down":
+        return np.nextafter(plane, -np.inf)
+    return plane + nudge
+
+
+@st.composite
+def tap_cases(draw):
+    """Logits whose planes repeat a few base planes, each moved by 0,
+    +-MARGIN, 2*MARGIN or one ulp; with ``out_w == w`` the column weights
+    are 0 and 1 and the taps hold these values exactly.  Also the output
+    size and contests (rivals may repeat or include the query)."""
+    h, w = draw(_side), draw(_side)
+    out_h = draw(_out_side)
+    out_w = w if draw(st.booleans()) else draw(_out_side)
+    values = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]) | st.floats(-1.0, 1.0)
+    base = draw(hnp.arrays(np.float64, (h, w, draw(st.integers(1, 3))), elements=values))
+    spec = draw(st.lists(
+        st.tuples(st.integers(0, base.shape[2] - 1), st.sampled_from(_NUDGES)),
+        min_size=1, max_size=6,
+    ))
+    logits = np.stack([_nudged(base[:, :, k], nudge) for k, nudge in spec], axis=2)
+    if draw(st.booleans()):
+        logits *= 1e6  # the margin scales with the largest |logit|
+    n = logits.shape[2]
+    prompt = st.integers(0, n - 1)
+    contests = draw(st.lists(st.tuples(prompt, st.lists(prompt, max_size=n)), max_size=4))
+    return logits, out_h, out_w, contests
+
+
+class TestTapDecisions:
+    """Pixels decided at their two interpolation taps, and the refined
+    rest, equal the band path on every pixel."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tap_cases())
+    @example((np.zeros((9, 7, 3)), 2, 3, [(0, [1, 2])]))  # downsampling
+    @example((np.zeros((4, 5, 2)), 4, 5, [(1, [0])]))  # same size, one-row runs
+    @example((np.zeros((3, 1, 2)), 40, 1, [(0, [1]), (1, [])]))  # W = 1
+    @example((np.zeros((5, 5, 2)), 8, 5, [(0, [1])]))  # runs of one or two rows
+    def test_same_labels_and_masks_as_the_band_path(self, case):
+        logits, out_h, out_w, contests = case
+        labels = upsample_and_argmax(logits, out_h, out_w)
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, band_argmax(logits, out_h, out_w))
+        masks = masks_of_logits(logits, contests, out_h, out_w)
+        want = band_masks(logits, contests, out_h, out_w)
+        assert len(masks) == len(want)
+        for got, expected in zip(masks, want):
+            assert np.array_equal(got, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(*_case)
+    def test_same_as_the_band_path_on_random_logits(self, h, w, n, out_h, out_w, seed):
+        logits = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(h, w, n))
+        contests = [(q, [k for k in range(n) if k != q]) for q in range(n)]
+        with _band_rows(2, n, out_w):
+            labels = upsample_and_argmax(logits, out_h, out_w)
+            masks = masks_of_logits(logits, contests, out_h, out_w)
+        assert np.array_equal(labels, band_argmax(logits, out_h, out_w))
+        assert all(map(np.array_equal, masks, band_masks(logits, contests, out_h, out_w)))
+
+    def test_columns_are_left_as_they_were(self):
+        # the runner-up search sets the leaders aside in the columns
+        logits = np.random.default_rng(2).uniform(-1.0, 1.0, size=(4, 4, 5))
+        cols = segment._interp_weights(4, 9) @ logits
+        before = cols.copy()
+        segment._lead(cols, cols.argmax(axis=2))
+        assert np.array_equal(cols, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_rejected(self, bad):
+        logits = np.zeros((2, 2, 3))
+        logits[1, 0, 2] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            upsample_and_argmax(logits, 4, 4)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 0), (0, 2, 3), (2, 2)])
+    def test_empty_or_flat_logits_rejected(self, shape):
+        with pytest.raises(ValidationError):
+            upsample_and_argmax(np.zeros(shape), 4, 4)
 
 
 class TestSegmentation:
@@ -453,6 +596,23 @@ class TestSegMap:
         path = tmp_path / "out.seg"
         SegMap(np.zeros((1, 1), dtype=int), {0: "boat"}).save(path)
         (tmp_path / "out.seg.json").write_text(text)
+        with pytest.raises(FormatError, match="sidecar"):
+            SegMap.load(path)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            '{"0": "boat", "01": "water"}',
+            '{"0": "boat", " 1": "water"}',
+            '{"0": "boat", "+1": "water"}',
+            '{"0": "boat", "-0": "water"}',
+            '{"0": "boat", "1": "water", "1": "sky"}',
+        ],
+    )
+    def test_sidecar_index_must_be_canonical_and_unique(self, tmp_path, labels):
+        path = tmp_path / "out.seg"
+        SegMap(np.array([[0, 1]]), {0: "boat", 1: "water"}).save(path)
+        (tmp_path / "out.seg.json").write_text('{"labels": ' + labels + "}")
         with pytest.raises(FormatError, match="sidecar"):
             SegMap.load(path)
 
