@@ -18,17 +18,8 @@ from .ccgen import (
     cc_none,
     cc_privileged,
 )
-from .cooc import (
-    CandidateSet,
-    CoocMatrix,
-    FreqMatrix,
-    build_cooc,
-    mine_corpus,
-    normalize,
-    select_all,
-    select_candidates,
-)
-from .corpus import Lexicon, match_concepts, normalize_concept, scan_corpus, tokenize
+from .cooc import CoocMatrix, FreqMatrix, build_cooc, mine_corpus, normalize, select_all
+from .corpus import Lexicon, normalize_concept, scan_corpus, tokenize
 from .embed import EmbeddingTable, TableProvider, ToyEmbeddingProvider, cosine, cosines, nearest_neighbor
 from .errors import (
     CCMineError,
@@ -39,18 +30,9 @@ from .errors import (
     TransportError,
     ValidationError,
 )
-from .filters import (
-    DEFAULT_STOPWORDS,
-    FilterConfig,
-    VisibilityTable,
-    filter_abstract,
-    filter_rows,
-    filter_semantic,
-    remove_stopwords,
-    run_pipeline,
-)
+from .filters import DEFAULT_STOPWORDS, FilterConfig, VisibilityTable, filter_rows
 from .llm import CC_GENERATION, PART_REMOVAL, VISIBILITY, LLMClient, parse_cc_list, parse_visibility, render
-from .metrics import GroundTruth, aggregate_iou_single, iou, iou_single_image, load_ground_truth
+from .metrics import GroundTruth, aggregate_iou_single, iou_single_image, load_ground_truth
 from .segment import (
     BOTTOM,
     FeatureMap,

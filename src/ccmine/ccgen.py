@@ -31,7 +31,7 @@ from .corpus import Lexicon, normalize_concept
 from .embed import EmbeddingProvider, EmbeddingTable, cosines, nearest_neighbor
 from .errors import FormatError, ValidationError
 from .filters import FilterConfig, FilterOutcome, VisibilityOracle, VisibilityTable, filter_rows
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_text
 from .llm import LLMClient, ask_cc
 
 BACKGROUND = "background"
@@ -136,7 +136,7 @@ class CCDictionary:
     def loads(cls, text: str) -> "CCDictionary":
         try:
             payload = json.loads(text)
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: nested too deep
             raise FormatError("CC dictionary is not valid JSON") from None
         if not isinstance(payload, dict) or "cc" not in payload:
             raise FormatError("CC dictionary must be an object with a 'cc' member")
@@ -155,7 +155,7 @@ class CCDictionary:
 
     @classmethod
     def load(cls, path: str | Path) -> "CCDictionary":
-        return cls.loads(Path(path).read_text(encoding="utf-8"))
+        return cls.loads(read_text(path))
 
 
 def build_timestamp() -> str:

@@ -54,7 +54,7 @@ from .filters import (
     accept_unknown,
     reject_unknown,
 )
-from .ioutil import atomic_write_text, sha256_file
+from .ioutil import atomic_write_text, read_text, sha256_file
 from .llm import API_STYLES, LLMClient, visibility_oracle
 from .segment import (
     FeatureMap,
@@ -125,7 +125,10 @@ def _has_type(value, kind: type) -> bool:
     if isinstance(value, bool):  # JSON true/false are Python ints too
         return kind is bool
     if kind is float:
-        return isinstance(value, (int, float))
+        # an integer past float range (a literal of over 308 digits) is none
+        if isinstance(value, int):
+            return abs(value) <= sys.float_info.max
+        return isinstance(value, float)
     if kind is list:
         return isinstance(value, list) and all(isinstance(v, str) for v in value)
     return isinstance(value, kind)
@@ -134,10 +137,10 @@ def _has_type(value, kind: type) -> bool:
 def _load_config(path: str) -> dict:
     """The run-config as ``OPTIONS`` keys, each value checked against its
     option; numbers for float options come back as floats."""
-    raw = Path(path).read_text(encoding="utf-8")
+    raw = read_text(path)
     try:
         config = json.loads(raw)
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nested too deep
         raise ValidationError(f"run config {path} is not valid JSON") from None
     if not isinstance(config, dict):
         raise ValidationError("run config must be a JSON object")
@@ -225,7 +228,7 @@ def _classes(args: argparse.Namespace, image_ids: list[str] | None = None) -> li
         classes = [normalize_concept(c) for c in args.classes.split(",") if normalize_concept(c)]
     elif args.classes_file:
         classes = []
-        for line in Path(args.classes_file).read_text(encoding="utf-8").splitlines():
+        for line in read_text(args.classes_file).splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
                 classes.append(normalize_concept(line))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .corpus import Lexicon, ScanStats, iter_caption_lines, scan_corpus
 from .errors import FormatError, ValidationError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_text
 
 MAX_COUNT = 2**32 - 1
 _COOC_HEADER = "ccmine-cooc v1"
@@ -208,10 +208,6 @@ class CoocMatrix:
             self.i = self.j = _EMPTY
         self.count = counts
 
-    def _codes(self) -> np.ndarray:
-        """Pair codes ``i * dim + j``, ascending."""
-        return self.i * self.dim + self.j
-
     @property
     def pairs(self) -> _PairView:
         return _PairView(self)
@@ -222,28 +218,6 @@ class CoocMatrix:
         k = int(lo + np.searchsorted(self.j[lo:hi], j))
         return k if k < hi and self.j[k] == j else None
 
-    def get(self, i: int, j: int) -> int:
-        k = self._find(min(i, j), max(i, j)) if i != j else None
-        return 0 if k is None else int(self.count[k])
-
-    def add(self, i: int, j: int, count: int = 1) -> None:
-        if i == j:
-            raise ValidationError("co-occurrence is defined for distinct concepts only")
-        self.merge(CoocMatrix(self.dim, {(i, j): count}))
-
-    def merge(self, other: "CoocMatrix") -> None:
-        """Add another matrix into this one; integer addition commutes, so
-        merge order never affects the result.  On overflow this matrix is
-        left unchanged."""
-        if other.dim != self.dim:
-            raise ValidationError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        self._set(
-            *_sum_by_key(
-                np.concatenate([self._codes(), other._codes()]),
-                np.concatenate([self.count, other.count]),
-            )
-        )
-
     # ---- serialization ----
 
     def dumps(self) -> str:
@@ -252,8 +226,7 @@ class CoocMatrix:
             ("%d\t%d\t%d\n" * len(block)) % tuple(block.ravel().tolist())
             for block in np.split(rows, range(_DUMP_ROWS, len(rows), _DUMP_ROWS))
         )
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        return f"{_COOC_HEADER} {self.dim}\n{body}#sha256:{digest}\n"
+        return _frame(_COOC_HEADER, self.dim, body)
 
     def save(self, path: str | Path) -> None:
         atomic_write_text(path, self.dumps())
@@ -285,7 +258,14 @@ class CoocMatrix:
 
     @classmethod
     def load(cls, path: str | Path) -> "CoocMatrix":
-        return cls.loads(Path(path).read_text(encoding="utf-8"))
+        return cls.loads(read_text(path))
+
+
+def _frame(header: str, dim: int, body: str) -> str:
+    """A digest-framed text artifact: the header with its dimension, the
+    body, and a ``#sha256:`` trailer over the body's UTF-8 bytes."""
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return f"{header} {dim}\n{body}#sha256:{digest}\n"
 
 
 def _read_framed(text: str, header: str, kind: str) -> tuple[int, list[str], str]:
@@ -322,8 +302,7 @@ def build_cooc(concept_sets, dim: int) -> CoocMatrix:
 
 def dumps_counts(occurrence: list[int]) -> str:
     body = "".join(f"{i}\t{count}\n" for i, count in enumerate(occurrence))
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return f"{_COUNTS_HEADER} {len(occurrence)}\n{body}#sha256:{digest}\n"
+    return _frame(_COUNTS_HEADER, len(occurrence), body)
 
 
 def save_counts(path: str | Path, occurrence: list[int]) -> None:
@@ -334,15 +313,17 @@ def save_counts(path: str | Path, occurrence: list[int]) -> None:
 
 
 def load_counts(path: str | Path) -> list[int]:
-    text = Path(path).read_text(encoding="utf-8")
-    dim, body_lines, _ = _read_framed(text, _COUNTS_HEADER, "counts")
+    dim, body_lines, _ = _read_framed(read_text(path), _COUNTS_HEADER, "counts")
     if len(body_lines) != dim:
         raise FormatError("counts file row count does not match header dimension")
     occurrence = []
     for row, line in enumerate(body_lines):
         fields = _COUNT_LINE.fullmatch(line)
-        if fields is None or int(fields[1]) != row:
+        if fields is None or fields[1] != str(row):
             raise FormatError(f"bad counts line for row {row}: {line!r}")
+        # ten digits at most, so int() never meets Python's digit limit
+        if len(fields[2]) > 10 or int(fields[2]) > MAX_COUNT:
+            raise FormatError(f"occurrence count out of range: {line!r}")
         occurrence.append(int(fields[2]))
     return occurrence
 
@@ -366,16 +347,6 @@ class FreqMatrix:
     data: np.ndarray
     rank: np.ndarray
     lexicon: Lexicon
-
-    @property
-    def rows(self) -> dict[int, dict[int, float]]:
-        """``{i: {j: freq}}`` over the rows that hold entries."""
-        rows: dict[int, dict[int, float]] = {}
-        cols, data = self.indices.tolist(), self.data.tolist()
-        for i, (lo, hi) in enumerate(zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist())):
-            if hi > lo:
-                rows[i] = dict(zip(cols[lo:hi], data[lo:hi]))
-        return rows
 
 
 def normalize(matrix: CoocMatrix, occurrence: list[int], lexicon: Lexicon) -> FreqMatrix:
@@ -415,42 +386,16 @@ def normalize(matrix: CoocMatrix, occurrence: list[int], lexicon: Lexicon) -> Fr
     return FreqMatrix(matrix.dim, indptr, col[order], freq[order], rank, lexicon)
 
 
-@dataclass
-class CandidateSet:
-    """Concepts co-occurring with a target above the mining threshold."""
-
-    target: int
-    members: list[int]
-
-
-def _ranked(freq: FreqMatrix, lo: int, hi: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """(row, column) ids of the CSR entries in ``[lo, hi)`` above ``gamma``,
-    by ascending row, then descending frequency, then ascending concept
-    string."""
-    keep = lo + np.flatnonzero(freq.data[lo:hi] > gamma)
+def select_all(freq: FreqMatrix, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's candidates at once, as (row, column) id arrays: the
+    entries with frequency strictly above ``gamma`` (one exactly equal to it
+    is excluded), by ascending row, then descending frequency, then
+    ascending concept string."""
+    keep = np.flatnonzero(freq.data > gamma)
     row = np.searchsorted(freq.indptr, keep, side="right") - 1
     col = freq.indices[keep]
     order = np.lexsort((freq.rank[col], -freq.data[keep], row))
     return row[order], col[order]
-
-
-def select_all(freq: FreqMatrix, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's candidates at once, as (row, column) id arrays sorted by
-    row; each row's run is ordered as ``select_candidates`` orders it."""
-    return _ranked(freq, 0, len(freq.indices), gamma)
-
-
-def select_candidates(freq: FreqMatrix, i: int, gamma: float) -> CandidateSet:
-    """Members are the concepts ``j`` with frequency strictly above ``gamma``,
-    ordered by descending frequency, ties broken by ascending concept string.
-
-    The threshold comparison is strict: a frequency exactly equal to
-    ``gamma`` is excluded.
-    """
-    if not (0 <= i < freq.dim):
-        raise ValidationError(f"concept id {i} out of range for dim {freq.dim}")
-    _, members = _ranked(freq, int(freq.indptr[i]), int(freq.indptr[i + 1]), gamma)
-    return CandidateSet(target=i, members=members.tolist())
 
 
 # ---- parallel corpus mining ----

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import FormatError
-from .ioutil import open_maybe_gzip, sha256_file
+from .ioutil import open_maybe_gzip, read_text, sha256_file
 
 _PUNCT = string.punctuation
 _has_punct = re.compile(f"[{re.escape(_PUNCT)}]").search
@@ -88,11 +88,9 @@ class Lexicon:
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
         concepts = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
+        for line in read_text(path).split("\n"):
+            line = line.strip()
+            if line and not line.startswith("#"):
                 concepts.append(line)
         lex = cls(concepts)
         lex.source_digest = sha256_file(path)
@@ -141,11 +139,6 @@ class ConceptMatcher:
                     if toks[i : i + len(ctoks)] == ctoks:
                         out.add(cid)
         return out
-
-
-def match_concepts(caption: str, lexicon: Lexicon) -> set[int]:
-    """Ids of lexicon concepts appearing in the caption as whole-token runs."""
-    return lexicon.matcher.match(caption)
 
 
 @dataclass

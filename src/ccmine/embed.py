@@ -23,7 +23,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import FormatError, MissingEmbeddingError, ValidationError
-from .ioutil import atomic_write_bytes
+from .ioutil import atomic_write_bytes, decode_utf8
 
 _MAGIC = b"CCEMB1"
 _NORM_TOLERANCE = 1e-4
@@ -60,10 +60,7 @@ class EmbeddingTable:
             unit /= norms[:, None]
         self.names: list[str] = list(names)
         self.dim: int = int(unit.shape[1])
-        # float32 form is what serialization writes; float64 form is what
-        # similarity math uses
         self._unit = unit
-        self._raw = unit.astype("<f4")
         self._index = {name: k for k, name in enumerate(self.names)}
 
     def __len__(self) -> int:
@@ -110,7 +107,7 @@ class EmbeddingTable:
                 raise ValidationError(f"embedding name too long: {self.names[k][:40]!r}...")
             out += struct.pack("<H", len(name_bytes))
             out += name_bytes
-            out += self._raw[k].tobytes()
+            out += self._unit[k].astype("<f4").tobytes()
         return bytes(out)
 
     def save(self, path: str | Path) -> None:
@@ -127,6 +124,9 @@ class EmbeddingTable:
         offset += 8
         if dim == 0:
             raise FormatError("embedding table dimension is zero")
+        if count * (2 + 4 * dim) > len(data) - offset:
+            # checked before the rows are allocated
+            raise FormatError("truncated embedding table entry")
         names: list[str] = []
         unit = np.empty((count, dim), dtype=np.float64)
         norms = np.empty(count)
@@ -138,7 +138,7 @@ class EmbeddingTable:
             end = offset + name_len + 4 * dim
             if len(data) < end:
                 raise FormatError("truncated embedding table entry")
-            name = data[offset : offset + name_len].decode("utf-8")
+            name = decode_utf8(data[offset : offset + name_len], f"embedding entry {k}'s name")
             offset += name_len
             row = unit[k]
             row[:] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)

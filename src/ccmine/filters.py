@@ -24,7 +24,7 @@ import numpy as np
 from .corpus import normalize_concept
 from .embed import EmbeddingTable, cosines
 from .errors import CCMineError, FormatError, MissingEmbeddingError, ValidationError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_text
 
 DEFAULT_STOPWORDS = frozenset({"image", "photo", "picture", "view"})
 DEFAULT_DELTA = 0.8
@@ -99,31 +99,28 @@ class VisibilityTable:
     @classmethod
     def from_file(cls, path: str | Path) -> "VisibilityTable":
         entries: dict[str, tuple[bool, str]] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    raise FormatError(f"visibility table line {lineno} is not JSON") from None
-                if (
-                    not isinstance(rec, dict)
-                    or not isinstance(rec.get("concept"), str)
-                    or not isinstance(rec.get("visible"), bool)
-                    or rec.get("source") not in _ALLOWED_SOURCES
-                ):
-                    raise FormatError(
-                        f"visibility table line {lineno} needs string 'concept', "
-                        f"bool 'visible', and source in {_ALLOWED_SOURCES}"
-                    )
-                key = normalize_concept(rec["concept"])
-                if key in entries:
-                    raise FormatError(
-                        f"visibility table line {lineno} repeats concept {key!r}"
-                    )
-                entries[key] = (rec["visible"], rec["source"])
+        for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except (ValueError, RecursionError):  # RecursionError: nested too deep
+                raise FormatError(f"visibility table line {lineno} is not JSON") from None
+            if (
+                not isinstance(rec, dict)
+                or not isinstance(rec.get("concept"), str)
+                or not isinstance(rec.get("visible"), bool)
+                or rec.get("source") not in _ALLOWED_SOURCES
+            ):
+                raise FormatError(
+                    f"visibility table line {lineno} needs string 'concept', "
+                    f"bool 'visible', and source in {_ALLOWED_SOURCES}"
+                )
+            key = normalize_concept(rec["concept"])
+            if key in entries:
+                raise FormatError(f"visibility table line {lineno} repeats concept {key!r}")
+            entries[key] = (rec["visible"], rec["source"])
         return cls(entries)
 
     def save(self, path: str | Path) -> None:
@@ -153,13 +150,6 @@ class FilterOutcome:
     removed_invisible: list[str] = field(default_factory=list)
     removed_similar: list[str] = field(default_factory=list)
     unresolved_kept: list[str] = field(default_factory=list)
-
-
-def _intern(keys) -> tuple[list[str], np.ndarray]:
-    """Distinct keys in first-seen order, and each key's position among them."""
-    position: dict[str, int] = {}
-    ids = [position.setdefault(key, len(position)) for key in keys]
-    return list(position), np.array(ids, dtype=np.int64)
 
 
 def _stopword_flags(names: Sequence[str], stopwords) -> np.ndarray:
@@ -252,23 +242,18 @@ def filter_rows(
     config: FilterConfig | None = None,
     oracle: VisibilityOracle | None = None,
     oracle_source: str = "llm",
-    labels: Sequence[str] | None = None,
 ) -> list[FilterOutcome]:
     """Apply stop-word, visibility, and semantic filters, in that order, to
     the candidate lists of many targets at once.
 
     ``names`` are distinct normalized concepts.  Row ``r < targets`` filters
     for target ``names[r]`` the candidates ``names[col[p]]`` of the pairs
-    ``p`` with ``row[p] == r``, in pair order; ``row`` ascends.  Outcomes
-    name each pair's candidate by ``labels[p]``, by default its name.  An
-    unknown concept goes to the oracle once, however many rows hold it, so
-    a failed answer flags it in every row.
+    ``p`` with ``row[p] == r``, in pair order; ``row`` ascends.  An unknown
+    concept goes to the oracle once, however many rows hold it, so a failed
+    answer flags it in every row.
     """
     config = config or FilterConfig()
-    if labels is None:
-        labels = np.array(names, dtype=object)[col]
-    else:
-        labels = np.array(labels, dtype=object)
+    labels = np.array(names, dtype=object)[col]
     stopword = _stopword_flags(names, config.stopwords)[col]
     invisible, unresolved = _visibility_flags(
         names, col[~stopword], visibility, oracle, oracle_source
@@ -282,84 +267,3 @@ def filter_rows(
         FilterOutcome(*lists)
         for lists in zip(*(_split_rows(labels, row, mask, targets) for mask in fields))
     ]
-
-
-def remove_stopwords(candidates: list[str], stopwords=DEFAULT_STOPWORDS) -> list[str]:
-    """Drop candidates whose normalized form is a stop-word; keep order."""
-    stopword = _stopword_flags([normalize_concept(c) for c in candidates], stopwords)
-    return [c for c, stop in zip(candidates, stopword.tolist()) if not stop]
-
-
-def filter_abstract(
-    candidates: list[str],
-    table: VisibilityTable,
-    oracle: VisibilityOracle | None = None,
-    source: str = "llm",
-    outcome: FilterOutcome | None = None,
-) -> list[str]:
-    """Keep candidates that name something visible.
-
-    Unknown concepts are resolved through the oracle, once each, and
-    cached.  If the oracle fails (service outage) or none is configured,
-    the candidate is kept and flagged in ``outcome.unresolved_kept``:
-    availability problems must not silently shrink candidate lists.
-    """
-    outcome = outcome if outcome is not None else FilterOutcome()
-    names, ids = _intern(map(normalize_concept, candidates))
-    invisible, unresolved = _visibility_flags(names, ids, table, oracle, source)
-    kept: list[str] = []
-    for candidate, k in zip(candidates, ids.tolist()):
-        if unresolved[k]:
-            outcome.unresolved_kept.append(candidate)
-        elif invisible[k]:
-            outcome.removed_invisible.append(candidate)
-            continue
-        kept.append(candidate)
-    return kept
-
-
-def filter_semantic(
-    candidates: list[str],
-    target: str,
-    table: EmbeddingTable,
-    delta: float = DEFAULT_DELTA,
-    outcome: FilterOutcome | None = None,
-) -> list[str]:
-    """Drop candidates with cosine similarity to the target strictly above
-    ``delta``; similarity exactly equal to ``delta`` survives."""
-    names, ids = _intern(map(normalize_concept, [target, *candidates]))
-    col = ids[1:]
-    row = np.zeros(len(col), dtype=np.int64)
-    similar = _similar_flags(names, 1, row, col, np.ones(len(col), dtype=bool), table, delta)
-    flags = similar.tolist()
-    if outcome is not None:
-        outcome.removed_similar.extend(c for c, s in zip(candidates, flags) if s)
-    return [c for c, s in zip(candidates, flags) if not s]
-
-
-def run_pipeline(
-    candidates: list[str],
-    target: str,
-    embeddings: EmbeddingTable,
-    visibility: VisibilityTable,
-    config: FilterConfig | None = None,
-    oracle: VisibilityOracle | None = None,
-    oracle_source: str = "llm",
-) -> FilterOutcome:
-    """Apply stop-word, visibility, and semantic filters in that order: the
-    one-target case of ``filter_rows``."""
-    names, ids = _intern(map(normalize_concept, [target, *candidates]))
-    col = ids[1:]
-    (outcome,) = filter_rows(
-        names,
-        1,
-        np.zeros(len(col), dtype=np.int64),
-        col,
-        embeddings,
-        visibility,
-        config,
-        oracle,
-        oracle_source,
-        labels=candidates,
-    )
-    return outcome

@@ -1,4 +1,4 @@
-"""Small I/O helpers: digests, atomic writes, gzip detection."""
+"""Small I/O helpers: digests, atomic writes, gzip detection, UTF-8 reads."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ import tempfile
 from pathlib import Path
 from typing import BinaryIO
 
+from .errors import FormatError
+
 GZIP_MAGIC = b"\x1f\x8b"
 
 
@@ -18,6 +20,23 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def decode_utf8(data: bytes, what: object) -> str:
+    """``data`` decoded as UTF-8; other bytes are a ``FormatError`` that
+    names ``what``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not UTF-8 text (byte {exc.start})") from None
+
+
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file with every line end made ``\\n``, as text-mode
+    ``open`` reads it; bytes that are not UTF-8 are a ``FormatError``
+    naming the file."""
+    text = decode_utf8(Path(path).read_bytes(), path)
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def open_maybe_gzip(path: str | Path) -> BinaryIO:

@@ -200,7 +200,7 @@ class LLMClient:
         not a complete cache record is a miss; ``complete`` overwrites it."""
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, ValueError):  # ValueError: not UTF-8 or not JSON
+        except (FileNotFoundError, ValueError, RecursionError):  # not UTF-8 or JSON, or too deep
             return None
         text = record.get("text") if isinstance(record, dict) else None
         return text if isinstance(text, str) else None

@@ -45,33 +45,14 @@ from .segment import (
 CCSource = Callable[[str], CCSet]
 
 
-def iou(pred: np.ndarray, gt: np.ndarray, ignore: np.ndarray | None = None) -> float | None:
-    """Intersection over union of two boolean masks.
-
-    Pixels under ``ignore`` participate on neither side.  Returns None when
-    the union is empty, in which case the score is undefined rather than 0.
-    """
-    pred = np.asarray(pred, dtype=bool)
-    gt = np.asarray(gt, dtype=bool)
-    if pred.shape != gt.shape:
-        raise ValidationError(f"mask shapes differ: {pred.shape} vs {gt.shape}")
-    keep = None
-    if ignore is not None:
-        ignore = np.asarray(ignore, dtype=bool)
-        if ignore.shape != pred.shape:
-            raise ValidationError("ignore mask shape differs from prediction")
-        keep = ~ignore
-    intersection, union = intersection_union(pred, gt, keep)
-    if union == 0:
-        return None
-    return intersection / union
-
-
 def intersection_union(
     pred: np.ndarray, gt_mask: np.ndarray, keep: np.ndarray | None = None
 ) -> tuple[int, int]:
     """Pixel counts of the intersection and the union of two boolean masks,
-    counting only pixels where ``keep`` is True (all pixels when None)."""
+    counting only pixels where ``keep`` is True (all pixels when None).  An
+    empty union leaves the IoU undefined, not 0."""
+    if pred.shape != gt_mask.shape:
+        raise ValidationError(f"mask shapes differ: {pred.shape} vs {gt_mask.shape}")
     if keep is not None:
         pred = pred & keep
         gt_mask = gt_mask & keep
@@ -248,6 +229,28 @@ def iou_single_image_sigmoid(
     return result
 
 
+def _class_ious(counts: Iterable[tuple[str, int, int]]) -> tuple[dict, float, list[str]]:
+    """Sum ``(label, intersection, union)`` counts per class.  Returns the
+    classes with a nonzero union by label, each with its sums and IoU; the
+    mean of those IoUs in label order; and the labels whose union stayed 0,
+    whose IoU is undefined.  Having no class with an IoU is an error."""
+    acc: dict[str, list[int]] = {}
+    for label, i, u in counts:
+        bucket = acc.setdefault(label, [0, 0])
+        bucket[0] += i
+        bucket[1] += u
+    per_class = {
+        label: {"intersection": i, "union": u, "iou": i / u}
+        for label, (i, u) in sorted(acc.items())
+        if u > 0
+    }
+    if not per_class:
+        raise ValidationError("no class has a defined IoU")
+    mean = sum(v["iou"] for v in per_class.values()) / len(per_class)
+    undefined = sorted(label for label, (_, u) in acc.items() if u == 0)
+    return per_class, mean, undefined
+
+
 def aggregate_iou_single(results: list[ImageResult], mode: str = "class") -> dict:
     """Dataset-level aggregation of per-image IoU-single results.
 
@@ -262,17 +265,9 @@ def aggregate_iou_single(results: list[ImageResult], mode: str = "class") -> dic
         raise ValidationError("no image produced a defined IoU score")
     image_means = {r.image_id: r.mean() for r in scored}
     mean_image = sum(image_means.values()) / len(image_means)
-    acc: dict[str, list[int]] = {}
-    for r in scored:
-        for s in r.scores:
-            bucket = acc.setdefault(s.label, [0, 0])
-            bucket[0] += s.intersection
-            bucket[1] += s.union
-    per_class = {
-        label: {"intersection": i, "union": u, "iou": i / u}
-        for label, (i, u) in sorted(acc.items())
-    }
-    mean_class = sum(v["iou"] for v in per_class.values()) / len(per_class)
+    per_class, mean_class, _ = _class_ious(
+        (s.label, s.intersection, s.union) for r in scored for s in r.scores
+    )
     return {
         "metric": "iou-single",
         "aggregation": mode,
@@ -330,25 +325,14 @@ def classic_image(
 
 def aggregate_classic(per_image_counts: list[dict[str, tuple[int, int]]]) -> dict:
     """Accumulate per-class intersections and unions across a dataset."""
-    acc: dict[str, list[int]] = {}
-    for counts in per_image_counts:
-        for label, (i, u) in counts.items():
-            bucket = acc.setdefault(label, [0, 0])
-            bucket[0] += i
-            bucket[1] += u
-    defined = {label: (i, u) for label, (i, u) in acc.items() if u > 0}
-    if not defined:
-        raise ValidationError("no class has a defined IoU")
-    per_class = {
-        label: {"intersection": i, "union": u, "iou": i / u}
-        for label, (i, u) in sorted(defined.items())
-    }
-    mean = sum(v["iou"] for v in per_class.values()) / len(per_class)
+    per_class, mean, undefined = _class_ious(
+        (label, i, u) for counts in per_image_counts for label, (i, u) in counts.items()
+    )
     return {
         "metric": "miou-classic",
         "mean": mean,
         "per_class": per_class,
-        "classes_undefined": sorted(set(acc) - set(defined)),
+        "classes_undefined": undefined,
     }
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .embed import EmbeddingTable
 from .errors import FormatError, MissingEmbeddingError, ValidationError
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import atomic_write_bytes, atomic_write_text, read_text
 
 BOTTOM = -1  # in-memory dummy label; serialized as 0xFFFF
 _BOTTOM_U16 = 0xFFFF
@@ -492,11 +492,10 @@ def read_sidecar(path: str | Path) -> tuple[dict, dict[int, str]]:
         return obj
 
     try:
-        text = sidecar_path.read_text(encoding="utf-8")
-        sidecar = json.loads(text, object_pairs_hook=unique_keys)
+        sidecar = json.loads(read_text(sidecar_path), object_pairs_hook=unique_keys)
     except FileNotFoundError:
         raise FormatError(f"label map sidecar missing: {sidecar_path}") from None
-    except ValueError:  # not UTF-8 or not JSON
+    except (ValueError, RecursionError):  # RecursionError: nested too deep
         raise FormatError(f"label map sidecar {sidecar_path} is not valid JSON") from None
     raw_names = sidecar.get("labels") if isinstance(sidecar, dict) else None
     if not isinstance(raw_names, dict):

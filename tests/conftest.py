@@ -18,7 +18,7 @@ import pytest
 
 from ccmine.corpus import Lexicon
 from ccmine.embed import EmbeddingTable
-from ccmine.filters import VisibilityTable
+from ccmine.filters import VisibilityTable, filter_rows
 from ccmine.metrics import GroundTruth
 from ccmine.segment import FeatureMap, SegMap
 
@@ -152,6 +152,16 @@ def make_toy_visibility() -> VisibilityTable:
     entries["ship"] = (True, "manual")
     entries["liberty"] = (False, "manual")
     return VisibilityTable(entries)
+
+
+def filter_one(candidates, target, embeddings, visibility=None, config=None, oracle=None):
+    """``filter_rows`` for one target's candidate list."""
+    names = list(dict.fromkeys([target, *candidates]))
+    col = np.array([names.index(c) for c in candidates], dtype=np.int64)
+    row = np.zeros(len(col), dtype=np.int64)
+    visibility = VisibilityTable() if visibility is None else visibility
+    (outcome,) = filter_rows(names, 1, row, col, embeddings, visibility, config, oracle)
+    return outcome
 
 
 @pytest.fixture

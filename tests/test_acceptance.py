@@ -24,15 +24,8 @@ from ccmine.ccgen import CCDictionary, CCSet, build_dictionary, cc_bg, cc_d, cc_
 from ccmine.cli import main
 from ccmine.cooc import build_cooc, mine_corpus, normalize
 from ccmine.corpus import Lexicon, ScanStats, scan_corpus
-from ccmine.embed import EmbeddingTable, nearest_neighbor
-from ccmine.filters import (
-    DEFAULT_STOPWORDS,
-    VisibilityTable,
-    filter_abstract,
-    filter_semantic,
-    remove_stopwords,
-    run_pipeline,
-)
+from ccmine.embed import EmbeddingTable, cosine, nearest_neighbor
+from ccmine.filters import DEFAULT_DELTA, DEFAULT_STOPWORDS, VisibilityTable
 from ccmine.llm import (
     CC_GENERATION,
     PART_REMOVAL,
@@ -55,6 +48,7 @@ from ccmine.segment import (
 from conftest import (
     EXPECTED_DICT_G001,
     TOY_CONCEPTS,
+    filter_one,
     make_scene_features,
     make_scene_gt,
     make_sweep_features,
@@ -120,6 +114,23 @@ def brute_force_freq(pairs, occurrence):
     return rows
 
 
+def coo_as_dict(matrix):
+    """``{(i, j): count}`` read straight off the matrix's COO arrays."""
+    return dict(zip(zip(matrix.i.tolist(), matrix.j.tolist()), matrix.count.tolist()))
+
+
+def csr_as_dict(freq):
+    """``{i: {j: freq}}`` over the rows holding entries, read straight off
+    the CSR arrays."""
+    rows = {}
+    indptr = freq.indptr.tolist()
+    for i in range(freq.dim):
+        lo, hi = indptr[i], indptr[i + 1]
+        if hi > lo:
+            rows[i] = dict(zip(freq.indices[lo:hi].tolist(), freq.data[lo:hi].tolist()))
+    return rows
+
+
 def test_criterion_01_counting_oracle(verdict):
     with verdict(1):
         rng = random.Random(101)
@@ -145,9 +156,14 @@ def test_criterion_01_counting_oracle(verdict):
             matrix = build_cooc(iter(sets), dim=len(lexicon))
             occurrence, pairs = brute_force_counts(sets, len(lexicon))
             assert stats.occurrence == occurrence
-            assert matrix.pairs == pairs
+            assert coo_as_dict(matrix) == pairs
+            # stored in ascending (i, j) order, each unordered pair once
+            codes = matrix.i * matrix.dim + matrix.j
+            assert np.all(matrix.i < matrix.j) and np.all(np.diff(codes) > 0)
             freq = normalize(matrix, stats.occurrence, lexicon)
-            assert freq.rows == brute_force_freq(pairs, occurrence)
+            assert csr_as_dict(freq) == brute_force_freq(pairs, occurrence)
+            for i in range(freq.dim):
+                assert np.all(np.diff(freq.indices[freq.indptr[i] : freq.indptr[i + 1]]) > 0)
         assert time.perf_counter() - start <= 60.0
 
 
@@ -233,14 +249,21 @@ def test_criterion_03_filter_contraction(verdict, toy_corpus_path):
             for s in pyrng.sample(stopword_pool, k=pyrng.randint(0, 2)):
                 candidates.insert(pyrng.randrange(len(candidates) + 1), s)
             target = pyrng.choice(names)
-            stage1 = remove_stopwords(candidates)
+            # each stage by its definition: stop-word membership, a table
+            # lookup that keeps unknowns, and cosine strictly above delta
+            stage1 = [c for c in candidates if c not in DEFAULT_STOPWORDS]
             assert is_subsequence(stage1, candidates)
-            stage2 = filter_abstract(stage1, visibility)
+            stage2 = [c for c in stage1 if visibility.get(c) is not False]
             assert is_subsequence(stage2, stage1)
-            stage3 = filter_semantic(stage2, target, table)
+            target_vec = table.vector(target)
+            stage3 = [c for c in stage2 if not cosine(table.vector(c), target_vec) > DEFAULT_DELTA]
             assert is_subsequence(stage3, stage2)
-            outcome = run_pipeline(candidates, target, table, visibility)
+            outcome = filter_one(candidates, target, table, visibility)
+            assert outcome.removed_stopword == [c for c in candidates if c not in stage1]
+            assert outcome.removed_invisible == [c for c in stage1 if c not in stage2]
+            assert outcome.removed_similar == [c for c in stage2 if c not in stage3]
             assert outcome.kept == stage3
+            assert outcome.unresolved_kept == [c for c in stage3 if visibility.get(c) is None]
             removed = (
                 outcome.removed_stopword
                 + outcome.removed_invisible

@@ -83,7 +83,8 @@ class TestMine:
         matrix_path, counts_path = mined
         matrix = CoocMatrix.load(matrix_path)
         assert len(matrix.pairs) == 6
-        assert matrix.get(toy_lexicon.id_of("boat"), toy_lexicon.id_of("water")) == 1
+        boat, water = sorted((toy_lexicon.id_of("boat"), toy_lexicon.id_of("water")))
+        assert matrix.pairs[(boat, water)] == 1
 
     def test_summary_json(self, tmp_path, toy_corpus_path, toy_lexicon_path, capsys):
         code, out, _ = run(
@@ -345,6 +346,54 @@ class TestBuildCC:
         code, _, err = self.build(capsys, mined, paths, tmp_path / "cc.json")
         assert code == 3
         assert "bad counts line" in err
+
+    def test_counts_above_32_bits_is_format_error(self, capsys, mined, paths, tmp_path):
+        _, counts_path = mined
+        lines = counts_path.read_text().splitlines()
+        lines[1] = lines[1].split("\t")[0] + "\t" + "9" * 24
+        body = "".join(line + "\n" for line in lines[1:-1])
+        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        counts_path.write_text(f"{lines[0]}\n{body}#sha256:{digest}\n")
+        code, _, err = self.build(capsys, mined, paths, tmp_path / "cc.json")
+        assert code == 3
+        assert err.startswith("error: occurrence count out of range") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            "matrix", "counts", "lexicon", "visibility", "config", "cc_dict", "classes_file",
+            "embeddings",
+        ],
+    )
+    def test_non_utf8_input_is_format_error(
+        self, capsys, mined, paths, tmp_path, dict_path, target
+    ):
+        files = {"matrix": mined[0], "counts": mined[1], **paths, "cc_dict": dict_path}
+        files["config"] = tmp_path / "run.json"
+        files["config"].write_text('{"gamma": 0.5}\n')
+        files["classes_file"] = tmp_path / "classes.txt"
+        files["classes_file"].write_text("car\nroad\n")
+        path = files[target]
+        data = path.read_bytes()
+        # the byte after the magic and header of a CCEMB1 file starts the
+        # first entry's name; elsewhere, the second byte of the file
+        at = 16 if target == "embeddings" else 1
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+        if target == "cc_dict":
+            argv = ["gen-cc", "--mode", "dict", "--query", "boat", "--cc-dict", path,
+                    "--embeddings", files["embeddings"]]
+        elif target == "classes_file":
+            argv = ["gen-cc", "--mode", "privileged", "--query", "car", "--classes-file", path]
+        else:
+            argv = ["build-cc", "--matrix", files["matrix"], "--counts", files["counts"],
+                    "--lexicon", files["lexicon"], "--embeddings", files["embeddings"],
+                    "--visibility", files["visibility"], "--config", files["config"],
+                    "--out", tmp_path / "cc.json"]
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not UTF-8" in err
+        assert ("entry 0's name" if target == "embeddings" else str(path)) in err
 
     def test_gamma_flag(self, capsys, mined, paths, tmp_path):
         out = tmp_path / "cc.json"

@@ -21,7 +21,7 @@ from ccmine.cooc import (
     mine_corpus,
     normalize,
     save_counts,
-    select_candidates,
+    select_all,
 )
 from ccmine.corpus import Lexicon, ScanStats, iter_caption_lines, scan_corpus
 from ccmine.errors import FormatError, ValidationError
@@ -35,10 +35,29 @@ def framed_cooc(dim, body):
     return f"ccmine-cooc v1 {dim}\n{body}#sha256:{digest}\n"
 
 
+def framed_counts(dim, body):
+    """Counts text with a valid digest over ``body``."""
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return f"ccmine-counts v1 {dim}\n{body}#sha256:{digest}\n"
+
+
 def toy_matrix_and_stats(corpus_path, lexicon):
     stats = ScanStats()
     sets = scan_corpus(iter_caption_lines(corpus_path), lexicon, stats)
     return build_cooc(sets, len(lexicon.concepts)), stats
+
+
+def freq_of(freq, i, j):
+    """Row ``i``'s frequency of ``j``, looked up in the CSR arrays."""
+    lo, hi = freq.indptr[i], freq.indptr[i + 1]
+    (k,) = np.flatnonzero(freq.indices[lo:hi] == j)
+    return float(freq.data[lo + k])
+
+
+def members(freq, i, gamma):
+    """Row ``i``'s run of ``select_all``, as concept strings."""
+    row, col = select_all(freq, gamma)
+    return [freq.lexicon.concepts[j] for j in col[row == i].tolist()]
 
 
 class TestBuildCooc:
@@ -51,10 +70,13 @@ class TestBuildCooc:
         assert matrix.pairs == expected
 
     def test_symmetric_get(self, toy_corpus_path, toy_lexicon):
+        # an unordered pair is stored once, under (smaller id, larger id)
         matrix, _ = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
         boat = toy_lexicon.id_of("boat")
         water = toy_lexicon.id_of("water")
-        assert matrix.get(boat, water) == matrix.get(water, boat) == 1
+        assert matrix.pairs[(min(boat, water), max(boat, water))] == 1
+        assert (max(boat, water), min(boat, water)) not in matrix.pairs
+        assert CoocMatrix(7, {(water, boat): 1}) == CoocMatrix(7, {(boat, water): 1})
 
     def test_no_self_pairs(self, toy_corpus_path, toy_lexicon):
         matrix, _ = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
@@ -62,29 +84,28 @@ class TestBuildCooc:
             assert i < j
 
     def test_merge_commutes(self):
+        # partial counts, as the parent of a parallel mine sums them, give
+        # the whole corpus's matrix in either order
         rng = np.random.default_rng(11)
-        sets = [set(rng.choice(10, size=rng.integers(0, 5), replace=False)) for _ in range(60)]
-        a = build_cooc((set(map(int, s)) for s in sets[:30]), 10)
-        b = build_cooc((set(map(int, s)) for s in sets[30:]), 10)
-        ab = CoocMatrix(10, dict(a.pairs))
-        ab.merge(b)
-        ba = CoocMatrix(10, dict(b.pairs))
-        ba.merge(a)
-        assert ab.pairs == ba.pairs
-        whole = build_cooc((set(map(int, s)) for s in sets), 10)
-        assert ab.pairs == whole.pairs
+        sets = [
+            set(map(int, rng.choice(10, size=rng.integers(0, 5), replace=False)))
+            for _ in range(60)
+        ]
+        parts = [cooc._count_sets(sets[:30], 10), cooc._count_sets(sets[30:], 10)]
+        whole = build_cooc(iter(sets), 10)
+        for order in (parts, parts[::-1]):
+            sums = cooc._PairSums()
+            for keys, counts in order:
+                sums.add(keys, counts)
+            assert CoocMatrix._from_codes(10, *sums.fold()) == whole
 
     def test_overflow_rejected(self):
-        m = CoocMatrix(3, {(0, 1): 2**32 - 1})
-        with pytest.raises(ValidationError):
-            m.add(0, 1, 1)
-
-    def test_merge_overflow_rejected_and_matrix_kept(self):
-        a = CoocMatrix(3, {(0, 1): 2**31, (1, 2): 5})
-        b = CoocMatrix(3, {(0, 1): 2**31})
+        assert CoocMatrix(3, {(0, 1): 2**32 - 1}).pairs == {(0, 1): 2**32 - 1}
         with pytest.raises(ValidationError, match=r"pair \(0, 1\) exceeds 32-bit range"):
-            a.merge(b)
-        assert a.pairs == {(0, 1): 2**31, (1, 2): 5}
+            CoocMatrix(3, {(0, 1): 2**32})
+        # one pair given in both orders is one pair, and its counts add up
+        with pytest.raises(ValidationError, match=r"pair \(0, 1\) exceeds 32-bit range"):
+            CoocMatrix(3, {(0, 1): 2**31, (1, 0): 2**31})
 
     def test_summed_partial_counts_overflow_rejected(self):
         # the parent of a parallel mine sums worker arrays the same way
@@ -176,13 +197,20 @@ class TestSerialization:
         with pytest.raises(FormatError):
             load_counts(path)
 
-    @pytest.mark.parametrize("line", ["a\t1", "0\tx", "0\t", "0\t1\t1", "0 1", "0\t1.5"])
+    @pytest.mark.parametrize(
+        "line", ["a\t1", "0\tx", "0\t", "0\t1\t1", "0 1", "0\t1.5", "00\t1", "+0\t1"]
+    )
     def test_counts_bad_field_rejected(self, line, tmp_path):
-        body = line + "\n"
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
         path = tmp_path / "occ.counts"
-        path.write_text(f"ccmine-counts v1 1\n{body}#sha256:{digest}\n")
+        path.write_text(framed_counts(1, line + "\n"))
         with pytest.raises(FormatError, match="bad counts line"):
+            load_counts(path)
+
+    @pytest.mark.parametrize("count", [str(2**32), "9" * 24, "9" * 5000])
+    def test_counts_above_32_bits_rejected(self, count, tmp_path):
+        path = tmp_path / "occ.counts"
+        path.write_text(framed_counts(2, f"0\t{2**32 - 1}\n1\t{count}\n"))
+        with pytest.raises(FormatError, match="out of range"):
             load_counts(path)
 
 
@@ -192,8 +220,8 @@ class TestNormalize:
         freq = normalize(matrix, stats.occurrence, toy_lexicon)
         boat = toy_lexicon.id_of("boat")
         water = toy_lexicon.id_of("water")
-        assert freq.rows[boat][water] == pytest.approx(1 / 3)
-        assert freq.rows[water][boat] == 1.0
+        assert freq_of(freq, boat, water) == pytest.approx(1 / 3)
+        assert freq_of(freq, water, boat) == 1.0
 
     def test_zero_occurrence_with_pairs_rejected(self, toy_lexicon):
         matrix = CoocMatrix(7, {(0, 1): 1})
@@ -215,23 +243,20 @@ class TestSelectCandidates:
     def test_order_frequency_then_name(self, toy_corpus_path, toy_lexicon):
         matrix, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
         freq = normalize(matrix, stats.occurrence, toy_lexicon)
-        got = select_candidates(freq, toy_lexicon.id_of("boat"), gamma=0.3)
-        names = [toy_lexicon.concepts[j] for j in got.members]
-        assert names == ["dock", "sunset", "trailer", "water"]
+        got = members(freq, toy_lexicon.id_of("boat"), 0.3)
+        assert got == ["dock", "sunset", "trailer", "water"]
 
     def test_threshold_is_strict(self, toy_corpus_path, toy_lexicon):
         matrix, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
         freq = normalize(matrix, stats.occurrence, toy_lexicon)
         boat = toy_lexicon.id_of("boat")
-        exactly = freq.rows[boat][toy_lexicon.id_of("water")]
-        got = select_candidates(freq, boat, gamma=exactly)
-        assert got.members == []
+        exactly = freq_of(freq, boat, toy_lexicon.id_of("water"))
+        assert members(freq, boat, exactly) == []
 
     def test_high_gamma_keeps_certain_partners(self, toy_corpus_path, toy_lexicon):
         matrix, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
         freq = normalize(matrix, stats.occurrence, toy_lexicon)
-        got = select_candidates(freq, toy_lexicon.id_of("water"), gamma=0.99)
-        assert [toy_lexicon.concepts[j] for j in got.members] == ["boat"]
+        assert members(freq, toy_lexicon.id_of("water"), 0.99) == ["boat"]
 
 
 class TestMineCorpus:

@@ -17,7 +17,6 @@ from ccmine.corpus import (
     Lexicon,
     ScanStats,
     iter_caption_lines,
-    match_concepts,
     normalize_concept,
     parse_caption,
     scan_corpus,
@@ -76,28 +75,28 @@ class TestLexicon:
 
 class TestMatching:
     def test_single_word(self, toy_lexicon):
-        matched = match_concepts("a boat on the water", toy_lexicon)
+        matched = toy_lexicon.matcher.match("a boat on the water")
         assert {toy_lexicon.concepts[i] for i in matched} == {"boat", "water"}
 
     def test_set_semantics(self, toy_lexicon):
-        matched = match_concepts("boat and boat trailer", toy_lexicon)
+        matched = toy_lexicon.matcher.match("boat and boat trailer")
         assert {toy_lexicon.concepts[i] for i in matched} == {"boat", "trailer"}
 
     def test_multi_word_contiguous(self):
         lex = Lexicon(["fire hydrant", "fire", "dog"])
-        matched = match_concepts("a fire hydrant near a dog", lex)
+        matched = lex.matcher.match("a fire hydrant near a dog")
         assert {lex.concepts[i] for i in matched} == {"fire hydrant", "fire", "dog"}
 
     def test_multi_word_requires_adjacency(self):
         lex = Lexicon(["fire hydrant"])
-        assert match_concepts("fire near the hydrant", lex) == set()
+        assert lex.matcher.match("fire near the hydrant") == set()
 
     def test_punctuation_boundary(self, toy_lexicon):
-        matched = match_concepts("A boat, near the dock.", toy_lexicon)
+        matched = toy_lexicon.matcher.match("A boat, near the dock.")
         assert {toy_lexicon.concepts[i] for i in matched} == {"boat", "dock"}
 
     def test_no_match(self, toy_lexicon):
-        assert match_concepts("an empty street", toy_lexicon) == set()
+        assert toy_lexicon.matcher.match("an empty street") == set()
 
 
 def reference_tokenize(text: str) -> list[str]:

@@ -27,6 +27,12 @@ def _as_unit(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unit.astype("<f4"), unit
 
 
+def _saved_rows(data: bytes, n: int, dim: int) -> np.ndarray:
+    """The float32 rows of a CCEMB1 table whose ``n`` names are 3 bytes each."""
+    records = np.frombuffer(data, dtype=np.uint8)[14:].reshape(n, 5 + 4 * dim)
+    return records[:, 5:].copy().view("<f4")
+
+
 def _with_last_record_float(data: bytes, value: float) -> bytes:
     """A serialized table whose final vector component is ``value``."""
     return data[:-4] + np.array([value], dtype="<f4").tobytes()
@@ -88,12 +94,13 @@ class TestTableConstruction:
     def test_arrays_equal_per_row_as_unit(self, dtype):
         rng = np.random.default_rng(5)
         vectors = (rng.standard_normal((40, 33)) * rng.uniform(0.1, 9.0, (40, 1))).astype(dtype)
-        names = [f"n{k}" for k in range(40)]
+        names = [f"n{k:02d}" for k in range(40)]
         table = EmbeddingTable(names, vectors)
-        assert table._raw.dtype == np.dtype("<f4") and table._unit.dtype == np.float64
+        assert table._unit.dtype == np.float64
+        saved = _saved_rows(table.dumps(), len(names), 33)
         for k, row in enumerate(vectors):
             raw, unit = _as_unit(row)
-            assert np.array_equal(table._raw[k], raw)
+            assert np.array_equal(saved[k], raw)
             assert np.array_equal(table._unit[k], unit)
 
     @settings(max_examples=60, deadline=None)
@@ -109,10 +116,10 @@ class TestTableConstruction:
         vectors = rng.standard_normal((n, dim)) * rng.uniform(0.1, 9.0, (n, 1))
         data = EmbeddingTable([f"n{k:02d}" for k in range(n)], vectors).dumps()
         table = EmbeddingTable.loads(data)
-        stored = np.frombuffer(data, dtype=np.uint8)[14:].reshape(n, 5 + 4 * dim)[:, 5:]
-        for k, record in enumerate(stored):
-            raw, unit = _as_unit(record.copy().view("<f4"))
-            assert np.array_equal(table._raw[k], raw)
+        saved = _saved_rows(table.dumps(), n, dim)
+        for k, record in enumerate(_saved_rows(data, n, dim)):
+            raw, unit = _as_unit(record)
+            assert np.array_equal(saved[k], raw)
             assert np.array_equal(table._unit[k], unit)
 
     def test_zero_norm_names_the_entry(self):
@@ -130,7 +137,7 @@ class TestTableConstruction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        final = table._raw.nbytes + table._unit.nbytes
+        final = table._unit.nbytes
         assert peak < 2 * final, (peak, final)
 
 

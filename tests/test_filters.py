@@ -8,20 +8,17 @@ import threading
 import numpy as np
 import pytest
 
-from ccmine.embed import EmbeddingTable
-from ccmine.errors import CCMineError, FormatError, ValidationError
+from ccmine.embed import EmbeddingTable, cosine
+from ccmine.errors import CCMineError, FormatError, MissingEmbeddingError, ValidationError
 from ccmine.filters import (
-    DEFAULT_STOPWORDS,
     FilterConfig,
-    FilterOutcome,
     VisibilityTable,
     accept_unknown,
-    filter_abstract,
-    filter_semantic,
+    filter_rows,
     reject_unknown,
-    remove_stopwords,
-    run_pipeline,
 )
+
+from conftest import filter_one
 
 
 def two_d_table():
@@ -38,18 +35,27 @@ def two_d_table():
     )
 
 
+def axis_table(names):
+    """Pairwise orthogonal embeddings: no pair is similar at any delta >= 0."""
+    return EmbeddingTable(list(names), np.eye(len(names)))
+
+
 class TestStopwords:
     def test_defaults(self):
-        assert remove_stopwords(
-            ["photo", "boat", "image", "view", "picture", "dock"], DEFAULT_STOPWORDS
-        ) == ["boat", "dock"]
+        candidates = ["photo", "boat", "image", "view", "picture", "dock"]
+        outcome = filter_one(candidates, "t", axis_table(["t", "boat", "dock"]))
+        assert outcome.kept == ["boat", "dock"]
+        assert outcome.removed_stopword == ["photo", "image", "view", "picture"]
 
     def test_custom_set(self):
-        assert remove_stopwords(["boat", "dock"], frozenset({"dock"})) == ["boat"]
+        config = FilterConfig(stopwords=frozenset({"Dock"}))
+        outcome = filter_one(["boat", "dock"], "t", axis_table(["t", "boat"]), config=config)
+        assert outcome.kept == ["boat"]
+        assert outcome.removed_stopword == ["dock"]
 
     def test_order_preserved(self):
-        kept = remove_stopwords(["z", "image", "a"], DEFAULT_STOPWORDS)
-        assert kept == ["z", "a"]
+        outcome = filter_one(["z", "image", "a"], "t", axis_table(["t", "z", "a"]))
+        assert outcome.kept == ["z", "a"]
 
 
 class TestVisibilityTable:
@@ -127,24 +133,22 @@ class TestVisibilityTable:
 class TestAbstractFilter:
     def test_known_invisible_removed(self):
         table = VisibilityTable({"liberty": (False, "manual"), "boat": (True, "manual")})
-        outcome = FilterOutcome()
-        kept = filter_abstract(["liberty", "boat"], table, outcome=outcome)
-        assert kept == ["boat"]
+        outcome = filter_one(["liberty", "boat"], "t", axis_table(["t", "boat"]), table)
+        assert outcome.kept == ["boat"]
         assert outcome.removed_invisible == ["liberty"]
+        assert outcome.unresolved_kept == []
 
     def test_unknown_without_oracle_kept_and_flagged(self):
-        outcome = FilterOutcome()
-        kept = filter_abstract(["fog"], VisibilityTable({}), outcome=outcome)
-        assert kept == ["fog"]
+        outcome = filter_one(["fog"], "t", axis_table(["t", "fog"]))
+        assert outcome.kept == ["fog"]
         assert outcome.unresolved_kept == ["fog"]
 
     def test_oracle_failure_is_fail_open(self):
         def oracle(concept):
             raise CCMineError("oracle offline")
 
-        outcome = FilterOutcome()
-        kept = filter_abstract(["fog"], VisibilityTable({}), oracle=oracle, outcome=outcome)
-        assert kept == ["fog"]
+        outcome = filter_one(["fog"], "t", axis_table(["t", "fog"]), oracle=oracle)
+        assert outcome.kept == ["fog"]
         assert outcome.unresolved_kept == ["fog"]
 
     def test_failed_oracle_asked_once_per_concept(self):
@@ -154,17 +158,22 @@ class TestAbstractFilter:
             calls.append(concept)
             raise CCMineError("oracle offline")
 
-        outcome = FilterOutcome()
-        candidates = ["fog", "mist", "Fog"]
-        kept = filter_abstract(candidates, VisibilityTable({}), oracle=oracle, outcome=outcome)
-        assert kept == candidates
-        assert outcome.unresolved_kept == candidates
+        # two targets share both unknown candidates
+        names = ["t1", "t2", "fog", "mist"]
+        row = np.array([0, 0, 1, 1])
+        col = np.array([2, 3, 3, 2])
+        outcomes = filter_rows(
+            names, 2, row, col, axis_table(names), VisibilityTable(), oracle=oracle
+        )
+        assert [o.kept for o in outcomes] == [["fog", "mist"], ["mist", "fog"]]
+        assert [o.unresolved_kept for o in outcomes] == [["fog", "mist"], ["mist", "fog"]]
         assert calls == ["fog", "mist"]
 
     def test_oracle_result_cached_in_table(self):
         table = VisibilityTable()
-        kept = filter_abstract(["fog"], table, oracle=lambda c: False)
-        assert kept == []
+        outcome = filter_one(["fog"], "t", axis_table(["t"]), table, oracle=lambda c: False)
+        assert outcome.kept == []
+        assert outcome.removed_invisible == ["fog"]
         assert table.get("fog") is False
 
     def test_policy_oracles(self):
@@ -174,23 +183,26 @@ class TestAbstractFilter:
 
 class TestSemanticFilter:
     def test_near_synonym_removed(self):
-        outcome = FilterOutcome()
-        kept = filter_semantic(["ship", "water"], "boat", two_d_table(), 0.8, outcome)
-        assert kept == ["water"]
+        outcome = filter_one(["ship", "water"], "boat", two_d_table())
+        assert outcome.kept == ["water"]
         assert outcome.removed_similar == ["ship"]
 
     def test_equality_survives(self):
         table = two_d_table()
-        from ccmine.embed import cosine
-
         exactly = cosine(table.vector("ship"), table.vector("boat"))
-        kept = filter_semantic(["ship"], "boat", table, exactly, FilterOutcome())
-        assert kept == ["ship"]
+        outcome = filter_one(["ship"], "boat", table, config=FilterConfig(delta=exactly))
+        assert outcome.kept == ["ship"]
+
+    def test_missing_embedding_named(self):
+        with pytest.raises(MissingEmbeddingError, match="fog"):
+            filter_one(["water", "fog"], "boat", two_d_table())
+        # a candidate an earlier stage removed needs no embedding
+        assert filter_one(["photo"], "boat", two_d_table()).removed_stopword == ["photo"]
 
 
 class TestPipeline:
     def test_documented_example(self, toy_embeddings, toy_visibility):
-        outcome = run_pipeline(
+        outcome = filter_one(
             ["photo", "ship", "water", "liberty"],
             "boat",
             toy_embeddings,
@@ -206,17 +218,13 @@ class TestPipeline:
     def test_stage_order_stopword_before_visibility(self, toy_embeddings):
         # "photo" is both a stop-word and absent from the table; the
         # stop-word stage must claim it before visibility sees it.
-        outcome = run_pipeline(
-            ["photo"], "boat", toy_embeddings, VisibilityTable({}), FilterConfig()
-        )
+        outcome = filter_one(["photo"], "boat", toy_embeddings, VisibilityTable({}))
         assert outcome.removed_stopword == ["photo"]
         assert outcome.unresolved_kept == []
 
     def test_contraction(self, toy_embeddings, toy_visibility):
         candidates = ["photo", "ship", "water", "liberty", "dock", "sunset"]
-        outcome = run_pipeline(
-            candidates, "boat", toy_embeddings, toy_visibility, FilterConfig()
-        )
+        outcome = filter_one(candidates, "boat", toy_embeddings, toy_visibility)
         it = iter(candidates)
         assert all(c in it for c in outcome.kept)
         buckets = (

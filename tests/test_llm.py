@@ -199,7 +199,7 @@ class TestClient:
     @pytest.mark.parametrize(
         "content",
         [b"", b'{"model": "default", "prompt": "p", "te', b"\xff\xfe", b"[]", b'{"model": "m"}',
-         b'{"text": 3}'],
+         b'{"text": 3}', b"[" * 100_000],
     )
     def test_unusable_cache_file_is_a_miss_and_overwritten(self, tmp_path, content):
         calls = []

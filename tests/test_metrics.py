@@ -20,7 +20,6 @@ from ccmine.metrics import (
     aggregate_iou_single,
     classic_image,
     intersection_union,
-    iou,
     iou_single_image,
     iou_single_image_sigmoid,
     load_ground_truth,
@@ -48,27 +47,31 @@ class TestIoU:
     def test_known_value(self):
         pred = np.array([[1, 1], [0, 0]], dtype=bool)
         gt = np.array([[1, 0], [1, 0]], dtype=bool)
-        assert iou(pred, gt) == pytest.approx(1 / 3)
+        assert intersection_union(pred, gt) == (1, 3)
 
     def test_perfect_and_disjoint(self):
         a = np.array([[True, False]])
         b = np.array([[False, True]])
-        assert iou(a, a) == 1.0
-        assert iou(a, b) == 0.0
+        assert intersection_union(a, a) == (1, 1)
+        assert intersection_union(a, b) == (0, 2)
 
     def test_empty_union_undefined(self):
+        # a class with an empty union gets no IoU, never 0
         empty = np.zeros((2, 2), dtype=bool)
-        assert iou(empty, empty) is None
+        assert intersection_union(empty, empty) == (0, 0)
+        report = aggregate_classic([{"boat": (1, 2), "cat": (0, 0)}])
+        assert list(report["per_class"]) == ["boat"]
+        assert report["classes_undefined"] == ["cat"]
 
     def test_ignore_removes_both_sides(self):
         pred = np.array([[True, True]])
         gt = np.array([[True, False]])
-        ignore = np.array([[False, True]])
-        assert iou(pred, gt, ignore) == 1.0
+        keep = ~np.array([[False, True]])
+        assert intersection_union(pred, gt, keep) == (1, 1)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            iou(np.zeros((1, 2), dtype=bool), np.zeros((2, 1), dtype=bool))
+            intersection_union(np.zeros((1, 2), dtype=bool), np.zeros((2, 1), dtype=bool))
 
 
 class TestGroundTruth:
