@@ -30,7 +30,7 @@ from .cooc import CoocMatrix, normalize as cooc_normalize, select_all
 from .corpus import Lexicon, normalize_concept
 from .embed import EmbeddingProvider, EmbeddingTable, cosines, nearest_neighbor
 from .errors import FormatError, ValidationError
-from .filters import FilterConfig, FilterOutcome, VisibilityOracle, VisibilityTable, filter_rows
+from .filters import FilterConfig, VisibilityOracle, VisibilityTable, filter_rows
 from .ioutil import atomic_write_text, read_text
 from .llm import LLMClient, ask_cc
 
@@ -190,7 +190,7 @@ def build_dictionary(
     oracle: VisibilityOracle | None = None,
     oracle_source: str = "llm",
     extra_meta: dict | None = None,
-) -> tuple[CCDictionary, dict[str, FilterOutcome]]:
+) -> CCDictionary:
     """Select candidates above ``gamma`` for every lexicon concept and run
     them through the filtering pipeline, all concepts at once.
 
@@ -202,42 +202,37 @@ def build_dictionary(
     freq = cooc_normalize(matrix, occurrence, lexicon)
     row, col = select_all(freq, gamma)
     concepts = lexicon.concepts
-    outcomes = dict(
-        zip(
-            concepts,
-            filter_rows(
-                concepts,
-                len(concepts),
-                row,
-                col,
-                embeddings,
-                visibility,
-                config=filter_config,
-                oracle=oracle,
-                oracle_source=oracle_source,
-            ),
-        )
+    masks = filter_rows(
+        concepts,
+        len(concepts),
+        row,
+        col,
+        embeddings,
+        visibility,
+        config=filter_config,
+        oracle=oracle,
+        oracle_source=oracle_source,
     )
-    cc = {concept: outcome.kept for concept, outcome in outcomes.items()}
-    removed = {
-        stage: sum(len(getattr(o, attr)) for o in outcomes.values())
-        for stage, attr in (
-            ("stopword", "removed_stopword"),
-            ("invisible", "removed_invisible"),
-            ("similar", "removed_similar"),
-            ("kept", "kept"),
-        )
+    picked = np.flatnonzero(masks.kept)
+    kept = np.array(concepts, dtype=object)[col[picked]].tolist()
+    bounds = np.searchsorted(row[picked], np.arange(len(concepts) + 1)).tolist()
+    cc = {concept: kept[lo:hi] for concept, lo, hi in zip(concepts, bounds, bounds[1:])}
+    counts = {
+        stage: int(np.count_nonzero(getattr(masks, stage)))
+        for stage in ("stopword", "invisible", "similar", "kept")
     }
     meta = {
         "gamma": gamma,
         "delta": filter_config.delta,
         "built_at": build_timestamp(),
         "filter_version": "stopwords>visibility>semantic/v1",
-        "filter_counts": {"candidates": len(col), **removed},
-        "unresolved_kept": sorted({c for o in outcomes.values() for c in o.unresolved_kept}),
+        "filter_counts": {"candidates": len(col), **counts},
+        "unresolved_kept": sorted(
+            {concepts[k] for k in col[masks.kept & masks.unresolved].tolist()}
+        ),
     }
     meta.update(extra_meta or {})
-    return CCDictionary(cc, meta), outcomes
+    return CCDictionary(cc, meta)
 
 
 def cc_d(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -114,7 +115,7 @@ OPTIONS: dict[str, Option] = {
 
 _TYPE_NAMES = {
     int: "an integer",
-    float: "a number",
+    float: "a finite number",
     str: "a string",
     bool: "true or false",
     list: "a list of strings",
@@ -125,10 +126,11 @@ def _has_type(value, kind: type) -> bool:
     if isinstance(value, bool):  # JSON true/false are Python ints too
         return kind is bool
     if kind is float:
-        # an integer past float range (a literal of over 308 digits) is none
+        # an integer past float range (a literal of over 308 digits) is none,
+        # and neither are the NaN and Infinity that Python's json accepts
         if isinstance(value, int):
             return abs(value) <= sys.float_info.max
-        return isinstance(value, float)
+        return isinstance(value, float) and math.isfinite(value)
     if kind is list:
         return isinstance(value, list) and all(isinstance(v, str) for v in value)
     return isinstance(value, kind)
@@ -217,6 +219,19 @@ class Settings:
 
 def _dest(key: str) -> str:
     return key.replace(".", "_")
+
+
+def _finite(flag: str):
+    """The ``type=`` of a float flag: a text that is no number is a usage
+    error, and NaN or an infinity a validation error."""
+
+    def number(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValidationError(f"{flag} must be a finite number, got {text!r}")
+        return value
+
+    return number
 
 
 def _classes(args: argparse.Namespace, image_ids: list[str] | None = None) -> list[str] | None:
@@ -337,7 +352,7 @@ def _dictionary(
         oracle = visibility_oracle(settings.llm_client(), settings.get("include_markers"))
     else:
         oracle = accept_unknown if policy == "accept" else reject_unknown
-    dictionary, _outcomes = build_dictionary(
+    return build_dictionary(
         matrix,
         occurrence,
         lexicon,
@@ -349,7 +364,6 @@ def _dictionary(
         oracle_source="llm" if policy == "llm" else "manual",
         extra_meta=extra_meta,
     )
-    return dictionary
 
 
 def _query_prompts(
@@ -580,11 +594,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 0
     if not args.values:
         raise ValidationError(f"--values is required for a {args.param} sweep")
+    number = _finite("--values")
     try:
-        values = [float(v) for v in args.values.split(",")]
+        values = [number(v) for v in args.values.split(",")]
     except ValueError:
         raise ValidationError(
-            f"--values must be comma-separated numbers, got {args.values!r}"
+            f"--values must be comma-separated finite numbers, got {args.values!r}"
         ) from None
     # every value passes over the whole dataset
     dataset = list(_load_dataset(args, image_ids))
@@ -632,7 +647,8 @@ def _add_options(p: argparse.ArgumentParser, *keys: str) -> None:
     for key in keys:
         opt = OPTIONS[key]
         flag = opt.flag or "--" + key.replace(".", "-").replace("_", "-")
-        p.add_argument(flag, dest=_dest(key), type=opt.type, choices=opt.choices, help=opt.help)
+        kind = _finite(flag) if opt.type is float else opt.type
+        p.add_argument(flag, dest=_dest(key), type=kind, choices=opt.choices, help=opt.help)
 
 
 def _add_llm_flags(p: argparse.ArgumentParser) -> None:
@@ -752,12 +768,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
+        # inside the try: a float flag's type raises ValidationError on
+        # NaN and the infinities
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return args.func(args)
     except (TransportError, ServiceError, ResponseParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import deque
-from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import filterfalse
@@ -133,44 +132,16 @@ def _count_sets(concept_sets, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return sums.fold()
 
 
-class _PairView(Mapping):
-    """Read-only ``{(i, j): count}`` view of a matrix's arrays, ``i < j``."""
-
-    def __init__(self, matrix: "CoocMatrix"):
-        self._matrix = matrix
-
-    def __len__(self) -> int:
-        return len(self._matrix.count)
-
-    def __iter__(self):
-        return zip(self._matrix.i.tolist(), self._matrix.j.tolist())
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        k = self._matrix._find(*key)
-        if k is None:
-            raise KeyError(key)
-        return int(self._matrix.count[k])
-
-
 class CoocMatrix:
     """Sparse symmetric co-occurrence counts over a lexicon of size ``dim``.
 
     The counts live in three int64 arrays sorted by ``(i, j)``: row ids
     ``i``, column ids ``j > i`` and the positive ``count`` of each pair.
-    ``pairs`` gives a read-only mapping view of them.
     """
 
-    def __init__(self, dim: int, pairs: Mapping[tuple[int, int], int] | None = None):
+    def __init__(self, dim: int):
         self.dim = dim
         self.i = self.j = self.count = _EMPTY
-        if pairs:
-            codes = []
-            for a, b in pairs:
-                if a == b or not (0 <= a < dim and 0 <= b < dim):
-                    raise ValidationError(f"pair {(a, b)} is not two distinct ids below {dim}")
-                codes.append(min(a, b) * dim + max(a, b))
-            counts = np.array(list(pairs.values()), dtype=np.int64)
-            self._set(*_sum_by_key(np.array(codes, dtype=np.int64), counts))
 
     @classmethod
     def _from_codes(cls, dim: int, keys: np.ndarray, counts: np.ndarray) -> "CoocMatrix":
@@ -209,14 +180,11 @@ class CoocMatrix:
         self.count = counts
 
     @property
-    def pairs(self) -> _PairView:
-        return _PairView(self)
-
-    def _find(self, i: int, j: int) -> int | None:
-        """Position of the stored pair ``(i, j)``, ``i < j``, or None."""
-        lo, hi = np.searchsorted(self.i, (i, i + 1))
-        k = int(lo + np.searchsorted(self.j[lo:hi], j))
-        return k if k < hi and self.j[k] == j else None
+    def pairs(self) -> np.ndarray:
+        """The stored ``(i, j)`` as an ``(n, 2)`` int64 array.  Nothing in
+        the package reads it: it is kept for ``perfbench/tracing.py``,
+        whose traced mine job counts the pairs with ``len(matrix.pairs)``."""
+        return np.stack([self.i, self.j], axis=1)
 
     # ---- serialization ----
 

@@ -172,8 +172,8 @@ def cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Every sum runs along one row (``einsum``), never through a matrix
     product, whose blocking changes with the batch shape; so a pair gets
-    the same bits alone as in any batch, and ``cosine`` is exactly the
-    one-row case.  Threshold decisions at an exact tie depend on that.
+    the same bits alone as in any batch.  Threshold decisions at an exact
+    tie depend on that.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
@@ -184,13 +184,6 @@ def cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not (norm_a.all() and norm_b.all()):
         raise ValidationError("cosine is undefined for zero vectors")
     return np.clip(np.einsum("ij,ij->i", a, b) / (norm_a * norm_b), -1.0, 1.0)
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors, clamped into [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64).reshape(1, -1)
-    b = np.asarray(b, dtype=np.float64).reshape(1, -1)
-    return float(cosines(a, b)[0])
 
 
 def nearest_neighbor(query: np.ndarray, table: EmbeddingTable) -> tuple[str, float]:

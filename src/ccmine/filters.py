@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -137,19 +137,20 @@ class VisibilityTable:
         atomic_write_text(path, "".join(lines))
 
 
-@dataclass
-class FilterOutcome:
-    """What the pipeline kept and why the rest went away.
+class StageMasks(NamedTuple):
+    """Per-pair outcome of the filter stages, one bool per candidate pair.
 
-    ``unresolved_kept`` lists the subset of ``kept`` whose visibility was
-    never resolved; a run that produced any is not a publishable artifact.
+    Every pair is in exactly one of ``kept``, ``stopword``, ``invisible``
+    and ``similar``: the stage that removed it, or none.  ``unresolved``
+    marks the pairs whose candidate's visibility was never resolved; a
+    kept one makes the run unpublishable.
     """
 
-    kept: list[str] = field(default_factory=list)
-    removed_stopword: list[str] = field(default_factory=list)
-    removed_invisible: list[str] = field(default_factory=list)
-    removed_similar: list[str] = field(default_factory=list)
-    unresolved_kept: list[str] = field(default_factory=list)
+    kept: np.ndarray
+    stopword: np.ndarray
+    invisible: np.ndarray
+    similar: np.ndarray
+    unresolved: np.ndarray
 
 
 def _stopword_flags(names: Sequence[str], stopwords) -> np.ndarray:
@@ -224,14 +225,6 @@ def _similar_flags(
     return similar
 
 
-def _split_rows(labels: np.ndarray, row: np.ndarray, mask: np.ndarray, targets: int) -> list[list]:
-    """``labels[mask]`` cut into one list per row ``0 .. targets - 1``."""
-    picked = np.flatnonzero(mask)
-    items = labels[picked].tolist()
-    bounds = np.searchsorted(row[picked], np.arange(targets + 1)).tolist()
-    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
 def filter_rows(
     names: Sequence[str],
     targets: int,
@@ -242,7 +235,7 @@ def filter_rows(
     config: FilterConfig | None = None,
     oracle: VisibilityOracle | None = None,
     oracle_source: str = "llm",
-) -> list[FilterOutcome]:
+) -> StageMasks:
     """Apply stop-word, visibility, and semantic filters, in that order, to
     the candidate lists of many targets at once.
 
@@ -250,10 +243,10 @@ def filter_rows(
     for target ``names[r]`` the candidates ``names[col[p]]`` of the pairs
     ``p`` with ``row[p] == r``, in pair order; ``row`` ascends.  An unknown
     concept goes to the oracle once, however many rows hold it, so a failed
-    answer flags it in every row.
+    answer flags it in every row.  The result holds one mask per stage,
+    each aligned with ``row`` and ``col``.
     """
     config = config or FilterConfig()
-    labels = np.array(names, dtype=object)[col]
     stopword = _stopword_flags(names, config.stopwords)[col]
     invisible, unresolved = _visibility_flags(
         names, col[~stopword], visibility, oracle, oracle_source
@@ -261,9 +254,4 @@ def filter_rows(
     invisible, unresolved = invisible[col], unresolved[col]
     live = ~stopword & ~invisible
     similar = _similar_flags(names, targets, row, col, live, embeddings, config.delta)
-    kept = live & ~similar
-    fields = (kept, stopword, invisible, similar, kept & unresolved)
-    return [
-        FilterOutcome(*lists)
-        for lists in zip(*(_split_rows(labels, row, mask, targets) for mask in fields))
-    ]
+    return StageMasks(live & ~similar, stopword, invisible, similar, unresolved)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -185,6 +185,16 @@ class LLMClient:
     def __post_init__(self):
         if self.api_style not in API_STYLES:
             raise ValidationError(f"api_style must be 'raw' or 'chat', got {self.api_style!r}")
+        # comparisons with NaN are false, so NaN fails every bound
+        for name, ok, need in (
+            ("max_attempts", self.max_attempts >= 1, "at least 1"),
+            ("max_tokens", self.max_tokens >= 1, "at least 1"),
+            ("timeout", 0 < self.timeout < math.inf, "finite and above 0"),
+            ("temperature", 0 <= self.temperature < math.inf, "finite and at least 0"),
+            ("backoff_base", 0 <= self.backoff_base < math.inf, "finite and at least 0"),
+        ):
+            if not ok:
+                raise ValidationError(f"LLM {name} must be {need}, got {getattr(self, name)!r}")
         if self.cache_dir is None:
             env = os.environ.get("CCMINE_LLM_CACHE")
             self.cache_dir = Path(env) if env else Path.home() / ".cache" / "ccmine" / "llm"
@@ -312,20 +322,6 @@ def visibility_oracle(client: LLMClient, include_markers: bool = True):
         return ask_visibility(client, concept, include_markers)
 
     return ask
-
-
-def ask_cc_many(
-    client: LLMClient, queries: list[str], workers: int = 4, include_markers: bool = True
-) -> dict[str, list[str]]:
-    """Generate contrastive concepts for many queries with bounded
-    concurrency; results keyed by query, failures re-raised."""
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
-    if workers == 1 or len(queries) <= 1:
-        return {q: ask_cc(client, q, include_markers) for q in queries}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(lambda q: ask_cc(client, q, include_markers), queries)
-        return dict(zip(queries, results))
 
 
 # ---- response parsing ----

@@ -10,14 +10,16 @@ import gzip
 import json
 import sys
 import threading
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ccmine.cooc import CoocMatrix, _sum_by_key
 from ccmine.corpus import Lexicon
-from ccmine.embed import EmbeddingTable
+from ccmine.embed import EmbeddingTable, cosines
 from ccmine.filters import VisibilityTable, filter_rows
 from ccmine.metrics import GroundTruth
 from ccmine.segment import FeatureMap, SegMap
@@ -154,13 +156,64 @@ def make_toy_visibility() -> VisibilityTable:
     return VisibilityTable(entries)
 
 
+def cosine(a, b) -> float:
+    """Per-pair oracle: the one-row case of ``cosines``, so a threshold set
+    to an exact similarity means the same on both sides."""
+    a = np.asarray(a, dtype=np.float64).reshape(1, -1)
+    b = np.asarray(b, dtype=np.float64).reshape(1, -1)
+    return float(cosines(a, b)[0])
+
+
+def cooc_matrix(dim: int, pairs: dict) -> CoocMatrix:
+    """A matrix from ``{(a, b): count}``; the order within a pair does not
+    matter, and a pair given in both orders sums its counts."""
+    codes = np.array([min(a, b) * dim + max(a, b) for a, b in pairs], dtype=np.int64)
+    counts = np.array(list(pairs.values()), dtype=np.int64)
+    return CoocMatrix._from_codes(dim, *_sum_by_key(codes, counts))
+
+
+def pair_counts(matrix: CoocMatrix) -> dict:
+    """A matrix's stored pairs as ``{(i, j): count}``, ``i < j``."""
+    return dict(zip(map(tuple, matrix.pairs.tolist()), matrix.count.tolist()))
+
+
+@dataclass
+class StageLists:
+    """One target's candidates by the filter stage that removed them."""
+
+    kept: list = field(default_factory=list)
+    removed_stopword: list = field(default_factory=list)
+    removed_invisible: list = field(default_factory=list)
+    removed_similar: list = field(default_factory=list)
+    unresolved_kept: list = field(default_factory=list)
+
+
+def split_masks(names, targets, row, col, masks) -> list[StageLists]:
+    """``filter_rows``'s per-pair masks cut into each target's lists; every
+    pair must be in exactly one stage."""
+    out = [StageLists() for _ in range(targets)]
+    for p, (r, c) in enumerate(zip(row.tolist(), col.tolist())):
+        stages = {
+            "kept": masks.kept[p],
+            "removed_stopword": masks.stopword[p],
+            "removed_invisible": masks.invisible[p],
+            "removed_similar": masks.similar[p],
+        }
+        (stage,) = [name for name, hit in stages.items() if hit]
+        getattr(out[r], stage).append(names[c])
+        if stage == "kept" and masks.unresolved[p]:
+            out[r].unresolved_kept.append(names[c])
+    return out
+
+
 def filter_one(candidates, target, embeddings, visibility=None, config=None, oracle=None):
-    """``filter_rows`` for one target's candidate list."""
+    """``filter_rows`` for one target's candidate list, split by stage."""
     names = list(dict.fromkeys([target, *candidates]))
     col = np.array([names.index(c) for c in candidates], dtype=np.int64)
     row = np.zeros(len(col), dtype=np.int64)
     visibility = VisibilityTable() if visibility is None else visibility
-    (outcome,) = filter_rows(names, 1, row, col, embeddings, visibility, config, oracle)
+    masks = filter_rows(names, 1, row, col, embeddings, visibility, config, oracle)
+    (outcome,) = split_masks(names, 1, row, col, masks)
     return outcome
 
 

@@ -24,7 +24,7 @@ from ccmine.ccgen import CCDictionary, CCSet, build_dictionary, cc_bg, cc_d, cc_
 from ccmine.cli import main
 from ccmine.cooc import build_cooc, mine_corpus, normalize
 from ccmine.corpus import Lexicon, ScanStats, scan_corpus
-from ccmine.embed import EmbeddingTable, cosine, nearest_neighbor
+from ccmine.embed import EmbeddingTable, nearest_neighbor
 from ccmine.filters import DEFAULT_DELTA, DEFAULT_STOPWORDS, VisibilityTable
 from ccmine.llm import (
     CC_GENERATION,
@@ -48,6 +48,7 @@ from ccmine.segment import (
 from conftest import (
     EXPECTED_DICT_G001,
     TOY_CONCEPTS,
+    cosine,
     filter_one,
     make_scene_features,
     make_scene_gt,
@@ -273,7 +274,7 @@ def test_criterion_03_filter_contraction(verdict, toy_corpus_path):
 
         lexicon = Lexicon(list(TOY_CONCEPTS))
         matrix, stats = mine_corpus(toy_corpus_path, lexicon)
-        dictionary, _ = build_dictionary(
+        dictionary = build_dictionary(
             matrix, stats.occurrence, lexicon, make_toy_embeddings(), make_toy_visibility()
         )
         assert dictionary.cc == EXPECTED_DICT_G001

@@ -21,14 +21,22 @@ from ccmine.ccgen import (
     cc_none,
     cc_privileged,
 )
-from ccmine.cooc import CoocMatrix, mine_corpus
+from ccmine.cooc import mine_corpus, normalize, select_all
 from ccmine.corpus import Lexicon, normalize_concept
-from ccmine.embed import EmbeddingTable, cosine
+from ccmine.embed import EmbeddingTable
 from ccmine.errors import CCMineError, FormatError, MissingEmbeddingError, ValidationError
-from ccmine.filters import DEFAULT_STOPWORDS, FilterConfig, FilterOutcome, VisibilityTable
+from ccmine.filters import DEFAULT_STOPWORDS, FilterConfig, VisibilityTable, filter_rows
 from ccmine.llm import LLMClient
 
-from conftest import EXPECTED_DICT_G001, EXPECTED_DICT_G099
+from conftest import (
+    EXPECTED_DICT_G001,
+    EXPECTED_DICT_G099,
+    StageLists,
+    cooc_matrix,
+    cosine,
+    pair_counts,
+    split_masks,
+)
 
 
 def stub_client(tmp_path, text):
@@ -96,17 +104,21 @@ class TestDictionaryBuild:
     def test_toy_dictionary_defaults(
         self, toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility
     ):
-        dictionary, outcomes = self.build(
-            toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility
-        )
+        dictionary = self.build(toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility)
         assert dictionary.cc == EXPECTED_DICT_G001
-        assert outcomes["boat"].removed_similar == ["trailer"]
-        assert outcomes["cat"].removed_stopword == ["photo"]
+        # photo from cat's list; trailer and boat from each other's
+        assert dictionary.meta["filter_counts"] == {
+            "candidates": 12,
+            "stopword": 1,
+            "invisible": 0,
+            "similar": 2,
+            "kept": 9,
+        }
 
     def test_toy_dictionary_high_gamma(
         self, toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility
     ):
-        dictionary, _ = self.build(
+        dictionary = self.build(
             toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility, gamma=0.99
         )
         assert dictionary.cc == EXPECTED_DICT_G099
@@ -114,7 +126,7 @@ class TestDictionaryBuild:
     def test_meta_fields(
         self, toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility
     ):
-        dictionary, _ = self.build(
+        dictionary = self.build(
             toy_corpus_path,
             toy_lexicon,
             toy_embeddings,
@@ -129,18 +141,17 @@ class TestDictionaryBuild:
     def test_dumps_deterministic(
         self, toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility
     ):
-        a, _ = self.build(toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility)
-        b, _ = self.build(toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility)
+        a = self.build(toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility)
+        b = self.build(toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility)
         assert a.dumps() == b.dumps()
 
     def test_unknown_visibility_fail_open(
         self, toy_corpus_path, toy_lexicon, toy_embeddings
     ):
-        dictionary, outcomes = self.build(
-            toy_corpus_path, toy_lexicon, toy_embeddings, VisibilityTable({})
-        )
+        dictionary = self.build(toy_corpus_path, toy_lexicon, toy_embeddings, VisibilityTable({}))
         assert dictionary.cc == EXPECTED_DICT_G001
-        assert outcomes["boat"].unresolved_kept == ["dock", "sunset", "water"]
+        # with no table entry and no oracle, every kept concept is unresolved
+        assert dictionary.meta["unresolved_kept"] == ["boat", "cat", "dock", "sunset", "water"]
 
 
 class TestDictionaryIO:
@@ -288,8 +299,6 @@ class TestCCMulti:
         assert excluded == ["puppy", "cat"]
 
     def test_boundary_is_inclusive(self):
-        from ccmine.embed import cosine
-
         table = multi_table()
         exactly = cosine(table.vector("puppy"), table.vector("dog"))
         sets = [CCSet("dog", "llm", ["puppy"])]
@@ -353,13 +362,13 @@ class TestBuildTimestamp:
 
 # ---- the per-concept loops the array code replaced, kept as references ----
 #
-# They call the library's scalar ``cosine``, which is the one-row case of the
+# They call the per-pair ``cosine`` oracle, which is the one-row case of the
 # batched helper, so a delta or beta set to an exact similarity means the
 # same thing on both sides.
 
 
 def loop_pipeline(candidates, target, embeddings, visibility, config, oracle, oracle_source):
-    outcome = FilterOutcome(kept=[])
+    outcome = StageLists()
     stop = {normalize_concept(s) for s in config.stopwords}
     stage = []
     for c in candidates:
@@ -399,20 +408,32 @@ def loop_pipeline(candidates, target, embeddings, visibility, config, oracle, or
 def loop_build(matrix, occurrence, lexicon, embeddings, visibility, gamma, config, oracle):
     concepts = lexicon.concepts
     rows: dict[int, dict[int, float]] = {}
-    for (a, b), count in matrix.pairs.items():
+    for (a, b), count in pair_counts(matrix).items():
         rows.setdefault(a, {})[b] = count / occurrence[a]
         rows.setdefault(b, {})[a] = count / occurrence[b]
-    cc, outcomes = {}, {}
+    cc, outcomes, total = {}, [], 0
     for i, concept in enumerate(concepts):
         chosen = [(j, f) for j, f in rows.get(i, {}).items() if f > gamma]
         chosen.sort(key=lambda item: (-item[1], concepts[item[0]]))
         candidates = [concepts[j] for j, _ in chosen]
+        total += len(candidates)
         outcome = loop_pipeline(
             candidates, concept, embeddings, visibility, config, oracle, "llm"
         )
         cc[concept] = outcome.kept
-        outcomes[concept] = outcome
-    return cc, outcomes
+        outcomes.append(outcome)
+    # the build metadata, as sums over the per-concept stage lists
+    counts = {
+        stage: sum(len(getattr(o, attr)) for o in outcomes)
+        for stage, attr in (
+            ("stopword", "removed_stopword"),
+            ("invisible", "removed_invisible"),
+            ("similar", "removed_similar"),
+            ("kept", "kept"),
+        )
+    }
+    unresolved = sorted({c for o in outcomes for c in o.unresolved_kept})
+    return cc, {"candidates": total, **counts}, unresolved, outcomes
 
 
 def loop_cc_multi(cc_sets, embeddings, beta, scope):
@@ -525,7 +546,7 @@ def run_build(case, build):
         {c: (v, "manual") for c, v in case["known"].items() if v is not None}
     )
     lexicon = Lexicon(case["concepts"])
-    matrix = CoocMatrix(len(lexicon), case["pairs"])
+    matrix = cooc_matrix(len(lexicon), case["pairs"])
     try:
         result = build(
             matrix,
@@ -543,7 +564,7 @@ def run_build(case, build):
 
 
 def array_build(matrix, occurrence, lexicon, embeddings, visibility, gamma, config, oracle):
-    dictionary, outcomes = build_dictionary(
+    dictionary = build_dictionary(
         matrix,
         occurrence,
         lexicon,
@@ -553,7 +574,14 @@ def array_build(matrix, occurrence, lexicon, embeddings, visibility, gamma, conf
         filter_config=config,
         oracle=oracle,
     )
-    return dictionary.cc, outcomes
+    # a second pass with no oracle, every answer the build got now being in
+    # the table, repeats the build's stage masks; split into per-row lists
+    concepts = lexicon.concepts
+    row, col = select_all(normalize(matrix, occurrence, lexicon), gamma)
+    masks = filter_rows(concepts, len(concepts), row, col, embeddings, visibility, config)
+    stages = split_masks(concepts, len(concepts), row, col, masks)
+    meta = dictionary.meta
+    return dictionary.cc, meta["filter_counts"], meta["unresolved_kept"], stages
 
 
 class TestBuildAgainstPerConceptLoop:
@@ -584,13 +612,11 @@ class TestBuildAgainstPerConceptLoop:
             return True
 
         matrix, stats = mine_corpus(toy_corpus_path, toy_lexicon)
-        dictionary, outcomes = build_dictionary(
+        dictionary = build_dictionary(
             matrix, stats.occurrence, toy_lexicon, toy_embeddings, VisibilityTable(), oracle=oracle
         )
         assert calls.count("sunset") == 1
         assert dictionary.cc == EXPECTED_DICT_G001
-        assert outcomes["boat"].unresolved_kept == ["sunset"]
-        assert outcomes["dock"].unresolved_kept == ["sunset"]
         assert dictionary.meta["unresolved_kept"] == ["sunset"]
         assert dictionary.meta["filter_counts"] == {
             "candidates": 12,

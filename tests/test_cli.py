@@ -28,6 +28,7 @@ from conftest import (
     TOY_CONCEPTS,
     make_scene_features,
     make_sweep_features,
+    pair_counts,
     write_gt_file,
     write_scene_dataset,
 )
@@ -84,7 +85,7 @@ class TestMine:
         matrix = CoocMatrix.load(matrix_path)
         assert len(matrix.pairs) == 6
         boat, water = sorted((toy_lexicon.id_of("boat"), toy_lexicon.id_of("water")))
-        assert matrix.pairs[(boat, water)] == 1
+        assert pair_counts(matrix)[(boat, water)] == 1
 
     def test_summary_json(self, tmp_path, toy_corpus_path, toy_lexicon_path, capsys):
         code, out, _ = run(
@@ -1237,6 +1238,14 @@ class TestWiring:
             ("stopwords", ["image", 1]),
             ("cc_mode", "nope"),
             ("llm.api_style", "soap"),
+        ]
+        # written as NaN and Infinity, which Python's json reads though
+        # RFC 8259 JSON lacks them
+        + [
+            (key, value)
+            for key, opt in sorted(cli.OPTIONS.items())
+            if opt.type is float
+            for value in (float("nan"), float("inf"), float("-inf"))
         ],
     )
     def test_bad_config_value_exits_3(self, capsys, tmp_path, key, value):
@@ -1315,6 +1324,104 @@ class TestWiring:
         )
         assert code == 3
         assert "--values" in err
+
+
+# a run's float flags, each with the arguments its subcommand requires;
+# parsing rejects a non-finite value before any of them is read
+_FLOAT_FLAGS = [
+    ("build-cc", "--gamma"),
+    ("build-cc", "--delta"),
+    ("build-cc", "--llm-temperature"),
+    ("build-cc", "--llm-timeout"),
+    ("segment", "--beta"),
+    ("eval", "--sigmoid-threshold"),
+    ("sweep", "--gamma"),
+]
+_REQUIRED = {
+    "build-cc": ["--matrix", "m", "--counts", "c", "--lexicon", "l", "--embeddings", "e", "--out", "o"],
+    "segment": ["--features", "f", "--embeddings", "e", "--out", "o"],
+    "eval": ["--features-dir", "f", "--gt-dir", "g", "--embeddings", "e", "--out-json", "o"],
+    "sweep": [
+        "--param", "gamma", "--values", "0.1",
+        "--features-dir", "f", "--gt-dir", "g", "--embeddings", "e", "--out-json", "o",
+    ],
+}
+
+
+class TestNonFiniteNumbers:
+    def test_every_float_option_is_covered(self):
+        assert {f for _, f in _FLOAT_FLAGS} == {
+            cli.OPTIONS[k].flag or "--" + k.replace(".", "-").replace("_", "-")
+            for k, opt in cli.OPTIONS.items()
+            if opt.type is float
+        }
+
+    @pytest.mark.parametrize("command,flag", _FLOAT_FLAGS)
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_flag_exits_3(self, capsys, tmp_path, command, flag, value):
+        code, _, err = run(capsys, command, *_REQUIRED[command], f"{flag}={value}")
+        assert code == 3
+        assert err == f"error: {flag} must be a finite number, got {value!r}\n"
+
+    def test_non_number_flag_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build-cc", *_REQUIRED["build-cc"], "--gamma", "abc"])
+        assert exc.value.code == 2
+        assert "invalid number value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["nan", "0.5,inf", "0.5,-Infinity"])
+    def test_sweep_values_exit_3(self, capsys, tmp_path, toy_embeddings_path, values):
+        features_dir, gt_dir = write_classic_dataset(tmp_path)
+        code, _, err = run(
+            capsys,
+            "sweep",
+            "--param", "beta",
+            "--values", values,
+            "--features-dir", features_dir,
+            "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path,
+            "--out-json", tmp_path / "sweep.json",
+        )
+        assert code == 3
+        assert err.startswith("error: --values must be a finite number") and err.count("\n") == 1
+        assert not (tmp_path / "sweep.json").exists()
+
+
+# LLM client settings out of bounds, as a flag and as run-config values
+_LLM_BOUNDS = [
+    ("--llm-attempts", "max_attempts", 0),
+    ("--llm-attempts", "max_attempts", -3),
+    ("--llm-max-tokens", "max_tokens", 0),
+    ("--llm-timeout", "timeout", 0),
+    ("--llm-timeout", "timeout", -1),
+    ("--llm-temperature", "temperature", -0.5),
+]
+
+
+class TestLLMBounds:
+    @pytest.mark.parametrize("flag,name,value", _LLM_BOUNDS)
+    def test_flag_exits_3_without_a_request(self, capsys, tmp_path, llm_server, flag, name, value):
+        code, _, err = run(
+            capsys,
+            "gen-cc",
+            "--mode", "llm",
+            "--query", "boat",
+            "--llm-endpoint", llm_server.url,
+            "--llm-cache", tmp_path / "cache",
+            flag, value,
+        )
+        assert code == 3
+        assert err.startswith(f"error: LLM {name} must be") and err.count("\n") == 1
+        assert llm_server.requests == []
+
+    @pytest.mark.parametrize("flag,name,value", _LLM_BOUNDS)
+    def test_config_exits_3_without_a_request(self, capsys, tmp_path, llm_server, flag, name, value):
+        llm = {"endpoint": llm_server.url, "cache_dir": str(tmp_path / "cache"), name: value}
+        path = write_config(tmp_path, {"cc_mode": "llm", "llm": llm})
+        code, _, err = run(capsys, "gen-cc", "--config", path, "--query", "boat")
+        assert code == 3
+        assert err.startswith(f"error: LLM {name} must be") and err.count("\n") == 1
+        assert llm_server.requests == []
 
 
 class TestLLMEndpoint:

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from ccmine.embed import (
     EmbeddingTable,
     ToyEmbeddingProvider,
-    cosine,
     cosines,
     nearest_neighbor,
 )
 from ccmine.errors import FormatError, MissingEmbeddingError, ValidationError
+
+from conftest import cosine
 
 
 def _as_unit(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +143,8 @@ class TestTableConstruction:
 
 
 class TestCosine:
+    """The one-row case of ``cosines``, through the per-pair oracle."""
+
     def test_known_value(self):
         assert cosine(np.array([0.6, 0.8]), np.array([0.0, 1.0])) == pytest.approx(0.8)
 

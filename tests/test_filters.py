@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from ccmine.embed import EmbeddingTable, cosine
+from ccmine.embed import EmbeddingTable
 from ccmine.errors import CCMineError, FormatError, MissingEmbeddingError, ValidationError
 from ccmine.filters import (
     FilterConfig,
@@ -18,7 +18,7 @@ from ccmine.filters import (
     reject_unknown,
 )
 
-from conftest import filter_one
+from conftest import cosine, filter_one, split_masks
 
 
 def two_d_table():
@@ -162,9 +162,8 @@ class TestAbstractFilter:
         names = ["t1", "t2", "fog", "mist"]
         row = np.array([0, 0, 1, 1])
         col = np.array([2, 3, 3, 2])
-        outcomes = filter_rows(
-            names, 2, row, col, axis_table(names), VisibilityTable(), oracle=oracle
-        )
+        masks = filter_rows(names, 2, row, col, axis_table(names), VisibilityTable(), oracle=oracle)
+        outcomes = split_masks(names, 2, row, col, masks)
         assert [o.kept for o in outcomes] == [["fog", "mist"], ["mist", "fog"]]
         assert [o.unresolved_kept for o in outcomes] == [["fog", "mist"], ["mist", "fog"]]
         assert calls == ["fog", "mist"]

@@ -23,7 +23,6 @@ from ccmine.llm import (
     LLMClient,
     _http_transport,
     ask_cc,
-    ask_cc_many,
     ask_visibility,
     parse_cc_list,
     parse_visibility,
@@ -218,6 +217,35 @@ class TestClient:
         assert len(calls) == 1
 
 
+class TestClientBounds:
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("max_attempts", 0),
+            ("max_tokens", 0),
+            ("timeout", 0.0),
+            ("timeout", -1.0),
+            ("timeout", float("inf")),
+            ("timeout", float("nan")),
+            ("temperature", -0.1),
+            ("temperature", float("nan")),
+            ("backoff_base", -1.0),
+            ("backoff_base", float("inf")),
+        ],
+    )
+    def test_out_of_bounds_rejected(self, tmp_path, name, value):
+        calls = []
+        with pytest.raises(ValidationError, match=f"LLM {name} must be"):
+            make_client(tmp_path, lambda *a: calls.append(a), **{name: value})
+        assert calls == []
+
+    def test_bounds_are_inclusive(self, tmp_path):
+        client, _ = make_client(
+            tmp_path, lambda *a: None, max_attempts=1, max_tokens=1, temperature=0.0, backoff_base=0.0
+        )
+        assert (client.max_attempts, client.temperature, client.backoff_base) == (1, 0.0, 0.0)
+
+
 class TestAsks:
     def test_ask_cc_parses_and_caches_by_concept(self, tmp_path):
         calls = []
@@ -240,34 +268,17 @@ class TestAsks:
         oracle = visibility_oracle(client)
         assert oracle("boat") is True
 
-    def test_ask_cc_many(self, tmp_path):
-        def transport(url, payload, timeout):
-            q = payload["prompt"].split("input object ")[-1].split(" without")[0]
-            return 200, json.dumps({"text": f"thing for {q}, other"})
-
-        client, _ = make_client(tmp_path, transport)
-        out = ask_cc_many(client, ["road", "car"], workers=2)
-        assert out == {
-            "road": ["thing for road", "other"],
-            "car": ["thing for car", "other"],
-        }
-
 
 def reply(status: int, body: bytes = b"{}", **kwargs):
     """A scripted answer: one reply with this status and body."""
     return lambda handler, payload: send(handler, status, body, **kwargs)
 
 
-# an unclosed response, error body or socket fails the test: a
-# ResourceWarning comes from a finalizer, so pytest reports it as an
-# unraisable-exception warning, and the server fixture collects garbage at
-# teardown so that objects held in reference cycles are finalized too
-no_leaks = pytest.mark.filterwarnings(
-    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
-)
-
-
-@no_leaks
+# an unclosed response, error body or socket fails the test, since
+# pyproject.toml turns ResourceWarning and the unraisable-exception warning
+# that a finalizer's ResourceWarning arrives as into errors; the server
+# fixture collects garbage at teardown so that objects held in reference
+# cycles are finalized too
 class TestHTTPTransport:
     """The default transport against a real server on 127.0.0.1."""
 
