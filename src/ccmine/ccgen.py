@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache
 from pathlib import Path
@@ -188,7 +188,6 @@ def build_dictionary(
     gamma: float = DEFAULT_GAMMA,
     filter_config: FilterConfig | None = None,
     oracle: VisibilityOracle | None = None,
-    oracle_source: str = "llm",
     extra_meta: dict | None = None,
 ) -> CCDictionary:
     """Select candidates above ``gamma`` for every lexicon concept and run
@@ -211,7 +210,6 @@ def build_dictionary(
         visibility,
         config=filter_config,
         oracle=oracle,
-        oracle_source=oracle_source,
     )
     picked = np.flatnonzero(masks.kept)
     kept = np.array(concepts, dtype=object)[col[picked]].tolist()

@@ -8,8 +8,10 @@ scores a dataset under either evaluation protocol, and ``sweep`` repeats
 an evaluation over a grid of thresholds.
 
 Options can come from a JSON run-config (``--config``); explicit flags win
-over config values.  Exit codes: 0 success, 2 I/O failure, 3 validation
-failure, 4 remote-service failure.
+over config values.  Exit codes: 0 success; 2 I/O failure or an argparse
+usage error (an unknown or missing flag, a value that is no number or not
+among a flag's choices); 3 validation failure, flag values that parse but
+are invalid (NaN, infinity, out of bounds) included; 4 service failure.
 """
 
 from __future__ import annotations
@@ -349,7 +351,10 @@ def _dictionary(
     )
     policy = settings.get("unknown_visibility")
     if policy == "llm":
-        oracle = visibility_oracle(settings.llm_client(), settings.get("include_markers"))
+        # only the endpoint's answers go into the table: a policy's do not
+        # hide a concept from a later run that asks the endpoint
+        ask = visibility_oracle(settings.llm_client(), settings.get("include_markers"))
+        oracle = partial(visibility.resolve, oracle=ask, source="llm")
     else:
         oracle = accept_unknown if policy == "accept" else reject_unknown
     return build_dictionary(
@@ -361,7 +366,6 @@ def _dictionary(
         gamma=settings.get("gamma") if gamma is None else gamma,
         filter_config=config,
         oracle=oracle,
-        oracle_source="llm" if policy == "llm" else "manual",
         extra_meta=extra_meta,
     )
 
@@ -410,14 +414,29 @@ def _classic_prompts(
     return _query_prompts(settings, queries, cc_source, embeddings, beta)
 
 
-def _classic_report(settings: Settings, dataset, prompts: PromptSet) -> dict:
-    per_image = [
-        metrics.classic_image(
-            features, gt, prompts, settings.get("background_label"), settings.get("upsample")
-        )
-        for _id, features, gt in dataset
-    ]
-    return metrics.aggregate_classic(per_image)
+def _single_scorer(settings: Settings, embeddings: EmbeddingTable, cc_source):
+    """Eval's IoU-single scorer of one image, with ``cc_source``'s CCs."""
+    upsample = settings.get("upsample")
+    return partial(
+        metrics.iou_single_image, cc_source=cc_source, embeddings=embeddings, upsample=upsample
+    )
+
+
+def _classic_scorer(settings: Settings, prompts: PromptSet):
+    """Eval's classic-mIoU scorer of one image with ``prompts``; it ignores the image id."""
+    background_label, upsample = settings.get("background_label"), settings.get("upsample")
+    return lambda features, gt, image_id: metrics.classic_image(
+        features, gt, prompts, background_label, upsample
+    )
+
+
+def _score_images(args: argparse.Namespace, image_ids: list[str], scorers, failures=None):
+    """Each scorer's results, image by image: all score one before the next loads."""
+    results: list[list] = [[] for _ in scorers]
+    for image_id, features, gt in _load_dataset(args, image_ids, failures):
+        for score, out in zip(scorers, results):
+            out.append(score(features, gt, image_id=image_id))
+    return results
 
 
 # ---- mine ----
@@ -532,32 +551,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
     embeddings = EmbeddingTable.load(args.embeddings)
     image_ids = _dataset_ids(args)
     image_failures: list[dict] = []
-    dataset = _load_dataset(args, image_ids, image_failures)
-    upsample = settings.get("upsample")
     segmenter = settings.get("segmenter")
     if args.metric == "miou-classic":
         classes = _classes(args, image_ids)
         source = _cc_source(settings, embeddings, classes)
-        prompts = _classic_prompts(settings, classes, source, embeddings)
-        report = _classic_report(settings, dataset, prompts)
-        class_failures = 0
+        score = _classic_scorer(settings, _classic_prompts(settings, classes, source, embeddings))
+    elif segmenter == "sigmoid":
+        threshold = settings.get("sigmoid_threshold")
+        if threshold is None:
+            raise ValidationError("--sigmoid-threshold is required for the sigmoid segmenter")
+        score = partial(
+            metrics.iou_single_image_sigmoid, threshold=threshold, embeddings=embeddings
+        )
     else:
-        if segmenter == "sigmoid":
-            threshold = settings.get("sigmoid_threshold")
-            if threshold is None:
-                raise ValidationError("--sigmoid-threshold is required for the sigmoid segmenter")
-            score = partial(
-                metrics.iou_single_image_sigmoid, threshold=threshold, embeddings=embeddings
-            )
-        else:
-            source = _cc_source(settings, embeddings, _classes(args, image_ids))
-            score = partial(
-                metrics.iou_single_image,
-                cc_source=source,
-                embeddings=embeddings,
-                upsample=upsample,
-            )
-        results = [score(f, gt, image_id=i) for i, f, gt in dataset]
+        source = _cc_source(settings, embeddings, _classes(args, image_ids))
+        score = _single_scorer(settings, embeddings, source)
+    [results] = _score_images(args, image_ids, [score], image_failures)
+    if args.metric == "miou-classic":
+        report, class_failures = metrics.aggregate_classic(results), 0
+    else:
         report = metrics.aggregate_iou_single(results, mode=settings.get("aggregation"))
         class_failures = sum(len(r.failures) for r in results)
 
@@ -566,7 +578,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "embeddings_digest": sha256_file(args.embeddings),
         "cc_dict_digest": sha256_file(args.cc_dict) if args.cc_dict else None,
         "segmenter": segmenter,
-        "upsample": upsample,
+        "upsample": settings.get("upsample"),
         "image_failures": image_failures,
     }
     metrics.write_report(report, args.out_json, args.out_tsv)
@@ -601,40 +613,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"--values must be comma-separated finite numbers, got {args.values!r}"
         ) from None
-    # every value passes over the whole dataset
-    dataset = list(_load_dataset(args, image_ids))
-    rows = []
     if args.param == "beta":
         classes = _classes(args, image_ids)
         # only the merge of the CC sets depends on beta
         source = cache(_cc_source(settings, embeddings, classes))
-        for value in values:
-            prompts = _classic_prompts(settings, classes, source, embeddings, beta=value)
-            rows.append(
-                {"value": value, "mean_class": _classic_report(settings, dataset, prompts)["mean"]}
-            )
-        report = {"metric": "miou-classic-sweep", "param": "beta", "rows": rows}
+        prompts = [_classic_prompts(settings, classes, source, embeddings, beta=v) for v in values]
+        scorers = [_classic_scorer(settings, p) for p in prompts]
     else:
         if not (args.matrix and args.counts and args.lexicon):
-            raise ValidationError(
-                f"a {args.param} sweep needs --matrix, --counts, and --lexicon"
-            )
+            raise ValidationError(f"a {args.param} sweep needs --matrix, --counts, and --lexicon")
         inputs = _build_inputs(args)
         provider = TableProvider(embeddings)
+        scorers = []
         for value in values:
             dictionary = _dictionary(settings, inputs, embeddings, **{args.param: value})
             source = partial(cc_d, dictionary=dictionary, embeddings=embeddings, provider=provider)
-            results = [
-                metrics.iou_single_image(
-                    f, gt, source, embeddings, upsample=settings.get("upsample"), image_id=i
-                )
-                for i, f, gt in dataset
-            ]
+            scorers.append(_single_scorer(settings, embeddings, source))
+    rows = []
+    for value, results in zip(values, _score_images(args, image_ids, scorers)):
+        if args.param == "beta":
+            row = {"mean_class": metrics.aggregate_classic(results)["mean"]}
+        else:
             agg = metrics.aggregate_iou_single(results)
-            rows.append(
-                {"value": value, "mean_class": agg["mean_class"], "mean_image": agg["mean_image"]}
-            )
-        report = {"metric": "iou-single-sweep", "param": args.param, "rows": rows}
+            row = {"mean_class": agg["mean_class"], "mean_image": agg["mean_image"]}
+        rows.append({"value": value, **row})
+    metric = "miou-classic-sweep" if args.param == "beta" else "iou-single-sweep"
+    report = {"metric": metric, "param": args.param, "rows": rows}
     metrics.write_report(report, args.out_json, args.out_tsv)
     return 0
 

@@ -104,7 +104,7 @@ def _expand_pairs(ids: list[int], sizes: list[int], dim: int) -> tuple[np.ndarra
     sizes_a = np.array(sizes, dtype=np.int64)
     starts = np.cumsum(sizes_a) - sizes_a
     codes = []
-    for k in np.unique(sizes_a).tolist():
+    for k in sorted(set(sizes)):
         block = np.sort(ids_a[starts[sizes_a == k][:, None] + np.arange(k)], axis=1)
         a, b = np.triu_indices(k, 1)
         codes.append((block[:, a] * dim + block[:, b]).ravel())

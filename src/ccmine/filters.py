@@ -164,15 +164,14 @@ def _visibility_flags(
     ids: np.ndarray,
     table: VisibilityTable,
     oracle: VisibilityOracle | None,
-    source: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per name, (invisible, unresolved), looked up for the names in ``ids``.
 
-    Each unknown name goes to the oracle once, in the order ``ids`` first
-    holds it.  A name that no oracle is configured for, or whose oracle call
-    fails (service outage), stays unresolved: the caller keeps and flags
-    it, since availability problems must not silently shrink candidate
-    lists.
+    Each name the table lacks goes to the oracle once, in the order ``ids``
+    first holds it; the table itself is only read.  A name that no oracle
+    is configured for, or whose oracle call fails (service outage), stays
+    unresolved: the caller keeps and flags it, since availability problems
+    must not silently shrink candidate lists.
     """
     invisible = np.zeros(len(names), dtype=bool)
     unresolved = np.zeros(len(names), dtype=bool)
@@ -181,7 +180,7 @@ def _visibility_flags(
         visible = table.get(names[k])
         if visible is None and oracle is not None:
             try:
-                visible = table.resolve(names[k], oracle, source=source)
+                visible = oracle(names[k])
             except CCMineError:
                 pass
         if visible is None:
@@ -234,7 +233,6 @@ def filter_rows(
     visibility: VisibilityTable,
     config: FilterConfig | None = None,
     oracle: VisibilityOracle | None = None,
-    oracle_source: str = "llm",
 ) -> StageMasks:
     """Apply stop-word, visibility, and semantic filters, in that order, to
     the candidate lists of many targets at once.
@@ -248,9 +246,7 @@ def filter_rows(
     """
     config = config or FilterConfig()
     stopword = _stopword_flags(names, config.stopwords)[col]
-    invisible, unresolved = _visibility_flags(
-        names, col[~stopword], visibility, oracle, oracle_source
-    )
+    invisible, unresolved = _visibility_flags(names, col[~stopword], visibility, oracle)
     invisible, unresolved = invisible[col], unresolved[col]
     live = ~stopword & ~invisible
     similar = _similar_flags(names, targets, row, col, live, embeddings, config.delta)

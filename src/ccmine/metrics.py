@@ -25,14 +25,15 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .ccgen import CCSet
+from .corpus import normalize_concept
 from .embed import EmbeddingTable
 from .errors import CCMineError, FormatError, ValidationError
 from .ioutil import atomic_write_text
 from .segment import (
-    BOTTOM,
     FeatureMap,
     PromptSet,
     build_prompt_set,
+    grid_values,
     query_masks,
     read_seg_grid,
     read_sidecar,
@@ -80,7 +81,7 @@ class GroundTruth:
             allowed.add(self.ignore_id)
         if self.background_id is not None:
             allowed.add(self.background_id)
-        self._present = np.unique(self.ids).tolist()
+        self._present = grid_values(self.ids)
         unknown = set(self._present) - allowed
         if unknown:
             raise ValidationError(f"ground truth contains unlabeled ids: {sorted(unknown)}")
@@ -117,7 +118,7 @@ def read_gt_sidecar(path: str | Path) -> tuple[dict[int, str], int | None, int |
     for idx, name in names.items():
         if not name.strip():
             raise FormatError(f"sidecar label name for index {idx} must be a non-empty string")
-        labels[idx] = " ".join(name.lower().split())
+        labels[idx] = normalize_concept(name)
     ignore_id = sidecar.get("ignore_id")
     background_id = sidecar.get("background_id")
     for name, value in (("ignore_id", ignore_id), ("background_id", background_id)):
@@ -371,7 +372,7 @@ def sigmoid_sweep(
             del score, gt_mask
             pos.sort()
             neg.sort()
-            fields.append((image_id, label, pos, neg))
+            fields.append((image_id, class_id, label, pos, neg))
     if not fields:
         raise ValidationError("no evaluable classes in the sweep inputs")
     thresholds = np.linspace(lo, hi, steps)
@@ -380,32 +381,26 @@ def sigmoid_sweep(
     counts = [
         (
             image_id,
+            class_id,
             label,
             (len(pos) - np.searchsorted(pos, thresholds, "right")).tolist(),
             (len(pos) + len(neg) - np.searchsorted(neg, thresholds, "right")).tolist(),
         )
-        for image_id, label, pos, neg in fields
+        for image_id, class_id, label, pos, neg in fields
     ]
     rows = []
     for k, threshold in enumerate(thresholds):
-        by_image: dict[str, list[float]] = {}
-        acc: dict[str, list[int]] = {}
-        for image_id, label, inter, union in counts:
-            i, u = inter[k], union[k]
-            if u > 0:
-                by_image.setdefault(image_id, []).append(i / u)
-            bucket = acc.setdefault(label, [0, 0])
-            bucket[0] += i
-            bucket[1] += u
-        image_means = [sum(v) / len(v) for v in by_image.values()]
-        mean_image = sum(image_means) / len(image_means) if image_means else 0.0
-        class_ious = [i / u for i, u in acc.values() if u > 0]
-        mean_class = sum(class_ious) / len(class_ious) if class_ious else 0.0
+        # a row is what eval reports from these counts at its threshold
+        results: dict[str, ImageResult] = {}
+        for image_id, class_id, label, inter, union in counts:
+            score = ClassScore(class_id, label, inter[k], union[k])
+            results.setdefault(image_id, ImageResult(image_id)).scores.append(score)
+        report = aggregate_iou_single(list(results.values()))
         rows.append(
             {
                 "threshold": float(threshold),
-                "mean_class": mean_class,
-                "mean_image": mean_image,
+                "mean_class": report["mean_class"],
+                "mean_image": report["mean_image"],
             }
         )
     return {

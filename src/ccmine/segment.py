@@ -456,6 +456,12 @@ def sigmoid_score_field(
 # ---- label-map artifact ----
 
 
+def grid_values(grid: np.ndarray) -> list[int]:
+    """Distinct values, ascending (a plain ``np.unique`` imports ``numpy.ma``)."""
+    flat = np.sort(grid, axis=None)
+    return np.concatenate((flat[:1], flat[1:][flat[1:] != flat[:-1]])).tolist()
+
+
 def read_seg_grid(data: bytes) -> np.ndarray:
     """Decode the CCSEG1 byte layout into an int32 grid with BOTTOM for
     the 0xFFFF dummy value."""
@@ -530,7 +536,7 @@ class SegMap:
         if arr.ndim != 2:
             raise ValidationError("label map must be two-dimensional")
         self.labels = arr.astype(np.int32)
-        present = set(np.unique(self.labels).tolist()) - {BOTTOM}
+        present = set(grid_values(self.labels)) - {BOTTOM}
         missing = present - set(self.label_names)
         if missing:
             raise ValidationError(f"label map contains unnamed indices: {sorted(missing)}")

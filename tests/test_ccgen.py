@@ -367,7 +367,7 @@ class TestBuildTimestamp:
 # same thing on both sides.
 
 
-def loop_pipeline(candidates, target, embeddings, visibility, config, oracle, oracle_source):
+def loop_pipeline(candidates, target, embeddings, visibility, config, oracle):
     outcome = StageLists()
     stop = {normalize_concept(s) for s in config.stopwords}
     stage = []
@@ -385,7 +385,7 @@ def loop_pipeline(candidates, target, embeddings, visibility, config, oracle, or
                 outcome.unresolved_kept.append(c)
                 continue
             try:
-                cached = visibility.resolve(c, oracle, source=oracle_source)
+                cached = oracle(c)
             except CCMineError:
                 visible.append(c)
                 outcome.unresolved_kept.append(c)
@@ -417,9 +417,7 @@ def loop_build(matrix, occurrence, lexicon, embeddings, visibility, gamma, confi
         chosen.sort(key=lambda item: (-item[1], concepts[item[0]]))
         candidates = [concepts[j] for j, _ in chosen]
         total += len(candidates)
-        outcome = loop_pipeline(
-            candidates, concept, embeddings, visibility, config, oracle, "llm"
-        )
+        outcome = loop_pipeline(candidates, concept, embeddings, visibility, config, oracle)
         cc[concept] = outcome.kept
         outcomes.append(outcome)
     # the build metadata, as sums over the per-concept stage lists
@@ -533,10 +531,11 @@ def build_cases(draw):
 
 def run_build(case, build):
     """(result or the concept a MissingEmbeddingError named, oracle calls,
-    final visibility answers)."""
+    final visibility answers).  The oracle caches its answers in the table,
+    as the command line's LLM oracle does; the builds only read it."""
     calls = []
 
-    def oracle(concept):
+    def ask(concept):
         calls.append(concept)
         if case["answers"][concept] == "raise":
             raise CCMineError("visibility service down")
@@ -545,6 +544,10 @@ def run_build(case, build):
     visibility = VisibilityTable(
         {c: (v, "manual") for c, v in case["known"].items() if v is not None}
     )
+
+    def oracle(concept):
+        return visibility.resolve(concept, ask, source="llm")
+
     lexicon = Lexicon(case["concepts"])
     matrix = cooc_matrix(len(lexicon), case["pairs"])
     try:

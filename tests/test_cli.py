@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from ccmine.ccgen import CCDictionary
 from ccmine.cli import main
 from ccmine.cooc import CoocMatrix
 from ccmine.errors import CCMineError
+from ccmine.filters import VisibilityTable
 from ccmine.metrics import GroundTruth
 from ccmine.segment import BOTTOM, SegMap, sigmoid
 
@@ -63,20 +65,26 @@ def dict_path(tmp_path):
     return path
 
 
-def write_classic_dataset(root: Path) -> tuple[Path, Path]:
-    features_dir = root / "cfeat"
-    gt_dir = root / "cgt"
-    features_dir.mkdir()
-    gt_dir.mkdir()
-    make_scene_features().save(features_dir / "img0.feat")
+def write_two_class_dataset(root: Path, features: dict, scale: int = 1) -> tuple[Path, Path]:
+    """One image per ``features`` entry, each with a 4x4 ground truth of
+    boat, background and water columns, scaled ``scale`` times per side."""
+    features_dir = root / "features"
+    gt_dir = root / "gt"
+    features_dir.mkdir(parents=True)
+    gt_dir.mkdir(parents=True)
     ids = np.zeros((4, 4), dtype=np.int32)
     ids[:, 0:2] = 1
     ids[:, 3] = 2
-    gt = GroundTruth(
-        ids, {0: "background", 1: "boat", 2: "water"}, background_id=0
-    )
-    write_gt_file(gt_dir / "img0.seg", gt)
+    ids = np.kron(ids, np.ones((scale, scale), dtype=np.int32))
+    gt = GroundTruth(ids, {0: "background", 1: "boat", 2: "water"}, background_id=0)
+    for image_id, feature_map in features.items():
+        feature_map.save(features_dir / f"{image_id}.feat")
+        write_gt_file(gt_dir / f"{image_id}.seg", gt)
     return features_dir, gt_dir
+
+
+def write_classic_dataset(root: Path) -> tuple[Path, Path]:
+    return write_two_class_dataset(root / "classic", {"img0": make_scene_features()})
 
 
 class TestMine:
@@ -328,6 +336,54 @@ class TestBuildCC:
         )
         assert code == 0
         assert saved.exists()
+
+    def partial_table(self, tmp_path) -> Path:
+        """A visibility table that leaves some candidates unknown."""
+        path = tmp_path / "vis-in.jsonl"
+        known = {c: (True, "manual") for c in ("boat", "water", "dock")}
+        VisibilityTable({**known, "liberty": (False, "manual")}).save(path)
+        return path
+
+    @pytest.mark.parametrize("policy", ["reject", "accept"])
+    def test_save_visibility_leaves_policy_answers_out(
+        self, capsys, mined, paths, tmp_path, policy
+    ):
+        # a policy's answer is no finding: a later llm run must still ask
+        loaded = self.partial_table(tmp_path)
+        saved = tmp_path / "vis-out.jsonl"
+        code, _, _ = self.build(
+            capsys, mined, paths, tmp_path / "cc.json",
+            "--visibility", loaded,
+            "--unknown-visibility", policy,
+            "--save-visibility", saved,
+        )
+        assert code == 0
+        assert saved.read_bytes() == loaded.read_bytes()
+
+    def test_save_visibility_adds_llm_answers(self, capsys, mined, paths, tmp_path, monkeypatch):
+        calls = []
+
+        def oracle(concept):
+            calls.append(concept)
+            return concept != "cat"
+
+        monkeypatch.setattr(cli, "visibility_oracle", lambda client, markers: oracle)
+        loaded = self.partial_table(tmp_path)
+        saved = tmp_path / "vis-out.jsonl"
+        code, _, _ = self.build(
+            capsys, mined, paths, tmp_path / "cc.json",
+            "--visibility", loaded,
+            "--unknown-visibility", "llm",
+            "--llm-endpoint", "http://127.0.0.1:1/v1/completions",
+            "--save-visibility", saved,
+        )
+        assert code == 0
+        assert sorted(calls) == ["cat", "sunset", "trailer"]
+        want = VisibilityTable.from_file(loaded)
+        for concept in calls:
+            want.set(concept, concept != "cat", source="llm")
+        want.save(tmp_path / "want.jsonl")
+        assert saved.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
     def test_corrupt_matrix_is_validation_error(self, capsys, mined, paths, tmp_path):
         matrix_path, counts_path = mined
@@ -869,7 +925,115 @@ class TestEval:
         assert "feat" in err
 
 
+_SWEEP_VALUES = {"gamma": "0.01,0.99", "delta": "0.5,0.9", "beta": "0.5,0.99"}
+
+
 class TestSweep:
+    @pytest.fixture
+    def param_flags(self, mined, toy_lexicon_path, toy_visibility_path, dict_path):
+        """The flags each value sweep needs besides the dataset's."""
+        matrix_path, counts_path = mined
+        build = [
+            "--matrix", matrix_path,
+            "--counts", counts_path,
+            "--lexicon", toy_lexicon_path,
+            "--visibility", toy_visibility_path,
+        ]
+        cc = ["--cc-mode", "dict", "--cc-dict", dict_path]
+        return {"gamma": build, "delta": build, "beta": cc}
+
+    @pytest.mark.parametrize("param", ["sigmoid", "beta"])
+    def test_row_equals_eval_at_its_value(
+        self, capsys, tmp_path, toy_embeddings_path, param_flags, param
+    ):
+        # gamma and delta: test_gamma_sweep_row_equals_build_then_eval
+        features = {"img0": make_sweep_features(), "img1": make_scene_features()}
+        features_dir, gt_dir = write_two_class_dataset(tmp_path, features)
+        data = [
+            "--features-dir", features_dir,
+            "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path,
+        ]
+        if param == "sigmoid":
+            grid = ["--steps", "12"]
+        else:
+            grid = ["--values", "0.5,0.9,0.99", *param_flags["beta"]]
+        sweep_json = tmp_path / "sweep.json"
+        code, _, _ = run(capsys, "sweep", "--param", param, *grid, *data, "--out-json", sweep_json)
+        assert code == 0
+        eval_json = tmp_path / "eval.json"
+        for row in json.loads(sweep_json.read_text())["rows"]:
+            if param == "sigmoid":
+                flags = ["--segmenter", "sigmoid", "--sigmoid-threshold", repr(row["threshold"])]
+            else:
+                flags = ["--metric", "miou-classic", "--beta", repr(row["value"])]
+                flags += param_flags["beta"]
+            code, _, _ = run(capsys, "eval", *data, *flags, "--out-json", eval_json)
+            assert code == 0
+            report = json.loads(eval_json.read_text())
+            if param == "sigmoid":
+                assert row["mean_class"] == report["mean_class"]
+                assert row["mean_image"] == report["mean_image"]
+            else:
+                assert row["mean_class"] == report["mean"]
+
+    @pytest.mark.parametrize("param", ["gamma", "delta", "beta"])
+    def test_images_are_loaded_one_at_a_time(
+        self, capsys, tmp_path, toy_embeddings_path, param_flags, monkeypatch, param
+    ):
+        events = []
+        load = cli.FeatureMap.load.__func__
+        name = "classic_image" if param == "beta" else "iou_single_image"
+        score = getattr(cli.metrics, name)
+
+        def spy_load(cls, path):
+            events.append(("load", Path(path).stem))
+            return load(cls, path)
+
+        def spy_score(*args, **kwargs):
+            events.append("score")
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(cli.FeatureMap, "load", classmethod(spy_load))
+        monkeypatch.setattr(cli.metrics, name, spy_score)
+        features = {"img0": make_scene_features(), "img1": make_scene_features()}
+        features_dir, gt_dir = write_two_class_dataset(tmp_path, features)
+        code, _, _ = run(
+            capsys, "sweep", "--param", param, "--values", _SWEEP_VALUES[param],
+            "--features-dir", features_dir, "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path, *param_flags[param],
+            "--out-json", tmp_path / "sweep.json",
+        )
+        assert code == 0
+        # every value scores an image before the next one loads
+        assert events == [("load", "img0"), "score", "score", ("load", "img1"), "score", "score"]
+
+    @pytest.mark.parametrize("param", ["gamma", "delta", "beta"])
+    def test_peak_memory_does_not_grow_with_images(
+        self, tmp_path, toy_embeddings_path, param_flags, param
+    ):
+        def peak(n: int, tag: str) -> int:
+            root = tmp_path / tag
+            features = {f"img{k}": make_scene_features() for k in range(n)}
+            features_dir, gt_dir = write_two_class_dataset(root, features, scale=64)
+            argv = [
+                "sweep", "--param", param, "--values", _SWEEP_VALUES[param],
+                "--features-dir", features_dir, "--gt-dir", gt_dir,
+                "--embeddings", toy_embeddings_path, *param_flags[param],
+                "--out-json", root / "sweep.json",
+            ]
+            tracemalloc.start()
+            try:
+                assert main([str(a) for a in argv]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2, "warm-up")  # first-call caches out of the way
+        two, eight = peak(2, "two"), peak(8, "eight")
+        # an image's 256x256 int32 ground truth alone is 256 KiB
+        assert eight < two + (64 << 10)
+
     def test_sigmoid_sweep(self, capsys, tmp_path, toy_embeddings_path):
         features_dir = tmp_path / "feat"
         gt_dir = tmp_path / "gt"
@@ -1195,6 +1359,36 @@ class TestWiring:
         proc = run_python(code)
         assert proc.returncode == 0, proc.stderr
 
+    def test_jobs_leave_numpy_ma_unloaded(
+        self, tmp_path, toy_corpus_path, toy_lexicon_path, toy_embeddings_path, dict_path
+    ):
+        # a plain np.unique imports numpy.ma, which costs every job ~16 ms
+        features_dir, gt_dir = write_scene_dataset(tmp_path)
+        data = ["--features-dir", features_dir, "--gt-dir", gt_dir,
+                "--embeddings", toy_embeddings_path]
+        jobs = [
+            ["mine", "--corpus", toy_corpus_path, "--lexicon", toy_lexicon_path,
+             "--out-matrix", tmp_path / "m.cooc", "--out-counts", tmp_path / "m.counts"],
+            ["eval", *data, "--cc-mode", "dict", "--cc-dict", dict_path,
+             "--out-json", tmp_path / "e.json"],
+            ["eval", *data, "--metric", "miou-classic", "--cc-mode", "dict",
+             "--cc-dict", dict_path, "--out-json", tmp_path / "c.json"],
+            ["sweep", "--param", "sigmoid", "--steps", "3", *data,
+             "--out-json", tmp_path / "s.json"],
+            ["segment", "--features", features_dir / "img0.feat",
+             "--embeddings", toy_embeddings_path, "--query", "boat",
+             "--out", tmp_path / "seg.seg"],
+        ]
+        code = (
+            "import json, sys\n"
+            "from ccmine.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'"
+        )
+        proc = run_python(code, json.dumps([[str(a) for a in job] for job in jobs]))
+        assert proc.returncode == 0, proc.stderr
+
     def test_flag_inventory(self):
         got = {}
         for name, sub in subparsers().items():
@@ -1368,6 +1562,16 @@ class TestNonFiniteNumbers:
             main(["build-cc", *_REQUIRED["build-cc"], "--gamma", "abc"])
         assert exc.value.code == 2
         assert "invalid number value: 'abc'" in capsys.readouterr().err
+
+    def test_process_exit_codes(self):
+        # a text that is no number is a usage error; NaN parses but is invalid
+        code = "import sys\nfrom ccmine.cli import main\nraise SystemExit(main(sys.argv[1:]))"
+        proc = run_python(code, "build-cc", *_REQUIRED["build-cc"], "--gamma", "abc")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: ")
+        proc = run_python(code, "build-cc", *_REQUIRED["build-cc"], "--gamma", "nan")
+        assert proc.returncode == 3
+        assert proc.stderr == "error: --gamma must be a finite number, got 'nan'\n"
 
     @pytest.mark.parametrize("values", ["nan", "0.5,inf", "0.5,-Infinity"])
     def test_sweep_values_exit_3(self, capsys, tmp_path, toy_embeddings_path, values):

@@ -168,11 +168,30 @@ class TestAbstractFilter:
         assert [o.unresolved_kept for o in outcomes] == [["fog", "mist"], ["mist", "fog"]]
         assert calls == ["fog", "mist"]
 
-    def test_oracle_result_cached_in_table(self):
+    def test_filters_do_not_write_the_table(self):
+        # a policy's answer is no finding: a later run may still ask about it
         table = VisibilityTable()
         outcome = filter_one(["fog"], "t", axis_table(["t"]), table, oracle=lambda c: False)
         assert outcome.kept == []
         assert outcome.removed_invisible == ["fog"]
+        assert "fog" not in table
+
+    def test_oracle_result_cached_in_table(self):
+        # an oracle that caches, as the command line's LLM oracle does
+        table = VisibilityTable()
+        calls = []
+
+        def ask(concept):
+            calls.append(concept)
+            return False
+
+        def oracle(concept):
+            return table.resolve(concept, ask, source="llm")
+
+        for _ in range(2):
+            outcome = filter_one(["fog"], "t", axis_table(["t"]), table, oracle=oracle)
+            assert outcome.removed_invisible == ["fog"]
+        assert calls == ["fog"]
         assert table.get("fog") is False
 
     def test_policy_oracles(self):

@@ -1,0 +1,37 @@
+"""Import hygiene of the package sources."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ccmine
+
+SOURCES = sorted(
+    path for path in Path(ccmine.__file__).parent.glob("*.py") if path.name != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports at top level and never reads, in import order."""
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_checker_finds_an_unused_import():
+    source = "import os\nimport numpy as np\nfrom typing import Callable, List\nx: List = np\n"
+    assert unused_imports(source) == ["os", "Callable"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccmine import metrics
 from ccmine.ccgen import CCDictionary, CCSet, cc_bg, cc_d, cc_none
 from ccmine.embed import EmbeddingTable
 from ccmine.errors import CCMineError, FormatError, ValidationError
@@ -82,8 +83,8 @@ class TestGroundTruth:
 
     def test_present_ids_are_found_once(self, monkeypatch):
         calls = []
-        unique = np.unique
-        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        values = metrics.grid_values
+        monkeypatch.setattr(metrics, "grid_values", lambda *a: calls.append(1) or values(*a))
         ids = np.array([[3, 1, 255], [0, 3, 2]])
         gt = GroundTruth(ids, {1: "a", 2: "b", 3: "c"}, ignore_id=255, background_id=0)
         assert gt.evaluable_ids() == [1, 2, 3]
@@ -456,7 +457,8 @@ class TestSigmoidSweep:
 
 def sweep_reference(items, embeddings, steps):
     """The sigmoid sweep with one ``intersection_union`` pass over every
-    score field per threshold: what the sorted-score counts replaced."""
+    score field per threshold, what the sorted-score counts replaced, each
+    threshold's counts aggregated as eval aggregates them."""
     cached = []
     lo, hi = np.inf, -np.inf
     for image_id, features, gt in items:
@@ -465,26 +467,24 @@ def sweep_reference(items, embeddings, steps):
         for class_id in gt.evaluable_ids():
             label = gt.labels[class_id]
             score = sigmoid_score_field(features, embeddings.vector(label), h, w)
-            cached.append((image_id, label, score, gt.ids == class_id, keep))
+            cached.append((image_id, class_id, label, score, gt.ids == class_id, keep))
             lo = min(lo, float(score.min()))
             hi = max(hi, float(score.max()))
     thresholds = np.linspace(lo, hi, steps)
     rows = []
     for threshold in thresholds:
-        by_image, acc = {}, {}
-        for image_id, label, score, gt_mask, keep in cached:
+        results = {}
+        for image_id, class_id, label, score, gt_mask, keep in cached:
             i, u = intersection_union(score > threshold, gt_mask, keep)
-            if u > 0:
-                by_image.setdefault(image_id, []).append(i / u)
-            bucket = acc.setdefault(label, [0, 0])
-            bucket[0] += i
-            bucket[1] += u
-        image_means = [sum(v) / len(v) for v in by_image.values()]
-        mean_image = sum(image_means) / len(image_means) if image_means else 0.0
-        class_ious = [i / u for i, u in acc.values() if u > 0]
-        mean_class = sum(class_ious) / len(class_ious) if class_ious else 0.0
+            result = results.setdefault(image_id, ImageResult(image_id))
+            result.scores.append(ClassScore(class_id, label, i, u))
+        report = aggregate_iou_single(list(results.values()))
         rows.append(
-            {"threshold": float(threshold), "mean_class": mean_class, "mean_image": mean_image}
+            {
+                "threshold": float(threshold),
+                "mean_class": report["mean_class"],
+                "mean_image": report["mean_image"],
+            }
         )
     return {
         "metric": "iou-single-sigmoid-sweep",

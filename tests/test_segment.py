@@ -628,3 +628,16 @@ class TestSegMap:
         seg = SegMap(np.array([[BOTTOM]]), {})
         data = seg.dumps()
         assert data[-2:] == b"\xff\xff"
+
+
+class TestGridValues:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grid=hnp.arrays(
+            np.int32,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12),
+            elements=st.integers(-(2**31), 2**31 - 1) | st.integers(-3, 3),
+        )
+    )
+    def test_equals_np_unique(self, grid):
+        assert segment.grid_values(grid) == np.unique(grid).tolist()
