@@ -22,13 +22,14 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
 
 from .cooc import CoocMatrix, normalize as cooc_normalize, select_all
 from .corpus import Lexicon, normalize_concept
-from .embed import EmbeddingProvider, EmbeddingTable, cosines, nearest_neighbor
+from .embed import EmbeddingProvider, EmbeddingTable, nearest_neighbor
 from .errors import FormatError, ValidationError
 from .filters import FilterConfig, VisibilityOracle, VisibilityTable, filter_rows
 from .ioutil import atomic_write_text, read_text
@@ -101,9 +102,10 @@ class CCDictionary:
             norm(k): [norm(v) for v in vals] for k, vals in cc.items()
         }
         self.meta: dict = dict(meta or {})
-        # (table, its lexicon view); holding the table keeps the identity
-        # check sound, where an id() could be reused after collection
-        self._nn_cache: tuple[EmbeddingTable, EmbeddingTable] | None = None
+        # [table, its lexicon view], shared by dictionaries with the same
+        # concepts; holding the table keeps the identity check sound, where
+        # an id() could be reused after collection
+        self._nn_cache: list[EmbeddingTable] = []
 
     def __contains__(self, concept: str) -> bool:
         return normalize_concept(concept) in self.cc
@@ -117,17 +119,39 @@ class CCDictionary:
     def lexicon_table(self, table: EmbeddingTable) -> EmbeddingTable:
         """A view of ``table`` restricted to this dictionary's concepts, so
         nearest-neighbor lookups cannot land on non-lexicon entries."""
-        if self._nn_cache is not None and self._nn_cache[0] is table:
-            return self._nn_cache[1]
+        cached = self._nn_cache
+        if cached and cached[0] is table:
+            return cached[1]
         sub = table.subset(sorted(self.cc))
-        self._nn_cache = (table, sub)
+        cached[:] = (table, sub)
         return sub
+
+    def share_lexicon_table(self, other: "CCDictionary") -> None:
+        """Use ``other``'s lexicon views from now on, so dictionaries with
+        the same concepts hold one view between them."""
+        if self.cc.keys() != other.cc.keys():
+            raise ValidationError("only dictionaries with the same concepts share a lexicon view")
+        self._nn_cache = other._nn_cache
 
     # ---- serialization ----
 
     def dumps(self) -> str:
-        payload = {"meta": self.meta, "cc": self.cc}
-        return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        """``json.dumps({"meta": meta, "cc": cc}, ensure_ascii=False,
+        sort_keys=True, indent=2)`` and a newline, written out by hand:
+        ``indent`` sends ``json`` to its pure-Python encoder, while each
+        string here goes through its C one."""
+        entries = []
+        for concept in sorted(self.cc):
+            values = self.cc[concept]
+            items = ",\n      ".join(map(encode_basestring, values))
+            items = f"[\n      {items}\n    ]" if values else "[]"
+            entries.append(f"    {encode_basestring(concept)}: {items}")
+        cc = "{\n" + ",\n".join(entries) + "\n  }" if entries else "{}"
+        meta = json.dumps(self.meta, ensure_ascii=False, sort_keys=True, indent=2)
+        # json escapes every newline inside a string, so each one here
+        # starts a line, which the nesting indents by one more level
+        meta = meta.replace("\n", "\n  ")
+        return f'{{\n  "cc": {cc},\n  "meta": {meta}\n}}\n'
 
     def save(self, path: str | Path) -> None:
         atomic_write_text(path, self.dumps())
@@ -288,7 +312,7 @@ def cc_multi(
     queries = [s.query for s in cc_sets]
     if len(queries) != len(set(queries)):
         raise ValidationError("duplicate queries in multi-query merge")
-    query_vecs = [embeddings.vector(qn) for qn in queries]
+    query_rows = embeddings.rows(queries)
     query_index = {qn: k for k, qn in enumerate(queries)}
     order: list[str] = []
     sources: dict[str, list[str]] = {}
@@ -300,11 +324,10 @@ def cc_multi(
             if cc_set.query not in contributed:
                 contributed.append(cc_set.query)
     merged = [c for c in order if c not in query_index]
-    vectors = np.array([embeddings.vector(c) for c in merged]).reshape(len(merged), embeddings.dim)
-    query_rows = np.array(query_vecs).reshape(len(queries), embeddings.dim)
+    merged_rows = embeddings.rows(merged)
     # admitted[q, m]: merged concept m is at most beta similar to query q
-    sims = cosines(
-        np.tile(vectors, (len(queries), 1)), np.repeat(query_rows, len(merged), axis=0)
+    sims = embeddings.pair_cosines(
+        np.tile(merged_rows, len(queries)), np.repeat(query_rows, len(merged))
     )
     admitted = (sims <= beta).reshape(len(queries), len(merged))
     column = {concept: m for m, concept in enumerate(merged)}

@@ -624,9 +624,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValidationError(f"a {args.param} sweep needs --matrix, --counts, and --lexicon")
         inputs = _build_inputs(args)
         provider = TableProvider(embeddings)
+        dictionaries = [
+            _dictionary(settings, inputs, embeddings, **{args.param: value}) for value in values
+        ]
         scorers = []
-        for value in values:
-            dictionary = _dictionary(settings, inputs, embeddings, **{args.param: value})
+        for dictionary in dictionaries:
+            # each has the lexicon's concepts, so one lexicon view serves all
+            dictionary.share_lexicon_table(dictionaries[0])
             source = partial(cc_d, dictionary=dictionary, embeddings=embeddings, provider=provider)
             scorers.append(_single_scorer(settings, embeddings, source))
     rows = []

@@ -22,7 +22,6 @@ import re
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import filterfalse
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,8 @@ _FOLD_MIN = 1 << 20
 _DUMP_ROWS = 1 << 16
 # largest dimension whose pair codes i * dim + j fit in int64
 _MAX_DIM = 2**31
-_TRIPLET = re.compile(r"[0-9]+\t[0-9]+\t[0-9]+")
+# the separators of a triplet line: tab, tab, newline
+_TRIPLET_SEPS = np.frombuffer(b"\t\t\n", dtype=np.uint8)
 _COUNT_LINE = re.compile(r"([0-9]+)\t([0-9]+)")
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -204,11 +204,9 @@ class CoocMatrix:
         dim, body_lines, body = _read_framed(text, _COOC_HEADER, "cooc")
         if not 0 <= dim <= _MAX_DIM:
             raise FormatError(f"cooc dimension {dim} outside [0, {_MAX_DIM}]")
-        # line by line: one pattern repeated over the whole body would grow
-        # the regex engine's stack with the line count
-        bad = next(filterfalse(_TRIPLET.fullmatch, body_lines), None)
+        bad = _first_bad_triplet(body)
         if bad is not None:
-            raise FormatError(f"bad cooc triplet line: {bad!r}")
+            raise FormatError(f"bad cooc triplet line: {body_lines[bad]!r}")
         # values past int64 saturate to its maximum, which the range checks
         # below reject since dim is bounded
         i, j, count = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 3).T.copy()
@@ -236,9 +234,26 @@ def _frame(header: str, dim: int, body: str) -> str:
     return f"{header} {dim}\n{body}#sha256:{digest}\n"
 
 
-def _read_framed(text: str, header: str, kind: str) -> tuple[int, list[str], str]:
+def _first_bad_triplet(body: bytes) -> int | None:
+    """Index of the first line of ``body``, which ends in a newline, that is
+    not three fields of ASCII digits joined by tabs; None if there is none.
+
+    One pass over the bytes: each non-digit must be the next separator of
+    the cycle tab, tab, newline, and must follow a digit.
+    """
+    data = np.frombuffer(body, dtype=np.uint8)
+    at = np.flatnonzero(data - ord("0") > 9)  # uint8: bytes below "0" wrap
+    seps = data[at]
+    expected = np.tile(_TRIPLET_SEPS, len(at) // 3 + 1)[: len(at)]
+    bad = np.flatnonzero((seps != expected) | (np.diff(at, prepend=-1) < 2))
+    if not len(bad):
+        return None
+    return int(np.count_nonzero(seps[: bad[0]] == ord("\n")))
+
+
+def _read_framed(text: str, header: str, kind: str) -> tuple[int, list[str], bytes]:
     """Check a digest-framed text artifact; returns its header dimension,
-    body lines and body text."""
+    body lines and the body's UTF-8 bytes."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith(header + " "):
         raise FormatError(f"not a {header} file")
@@ -250,8 +265,8 @@ def _read_framed(text: str, header: str, kind: str) -> tuple[int, list[str], str
         raise FormatError(f"missing sha256 trailer in {kind} file")
     expected = lines[-1][len("#sha256:"):]
     body_lines = lines[1:-1]
-    body = "".join(line + "\n" for line in body_lines)
-    if hashlib.sha256(body.encode("utf-8")).hexdigest() != expected:
+    body = ("\n".join(body_lines) + "\n").encode("utf-8") if body_lines else b""
+    if hashlib.sha256(body).hexdigest() != expected:
         raise FormatError(f"{kind} file digest mismatch; file is corrupt or edited")
     return dim, body_lines, body
 

@@ -27,6 +27,8 @@ from .ioutil import atomic_write_bytes, decode_utf8
 
 _MAGIC = b"CCEMB1"
 _NORM_TOLERANCE = 1e-4
+# row pairs gathered at once by ``pair_cosines``; bounds its transient copies
+_GATHER_ROWS = 256
 
 
 def _norm(row: np.ndarray) -> float:
@@ -62,6 +64,7 @@ class EmbeddingTable:
         self.dim: int = int(unit.shape[1])
         self._unit = unit
         self._index = {name: k for k, name in enumerate(self.names)}
+        self._norms: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -69,24 +72,44 @@ class EmbeddingTable:
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
-    @property
-    def unit(self) -> np.ndarray:
-        """The unit vectors in float64, one row per name."""
-        return self._unit
-
     def positions(self, names) -> np.ndarray:
         """Row of each name in the table; -1 where a name has none."""
         index = self._index
         return np.array([index.get(name, -1) for name in names], dtype=np.int64)
 
-    def subset(self, names: list[str]) -> "EmbeddingTable":
-        """The rows of ``names`` in that order, bit for bit (not normalized again)."""
+    def rows(self, names) -> np.ndarray:
+        """Row of each name in the table; the first name without one raises."""
         rows = self.positions(names)
         if (rows < 0).any():
             raise MissingEmbeddingError(names[int(np.argmax(rows < 0))])
+        return rows
+
+    def subset(self, names: list[str]) -> "EmbeddingTable":
+        """The rows of ``names`` in that order, bit for bit (not normalized again)."""
         sub = EmbeddingTable.__new__(EmbeddingTable)
-        sub._set_rows(names, self._unit[rows], None)
+        sub._set_rows(names, self._unit[self.rows(names)], None)
         return sub
+
+    def pair_cosines(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Cosine of row ``a[k]`` with row ``b[k]`` for each ``k``, bit for
+        bit ``cosines`` of the two rows.
+
+        The row norms come once per table from the same row-wise ``einsum``
+        as ``cosines``, so they have its bits, and each pair costs only its
+        dot product, summed along the row as there.  A run of pairs with one
+        ``b`` row takes those in one ``einsum`` over at most ``_GATHER_ROWS``
+        gathered ``a`` rows, so callers pass the pairs grouped by ``b``.
+        """
+        if self._norms is None:
+            self._norms = _row_norms(self._unit)
+        unit, out = self._unit, np.empty(len(a))
+        starts = np.flatnonzero(np.diff(b, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(b)]):
+            for start in range(lo, hi, _GATHER_ROWS):
+                part = slice(start, min(start + _GATHER_ROWS, hi))
+                np.einsum("ij,j->i", unit[a[part]], unit[b[start]], out=out[part])
+        out /= self._norms[a] * self._norms[b]
+        return np.clip(out, -1.0, 1.0, out=out)
 
     def vector(self, name: str) -> np.ndarray:
         try:

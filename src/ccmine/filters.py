@@ -22,14 +22,12 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import normalize_concept
-from .embed import EmbeddingTable, cosines
+from .embed import EmbeddingTable
 from .errors import CCMineError, FormatError, MissingEmbeddingError, ValidationError
 from .ioutil import atomic_write_text, read_text
 
 DEFAULT_STOPWORDS = frozenset({"image", "photo", "picture", "view"})
 DEFAULT_DELTA = 0.8
-# candidate vectors gathered at once by the semantic stage
-_GATHER_ROWS = 256
 
 _ALLOWED_SOURCES = ("cached", "llm", "manual")
 
@@ -216,11 +214,7 @@ def _similar_flags(
         raise MissingEmbeddingError(names[t])
     similar = np.zeros(len(row), dtype=bool)
     pairs = np.flatnonzero(live)
-    unit = table.unit
-    # bounded gathers keep the transient vector copies small
-    for start in range(0, len(pairs), _GATHER_ROWS):
-        part = pairs[start : start + _GATHER_ROWS]
-        similar[part] = cosines(unit[at[col[part]]], unit[at[row[part]]]) > delta
+    similar[pairs] = table.pair_cosines(at[col[pairs]], at[row[pairs]]) > delta
     return similar
 
 

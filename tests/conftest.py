@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ccmine.cooc import CoocMatrix, _sum_by_key
 from ccmine.corpus import Lexicon
@@ -162,6 +163,28 @@ def cosine(a, b) -> float:
     a = np.asarray(a, dtype=np.float64).reshape(1, -1)
     b = np.asarray(b, dtype=np.float64).reshape(1, -1)
     return float(cosines(a, b)[0])
+
+
+@st.composite
+def near_tables(draw, names):
+    """Tables whose cosines crowd the thresholds: Gaussian rows, each later
+    one maybe a near duplicate or a rescaled copy of an earlier one; the
+    rows are sometimes stored as float32 (a CCEMB1 round trip), and
+    sometimes a name has none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([1, 2, 3, 7, 16, 33, 300]))
+    rows = rng.standard_normal((len(names), dim))
+    for k in range(1, len(names)):
+        source = rows[draw(st.integers(0, k - 1))]
+        kind = draw(st.sampled_from(["own", "near", "scaled"]))
+        if kind == "near":
+            rows[k] = source + draw(st.sampled_from([1e-12, 1e-9, 1e-6])) * rng.standard_normal(dim)
+        elif kind == "scaled":
+            rows[k] = source * draw(st.sampled_from([1e-3, 0.5, 3.0, 1e4]))
+    absent = draw(st.sets(st.sampled_from(names), max_size=2)) if draw(st.booleans()) else set()
+    present = [name for name in names if name not in absent]
+    table = EmbeddingTable(present, rows[[names.index(n) for n in present]].reshape(-1, dim))
+    return EmbeddingTable.loads(table.dumps()) if draw(st.booleans()) else table
 
 
 def cooc_matrix(dim: int, pairs: dict) -> CoocMatrix:

@@ -34,6 +34,7 @@ from conftest import (
     StageLists,
     cooc_matrix,
     cosine,
+    near_tables,
     pair_counts,
     split_masks,
 )
@@ -154,7 +155,31 @@ class TestDictionaryBuild:
         assert dictionary.meta["unresolved_kept"] == ["boat", "cat", "dock", "sunset", "water"]
 
 
+# characters json escapes (quotes, backslashes, controls), one it leaves as
+# is (U+2028), and non-BMP ones, among any others
+_JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\U0001f600\u00e9'), st.characters()),
+    max_size=6,
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_TEXT, inner, max_size=3),
+    max_leaves=10,
+)
+
+
 class TestDictionaryIO:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cc=st.dictionaries(_JSON_TEXT, st.lists(_JSON_TEXT, max_size=4), max_size=5),
+        meta=st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=4),
+    )
+    def test_dumps_is_json_dumps_with_indent(self, cc, meta):
+        d = CCDictionary({}, meta)
+        d.cc = cc  # as given: the constructor would normalize whitespace away
+        want = json.dumps({"meta": meta, "cc": cc}, ensure_ascii=False, sort_keys=True, indent=2)
+        assert d.dumps() == want + "\n"
+
     def test_roundtrip(self, tmp_path):
         d = CCDictionary({"boat": ["water"]}, {"gamma": 0.01})
         path = tmp_path / "cc.json"
@@ -233,6 +258,14 @@ class TestDictionaryIO:
         d = CCDictionary({"boat": [], "zebra": [], "water": []})
         with pytest.raises(MissingEmbeddingError, match="zebra"):
             d.lexicon_table(toy_embeddings)
+
+    def test_shared_lexicon_table_is_one_view(self, toy_embeddings):
+        first = CCDictionary({"boat": ["water"], "water": []})
+        second = CCDictionary({"water": ["boat"], "boat": []})
+        second.share_lexicon_table(first)
+        assert second.lexicon_table(toy_embeddings) is first.lexicon_table(toy_embeddings)
+        with pytest.raises(ValidationError, match="same concepts"):
+            CCDictionary({"boat": []}).share_lexicon_table(first)
 
 
 class TestCCD:
@@ -631,21 +664,25 @@ class TestBuildAgainstPerConceptLoop:
 
 
 class TestCCMultiAgainstLoop:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_same_kept_and_excluded(self, data):
         concepts = data.draw(st.permutations(POOL))[: data.draw(st.integers(1, 8))]
-        table = data.draw(embedding_tables(concepts))
+        table = data.draw(st.one_of(embedding_tables(concepts), near_tables(concepts)))
         queries = data.draw(st.lists(st.sampled_from(concepts), unique=True, max_size=4))
         sets = [
             CCSet(q, "llm", data.draw(st.lists(st.sampled_from(concepts), max_size=6)))
             for q in queries
         ]
-        beta = data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0, None]))
+        beta = data.draw(st.one_of(st.none(), st.sampled_from([0.0, 0.5, 0.9, 1.0])))
         if beta is None:
-            present = table.names or [None]
-            a, b = data.draw(st.sampled_from(present)), data.draw(st.sampled_from(present))
-            beta = cosine(table.vector(a), table.vector(b)) if a is not None else 0.9
+            # exactly the cosine of a query and a concept of some set
+            embedded = set(table.names)
+            pairs = [
+                (q, c) for s in sets for c in s.concepts for q in queries if {q, c} <= embedded
+            ]
+            pair = data.draw(st.sampled_from(pairs or [None]))
+            beta = cosine(table.vector(pair[0]), table.vector(pair[1])) if pair else 0.9
         scope = data.draw(st.sampled_from(["all", "source"]))
 
         def outcome(merge):

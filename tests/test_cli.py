@@ -19,15 +19,17 @@ from ccmine import cli
 from ccmine.ccgen import CCDictionary
 from ccmine.cli import main
 from ccmine.cooc import CoocMatrix
+from ccmine.embed import EmbeddingTable
 from ccmine.errors import CCMineError
 from ccmine.filters import VisibilityTable
 from ccmine.metrics import GroundTruth
-from ccmine.segment import BOTTOM, SegMap, sigmoid
+from ccmine.segment import BOTTOM, FeatureMap, SegMap, sigmoid
 
 from conftest import (
     EXPECTED_DICT_G001,
     TOY_CAPTIONS,
     TOY_CONCEPTS,
+    TOY_VECTORS,
     make_scene_features,
     make_sweep_features,
     pair_counts,
@@ -271,6 +273,64 @@ class TestBuildCC:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "policy,digest",
+        [
+            ("accept", "61271c79323290f30c064669ef23902dda8efaffca54b2bef104ce84e96ed69d"),
+            ("reject", "c4a2751f08b71736287ac691e4b66cbe2741b05a44c23eeb99a553250eae4640"),
+            ("llm", "0e915c0d935657b1ccfa2954e084a52513f894cf5b526b3f7db77fcac04d12a0"),
+        ],
+    )
+    def test_cc_json_bytes_are_pinned(self, capsys, tmp_path, monkeypatch, policy, digest):
+        # ship's cosine to boat, water and gull is exactly 0.5, the delta;
+        # dock is above it for boat, ship and water; photo is a stop-word;
+        # gull has no visibility answer, and the llm oracle fails on it
+        vectors = {
+            "boat": (1.0, 0.0, 0.0, 0.0),
+            "dock": (0.6, 0.8, 0.0, 0.0),
+            "gull": (0.0, 0.0, 0.0, 1.0),
+            "photo": (0.0, 0.0, 1.0, 0.0),
+            "ship": (0.5, 0.5, 0.5, 0.5),
+            "water": (0.0, 1.0, 0.0, 0.0),
+        }
+        captions = [
+            "a boat and a ship on the water",
+            "a photo of a boat at the dock",
+            "a gull over the water near the boat",
+            "the ship at the dock",
+            "a gull on the ship",
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join(json.dumps({"id": f"c{k}", "text": t}) + "\n" for k, t in enumerate(captions))
+        )
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("".join(c + "\n" for c in vectors))
+        embeddings = tmp_path / "embeddings.emb"
+        EmbeddingTable(list(vectors), np.array(list(vectors.values()))).save(embeddings)
+        visibility = tmp_path / "visibility.jsonl"
+        VisibilityTable({c: (True, "manual") for c in vectors if c != "gull"}).save(visibility)
+
+        def oracle(concept):
+            raise CCMineError("visibility service down")
+
+        monkeypatch.setattr(cli, "visibility_oracle", lambda client, markers: oracle)
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        matrix, counts, out = tmp_path / "pairs.cooc", tmp_path / "occ.counts", tmp_path / "cc.json"
+        code, _, _ = run(
+            capsys, "mine", "--corpus", corpus, "--lexicon", lexicon,
+            "--out-matrix", matrix, "--out-counts", counts,
+        )
+        assert code == 0
+        code, _, _ = run(
+            capsys, "build-cc", "--matrix", matrix, "--counts", counts, "--lexicon", lexicon,
+            "--embeddings", embeddings, "--visibility", visibility, "--delta", "0.5",
+            "--unknown-visibility", policy,
+            "--llm-endpoint", "http://127.0.0.1:1/v1/completions", "--out", out,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_meta_records_digests_and_filter_diagnostics(
         self, capsys, mined, paths, tmp_path, monkeypatch
@@ -1033,6 +1093,55 @@ class TestSweep:
         two, eight = peak(2, "two"), peak(8, "eight")
         # an image's 256x256 int32 ground truth alone is 256 KiB
         assert eight < two + (64 << 10)
+
+    def test_values_share_one_lexicon_view(self, capsys, tmp_path, toy_corpus_path):
+        # "ship" is embedded but not in the lexicon, so cc_d looks it up in
+        # a lexicon view of the table, here 1,007 x 512 float64 rows (4 MB)
+        dim = 512
+        fillers = [f"filler{k:04d}" for k in range(1000)]
+        vectors = {name: np.pad(v, (0, dim - 3)) for name, v in TOY_VECTORS.items()}
+        vectors.update(zip(fillers, np.random.default_rng(7).normal(size=(len(fillers), dim))))
+        names = sorted(vectors)
+        embeddings_path = tmp_path / "wide.emb"
+        EmbeddingTable(names, np.array([vectors[n] for n in names])).save(embeddings_path)
+        lexicon_path = tmp_path / "lexicon.txt"
+        lexicon_path.write_text("".join(c + "\n" for c in TOY_CONCEPTS + fillers))
+        matrix_path, counts_path = tmp_path / "pairs.cooc", tmp_path / "occ.counts"
+        code, _, _ = run(
+            capsys, "mine", "--corpus", toy_corpus_path, "--lexicon", lexicon_path,
+            "--out-matrix", matrix_path, "--out-counts", counts_path,
+        )
+        assert code == 0
+        features_dir, gt_dir = tmp_path / "features", tmp_path / "gt"
+        features_dir.mkdir()
+        gt_dir.mkdir()
+        FeatureMap(np.pad(make_scene_features().unit, ((0, 0), (0, 0), (0, dim - 3)))).save(
+            features_dir / "img0.feat"
+        )
+        ids = np.zeros((4, 4), dtype=np.int32)
+        ids[:, 0:2] = 1
+        ids[:, 3] = 2
+        gt = GroundTruth(ids, {0: "background", 1: "ship", 2: "water"}, background_id=0)
+        write_gt_file(gt_dir / "img0.seg", gt)
+
+        def peak(values: str) -> int:
+            argv = [
+                "sweep", "--param", "gamma", "--values", values,
+                "--features-dir", features_dir, "--gt-dir", gt_dir,
+                "--embeddings", embeddings_path, "--matrix", matrix_path,
+                "--counts", counts_path, "--lexicon", lexicon_path,
+                "--out-json", tmp_path / "sweep.json",
+            ]
+            tracemalloc.start()
+            try:
+                assert main([str(a) for a in argv]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("0.01")  # first-call caches out of the way
+        one, four = peak("0.01"), peak("0.01,0.02,0.03,0.05")
+        assert four < one + (2 << 20)
 
     def test_sigmoid_sweep(self, capsys, tmp_path, toy_embeddings_path):
         features_dir = tmp_path / "feat"

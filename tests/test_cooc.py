@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccmine import cooc
 
 from ccmine.cooc import (
+    MAX_COUNT,
     CoocMatrix,
     build_cooc,
     load_counts,
@@ -58,6 +60,88 @@ def members(freq, i, gamma):
     """Row ``i``'s run of ``select_all``, as concept strings."""
     row, col = select_all(freq, gamma)
     return [freq.lexicon.concepts[j] for j in col[row == i].tolist()]
+
+
+_TRIPLET = re.compile(r"[0-9]+\t[0-9]+\t[0-9]+")
+
+
+def line_by_line_loads(text):
+    """``CoocMatrix.loads`` as a loop over the lines: the syntax by regex,
+    then the ids, counts and order, each with its first offending line."""
+    lines = text.splitlines()
+    dim = int(lines[0].rsplit(" ", 1)[1])
+    body = lines[1:-1]
+    bad = next((line for line in body if not _TRIPLET.fullmatch(line)), None)
+    if bad is not None:
+        raise FormatError(f"bad cooc triplet line: {bad!r}")
+    triplets = [tuple(map(int, line.split("\t"))) for line in body]
+    for line, (i, j, _) in zip(body, triplets):
+        if not i < j < dim:
+            raise FormatError(f"triplet ids out of order or range: {line!r}")
+    for line, (_, _, count) in zip(body, triplets):
+        if not 0 < count <= MAX_COUNT:
+            raise FormatError(f"triplet count out of range: {line!r}")
+    if any(a[:2] >= b[:2] for a, b in zip(triplets, triplets[1:])):
+        raise FormatError("cooc triplets are not strictly ascending")
+    return triplets
+
+
+# ASCII digits and separators, the characters around them that a loose
+# parser would accept, line breaks that splitlines() honours, a non-ASCII digit
+_BODY_CHARS = "0123456789\t\n +-\r\x0b\u2028\u0663"
+_FIELDS = st.text("0123456789", min_size=1, max_size=3)
+
+
+@st.composite
+def cooc_texts(draw):
+    """A dimension and a body: mostly well-formed triplets, sometimes out of
+    order or range, with stray characters dropped in; or noise alone."""
+    dim = draw(st.integers(0, 8))
+    if draw(st.integers(0, 3)) == 0:
+        return dim, draw(st.text(_BODY_CHARS, max_size=30))
+    if draw(st.booleans()):
+        ids = st.tuples(st.integers(0, 7), st.integers(0, 8)).filter(lambda p: p[0] < p[1])
+        pairs = sorted(draw(st.sets(ids, max_size=6)))
+        if draw(st.integers(0, 3)) == 0:
+            pairs = draw(st.permutations(pairs))
+        # one dimension too small at times
+        dim = max((j for _, j in pairs), default=0) + draw(st.sampled_from([0, 1, 1, 2]))
+        counts = st.one_of(st.integers(1, 3), st.sampled_from([0, MAX_COUNT, MAX_COUNT + 1]))
+        lines = [f"{i}\t{j}\t{draw(counts)}" for i, j in pairs]
+    else:
+        line = st.builds("{}\t{}\t{}".format, _FIELDS, _FIELDS, _FIELDS)
+        lines = draw(st.lists(line, max_size=6))
+    body = "".join(line + "\n" for line in lines)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(body)))
+        cut = draw(st.integers(0, 1))
+        body = body[:at] + draw(st.text(_BODY_CHARS, min_size=1, max_size=2)) + body[at + cut :]
+    return dim, body
+
+
+class TestLoadsAgainstLineByLine:
+    @settings(max_examples=500, deadline=None)
+    @given(case=cooc_texts())
+    def test_same_triplets_or_same_error(self, case):
+        dim, body = case
+        # the body as drawn, under the digest the loader computes over its
+        # lines, so that every body reaches the syntax check
+        head = f"ccmine-cooc v1 {dim}\n{body}"
+        if (head + "x").splitlines()[-1] != "x":
+            head += "\n"
+        lines = "".join(line + "\n" for line in head.splitlines()[1:])
+        text = f"{head}#sha256:{hashlib.sha256(lines.encode('utf-8')).hexdigest()}\n"
+
+        def outcome(load):
+            try:
+                return load(text)
+            except FormatError as exc:
+                return str(exc)
+
+        got = outcome(CoocMatrix.loads)
+        if isinstance(got, CoocMatrix):
+            got = list(zip(got.i.tolist(), got.j.tolist(), got.count.tolist()))
+        assert got == outcome(line_by_line_loads)
 
 
 class TestBuildCooc:

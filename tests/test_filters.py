@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccmine.embed import EmbeddingTable
 from ccmine.errors import CCMineError, FormatError, MissingEmbeddingError, ValidationError
@@ -18,7 +21,7 @@ from ccmine.filters import (
     reject_unknown,
 )
 
-from conftest import cosine, filter_one, split_masks
+from conftest import cosine, filter_one, near_tables, split_masks
 
 
 def two_d_table():
@@ -216,6 +219,79 @@ class TestSemanticFilter:
             filter_one(["water", "fog"], "boat", two_d_table())
         # a candidate an earlier stage removed needs no embedding
         assert filter_one(["photo"], "boat", two_d_table()).removed_stopword == ["photo"]
+
+
+def first_missing(names, targets, row, col, live, table):
+    """The concept a missing embedding error names: in row order, each
+    row's target before its live candidates."""
+    for r in range(targets):
+        if names[r] not in table:
+            return names[r]
+        for p in np.flatnonzero(row == r).tolist():
+            if live[p] and names[col[p]] not in table:
+                return names[col[p]]
+    return None
+
+
+class TestSemanticStageAgainstPairOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_similar_is_each_pairs_cosine_above_delta(self, data):
+        names = [f"c{k}" for k in range(data.draw(st.integers(1, 8)))]
+        targets = data.draw(st.integers(1, len(names)))
+        row = np.array(
+            sorted(data.draw(st.lists(st.integers(0, targets - 1), max_size=24))), dtype=np.int64
+        )
+        col = np.array([data.draw(st.integers(0, len(names) - 1)) for _ in row], dtype=np.int64)
+        table = data.draw(near_tables(names))
+        stopwords = frozenset(data.draw(st.sets(st.sampled_from(names), max_size=2)))
+        visible = {name: data.draw(st.sampled_from([True, True, False])) for name in names}
+        live = [names[c] not in stopwords and visible[names[c]] for c in col.tolist()]
+        compared = [
+            (names[r], names[c])
+            for r, c, keep in zip(row.tolist(), col.tolist(), live)
+            if keep and names[r] in table and names[c] in table
+        ]
+        delta = data.draw(st.one_of(st.none(), st.sampled_from([-1.0, 0.0, 0.5, 0.99, 1.0])))
+        if delta is None:
+            # exactly the cosine of a pair the stage compares
+            pair = data.draw(st.sampled_from(compared or [None]))
+            delta = cosine(table.vector(pair[0]), table.vector(pair[1])) if pair else 0.5
+        visibility = VisibilityTable({name: (v, "manual") for name, v in visible.items()})
+        config = FilterConfig(stopwords=stopwords, delta=delta)
+        missing = first_missing(names, targets, row, col, live, table)
+        if missing is not None:
+            with pytest.raises(MissingEmbeddingError) as exc:
+                filter_rows(names, targets, row, col, table, visibility, config)
+            assert exc.value.concept == missing
+            return
+        masks = filter_rows(names, targets, row, col, table, visibility, config)
+        for p, (r, c) in enumerate(zip(row.tolist(), col.tolist())):
+            want = live[p] and cosine(table.vector(names[r]), table.vector(names[c])) > delta
+            assert masks.similar[p] == want
+
+    def test_transient_peak_does_not_grow_with_pairs(self):
+        rng = np.random.default_rng(3)
+        names = [f"c{k}" for k in range(64)]
+        table = EmbeddingTable(names, rng.standard_normal((len(names), 512)))
+        visibility = VisibilityTable({name: (True, "manual") for name in names})
+
+        def peak(pairs: int) -> int:
+            # four targets, so each one's run of pairs outgrows a gather
+            row = np.sort(rng.integers(0, 4, pairs))
+            col = rng.integers(0, len(names), pairs)
+            tracemalloc.start()
+            try:
+                filter_rows(names, len(names), row, col, table, visibility)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first-call caches out of the way
+        small, large = peak(2_000), peak(8_000)
+        # the stage masks and index arrays take tens of bytes per pair;
+        # gathering both 512-d float64 vectors of every pair would take 8 KiB
+        assert large - small < 6_000 * 256
 
 
 class TestPipeline:
