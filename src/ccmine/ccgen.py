@@ -97,10 +97,7 @@ class CCDictionary:
     """
 
     def __init__(self, cc: dict[str, list[str]], meta: dict | None = None):
-        norm = cache(normalize_concept)  # each concept recurs in many lists
-        self.cc: dict[str, list[str]] = {
-            norm(k): [norm(v) for v in vals] for k, vals in cc.items()
-        }
+        self.cc: dict[str, list[str]] = cc  # normalized: a lexicon's, or as loads leaves it
         self.meta: dict = dict(meta or {})
         # [table, its lexicon view], shared by dictionaries with the same
         # concepts; holding the table keeps the identity check sound, where
@@ -175,7 +172,8 @@ class CCDictionary:
         meta = payload.get("meta", {})
         if not isinstance(meta, dict):
             raise FormatError("CC dictionary 'meta' member must be an object")
-        return cls(cc, meta)
+        norm = cache(normalize_concept)  # each concept recurs in many lists
+        return cls({norm(k): [norm(v) for v in vals] for k, vals in cc.items()}, meta)
 
     @classmethod
     def load(cls, path: str | Path) -> "CCDictionary":
@@ -205,7 +203,7 @@ def build_timestamp() -> str:
 
 def build_dictionary(
     matrix: CoocMatrix,
-    occurrence: list[int],
+    occurrence: np.ndarray | list[int],
     lexicon: Lexicon,
     embeddings: EmbeddingTable,
     visibility: VisibilityTable,

@@ -5,20 +5,21 @@ Row normalization divides by the occurrence count of the *row* concept,
 which makes the normalized matrix directional: a rare concept can be
 strongly associated with a frequent one without the converse holding.
 
-On-disk text format (UTF-8)::
+On-disk text formats (UTF-8), one codec for both::
 
-    ccmine-cooc v1 <dim>
-    <i>\\t<j>\\t<count>        # ascending (i, j), i < j
-    #sha256:<hex>
+    ccmine-cooc v1 <dim>            ccmine-counts v1 <dim>
+    <i>\\t<j>\\t<count>  # i < j    <i>\\t<count>  # i = 0 .. dim - 1
+    #sha256:<hex>                   #sha256:<hex>
 
-The trailing digest covers the triplet lines exactly as written.  Counts
-are limited to 32 bits; anything larger aborts with an overflow error.
+Cooc lines ascend in ``(i, j)``.  Every number, the header's too, is plain
+ASCII decimal, and lines end only in ``\\n``.  The digest covers exactly the
+bytes between header and trailer.  A count above 2^32 - 1 is a
+``ValidationError`` when counted or written and a ``FormatError`` when read.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 
 from .corpus import Lexicon, ScanStats, iter_caption_lines, scan_corpus
 from .errors import FormatError, ValidationError
-from .ioutil import atomic_write_text, read_text
+from .ioutil import atomic_write_text, decode_utf8
 
 MAX_COUNT = 2**32 - 1
 _COOC_HEADER = "ccmine-cooc v1"
@@ -38,13 +39,10 @@ _BATCH_SETS = 1 << 16
 # pending pair codes folded into the running sums at the latest once they
 # outnumber both this and the distinct pairs summed so far
 _FOLD_MIN = 1 << 20
-# triplet lines formatted at once by dumps; bounds its transient Python ints
+# lines formatted at once by _frame; bounds its transient Python ints
 _DUMP_ROWS = 1 << 16
 # largest dimension whose pair codes i * dim + j fit in int64
 _MAX_DIM = 2**31
-# the separators of a triplet line: tab, tab, newline
-_TRIPLET_SEPS = np.frombuffer(b"\t\t\n", dtype=np.uint8)
-_COUNT_LINE = re.compile(r"([0-9]+)\t([0-9]+)")
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
@@ -189,33 +187,23 @@ class CoocMatrix:
     # ---- serialization ----
 
     def dumps(self) -> str:
-        rows = np.stack([self.i, self.j, self.count], axis=1)
-        body = "".join(
-            ("%d\t%d\t%d\n" * len(block)) % tuple(block.ravel().tolist())
-            for block in np.split(rows, range(_DUMP_ROWS, len(rows), _DUMP_ROWS))
-        )
-        return _frame(_COOC_HEADER, self.dim, body)
+        return _frame(_COOC_HEADER, self.dim, np.stack([self.i, self.j, self.count], axis=1))
 
     def save(self, path: str | Path) -> None:
         atomic_write_text(path, self.dumps())
 
     @classmethod
     def loads(cls, text: str) -> "CoocMatrix":
-        dim, body_lines, body = _read_framed(text, _COOC_HEADER, "cooc")
-        if not 0 <= dim <= _MAX_DIM:
+        dim, rows = _read_table(text, _COOC_HEADER, "cooc", 3)
+        if dim > _MAX_DIM:
             raise FormatError(f"cooc dimension {dim} outside [0, {_MAX_DIM}]")
-        bad = _first_bad_triplet(body)
-        if bad is not None:
-            raise FormatError(f"bad cooc triplet line: {body_lines[bad]!r}")
-        # values past int64 saturate to its maximum, which the range checks
-        # below reject since dim is bounded
-        i, j, count = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 3).T.copy()
+        i, j, count = rows.T.copy()
         bad = np.flatnonzero((j <= i) | (j >= dim))
         if len(bad):
-            raise FormatError(f"triplet ids out of order or range: {body_lines[bad[0]]!r}")
+            raise FormatError(f"triplet ids out of order or range: {_line(text, bad[0])!r}")
         bad = np.flatnonzero((count <= 0) | (count > MAX_COUNT))
         if len(bad):
-            raise FormatError(f"triplet count out of range: {body_lines[bad[0]]!r}")
+            raise FormatError(f"triplet count out of range: {_line(text, bad[0])!r}")
         if np.any((i[1:] < i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] <= j[:-1]))):
             raise FormatError("cooc triplets are not strictly ascending")
         matrix = cls(dim)
@@ -224,51 +212,70 @@ class CoocMatrix:
 
     @classmethod
     def load(cls, path: str | Path) -> "CoocMatrix":
-        return cls.loads(read_text(path))
+        return cls.loads(decode_utf8(Path(path).read_bytes(), path))  # no \r translated
 
 
-def _frame(header: str, dim: int, body: str) -> str:
-    """A digest-framed text artifact: the header with its dimension, the
-    body, and a ``#sha256:`` trailer over the body's UTF-8 bytes."""
+def _frame(header: str, dim: int, rows: np.ndarray) -> str:
+    """A digest-framed text artifact: the header with its dimension, one
+    line per row of the ``(n, k)`` int array ``rows``, its fields joined by
+    tabs, and a ``#sha256:`` trailer over the lines' UTF-8 bytes."""
+    line = "\t".join(["%d"] * rows.shape[1]) + "\n"
+    body = "".join(
+        (line * len(block)) % tuple(block.ravel().tolist())
+        for block in np.split(rows, range(_DUMP_ROWS, len(rows), _DUMP_ROWS))
+    )
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return f"{header} {dim}\n{body}#sha256:{digest}\n"
 
 
-def _first_bad_triplet(body: bytes) -> int | None:
-    """Index of the first line of ``body``, which ends in a newline, that is
-    not three fields of ASCII digits joined by tabs; None if there is none.
+def _line(text: str, row: int) -> str:
+    """Body line ``row`` of a framed text, cut out for an error message."""
+    return text.split("\n", row + 2)[row + 1]
 
-    One pass over the bytes: each non-digit must be the next separator of
-    the cycle tab, tab, newline, and must follow a digit.
-    """
+
+def _first_bad_row(body: bytes, width: int) -> int | None:
+    """Index of the first line of ``body``, which is empty or ends in a
+    newline, that is not ``width`` plain decimal fields joined by tabs;
+    None if there is none.  One pass over the bytes: each non-digit must be
+    the next separator of the cycle (tab, ..., tab, newline) and end a field
+    of digits that starts with 0 only if it is 0."""
     data = np.frombuffer(body, dtype=np.uint8)
     at = np.flatnonzero(data - ord("0") > 9)  # uint8: bytes below "0" wrap
     seps = data[at]
-    expected = np.tile(_TRIPLET_SEPS, len(at) // 3 + 1)[: len(at)]
-    bad = np.flatnonzero((seps != expected) | (np.diff(at, prepend=-1) < 2))
+    cycle = np.array([ord("\t")] * (width - 1) + [ord("\n")], dtype=np.uint8)
+    expected = np.tile(cycle, len(at) // width + 1)[: len(at)]
+    size = np.diff(at, prepend=-1) - 1
+    leading_zero = (size > 1) & (data[at - size] == ord("0"))
+    bad = np.flatnonzero((seps != expected) | (size < 1) | leading_zero)
     if not len(bad):
         return None
     return int(np.count_nonzero(seps[: bad[0]] == ord("\n")))
 
 
-def _read_framed(text: str, header: str, kind: str) -> tuple[int, list[str], bytes]:
-    """Check a digest-framed text artifact; returns its header dimension,
-    body lines and the body's UTF-8 bytes."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(header + " "):
+def _read_table(text: str, header: str, kind: str, width: int) -> tuple[int, np.ndarray]:
+    """Check a digest-framed text artifact as ``_frame`` writes it; returns
+    its header dimension and its lines as an ``(n, width)`` int64 array
+    (fields past int64 saturate to its maximum, which loaders reject)."""
+    nl = text.find("\n")
+    head = text if nl < 0 else text[:nl]
+    if not head.startswith(header + " "):
         raise FormatError(f"not a {header} file")
-    try:
-        dim = int(lines[0].rsplit(" ", 1)[1])
-    except ValueError:
-        raise FormatError(f"bad dimension in {kind} header") from None
-    if not lines[-1].startswith("#sha256:"):
+    digits = head[len(header) + 1 :]
+    # twenty digits at most, so int() never meets Python's digit limit
+    plain = digits.isascii() and digits.isdigit() and len(digits) <= 20
+    if not plain or str(int(digits)) != digits:
+        raise FormatError(f"bad dimension in {kind} header")
+    start = len(head) + 1
+    end = text.rfind("\n", 0, -1) + 1  # the trailer's first character
+    if end < start or not text.endswith("\n") or not text.startswith("#sha256:", end):
         raise FormatError(f"missing sha256 trailer in {kind} file")
-    expected = lines[-1][len("#sha256:"):]
-    body_lines = lines[1:-1]
-    body = ("\n".join(body_lines) + "\n").encode("utf-8") if body_lines else b""
-    if hashlib.sha256(body).hexdigest() != expected:
+    body = text[start:end].encode("utf-8")
+    if text[end + len("#sha256:") : -1] != hashlib.sha256(body).hexdigest():
         raise FormatError(f"{kind} file digest mismatch; file is corrupt or edited")
-    return dim, body_lines, body
+    bad = _first_bad_row(body, width)
+    if bad is not None:
+        raise FormatError(f"bad {kind} line for row {bad}: {_line(text, bad)!r}")
+    return int(digits), np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, width)
 
 
 def build_cooc(concept_sets, dim: int) -> CoocMatrix:
@@ -283,32 +290,31 @@ def build_cooc(concept_sets, dim: int) -> CoocMatrix:
 # ---- occurrence-count artifact ----
 
 
-def dumps_counts(occurrence: list[int]) -> str:
-    body = "".join(f"{i}\t{count}\n" for i, count in enumerate(occurrence))
-    return _frame(_COUNTS_HEADER, len(occurrence), body)
+def dumps_counts(occurrence) -> str:
+    occ = np.asarray(occurrence, dtype=np.int64)
+    return _frame(_COUNTS_HEADER, len(occ), np.stack([np.arange(len(occ)), occ], axis=1))
 
 
-def save_counts(path: str | Path, occurrence: list[int]) -> None:
-    for i, count in enumerate(occurrence):
-        if count > MAX_COUNT:
-            raise ValidationError(f"occurrence count for concept {i} exceeds 32-bit range")
+def save_counts(path: str | Path, occurrence) -> None:
+    over = np.flatnonzero(np.asarray(occurrence, dtype=np.int64) > MAX_COUNT)
+    if len(over):
+        raise ValidationError(f"occurrence count for concept {over[0]} exceeds 32-bit range")
     atomic_write_text(path, dumps_counts(occurrence))
 
 
-def load_counts(path: str | Path) -> list[int]:
-    dim, body_lines, _ = _read_framed(read_text(path), _COUNTS_HEADER, "counts")
-    if len(body_lines) != dim:
+def load_counts(path: str | Path) -> np.ndarray:
+    """Occurrence counts as an int64 array, indexed by concept id."""
+    text = decode_utf8(Path(path).read_bytes(), path)  # no \r translated
+    dim, rows = _read_table(text, _COUNTS_HEADER, "counts", 2)
+    if len(rows) != dim:
         raise FormatError("counts file row count does not match header dimension")
-    occurrence = []
-    for row, line in enumerate(body_lines):
-        fields = _COUNT_LINE.fullmatch(line)
-        if fields is None or fields[1] != str(row):
-            raise FormatError(f"bad counts line for row {row}: {line!r}")
-        # ten digits at most, so int() never meets Python's digit limit
-        if len(fields[2]) > 10 or int(fields[2]) > MAX_COUNT:
-            raise FormatError(f"occurrence count out of range: {line!r}")
-        occurrence.append(int(fields[2]))
-    return occurrence
+    bad = np.flatnonzero(rows[:, 0] != np.arange(dim))
+    if len(bad):
+        raise FormatError(f"bad counts line for row {bad[0]}: {_line(text, bad[0])!r}")
+    bad = np.flatnonzero(rows[:, 1] > MAX_COUNT)
+    if len(bad):
+        raise FormatError(f"occurrence count out of range: {_line(text, bad[0])!r}")
+    return rows[:, 1].copy()
 
 
 # ---- row normalization and candidate selection ----
@@ -329,12 +335,11 @@ class FreqMatrix:
     indices: np.ndarray
     data: np.ndarray
     rank: np.ndarray
-    lexicon: Lexicon
 
 
-def normalize(matrix: CoocMatrix, occurrence: list[int], lexicon: Lexicon) -> FreqMatrix:
+def normalize(matrix: CoocMatrix, occurrence, lexicon: Lexicon) -> FreqMatrix:
     """Divide each row of the symmetric counts by the row concept's
-    occurrence count.
+    occurrence count, given as a list or an array.
 
     A concept that never occurs but has stored pairs is an inconsistency in
     the inputs and raises, naming the offending pair.
@@ -366,7 +371,7 @@ def normalize(matrix: CoocMatrix, occurrence: list[int], lexicon: Lexicon) -> Fr
     np.cumsum(np.bincount(row, minlength=matrix.dim), out=indptr[1:])
     rank = np.empty(matrix.dim, dtype=np.int64)
     rank[sorted(range(matrix.dim), key=lexicon.concepts.__getitem__)] = np.arange(matrix.dim)
-    return FreqMatrix(matrix.dim, indptr, col[order], freq[order], rank, lexicon)
+    return FreqMatrix(matrix.dim, indptr, col[order], freq[order], rank)
 
 
 def select_all(freq: FreqMatrix, gamma: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,9 @@
 """Prompt templates, completion client, and response parsers.
 
-The three templates used by the pipeline are pinned byte-for-byte: the
-surrounding-objects prompt that generates contrastive concepts, the
-visibility yes/no prompt used by the abstract-concept filter, and the
-part-listing prompt used by the optional part-removal step.  All carry
+The three prompt templates are pinned byte-for-byte: the surrounding-objects
+prompt that generates contrastive concepts, the visibility yes/no prompt
+used by the abstract-concept filter, and the part-listing prompt of the
+paper's optional part-removal step, which no command runs.  All carry
 instruction markers by default; a render flag strips them for endpoints
 that add their own chat framing.
 
@@ -306,13 +306,6 @@ def ask_visibility(client: LLMClient, q: str, include_markers: bool = True) -> b
     prompt = render(VISIBILITY, q, include_markers)
     key = client.concept_cache_key(VISIBILITY.version, q)
     return parse_visibility(client.complete(prompt, cache_key=key))
-
-
-def ask_parts(client: LLMClient, q: str, include_markers: bool = True) -> list[str]:
-    """List parts of a concept; used by the optional part-removal step."""
-    prompt = render(PART_REMOVAL, q, include_markers)
-    key = client.concept_cache_key(PART_REMOVAL.version, q)
-    return parse_cc_list(client.complete(prompt, cache_key=key))
 
 
 def visibility_oracle(client: LLMClient, include_markers: bool = True):

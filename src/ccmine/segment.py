@@ -80,6 +80,8 @@ class FeatureMap:
             raise FormatError("truncated feature map header")
         h, w, d = struct.unpack_from("<III", data, off)
         off += 12
+        if 0 in (h, w, d):  # numpy cannot hold an empty (0, 2**30, 2**30) as float64
+            raise FormatError("feature map dimensions must be positive")
         expected = h * w * d * 4
         if len(data) != off + expected:
             raise FormatError(

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import gc
 import gzip
+import hashlib
 import json
+import re
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -193,6 +195,30 @@ def cooc_matrix(dim: int, pairs: dict) -> CoocMatrix:
     codes = np.array([min(a, b) * dim + max(a, b) for a, b in pairs], dtype=np.int64)
     counts = np.array(list(pairs.values()), dtype=np.int64)
     return CoocMatrix._from_codes(dim, *_sum_by_key(codes, counts))
+
+
+# a plain ASCII decimal: no sign, no leading zero, no other script's digits
+PLAIN = "(0|[1-9][0-9]*)"
+
+
+def read_table_by_line(text: str, header: str, width: int):
+    """Reference reader for the digest-framed count artifacts, one line at a
+    time: the header dimension and the rows as int tuples, or None where
+    the text is not a header line, lines of ``width`` plain decimals joined
+    by tabs, and the digest of those lines, every line ended by a newline."""
+    *lines, last = text.split("\n")
+    if last or len(lines) < 2:
+        return None
+    head, *body, trailer = lines
+    found = re.fullmatch(re.escape(header) + " " + PLAIN, head)
+    digest = hashlib.sha256("".join(line + "\n" for line in body).encode("utf-8")).hexdigest()
+    if found is None or trailer != "#sha256:" + digest:
+        return None
+    row = re.compile("\t".join([PLAIN] * width))
+    rows = [row.fullmatch(line) for line in body]
+    if None in rows:
+        return None
+    return int(found[1]), [tuple(map(int, fields.groups())) for fields in rows]
 
 
 def pair_counts(matrix: CoocMatrix) -> dict:

@@ -175,8 +175,7 @@ class TestDictionaryIO:
         meta=st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=4),
     )
     def test_dumps_is_json_dumps_with_indent(self, cc, meta):
-        d = CCDictionary({}, meta)
-        d.cc = cc  # as given: the constructor would normalize whitespace away
+        d = CCDictionary(cc, meta)  # as given: only loads normalizes
         want = json.dumps({"meta": meta, "cc": cc}, ensure_ascii=False, sort_keys=True, indent=2)
         assert d.dumps() == want + "\n"
 
@@ -189,7 +188,7 @@ class TestDictionaryIO:
         assert loaded.meta == d.meta
 
     def test_keys_normalized(self):
-        d = CCDictionary({" Boat ": ["  Water", "DOCK"]})
+        d = CCDictionary.loads(json.dumps({"cc": {" Boat ": ["  Water", "DOCK"]}}))
         assert d.get("boat") == ["water", "dock"]
 
     @pytest.mark.parametrize(

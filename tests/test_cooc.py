@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import re
 from collections import Counter
@@ -19,6 +20,7 @@ from ccmine.cooc import (
     MAX_COUNT,
     CoocMatrix,
     build_cooc,
+    dumps_counts,
     load_counts,
     mine_corpus,
     normalize,
@@ -28,19 +30,25 @@ from ccmine.cooc import (
 from ccmine.corpus import Lexicon, ScanStats, iter_caption_lines, scan_corpus
 from ccmine.errors import FormatError, ValidationError
 
-from conftest import TOY_PAIRS, cooc_matrix, pair_counts
+from conftest import PLAIN, TOY_PAIRS, cooc_matrix, pair_counts, read_table_by_line
+
+
+def framed(head, body):
+    """The header line ``head``, ``body`` and a valid digest over it."""
+    return f"{head}\n{body}#sha256:{hashlib.sha256(body.encode('utf-8')).hexdigest()}\n"
 
 
 def framed_cooc(dim, body):
-    """Cooc text with a valid digest over ``body``."""
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return f"ccmine-cooc v1 {dim}\n{body}#sha256:{digest}\n"
+    return framed(f"ccmine-cooc v1 {dim}", body)
 
 
 def framed_counts(dim, body):
-    """Counts text with a valid digest over ``body``."""
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return f"ccmine-counts v1 {dim}\n{body}#sha256:{digest}\n"
+    return framed(f"ccmine-counts v1 {dim}", body)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("cooc")
 
 
 def toy_matrix_and_stats(corpus_path, lexicon):
@@ -56,25 +64,24 @@ def freq_of(freq, i, j):
     return float(freq.data[lo + k])
 
 
-def members(freq, i, gamma):
+def members(freq, lexicon, i, gamma):
     """Row ``i``'s run of ``select_all``, as concept strings."""
     row, col = select_all(freq, gamma)
-    return [freq.lexicon.concepts[j] for j in col[row == i].tolist()]
+    return [lexicon.concepts[j] for j in col[row == i].tolist()]
 
 
-_TRIPLET = re.compile(r"[0-9]+\t[0-9]+\t[0-9]+")
+_TRIPLET = re.compile("\t".join([PLAIN] * 3))
 
 
 def line_by_line_loads(text):
-    """``CoocMatrix.loads`` as a loop over the lines: the syntax by regex,
-    then the ids, counts and order, each with its first offending line."""
-    lines = text.splitlines()
-    dim = int(lines[0].rsplit(" ", 1)[1])
-    body = lines[1:-1]
-    bad = next((line for line in body if not _TRIPLET.fullmatch(line)), None)
+    """``CoocMatrix.loads`` on a well-framed text as a loop over the lines:
+    the syntax by regex, then the ids, counts and order, each with its
+    first offending line."""
+    body = text.split("\n")[1:-2]
+    bad = next((row for row, line in enumerate(body) if not _TRIPLET.fullmatch(line)), None)
     if bad is not None:
-        raise FormatError(f"bad cooc triplet line: {bad!r}")
-    triplets = [tuple(map(int, line.split("\t"))) for line in body]
+        raise FormatError(f"bad cooc line for row {bad}: {body[bad]!r}")
+    dim, triplets = read_table_by_line(text, "ccmine-cooc v1", 3)
     for line, (i, j, _) in zip(body, triplets):
         if not i < j < dim:
             raise FormatError(f"triplet ids out of order or range: {line!r}")
@@ -87,8 +94,12 @@ def line_by_line_loads(text):
 
 
 # ASCII digits and separators, the characters around them that a loose
-# parser would accept, line breaks that splitlines() honours, a non-ASCII digit
-_BODY_CHARS = "0123456789\t\n +-\r\x0b\u2028\u0663"
+# parser would accept, line breaks that str.splitlines() honours besides
+# the newline, a non-ASCII digit
+_SPLITLINES_BREAKS = [
+    "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
+_BODY_CHARS = "0123456789\t\n +-_" + "".join(_SPLITLINES_BREAKS) + "\u0663"
 _FIELDS = st.text("0123456789", min_size=1, max_size=3)
 
 
@@ -124,13 +135,11 @@ class TestLoadsAgainstLineByLine:
     @given(case=cooc_texts())
     def test_same_triplets_or_same_error(self, case):
         dim, body = case
-        # the body as drawn, under the digest the loader computes over its
-        # lines, so that every body reaches the syntax check
-        head = f"ccmine-cooc v1 {dim}\n{body}"
-        if (head + "x").splitlines()[-1] != "x":
-            head += "\n"
-        lines = "".join(line + "\n" for line in head.splitlines()[1:])
-        text = f"{head}#sha256:{hashlib.sha256(lines.encode('utf-8')).hexdigest()}\n"
+        # the body as drawn, ended by a newline and under its own digest, so
+        # that every body reaches the syntax check
+        if body and not body.endswith("\n"):
+            body += "\n"
+        text = framed_cooc(dim, body)
 
         def outcome(load):
             try:
@@ -142,6 +151,138 @@ class TestLoadsAgainstLineByLine:
         if isinstance(got, CoocMatrix):
             got = list(zip(got.i.tolist(), got.j.tolist(), got.count.tolist()))
         assert got == outcome(line_by_line_loads)
+
+
+_KINDS = {"cooc": ("ccmine-cooc v1", 3), "counts": ("ccmine-counts v1", 2)}
+# header dimensions that int() takes but that are not plain ASCII decimal
+_LOOSE_DIMS = ["1_0", "+3", " 3", "3 ", "03", "\u0663", "-0", "3\r"]
+
+
+@st.composite
+def framed_tables(draw):
+    """An artifact kind and a text: what the writer makes of drawn rows,
+    then maybe edited -- the header dimension written loosely, a newline
+    replaced, characters dropped into the body, the digest one a loose
+    reader computes, or a character of the text replaced."""
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    header, width = _KINDS[kind]
+    if kind == "cooc":
+        ids = st.tuples(st.integers(0, 6), st.integers(0, 7)).filter(lambda p: p[0] < p[1])
+        pairs = sorted(draw(st.sets(ids, max_size=6)))
+        counts = st.integers(1, 3) | st.sampled_from([MAX_COUNT, 10**18])
+        rows = [(i, j, draw(counts)) for i, j in pairs]
+        dim = max((j for _, j, _ in rows), default=0) + draw(st.integers(0, 2))
+    else:
+        occurrence = draw(st.lists(st.integers(0, 3) | st.sampled_from([MAX_COUNT]), max_size=6))
+        rows = list(enumerate(occurrence))
+        dim = len(rows)
+    head = f"{header} {dim}"
+    if draw(st.integers(0, 4)) == 0:
+        head = f"{header} {draw(st.sampled_from(_LOOSE_DIMS))}"
+    body = "".join("\t".join(map(str, row)) + "\n" for row in rows)
+    if rows and draw(st.integers(0, 3)) == 0:
+        at = draw(st.sampled_from([k for k, c in enumerate(body) if c == "\n"]))
+        # another line break, or a leading zero on the next line
+        brk = draw(st.sampled_from(_SPLITLINES_BREAKS) | st.just("\n0"))
+        body = body[:at] + brk + body[at + 1 :]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(body)))
+        cut = draw(st.integers(0, 1))
+        body = body[:at] + draw(st.text(_BODY_CHARS, min_size=1, max_size=2)) + body[at + cut :]
+    if draw(st.integers(0, 3)) == 0:
+        # the digest a reader that cuts lines with str.splitlines() computes
+        digest = hashlib.sha256("".join(f"{x}\n" for x in body.splitlines()).encode()).hexdigest()
+    else:
+        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    text = f"{head}\n{body}#sha256:{digest}\n"
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["", "\n", "\r", "#sha256:"])) + text[at + 1 :]
+    return kind, text
+
+
+def load_kind(kind, text, path):
+    """``text`` loaded as a ``kind`` artifact; counts are read from ``path``."""
+    if kind == "cooc":
+        return CoocMatrix.loads(text)
+    path.write_bytes(text.encode("utf-8"))
+    return load_counts(path)
+
+
+def valid_text(kind):
+    """A small ``kind`` artifact as the writer writes it."""
+    if kind == "cooc":
+        return cooc_matrix(4, {(0, 1): 2, (0, 3): 1, (2, 3): 5}).dumps()
+    return dumps_counts([3, 0, 7])
+
+
+class TestCodecAgainstLineByLine:
+    @settings(max_examples=500, deadline=None)
+    @given(case=framed_tables())
+    def test_reader_accepts_what_reference_accepts(self, scratch, case):
+        kind, text = case
+        header, width = _KINDS[kind]
+        want = read_table_by_line(text, header, width)
+        try:
+            dim, rows = cooc._read_table(text, header, kind, width)
+        except FormatError:
+            assert want is None
+            return
+        assert want is not None and dim == want[0]
+        assert rows.dtype == np.int64 and rows.shape == (len(want[1]), width)
+        # fields past int64 saturate, as _read_table documents
+        assert rows.tolist() == [[min(v, 2**63 - 1) for v in row] for row in want[1]]
+        # whatever the loader accepts (its range or order checks may not),
+        # its writer writes back byte for byte
+        with contextlib.suppress(FormatError):
+            if kind == "cooc":
+                assert CoocMatrix.loads(text).dumps() == text
+            else:
+                assert dumps_counts(load_kind(kind, text, scratch / "occ.counts")) == text
+
+
+class TestStrictCodec:
+    @pytest.mark.parametrize("brk", _SPLITLINES_BREAKS)
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_other_line_breaks_rejected(self, kind, brk, tmp_path):
+        text = valid_text(kind)
+        head, rest = text.split("\n", 1)
+        body = rest[: rest.index("#sha256:")].replace("\n", brk, 1)
+        # under the writer's digest, and under one over the edited body
+        for candidate in (f"{head}\n{body}{rest[rest.index('#sha256:'):]}", framed(head, body)):
+            with pytest.raises(FormatError):
+                load_kind(kind, candidate, tmp_path / "x")
+
+    @pytest.mark.parametrize("dim", _LOOSE_DIMS + ["", "-1", "3.0", "0x3", "1e1"])
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_loose_header_dimension_rejected(self, kind, dim, tmp_path):
+        header, _ = _KINDS[kind]
+        text = valid_text(kind).split("\n", 1)[1]
+        with pytest.raises(FormatError, match="bad dimension"):
+            load_kind(kind, f"{header} {dim}\n{text}", tmp_path / "x")
+
+    @pytest.mark.parametrize("line", ["00\t01\t2", "0\t01\t2", "0\t1\t02", "00\t1", "0\t01"])
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_leading_zero_rejected(self, kind, line, tmp_path):
+        text = framed(f"{_KINDS[kind][0]} 3", line + "\n")
+        with pytest.raises(FormatError, match=f"bad {kind} line for row 0"):
+            load_kind(kind, text, tmp_path / "x")
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_trailer_must_end_the_text(self, kind, tmp_path):
+        text = valid_text(kind)
+        for candidate in (text[:-1], text + "\n", text + "x", text.upper(), text + text):
+            with pytest.raises(FormatError):
+                load_kind(kind, candidate, tmp_path / "x")
+        load_kind(kind, text, tmp_path / "x")
+
+    def test_error_names_the_offending_line(self, tmp_path):
+        body = "0\t1\t1\n0\t2\t1\n1\t 2\t1\n"
+        with pytest.raises(FormatError, match=r"row 2: '1\\t 2\\t1'$"):
+            CoocMatrix.loads(framed_cooc(3, body))
+        body = "0\t1\n1\t1\n3\t1\n"
+        with pytest.raises(FormatError, match=r"bad counts line for row 2: '3\\t1'$"):
+            load_kind("counts", framed_counts(3, body), tmp_path / "x")
 
 
 class TestBuildCooc:
@@ -269,7 +410,14 @@ class TestSerialization:
         _, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
         path = tmp_path / "occ.counts"
         save_counts(path, stats.occurrence)
-        assert load_counts(path) == list(stats.occurrence)
+        occurrence = load_counts(path)
+        assert occurrence.dtype == np.int64 and occurrence.tolist() == stats.occurrence
+        assert dumps_counts(occurrence) == path.read_text()
+
+    def test_counts_above_32_bits_not_saved(self, tmp_path):
+        with pytest.raises(ValidationError, match="concept 1 exceeds 32-bit range"):
+            save_counts(tmp_path / "occ.counts", [1, MAX_COUNT + 1])
+        assert not (tmp_path / "occ.counts").exists()
 
     def test_counts_tamper_detected(self, toy_corpus_path, toy_lexicon, tmp_path):
         _, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
@@ -327,7 +475,7 @@ class TestSelectCandidates:
     def test_order_frequency_then_name(self, toy_corpus_path, toy_lexicon):
         matrix, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
         freq = normalize(matrix, stats.occurrence, toy_lexicon)
-        got = members(freq, toy_lexicon.id_of("boat"), 0.3)
+        got = members(freq, toy_lexicon, toy_lexicon.id_of("boat"), 0.3)
         assert got == ["dock", "sunset", "trailer", "water"]
 
     def test_threshold_is_strict(self, toy_corpus_path, toy_lexicon):
@@ -335,12 +483,12 @@ class TestSelectCandidates:
         freq = normalize(matrix, stats.occurrence, toy_lexicon)
         boat = toy_lexicon.id_of("boat")
         exactly = freq_of(freq, boat, toy_lexicon.id_of("water"))
-        assert members(freq, boat, exactly) == []
+        assert members(freq, toy_lexicon, boat, exactly) == []
 
     def test_high_gamma_keeps_certain_partners(self, toy_corpus_path, toy_lexicon):
         matrix, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
         freq = normalize(matrix, stats.occurrence, toy_lexicon)
-        assert members(freq, toy_lexicon.id_of("water"), 0.99) == ["boat"]
+        assert members(freq, toy_lexicon, toy_lexicon.id_of("water"), 0.99) == ["boat"]
 
 
 class TestMineCorpus:

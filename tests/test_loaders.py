@@ -143,6 +143,7 @@ class TestBinary:
         dims=st.tuples(*[st.integers(0, 3) | st.integers(0, 2**32 - 1)] * 3),
         tail=st.binary(max_size=100),
     )
+    @example(dims=(0, 2**30, 2**30), tail=b"")
     def test_features_header(self, dims, tail):
         accepts_or_rejects(FeatureMap.loads, b"CCFEAT1" + struct.pack("<III", *dims) + tail)
 
