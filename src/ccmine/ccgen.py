@@ -21,7 +21,7 @@ import json
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -164,16 +164,24 @@ class CCDictionary:
         cc = payload["cc"]
         if not isinstance(cc, dict):
             raise FormatError("CC dictionary 'cc' member must be an object")
-        for k, v in cc.items():
-            if not isinstance(k, str) or not isinstance(v, list) or not all(
-                isinstance(x, str) for x in v
-            ):
-                raise FormatError(f"CC dictionary entry {k!r} must map a string to a string list")
+        # JSON keys are strings; the values' shapes are checked in two
+        # C-level passes, and only a failure walks the entries to name one
+        values = cc.values()
+        if set(map(type, values)) - {list} or set(map(type, chain.from_iterable(values))) - {str}:
+            for k, v in cc.items():
+                if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
+                    raise FormatError(
+                        f"CC dictionary entry {k!r} must map a string to a string list"
+                    )
         meta = payload.get("meta", {})
         if not isinstance(meta, dict):
             raise FormatError("CC dictionary 'meta' member must be an object")
-        norm = cache(normalize_concept)  # each concept recurs in many lists
-        return cls({norm(k): [norm(v) for v in vals] for k, vals in cc.items()}, meta)
+        # only the strings that normalizing changes are mapped; what the
+        # writer writes has none, and is kept as parsed
+        moved = {s: n for s in set(cc).union(*values) if (n := normalize_concept(s)) != s}
+        if moved:
+            cc = {moved.get(k, k): [moved.get(v, v) for v in vals] for k, vals in cc.items()}
+        return cls(cc, meta)
 
     @classmethod
     def load(cls, path: str | Path) -> "CCDictionary":

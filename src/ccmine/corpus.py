@@ -82,9 +82,6 @@ class Lexicon:
     def __contains__(self, concept: str) -> bool:
         return normalize_concept(concept) in self.index
 
-    def id_of(self, concept: str) -> int:
-        return self.index[normalize_concept(concept)]
-
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
         concepts = []
@@ -95,9 +92,6 @@ class Lexicon:
         lex = cls(concepts)
         lex.source_digest = sha256_file(path)
         return lex
-
-    def to_file(self, path: str | Path) -> None:
-        Path(path).write_text("".join(c + "\n" for c in self.concepts), encoding="utf-8")
 
     @cached_property
     def matcher(self) -> "ConceptMatcher":

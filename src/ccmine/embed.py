@@ -21,20 +21,24 @@ from pathlib import Path
 from typing import Protocol
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, MissingEmbeddingError, ValidationError
 from .ioutil import atomic_write_bytes, decode_utf8
 
 _MAGIC = b"CCEMB1"
+_NAME_LENGTH = struct.Struct("<H")
 _NORM_TOLERANCE = 1e-4
-# row pairs gathered at once by ``pair_cosines``; bounds its transient copies
+# rows gathered at once by ``pair_cosines`` and ``loads``; bounds their
+# transient copies
 _GATHER_ROWS = 256
 
 
-def _norm(row: np.ndarray) -> float:
-    """Euclidean norm of one float64 row, bit for bit ``np.linalg.norm``
-    (which is this ``dot``); a batched sum would move the last bits."""
-    return float(np.sqrt(row.dot(row)))
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a C-ordered float64 array, bit for bit
+    ``np.linalg.norm`` of the row alone: the stacked product is one ``dot``
+    per row, where a batched sum would move the last bits."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])).reshape(len(rows))
 
 
 class EmbeddingTable:
@@ -43,13 +47,12 @@ class EmbeddingTable:
     def __init__(self, names: list[str], vectors) -> None:
         if len(names) != len(set(names)):
             raise ValidationError("embedding table names must be unique")
-        unit = np.array(vectors, dtype=np.float64)
+        unit = np.array(vectors, dtype=np.float64, order="C")
         if unit.ndim != 2 or unit.shape[0] != len(names):
             raise ValidationError("vectors must be a (len(names), dim) array")
         if unit.shape[1] == 0:
             raise ValidationError("embedding dimension must be positive")
-        norms = np.array([_norm(row) for row in unit])
-        self._set_rows(names, unit, norms)
+        self._set_rows(names, unit, _norms(unit))
 
     def _set_rows(self, names: list[str], unit: np.ndarray, norms: np.ndarray | None) -> None:
         """Take ``unit`` (float64) and, given ``norms``, divide each row by
@@ -138,6 +141,11 @@ class EmbeddingTable:
 
     @classmethod
     def loads(cls, data: bytes) -> "EmbeddingTable":
+        """The table in ``data``.  One pass reads the names and where each
+        vector starts; the vectors are then gathered in blocks and checked
+        at once.  A record cut short or a name that is not UTF-8 ends the
+        pass, and is raised unless a row before it fails the norm check:
+        the error is always the first faulty record's."""
         if data[: len(_MAGIC)] != _MAGIC:
             raise FormatError("not a CCEMB1 embedding table")
         offset = len(_MAGIC)
@@ -147,29 +155,38 @@ class EmbeddingTable:
         offset += 8
         if dim == 0:
             raise FormatError("embedding table dimension is zero")
-        if count * (2 + 4 * dim) > len(data) - offset:
+        size = 4 * dim
+        if count * (2 + size) > len(data) - offset:
             # checked before the rows are allocated
             raise FormatError("truncated embedding table entry")
         names: list[str] = []
-        unit = np.empty((count, dim), dtype=np.float64)
-        norms = np.empty(count)
-        for k in range(count):
-            if len(data) < offset + 2:
-                raise FormatError("truncated embedding table entry")
-            (name_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            end = offset + name_len + 4 * dim
-            if len(data) < end:
-                raise FormatError("truncated embedding table entry")
-            name = decode_utf8(data[offset : offset + name_len], f"embedding entry {k}'s name")
-            offset += name_len
-            row = unit[k]
-            row[:] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
-            offset += 4 * dim
-            norm = norms[k] = _norm(row)
-            if not abs(norm - 1.0) <= _NORM_TOLERANCE:  # NaN fails too
-                raise FormatError(f"embedding for {name!r} is not unit norm ({norm:.6f})")
-            names.append(name)
+        starts: list[int] = []  # where each vector begins
+        fault = None
+        try:
+            for k in range(count):
+                if len(data) < offset + 2:
+                    raise FormatError("truncated embedding table entry")
+                start = offset + 2 + _NAME_LENGTH.unpack_from(data, offset)[0]
+                if len(data) < start + size:
+                    raise FormatError("truncated embedding table entry")
+                names.append(decode_utf8(data[offset + 2 : start], f"embedding entry {k}'s name"))
+                starts.append(start)
+                offset = start + size
+        except FormatError as exc:  # raised once the rows before it pass
+            fault = exc
+        unit = np.empty((len(starts), dim), dtype=np.float64)
+        if starts:  # else the window may be longer than the data
+            windows = sliding_window_view(np.frombuffer(data, np.uint8), size)
+            for lo in range(0, len(starts), _GATHER_ROWS):
+                part = slice(lo, lo + _GATHER_ROWS)
+                unit[part] = windows[starts[part]].view("<f4")
+        norms = _norms(unit)
+        bad = ~(np.abs(norms - 1.0) <= _NORM_TOLERANCE)  # NaN fails too
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise FormatError(f"embedding for {names[k]!r} is not unit norm ({norms[k]:.6f})")
+        if fault is not None:
+            raise fault
         if offset != len(data):
             raise FormatError("trailing bytes after embedding table entries")
         if names != sorted(names):

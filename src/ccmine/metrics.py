@@ -257,13 +257,22 @@ def aggregate_iou_single(results: list[ImageResult], mode: str = "class") -> dic
 
     Both aggregations are always computed; ``mode`` picks the headline
     ``mean`` value.  Images with no scored classes are skipped; having no
-    scored classes anywhere is an error.
+    scored classes anywhere is an error, which counts the class failures
+    and names the first.
     """
     if mode not in ("class", "image"):
         raise ValidationError(f"aggregation mode must be 'class' or 'image', got {mode!r}")
     scored = [r for r in results if r.scores]
     if not scored:
-        raise ValidationError("no image produced a defined IoU score")
+        failed = [(r.image_id, label, error) for r in results for label, error in r.failures]
+        message = "no image produced a defined IoU score"
+        if failed:
+            image_id, label, error = failed[0]
+            message += (
+                f"; {len(failed)} class failures, the first: image {image_id!r},"
+                f" class {label!r}: {error}"
+            )
+        raise ValidationError(message)
     image_means = {r.image_id: r.mean() for r in scored}
     mean_image = sum(image_means.values()) / len(image_means)
     per_class, mean_class, _ = _class_ious(

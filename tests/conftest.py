@@ -10,6 +10,7 @@ import gzip
 import hashlib
 import json
 import re
+import struct
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -20,10 +21,13 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from ccmine.ccgen import CCDictionary
 from ccmine.cooc import CoocMatrix, _sum_by_key
-from ccmine.corpus import Lexicon
+from ccmine.corpus import Lexicon, normalize_concept
 from ccmine.embed import EmbeddingTable, cosines
+from ccmine.errors import FormatError
 from ccmine.filters import VisibilityTable, filter_rows
+from ccmine.ioutil import decode_utf8
 from ccmine.metrics import GroundTruth
 from ccmine.segment import FeatureMap, SegMap
 
@@ -195,6 +199,74 @@ def cooc_matrix(dim: int, pairs: dict) -> CoocMatrix:
     codes = np.array([min(a, b) * dim + max(a, b) for a, b in pairs], dtype=np.int64)
     counts = np.array(list(pairs.values()), dtype=np.int64)
     return CoocMatrix._from_codes(dim, *_sum_by_key(codes, counts))
+
+
+def embeddings_loads_by_record(data: bytes) -> EmbeddingTable:
+    """Reference CCEMB1 reader, one record at a time: each record's length,
+    name and vector norm are checked before the next is read, so the error
+    is the first faulty record's.  Each row's norm is its own ``dot``."""
+    if data[:6] != b"CCEMB1":
+        raise FormatError("not a CCEMB1 embedding table")
+    if len(data) < 14:
+        raise FormatError("truncated embedding table header")
+    dim, count = struct.unpack_from("<II", data, 6)
+    offset = 14
+    if dim == 0:
+        raise FormatError("embedding table dimension is zero")
+    if count * (2 + 4 * dim) > len(data) - offset:
+        raise FormatError("truncated embedding table entry")
+    names: list[str] = []
+    unit = np.empty((count, dim), dtype=np.float64)
+    norms = np.empty(count)
+    for k in range(count):
+        if len(data) < offset + 2:
+            raise FormatError("truncated embedding table entry")
+        (name_len,) = struct.unpack_from("<H", data, offset)
+        offset += 2
+        if len(data) < offset + name_len + 4 * dim:
+            raise FormatError("truncated embedding table entry")
+        name = decode_utf8(data[offset : offset + name_len], f"embedding entry {k}'s name")
+        offset += name_len
+        row = unit[k]
+        row[:] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
+        offset += 4 * dim
+        norm = norms[k] = float(np.sqrt(row.dot(row)))
+        if not abs(norm - 1.0) <= 1e-4:
+            raise FormatError(f"embedding for {name!r} is not unit norm ({norm:.6f})")
+        names.append(name)
+    if offset != len(data):
+        raise FormatError("trailing bytes after embedding table entries")
+    if names != sorted(names):
+        raise FormatError("embedding table names are not sorted ascending")
+    if len(names) != len(set(names)):
+        raise FormatError("embedding table contains duplicate names")
+    table = EmbeddingTable.__new__(EmbeddingTable)
+    table._set_rows(names, unit / norms[:, None], None)
+    return table
+
+
+def cc_dictionary_loads_by_entry(text: str) -> CCDictionary:
+    """Reference ``cc.json`` reader, one entry at a time: each entry's shape
+    is checked in key order, then every key and list item is normalized."""
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError):
+        raise FormatError("CC dictionary is not valid JSON") from None
+    if not isinstance(payload, dict) or "cc" not in payload:
+        raise FormatError("CC dictionary must be an object with a 'cc' member")
+    cc = payload["cc"]
+    if not isinstance(cc, dict):
+        raise FormatError("CC dictionary 'cc' member must be an object")
+    for k, v in cc.items():
+        if not isinstance(k, str) or not isinstance(v, list) or not all(
+            isinstance(x, str) for x in v
+        ):
+            raise FormatError(f"CC dictionary entry {k!r} must map a string to a string list")
+    meta = payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise FormatError("CC dictionary 'meta' member must be an object")
+    norm = normalize_concept
+    return CCDictionary({norm(k): [norm(v) for v in vals] for k, vals in cc.items()}, meta)
 
 
 # a plain ASCII decimal: no sign, no leading zero, no other script's digits

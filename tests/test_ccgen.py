@@ -32,6 +32,7 @@ from conftest import (
     EXPECTED_DICT_G001,
     EXPECTED_DICT_G099,
     StageLists,
+    cc_dictionary_loads_by_entry,
     cooc_matrix,
     cosine,
     near_tables,
@@ -161,6 +162,8 @@ _JSON_TEXT = st.text(
     st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\U0001f600\u00e9'), st.characters()),
     max_size=6,
 )
+# concept strings, normalized or not, that often collide once normalized
+_CONCEPTS = st.text(" \tbBé", max_size=4)
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_TEXT, inner, max_size=3),
@@ -204,6 +207,29 @@ class TestDictionaryIO:
             normalize_concept(k): [normalize_concept(v) for v in vals] for k, vals in cc.items()
         }
         assert CCDictionary.loads(text).cc == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cc=st.dictionaries(
+            _CONCEPTS,
+            st.lists(_CONCEPTS | _JSON_VALUES, max_size=4).filter(bool)
+            | st.lists(_CONCEPTS, max_size=4)
+            | _JSON_VALUES,
+            max_size=5,
+        ),
+        meta=st.none() | _JSON_VALUES,
+    )
+    def test_loads_equals_the_per_entry_reader(self, cc, meta):
+        text = json.dumps({"cc": cc} if meta is None else {"cc": cc, "meta": meta})
+
+        def loaded(loads):
+            try:
+                d = loads(text)
+            except FormatError as exc:
+                return str(exc)
+            return list(d.cc.items()), d.meta
+
+        assert loaded(CCDictionary.loads) == loaded(cc_dictionary_loads_by_entry)
 
     def test_get_returns_copy(self):
         d = CCDictionary({"boat": ["water"]})

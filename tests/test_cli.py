@@ -94,7 +94,7 @@ class TestMine:
         matrix_path, counts_path = mined
         matrix = CoocMatrix.load(matrix_path)
         assert len(matrix.pairs) == 6
-        boat, water = sorted((toy_lexicon.id_of("boat"), toy_lexicon.id_of("water")))
+        boat, water = sorted((toy_lexicon.index["boat"], toy_lexicon.index["water"]))
         assert pair_counts(matrix)[(boat, water)] == 1
 
     def test_summary_json(self, tmp_path, toy_corpus_path, toy_lexicon_path, capsys):
@@ -951,6 +951,17 @@ class TestEval:
         report = json.loads(out_json.read_text())
         assert report["images_scored"] == 1
         assert [f["id"] for f in report["meta"]["image_failures"]] == ["img1"]
+
+    def test_no_scored_class_names_the_first_failure(self, capsys, tmp_path):
+        embeddings_path = tmp_path / "water.emb"
+        EmbeddingTable(["water"], np.array([[0.0, 1.0, 0.0]])).save(embeddings_path)
+        code, out_json, _, err = self.eval_single(capsys, tmp_path, embeddings_path, "none")
+        assert code == 3
+        assert not out_json.exists()
+        assert (
+            "no image produced a defined IoU score; 2 class failures, the first:"
+            " image 'img0', class 'boat': no embedding available for concept: 'boat'"
+        ) in err
 
     def test_classic_metric(self, capsys, tmp_path, toy_embeddings_path, dict_path):
         features_dir, gt_dir = write_classic_dataset(tmp_path)

@@ -289,7 +289,7 @@ class TestBuildCooc:
     def test_toy_pair_counts(self, toy_corpus_path, toy_lexicon):
         matrix, _ = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
         expected = {
-            tuple(sorted((toy_lexicon.id_of(a), toy_lexicon.id_of(b)))): n
+            tuple(sorted((toy_lexicon.index[a], toy_lexicon.index[b]))): n
             for (a, b), n in TOY_PAIRS.items()
         }
         assert pair_counts(matrix) == expected
@@ -297,8 +297,8 @@ class TestBuildCooc:
     def test_symmetric_get(self, toy_corpus_path, toy_lexicon):
         # an unordered pair is stored once, under (smaller id, larger id)
         matrix, _ = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
-        boat = toy_lexicon.id_of("boat")
-        water = toy_lexicon.id_of("water")
+        boat = toy_lexicon.index["boat"]
+        water = toy_lexicon.index["water"]
         assert pair_counts(matrix)[(min(boat, water), max(boat, water))] == 1
         assert (max(boat, water), min(boat, water)) not in pair_counts(matrix)
 
@@ -450,8 +450,8 @@ class TestNormalize:
     def test_directional_frequencies(self, toy_corpus_path, toy_lexicon):
         matrix, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
         freq = normalize(matrix, stats.occurrence, toy_lexicon)
-        boat = toy_lexicon.id_of("boat")
-        water = toy_lexicon.id_of("water")
+        boat = toy_lexicon.index["boat"]
+        water = toy_lexicon.index["water"]
         assert freq_of(freq, boat, water) == pytest.approx(1 / 3)
         assert freq_of(freq, water, boat) == 1.0
 
@@ -475,20 +475,20 @@ class TestSelectCandidates:
     def test_order_frequency_then_name(self, toy_corpus_path, toy_lexicon):
         matrix, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
         freq = normalize(matrix, stats.occurrence, toy_lexicon)
-        got = members(freq, toy_lexicon, toy_lexicon.id_of("boat"), 0.3)
+        got = members(freq, toy_lexicon, toy_lexicon.index["boat"], 0.3)
         assert got == ["dock", "sunset", "trailer", "water"]
 
     def test_threshold_is_strict(self, toy_corpus_path, toy_lexicon):
         matrix, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
         freq = normalize(matrix, stats.occurrence, toy_lexicon)
-        boat = toy_lexicon.id_of("boat")
-        exactly = freq_of(freq, boat, toy_lexicon.id_of("water"))
+        boat = toy_lexicon.index["boat"]
+        exactly = freq_of(freq, boat, toy_lexicon.index["water"])
         assert members(freq, toy_lexicon, boat, exactly) == []
 
     def test_high_gamma_keeps_certain_partners(self, toy_corpus_path, toy_lexicon):
         matrix, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
         freq = normalize(matrix, stats.occurrence, toy_lexicon)
-        assert members(freq, toy_lexicon, toy_lexicon.id_of("water"), 0.99) == ["boat"]
+        assert members(freq, toy_lexicon, toy_lexicon.index["water"], 0.99) == ["boat"]
 
 
 class TestMineCorpus:

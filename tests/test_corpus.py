@@ -63,7 +63,7 @@ class TestLexicon:
 
     def test_file_roundtrip(self, tmp_path, toy_lexicon):
         path = tmp_path / "lex.txt"
-        toy_lexicon.to_file(path)
+        path.write_text("".join(c + "\n" for c in toy_lexicon.concepts), encoding="utf-8")
         loaded = Lexicon.from_file(path)
         assert loaded.concepts == toy_lexicon.concepts
         assert loaded.source_digest is not None

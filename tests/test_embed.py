@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccmine import embed
 from ccmine.embed import (
     EmbeddingTable,
     ToyEmbeddingProvider,
@@ -17,7 +20,7 @@ from ccmine.embed import (
 )
 from ccmine.errors import FormatError, MissingEmbeddingError, ValidationError
 
-from conftest import cosine
+from conftest import cosine, embeddings_loads_by_record
 
 
 def _as_unit(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +142,87 @@ class TestTableConstruction:
         finally:
             tracemalloc.stop()
         final = table._unit.nbytes
-        assert peak < 2 * final, (peak, final)
+        # beyond the table: one gather block of records, the norms, the offsets
+        assert peak - final < 2**20, (peak, final)
+
+
+@st.composite
+def ccemb_tables(draw):
+    """CCEMB1 bytes: a valid table, then up to two faults drawn from the
+    ones a loader must name."""
+    dim = draw(st.sampled_from([1, 2, 3, 17, 64]))
+    names = sorted(draw(st.sets(st.text("abé", min_size=1, max_size=3), max_size=7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((len(names), dim))
+    rows = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype("<f4")
+    encoded = [name.encode("utf-8") for name in names]
+    count = len(names)
+    faults = draw(
+        st.lists(
+            st.sampled_from(
+                ["truncate", "utf8", "scale", "nan", "inf", "count0", "trailing", "swap", "dup"]
+            ),
+            max_size=2,
+        )
+    )
+    tail, cut = b"", None
+    for fault in faults:
+        k = draw(st.integers(0, max(len(names) - 1, 0)))
+        if fault == "truncate":
+            cut = draw(st.integers(0, 14 + sum(2 + len(e) + 4 * dim for e in encoded)))
+        elif fault == "count0":
+            count = 0
+        elif fault == "trailing":
+            tail = draw(st.binary(min_size=1, max_size=9))
+        elif not names:
+            continue
+        elif fault == "utf8":
+            encoded[k] = encoded[k][:-1] + b"\xff"
+        elif fault == "scale":
+            rows[k] *= draw(st.sampled_from([0.0, 0.5, 0.9998, 1.00005, 1.0002, 3.0]))
+        elif fault in ("nan", "inf"):
+            rows[k, draw(st.integers(0, dim - 1))] = np.nan if fault == "nan" else -np.inf
+        elif fault == "swap" and len(names) > 1:
+            j = (k + 1) % len(names)
+            encoded[k], encoded[j] = encoded[j], encoded[k]
+        elif fault == "dup" and len(names) > 1:
+            encoded[k] = encoded[k - 1]
+    data = b"CCEMB1" + struct.pack("<II", dim, count)
+    for name, row in zip(encoded, rows):
+        data += struct.pack("<H", len(name)) + name + row.tobytes()
+    data += tail
+    return data if cut is None else data[:cut]
+
+
+def _loaded(loads, data):
+    """What ``loads`` makes of ``data``: the error message, or the table's
+    names and the exact bytes of its rows."""
+    try:
+        table = loads(data)
+    except FormatError as exc:
+        return str(exc)
+    return table.names, table.dim, table._unit.shape, table._unit.tobytes()
+
+
+class TestLoadsAgainstRecordReader:
+    @settings(max_examples=400, deadline=None)
+    @given(data=ccemb_tables(), block=st.sampled_from([1, 2, 3, 256]))
+    def test_same_table_or_same_error(self, data, block):
+        with mock.patch.object(embed, "_GATHER_ROWS", block):
+            assert _loaded(EmbeddingTable.loads, data) == _loaded(embeddings_loads_by_record, data)
+
+    def test_error_names_the_first_faulty_record(self):
+        def record(name: bytes, row) -> bytes:
+            return struct.pack("<H", len(name)) + name + np.array(row, dtype="<f4").tobytes()
+
+        head = b"CCEMB1" + struct.pack("<II", 2, 3)
+        a, b, c = record(b"a", [1, 0]), record(b"b", [np.nan, 0]), record(b"\xff", [0, 1])
+        with pytest.raises(FormatError, match="'b' is not unit norm"):
+            EmbeddingTable.loads(head + a + b + c)
+        with pytest.raises(FormatError, match="'b' is not unit norm"):
+            EmbeddingTable.loads(head + a + b + c[:-1])
+        with pytest.raises(FormatError, match="entry 2's name is not UTF-8"):
+            EmbeddingTable.loads(head + a + record(b"b", [0, 1]) + c)
 
 
 class TestCosine:
