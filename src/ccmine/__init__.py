@@ -30,7 +30,7 @@ from .errors import (
     TransportError,
     ValidationError,
 )
-from .filters import DEFAULT_STOPWORDS, FilterConfig, VisibilityTable, filter_rows
+from .filters import DEFAULT_STOPWORDS, VisibilityTable, filter_rows
 from .llm import CC_GENERATION, PART_REMOVAL, VISIBILITY, LLMClient, parse_cc_list, parse_visibility, render
 from .metrics import GroundTruth, aggregate_iou_single, iou_single_image, load_ground_truth
 from .segment import (

@@ -24,6 +24,7 @@ from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .cooc import CoocMatrix, normalize as cooc_normalize, select_all
 from .corpus import Lexicon, normalize_concept
 from .embed import EmbeddingProvider, EmbeddingTable, nearest_neighbor
 from .errors import FormatError, ValidationError
-from .filters import FilterConfig, VisibilityOracle, VisibilityTable, filter_rows
+from .filters import DEFAULT_DELTA, DEFAULT_STOPWORDS, VisibilityOracle, VisibilityTable, filter_rows
 from .ioutil import atomic_write_text, read_text
 from .llm import LLMClient, ask_cc
 
@@ -99,9 +100,9 @@ class CCDictionary:
     def __init__(self, cc: dict[str, list[str]], meta: dict | None = None):
         self.cc: dict[str, list[str]] = cc  # normalized: a lexicon's, or as loads leaves it
         self.meta: dict = dict(meta or {})
-        # [table, its lexicon view], shared by dictionaries with the same
-        # concepts; holding the table keeps the identity check sound, where
-        # an id() could be reused after collection
+        # [table, its lexicon view], shared by the dictionaries of one build;
+        # holding the table keeps the identity check sound, where an id()
+        # could be reused after collection
         self._nn_cache: list[EmbeddingTable] = []
 
     def __contains__(self, concept: str) -> bool:
@@ -122,13 +123,6 @@ class CCDictionary:
         sub = table.subset(sorted(self.cc))
         cached[:] = (table, sub)
         return sub
-
-    def share_lexicon_table(self, other: "CCDictionary") -> None:
-        """Use ``other``'s lexicon views from now on, so dictionaries with
-        the same concepts hold one view between them."""
-        if self.cc.keys() != other.cc.keys():
-            raise ValidationError("only dictionaries with the same concepts share a lexicon view")
-        self._nn_cache = other._nn_cache
 
     # ---- serialization ----
 
@@ -215,52 +209,60 @@ def build_dictionary(
     lexicon: Lexicon,
     embeddings: EmbeddingTable,
     visibility: VisibilityTable,
-    gamma: float = DEFAULT_GAMMA,
-    filter_config: FilterConfig | None = None,
+    thresholds: Sequence[tuple[float, float]] = ((DEFAULT_GAMMA, DEFAULT_DELTA),),
+    stopwords: Iterable[str] = DEFAULT_STOPWORDS,
     oracle: VisibilityOracle | None = None,
     extra_meta: dict | None = None,
-) -> CCDictionary:
-    """Select candidates above ``gamma`` for every lexicon concept and run
-    them through the filtering pipeline, all concepts at once.
+) -> list[CCDictionary]:
+    """The dictionary of each ``(gamma, delta)`` in ``thresholds``: every
+    lexicon concept's candidates above ``gamma`` that pass the filtering
+    pipeline at ``delta``.
+
+    Candidates are selected and filtered once, at the smallest gamma, so the
+    oracle is asked once per concept; each pair thresholds the same
+    frequencies and cosines.  The dictionaries share one lexicon view.
 
     ``meta`` records the build parameters, the candidates each filter stage
     removed over all concepts (``filter_counts``) and the kept concepts
     whose visibility stayed unresolved (``unresolved_kept``).
     """
-    filter_config = filter_config or FilterConfig()
+    if not len(thresholds) or not np.isfinite(thresholds).all():
+        raise ValidationError(f"need one or more finite (gamma, delta) pairs, got {thresholds!r}")
     freq = cooc_normalize(matrix, occurrence, lexicon)
-    row, col = select_all(freq, gamma)
+    row, col, value = select_all(freq, min(gamma for gamma, _ in thresholds))
     concepts = lexicon.concepts
-    masks = filter_rows(
-        concepts,
-        len(concepts),
-        row,
-        col,
-        embeddings,
-        visibility,
-        config=filter_config,
-        oracle=oracle,
-    )
-    picked = np.flatnonzero(masks.kept)
-    kept = np.array(concepts, dtype=object)[col[picked]].tolist()
-    bounds = np.searchsorted(row[picked], np.arange(len(concepts) + 1)).tolist()
-    cc = {concept: kept[lo:hi] for concept, lo, hi in zip(concepts, bounds, bounds[1:])}
-    counts = {
-        stage: int(np.count_nonzero(getattr(masks, stage)))
-        for stage in ("stopword", "invisible", "similar", "kept")
-    }
-    meta = {
-        "gamma": gamma,
-        "delta": filter_config.delta,
-        "built_at": build_timestamp(),
-        "filter_version": "stopwords>visibility>semantic/v1",
-        "filter_counts": {"candidates": len(col), **counts},
-        "unresolved_kept": sorted(
-            {concepts[k] for k in col[masks.kept & masks.unresolved].tolist()}
-        ),
-    }
-    meta.update(extra_meta or {})
-    return CCDictionary(cc, meta)
+    masks = filter_rows(concepts, len(lexicon), row, col, embeddings, visibility, stopwords, oracle)
+    names, built_at, nn_cache = np.array(concepts, dtype=object), build_timestamp(), []
+    dictionaries = []
+    for gamma, delta in thresholds:
+        selected = value > gamma
+        similar, passed = masks.semantic(delta)
+        stages = {
+            "stopword": selected & masks.stopword,
+            "invisible": selected & masks.invisible,
+            "similar": selected & similar,
+            "kept": selected & passed,
+        }
+        picked = np.flatnonzero(stages["kept"])
+        kept = names[col[picked]].tolist()
+        bounds = np.searchsorted(row[picked], np.arange(len(concepts) + 1)).tolist()
+        cc = {concept: kept[lo:hi] for concept, lo, hi in zip(concepts, bounds, bounds[1:])}
+        counts = {stage: int(np.count_nonzero(mask)) for stage, mask in stages.items()}
+        meta = {
+            "gamma": gamma,
+            "delta": delta,
+            "built_at": built_at,
+            "filter_version": "stopwords>visibility>semantic/v1",
+            "filter_counts": {"candidates": int(np.count_nonzero(selected)), **counts},
+            "unresolved_kept": sorted(
+                {concepts[k] for k in col[stages["kept"] & masks.unresolved].tolist()}
+            ),
+        }
+        meta.update(extra_meta or {})
+        dictionary = CCDictionary(cc, meta)
+        dictionary._nn_cache = nn_cache
+        dictionaries.append(dictionary)
+    return dictionaries
 
 
 def cc_d(

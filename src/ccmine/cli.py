@@ -52,7 +52,6 @@ from .errors import (
 from .filters import (
     DEFAULT_DELTA,
     DEFAULT_STOPWORDS,
-    FilterConfig,
     VisibilityTable,
     accept_unknown,
     reject_unknown,
@@ -333,22 +332,16 @@ def _build_inputs(args: argparse.Namespace):
     return lexicon, matrix, occurrence, visibility
 
 
-def _dictionary(
+def _dictionaries(
     settings: Settings,
     inputs,
     embeddings: EmbeddingTable,
-    gamma: float | None = None,
-    delta: float | None = None,
+    thresholds: list[tuple[float, float]],
     extra_meta: dict | None = None,
-) -> CCDictionary:
-    """A dictionary built from ``_build_inputs`` with the run's stop-words,
-    unknown-visibility policy, gamma and delta; ``gamma`` and ``delta``
-    override the run's values."""
+) -> list[CCDictionary]:
+    """The dictionary of each ``(gamma, delta)`` in ``thresholds``, built in
+    one pass with the run's stop-words and unknown-visibility policy."""
     lexicon, matrix, occurrence, visibility = inputs
-    config = FilterConfig(
-        stopwords=frozenset(normalize_concept(s) for s in settings.get("stopwords")),
-        delta=settings.get("delta") if delta is None else delta,
-    )
     policy = settings.get("unknown_visibility")
     if policy == "llm":
         # only the endpoint's answers go into the table: a policy's do not
@@ -363,8 +356,8 @@ def _dictionary(
         lexicon,
         embeddings,
         visibility,
-        gamma=settings.get("gamma") if gamma is None else gamma,
-        filter_config=config,
+        thresholds,
+        stopwords=settings.get("stopwords"),
         oracle=oracle,
         extra_meta=extra_meta,
     )
@@ -439,6 +432,14 @@ def _score_images(args: argparse.Namespace, image_ids: list[str], scorers, failu
     return results
 
 
+def _exit_code(image_failures: int, class_failures: int) -> int:
+    """Exit code 3, with a warning, when an image or a class failed; else 0."""
+    if image_failures or class_failures:
+        log.warning("%d image failures, %d class failures", image_failures, class_failures)
+        return 3
+    return 0
+
+
 # ---- mine ----
 
 
@@ -469,10 +470,11 @@ def cmd_build_cc(args: argparse.Namespace) -> int:
     inputs = _build_inputs(args)
     lexicon, _matrix, _occurrence, visibility = inputs
     embeddings = EmbeddingTable.load(args.embeddings)
-    dictionary = _dictionary(
+    [dictionary] = _dictionaries(
         settings,
         inputs,
         embeddings,
+        [(settings.get("gamma"), settings.get("delta"))],
         extra_meta={
             "lexicon_digest": lexicon.source_digest,
             "corpus_digest": sha256_file(args.matrix),
@@ -583,27 +585,34 @@ def cmd_eval(args: argparse.Namespace) -> int:
     }
     metrics.write_report(report, args.out_json, args.out_tsv)
     print(json.dumps({"mean": report["mean"], "metric": args.metric}, sort_keys=True))
-    if image_failures or class_failures:
-        log.warning(
-            "%d image failures, %d class failures", len(image_failures), class_failures
-        )
-        return 3
-    return 0
+    return _exit_code(len(image_failures), class_failures)
 
 
 # ---- sweep ----
 
 
+# the flags each sweep would leave unread
+_UNREAD_SWEEP_FLAGS = {
+    "sigmoid": ("--values",),
+    "gamma": ("--gamma", "--cc-mode", "--cc-dict", "--steps"),
+    "delta": ("--delta", "--cc-mode", "--cc-dict", "--steps"),
+    "beta": ("--steps",),
+}
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     settings = Settings(args)
+    for flag in _UNREAD_SWEEP_FLAGS[args.param]:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValidationError(f"{flag} does nothing in a {args.param} sweep")
     embeddings = EmbeddingTable.load(args.embeddings)
     image_ids = _dataset_ids(args)
     if args.param == "sigmoid":
-        report = metrics.sigmoid_sweep(
-            _load_dataset(args, image_ids), embeddings, steps=settings.get("steps")
+        report, failures = metrics.sigmoid_sweep(
+            _load_dataset(args, image_ids), embeddings, settings.get("steps")
         )
         metrics.write_report(report, args.out_json, args.out_tsv)
-        return 0
+        return _exit_code(0, len(failures))
     if not args.values:
         raise ValidationError(f"--values is required for a {args.param} sweep")
     number = _finite("--values")
@@ -622,29 +631,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         if not (args.matrix and args.counts and args.lexicon):
             raise ValidationError(f"a {args.param} sweep needs --matrix, --counts, and --lexicon")
-        inputs = _build_inputs(args)
-        provider = TableProvider(embeddings)
-        dictionaries = [
-            _dictionary(settings, inputs, embeddings, **{args.param: value}) for value in values
+        gamma, delta = settings.get("gamma"), settings.get("delta")
+        thresholds = [(v, delta) if args.param == "gamma" else (gamma, v) for v in values]
+        source = partial(cc_d, embeddings=embeddings, provider=TableProvider(embeddings))
+        dicts = _dictionaries(settings, _build_inputs(args), embeddings, thresholds)
+        scorers = [
+            _single_scorer(settings, embeddings, partial(source, dictionary=d)) for d in dicts
         ]
-        scorers = []
-        for dictionary in dictionaries:
-            # each has the lexicon's concepts, so one lexicon view serves all
-            dictionary.share_lexicon_table(dictionaries[0])
-            source = partial(cc_d, dictionary=dictionary, embeddings=embeddings, provider=provider)
-            scorers.append(_single_scorer(settings, embeddings, source))
     rows = []
+    failed: set[tuple[str, str]] = set()  # (image, class), once however many values
     for value, results in zip(values, _score_images(args, image_ids, scorers)):
         if args.param == "beta":
             row = {"mean_class": metrics.aggregate_classic(results)["mean"]}
         else:
             agg = metrics.aggregate_iou_single(results)
             row = {"mean_class": agg["mean_class"], "mean_image": agg["mean_image"]}
+            failed.update((r.image_id, label) for r in results for label, _ in r.failures)
         rows.append({"value": value, **row})
     metric = "miou-classic-sweep" if args.param == "beta" else "iou-single-sweep"
     report = {"metric": metric, "param": args.param, "rows": rows}
     metrics.write_report(report, args.out_json, args.out_tsv)
-    return 0
+    return _exit_code(0, len(failed))
 
 
 # ---- parser ----

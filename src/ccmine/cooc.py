@@ -374,16 +374,17 @@ def normalize(matrix: CoocMatrix, occurrence, lexicon: Lexicon) -> FreqMatrix:
     return FreqMatrix(matrix.dim, indptr, col[order], freq[order], rank)
 
 
-def select_all(freq: FreqMatrix, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's candidates at once, as (row, column) id arrays: the
-    entries with frequency strictly above ``gamma`` (one exactly equal to it
-    is excluded), by ascending row, then descending frequency, then
+def select_all(freq: FreqMatrix, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row's candidates at once, as (row, column, frequency) arrays:
+    the entries with frequency strictly above ``gamma`` (one exactly equal
+    to it is excluded), by ascending row, then descending frequency, then
     ascending concept string."""
     keep = np.flatnonzero(freq.data > gamma)
     row = np.searchsorted(freq.indptr, keep, side="right") - 1
-    col = freq.indices[keep]
-    order = np.lexsort((freq.rank[col], -freq.data[keep], row))
-    return row[order], col[order]
+    ids = np.min_scalar_type(freq.dim)  # ids of 16 bits or fewer sort by radix
+    rank = freq.rank[freq.indices[keep]].astype(ids)
+    keep = keep[np.lexsort((rank, -freq.data[keep], row.astype(ids)))]
+    return row, freq.indices[keep], freq.data[keep]  # ``row`` ascends, so the sort keeps it
 
 
 # ---- parallel corpus mining ----

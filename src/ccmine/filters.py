@@ -4,20 +4,20 @@ Mined candidate lists pass through three stages in a fixed order:
 
 1. stop-words: drop generic photography vocabulary,
 2. visibility: drop concepts that name nothing visible in an image,
-3. semantic: drop concepts too similar to the target, which would
-   otherwise steal the target's own pixels.
+3. semantic: drop concepts more similar to the target than ``delta``,
+   which would otherwise steal the target's own pixels.
 
 Each stage only removes items and preserves the incoming order, so the
-pipeline output is always a subsequence of its input.
+pipeline output is always a subsequence of its input.  The semantic stage
+is left as each surviving pair's cosine, so one pass serves every delta.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,14 +43,6 @@ def reject_unknown(_concept: str) -> bool:
 def accept_unknown(_concept: str) -> bool:
     """Policy oracle: concepts without a cached answer are kept."""
     return True
-
-
-@dataclass
-class FilterConfig:
-    """Knobs for the filtering pipeline."""
-
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS
-    delta: float = DEFAULT_DELTA
 
 
 class VisibilityTable:
@@ -136,25 +128,25 @@ class VisibilityTable:
 
 
 class StageMasks(NamedTuple):
-    """Per-pair outcome of the filter stages, one bool per candidate pair.
-
-    Every pair is in exactly one of ``kept``, ``stopword``, ``invisible``
-    and ``similar``: the stage that removed it, or none.  ``unresolved``
-    marks the pairs whose candidate's visibility was never resolved; a
-    kept one makes the run unpublishable.
+    """Per-pair outcome of the filter stages: ``stopword`` and ``invisible``
+    mark, one bool per candidate pair, the pairs those stages removed, and
+    ``cosine`` holds each other pair's cosine to its target, in pair order.
+    ``unresolved`` marks the pairs whose candidate's visibility was never
+    resolved; a kept one makes the run unpublishable.
     """
 
-    kept: np.ndarray
     stopword: np.ndarray
     invisible: np.ndarray
-    similar: np.ndarray
     unresolved: np.ndarray
+    cosine: np.ndarray
 
-
-def _stopword_flags(names: Sequence[str], stopwords) -> np.ndarray:
-    """Per name: is it a stop-word?  ``names`` are normalized."""
-    stop = {normalize_concept(s) for s in stopwords}
-    return np.array([name in stop for name in names], dtype=bool)
+    def semantic(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per pair, (similar, kept) by the semantic stage at ``delta``: a
+        cosine above it, or at most it.  A pair removed earlier is in neither."""
+        live = ~self.stopword & ~self.invisible
+        similar, kept = np.zeros_like(live), np.zeros_like(live)
+        similar[live], kept[live] = self.cosine > delta, self.cosine <= delta
+        return similar, kept
 
 
 def _visibility_flags(
@@ -188,17 +180,16 @@ def _visibility_flags(
     return invisible, unresolved
 
 
-def _similar_flags(
+def _cosines(
     names: Sequence[str],
     targets: int,
     row: np.ndarray,
     col: np.ndarray,
     live: np.ndarray,
     table: EmbeddingTable,
-    delta: float,
 ) -> np.ndarray:
-    """Per pair: is the cosine of candidate ``names[col]`` to its target
-    ``names[row]`` strictly above ``delta``?  Only ``live`` pairs compare.
+    """The cosine of candidate ``names[col]`` to its target ``names[row]``
+    for each ``live`` pair, in pair order.
 
     Every target needs an embedding, and so does every live candidate; the
     error names the first one missing in row order, each row's target
@@ -212,10 +203,7 @@ def _similar_flags(
         if len(missing_pair) and row[missing_pair[0]] < t:
             raise MissingEmbeddingError(names[col[missing_pair[0]]])
         raise MissingEmbeddingError(names[t])
-    similar = np.zeros(len(row), dtype=bool)
-    pairs = np.flatnonzero(live)
-    similar[pairs] = table.pair_cosines(at[col[pairs]], at[row[pairs]]) > delta
-    return similar
+    return table.pair_cosines(at[col[live]], at[row[live]])
 
 
 def filter_rows(
@@ -225,23 +213,22 @@ def filter_rows(
     col: np.ndarray,
     embeddings: EmbeddingTable,
     visibility: VisibilityTable,
-    config: FilterConfig | None = None,
+    stopwords: Iterable[str] = DEFAULT_STOPWORDS,
     oracle: VisibilityOracle | None = None,
 ) -> StageMasks:
-    """Apply stop-word, visibility, and semantic filters, in that order, to
-    the candidate lists of many targets at once.
+    """Apply the stop-word and visibility filters, in that order, to the
+    candidate lists of many targets at once, and take the cosine of each
+    pair they leave for the semantic filter.
 
-    ``names`` are distinct normalized concepts.  Row ``r < targets`` filters
-    for target ``names[r]`` the candidates ``names[col[p]]`` of the pairs
-    ``p`` with ``row[p] == r``, in pair order; ``row`` ascends.  An unknown
-    concept goes to the oracle once, however many rows hold it, so a failed
-    answer flags it in every row.  The result holds one mask per stage,
-    each aligned with ``row`` and ``col``.
+    ``names`` are distinct normalized concepts.  Row ``r < targets``
+    filters for target ``names[r]`` the candidates ``names[col[p]]`` of the
+    pairs ``p`` with ``row[p] == r``, in pair order; ``row`` ascends.  An
+    unknown concept goes to the oracle once, however many rows hold it, so
+    a failed answer flags it in every row.
     """
-    config = config or FilterConfig()
-    stopword = _stopword_flags(names, config.stopwords)[col]
+    stop = {normalize_concept(s) for s in stopwords}
+    stopword = np.array([name in stop for name in names], dtype=bool)[col]
     invisible, unresolved = _visibility_flags(names, col[~stopword], visibility, oracle)
     invisible, unresolved = invisible[col], unresolved[col]
-    live = ~stopword & ~invisible
-    similar = _similar_flags(names, targets, row, col, live, embeddings, config.delta)
-    return StageMasks(live & ~similar, stopword, invisible, similar, unresolved)
+    cosine = _cosines(names, targets, row, col, ~stopword & ~invisible, embeddings)
+    return StageMasks(stopword, invisible, unresolved, cosine)

@@ -202,9 +202,6 @@ class LLMClient:
 
     # ---- cache ----
 
-    def _cache_path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
-
     def _cached(self, path: Path) -> str | None:
         """The cached completion text, or None on a miss.  A file that is
         not a complete cache record is a miss; ``complete`` overwrites it."""
@@ -216,15 +213,13 @@ class LLMClient:
         return text if isinstance(text, str) else None
 
     def cache_key(self, prompt: str) -> str:
+        """The cache key of a completion: every setting that shapes the
+        answer, the rendered prompt and so its template, query and markers
+        included."""
         material = json.dumps(
             [self.api_style, self.model, prompt, self.max_tokens, self.temperature],
             ensure_ascii=False,
         )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    def concept_cache_key(self, template_version: str, q: str) -> str:
-        """Cache key for concept-level asks: (template version, q, model)."""
-        material = f"{template_version}\x00{normalize_concept(q)}\x00{self.model}"
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
     # ---- request plumbing ----
@@ -261,10 +256,9 @@ class LLMClient:
             raise ResponseParseError("completion text field is not a string")
         return text
 
-    def complete(self, prompt: str, cache_key: str | None = None) -> str:
+    def complete(self, prompt: str) -> str:
         """Return the completion for a prompt, consulting the cache first."""
-        key = cache_key or self.cache_key(prompt)
-        path = self._cache_path(key)
+        path = self.cache_dir / f"{self.cache_key(prompt)}.json"
         cached = self._cached(path)
         if cached is not None:
             return cached
@@ -296,16 +290,12 @@ class LLMClient:
 
 def ask_cc(client: LLMClient, q: str, include_markers: bool = True) -> list[str]:
     """Generate contrastive concepts for a query via the LLM."""
-    prompt = render(CC_GENERATION, q, include_markers)
-    key = client.concept_cache_key(CC_GENERATION.version, q)
-    return parse_cc_list(client.complete(prompt, cache_key=key))
+    return parse_cc_list(client.complete(render(CC_GENERATION, q, include_markers)))
 
 
 def ask_visibility(client: LLMClient, q: str, include_markers: bool = True) -> bool:
     """Ask whether a concept names something visible."""
-    prompt = render(VISIBILITY, q, include_markers)
-    key = client.concept_cache_key(VISIBILITY.version, q)
-    return parse_visibility(client.complete(prompt, cache_key=key))
+    return parse_visibility(client.complete(render(VISIBILITY, q, include_markers)))
 
 
 def visibility_oracle(client: LLMClient, include_markers: bool = True):

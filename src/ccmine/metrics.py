@@ -252,6 +252,18 @@ def _class_ious(counts: Iterable[tuple[str, int, int]]) -> tuple[dict, float, li
     return per_class, mean, undefined
 
 
+def _unscored(failed: list[tuple[str, str, str]]) -> ValidationError:
+    """The error of a run that scored no class; ``failed``: (image id, label, reason)."""
+    message = "no image produced a defined IoU score"
+    if failed:
+        image_id, label, error = failed[0]
+        message += (
+            f"; {len(failed)} class failures, the first: image {image_id!r},"
+            f" class {label!r}: {error}"
+        )
+    return ValidationError(message)
+
+
 def aggregate_iou_single(results: list[ImageResult], mode: str = "class") -> dict:
     """Dataset-level aggregation of per-image IoU-single results.
 
@@ -264,15 +276,7 @@ def aggregate_iou_single(results: list[ImageResult], mode: str = "class") -> dic
         raise ValidationError(f"aggregation mode must be 'class' or 'image', got {mode!r}")
     scored = [r for r in results if r.scores]
     if not scored:
-        failed = [(r.image_id, label, error) for r in results for label, error in r.failures]
-        message = "no image produced a defined IoU score"
-        if failed:
-            image_id, label, error = failed[0]
-            message += (
-                f"; {len(failed)} class failures, the first: image {image_id!r},"
-                f" class {label!r}: {error}"
-            )
-        raise ValidationError(message)
+        raise _unscored([(r.image_id, label, e) for r in results for label, e in r.failures])
     image_means = {r.image_id: r.mean() for r in scored}
     mean_image = sum(image_means.values()) / len(image_means)
     per_class, mean_class, _ = _class_ious(
@@ -353,7 +357,7 @@ def sigmoid_sweep(
     items: Iterable[tuple[str, FeatureMap, GroundTruth]],
     embeddings: EmbeddingTable,
     steps: int = 30,
-) -> dict:
+) -> tuple[dict, list[tuple[str, str, str]]]:
     """Sweep the sigmoid baseline threshold over its observed score range.
 
     Score fields are computed once per (image, class); thresholds are
@@ -361,10 +365,13 @@ def sigmoid_sweep(
     of those fields, endpoints included.  Each field is kept only as the
     sorted scores of its kept ground-truth-positive and negative pixels,
     so a binary search counts its pixels above every threshold at once.
+
+    Returns the report and its class failures: a class whose field fails
+    is skipped, as ``eval`` skips it, and listed as (image id, label, reason).
     """
     if steps < 2:
         raise ValidationError("a sweep needs at least two threshold steps")
-    fields = []
+    fields, failures = [], []
     lo = np.inf
     hi = -np.inf
     for image_id, features, gt in items:
@@ -372,7 +379,11 @@ def sigmoid_sweep(
         keep = gt.keep_mask()
         for class_id in gt.evaluable_ids():
             label = gt.labels[class_id]
-            score = sigmoid_score_field(features, embeddings.vector(label), h, w)
+            try:
+                score = sigmoid_score_field(features, embeddings.vector(label), h, w)
+            except CCMineError as exc:
+                failures.append((image_id, label, str(exc)))
+                continue
             lo = min(lo, float(score.min()))
             hi = max(hi, float(score.max()))
             gt_mask = gt.ids == class_id
@@ -383,7 +394,7 @@ def sigmoid_sweep(
             neg.sort()
             fields.append((image_id, class_id, label, pos, neg))
     if not fields:
-        raise ValidationError("no evaluable classes in the sweep inputs")
+        raise _unscored(failures)
     thresholds = np.linspace(lo, hi, steps)
     # pixels strictly above t: the intersection's are the positives above
     # t, the union's are every positive plus the negatives above t
@@ -418,7 +429,7 @@ def sigmoid_sweep(
         "score_max": hi,
         "steps": steps,
         "rows": rows,
-    }
+    }, failures
 
 
 # ---- report writing ----

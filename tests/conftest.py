@@ -26,7 +26,7 @@ from ccmine.cooc import CoocMatrix, _sum_by_key
 from ccmine.corpus import Lexicon, normalize_concept
 from ccmine.embed import EmbeddingTable, cosines
 from ccmine.errors import FormatError
-from ccmine.filters import VisibilityTable, filter_rows
+from ccmine.filters import DEFAULT_DELTA, DEFAULT_STOPWORDS, VisibilityTable, filter_rows
 from ccmine.ioutil import decode_utf8
 from ccmine.metrics import GroundTruth
 from ccmine.segment import FeatureMap, SegMap
@@ -309,16 +309,17 @@ class StageLists:
     unresolved_kept: list = field(default_factory=list)
 
 
-def split_masks(names, targets, row, col, masks) -> list[StageLists]:
-    """``filter_rows``'s per-pair masks cut into each target's lists; every
-    pair must be in exactly one stage."""
+def split_masks(names, targets, row, col, masks, delta=DEFAULT_DELTA) -> list[StageLists]:
+    """``filter_rows``'s per-pair outcome at ``delta`` cut into each
+    target's lists; every pair must be in exactly one stage."""
     out = [StageLists() for _ in range(targets)]
+    similar, kept = masks.semantic(delta)
     for p, (r, c) in enumerate(zip(row.tolist(), col.tolist())):
         stages = {
-            "kept": masks.kept[p],
+            "kept": kept[p],
             "removed_stopword": masks.stopword[p],
             "removed_invisible": masks.invisible[p],
-            "removed_similar": masks.similar[p],
+            "removed_similar": similar[p],
         }
         (stage,) = [name for name, hit in stages.items() if hit]
         getattr(out[r], stage).append(names[c])
@@ -327,14 +328,22 @@ def split_masks(names, targets, row, col, masks) -> list[StageLists]:
     return out
 
 
-def filter_one(candidates, target, embeddings, visibility=None, config=None, oracle=None):
+def filter_one(
+    candidates,
+    target,
+    embeddings,
+    visibility=None,
+    stopwords=DEFAULT_STOPWORDS,
+    delta=DEFAULT_DELTA,
+    oracle=None,
+):
     """``filter_rows`` for one target's candidate list, split by stage."""
     names = list(dict.fromkeys([target, *candidates]))
     col = np.array([names.index(c) for c in candidates], dtype=np.int64)
     row = np.zeros(len(col), dtype=np.int64)
     visibility = VisibilityTable() if visibility is None else visibility
-    masks = filter_rows(names, 1, row, col, embeddings, visibility, config, oracle)
-    (outcome,) = split_masks(names, 1, row, col, masks)
+    masks = filter_rows(names, 1, row, col, embeddings, visibility, stopwords, oracle)
+    (outcome,) = split_masks(names, 1, row, col, masks, delta)
     return outcome
 
 

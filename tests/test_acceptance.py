@@ -274,7 +274,7 @@ def test_criterion_03_filter_contraction(verdict, toy_corpus_path):
 
         lexicon = Lexicon(list(TOY_CONCEPTS))
         matrix, stats = mine_corpus(toy_corpus_path, lexicon)
-        dictionary = build_dictionary(
+        [dictionary] = build_dictionary(
             matrix, stats.occurrence, lexicon, make_toy_embeddings(), make_toy_visibility()
         )
         assert dictionary.cc == EXPECTED_DICT_G001
@@ -546,7 +546,8 @@ def test_criterion_09_sigmoid_curve(verdict):
     with verdict(9):
         assert sigmoid(0.0) == 0.5
         items = [("img0", make_sweep_features(), make_scene_gt())]
-        report = sigmoid_sweep(items, make_toy_embeddings(), steps=30)
+        report, failures = sigmoid_sweep(items, make_toy_embeddings(), steps=30)
+        assert failures == []
         values = [row["mean_class"] for row in report["rows"]]
         assert len(values) == 30
         assert values[0] == 8 / 12

@@ -25,7 +25,7 @@ from ccmine.cooc import mine_corpus, normalize, select_all
 from ccmine.corpus import Lexicon, normalize_concept
 from ccmine.embed import EmbeddingTable
 from ccmine.errors import CCMineError, FormatError, MissingEmbeddingError, ValidationError
-from ccmine.filters import DEFAULT_STOPWORDS, FilterConfig, VisibilityTable, filter_rows
+from ccmine.filters import DEFAULT_STOPWORDS, VisibilityTable, filter_rows
 from ccmine.llm import LLMClient
 
 from conftest import (
@@ -99,9 +99,10 @@ class TestCCLLM:
 class TestDictionaryBuild:
     def build(self, corpus_path, lexicon, embeddings, visibility, **kwargs):
         matrix, stats = mine_corpus(corpus_path, lexicon)
-        return build_dictionary(
+        [dictionary] = build_dictionary(
             matrix, stats.occurrence, lexicon, embeddings, visibility, **kwargs
         )
+        return dictionary
 
     def test_toy_dictionary_defaults(
         self, toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility
@@ -121,7 +122,7 @@ class TestDictionaryBuild:
         self, toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility
     ):
         dictionary = self.build(
-            toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility, gamma=0.99
+            toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility, thresholds=[(0.99, 0.8)]
         )
         assert dictionary.cc == EXPECTED_DICT_G099
 
@@ -146,6 +147,17 @@ class TestDictionaryBuild:
         a = self.build(toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility)
         b = self.build(toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility)
         assert a.dumps() == b.dumps()
+
+    @pytest.mark.parametrize(
+        "thresholds", [[], [(float("nan"), 0.8)], [(0.01, 0.8), (0.01, float("inf"))]]
+    )
+    def test_thresholds_must_be_finite_pairs(
+        self, toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility, thresholds
+    ):
+        with pytest.raises(ValidationError, match="finite"):
+            self.build(
+                toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility, thresholds=thresholds
+            )
 
     def test_unknown_visibility_fail_open(
         self, toy_corpus_path, toy_lexicon, toy_embeddings
@@ -284,13 +296,19 @@ class TestDictionaryIO:
         with pytest.raises(MissingEmbeddingError, match="zebra"):
             d.lexicon_table(toy_embeddings)
 
-    def test_shared_lexicon_table_is_one_view(self, toy_embeddings):
-        first = CCDictionary({"boat": ["water"], "water": []})
-        second = CCDictionary({"water": ["boat"], "boat": []})
-        second.share_lexicon_table(first)
-        assert second.lexicon_table(toy_embeddings) is first.lexicon_table(toy_embeddings)
-        with pytest.raises(ValidationError, match="same concepts"):
-            CCDictionary({"boat": []}).share_lexicon_table(first)
+    def test_shared_lexicon_table_is_one_view(
+        self, toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility
+    ):
+        # the dictionaries of one build hold the lexicon's concepts, so one
+        # view serves them all; another build's dictionary has its own
+        matrix, stats = mine_corpus(toy_corpus_path, toy_lexicon)
+        args = (matrix, stats.occurrence, toy_lexicon, toy_embeddings, toy_visibility)
+        first, second = build_dictionary(*args, [(0.01, 0.8), (0.99, 0.5)])
+        view = first.lexicon_table(toy_embeddings)
+        assert second.lexicon_table(toy_embeddings) is view
+        assert view.names == sorted(toy_lexicon.concepts)
+        [other] = build_dictionary(*args)
+        assert other.lexicon_table(toy_embeddings) is not view
 
 
 class TestCCD:
@@ -425,9 +443,9 @@ class TestBuildTimestamp:
 # same thing on both sides.
 
 
-def loop_pipeline(candidates, target, embeddings, visibility, config, oracle):
+def loop_pipeline(candidates, target, embeddings, visibility, stopwords, delta, oracle):
     outcome = StageLists()
-    stop = {normalize_concept(s) for s in config.stopwords}
+    stop = {normalize_concept(s) for s in stopwords}
     stage = []
     for c in candidates:
         if normalize_concept(c) in stop:
@@ -454,7 +472,7 @@ def loop_pipeline(candidates, target, embeddings, visibility, config, oracle):
             outcome.removed_invisible.append(c)
     target_vec = embeddings.vector(normalize_concept(target))
     for c in visible:
-        if cosine(embeddings.vector(normalize_concept(c)), target_vec) > config.delta:
+        if cosine(embeddings.vector(normalize_concept(c)), target_vec) > delta:
             outcome.removed_similar.append(c)
         else:
             outcome.kept.append(c)
@@ -463,7 +481,7 @@ def loop_pipeline(candidates, target, embeddings, visibility, config, oracle):
     return outcome
 
 
-def loop_build(matrix, occurrence, lexicon, embeddings, visibility, gamma, config, oracle):
+def loop_build(matrix, occurrence, lexicon, embeddings, visibility, oracle, gamma, delta, stopwords):
     concepts = lexicon.concepts
     rows: dict[int, dict[int, float]] = {}
     for (a, b), count in pair_counts(matrix).items():
@@ -475,7 +493,9 @@ def loop_build(matrix, occurrence, lexicon, embeddings, visibility, gamma, confi
         chosen.sort(key=lambda item: (-item[1], concepts[item[0]]))
         candidates = [concepts[j] for j, _ in chosen]
         total += len(candidates)
-        outcome = loop_pipeline(candidates, concept, embeddings, visibility, config, oracle)
+        outcome = loop_pipeline(
+            candidates, concept, embeddings, visibility, stopwords, delta, oracle
+        )
         cc[concept] = outcome.kept
         outcomes.append(outcome)
     # the build metadata, as sums over the per-concept stage lists
@@ -554,20 +574,32 @@ def build_cases(draw):
             count = draw(st.integers(0, min(occurrence[a], occurrence[b])))
             if count:
                 pairs[(a, b)] = count
-    # fractions count / occurrence hit frequencies exactly
-    gamma = draw(
-        st.one_of(
-            st.builds(lambda c, o: c / o, st.integers(0, 4), st.integers(1, 4)),
-            st.floats(0.0, 1.0),
-        )
-    )
     table = draw(embedding_tables(concepts))
-    delta = draw(st.sampled_from([0.0, 0.5, 0.8, 1.0, None]))
-    if delta is None:
-        # exactly the similarity of a co-occurring pair, when both have vectors
-        a, b = draw(st.sampled_from(sorted(pairs) or [(0, 0)]))
-        a, b = concepts[a], concepts[b]
-        delta = cosine(table.vector(a), table.vector(b)) if {a, b} <= set(table.names) else 0.8
+
+    def threshold_pair():
+        # fractions count / occurrence hit frequencies exactly
+        gamma = draw(
+            st.one_of(
+                st.builds(lambda c, o: c / o, st.integers(0, 4), st.integers(1, 4)),
+                st.floats(0.0, 1.0),
+            )
+        )
+        delta = draw(st.sampled_from([0.0, 0.5, 0.8, 1.0, None]))
+        if delta is None:
+            # exactly the similarity of a co-occurring pair, when both have vectors
+            a, b = draw(st.sampled_from(sorted(pairs) or [(0, 0)]))
+            a, b = concepts[a], concepts[b]
+            delta = cosine(table.vector(a), table.vector(b)) if {a, b} <= set(table.names) else 0.8
+        return gamma, delta
+
+    # in no particular order, and now and then a gamma or a pair twice
+    thresholds = []
+    for _ in range(draw(st.integers(1, 4))):
+        if thresholds and draw(st.integers(0, 3)) == 0:
+            gamma, delta = draw(st.sampled_from(thresholds))
+            thresholds.append((gamma, draw(st.sampled_from([delta, 0.5]))))
+        else:
+            thresholds.append(threshold_pair())
     stopwords = draw(
         st.sampled_from([DEFAULT_STOPWORDS, frozenset({" Zebra", "kiwi"}), frozenset()])
     )
@@ -578,19 +610,20 @@ def build_cases(draw):
         concepts=concepts,
         occurrence=occurrence,
         pairs=pairs,
-        gamma=gamma,
+        thresholds=thresholds,
         table=table,
-        config=FilterConfig(stopwords=stopwords, delta=delta),
+        stopwords=stopwords,
         known=known,
         answers=answers,
         with_oracle=with_oracle,
     )
 
 
-def run_build(case, build):
-    """(result or the concept a MissingEmbeddingError named, oracle calls,
-    final visibility answers).  The oracle caches its answers in the table,
-    as the command line's LLM oracle does; the builds only read it."""
+def run_build(case, build, **params):
+    """(what ``build`` returns or the concept a MissingEmbeddingError named,
+    oracle calls, final visibility answers), each on a fresh visibility
+    table.  The oracle caches its answers in the table, as the command
+    line's LLM oracle does; the builds only read it."""
     calls = []
 
     def ask(concept):
@@ -615,51 +648,63 @@ def run_build(case, build):
             lexicon,
             case["table"],
             visibility,
-            case["gamma"],
-            case["config"],
             oracle if case["with_oracle"] else None,
+            stopwords=case["stopwords"],
+            **params,
         )
     except MissingEmbeddingError as exc:
         result = ("missing", exc.concept)
     return result, calls, {c: visibility.get(c) for c in case["concepts"]}
 
 
-def array_build(matrix, occurrence, lexicon, embeddings, visibility, gamma, config, oracle):
-    dictionary = build_dictionary(
+def array_build(matrix, occurrence, lexicon, embeddings, visibility, oracle, thresholds, stopwords):
+    dictionaries = build_dictionary(
         matrix,
         occurrence,
         lexicon,
         embeddings,
         visibility,
-        gamma=gamma,
-        filter_config=config,
+        thresholds,
+        stopwords=stopwords,
         oracle=oracle,
     )
-    # a second pass with no oracle, every answer the build got now being in
-    # the table, repeats the build's stage masks; split into per-row lists
+    # a second pass at each pair with no oracle, every answer the build got
+    # now being in the table, repeats the pair's stage masks; split into
+    # per-row lists
     concepts = lexicon.concepts
-    row, col = select_all(normalize(matrix, occurrence, lexicon), gamma)
-    masks = filter_rows(concepts, len(concepts), row, col, embeddings, visibility, config)
-    stages = split_masks(concepts, len(concepts), row, col, masks)
-    meta = dictionary.meta
-    return dictionary.cc, meta["filter_counts"], meta["unresolved_kept"], stages
+    freq = normalize(matrix, occurrence, lexicon)
+    out = []
+    for dictionary, (gamma, delta) in zip(dictionaries, thresholds, strict=True):
+        row, col, _ = select_all(freq, gamma)
+        masks = filter_rows(concepts, len(concepts), row, col, embeddings, visibility, stopwords)
+        stages = split_masks(concepts, len(concepts), row, col, masks, delta)
+        meta = dictionary.meta
+        assert (meta["gamma"], meta["delta"]) == (gamma, delta)
+        out.append((dictionary.cc, meta["filter_counts"], meta["unresolved_kept"], stages))
+    return out
 
 
 class TestBuildAgainstPerConceptLoop:
     @settings(max_examples=400, deadline=None)
     @given(case=build_cases())
     def test_same_dictionary_outcomes_and_oracle_calls(self, case):
-        want, want_calls, want_answers = run_build(case, loop_build)
-        got, got_calls, got_answers = run_build(case, array_build)
-        assert got == want
-        if want[0] == "missing":
+        thresholds = case["thresholds"]
+        got, got_calls, got_answers = run_build(case, array_build, thresholds=thresholds)
+        # the array build selects and filters once, at the smallest gamma:
+        # it raises what the loop raises there and asks what the loop asks
+        smallest = min(gamma for gamma, _ in thresholds)
+        first, want_calls, want_answers = run_build(case, loop_build, gamma=smallest, delta=0.8)
+        if first[0] == "missing":
+            assert got == first
             return
+        want = [
+            run_build(case, loop_build, gamma=gamma, delta=delta)[0] for gamma, delta in thresholds
+        ]
+        assert got == want
         # the loop retries a failed oracle call at every occurrence; the
         # array build asks once and flags the concept everywhere
-        if not any(case["answers"][c] == "raise" for c in want_calls):
-            assert got_calls == want_calls
-            assert got_answers == want_answers
-        assert len(got_calls) == len(set(got_calls))
+        assert got_calls == list(dict.fromkeys(want_calls))
+        assert got_answers == want_answers
 
     def test_failed_oracle_answer_is_asked_once_and_flagged_in_meta(
         self, toy_corpus_path, toy_lexicon, toy_embeddings
@@ -673,7 +718,7 @@ class TestBuildAgainstPerConceptLoop:
             return True
 
         matrix, stats = mine_corpus(toy_corpus_path, toy_lexicon)
-        dictionary = build_dictionary(
+        [dictionary] = build_dictionary(
             matrix, stats.occurrence, toy_lexicon, toy_embeddings, VisibilityTable(), oracle=oracle
         )
         assert calls.count("sunset") == 1

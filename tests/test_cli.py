@@ -1241,6 +1241,8 @@ class TestSweep:
         toy_visibility_path,
         with_visibility,
     ):
+        # the delta sweep too; values in falling order, so that the one
+        # build's smallest gamma is not the first
         matrix_path, counts_path = mined
         features_dir, gt_dir = write_scene_dataset(tmp_path, ("img0", "img1"))
         config = tmp_path / "run.json"
@@ -1254,31 +1256,108 @@ class TestSweep:
             "--embeddings", toy_embeddings_path,
             "--config", config,
         ]
-        sweep_json = tmp_path / "sweep.json"
+        rows = {}
+        for param, values in (("gamma", "0.99,0.01"), ("delta", "0.99,0.8,-0.5")):
+            sweep_json = tmp_path / f"sweep-{param}.json"
+            code, _, _ = run(
+                capsys, "sweep", "--param", param, "--values", values,
+                *data, *build, "--out-json", sweep_json,
+            )
+            assert code == 0
+            rows[param] = json.loads(sweep_json.read_text())["rows"]
+            for row in rows[param]:
+                cc_json = tmp_path / f"cc-{param}-{row['value']}.json"
+                eval_json = tmp_path / f"eval-{param}-{row['value']}.json"
+                code, _, _ = run(
+                    capsys, "build-cc", f"--{param}", row["value"], *build,
+                    "--embeddings", toy_embeddings_path, "--config", config, "--out", cc_json,
+                )
+                assert code == 0
+                code, _, _ = run(
+                    capsys, "eval", *data, "--cc-mode", "dict", "--cc-dict", cc_json,
+                    "--out-json", eval_json,
+                )
+                assert code == 0
+                report = json.loads(eval_json.read_text())
+                assert row["mean_class"] == report["mean_class"]
+                assert row["mean_image"] == report["mean_image"]
+        assert [row["value"] for row in rows["gamma"]] == [0.99, 0.01]
+        # the config's stop-word bites: without it, gamma 0.01 scores 1.0
+        assert rows["gamma"][1]["mean_class"] < 1.0
+        if with_visibility:
+            # trailer, kept only at delta 0.99, takes the boat's pixels
+            assert rows["delta"][0]["mean_class"] < rows["delta"][1]["mean_class"]
+
+    def test_gamma_sweep_asks_each_concept_once(
+        self, capsys, tmp_path, mined, toy_lexicon_path, toy_embeddings_path, monkeypatch
+    ):
+        calls = []
+
+        def oracle(concept):
+            calls.append(concept)
+            if concept == "sunset":
+                raise CCMineError("visibility service down")
+            return True
+
+        monkeypatch.setattr(cli, "visibility_oracle", lambda client, markers: oracle)
+        matrix_path, counts_path = mined
+        features_dir, gt_dir = write_scene_dataset(tmp_path)
+        config = write_config(
+            tmp_path,
+            {"unknown_visibility": "llm", "llm": {"endpoint": "http://127.0.0.1:1/v1/completions"}},
+        )
+        build = [
+            "--matrix", matrix_path, "--counts", counts_path, "--lexicon", toy_lexicon_path,
+            "--embeddings", toy_embeddings_path, "--config", config,
+        ]
         code, _, _ = run(
-            capsys, "sweep", "--param", "gamma", "--values", "0.01,0.99",
-            *data, *build, "--out-json", sweep_json,
+            capsys, "sweep", "--param", "gamma", "--values", "0.99,0.01,0.5",
+            "--features-dir", features_dir, "--gt-dir", gt_dir, *build,
+            "--out-json", tmp_path / "sweep.json",
         )
         assert code == 0
-        rows = json.loads(sweep_json.read_text())["rows"]
-        for row in rows:
-            cc_json = tmp_path / f"cc-{row['value']}.json"
-            eval_json = tmp_path / f"eval-{row['value']}.json"
+        swept = calls[:]
+        calls.clear()
+        code, _, _ = run(capsys, "build-cc", "--gamma", "0.01", *build, "--out", tmp_path / "cc.json")
+        assert code == 0
+        # what the smallest gamma's build asks, in its order; the failed
+        # answer too is asked once
+        assert swept == calls
+        assert sorted(swept) == ["boat", "cat", "dock", "sunset", "trailer", "water"]
+
+    @pytest.mark.parametrize("param", ["gamma", "sigmoid"])
+    def test_class_failure_is_skipped_and_exits_3(
+        self, capsys, caplog, tmp_path, toy_embeddings_path, param_flags, param
+    ):
+        # as eval does: the class whose label has no embedding is skipped,
+        # the report is written, and the run exits 3
+        features_dir, gt_dir = tmp_path / "features", tmp_path / "gt"
+        features_dir.mkdir()
+        gt_dir.mkdir()
+        make_scene_features().save(features_dir / "img0.feat")
+        ids = np.zeros((4, 4), dtype=np.int32)
+        ids[:, 0:2] = 1
+        ids[:, 3] = 2
+        labels = {0: "background", 1: "boat", 2: "zzunembedded"}
+        write_gt_file(gt_dir / "img0.seg", GroundTruth(ids, labels, background_id=0))
+        boat_only = write_scene_dataset(tmp_path / "boat-only")
+        grid = ["--steps", "5"] if param == "sigmoid" else ["--values", "0.01,0.99"]
+        grid += param_flags.get(param, [])
+
+        def sweep(features_dir, gt_dir, out_json):
             code, _, _ = run(
-                capsys, "build-cc", "--gamma", row["value"], *build,
-                "--embeddings", toy_embeddings_path, "--config", config, "--out", cc_json,
+                capsys, "sweep", "--param", param, *grid, "--features-dir", features_dir,
+                "--gt-dir", gt_dir, "--embeddings", toy_embeddings_path, "--out-json", out_json,
             )
-            assert code == 0
-            code, _, _ = run(
-                capsys, "eval", *data, "--cc-mode", "dict", "--cc-dict", cc_json,
-                "--out-json", eval_json,
-            )
-            assert code == 0
-            report = json.loads(eval_json.read_text())
-            assert row["mean_class"] == report["mean_class"]
-            assert row["mean_image"] == report["mean_image"]
-        # the config's stop-word bites: without it, gamma 0.01 scores 1.0
-        assert rows[0]["mean_class"] < 1.0
+            return code, json.loads(out_json.read_text())
+
+        code, report = sweep(features_dir, gt_dir, tmp_path / "sweep.json")
+        assert code == 3
+        assert "0 image failures, 1 class failures" in caplog.text
+        # the rows are those of the dataset without the class
+        want_code, want = sweep(*boat_only, tmp_path / "boat-only.json")
+        assert want_code == 0
+        assert report == want
 
     def test_beta_sweep_asks_each_class_once(
         self, capsys, tmp_path, toy_embeddings_path, dict_path, monkeypatch
@@ -1306,6 +1385,35 @@ class TestSweep:
         )
         assert code == 0
         assert sorted(calls) == ["boat", "water"]
+
+    @pytest.mark.parametrize(
+        "param,flag,value",
+        [
+            ("sigmoid", "--values", "0.5"),
+            ("gamma", "--gamma", "0.1"),
+            ("gamma", "--cc-mode", "dict"),
+            ("gamma", "--cc-dict", "cc.json"),
+            ("gamma", "--steps", "5"),
+            ("delta", "--delta", "0.5"),
+            ("delta", "--cc-mode", "bg"),
+            ("delta", "--cc-dict", "cc.json"),
+            ("delta", "--steps", "5"),
+            ("beta", "--steps", "5"),
+        ],
+    )
+    def test_flag_that_does_nothing_exits_3(
+        self, capsys, tmp_path, toy_embeddings_path, param_flags, param, flag, value
+    ):
+        features_dir, gt_dir = write_scene_dataset(tmp_path)
+        grid = ["--steps", "5"] if param == "sigmoid" else ["--values", "0.5"]
+        code, _, err = run(
+            capsys, "sweep", "--param", param, *grid, *param_flags.get(param, []), flag, value,
+            "--features-dir", features_dir, "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path, "--out-json", tmp_path / "sweep.json",
+        )
+        assert code == 3
+        assert err == f"error: {flag} does nothing in a {param} sweep\n"
+        assert not (tmp_path / "sweep.json").exists()
 
     def test_gamma_sweep_needs_inputs(self, capsys, tmp_path, toy_embeddings_path):
         features_dir, gt_dir = write_scene_dataset(tmp_path)

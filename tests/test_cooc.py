@@ -65,9 +65,12 @@ def freq_of(freq, i, j):
 
 
 def members(freq, lexicon, i, gamma):
-    """Row ``i``'s run of ``select_all``, as concept strings."""
-    row, col = select_all(freq, gamma)
-    return [lexicon.concepts[j] for j in col[row == i].tolist()]
+    """Row ``i``'s run of ``select_all``, as concept strings; each comes
+    with its own frequency."""
+    row, col, data = select_all(freq, gamma)
+    run = row == i
+    assert data[run].tolist() == [freq_of(freq, i, j) for j in col[run].tolist()]
+    return [lexicon.concepts[j] for j in col[run].tolist()]
 
 
 _TRIPLET = re.compile("\t".join([PLAIN] * 3))

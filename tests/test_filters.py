@@ -13,13 +13,7 @@ from hypothesis import strategies as st
 
 from ccmine.embed import EmbeddingTable
 from ccmine.errors import CCMineError, FormatError, MissingEmbeddingError, ValidationError
-from ccmine.filters import (
-    FilterConfig,
-    VisibilityTable,
-    accept_unknown,
-    filter_rows,
-    reject_unknown,
-)
+from ccmine.filters import VisibilityTable, accept_unknown, filter_rows, reject_unknown
 
 from conftest import cosine, filter_one, near_tables, split_masks
 
@@ -51,8 +45,8 @@ class TestStopwords:
         assert outcome.removed_stopword == ["photo", "image", "view", "picture"]
 
     def test_custom_set(self):
-        config = FilterConfig(stopwords=frozenset({"Dock"}))
-        outcome = filter_one(["boat", "dock"], "t", axis_table(["t", "boat"]), config=config)
+        stopwords = frozenset({"Dock"})
+        outcome = filter_one(["boat", "dock"], "t", axis_table(["t", "boat"]), stopwords=stopwords)
         assert outcome.kept == ["boat"]
         assert outcome.removed_stopword == ["dock"]
 
@@ -211,7 +205,7 @@ class TestSemanticFilter:
     def test_equality_survives(self):
         table = two_d_table()
         exactly = cosine(table.vector("ship"), table.vector("boat"))
-        outcome = filter_one(["ship"], "boat", table, config=FilterConfig(delta=exactly))
+        outcome = filter_one(["ship"], "boat", table, delta=exactly)
         assert outcome.kept == ["ship"]
 
     def test_missing_embedding_named(self):
@@ -258,17 +252,19 @@ class TestSemanticStageAgainstPairOracle:
             pair = data.draw(st.sampled_from(compared or [None]))
             delta = cosine(table.vector(pair[0]), table.vector(pair[1])) if pair else 0.5
         visibility = VisibilityTable({name: (v, "manual") for name, v in visible.items()})
-        config = FilterConfig(stopwords=stopwords, delta=delta)
         missing = first_missing(names, targets, row, col, live, table)
         if missing is not None:
             with pytest.raises(MissingEmbeddingError) as exc:
-                filter_rows(names, targets, row, col, table, visibility, config)
+                filter_rows(names, targets, row, col, table, visibility, stopwords)
             assert exc.value.concept == missing
             return
-        masks = filter_rows(names, targets, row, col, table, visibility, config)
+        masks = filter_rows(names, targets, row, col, table, visibility, stopwords)
+        assert len(masks.cosine) == sum(live)
+        similar, kept = masks.semantic(delta)
         for p, (r, c) in enumerate(zip(row.tolist(), col.tolist())):
             want = live[p] and cosine(table.vector(names[r]), table.vector(names[c])) > delta
-            assert masks.similar[p] == want
+            assert similar[p] == want
+            assert kept[p] == (live[p] and not want)
 
     def test_transient_peak_does_not_grow_with_pairs(self):
         rng = np.random.default_rng(3)
@@ -301,7 +297,6 @@ class TestPipeline:
             "boat",
             toy_embeddings,
             toy_visibility,
-            FilterConfig(),
         )
         assert outcome.kept == ["water"]
         assert outcome.removed_stopword == ["photo"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 from pathlib import Path
@@ -174,13 +175,34 @@ class TestClient:
         with pytest.raises(ValidationError):
             LLMClient(endpoint="http://x", api_style="soap", cache_dir=tmp_path)
 
-    def test_concept_key_varies_by_template_and_model(self, tmp_path):
-        client, _ = make_client(tmp_path, lambda *a: (200, "{}"))
-        k1 = client.concept_cache_key(CC_GENERATION.version, "road")
-        k2 = client.concept_cache_key(VISIBILITY.version, "road")
-        client.model = "other"
-        k3 = client.concept_cache_key(CC_GENERATION.version, "road")
-        assert len({k1, k2, k3}) == 3
+    def test_cache_key_varies_with_every_request_setting(self, tmp_path):
+        # an answer is served from the cache only to the request that got
+        # it: a list cut short at a small max_tokens is not served to a
+        # larger one, say
+        calls = []
+
+        def transport(url, payload, timeout):
+            calls.append(payload)
+            return 200, json.dumps({"text": "yes", "choices": [{"message": {"content": "yes"}}]})
+
+        client, _ = make_client(tmp_path, transport)
+        variants = [
+            {},
+            {"ask": ask_cc},  # the other template
+            {"q": "rail"},
+            {"markers": False},
+            {"model": "other"},
+            {"api_style": "chat"},
+            {"max_tokens": 16},
+            {"temperature": 0.5},
+        ]
+        for variant in variants:
+            fields = {"ask": ask_visibility, "q": "road", "markers": True, **variant}
+            ask, q, markers = fields.pop("ask"), fields.pop("q"), fields.pop("markers")
+            for _ in range(2):  # the second is a cache hit
+                ask(dataclasses.replace(client, **fields), q, markers)
+        assert len(calls) == len(variants)
+        assert len(list(client.cache_dir.glob("*.json"))) == len(variants)
 
     def test_cache_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CCMINE_LLM_CACHE", str(tmp_path / "envcache"))

@@ -429,7 +429,9 @@ class TestSigmoidSweep:
         items = [("img0", make_sweep_features(), gt)]
         from conftest import make_toy_embeddings
 
-        return sigmoid_sweep(items, make_toy_embeddings(), steps=steps)
+        report, failures = sigmoid_sweep(items, make_toy_embeddings(), steps=steps)
+        assert failures == []
+        return report
 
     def test_endpoints_cover_score_range(self):
         report = self.sweep()
@@ -535,7 +537,7 @@ class TestSigmoidSweepAgainstLoop:
                 sigmoid_sweep(items, table, steps=steps)
             return
         expected = sweep_reference(items, table, steps)
-        assert sigmoid_sweep(items, table, steps=steps) == expected
+        assert sigmoid_sweep(items, table, steps=steps) == (expected, [])
 
     def test_scores_on_a_threshold_are_not_above_it(self):
         # one flat field: every pixel scores the minimum, which is also the
@@ -543,8 +545,9 @@ class TestSigmoidSweepAgainstLoop:
         table = EmbeddingTable(["boat"], np.array([[1.0, 0.0]]))
         gt = GroundTruth(np.array([[1, 0], [9, 1]]), {1: "boat"}, ignore_id=9, background_id=0)
         items = [("img0", FeatureMap(np.ones((1, 1, 2))), gt)]
-        report = sigmoid_sweep(items, table, steps=3)
+        report, failures = sigmoid_sweep(items, table, steps=3)
         assert report == sweep_reference(items, table, 3)
+        assert failures == []
         assert report["score_min"] == report["score_max"]
         assert [row["mean_class"] for row in report["rows"]] == [0.0, 0.0, 0.0]
 
