@@ -318,6 +318,8 @@ def _load_dataset(
             failures.append({"id": image_id, "error": str(exc)})
             continue
         yield image_id, features, gt
+        # a consumer that drops them too frees the image before the next load
+        del features, gt
 
 
 def _build_inputs(args: argparse.Namespace):
@@ -591,12 +593,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # ---- sweep ----
 
 
+_BUILD_FLAGS = ("--matrix", "--counts", "--lexicon", "--visibility")
+_CC_FLAGS = ("--cc-mode", "--cc-dict", "--classes", "--classes-file")
+_CLASSIC_FLAGS = ("--beta-scope", "--background-label")
 # the flags each sweep would leave unread
 _UNREAD_SWEEP_FLAGS = {
-    "sigmoid": ("--values",),
-    "gamma": ("--gamma", "--cc-mode", "--cc-dict", "--steps"),
-    "delta": ("--delta", "--cc-mode", "--cc-dict", "--steps"),
-    "beta": ("--steps",),
+    "sigmoid": ("--values", "--gamma", "--delta", *_BUILD_FLAGS, *_CC_FLAGS, *_CLASSIC_FLAGS),
+    "gamma": ("--gamma", "--steps", *_CC_FLAGS, *_CLASSIC_FLAGS),
+    "delta": ("--delta", "--steps", *_CC_FLAGS, *_CLASSIC_FLAGS),
+    "beta": ("--steps", "--gamma", "--delta", *_BUILD_FLAGS),
 }
 
 
@@ -607,12 +612,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValidationError(f"{flag} does nothing in a {args.param} sweep")
     embeddings = EmbeddingTable.load(args.embeddings)
     image_ids = _dataset_ids(args)
+    image_failures: list[dict] = []
     if args.param == "sigmoid":
         report, failures = metrics.sigmoid_sweep(
-            _load_dataset(args, image_ids), embeddings, settings.get("steps")
+            _load_dataset(args, image_ids, image_failures), embeddings, settings.get("steps")
         )
         metrics.write_report(report, args.out_json, args.out_tsv)
-        return _exit_code(0, len(failures))
+        return _exit_code(len(image_failures), len(failures))
     if not args.values:
         raise ValidationError(f"--values is required for a {args.param} sweep")
     number = _finite("--values")
@@ -640,7 +646,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ]
     rows = []
     failed: set[tuple[str, str]] = set()  # (image, class), once however many values
-    for value, results in zip(values, _score_images(args, image_ids, scorers)):
+    for value, results in zip(values, _score_images(args, image_ids, scorers, image_failures)):
         if args.param == "beta":
             row = {"mean_class": metrics.aggregate_classic(results)["mean"]}
         else:
@@ -651,7 +657,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     metric = "miou-classic-sweep" if args.param == "beta" else "iou-single-sweep"
     report = {"metric": metric, "param": args.param, "rows": rows}
     metrics.write_report(report, args.out_json, args.out_tsv)
-    return _exit_code(0, len(failed))
+    return _exit_code(len(image_failures), len(failed))
 
 
 # ---- parser ----

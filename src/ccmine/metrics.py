@@ -32,6 +32,7 @@ from .ioutil import atomic_write_text
 from .segment import (
     FeatureMap,
     PromptSet,
+    bilinear_resize,
     build_prompt_set,
     grid_values,
     query_masks,
@@ -39,6 +40,7 @@ from .segment import (
     read_sidecar,
     remap_cc_to_background,
     segment_pixels,
+    sigmoid_patch_grid,
     sigmoid_score_field,
 )
 
@@ -360,11 +362,13 @@ def sigmoid_sweep(
 ) -> tuple[dict, list[tuple[str, str, str]]]:
     """Sweep the sigmoid baseline threshold over its observed score range.
 
-    Score fields are computed once per (image, class); thresholds are
-    ``steps`` values linearly spaced between the global minimum and maximum
-    of those fields, endpoints included.  Each field is kept only as the
-    sorted scores of its kept ground-truth-positive and negative pixels,
-    so a binary search counts its pixels above every threshold at once.
+    Thresholds are ``steps`` values linearly spaced between the global
+    minimum and maximum of the (image, class) score fields, endpoints
+    included.  The range is known only once every image is read, so each
+    field is kept until then as its patch grid and two packed masks, its
+    kept ground-truth-positive and negative pixels; then it is upsampled
+    again, bit for bit as the first time, and its pixels of each mask are
+    sorted, so a binary search counts them above every threshold at once.
 
     Returns the report and its class failures: a class whose field fails
     is skipped, as ``eval`` skips it, and listed as (image id, label, reason).
@@ -380,33 +384,25 @@ def sigmoid_sweep(
         for class_id in gt.evaluable_ids():
             label = gt.labels[class_id]
             try:
-                score = sigmoid_score_field(features, embeddings.vector(label), h, w)
+                grid = sigmoid_patch_grid(features, embeddings.vector(label))
             except CCMineError as exc:
                 failures.append((image_id, label, str(exc)))
                 continue
+            score = bilinear_resize(grid, h, w)
             lo = min(lo, float(score.min()))
             hi = max(hi, float(score.max()))
-            gt_mask = gt.ids == class_id
-            pos = score[gt_mask]  # a class pixel is never an ignored one
-            neg = score[~gt_mask if keep is None else ~gt_mask & keep]
-            del score, gt_mask
-            pos.sort()
-            neg.sort()
-            fields.append((image_id, class_id, label, pos, neg))
+            del score
+            gt_mask = gt.ids == class_id  # a class pixel is never an ignored one
+            neg = ~gt_mask if keep is None else ~gt_mask & keep
+            masks = np.packbits(gt_mask), np.packbits(neg)
+            fields.append((image_id, class_id, label, grid, (h, w), *masks))
+        del features, gt  # freed before the next image loads
     if not fields:
         raise _unscored(failures)
     thresholds = np.linspace(lo, hi, steps)
-    # pixels strictly above t: the intersection's are the positives above
-    # t, the union's are every positive plus the negatives above t
     counts = [
-        (
-            image_id,
-            class_id,
-            label,
-            (len(pos) - np.searchsorted(pos, thresholds, "right")).tolist(),
-            (len(pos) + len(neg) - np.searchsorted(neg, thresholds, "right")).tolist(),
-        )
-        for image_id, class_id, label, pos, neg in fields
+        (image_id, class_id, label, *_counts_above(grid, shape, pos, neg, thresholds))
+        for image_id, class_id, label, grid, shape, pos, neg in fields
     ]
     rows = []
     for k, threshold in enumerate(thresholds):
@@ -430,6 +426,25 @@ def sigmoid_sweep(
         "steps": steps,
         "rows": rows,
     }, failures
+
+
+def _counts_above(
+    grid: np.ndarray, shape: tuple[int, int], pos: np.ndarray, neg: np.ndarray, thresholds
+) -> tuple[list[int], list[int]]:
+    """Intersection and union of a field's pixels strictly above each
+    threshold: the field is ``grid`` upsampled to ``shape``, and ``pos`` and
+    ``neg`` are its kept positive and negative pixels, packed bitmasks.
+    The intersection's pixels are the positives above t, the union's are
+    every positive plus the negatives above t."""
+    score = bilinear_resize(grid, *shape).reshape(-1)
+    pos_scores = score[np.unpackbits(pos, count=score.size).view(bool)]
+    neg_scores = score[np.unpackbits(neg, count=score.size).view(bool)]
+    del score
+    pos_scores.sort()
+    neg_scores.sort()
+    above_pos = len(pos_scores) - np.searchsorted(pos_scores, thresholds, "right")
+    above_neg = len(neg_scores) - np.searchsorted(neg_scores, thresholds, "right")
+    return above_pos.tolist(), (len(pos_scores) + above_neg).tolist()
 
 
 # ---- report writing ----

@@ -35,6 +35,8 @@ _SEG_MAGIC = b"CCSEG1"
 # float64 bytes of upsampled logits decided at once: a band of output
 # pixels holds about this much, whatever the image size
 BAND_BYTES = 512 << 10
+# float64 bytes of patch features squared and summed at once for their norms
+NORM_BYTES = 256 << 10
 # a lead at both interpolation taps that a two-tap lerp cannot overturn,
 # relative to the larger of 1 and the largest |logit|: the lerp's rounding
 # moves a value by under 1e-15 of that
@@ -52,7 +54,7 @@ class FeatureMap:
         h, w, d = unit.shape
         if h < 1 or w < 1 or d < 1:
             raise ValidationError("feature map dimensions must be positive")
-        norms = np.linalg.norm(unit, axis=2)
+        norms = _patch_norms(unit)
         if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
             raise ValidationError("feature map contains zero or non-finite patch vectors")
         unit /= norms[:, :, None]
@@ -95,6 +97,20 @@ class FeatureMap:
     @classmethod
     def load(cls, path: str | Path) -> "FeatureMap":
         return cls.loads(Path(path).read_bytes())
+
+
+def _patch_norms(unit: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(unit, axis=2)``, bit for bit, squared and summed a
+    block of about ``NORM_BYTES`` of rows at a time (one row at least), so
+    no full-size temporary is made.  Each patch's sum reduces its own
+    contiguous ``d`` values, whichever block it falls in."""
+    h, w, d = unit.shape
+    step = max(1, NORM_BYTES // (8 * w * d))
+    norms = np.empty((h, w))
+    for start in range(0, h, step):
+        block = unit[start : start + step]
+        np.sqrt(np.add.reduce(block * block, axis=2), out=norms[start : start + step])
+    return norms
 
 
 class PromptSet:
@@ -441,18 +457,23 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
-def sigmoid_score_field(
-    features: FeatureMap, query_vec: np.ndarray, out_h: int, out_w: int
-) -> np.ndarray:
-    """Per-pixel sigmoid-squashed similarity to a single query."""
+def sigmoid_patch_grid(features: FeatureMap, query_vec: np.ndarray) -> np.ndarray:
+    """Per-patch sigmoid-squashed similarity to a single query, (h, w)."""
     q = np.asarray(query_vec, dtype=np.float64).reshape(-1)
     if q.shape[0] != features.d:
         raise ValidationError(f"query dimension {q.shape[0]} != feature dimension {features.d}")
     norm = float(np.linalg.norm(q))
     if norm == 0.0:
         raise ValidationError("query vector must be nonzero")
-    cos = np.clip(features.unit @ (q / norm), -1.0, 1.0)
-    return bilinear_resize(sigmoid(cos), out_h, out_w)
+    return sigmoid(np.clip(features.unit @ (q / norm), -1.0, 1.0))
+
+
+def sigmoid_score_field(
+    features: FeatureMap, query_vec: np.ndarray, out_h: int, out_w: int
+) -> np.ndarray:
+    """Per-pixel sigmoid-squashed similarity to a single query: the patch
+    grid, upsampled."""
+    return bilinear_resize(sigmoid_patch_grid(features, query_vec), out_h, out_w)
 
 
 # ---- label-map artifact ----

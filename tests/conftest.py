@@ -13,6 +13,7 @@ import re
 import struct
 import sys
 import threading
+import tracemalloc
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -161,6 +162,17 @@ def make_toy_visibility() -> VisibilityTable:
     entries["ship"] = (True, "manual")
     entries["liberty"] = (False, "manual")
     return VisibilityTable(entries)
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: what ``fn`` returns and the peak of the memory
+    ``tracemalloc`` traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def cosine(a, b) -> float:

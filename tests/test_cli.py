@@ -9,7 +9,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +32,7 @@ from conftest import (
     make_scene_features,
     make_sweep_features,
     pair_counts,
+    traced_peak,
     write_gt_file,
     write_scene_dataset,
 )
@@ -1002,7 +1002,7 @@ _SWEEP_VALUES = {"gamma": "0.01,0.99", "delta": "0.5,0.9", "beta": "0.5,0.99"}
 class TestSweep:
     @pytest.fixture
     def param_flags(self, mined, toy_lexicon_path, toy_visibility_path, dict_path):
-        """The flags each value sweep needs besides the dataset's."""
+        """The flags each sweep needs besides the dataset's and its grid."""
         matrix_path, counts_path = mined
         build = [
             "--matrix", matrix_path,
@@ -1011,7 +1011,7 @@ class TestSweep:
             "--visibility", toy_visibility_path,
         ]
         cc = ["--cc-mode", "dict", "--cc-dict", dict_path]
-        return {"gamma": build, "delta": build, "beta": cc}
+        return {"sigmoid": [], "gamma": build, "delta": build, "beta": cc}
 
     @pytest.mark.parametrize("param", ["sigmoid", "beta"])
     def test_row_equals_eval_at_its_value(
@@ -1079,31 +1079,36 @@ class TestSweep:
         # every value scores an image before the next one loads
         assert events == [("load", "img0"), "score", "score", ("load", "img1"), "score", "score"]
 
-    @pytest.mark.parametrize("param", ["gamma", "delta", "beta"])
+    @pytest.mark.parametrize("param", ["sigmoid", "gamma", "delta", "beta"])
     def test_peak_memory_does_not_grow_with_images(
         self, tmp_path, toy_embeddings_path, param_flags, param
     ):
+        grid = ["--steps", "30"] if param == "sigmoid" else ["--values", _SWEEP_VALUES[param]]
+
         def peak(n: int, tag: str) -> int:
             root = tmp_path / tag
             features = {f"img{k}": make_scene_features() for k in range(n)}
             features_dir, gt_dir = write_two_class_dataset(root, features, scale=64)
             argv = [
-                "sweep", "--param", param, "--values", _SWEEP_VALUES[param],
+                "sweep", "--param", param, *grid,
                 "--features-dir", features_dir, "--gt-dir", gt_dir,
                 "--embeddings", toy_embeddings_path, *param_flags[param],
                 "--out-json", root / "sweep.json",
             ]
-            tracemalloc.start()
-            try:
-                assert main([str(a) for a in argv]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peak = traced_peak(lambda: main([str(a) for a in argv]))
+            assert code == 0
+            return peak
 
         peak(2, "warm-up")  # first-call caches out of the way
         two, eight = peak(2, "two"), peak(8, "eight")
-        # an image's 256x256 int32 ground truth alone is 256 KiB
-        assert eight < two + (64 << 10)
+        if param == "sigmoid":
+            # until the score range is known each (image, class) field is
+            # kept as its 4x4 patch grid and two 8 KiB packed masks: the
+            # twelve more fields stay under one 256x256 float64 score field
+            assert eight < two + 8 * 256 * 256
+        else:
+            # an image's 256x256 int32 ground truth alone is 256 KiB
+            assert eight < two + (64 << 10)
 
     def test_values_share_one_lexicon_view(self, capsys, tmp_path, toy_corpus_path):
         # "ship" is embedded but not in the lexicon, so cc_d looks it up in
@@ -1143,12 +1148,9 @@ class TestSweep:
                 "--counts", counts_path, "--lexicon", lexicon_path,
                 "--out-json", tmp_path / "sweep.json",
             ]
-            tracemalloc.start()
-            try:
-                assert main([str(a) for a in argv]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peak = traced_peak(lambda: main([str(a) for a in argv]))
+            assert code == 0
+            return peak
 
         peak("0.01")  # first-call caches out of the way
         one, four = peak("0.01"), peak("0.01,0.02,0.03,0.05")
@@ -1399,6 +1401,32 @@ class TestSweep:
             ("delta", "--cc-dict", "cc.json"),
             ("delta", "--steps", "5"),
             ("beta", "--steps", "5"),
+            ("sigmoid", "--classes", "boat"),
+            ("sigmoid", "--classes-file", "classes.txt"),
+            ("sigmoid", "--cc-mode", "llm"),
+            ("sigmoid", "--cc-dict", "cc.json"),
+            ("sigmoid", "--gamma", "0.5"),
+            ("sigmoid", "--delta", "0.5"),
+            ("sigmoid", "--matrix", "nope"),
+            ("sigmoid", "--counts", "nope"),
+            ("sigmoid", "--lexicon", "nope"),
+            ("sigmoid", "--visibility", "nope"),
+            ("sigmoid", "--beta-scope", "all"),
+            ("sigmoid", "--background-label", "background"),
+            ("gamma", "--classes", "boat"),
+            ("gamma", "--classes-file", "classes.txt"),
+            ("gamma", "--beta-scope", "all"),
+            ("gamma", "--background-label", "background"),
+            ("delta", "--classes", "boat"),
+            ("delta", "--classes-file", "classes.txt"),
+            ("delta", "--beta-scope", "all"),
+            ("delta", "--background-label", "background"),
+            ("beta", "--gamma", "0.5"),
+            ("beta", "--delta", "0.5"),
+            ("beta", "--matrix", "nope"),
+            ("beta", "--counts", "nope"),
+            ("beta", "--lexicon", "nope"),
+            ("beta", "--visibility", "nope"),
         ],
     )
     def test_flag_that_does_nothing_exits_3(
@@ -1407,13 +1435,41 @@ class TestSweep:
         features_dir, gt_dir = write_scene_dataset(tmp_path)
         grid = ["--steps", "5"] if param == "sigmoid" else ["--values", "0.5"]
         code, _, err = run(
-            capsys, "sweep", "--param", param, *grid, *param_flags.get(param, []), flag, value,
+            capsys, "sweep", "--param", param, *grid, *param_flags[param], flag, value,
             "--features-dir", features_dir, "--gt-dir", gt_dir,
             "--embeddings", toy_embeddings_path, "--out-json", tmp_path / "sweep.json",
         )
         assert code == 3
         assert err == f"error: {flag} does nothing in a {param} sweep\n"
         assert not (tmp_path / "sweep.json").exists()
+
+    @pytest.mark.parametrize("param", ["sigmoid", "gamma", "delta", "beta"])
+    def test_unreadable_image_is_skipped(
+        self, capsys, caplog, tmp_path, toy_embeddings_path, param_flags, param
+    ):
+        grid = ["--steps", "12"] if param == "sigmoid" else ["--values", _SWEEP_VALUES[param]]
+
+        def sweep(root: Path, features: dict, cut: str | None = None):
+            features_dir, gt_dir = write_two_class_dataset(root, features)
+            if cut is not None:
+                bad = features_dir / f"{cut}.feat"
+                bad.write_bytes(bad.read_bytes()[:-4])
+            code, _, _ = run(
+                capsys, "sweep", "--param", param, *grid, *param_flags[param],
+                "--features-dir", features_dir, "--gt-dir", gt_dir,
+                "--embeddings", toy_embeddings_path, "--out-json", root / "sweep.json",
+            )
+            return code, json.loads((root / "sweep.json").read_text())
+
+        readable = {"img0": make_sweep_features(), "img2": make_scene_features()}
+        # img1 would change every row, were it read
+        every = {**readable, "img1": FeatureMap(np.random.default_rng(1).normal(size=(4, 4, 3)))}
+        code, with_bad = sweep(tmp_path / "all", every, cut="img1")
+        assert code == 3
+        assert "image img1 failed to load" in caplog.text
+        code, expected = sweep(tmp_path / "readable", readable)
+        assert code == 0
+        assert with_bad == expected
 
     def test_gamma_sweep_needs_inputs(self, capsys, tmp_path, toy_embeddings_path):
         features_dir, gt_dir = write_scene_dataset(tmp_path)

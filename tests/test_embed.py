@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import struct
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,7 +19,7 @@ from ccmine.embed import (
 )
 from ccmine.errors import FormatError, MissingEmbeddingError, ValidationError
 
-from conftest import cosine, embeddings_loads_by_record
+from conftest import cosine, embeddings_loads_by_record, traced_peak
 
 
 def _as_unit(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,12 +134,7 @@ class TestTableConstruction:
         vectors = rng.standard_normal((2000, 512))
         data = EmbeddingTable([f"c{k:04d}" for k in range(2000)], vectors).dumps()
         del vectors
-        tracemalloc.start()
-        try:
-            table = EmbeddingTable.loads(data)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        table, peak = traced_peak(lambda: EmbeddingTable.loads(data))
         final = table._unit.nbytes
         # beyond the table: one gather block of records, the norms, the offsets
         assert peak - final < 2**20, (peak, final)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from ccmine.embed import EmbeddingTable
 from ccmine.errors import CCMineError, FormatError, MissingEmbeddingError, ValidationError
 from ccmine.filters import VisibilityTable, accept_unknown, filter_rows, reject_unknown
 
-from conftest import cosine, filter_one, near_tables, split_masks
+from conftest import cosine, filter_one, near_tables, split_masks, traced_peak
 
 
 def two_d_table():
@@ -276,12 +275,10 @@ class TestSemanticStageAgainstPairOracle:
             # four targets, so each one's run of pairs outgrows a gather
             row = np.sort(rng.integers(0, 4, pairs))
             col = rng.integers(0, len(names), pairs)
-            tracemalloc.start()
-            try:
-                filter_rows(names, len(names), row, col, table, visibility)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(
+                lambda: filter_rows(names, len(names), row, col, table, visibility)
+            )
+            return peak
 
         peak(100)  # first-call caches out of the way
         small, large = peak(2_000), peak(8_000)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from ccmine.metrics import (
 )
 from ccmine.segment import (
     FeatureMap,
+    bilinear_resize,
     build_prompt_set,
     segment_pixels,
     sigmoid,
@@ -40,6 +42,8 @@ from conftest import (
     make_scene_features,
     make_scene_gt,
     make_sweep_features,
+    make_toy_embeddings,
+    traced_peak,
     write_scene_dataset,
 )
 
@@ -427,8 +431,6 @@ class TestSigmoidSweep:
         ids[:, 0:2] = 1
         gt = GroundTruth(ids, {1: "boat"}, background_id=0)
         items = [("img0", make_sweep_features(), gt)]
-        from conftest import make_toy_embeddings
-
         report, failures = sigmoid_sweep(items, make_toy_embeddings(), steps=steps)
         assert failures == []
         return report
@@ -455,6 +457,54 @@ class TestSigmoidSweep:
     def test_needs_two_steps(self):
         with pytest.raises(ValidationError):
             self.sweep(steps=1)
+
+    def test_fields_kept_as_patch_grids_and_packed_masks(self):
+        # until the range is known a field keeps its 4x4 float64 patch grid
+        # and two packed 256x256 masks (H*W/4 bytes), plus under 1 KiB of
+        # array headers, its tuple and its counts; a float64 copy of its
+        # scores would be 512 KiB
+        ids = np.kron(np.array([[1, 1, 0, 2]] * 4, dtype=np.int32), np.ones((64, 64), np.int32))
+        gt = GroundTruth(ids, {0: "background", 1: "boat", 2: "water"}, background_id=0)
+        table = make_toy_embeddings()
+
+        def peak(n: int) -> int:
+            items = ((f"img{k}", make_scene_features(), gt) for k in range(n))
+            return traced_peak(lambda: sigmoid_sweep(items, table, steps=2))[1]
+
+        peak(2)  # first-call caches out of the way
+        two, eight = peak(2), peak(8)
+        assert eight - two < 12 * (4 * 4 * 8 + 256 * 256 // 4 + 1024)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        patch_hw=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        out_hw=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        dim=st.sampled_from([1, 3, 16]),
+    )
+    def test_both_passes_upsample_the_eval_field(self, seed, patch_hw, out_hw, dim):
+        # a field is upsampled from its patch grid once for the range and
+        # once for the counts, and both times it is eval's field, bit for bit
+        rng = np.random.default_rng(seed)
+        features = FeatureMap(rng.standard_normal((*patch_hw, dim)))
+        table = EmbeddingTable(["boat", "water"], rng.standard_normal((2, dim)))
+        ids = rng.integers(0, 3, out_hw).astype(np.int32)
+        ids.flat[0] = 1
+        gt = GroundTruth(ids, {1: "boat", 2: "water"}, background_id=0)
+        upsampled = []
+
+        def resize(grid, out_h, out_w):
+            field = bilinear_resize(grid, out_h, out_w)
+            upsampled.append(field.tobytes())
+            return field
+
+        with mock.patch.object(metrics, "bilinear_resize", resize):
+            sigmoid_sweep([("img0", features, gt)], table, steps=3)
+        expected = [
+            sigmoid_score_field(features, table.vector(gt.labels[c]), *out_hw).tobytes()
+            for c in gt.evaluable_ids()
+        ]
+        assert upsampled == expected * 2
 
 
 def sweep_reference(items, embeddings, steps):

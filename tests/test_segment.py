@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -31,7 +30,7 @@ from ccmine.segment import (
     upsample_and_argmax,
 )
 
-from conftest import make_scene_features
+from conftest import make_scene_features, traced_peak
 
 
 def gather_bilinear_resize(grid, out_h, out_w):
@@ -147,6 +146,24 @@ class TestFeatureMap:
         data = np.full((2, 2, 3), 2.0)
         FeatureMap(data)
         assert np.all(data == 2.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        w=st.integers(1, 6),
+        d=st.sampled_from([1, 3, 512, 1000]),
+        blocks=st.sampled_from([1, 2]),
+        offset=st.sampled_from([-1, 0, 1]),
+        scale=st.sampled_from([1e-150, 1.0, 1e150]),
+    )
+    def test_blocked_norms_equal_linalg_norm(self, seed, w, d, blocks, offset, scale):
+        # h just below, at and just above one or two blocks of rows
+        rows = max(1, segment.NORM_BYTES // (8 * w * d))
+        h = max(1, blocks * rows + offset)
+        data = np.random.default_rng(seed).standard_normal((h, w, d)) * scale
+        norms = np.linalg.norm(data, axis=2)
+        assert segment._patch_norms(data).tobytes() == norms.tobytes()
+        assert FeatureMap(data).unit.tobytes() == (data / norms[:, :, None]).tobytes()
 
     def test_loads_rejects_bad_magic(self):
         with pytest.raises(FormatError):
@@ -362,13 +379,12 @@ class TestBandedUpsampling:
         swapped[0::2, :, 1::2] += 1e-14
         contests = [(q, [k for k in range(40) if k % 2 != q % 2]) for q in range(4)]
         for logits in (random, tied, swapped):
-            tracemalloc.start()
-            try:
-                labels = upsample_and_argmax(logits, 448, 448)
-                masks = masks_of_logits(logits, contests, 448, 448)
-                _size, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            (labels, masks), peak = traced_peak(
+                lambda: (
+                    upsample_and_argmax(logits, 448, 448),
+                    masks_of_logits(logits, contests, 448, 448),
+                )
+            )
             assert peak < 32 << 20
             assert np.array_equal(labels, band_argmax(logits, 448, 448))
             assert all(map(np.array_equal, masks, band_masks(logits, contests, 448, 448)))
