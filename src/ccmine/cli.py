@@ -235,10 +235,9 @@ def _finite(flag: str):
     return number
 
 
-def _classes(args: argparse.Namespace, image_ids: list[str] | None = None) -> list[str] | None:
+def _classes(args: argparse.Namespace, sidecars: list | None = None) -> list[str] | None:
     """The ``--classes``/``--classes-file`` list; when neither names a class
-    and dataset images are given, every label their ground-truth sidecars
-    name, sorted.  An unreadable sidecar is left to the image's own load."""
+    and ground-truth ``sidecars`` are given, every label they name, sorted."""
     classes = None
     if args.classes:
         classes = [normalize_concept(c) for c in args.classes.split(",") if normalize_concept(c)]
@@ -248,16 +247,33 @@ def _classes(args: argparse.Namespace, image_ids: list[str] | None = None) -> li
             line = line.strip()
             if line and not line.startswith("#"):
                 classes.append(normalize_concept(line))
-    if classes or image_ids is None:
+    if classes or sidecars is None:
         return classes
-    labels: set[str] = set()
+    return sorted({name for names, _, _ in sidecars for name in names.values()})
+
+
+def _sidecars(args: argparse.Namespace, image_ids: list[str]) -> list:
+    """(class names by id, ignore id, background id) of each ground-truth
+    sidecar that reads, in image order.  An unreadable sidecar is left to
+    its image's own load."""
+    sidecars = []
     for image_id in image_ids:
         try:
-            names, _ignore, _background = metrics.read_gt_sidecar(_gt_path(args, image_id))
+            sidecars.append(metrics.read_gt_sidecar(_gt_path(args, image_id)))
         except (OSError, CCMineError):
             continue
-        labels.update(names.values())
-    return sorted(labels)
+    return sidecars
+
+
+def _scored_classes(sidecars: list) -> list[str]:
+    """The labels an IoU-single eval may score, in first-seen order: each
+    sidecar's in id order, but those of its ignore and background ids."""
+    seen: dict[str, None] = {}
+    for names, ignore_id, background_id in sidecars:
+        for class_id in sorted(names):
+            if class_id not in (ignore_id, background_id):
+                seen.setdefault(names[class_id])
+    return list(seen)
 
 
 def _cc_source(
@@ -409,11 +425,60 @@ def _classic_prompts(
     return _query_prompts(settings, queries, cc_source, embeddings, beta)
 
 
-def _single_scorer(settings: Settings, embeddings: EmbeddingTable, cc_source):
-    """Eval's IoU-single scorer of one image, with ``cc_source``'s CCs."""
-    upsample = settings.get("upsample")
+@dataclass(frozen=True)
+class ClassPrompts:
+    """Each class's CC set, or the message of the error resolving it
+    raised, and a table of only the embedding rows their prompts use.
+
+    A class's prompts are the same in every image, so they are resolved
+    once, before the first image loads; ``cc_set`` is then the CC source
+    of every image, and the image loop holds no dictionary or full table.
+    """
+
+    cc: dict[str, CCSet | str]
+    table: EmbeddingTable
+
+    def cc_set(self, label: str) -> CCSet:
+        found = self.cc.get(label, f"class {label!r} was not resolved before the first image")
+        if isinstance(found, str):
+            # a new error each time: one raised again would keep the frames
+            # it last passed through alive, and the image they hold
+            raise CCMineError(found)
+        return found
+
+
+def _rows_of(embeddings: EmbeddingTable, names) -> EmbeddingTable:
+    """The rows of ``embeddings`` that ``names`` have, bit for bit; a name
+    without one stays missing, so looking it up raises as before."""
+    return embeddings.subset([name for name in names if name in embeddings])
+
+
+def _class_prompts(classes: list[str], sources, embeddings: EmbeddingTable) -> list[ClassPrompts]:
+    """The ``ClassPrompts`` of ``classes`` under each CC source, asking each
+    source once per class.  They share one table of the rows their prompts
+    use."""
+    resolved, used = [], {}
+    for source in sources:
+        cc: dict[str, CCSet | str] = {}
+        for label in classes:
+            try:
+                cc[label] = found = source(label)
+            except CCMineError as exc:
+                cc[label] = str(exc)
+                continue
+            used.update(dict.fromkeys([label, *found.concepts]))
+        resolved.append(cc)
+    table = _rows_of(embeddings, used)
+    return [ClassPrompts(cc, table) for cc in resolved]
+
+
+def _single_scorer(settings: Settings, prompts: ClassPrompts):
+    """Eval's IoU-single scorer of one image with ``prompts``' CC sets."""
     return partial(
-        metrics.iou_single_image, cc_source=cc_source, embeddings=embeddings, upsample=upsample
+        metrics.iou_single_image,
+        cc_source=prompts.cc_set,
+        embeddings=prompts.table,
+        upsample=settings.get("upsample"),
     )
 
 
@@ -423,6 +488,17 @@ def _classic_scorer(settings: Settings, prompts: PromptSet):
     return lambda features, gt, image_id: metrics.classic_image(
         features, gt, prompts, background_label, upsample
     )
+
+
+def _set_up(args: argparse.Namespace, build):
+    """The dataset's image ids and ``build(embeddings, sidecars)``, given
+    the ground-truth sidecars.  The embedding table is loaded for
+    ``build`` alone: it, and every dictionary and CC source made from it,
+    are freed on return, before the first image loads, so the image loop
+    holds only what ``build`` returns."""
+    embeddings = EmbeddingTable.load(args.embeddings)
+    image_ids = _dataset_ids(args)
+    return image_ids, build(embeddings, _sidecars(args, image_ids))
 
 
 def _score_images(args: argparse.Namespace, image_ids: list[str], scorers, failures=None):
@@ -550,26 +626,55 @@ def cmd_segment(args: argparse.Namespace) -> int:
 # ---- eval ----
 
 
+_CC_FLAGS = ("--cc-mode", "--cc-dict", "--classes", "--classes-file")
+_CLASSIC_FLAGS = ("--beta-scope", "--background-label")
+# the flags each kind of eval would leave unread
+_UNREAD_EVAL_FLAGS = {
+    "--metric miou-classic": ("--aggregation", "--segmenter", "--sigmoid-threshold"),
+    "--metric iou-single": ("--sigmoid-threshold", "--beta", *_CLASSIC_FLAGS),
+    "--segmenter sigmoid": ("--upsample", "--beta", *_CC_FLAGS, *_CLASSIC_FLAGS),
+}
+
+
+def _refuse_unread(args: argparse.Namespace, flags: tuple[str, ...], job: str) -> None:
+    """Refuse the first of ``flags`` given on the command line: ``job``
+    would not read it."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValidationError(f"{flag} does nothing in {job}")
+
+
+def _eval_scorer(settings: Settings, embeddings: EmbeddingTable, sidecars: list):
+    """Eval's scorer of one image, holding only the prompts it scores with."""
+    args = settings.args
+    if args.metric == "miou-classic":
+        classes = _classes(args, sidecars)
+        source = _cc_source(settings, embeddings, classes)
+        return _classic_scorer(settings, _classic_prompts(settings, classes, source, embeddings))
+    classes = _scored_classes(sidecars)
+    if settings.get("segmenter") == "sigmoid":
+        return partial(
+            metrics.iou_single_image_sigmoid,
+            threshold=settings.get("sigmoid_threshold"),
+            embeddings=_rows_of(embeddings, classes),
+        )
+    source = _cc_source(settings, embeddings, _classes(args, sidecars))
+    [prompts] = _class_prompts(classes, [source], embeddings)
+    return _single_scorer(settings, prompts)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    embeddings = EmbeddingTable.load(args.embeddings)
-    image_ids = _dataset_ids(args)
-    image_failures: list[dict] = []
     segmenter = settings.get("segmenter")
     if args.metric == "miou-classic":
-        classes = _classes(args, image_ids)
-        source = _cc_source(settings, embeddings, classes)
-        score = _classic_scorer(settings, _classic_prompts(settings, classes, source, embeddings))
-    elif segmenter == "sigmoid":
-        threshold = settings.get("sigmoid_threshold")
-        if threshold is None:
-            raise ValidationError("--sigmoid-threshold is required for the sigmoid segmenter")
-        score = partial(
-            metrics.iou_single_image_sigmoid, threshold=threshold, embeddings=embeddings
-        )
+        job = "--metric miou-classic"
     else:
-        source = _cc_source(settings, embeddings, _classes(args, image_ids))
-        score = _single_scorer(settings, embeddings, source)
+        job = "--segmenter sigmoid" if segmenter == "sigmoid" else "--metric iou-single"
+    _refuse_unread(args, _UNREAD_EVAL_FLAGS[job], f"eval {job}")
+    if job == "--segmenter sigmoid" and settings.get("sigmoid_threshold") is None:
+        raise ValidationError("--sigmoid-threshold is required for the sigmoid segmenter")
+    image_ids, score = _set_up(args, partial(_eval_scorer, settings))
+    image_failures: list[dict] = []
     [results] = _score_images(args, image_ids, [score], image_failures)
     if args.metric == "miou-classic":
         report, class_failures = metrics.aggregate_classic(results), 0
@@ -578,7 +683,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         class_failures = sum(len(r.failures) for r in results)
 
     report["meta"] = {
-        "cc_mode": settings.get("cc_mode"),
+        # the sigmoid segmenter uses no contrastive concepts
+        "cc_mode": None if job == "--segmenter sigmoid" else settings.get("cc_mode"),
         "embeddings_digest": sha256_file(args.embeddings),
         "cc_dict_digest": sha256_file(args.cc_dict) if args.cc_dict else None,
         "segmenter": segmenter,
@@ -594,8 +700,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 _BUILD_FLAGS = ("--matrix", "--counts", "--lexicon", "--visibility")
-_CC_FLAGS = ("--cc-mode", "--cc-dict", "--classes", "--classes-file")
-_CLASSIC_FLAGS = ("--beta-scope", "--background-label")
 # the flags each sweep would leave unread
 _UNREAD_SWEEP_FLAGS = {
     "sigmoid": ("--values", "--gamma", "--delta", *_BUILD_FLAGS, *_CC_FLAGS, *_CLASSIC_FLAGS),
@@ -605,17 +709,39 @@ _UNREAD_SWEEP_FLAGS = {
 }
 
 
+def _sweep_scorers(
+    settings: Settings, values: list[float], embeddings: EmbeddingTable, sidecars: list
+) -> list:
+    """A γ, δ or β sweep's scorer of one image for each of ``values``,
+    each holding only the prompts it scores with."""
+    args = settings.args
+    if args.param == "beta":
+        classes = _classes(args, sidecars)
+        # only the merge of the CC sets depends on beta
+        source = cache(_cc_source(settings, embeddings, classes))
+        prompts = [_classic_prompts(settings, classes, source, embeddings, beta=v) for v in values]
+        return [_classic_scorer(settings, p) for p in prompts]
+    gamma, delta = settings.get("gamma"), settings.get("delta")
+    thresholds = [(v, delta) if args.param == "gamma" else (gamma, v) for v in values]
+    provider = TableProvider(embeddings)
+    sources = [
+        partial(cc_d, dictionary=d, embeddings=embeddings, provider=provider)
+        for d in _dictionaries(settings, _build_inputs(args), embeddings, thresholds)
+    ]
+    prompts = _class_prompts(_scored_classes(sidecars), sources, embeddings)
+    return [_single_scorer(settings, p) for p in prompts]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    for flag in _UNREAD_SWEEP_FLAGS[args.param]:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise ValidationError(f"{flag} does nothing in a {args.param} sweep")
-    embeddings = EmbeddingTable.load(args.embeddings)
-    image_ids = _dataset_ids(args)
+    _refuse_unread(args, _UNREAD_SWEEP_FLAGS[args.param], f"a {args.param} sweep")
     image_failures: list[dict] = []
     if args.param == "sigmoid":
+        image_ids, table = _set_up(
+            args, lambda embeddings, sidecars: _rows_of(embeddings, _scored_classes(sidecars))
+        )
         report, failures = metrics.sigmoid_sweep(
-            _load_dataset(args, image_ids, image_failures), embeddings, settings.get("steps")
+            _load_dataset(args, image_ids, image_failures), table, settings.get("steps")
         )
         metrics.write_report(report, args.out_json, args.out_tsv)
         return _exit_code(len(image_failures), len(failures))
@@ -628,22 +754,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"--values must be comma-separated finite numbers, got {args.values!r}"
         ) from None
-    if args.param == "beta":
-        classes = _classes(args, image_ids)
-        # only the merge of the CC sets depends on beta
-        source = cache(_cc_source(settings, embeddings, classes))
-        prompts = [_classic_prompts(settings, classes, source, embeddings, beta=v) for v in values]
-        scorers = [_classic_scorer(settings, p) for p in prompts]
-    else:
-        if not (args.matrix and args.counts and args.lexicon):
-            raise ValidationError(f"a {args.param} sweep needs --matrix, --counts, and --lexicon")
-        gamma, delta = settings.get("gamma"), settings.get("delta")
-        thresholds = [(v, delta) if args.param == "gamma" else (gamma, v) for v in values]
-        source = partial(cc_d, embeddings=embeddings, provider=TableProvider(embeddings))
-        dicts = _dictionaries(settings, _build_inputs(args), embeddings, thresholds)
-        scorers = [
-            _single_scorer(settings, embeddings, partial(source, dictionary=d)) for d in dicts
-        ]
+    if args.param != "beta" and not (args.matrix and args.counts and args.lexicon):
+        raise ValidationError(f"a {args.param} sweep needs --matrix, --counts, and --lexicon")
+    image_ids, scorers = _set_up(args, partial(_sweep_scorers, settings, values))
     rows = []
     failed: set[tuple[str, str]] = set()  # (image, class), once however many values
     for value, results in zip(values, _score_images(args, image_ids, scorers, image_failures)):

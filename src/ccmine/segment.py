@@ -46,8 +46,7 @@ MARGIN = 1e-12
 class FeatureMap:
     """A (h, w, d) grid of unit-normalized patch features."""
 
-    def __init__(self, data, _raw: np.ndarray | None = None) -> None:
-        # ``_raw``: the float32 payload to save, when loaded from one
+    def __init__(self, data, _loaded: bool = False) -> None:
         unit = np.array(data, dtype=np.float64)
         if unit.ndim != 3:
             raise ValidationError("feature map must be a (h, w, d) array")
@@ -59,8 +58,10 @@ class FeatureMap:
             raise ValidationError("feature map contains zero or non-finite patch vectors")
         unit /= norms[:, :, None]
         self.h, self.w, self.d = int(h), int(w), int(d)
-        self._raw = unit.astype("<f4") if _raw is None else _raw
         self._unit = unit
+        # a loaded map keeps its patch norms, not its payload: the unit
+        # vectors scaled back by them round to the stored float32 values
+        self._norms = norms if _loaded else None
 
     @property
     def unit(self) -> np.ndarray:
@@ -68,7 +69,8 @@ class FeatureMap:
 
     def dumps(self) -> bytes:
         head = _FEAT_MAGIC + struct.pack("<III", self.h, self.w, self.d)
-        return head + self._raw.tobytes()
+        payload = self._unit if self._norms is None else self._unit * self._norms[:, :, None]
+        return head + payload.astype("<f4").tobytes()
 
     def save(self, path: str | Path) -> None:
         atomic_write_bytes(path, self.dumps())
@@ -89,10 +91,7 @@ class FeatureMap:
             raise FormatError(
                 f"feature map payload is {len(data) - off} bytes, expected {expected}"
             )
-        arr = np.frombuffer(data, dtype="<f4", offset=off).reshape(h, w, d)
-        # echo the stored payload on re-save so load/save round-trips are
-        # byte-identical even where renormalization would re-round
-        return cls(arr, _raw=arr)
+        return cls(np.frombuffer(data, dtype="<f4", offset=off).reshape(h, w, d), _loaded=True)
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureMap":

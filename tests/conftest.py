@@ -175,6 +175,29 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def peak_inside(monkeypatch, owner, name: str, fn):
+    """``(fn(), peak)``: what ``fn`` returns and the ``tracemalloc`` peak
+    inside ``owner.name`` while ``fn`` ran.  The peak is reset when
+    ``owner.name`` is entered and read when it returns, so it counts all
+    that is alive during the call, not what was freed before it; over
+    several calls the largest is kept."""
+    inner = getattr(owner, name)
+    peaks = []
+
+    def traced(*args, **kwargs):
+        tracemalloc.reset_peak()
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, traced)
+        result, _ = traced_peak(fn)
+    assert peaks, f"{name} was never called"
+    return result, max(peaks)
+
+
 def cosine(a, b) -> float:
     """Per-pair oracle: the one-row case of ``cosines``, so a threshold set
     to an exact similarity means the same on both sides."""

@@ -21,6 +21,7 @@ from ccmine.cooc import CoocMatrix
 from ccmine.embed import EmbeddingTable
 from ccmine.errors import CCMineError
 from ccmine.filters import VisibilityTable
+from ccmine.llm import CC_GENERATION, render
 from ccmine.metrics import GroundTruth
 from ccmine.segment import BOTTOM, FeatureMap, SegMap, sigmoid
 
@@ -32,6 +33,8 @@ from conftest import (
     make_scene_features,
     make_sweep_features,
     pair_counts,
+    peak_inside,
+    send,
     traced_peak,
     write_gt_file,
     write_scene_dataset,
@@ -738,9 +741,10 @@ class TestEval:
             "--gt-dir", gt_dir,
             "--embeddings", toy_embeddings_path,
             "--metric", "iou-single",
-            "--cc-mode", mode,
             "--out-json", out_json,
         ]
+        if mode is not None:
+            argv += ["--cc-mode", mode]
         if dict_path is not None:
             argv += ["--cc-dict", dict_path]
         code, out, err = run(capsys, *argv, *extra)
@@ -803,7 +807,7 @@ class TestEval:
             capsys,
             tmp_path,
             toy_embeddings_path,
-            "none",
+            None,
             None,
             "--segmenter", "sigmoid",
             "--sigmoid-threshold", threshold,
@@ -817,24 +821,70 @@ class TestEval:
         self, capsys, tmp_path, toy_embeddings_path
     ):
         code, _, _, err = self.eval_single(
-            capsys, tmp_path, toy_embeddings_path, "none", None, "--segmenter", "sigmoid"
+            capsys, tmp_path, toy_embeddings_path, None, None, "--segmenter", "sigmoid"
         )
         assert code == 3
         assert "sigmoid-threshold" in err
 
     def test_sigmoid_segmenter_builds_no_cc_source(self, capsys, tmp_path, toy_embeddings_path):
-        # llm mode without an endpoint: fine, since the sigmoid test asks no LLM
+        # a run-config's llm mode without an endpoint: fine, since the
+        # sigmoid test asks no LLM (the --cc-mode flag itself is refused)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"cc_mode": "llm"}))
         code, out_json, _, err = self.eval_single(
             capsys,
             tmp_path,
             toy_embeddings_path,
-            "llm",
+            None,
             None,
             "--segmenter", "sigmoid",
             "--sigmoid-threshold", "0.6",
+            "--config", config,
         )
         assert code == 0, err
-        assert json.loads(out_json.read_text())["meta"]["cc_mode"] == "llm"
+        assert json.loads(out_json.read_text())["meta"]["cc_mode"] is None
+
+    @pytest.mark.parametrize(
+        "job,flag,value",
+        [
+            ("--metric miou-classic", "--aggregation", "image"),
+            ("--metric miou-classic", "--segmenter", "sigmoid"),
+            ("--metric miou-classic", "--segmenter", "argmax"),
+            ("--metric miou-classic", "--sigmoid-threshold", "0.5"),
+            ("--metric iou-single", "--sigmoid-threshold", "0.5"),
+            ("--metric iou-single", "--beta", "0.1"),
+            ("--metric iou-single", "--beta-scope", "source"),
+            ("--metric iou-single", "--background-label", "zzz"),
+            ("--segmenter sigmoid", "--upsample", "labels"),
+            ("--segmenter sigmoid", "--beta", "0.1"),
+            ("--segmenter sigmoid", "--beta-scope", "all"),
+            ("--segmenter sigmoid", "--background-label", "background"),
+            ("--segmenter sigmoid", "--cc-mode", "dict"),
+            ("--segmenter sigmoid", "--cc-dict", "cc.json"),
+            ("--segmenter sigmoid", "--classes", "boat"),
+            ("--segmenter sigmoid", "--classes-file", "classes.txt"),
+        ],
+    )
+    def test_flag_that_does_nothing_exits_3(
+        self, capsys, tmp_path, toy_embeddings_path, dict_path, job, flag, value
+    ):
+        features_dir, gt_dir = write_scene_dataset(tmp_path)
+        out_json = tmp_path / "report.json"
+        job_flags = {
+            "--metric miou-classic": ["--metric", "miou-classic", "--cc-mode", "dict"],
+            "--metric iou-single": ["--cc-mode", "dict"],
+            "--segmenter sigmoid": ["--segmenter", "sigmoid", "--sigmoid-threshold", "0.6"],
+        }[job]
+        if "--cc-mode" in job_flags:
+            job_flags += ["--cc-dict", dict_path]
+        code, _, err = run(
+            capsys, "eval", "--features-dir", features_dir, "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path, *job_flags, flag, value,
+            "--out-json", out_json,
+        )
+        assert code == 3
+        assert err == f"error: {flag} does nothing in eval {job}\n"
+        assert not out_json.exists()
 
     def test_images_are_loaded_one_at_a_time(
         self, capsys, tmp_path, toy_embeddings_path, dict_path, monkeypatch
@@ -1485,6 +1535,192 @@ class TestSweep:
         )
         assert code == 3
         assert "matrix" in err
+
+
+def write_padded_inputs(root: Path, fillers: int) -> tuple[Path, Path]:
+    """The toy embedding table and dictionary, each with ``fillers`` more
+    entries that no class of the two-class dataset reaches."""
+    names = [f"filler{k:05d}" for k in range(fillers)]
+    vectors = dict(TOY_VECTORS)
+    vectors.update(zip(names, np.random.default_rng(5).normal(size=(fillers, 3))))
+    order = sorted(vectors)
+    root.mkdir(parents=True)
+    table_path, dict_path = root / "toy.emb", root / "cc.json"
+    EmbeddingTable(order, np.array([vectors[n] for n in order])).save(table_path)
+    cc = {k: list(v) for k, v in EXPECTED_DICT_G001.items()}
+    cc.update((name, ["boat"]) for name in names)
+    CCDictionary(cc).save(dict_path)
+    return table_path, dict_path
+
+
+class TestClassesResolvedOnce:
+    """Eval and the sweeps resolve each class's prompts before the first
+    image and hold only those while they score."""
+
+    # job: (where the image loop runs, the job's flags given its table and dictionary)
+    JOBS = {
+        "iou-single": (
+            "_score_images",
+            lambda t, d, build: ["eval", "--embeddings", t, "--cc-mode", "dict", "--cc-dict", d],
+        ),
+        "miou-classic": (
+            "_score_images",
+            lambda t, d, build: [
+                "eval", "--embeddings", t, "--metric", "miou-classic",
+                "--cc-mode", "dict", "--cc-dict", d,
+            ],
+        ),
+        "eval-sigmoid": (
+            "_score_images",
+            lambda t, d, build: [
+                "eval", "--embeddings", t, "--segmenter", "sigmoid", "--sigmoid-threshold", "0.6",
+            ],
+        ),
+        "sweep-sigmoid": (
+            "sigmoid_sweep",
+            lambda t, d, build: ["sweep", "--param", "sigmoid", "--steps", "5", "--embeddings", t],
+        ),
+        "sweep-gamma": (
+            "_score_images",
+            lambda t, d, build: [
+                "sweep", "--param", "gamma", "--values", "0.01,0.99", "--embeddings", t, *build,
+            ],
+        ),
+        "sweep-beta": (
+            "_score_images",
+            lambda t, d, build: [
+                "sweep", "--param", "beta", "--values", "0.5,0.99", "--embeddings", t,
+                "--cc-mode", "dict", "--cc-dict", d,
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("job", list(JOBS))
+    def test_image_loop_holds_no_full_table_or_dictionary(
+        self, tmp_path, monkeypatch, mined, toy_lexicon_path, toy_visibility_path, job
+    ):
+        loop, job_flags = self.JOBS[job]
+        owner = cli.metrics if loop == "sigmoid_sweep" else cli
+        matrix_path, counts_path = mined
+        build = [
+            "--matrix", matrix_path, "--counts", counts_path,
+            "--lexicon", toy_lexicon_path, "--visibility", toy_visibility_path,
+        ]
+        features = {"img0": make_scene_features(), "img1": make_scene_features()}
+        features_dir, gt_dir = write_two_class_dataset(tmp_path / "data", features)
+
+        def peak(tag: str, fillers: int) -> int:
+            table_path, dict_path = write_padded_inputs(tmp_path / tag, fillers)
+            argv = [
+                *job_flags(table_path, dict_path, build),
+                "--features-dir", features_dir, "--gt-dir", gt_dir,
+                "--out-json", tmp_path / tag / "out.json",
+            ]
+            code, peak = peak_inside(
+                monkeypatch, owner, loop, lambda: main([str(a) for a in argv])
+            )
+            assert code == 0
+            return peak
+
+        peak("warm-up", 0)  # first-call caches out of the way
+        lean, padded = peak("lean", 0), peak("padded", 16_000)
+        # 16,000 more rows, names and dictionary entries are some MB
+        assert padded < lean + (256 << 10)
+
+    def test_classes_are_resolved_once_in_first_seen_order(
+        self, capsys, tmp_path, toy_embeddings_path, dict_path, monkeypatch
+    ):
+        calls = []
+        real = cli.cc_d
+
+        def spy(q, **kwargs):
+            calls.append(q)
+            return real(q, **kwargs)
+
+        monkeypatch.setattr(cli, "cc_d", spy)
+        features_dir, gt_dir = tmp_path / "features", tmp_path / "gt"
+        features_dir.mkdir()
+        gt_dir.mkdir()
+        # ids by column; 0 is background and 255 ignored where declared
+        images = {
+            "img0": ((2, 2, 1, 1), {1: "water", 2: "boat"}, None, None),
+            "img1": ((0, 1, 3, 255), {0: "background", 1: "dock", 3: "boat", 255: "void"}, 255, 0),
+            "img2": ((4, 4, 7, 7), {4: "water", 7: "sunset"}, None, None),
+        }
+        for image_id, (columns, labels, ignore_id, background_id) in images.items():
+            make_scene_features().save(features_dir / f"{image_id}.feat")
+            ids = np.tile(np.array(columns, dtype=np.int32), (4, 1))
+            gt = GroundTruth(ids, labels, ignore_id=ignore_id, background_id=background_id)
+            write_gt_file(gt_dir / f"{image_id}.seg", gt)
+        code, _, err = run(
+            capsys, "eval", "--features-dir", features_dir, "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path, "--cc-mode", "dict", "--cc-dict", dict_path,
+            "--out-json", tmp_path / "report.json",
+        )
+        assert code == 0, err
+        # image order, then id order; each class once however many images
+        # have it, and the ignore and background labels never
+        assert calls == ["water", "boat", "dock", "sunset"]
+
+    def test_failed_class_fails_alike_in_every_image(
+        self, capsys, tmp_path, toy_embeddings_path
+    ):
+        cc = {k: list(v) for k, v in EXPECTED_DICT_G001.items()}
+        cc["water"] = ["zzmissing"]  # a concept without an embedding
+        dict_path = tmp_path / "cc.json"
+        CCDictionary(cc).save(dict_path)
+        features_dir, gt_dir = tmp_path / "features", tmp_path / "gt"
+        features_dir.mkdir()
+        gt_dir.mkdir()
+        ids = np.tile(np.array([1, 1, 2, 3], dtype=np.int32), (4, 1))
+        gt = GroundTruth(ids, {1: "boat", 2: "water", 3: "zzunembedded"})
+        for image_id in ("img0", "img1", "img2"):
+            make_scene_features().save(features_dir / f"{image_id}.feat")
+            write_gt_file(gt_dir / f"{image_id}.seg", gt)
+        out_json = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "eval", "--features-dir", features_dir, "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path, "--cc-mode", "dict", "--cc-dict", dict_path,
+            "--out-json", out_json,
+        )
+        assert code == 3
+        report = json.loads(out_json.read_text())
+        assert len(report["per_image"]) == 3
+        for image in report["per_image"]:
+            assert list(image["classes"]) == ["boat"]
+            assert image["failures"] == [
+                {"class": "water", "error": "no embedding available for concept: 'zzmissing'"},
+                {
+                    "class": "zzunembedded",
+                    "error": "no embedding available for concept: 'zzunembedded'",
+                },
+            ]
+
+    def test_llm_is_asked_once_per_class(
+        self, capsys, tmp_path, toy_embeddings_path, llm_server
+    ):
+        llm_server.script = [
+            lambda handler, payload: send(handler, 400, b"no"),
+            lambda handler, payload: send(handler, 200, json.dumps({"text": "dock"}).encode()),
+        ]
+        features = {f"img{k}": make_scene_features() for k in range(3)}
+        features_dir, gt_dir = write_two_class_dataset(tmp_path, features)
+        out_json = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "eval", "--features-dir", features_dir, "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path, "--cc-mode", "llm",
+            "--llm-endpoint", llm_server.url, "--llm-cache", tmp_path / "cache",
+            "--llm-attempts", "1", "--out-json", out_json,
+        )
+        assert code == 3
+        prompts = [json.loads(r["body"])["prompt"] for r in llm_server.requests]
+        assert prompts == [render(CC_GENERATION, q) for q in ("boat", "water")]
+        # the failed answer fails its class in every image that has it
+        for image in json.loads(out_json.read_text())["per_image"]:
+            assert image["failures"] == [
+                {"class": "boat", "error": "completion endpoint answered 400: no"}
+            ]
+            assert list(image["classes"]) == ["water"]
 
 
 # Each subcommand's flags as (required, choices), frozen from the parser

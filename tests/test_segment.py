@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from unittest import mock
 
 import numpy as np
@@ -135,12 +136,35 @@ class TestFeatureMap:
         FeatureMap.load(path).save(path)
         assert path.read_bytes() == first
 
-    def test_loads_keeps_the_stored_payload(self):
-        data = make_scene_features().dumps()
+    def test_loads_keeps_no_view_of_the_payload(self):
+        stored = make_scene_features().dumps()
+        data = bytearray(stored)
         fm = FeatureMap.loads(data)
-        assert fm._raw.base is not None  # a view of the bytes, not a copy
-        assert fm.dumps() == data
+        data.clear()  # a BufferError while some array still views the bytes
+        assert fm.dumps() == stored
         assert np.allclose(np.linalg.norm(fm.unit, axis=2), 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           d=st.sampled_from([1, 2, 3, 64]))
+    @example(data=None, shape=(1, 1), d=1)
+    def test_load_save_byte_identical(self, data, shape, d):
+        # any float32 payload, subnormals and both zeros included, comes
+        # back as stored from the unit vectors and the patch norms
+        if data is None:
+            payload = np.array([[[-1e-45]]], dtype="<f4")
+        else:
+            floats = st.floats(width=32, allow_nan=False, allow_infinity=False)
+            payload = data.draw(hnp.arrays("<f4", (*shape, d), elements=floats))
+            tiny = 2.0**-126  # the smallest normal float32
+            subnormal = st.floats(-tiny, tiny, width=32, exclude_min=True, exclude_max=True)
+            subnormal = subnormal.filter(bool)
+            payload.flat[data.draw(st.integers(0, payload.size - 1))] = data.draw(subnormal)
+            if d > 1:
+                payload.flat[data.draw(st.integers(0, payload.size - 1))] = -0.0
+        payload[~payload.any(axis=2), 0] = 3e-45  # no patch is all zeros
+        stored = b"CCFEAT1" + struct.pack("<III", *payload.shape) + payload.tobytes()
+        assert FeatureMap.loads(stored).dumps() == stored
 
     def test_does_not_modify_its_input(self):
         data = np.full((2, 2, 3), 2.0)
