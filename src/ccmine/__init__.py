@@ -20,7 +20,7 @@ from .ccgen import (
 )
 from .cooc import CoocMatrix, FreqMatrix, build_cooc, mine_corpus, normalize, select_all
 from .corpus import Lexicon, normalize_concept, scan_corpus, tokenize
-from .embed import EmbeddingTable, TableProvider, ToyEmbeddingProvider, cosines, nearest_neighbor
+from .embed import EmbeddingTable, cosines, nearest_neighbor
 from .errors import (
     CCMineError,
     FormatError,

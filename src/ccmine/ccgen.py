@@ -30,7 +30,7 @@ import numpy as np
 
 from .cooc import CoocMatrix, normalize as cooc_normalize, select_all
 from .corpus import Lexicon, normalize_concept
-from .embed import EmbeddingProvider, EmbeddingTable, nearest_neighbor
+from .embed import EmbeddingTable, nearest_neighbor
 from .errors import FormatError, ValidationError
 from .filters import DEFAULT_DELTA, DEFAULT_STOPWORDS, VisibilityOracle, VisibilityTable, filter_rows
 from .ioutil import atomic_write_text, read_text
@@ -265,16 +265,12 @@ def build_dictionary(
     return dictionaries
 
 
-def cc_d(
-    q: str,
-    dictionary: CCDictionary,
-    embeddings: EmbeddingTable,
-    provider: EmbeddingProvider | None = None,
-) -> CCSet:
+def cc_d(q: str, dictionary: CCDictionary, embeddings: EmbeddingTable) -> CCSet:
     """Dictionary lookup with nearest-neighbor generalization.
 
-    A lexicon member uses its own entry.  Any other query needs a provider
-    to embed it; the lookup then uses the entry of the nearest lexicon
+    A lexicon member uses its own entry.  Any other query takes its vector
+    from ``embeddings`` (one without a vector raises
+    ``MissingEmbeddingError``) and uses the entry of the nearest lexicon
     concept in embedding space.
     """
     qn = normalize_concept(q)
@@ -287,12 +283,7 @@ def cc_d(
     if qn in dictionary:
         source = qn
     else:
-        if provider is None:
-            raise ValidationError(
-                f"query {q!r} is not in the lexicon and no embedding provider is configured"
-            )
-        vec = provider.embed(qn)
-        source, _ = nearest_neighbor(vec, dictionary.lexicon_table(embeddings))
+        source, _ = nearest_neighbor(embeddings.vector(qn), dictionary.lexicon_table(embeddings))
     concepts = [c for c in dictionary.get(source) if c != qn and c != BACKGROUND]
     return CCSet(
         query=qn, kind="dictionary", concepts=[BACKGROUND] + concepts, source_concept=source

@@ -41,7 +41,7 @@ from .ccgen import (
 )
 from .cooc import CoocMatrix, load_counts, mine_corpus, save_counts
 from .corpus import Lexicon, normalize_concept
-from .embed import EmbeddingTable, TableProvider, ToyEmbeddingProvider
+from .embed import EmbeddingTable
 from .errors import (
     CCMineError,
     ResponseParseError,
@@ -277,23 +277,15 @@ def _scored_classes(sidecars: list) -> list[str]:
 
 
 def _cc_source(
-    settings: Settings,
-    embeddings: EmbeddingTable | None,
-    classes: list[str] | None,
-    provider=None,
+    settings: Settings, embeddings: EmbeddingTable | None, classes: list[str] | None
 ) -> metrics.CCSource:
-    """The CC generator ``cc_mode`` names, with what it needs loaded.
-
-    ``dict`` mode embeds unknown queries with ``provider``, by default a
-    lookup in ``embeddings``.
-    """
+    """The CC generator ``cc_mode`` names, with what it needs loaded."""
     mode = settings.get("cc_mode")
     if mode == "dict":
         if settings.args.cc_dict is None or embeddings is None:
             raise ValidationError("cc-mode 'dict' needs --cc-dict and --embeddings")
         dictionary = CCDictionary.load(settings.args.cc_dict)
-        provider = provider or TableProvider(embeddings)
-        return partial(cc_d, dictionary=dictionary, embeddings=embeddings, provider=provider)
+        return partial(cc_d, dictionary=dictionary, embeddings=embeddings)
     if mode == "llm":
         return partial(
             cc_llm, client=settings.llm_client(), include_markers=settings.get("include_markers")
@@ -472,33 +464,54 @@ def _class_prompts(classes: list[str], sources, embeddings: EmbeddingTable) -> l
     return [ClassPrompts(cc, table) for cc in resolved]
 
 
-def _single_scorer(settings: Settings, prompts: ClassPrompts):
-    """Eval's IoU-single scorer of one image with ``prompts``' CC sets."""
-    return partial(
-        metrics.iou_single_image,
-        cc_source=prompts.cc_set,
-        embeddings=prompts.table,
-        upsample=settings.get("upsample"),
-    )
+def _set_up(settings: Settings, job: str, values: list):
+    """The dataset's image ids and ``job``'s scorer of one image for each
+    of ``values``: a sweep's grid, or an eval's ``[None]``, its one value
+    at the run's own settings.  The sigmoid sweep gets the table of its
+    classes' rows instead.
 
-
-def _classic_scorer(settings: Settings, prompts: PromptSet):
-    """Eval's classic-mIoU scorer of one image with ``prompts``; it ignores the image id."""
-    background_label, upsample = settings.get("background_label"), settings.get("upsample")
-    return lambda features, gt, image_id: metrics.classic_image(
-        features, gt, prompts, background_label, upsample
-    )
-
-
-def _set_up(args: argparse.Namespace, build):
-    """The dataset's image ids and ``build(embeddings, sidecars)``, given
-    the ground-truth sidecars.  The embedding table is loaded for
-    ``build`` alone: it, and every dictionary and CC source made from it,
-    are freed on return, before the first image loads, so the image loop
-    holds only what ``build`` returns."""
+    The embedding table, and every dictionary and CC source made from it,
+    are locals of this call: they are freed on return, before the first
+    image loads, so the image loop holds only the prompts it scores with.
+    """
+    args = settings.args
     embeddings = EmbeddingTable.load(args.embeddings)
     image_ids = _dataset_ids(args)
-    return image_ids, build(embeddings, _sidecars(args, image_ids))
+    sidecars = _sidecars(args, image_ids)
+    if job in ("eval --segmenter sigmoid", "a sigmoid sweep"):
+        table = _rows_of(embeddings, _scored_classes(sidecars))
+        if job == "a sigmoid sweep":
+            return image_ids, table
+        threshold = settings.get("sigmoid_threshold")
+        return image_ids, [
+            partial(metrics.iou_single_image_sigmoid, threshold=threshold, embeddings=table)
+        ]
+    upsample = settings.get("upsample")
+    if job in ("eval --metric miou-classic", "a beta sweep"):
+        classes = _classes(args, sidecars)
+        source = _cc_source(settings, embeddings, classes)
+        if job == "a beta sweep":
+            source = cache(source)  # only the merge of the CC sets depends on beta
+        background_label = settings.get("background_label")
+        prompts = [_classic_prompts(settings, classes, source, embeddings, beta) for beta in values]
+        # a classic scorer ignores the image id
+        return image_ids, [
+            lambda features, gt, image_id, p=p: metrics.classic_image(
+                features, gt, p, background_label, upsample
+            )
+            for p in prompts
+        ]
+    if job == "eval --metric iou-single":
+        sources = [_cc_source(settings, embeddings, _classes(args, sidecars))]
+    else:
+        gamma, delta = settings.get("gamma"), settings.get("delta")
+        thresholds = [(v, delta) if job == "a gamma sweep" else (gamma, v) for v in values]
+        dictionaries = _dictionaries(settings, _build_inputs(args), embeddings, thresholds)
+        sources = [partial(cc_d, dictionary=d, embeddings=embeddings) for d in dictionaries]
+    return image_ids, [
+        partial(metrics.iou_single_image, cc_source=p.cc_set, embeddings=p.table, upsample=upsample)
+        for p in _class_prompts(_scored_classes(sidecars), sources, embeddings)
+    ]
 
 
 def _score_images(args: argparse.Namespace, image_ids: list[str], scorers, failures=None):
@@ -575,10 +588,7 @@ def cmd_build_cc(args: argparse.Namespace) -> int:
 def cmd_gen_cc(args: argparse.Namespace) -> int:
     settings = Settings(args)
     embeddings = EmbeddingTable.load(args.embeddings) if args.embeddings else None
-    provider = None
-    if embeddings is not None and args.provider == "toy":
-        provider = ToyEmbeddingProvider(seed=args.toy_seed, dim=embeddings.dim)
-    cc = _cc_source(settings, embeddings, _classes(args), provider)(args.query)
+    cc = _cc_source(settings, embeddings, _classes(args))(args.query)
     payload = {
         "query": cc.query,
         "kind": cc.kind,
@@ -628,54 +638,53 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 _CC_FLAGS = ("--cc-mode", "--cc-dict", "--classes", "--classes-file")
 _CLASSIC_FLAGS = ("--beta-scope", "--background-label")
-# the flags each kind of eval would leave unread
-_UNREAD_EVAL_FLAGS = {
-    "--metric miou-classic": ("--aggregation", "--segmenter", "--sigmoid-threshold"),
-    "--metric iou-single": ("--sigmoid-threshold", "--beta", *_CLASSIC_FLAGS),
-    "--segmenter sigmoid": ("--upsample", "--beta", *_CC_FLAGS, *_CLASSIC_FLAGS),
+_BUILD_FLAGS = ("--matrix", "--counts", "--lexicon", "--visibility")
+# the flags each job would leave unread, by the name its refusal gives it
+_UNREAD_FLAGS = {
+    "eval --metric miou-classic": ("--aggregation", "--segmenter", "--sigmoid-threshold"),
+    "eval --metric iou-single": ("--sigmoid-threshold", "--beta", *_CLASSIC_FLAGS),
+    "eval --segmenter sigmoid": ("--upsample", "--beta", *_CC_FLAGS, *_CLASSIC_FLAGS),
+    "a sigmoid sweep": (
+        "--values", "--gamma", "--delta", *_BUILD_FLAGS, *_CC_FLAGS, *_CLASSIC_FLAGS
+    ),
+    "a gamma sweep": ("--gamma", "--steps", *_CC_FLAGS, *_CLASSIC_FLAGS),
+    "a delta sweep": ("--delta", "--steps", *_CC_FLAGS, *_CLASSIC_FLAGS),
+    "a beta sweep": ("--steps", "--gamma", "--delta", *_BUILD_FLAGS),
 }
 
 
-def _refuse_unread(args: argparse.Namespace, flags: tuple[str, ...], job: str) -> None:
-    """Refuse the first of ``flags`` given on the command line: ``job``
-    would not read it."""
-    for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise ValidationError(f"{flag} does nothing in {job}")
-
-
-def _eval_scorer(settings: Settings, embeddings: EmbeddingTable, sidecars: list):
-    """Eval's scorer of one image, holding only the prompts it scores with."""
-    args = settings.args
-    if args.metric == "miou-classic":
-        classes = _classes(args, sidecars)
-        source = _cc_source(settings, embeddings, classes)
-        return _classic_scorer(settings, _classic_prompts(settings, classes, source, embeddings))
-    classes = _scored_classes(sidecars)
-    if settings.get("segmenter") == "sigmoid":
-        return partial(
-            metrics.iou_single_image_sigmoid,
-            threshold=settings.get("sigmoid_threshold"),
-            embeddings=_rows_of(embeddings, classes),
-        )
-    source = _cc_source(settings, embeddings, _classes(args, sidecars))
-    [prompts] = _class_prompts(classes, [source], embeddings)
-    return _single_scorer(settings, prompts)
+def _refuse_unread(settings: Settings, job: str) -> None:
+    """Refuse the first flag given on the command line that ``job`` would
+    not read: one that ``_UNREAD_FLAGS`` lists, or a CC flag that the CC
+    mode, from the flag or the run-config, does not read.  Only ``dict``
+    mode reads ``--cc-dict``; an IoU-single eval reads the class list only
+    in ``privileged`` mode, where classic jobs score the classes it names."""
+    unread = dict.fromkeys(_UNREAD_FLAGS[job], job)
+    if "--cc-mode" not in unread:  # the job reads a CC mode
+        mode = settings.get("cc_mode")
+        in_mode = f"{job} with cc-mode {mode}"
+        if mode != "dict":
+            unread["--cc-dict"] = in_mode
+        if job == "eval --metric iou-single" and mode != "privileged":
+            unread["--classes"] = unread["--classes-file"] = in_mode
+    for flag, where in unread.items():
+        if getattr(settings.args, flag[2:].replace("-", "_")) is not None:
+            raise ValidationError(f"{flag} does nothing in {where}")
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     settings = Settings(args)
     segmenter = settings.get("segmenter")
     if args.metric == "miou-classic":
-        job = "--metric miou-classic"
+        job = "eval --metric miou-classic"
     else:
-        job = "--segmenter sigmoid" if segmenter == "sigmoid" else "--metric iou-single"
-    _refuse_unread(args, _UNREAD_EVAL_FLAGS[job], f"eval {job}")
-    if job == "--segmenter sigmoid" and settings.get("sigmoid_threshold") is None:
+        job = "eval --segmenter sigmoid" if segmenter == "sigmoid" else "eval --metric iou-single"
+    _refuse_unread(settings, job)
+    if job == "eval --segmenter sigmoid" and settings.get("sigmoid_threshold") is None:
         raise ValidationError("--sigmoid-threshold is required for the sigmoid segmenter")
-    image_ids, score = _set_up(args, partial(_eval_scorer, settings))
+    image_ids, scorers = _set_up(settings, job, [None])
     image_failures: list[dict] = []
-    [results] = _score_images(args, image_ids, [score], image_failures)
+    [results] = _score_images(args, image_ids, scorers, image_failures)
     if args.metric == "miou-classic":
         report, class_failures = metrics.aggregate_classic(results), 0
     else:
@@ -684,7 +693,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     report["meta"] = {
         # the sigmoid segmenter uses no contrastive concepts
-        "cc_mode": None if job == "--segmenter sigmoid" else settings.get("cc_mode"),
+        "cc_mode": None if job == "eval --segmenter sigmoid" else settings.get("cc_mode"),
         "embeddings_digest": sha256_file(args.embeddings),
         "cc_dict_digest": sha256_file(args.cc_dict) if args.cc_dict else None,
         "segmenter": segmenter,
@@ -699,78 +708,46 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # ---- sweep ----
 
 
-_BUILD_FLAGS = ("--matrix", "--counts", "--lexicon", "--visibility")
-# the flags each sweep would leave unread
-_UNREAD_SWEEP_FLAGS = {
-    "sigmoid": ("--values", "--gamma", "--delta", *_BUILD_FLAGS, *_CC_FLAGS, *_CLASSIC_FLAGS),
-    "gamma": ("--gamma", "--steps", *_CC_FLAGS, *_CLASSIC_FLAGS),
-    "delta": ("--delta", "--steps", *_CC_FLAGS, *_CLASSIC_FLAGS),
-    "beta": ("--steps", "--gamma", "--delta", *_BUILD_FLAGS),
-}
-
-
-def _sweep_scorers(
-    settings: Settings, values: list[float], embeddings: EmbeddingTable, sidecars: list
-) -> list:
-    """A γ, δ or β sweep's scorer of one image for each of ``values``,
-    each holding only the prompts it scores with."""
-    args = settings.args
-    if args.param == "beta":
-        classes = _classes(args, sidecars)
-        # only the merge of the CC sets depends on beta
-        source = cache(_cc_source(settings, embeddings, classes))
-        prompts = [_classic_prompts(settings, classes, source, embeddings, beta=v) for v in values]
-        return [_classic_scorer(settings, p) for p in prompts]
-    gamma, delta = settings.get("gamma"), settings.get("delta")
-    thresholds = [(v, delta) if args.param == "gamma" else (gamma, v) for v in values]
-    provider = TableProvider(embeddings)
-    sources = [
-        partial(cc_d, dictionary=d, embeddings=embeddings, provider=provider)
-        for d in _dictionaries(settings, _build_inputs(args), embeddings, thresholds)
-    ]
-    prompts = _class_prompts(_scored_classes(sidecars), sources, embeddings)
-    return [_single_scorer(settings, p) for p in prompts]
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    _refuse_unread(args, _UNREAD_SWEEP_FLAGS[args.param], f"a {args.param} sweep")
+    job = f"a {args.param} sweep"
+    _refuse_unread(settings, job)
+    values: list[float] = []
+    if args.param != "sigmoid":
+        if not args.values:
+            raise ValidationError(f"--values is required for {job}")
+        number = _finite("--values")
+        try:
+            values = [number(v) for v in args.values.split(",")]
+        except ValueError:
+            raise ValidationError(
+                f"--values must be comma-separated finite numbers, got {args.values!r}"
+            ) from None
+        if args.param != "beta" and not (args.matrix and args.counts and args.lexicon):
+            raise ValidationError(f"{job} needs --matrix, --counts, and --lexicon")
+    image_ids, scorers = _set_up(settings, job, values)
     image_failures: list[dict] = []
     if args.param == "sigmoid":
-        image_ids, table = _set_up(
-            args, lambda embeddings, sidecars: _rows_of(embeddings, _scored_classes(sidecars))
-        )
         report, failures = metrics.sigmoid_sweep(
-            _load_dataset(args, image_ids, image_failures), table, settings.get("steps")
+            _load_dataset(args, image_ids, image_failures), scorers, settings.get("steps")
         )
-        metrics.write_report(report, args.out_json, args.out_tsv)
-        return _exit_code(len(image_failures), len(failures))
-    if not args.values:
-        raise ValidationError(f"--values is required for a {args.param} sweep")
-    number = _finite("--values")
-    try:
-        values = [number(v) for v in args.values.split(",")]
-    except ValueError:
-        raise ValidationError(
-            f"--values must be comma-separated finite numbers, got {args.values!r}"
-        ) from None
-    if args.param != "beta" and not (args.matrix and args.counts and args.lexicon):
-        raise ValidationError(f"a {args.param} sweep needs --matrix, --counts, and --lexicon")
-    image_ids, scorers = _set_up(args, partial(_sweep_scorers, settings, values))
-    rows = []
-    failed: set[tuple[str, str]] = set()  # (image, class), once however many values
-    for value, results in zip(values, _score_images(args, image_ids, scorers, image_failures)):
-        if args.param == "beta":
-            row = {"mean_class": metrics.aggregate_classic(results)["mean"]}
-        else:
-            agg = metrics.aggregate_iou_single(results)
-            row = {"mean_class": agg["mean_class"], "mean_image": agg["mean_image"]}
-            failed.update((r.image_id, label) for r in results for label, _ in r.failures)
-        rows.append({"value": value, **row})
-    metric = "miou-classic-sweep" if args.param == "beta" else "iou-single-sweep"
-    report = {"metric": metric, "param": args.param, "rows": rows}
+        class_failures = len(failures)
+    else:
+        rows = []
+        failed: set[tuple[str, str]] = set()  # (image, class), once however many values
+        for value, results in zip(values, _score_images(args, image_ids, scorers, image_failures)):
+            if args.param == "beta":
+                row = {"mean_class": metrics.aggregate_classic(results)["mean"]}
+            else:
+                agg = metrics.aggregate_iou_single(results)
+                row = {"mean_class": agg["mean_class"], "mean_image": agg["mean_image"]}
+                failed.update((r.image_id, label) for r in results for label, _ in r.failures)
+            rows.append({"value": value, **row})
+        metric = "miou-classic-sweep" if args.param == "beta" else "iou-single-sweep"
+        report = {"metric": metric, "param": args.param, "rows": rows}
+        class_failures = len(failed)
     metrics.write_report(report, args.out_json, args.out_tsv)
-    return _exit_code(len(image_failures), len(failed))
+    return _exit_code(len(image_failures), class_failures)
 
 
 # ---- parser ----
@@ -852,8 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cc_flags(p, mode_flag="--mode")
     p.add_argument("--query", required=True)
     p.add_argument("--embeddings")
-    p.add_argument("--provider", choices=("table", "toy"), default="table")
-    p.add_argument("--toy-seed", type=int, default=0)
     _add_llm_flags(p)
     p.add_argument("--out")
 

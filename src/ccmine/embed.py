@@ -15,10 +15,8 @@ names so a table file has exactly one valid byte representation.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from pathlib import Path
-from typing import Protocol
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -246,55 +244,3 @@ def nearest_neighbor(query: np.ndarray, table: EmbeddingTable) -> tuple[str, flo
     tied = np.nonzero(sims == best)[0]
     name = min(table.names[int(k)] for k in tied)
     return name, float(np.clip(best, -1.0, 1.0))
-
-
-class EmbeddingProvider(Protocol):
-    """Anything that can map a concept string to a vector."""
-
-    def embed(self, text: str) -> np.ndarray: ...
-
-
-class TableProvider:
-    """Provider backed by a fixed table; unknown names raise."""
-
-    def __init__(self, table: EmbeddingTable):
-        self.table = table
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.table.vector(text)
-
-
-class ToyEmbeddingProvider:
-    """Deterministic hash-based unit vectors for tests and demos.
-
-    Coordinates come from SHA-256 in counter mode mapped to [-1, 1), then
-    the vector is unit-normalized.  No RNG library is involved, so the same
-    (seed, text) pair yields the same vector on every run; across platforms
-    results agree to floating-point rounding.
-    """
-
-    def __init__(self, seed: int = 0, dim: int = 16):
-        if dim < 1:
-            raise ValidationError("toy provider dimension must be >= 1")
-        self.seed = seed
-        self.dim = dim
-
-    def embed(self, text: str) -> np.ndarray:
-        for attempt in range(64):
-            coords = self._uniform_coords(text, attempt)
-            norm = float(np.linalg.norm(coords))
-            if norm > 1e-6:
-                return coords / norm
-        raise ValidationError(f"could not derive a unit vector for {text!r}")
-
-    def _uniform_coords(self, text: str, attempt: int) -> np.ndarray:
-        out: list[float] = []
-        block = 0
-        while len(out) < self.dim:
-            payload = f"{self.seed}:{attempt}:{text}:{block}".encode("utf-8")
-            digest = hashlib.sha256(payload).digest()
-            for k in range(0, 32, 8):
-                u = int.from_bytes(digest[k : k + 8], "little")
-                out.append(u / 2.0**63 - 1.0)
-            block += 1
-        return np.array(out[: self.dim], dtype=np.float64)

@@ -31,6 +31,7 @@ from ccmine.llm import LLMClient
 from conftest import (
     EXPECTED_DICT_G001,
     EXPECTED_DICT_G099,
+    TOY_VECTORS,
     StageLists,
     cc_dictionary_loads_by_entry,
     cooc_matrix,
@@ -326,18 +327,18 @@ class TestCCD:
         got = cc_d("boat", d, toy_embeddings)
         assert got.concepts == ["background", "water"]
 
-    def test_nearest_neighbor_generalization(self, dictionary, toy_embeddings):
-        class FakeProvider:
-            def embed(self, text):
-                assert text == "ferry"
-                return np.array([0.99, 0.1, 0.0])
-
-        got = cc_d("ferry", dictionary, toy_embeddings, provider=FakeProvider())
+    def test_nearest_neighbor_generalization(self, dictionary):
+        # ferry is embedded but no dictionary key: its nearest key is boat
+        vectors = {**TOY_VECTORS, "ferry": (0.99, 0.1, 0.0)}
+        names = sorted(vectors)
+        table = EmbeddingTable(names, np.array([vectors[n] for n in names]))
+        got = cc_d("ferry", dictionary, table)
         assert got.source_concept == "boat"
         assert got.concepts == ["background", "dock", "sunset", "water"]
 
-    def test_unknown_query_needs_provider(self, dictionary, toy_embeddings):
-        with pytest.raises(ValidationError, match="provider"):
+    def test_query_without_embedding_raises(self, dictionary, toy_embeddings):
+        # in neither the dictionary nor the table
+        with pytest.raises(MissingEmbeddingError, match="'ferry'"):
             cc_d("ferry", dictionary, toy_embeddings)
 
     def test_empty_dictionary_rejected(self, toy_embeddings):

@@ -7,6 +7,7 @@ import gzip
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -559,18 +560,18 @@ class TestGenCC:
         assert payload["concepts"] == ["background", "dock", "sunset", "water"]
         assert payload["source_concept"] == "boat"
 
-    def test_dict_mode_toy_provider(self, capsys, dict_path, toy_embeddings_path):
-        code, out, _ = run(
-            capsys,
-            "gen-cc",
-            "--mode", "dict",
-            "--query", "ferry",
-            "--cc-dict", dict_path,
-            "--embeddings", toy_embeddings_path,
-            "--provider", "toy",
-        )
-        assert code == 0
-        assert json.loads(out)["source_concept"] in TOY_CONCEPTS
+    @pytest.mark.parametrize("flag,value", [("--provider", "toy"), ("--toy-seed", "3")])
+    def test_provider_flags_are_usage_errors(
+        self, capsys, dict_path, toy_embeddings_path, flag, value
+    ):
+        # an unknown query takes its vector from --embeddings, and from nothing else
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "gen-cc", "--mode", "dict", "--query", "ferry", "--cc-dict", str(dict_path),
+                "--embeddings", str(toy_embeddings_path), flag, value,
+            ])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_dict_mode_unknown_query_table_provider(
         self, capsys, dict_path, toy_embeddings_path
@@ -863,6 +864,16 @@ class TestEval:
             ("--segmenter sigmoid", "--cc-dict", "cc.json"),
             ("--segmenter sigmoid", "--classes", "boat"),
             ("--segmenter sigmoid", "--classes-file", "classes.txt"),
+            ("--metric iou-single with cc-mode bg", "--cc-dict", "cc.json"),
+            ("--metric iou-single with cc-mode bg", "--classes", "zzz"),
+            ("--metric iou-single with cc-mode bg", "--classes-file", "classes.txt"),
+            ("--metric iou-single with cc-mode none", "--cc-dict", "cc.json"),
+            ("--metric iou-single with cc-mode dict", "--classes", "boat"),
+            ("--metric iou-single with cc-mode privileged", "--cc-dict", "cc.json"),
+            ("--metric iou-single with cc-mode llm", "--cc-dict", "cc.json"),
+            ("--metric iou-single with cc-mode llm", "--classes", "boat"),
+            ("--metric miou-classic with cc-mode bg", "--cc-dict", "cc.json"),
+            ("--metric miou-classic with cc-mode privileged", "--cc-dict", "cc.json"),
         ],
     )
     def test_flag_that_does_nothing_exits_3(
@@ -870,13 +881,19 @@ class TestEval:
     ):
         features_dir, gt_dir = write_scene_dataset(tmp_path)
         out_json = tmp_path / "report.json"
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"cc_mode": "llm"}))
+        metric, _, mode = job.partition(" with cc-mode ")
         job_flags = {
-            "--metric miou-classic": ["--metric", "miou-classic", "--cc-mode", "dict"],
-            "--metric iou-single": ["--cc-mode", "dict"],
+            "--metric miou-classic": ["--metric", "miou-classic"],
+            "--metric iou-single": [],
             "--segmenter sigmoid": ["--segmenter", "sigmoid", "--sigmoid-threshold", "0.6"],
-        }[job]
-        if "--cc-mode" in job_flags:
-            job_flags += ["--cc-dict", dict_path]
+        }[metric]
+        if metric != "--segmenter sigmoid":
+            # the llm mode comes from a run-config, every other from --cc-mode
+            job_flags += {
+                "": ["--cc-mode", "dict", "--cc-dict", dict_path], "llm": ["--config", config]
+            }.get(mode, ["--cc-mode", mode])
         code, _, err = run(
             capsys, "eval", "--features-dir", features_dir, "--gt-dir", gt_dir,
             "--embeddings", toy_embeddings_path, *job_flags, flag, value,
@@ -885,6 +902,23 @@ class TestEval:
         assert code == 3
         assert err == f"error: {flag} does nothing in eval {job}\n"
         assert not out_json.exists()
+
+    @pytest.mark.parametrize(
+        "job_flags",
+        [
+            ["--metric", "miou-classic", "--cc-mode", "bg", "--classes", "boat"],
+            ["--cc-mode", "privileged", "--classes", "boat,water"],
+        ],
+    )
+    def test_cc_flags_the_mode_reads_are_taken(
+        self, capsys, tmp_path, toy_embeddings_path, job_flags
+    ):
+        features_dir, gt_dir = write_scene_dataset(tmp_path)
+        code, _, err = run(
+            capsys, "eval", "--features-dir", features_dir, "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path, *job_flags, "--out-json", tmp_path / "r.json",
+        )
+        assert code == 0, err
 
     def test_images_are_loaded_one_at_a_time(
         self, capsys, tmp_path, toy_embeddings_path, dict_path, monkeypatch
@@ -1477,20 +1511,31 @@ class TestSweep:
             ("beta", "--counts", "nope"),
             ("beta", "--lexicon", "nope"),
             ("beta", "--visibility", "nope"),
+            ("beta with cc-mode bg", "--cc-dict", "cc.json"),
+            ("beta with cc-mode privileged", "--cc-dict", "cc.json"),
+            ("beta with cc-mode llm", "--cc-dict", "cc.json"),
         ],
     )
     def test_flag_that_does_nothing_exits_3(
         self, capsys, tmp_path, toy_embeddings_path, param_flags, param, flag, value
     ):
         features_dir, gt_dir = write_scene_dataset(tmp_path)
+        param, _, mode = param.partition(" with cc-mode ")
+        job_flags, job = param_flags[param], f"a {param} sweep"
+        if mode:
+            # the llm mode comes from a run-config, every other from --cc-mode
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"cc_mode": "llm"}))
+            job_flags = ["--config", config] if mode == "llm" else ["--cc-mode", mode]
+            job += f" with cc-mode {mode}"
         grid = ["--steps", "5"] if param == "sigmoid" else ["--values", "0.5"]
         code, _, err = run(
-            capsys, "sweep", "--param", param, *grid, *param_flags[param], flag, value,
+            capsys, "sweep", "--param", param, *grid, *job_flags, flag, value,
             "--features-dir", features_dir, "--gt-dir", gt_dir,
             "--embeddings", toy_embeddings_path, "--out-json", tmp_path / "sweep.json",
         )
         assert code == 3
-        assert err == f"error: {flag} does nothing in a {param} sweep\n"
+        assert err == f"error: {flag} does nothing in {job}\n"
         assert not (tmp_path / "sweep.json").exists()
 
     @pytest.mark.parametrize("param", ["sigmoid", "gamma", "delta", "beta"])
@@ -1535,6 +1580,51 @@ class TestSweep:
         )
         assert code == 3
         assert "matrix" in err
+
+
+class TestReportBytes:
+    """The report bytes of each kind of eval and sweep on the two-image
+    scene dataset are pinned."""
+
+    @pytest.mark.parametrize(
+        "job,digest",
+        [
+            ("eval-iou-single", "7afa69c8e84d420e27a76d1e10de2757d9f763d7ff055942c3c6257039e26fc2"),
+            ("eval-miou-classic", "745de3a90f6e0c9b4b626370ac6d254de0b8613420d14d1dec9c932dd4b95876"),
+            ("eval-sigmoid", "3c7948c3a482c312b384db817024fd8346fed4af0faafb40de9cc35bc5e4fe6d"),
+            ("sweep-sigmoid", "36857b9f48c1c7447f0fbb3c423bfaf7fdb4da71f630cf81f950d5e1bde6b01a"),
+            ("sweep-gamma", "782e23c50d14b07a5563991234ca5a756062f1b3f052ed8fef0b283502ecab86"),
+            ("sweep-delta", "1a42213cc308f5653049ef883de69e10a21791b52994b0983fde67db9e740bd6"),
+            ("sweep-beta", "9367d0f63ce6bb14d803a83053acbcaadf09bf6be2ebfa1409365658190531a0"),
+        ],
+    )
+    def test_report_bytes_are_pinned(
+        self, capsys, tmp_path, mined, toy_lexicon_path, toy_visibility_path,
+        toy_embeddings_path, dict_path, job, digest,
+    ):
+        matrix_path, counts_path = mined
+        build = [
+            "--matrix", matrix_path, "--counts", counts_path,
+            "--lexicon", toy_lexicon_path, "--visibility", toy_visibility_path,
+        ]
+        cc = ["--cc-mode", "dict", "--cc-dict", dict_path]
+        job_flags = {
+            "eval-iou-single": ["eval", *cc],
+            "eval-miou-classic": ["eval", "--metric", "miou-classic", *cc],
+            "eval-sigmoid": ["eval", "--segmenter", "sigmoid", "--sigmoid-threshold", "0.6"],
+            "sweep-sigmoid": ["sweep", "--param", "sigmoid", "--steps", "12"],
+            "sweep-gamma": ["sweep", "--param", "gamma", "--values", "0.01,0.99", *build],
+            "sweep-delta": ["sweep", "--param", "delta", "--values", "0.5,0.9", *build],
+            "sweep-beta": ["sweep", "--param", "beta", "--values", "0.5,0.99", *cc],
+        }[job]
+        features_dir, gt_dir = write_scene_dataset(tmp_path, ("img0", "img1"))
+        out_json = tmp_path / "report.json"
+        code, _, err = run(
+            capsys, *job_flags, "--features-dir", features_dir, "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path, "--out-json", out_json,
+        )
+        assert code == 0, err
+        assert hashlib.sha256(out_json.read_bytes()).hexdigest() == digest
 
 
 def write_padded_inputs(root: Path, fillers: int) -> tuple[Path, Path]:
@@ -1788,8 +1878,6 @@ FLAG_INVENTORY = {
         "--embeddings": (False, None),
         "--classes": (False, None),
         "--classes-file": (False, None),
-        "--provider": (False, ("table", "toy")),
-        "--toy-seed": (False, None),
         **_LLM_FLAGS,
         "--out": (False, None),
     },
@@ -1860,6 +1948,21 @@ def nest(key: str, value) -> dict:
     return {key: value}
 
 
+def unreadable_flags(job: str, flags) -> list[str]:
+    """Those of ``flags`` that ``cli._refuse_unread`` could not check in
+    ``job``: no option of the job's command, or one that stores its value
+    elsewhere than under the flag's own name, or that has a default."""
+    command = "eval" if job.startswith("eval") else "sweep"
+    actions = {flag: a for a in subparsers()[command]._actions for flag in a.option_strings}
+    return [
+        flag
+        for flag in flags
+        if flag not in actions
+        or actions[flag].dest != flag[2:].replace("-", "_")
+        or actions[flag].default is not None
+    ]
+
+
 def run_python(code: str, *argv) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this checkout's ccmine."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -1919,6 +2022,33 @@ class TestWiring:
                 if flag not in ("-h", "--help")
             }
         assert got == FLAG_INVENTORY
+
+    def test_unread_flags_are_options_the_refusal_can_read(self):
+        # the CC flags are refused by CC mode as well as by the table
+        unread = {job: (*flags, *cli._CC_FLAGS) for job, flags in cli._UNREAD_FLAGS.items()}
+        assert {job: unreadable_flags(job, flags) for job, flags in unread.items()} == {
+            job: [] for job in unread
+        }
+
+    def test_unreadable_flags_are_found(self):
+        # --no-markers stores into include_markers, and --api-style into
+        # llm_api_style: refusing either would raise AttributeError
+        flags = ("--no-markers", "--api-style", "--aggregation", "--unknown")
+        assert unreadable_flags("eval --metric iou-single", flags) == [
+            "--no-markers", "--api-style", "--unknown"
+        ]
+
+    def test_readme_lists_the_unread_flags(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = {}
+        for heading, job in (("### 5. Evaluate", "eval {}"), ("### 6. Sweep", "a {} sweep")):
+            section = readme[readme.index(heading):]
+            section = section[section.index("is refused with exit 3, naming it:"):]
+            bullets = section[: section.index("\n\n", section.index("\n- "))]
+            bullet = r"^- `([^`]+)`[^:]*:(.*?)(?=^- |\Z)"
+            for key, flags in re.findall(bullet, bullets, re.M | re.S):
+                listed[job.format(key)] = sorted(re.findall(r"`(--[a-z-]+)`", flags))
+        assert listed == {job: sorted(flags) for job, flags in cli._UNREAD_FLAGS.items()}
 
     def test_readme_config_loads(self, tmp_path, monkeypatch):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

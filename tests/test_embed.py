@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from ccmine import embed
 from ccmine.embed import (
     EmbeddingTable,
-    ToyEmbeddingProvider,
     cosines,
     nearest_neighbor,
 )
@@ -302,24 +301,3 @@ class TestNearestNeighbor:
             got, sim = nearest_neighbor(toy_embeddings.vector(name), toy_embeddings)
             assert got == name
             assert sim == pytest.approx(1.0)
-
-
-class TestToyProvider:
-    def test_deterministic(self):
-        a = ToyEmbeddingProvider(seed=3).embed("harbor")
-        b = ToyEmbeddingProvider(seed=3).embed("harbor")
-        assert np.array_equal(a, b)
-
-    def test_unit_norm(self):
-        v = ToyEmbeddingProvider(seed=0, dim=16).embed("harbor")
-        assert v.shape == (16,)
-        assert np.linalg.norm(v) == pytest.approx(1.0)
-
-    def test_seed_changes_vector(self):
-        a = ToyEmbeddingProvider(seed=0).embed("harbor")
-        b = ToyEmbeddingProvider(seed=1).embed("harbor")
-        assert not np.allclose(a, b)
-
-    def test_text_changes_vector(self):
-        p = ToyEmbeddingProvider(seed=0)
-        assert not np.allclose(p.embed("harbor"), p.embed("harbour"))
