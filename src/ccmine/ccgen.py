@@ -290,6 +290,34 @@ def cc_d(q: str, dictionary: CCDictionary, embeddings: EmbeddingTable) -> CCSet:
     )
 
 
+def cc_reach(
+    mode: str,
+    queries: Iterable[str],
+    classes: Iterable[str] = (),
+    dictionary: CCDictionary | None = None,
+) -> set[str] | None:
+    """The names whose embedding rows the CC sets of ``queries`` can look
+    up: the queries, as given and normalized, and every concept that the
+    ``mode`` generator (``classes`` for ``privileged``, ``dictionary`` for
+    ``dict``) can put in their CC sets.  A ``dict`` query that is no key
+    searches every key's row (``cc_d``) and may take any entry.  None
+    stands for every row: an LLM's concepts are known once it is asked."""
+    if mode == "llm":
+        return None
+    queries = list(queries)
+    reach = {BACKGROUND, *queries, *map(normalize_concept, queries)}
+    if mode == "privileged":
+        reach.update(map(normalize_concept, classes))
+    elif mode == "dict":
+        cc = dictionary.cc
+        keys = set(map(normalize_concept, queries)) - {"", BACKGROUND}
+        if keys <= cc.keys():
+            reach.update(chain.from_iterable(cc[key] for key in keys))
+        else:
+            reach.update(cc, chain.from_iterable(cc.values()))
+    return reach
+
+
 def cc_multi(
     cc_sets: list[CCSet],
     embeddings: EmbeddingTable,

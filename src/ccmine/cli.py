@@ -38,6 +38,7 @@ from .ccgen import (
     cc_multi,
     cc_none,
     cc_privileged,
+    cc_reach,
 )
 from .cooc import CoocMatrix, load_counts, mine_corpus, save_counts
 from .corpus import Lexicon, normalize_concept
@@ -222,6 +223,11 @@ def _dest(key: str) -> str:
     return key.replace(".", "_")
 
 
+def _flag(key: str) -> str:
+    """The command-line flag of an ``OPTIONS`` key."""
+    return OPTIONS[key].flag or "--" + key.replace(".", "-").replace("_", "-")
+
+
 def _finite(flag: str):
     """The ``type=`` of a float flag: a text that is no number is a usage
     error, and NaN or an infinity a validation error."""
@@ -276,15 +282,27 @@ def _scored_classes(sidecars: list) -> list[str]:
     return list(seen)
 
 
+def _cc_dictionary(settings: Settings) -> CCDictionary | None:
+    """The ``--cc-dict`` dictionary when the CC mode is ``dict``, else None."""
+    if settings.get("cc_mode") != "dict":
+        return None
+    if settings.args.cc_dict is None or not settings.args.embeddings:
+        raise ValidationError("cc-mode 'dict' needs --cc-dict and --embeddings")
+    return CCDictionary.load(settings.args.cc_dict)
+
+
 def _cc_source(
-    settings: Settings, embeddings: EmbeddingTable | None, classes: list[str] | None
+    settings: Settings,
+    embeddings: EmbeddingTable | None,
+    classes: list[str] | None,
+    dictionary: CCDictionary | None = None,
 ) -> metrics.CCSource:
-    """The CC generator ``cc_mode`` names, with what it needs loaded."""
+    """The CC generator ``cc_mode`` names, with what it needs loaded; ``dict``
+    mode takes ``dictionary``, or loads it when none is given."""
     mode = settings.get("cc_mode")
     if mode == "dict":
-        if settings.args.cc_dict is None or embeddings is None:
-            raise ValidationError("cc-mode 'dict' needs --cc-dict and --embeddings")
-        dictionary = CCDictionary.load(settings.args.cc_dict)
+        if dictionary is None:
+            dictionary = _cc_dictionary(settings)
         return partial(cc_d, dictionary=dictionary, embeddings=embeddings)
     if mode == "llm":
         return partial(
@@ -470,16 +488,20 @@ def _set_up(settings: Settings, job: str, values: list):
     at the run's own settings.  The sigmoid sweep gets the table of its
     classes' rows instead.
 
-    The embedding table, and every dictionary and CC source made from it,
-    are locals of this call: they are freed on return, before the first
-    image loads, so the image loop holds only the prompts it scores with.
+    Every record of the embedding table is read and checked, but only the
+    rows the job can reach are kept: the scored classes' for the sigmoid
+    jobs, those ``ccgen.cc_reach`` names and the background label for the
+    other evals and the beta sweep, every row for a gamma or delta sweep.
+    The table, and every dictionary and CC source made from it, are
+    locals of this call: they are freed on return, before the first image
+    loads, so the image loop holds only the prompts it scores with.
     """
     args = settings.args
-    embeddings = EmbeddingTable.load(args.embeddings)
     image_ids = _dataset_ids(args)
     sidecars = _sidecars(args, image_ids)
+    scored = _scored_classes(sidecars)
     if job in ("eval --segmenter sigmoid", "a sigmoid sweep"):
-        table = _rows_of(embeddings, _scored_classes(sidecars))
+        table = EmbeddingTable.load(args.embeddings, scored)
         if job == "a sigmoid sweep":
             return image_ids, table
         threshold = settings.get("sigmoid_threshold")
@@ -487,30 +509,40 @@ def _set_up(settings: Settings, job: str, values: list):
             partial(metrics.iou_single_image_sigmoid, threshold=threshold, embeddings=table)
         ]
     upsample = settings.get("upsample")
-    if job in ("eval --metric miou-classic", "a beta sweep"):
-        classes = _classes(args, sidecars)
-        source = _cc_source(settings, embeddings, classes)
-        if job == "a beta sweep":
-            source = cache(source)  # only the merge of the CC sets depends on beta
-        background_label = settings.get("background_label")
-        prompts = [_classic_prompts(settings, classes, source, embeddings, beta) for beta in values]
-        # a classic scorer ignores the image id
-        return image_ids, [
-            lambda features, gt, image_id, p=p: metrics.classic_image(
-                features, gt, p, background_label, upsample
-            )
-            for p in prompts
-        ]
-    if job == "eval --metric iou-single":
-        sources = [_cc_source(settings, embeddings, _classes(args, sidecars))]
-    else:
+    if job in ("a gamma sweep", "a delta sweep"):
+        embeddings = EmbeddingTable.load(args.embeddings)
         gamma, delta = settings.get("gamma"), settings.get("delta")
         thresholds = [(v, delta) if job == "a gamma sweep" else (gamma, v) for v in values]
         dictionaries = _dictionaries(settings, _build_inputs(args), embeddings, thresholds)
         sources = [partial(cc_d, dictionary=d, embeddings=embeddings) for d in dictionaries]
+    else:
+        classes = _classes(args, sidecars)
+        classic = job in ("eval --metric miou-classic", "a beta sweep")
+        dictionary = _cc_dictionary(settings)
+        background_label = settings.get("background_label")
+        queries = classes if classic else scored
+        reach = cc_reach(settings.get("cc_mode"), queries, classes, dictionary)
+        if reach is not None:  # the classic prompts also score the background label
+            reach.add(background_label)
+        embeddings = EmbeddingTable.load(args.embeddings, reach)
+        source = _cc_source(settings, embeddings, classes, dictionary)
+        if classic:
+            if job == "a beta sweep":
+                source = cache(source)  # only the merge of the CC sets depends on beta
+            prompts = [
+                _classic_prompts(settings, classes, source, embeddings, beta) for beta in values
+            ]
+            # a classic scorer ignores the image id
+            return image_ids, [
+                lambda features, gt, image_id, p=p: metrics.classic_image(
+                    features, gt, p, background_label, upsample
+                )
+                for p in prompts
+            ]
+        sources = [source]
     return image_ids, [
         partial(metrics.iou_single_image, cc_source=p.cc_set, embeddings=p.table, upsample=upsample)
-        for p in _class_prompts(_scored_classes(sidecars), sources, embeddings)
+        for p in _class_prompts(scored, sources, embeddings)
     ]
 
 
@@ -639,11 +671,16 @@ def cmd_segment(args: argparse.Namespace) -> int:
 _CC_FLAGS = ("--cc-mode", "--cc-dict", "--classes", "--classes-file")
 _CLASSIC_FLAGS = ("--beta-scope", "--background-label")
 _BUILD_FLAGS = ("--matrix", "--counts", "--lexicon", "--visibility")
+# the flags of ``_add_llm_flags``, each with the attribute it stores its value in
+_LLM_FLAGS = {_flag(key): _dest(key) for key in OPTIONS if key.startswith("llm.")}
+_LLM_FLAGS["--no-markers"] = "include_markers"
 # the flags each job would leave unread, by the name its refusal gives it
 _UNREAD_FLAGS = {
     "eval --metric miou-classic": ("--aggregation", "--segmenter", "--sigmoid-threshold"),
     "eval --metric iou-single": ("--sigmoid-threshold", "--beta", *_CLASSIC_FLAGS),
-    "eval --segmenter sigmoid": ("--upsample", "--beta", *_CC_FLAGS, *_CLASSIC_FLAGS),
+    "eval --segmenter sigmoid": (
+        "--upsample", "--beta", *_CC_FLAGS, *_CLASSIC_FLAGS, *_LLM_FLAGS
+    ),
     "a sigmoid sweep": (
         "--values", "--gamma", "--delta", *_BUILD_FLAGS, *_CC_FLAGS, *_CLASSIC_FLAGS
     ),
@@ -653,22 +690,30 @@ _UNREAD_FLAGS = {
 }
 
 
+def _flag_dest(flag: str) -> str:
+    """The attribute that ``flag`` stores its value in."""
+    return _LLM_FLAGS.get(flag) or flag[2:].replace("-", "_")
+
+
 def _refuse_unread(settings: Settings, job: str) -> None:
     """Refuse the first flag given on the command line that ``job`` would
-    not read: one that ``_UNREAD_FLAGS`` lists, or a CC flag that the CC
-    mode, from the flag or the run-config, does not read.  Only ``dict``
-    mode reads ``--cc-dict``; an IoU-single eval reads the class list only
-    in ``privileged`` mode, where classic jobs score the classes it names."""
+    not read: one that ``_UNREAD_FLAGS`` lists, or a CC or LLM flag that
+    the CC mode, from the flag or the run-config, does not read.  Only
+    ``dict`` mode reads ``--cc-dict`` and only ``llm`` mode the LLM flags;
+    an IoU-single eval reads the class list only in ``privileged`` mode,
+    where classic jobs score the classes it names."""
     unread = dict.fromkeys(_UNREAD_FLAGS[job], job)
     if "--cc-mode" not in unread:  # the job reads a CC mode
         mode = settings.get("cc_mode")
         in_mode = f"{job} with cc-mode {mode}"
         if mode != "dict":
             unread["--cc-dict"] = in_mode
+        if mode != "llm":  # a sweep has no LLM flags, which the lookup below allows
+            unread.update(dict.fromkeys(_LLM_FLAGS, in_mode))
         if job == "eval --metric iou-single" and mode != "privileged":
             unread["--classes"] = unread["--classes-file"] = in_mode
     for flag, where in unread.items():
-        if getattr(settings.args, flag[2:].replace("-", "_")) is not None:
+        if getattr(settings.args, _flag_dest(flag), None) is not None:
             raise ValidationError(f"{flag} does nothing in {where}")
 
 
@@ -756,8 +801,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _add_options(p: argparse.ArgumentParser, *keys: str) -> None:
     """Flags for ``OPTIONS`` keys, typed and restricted by the table."""
     for key in keys:
-        opt = OPTIONS[key]
-        flag = opt.flag or "--" + key.replace(".", "-").replace("_", "-")
+        opt, flag = OPTIONS[key], _flag(key)
         kind = _finite(flag) if opt.type is float else opt.type
         p.add_argument(flag, dest=_dest(key), type=kind, choices=opt.choices, help=opt.help)
 

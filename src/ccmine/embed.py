@@ -15,11 +15,12 @@ names so a table file has exactly one valid byte representation.
 
 from __future__ import annotations
 
+import io
+import operator
 import struct
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, MissingEmbeddingError, ValidationError
 from .ioutil import atomic_write_bytes, decode_utf8
@@ -27,8 +28,8 @@ from .ioutil import atomic_write_bytes, decode_utf8
 _MAGIC = b"CCEMB1"
 _NAME_LENGTH = struct.Struct("<H")
 _NORM_TOLERANCE = 1e-4
-# rows gathered at once by ``pair_cosines`` and ``loads``; bounds their
-# transient copies
+# rows gathered at once by ``pair_cosines`` and the table readers; bounds
+# their transient copies
 _GATHER_ROWS = 256
 
 
@@ -64,7 +65,7 @@ class EmbeddingTable:
         self.names: list[str] = list(names)
         self.dim: int = int(unit.shape[1])
         self._unit = unit
-        self._index = {name: k for k, name in enumerate(self.names)}
+        self._index = dict(zip(self.names, range(len(self.names))))
         self._norms: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -139,65 +140,144 @@ class EmbeddingTable:
 
     @classmethod
     def loads(cls, data: bytes) -> "EmbeddingTable":
-        """The table in ``data``.  One pass reads the names and where each
-        vector starts; the vectors are then gathered in blocks and checked
-        at once.  A record cut short or a name that is not UTF-8 ends the
-        pass, and is raised unless a row before it fails the norm check:
-        the error is always the first faulty record's."""
-        if data[: len(_MAGIC)] != _MAGIC:
+        """The table in ``data``, checked as ``load`` checks a file."""
+        return cls._read(_Blocks(io.BytesIO(data)), None)
+
+    @classmethod
+    def load(cls, path: str | Path, names=None) -> "EmbeddingTable":
+        """The table in the file at ``path``; given ``names``, only the rows
+        of those it has, in file order (bit for bit the full table's rows).
+
+        A regular file is read once, the bytes of about half
+        ``_GATHER_ROWS`` records at a time, and never held whole; a pipe
+        is read whole first.  Every record is checked whether or not its row is kept, so
+        a file fails with the error ``loads`` gives its bytes: the first
+        faulty record's.
+        """
+        with open(path, "rb") as fh:
+            return cls._read(_Blocks(fh if fh.seekable() else io.BytesIO(fh.read())), names)
+
+    @classmethod
+    def _read(cls, blocks: "_Blocks", names) -> "EmbeddingTable":
+        """The table in ``blocks``, keeping the rows of ``names`` (all of
+        them if None).  The records of a block are parsed, then their
+        vectors are gathered and checked at once; a record cut short or a
+        name that is not UTF-8 ends the block and is raised unless a row
+        before it fails the norm check.  Sort order and duplicates are
+        checked block by block, and raised once every record has passed."""
+        if not blocks.fill(len(_MAGIC)) or blocks.data[: len(_MAGIC)] != _MAGIC:
             raise FormatError("not a CCEMB1 embedding table")
-        offset = len(_MAGIC)
-        if len(data) < offset + 8:
+        if not blocks.fill(len(_MAGIC) + 8):
             raise FormatError("truncated embedding table header")
-        dim, count = struct.unpack_from("<II", data, offset)
-        offset += 8
+        dim, count = struct.unpack_from("<II", blocks.data, len(_MAGIC))
+        blocks.pos += len(_MAGIC) + 8
         if dim == 0:
             raise FormatError("embedding table dimension is zero")
         size = 4 * dim
-        if count * (2 + size) > len(data) - offset:
+        if count * (2 + size) > blocks.total - len(_MAGIC) - 8:
             # checked before the rows are allocated
             raise FormatError("truncated embedding table entry")
-        names: list[str] = []
-        starts: list[int] = []  # where each vector begins
-        fault = None
-        try:
-            for k in range(count):
-                if len(data) < offset + 2:
-                    raise FormatError("truncated embedding table entry")
-                start = offset + 2 + _NAME_LENGTH.unpack_from(data, offset)[0]
-                if len(data) < start + size:
-                    raise FormatError("truncated embedding table entry")
-                names.append(decode_utf8(data[offset + 2 : start], f"embedding entry {k}'s name"))
+        wanted = None if names is None else set(names)
+        unit = np.empty((count if wanted is None else min(count, len(wanted)), dim))
+        gather, unpack = _GATHER_ROWS, _NAME_LENGTH.unpack_from
+        # the bytes read at once: about half the block, so they and the
+        # vectors gathered from them stay under one block of float64 rows,
+        # and never more than the file has (a header may claim any ``dim``)
+        blocks.size = min(gather * (2 + size) // 2, blocks.total)
+        kept: list[str] = []
+        last: list[str] = []  # the name before the block
+        unsorted = duplicate = False
+        done = 0  # records read
+        while done < count:
+            data, pos, end = blocks.data, blocks.pos, blocks.end
+            part: list[str] = []  # the block's names
+            starts: list[int] = []  # where each of their vectors begins
+            need = undecoded = None
+            for k in range(done, min(count, done + gather)):
+                if end < pos + 2:
+                    need = 2
+                    break
+                start = pos + 2 + unpack(data, pos)[0]
+                if end < start + size:
+                    need = start + size - pos
+                    break
+                try:
+                    part.append(data[pos + 2 : start].decode("utf-8"))
+                except UnicodeDecodeError:  # raised once the rows before it pass
+                    undecoded = k, data[pos + 2 : start]
+                    break
                 starts.append(start)
-                offset = start + size
-        except FormatError as exc:  # raised once the rows before it pass
-            fault = exc
-        unit = np.empty((len(starts), dim), dtype=np.float64)
-        if starts:  # else the window may be longer than the data
-            windows = sliding_window_view(np.frombuffer(data, np.uint8), size)
-            for lo in range(0, len(starts), _GATHER_ROWS):
-                part = slice(lo, lo + _GATHER_ROWS)
-                unit[part] = windows[starts[part]].view("<f4")
-        norms = _norms(unit)
-        bad = ~(np.abs(norms - 1.0) <= _NORM_TOLERANCE)  # NaN fails too
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise FormatError(f"embedding for {names[k]!r} is not unit norm ({norms[k]:.6f})")
-        if fault is not None:
-            raise fault
-        if offset != len(data):
+                pos = start + size
+            blocks.pos, done = pos, done + len(starts)
+            run = last + part
+            unsorted = unsorted or any(map(operator.gt, run, run[1:]))
+            duplicate = duplicate or any(map(operator.eq, run, run[1:]))
+            last = run[-1:]
+            if starts:
+                rows = len(kept)
+                if wanted is None:
+                    block = unit[rows : rows + len(starts)]
+                else:
+                    block = np.empty((len(starts), dim))
+                # every run of ``size`` bytes of the block, as a view
+                windows = np.ndarray((end - size + 1, size), np.uint8, data, strides=(1, 1))
+                block[:] = windows[starts].view("<f4")
+                norms = _norms(block)
+                bad = ~(np.abs(norms - 1.0) <= _NORM_TOLERANCE)  # NaN fails too
+                if bad.any():
+                    j = int(np.argmax(bad))
+                    name, norm = part[j], norms[j]
+                    raise FormatError(f"embedding for {name!r} is not unit norm ({norm:.6f})")
+                block /= norms[:, None]
+                if wanted is not None:
+                    # a file out of order fails once read, and may hold a
+                    # kept name more often than ``unit`` has rows for it
+                    picked = [] if unsorted or duplicate else [
+                        j for j, name in enumerate(part) if name in wanted
+                    ]
+                    unit[rows : rows + len(picked)] = block[picked]
+                    part = [part[j] for j in picked]
+                kept += part
+            if undecoded is not None:  # decode_utf8 raises the error naming it
+                k, name = undecoded
+                decode_utf8(name, f"embedding entry {k}'s name")
+            if need is not None and not blocks.fill(need):
+                raise FormatError("truncated embedding table entry")
+        if blocks.fill(1):
             raise FormatError("trailing bytes after embedding table entries")
-        if names != sorted(names):
+        if unsorted:
             raise FormatError("embedding table names are not sorted ascending")
-        if len(names) != len(set(names)):
+        if duplicate:
             raise FormatError("embedding table contains duplicate names")
         table = cls.__new__(cls)
-        table._set_rows(names, unit, norms)
+        table._set_rows(kept, unit[: len(kept)], None)
         return table
 
-    @classmethod
-    def load(cls, path: str | Path) -> "EmbeddingTable":
-        return cls.loads(Path(path).read_bytes())
+
+class _Blocks:
+    """The bytes of a CCEMB1 table in a seekable binary file, ``data[pos:end]``
+    of them at a time: a block of about ``size`` bytes, with the record that
+    a block cuts carried to the next.  ``total`` is the file's length."""
+
+    def __init__(self, file) -> None:
+        self.file, self.total = file, file.seek(0, io.SEEK_END)
+        file.seek(0)
+        self.data, self.pos, self.end, self.size = bytearray(), 0, 0, 0
+
+    def fill(self, need: int) -> bool:
+        """Whether ``need`` bytes follow ``pos``, reading on until they do;
+        the bytes before ``pos`` are dropped."""
+        while self.end - self.pos < need:
+            data, tail = self.data, self.end - self.pos
+            if len(data) < max(need, self.size):
+                self.data = bytearray(max(need, self.size))
+            self.data[:tail] = data[self.pos : self.end]
+            with memoryview(self.data) as view:
+                got = self.file.readinto(view[tail:])
+            self.pos, self.end = 0, tail + got
+            if not got:
+                return False
+        return True
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

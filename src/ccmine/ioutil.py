@@ -15,9 +15,10 @@ GZIP_MAGIC = b"\x1f\x8b"
 
 
 def sha256_file(path: str | Path) -> str:
+    """SHA-256 of a file, read 64 KiB at a time."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ccmine.ccgen import (
     cc_multi,
     cc_none,
     cc_privileged,
+    cc_reach,
 )
 from ccmine.cooc import mine_corpus, normalize, select_all
 from ccmine.corpus import Lexicon, normalize_concept
@@ -348,6 +350,37 @@ class TestCCD:
     def test_background_query_rejected(self, dictionary, toy_embeddings):
         with pytest.raises(ValidationError):
             cc_d("background", dictionary, toy_embeddings)
+
+
+class TestCCReach:
+    """``cc_reach`` names every row that a generator and the CC sets it
+    makes look up: with only those rows, each CC set is the full table's."""
+
+    @pytest.mark.parametrize("mode", ["bg", "none", "privileged", "dict"])
+    # ship and liberty are no dictionary keys: cc_d searches every key
+    @pytest.mark.parametrize("queries", [["boat"], ["Water", "dock"], ["ship"], ["liberty", "cat"]])
+    def test_reached_rows_give_the_full_tables_cc_sets(self, toy_embeddings, mode, queries):
+        dictionary = CCDictionary({k: list(v) for k, v in EXPECTED_DICT_G001.items()})
+        classes = ["boat", "Water", "liberty"]
+        reach = cc_reach(mode, queries, classes, dictionary)
+        reached = toy_embeddings.subset(sorted(reach & set(toy_embeddings.names)))
+
+        def cc_sets(table):
+            source = {
+                "bg": cc_bg,
+                "none": cc_none,
+                "privileged": partial(cc_privileged, classes=classes),
+                "dict": partial(cc_d, dictionary=dictionary, embeddings=table),
+            }[mode]
+            return [source(q) for q in queries]
+
+        full = cc_sets(toy_embeddings)
+        assert cc_sets(reached) == full
+        for cc_set in full:
+            assert {cc_set.query, *cc_set.concepts} <= reach
+
+    def test_llm_reaches_every_row(self):
+        assert cc_reach("llm", ["boat"]) is None
 
 
 def multi_table():

@@ -20,7 +20,7 @@ from ccmine.ccgen import CCDictionary
 from ccmine.cli import main
 from ccmine.cooc import CoocMatrix
 from ccmine.embed import EmbeddingTable
-from ccmine.errors import CCMineError
+from ccmine.errors import CCMineError, FormatError
 from ccmine.filters import VisibilityTable
 from ccmine.llm import CC_GENERATION, render
 from ccmine.metrics import GroundTruth
@@ -874,6 +874,16 @@ class TestEval:
             ("--metric iou-single with cc-mode llm", "--classes", "boat"),
             ("--metric miou-classic with cc-mode bg", "--cc-dict", "cc.json"),
             ("--metric miou-classic with cc-mode privileged", "--cc-dict", "cc.json"),
+            # only llm mode reads the LLM flags, and the sigmoid segmenter none
+            ("--segmenter sigmoid", "--llm-endpoint", "http://127.0.0.1:9/v1"),
+            ("--segmenter sigmoid", "--no-markers", None),
+            ("--metric iou-single with cc-mode dict", "--llm-endpoint", "http://127.0.0.1:9/v1"),
+            ("--metric iou-single with cc-mode dict", "--no-markers", None),
+            ("--metric iou-single with cc-mode bg", "--api-style", "chat"),
+            ("--metric iou-single with cc-mode none", "--llm-attempts", "2"),
+            ("--metric iou-single with cc-mode privileged", "--llm-cache", "cache"),
+            ("--metric miou-classic with cc-mode bg", "--llm-model", "m"),
+            ("--metric iou-single with cc-mode dict (run-config)", "--llm-timeout", "5"),
         ],
     )
     def test_flag_that_does_nothing_exits_3(
@@ -881,9 +891,10 @@ class TestEval:
     ):
         features_dir, gt_dir = write_scene_dataset(tmp_path)
         out_json = tmp_path / "report.json"
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"cc_mode": "llm"}))
+        job, via_config = job.removesuffix(" (run-config)"), job.endswith(" (run-config)")
         metric, _, mode = job.partition(" with cc-mode ")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"cc_mode": mode or "llm"}))
         job_flags = {
             "--metric miou-classic": ["--metric", "miou-classic"],
             "--metric iou-single": [],
@@ -891,12 +902,14 @@ class TestEval:
         }[metric]
         if metric != "--segmenter sigmoid":
             # the llm mode comes from a run-config, every other from --cc-mode
+            # unless the case says otherwise
             job_flags += {
                 "": ["--cc-mode", "dict", "--cc-dict", dict_path], "llm": ["--config", config]
-            }.get(mode, ["--cc-mode", mode])
+            }.get(mode, ["--config", config] if via_config else ["--cc-mode", mode])
+        given = [flag] if value is None else [flag, value]
         code, _, err = run(
             capsys, "eval", "--features-dir", features_dir, "--gt-dir", gt_dir,
-            "--embeddings", toy_embeddings_path, *job_flags, flag, value,
+            "--embeddings", toy_embeddings_path, *job_flags, *given,
             "--out-json", out_json,
         )
         assert code == 3
@@ -1514,19 +1527,23 @@ class TestSweep:
             ("beta with cc-mode bg", "--cc-dict", "cc.json"),
             ("beta with cc-mode privileged", "--cc-dict", "cc.json"),
             ("beta with cc-mode llm", "--cc-dict", "cc.json"),
+            ("beta with cc-mode bg (run-config)", "--cc-dict", "cc.json"),
         ],
     )
     def test_flag_that_does_nothing_exits_3(
         self, capsys, tmp_path, toy_embeddings_path, param_flags, param, flag, value
     ):
         features_dir, gt_dir = write_scene_dataset(tmp_path)
+        param, via_config = param.removesuffix(" (run-config)"), param.endswith(" (run-config)")
         param, _, mode = param.partition(" with cc-mode ")
         job_flags, job = param_flags[param], f"a {param} sweep"
         if mode:
             # the llm mode comes from a run-config, every other from --cc-mode
+            # unless the case says otherwise
             config = tmp_path / "run.json"
-            config.write_text(json.dumps({"cc_mode": "llm"}))
-            job_flags = ["--config", config] if mode == "llm" else ["--cc-mode", mode]
+            config.write_text(json.dumps({"cc_mode": mode}))
+            from_config = mode == "llm" or via_config
+            job_flags = ["--config", config] if from_config else ["--cc-mode", mode]
             job += f" with cc-mode {mode}"
         grid = ["--steps", "5"] if param == "sigmoid" else ["--values", "0.5"]
         code, _, err = run(
@@ -1627,9 +1644,10 @@ class TestReportBytes:
         assert hashlib.sha256(out_json.read_bytes()).hexdigest() == digest
 
 
-def write_padded_inputs(root: Path, fillers: int) -> tuple[Path, Path]:
+def write_padded_inputs(root: Path, fillers: int, pad_dict: bool = True) -> tuple[Path, Path]:
     """The toy embedding table and dictionary, each with ``fillers`` more
-    entries that no class of the two-class dataset reaches."""
+    entries that no class of the two-class dataset reaches (the table
+    alone unless ``pad_dict``)."""
     names = [f"filler{k:05d}" for k in range(fillers)]
     vectors = dict(TOY_VECTORS)
     vectors.update(zip(names, np.random.default_rng(5).normal(size=(fillers, 3))))
@@ -1638,9 +1656,124 @@ def write_padded_inputs(root: Path, fillers: int) -> tuple[Path, Path]:
     table_path, dict_path = root / "toy.emb", root / "cc.json"
     EmbeddingTable(order, np.array([vectors[n] for n in order])).save(table_path)
     cc = {k: list(v) for k, v in EXPECTED_DICT_G001.items()}
-    cc.update((name, ["boat"]) for name in names)
+    if pad_dict:
+        cc.update((name, ["boat"]) for name in names)
     CCDictionary(cc).save(dict_path)
     return table_path, dict_path
+
+
+class TestEmbeddingReach:
+    """Eval and the sigmoid and beta sweeps keep only the embedding rows
+    they can reach, and still check every record of the table."""
+
+    JOBS = {
+        "iou-single": ["eval", "--cc-mode", "dict", "--cc-dict", "{dict}"],
+        "miou-classic": [
+            "eval", "--metric", "miou-classic", "--cc-mode", "dict", "--cc-dict", "{dict}"
+        ],
+        "iou-single-bg": ["eval", "--cc-mode", "bg"],
+        # the CC sets name a concept that no scored class is
+        "iou-single-privileged": [
+            "eval", "--cc-mode", "privileged", "--classes", "boat,water,dock"
+        ],
+        "eval-sigmoid": ["eval", "--segmenter", "sigmoid", "--sigmoid-threshold", "0.6"],
+        "sweep-sigmoid": ["sweep", "--param", "sigmoid", "--steps", "5"],
+        "sweep-beta": [
+            "sweep", "--param", "beta", "--values", "0.5,0.99", "--cc-mode", "dict",
+            "--cc-dict", "{dict}",
+        ],
+    }
+
+    @staticmethod
+    def job(name: str, table: Path, dictionary: Path, features_dir: Path, gt_dir: Path, out):
+        flags = [str(dictionary) if a == "{dict}" else a for a in TestEmbeddingReach.JOBS[name]]
+        return [
+            *flags, "--embeddings", table, "--features-dir", features_dir, "--gt-dir", gt_dir,
+            "--out-json", out,
+        ]
+
+    @pytest.mark.parametrize("name", list(JOBS))
+    @pytest.mark.parametrize("ship", [False, True])
+    def test_report_is_the_full_tables(self, capsys, tmp_path, monkeypatch, name, ship):
+        # with ship, a class that is no dictionary key takes its nearest
+        # key's entry, which needs every key's row
+        features = {"img0": make_scene_features(), "img1": make_sweep_features()}
+        features_dir, gt_dir = write_two_class_dataset(tmp_path / "data", features)
+        if ship:
+            for sidecar in gt_dir.glob("*.seg.json"):
+                sidecar.write_text(sidecar.read_text().replace('"water"', '"ship"'))
+        table_path, dict_path = write_padded_inputs(tmp_path / "inputs", 300, pad_dict=False)
+        load = EmbeddingTable.load.__func__
+        kept, reports = [], []
+        for keep_all in (False, True):
+
+            def spy(cls, path, names=None, keep_all=keep_all):
+                table = load(cls, path, None if keep_all else names)
+                kept.append(len(table))
+                return table
+
+            monkeypatch.setattr(cli.EmbeddingTable, "load", classmethod(spy))
+            out = tmp_path / f"report-{keep_all}.json"
+            code, _, err = run(
+                capsys, *self.job(name, table_path, dict_path, features_dir, gt_dir, out)
+            )
+            assert code == 0, err
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        reached, every = kept
+        assert every == len(TOY_VECTORS) + 300
+        assert reached <= len(TOY_VECTORS)  # no filler row, whatever the job
+
+    @pytest.mark.parametrize("name", list(JOBS))
+    def test_corrupt_row_no_class_reaches_exits_3(self, capsys, tmp_path, dict_path, name):
+        features = {"img0": make_scene_features()}
+        features_dir, gt_dir = write_two_class_dataset(tmp_path / "data", features)
+        table_path, _ = write_padded_inputs(tmp_path / "inputs", 20, pad_dict=False)
+        data = bytearray(table_path.read_bytes())
+        start = data.index(b"filler00007") + len("filler00007")
+        vector = np.frombuffer(data, "<f4", 3, start) * np.float32(1.5)
+        data[start : start + 12] = vector.astype("<f4").tobytes()
+        table_path.write_bytes(bytes(data))
+        with pytest.raises(FormatError) as loads_error:
+            EmbeddingTable.loads(bytes(data))
+        assert "filler00007" in str(loads_error.value)
+        out = tmp_path / "out.json"
+        code, _, err = run(
+            capsys, *self.job(name, table_path, dict_path, features_dir, gt_dir, out)
+        )
+        assert code == 3
+        assert err == f"error: {loads_error.value}\n"
+        assert not out.exists()
+
+    def test_llm_mode_reads_the_table_before_asking(self, capsys, tmp_path, llm_server):
+        features = {"img0": make_scene_features()}
+        features_dir, gt_dir = write_two_class_dataset(tmp_path / "data", features)
+        code, _, err = run(
+            capsys, "eval", "--features-dir", features_dir, "--gt-dir", gt_dir,
+            "--embeddings", tmp_path / "missing.emb", "--cc-mode", "llm",
+            "--llm-endpoint", llm_server.url, "--llm-cache", tmp_path / "cache",
+            "--out-json", tmp_path / "out.json",
+        )
+        assert code == 2
+        assert "missing.emb" in err
+        assert llm_server.requests == []
+
+    @pytest.mark.parametrize("name", ["iou-single", "sweep-sigmoid"])
+    def test_peak_does_not_grow_with_rows_no_class_reaches(self, tmp_path, name):
+        features = {"img0": make_scene_features(), "img1": make_scene_features()}
+        features_dir, gt_dir = write_two_class_dataset(tmp_path / "data", features)
+
+        def peak(tag: str, fillers: int) -> int:
+            table_path, dict_path = write_padded_inputs(tmp_path / tag, fillers, pad_dict=False)
+            argv = self.job(name, table_path, dict_path, features_dir, gt_dir, tmp_path / tag / "o")
+            code, peak = traced_peak(lambda: main([str(a) for a in argv]))
+            assert code == 0
+            return peak
+
+        peak("warm-up", 0)  # first-call caches out of the way
+        lean, padded = peak("lean", 0), peak("padded", 16_000)
+        # the whole job, load included: 16,000 more rows and names are some MB
+        assert padded < lean + (256 << 10), (lean, padded)
 
 
 class TestClassesResolvedOnce:
@@ -1951,14 +2084,15 @@ def nest(key: str, value) -> dict:
 def unreadable_flags(job: str, flags) -> list[str]:
     """Those of ``flags`` that ``cli._refuse_unread`` could not check in
     ``job``: no option of the job's command, or one that stores its value
-    elsewhere than under the flag's own name, or that has a default."""
+    elsewhere than where the refusal looks (``cli._flag_dest``), or that
+    has a default."""
     command = "eval" if job.startswith("eval") else "sweep"
     actions = {flag: a for a in subparsers()[command]._actions for flag in a.option_strings}
     return [
         flag
         for flag in flags
         if flag not in actions
-        or actions[flag].dest != flag[2:].replace("-", "_")
+        or actions[flag].dest != cli._flag_dest(flag)
         or actions[flag].default is not None
     ]
 
@@ -2024,19 +2158,23 @@ class TestWiring:
         assert got == FLAG_INVENTORY
 
     def test_unread_flags_are_options_the_refusal_can_read(self):
-        # the CC flags are refused by CC mode as well as by the table
-        unread = {job: (*flags, *cli._CC_FLAGS) for job, flags in cli._UNREAD_FLAGS.items()}
+        # the CC flags are refused by CC mode as well as by the table, and
+        # so are eval's LLM flags
+        unread = {
+            job: (*flags, *cli._CC_FLAGS, *(cli._LLM_FLAGS if job.startswith("eval") else ()))
+            for job, flags in cli._UNREAD_FLAGS.items()
+        }
         assert {job: unreadable_flags(job, flags) for job, flags in unread.items()} == {
             job: [] for job in unread
         }
 
     def test_unreadable_flags_are_found(self):
-        # --no-markers stores into include_markers, and --api-style into
-        # llm_api_style: refusing either would raise AttributeError
-        flags = ("--no-markers", "--api-style", "--aggregation", "--unknown")
-        assert unreadable_flags("eval --metric iou-single", flags) == [
-            "--no-markers", "--api-style", "--unknown"
-        ]
+        # --no-markers stores into include_markers and --api-style into
+        # llm_api_style, where the refusal looks; --metric has a default,
+        # and a sweep takes no LLM flag
+        flags = ("--no-markers", "--api-style", "--aggregation", "--metric", "--unknown")
+        assert unreadable_flags("eval --metric iou-single", flags) == ["--metric", "--unknown"]
+        assert unreadable_flags("a beta sweep", ("--no-markers", "--steps")) == ["--no-markers"]
 
     def test_readme_lists_the_unread_flags(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

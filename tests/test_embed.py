@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
+import threading
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccmine import embed
@@ -138,6 +143,23 @@ class TestTableConstruction:
         # beyond the table: one gather block of records, the norms, the offsets
         assert peak - final < 2**20, (peak, final)
 
+    @pytest.mark.parametrize("rows", [2000, 8000])
+    def test_load_peaks_a_block_above_the_table(self, tmp_path, rows):
+        path = tmp_path / "t.emb"
+        vectors = np.random.default_rng(6).standard_normal((rows, 512))
+        EmbeddingTable([f"c{k:05d}" for k in range(rows)], vectors).save(path)
+        del vectors
+        tracemalloc.start()
+        try:
+            table = EmbeddingTable.load(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table._unit.shape == (rows, 512)
+        # one block of float64 rows: the block of records read and their
+        # gathered vectors are about half of one each; the file is never whole
+        assert peak - held < embed._GATHER_ROWS * 512 * 8, (peak, held)
+
 
 @st.composite
 def ccemb_tables(draw):
@@ -187,6 +209,13 @@ def ccemb_tables(draw):
     return data if cut is None else data[:cut]
 
 
+def _table_bytes(*names: bytes, dim: int = 2) -> bytes:
+    """CCEMB1 bytes of ``names`` in the order given, each with a unit row."""
+    row = np.eye(dim, dtype="<f4")[0].tobytes()
+    records = (struct.pack("<H", len(name)) + name + row for name in names)
+    return b"CCEMB1" + struct.pack("<II", dim, len(names)) + b"".join(records)
+
+
 def _loaded(loads, data):
     """What ``loads`` makes of ``data``: the error message, or the table's
     names and the exact bytes of its rows."""
@@ -203,6 +232,46 @@ class TestLoadsAgainstRecordReader:
     def test_same_table_or_same_error(self, data, block):
         with mock.patch.object(embed, "_GATHER_ROWS", block):
             assert _loaded(EmbeddingTable.loads, data) == _loaded(embeddings_loads_by_record, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=ccemb_tables(),
+        block=st.sampled_from([1, 2, 3, 256]),
+        names=st.none() | st.sets(st.text("abé", min_size=1, max_size=3), max_size=5),
+    )
+    # a kept name repeated, adjacent or not: more rows match than are kept
+    @example(data=_table_bytes(b"a", b"a"), block=256, names={"a"})
+    @example(data=_table_bytes(b"a", b"b", b"a"), block=1, names={"a"})
+    def test_file_load_keeps_the_record_readers_rows(self, data, block, names):
+        # a file is read in blocks of about ``block`` records, every record
+        # checked, and only the rows of ``names`` are kept, in file order
+        try:
+            table = embeddings_loads_by_record(data)
+        except FormatError as exc:
+            expected = str(exc)
+        else:
+            kept = [name for name in table.names if names is None or name in names]
+            rows = table._unit[table.rows(kept)]
+            expected = kept, table.dim, rows.shape, rows.tobytes()
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "t.emb"
+            path.write_bytes(data)
+            with mock.patch.object(embed, "_GATHER_ROWS", block):
+                assert _loaded(lambda _: EmbeddingTable.load(path, names), data) == expected
+
+    def test_load_reads_a_pipe(self, tmp_path):
+        # a pipe has no length to check the entry count against up front
+        data = EmbeddingTable(["a", "b"], np.eye(2)).dumps()
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(data,))
+        writer.start()
+        try:
+            table = EmbeddingTable.load(path, {"b"})
+        finally:
+            writer.join()
+        assert table.names == ["b"]
+        assert table._unit.tobytes() == EmbeddingTable.loads(data)._unit[1:].tobytes()
 
     def test_error_names_the_first_faulty_record(self):
         def record(name: bytes, row) -> bytes:

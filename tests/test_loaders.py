@@ -118,6 +118,8 @@ class TestBinary:
         count=st.integers(0, 4) | st.integers(0, 2**32 - 1),
         tail=st.binary(max_size=120),
     )
+    # no entries: the claimed dimension must not size what is read
+    @example(dim=2**32 - 1, count=0, tail=b"")
     def test_embeddings_header(self, dim, count, tail):
         data = b"CCEMB1" + struct.pack("<II", dim, count) + tail
         accepts_or_rejects(EmbeddingTable.loads, data)
