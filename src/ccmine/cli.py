@@ -11,7 +11,8 @@ Options can come from a JSON run-config (``--config``); explicit flags win
 over config values.  Exit codes: 0 success; 2 I/O failure or an argparse
 usage error (an unknown or missing flag, a value that is no number or not
 among a flag's choices); 3 validation failure, flag values that parse but
-are invalid (NaN, infinity, out of bounds) included; 4 service failure.
+are invalid (NaN, infinity, out of bounds) and flags the job does not read
+included; 4 service failure.
 """
 
 from __future__ import annotations
@@ -175,17 +176,24 @@ def _load_config(path: str) -> dict:
 
 
 class Settings:
-    """Flag-over-config-over-default resolution for one command invocation."""
+    """Flag-over-config-over-default resolution for one command invocation,
+    recording each command-line attribute it reads."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        config_path = getattr(args, "config", None)
+        self.read: set[str] = set()
+        config_path = self.arg("config")
         self.config = _load_config(config_path) if config_path else {}
+
+    def arg(self, name: str):
+        """The command-line value stored in ``name``, recorded as read."""
+        self.read.add(name)
+        return getattr(self.args, name, None)
 
     def get(self, key: str):
         """The value of an ``OPTIONS`` key: its flag, else the config, else
         the option's default."""
-        value = getattr(self.args, _dest(key), None)
+        value = self.arg(_dest(key))
         if value is None:
             value = self.config.get(key)
         return OPTIONS[key].default if value is None else value
@@ -206,17 +214,22 @@ class Settings:
             raise ValidationError("workers must be >= 1")
         return value
 
-    def llm_client(self) -> LLMClient:
-        """A client from the ``llm.*`` values that are set; ``LLMClient``
-        supplies the rest."""
+    def llm(self) -> tuple[dict, bool]:
+        """The ``LLMClient`` fields that are set, and ``include_markers``."""
         fields = {
             key.removeprefix("llm."): value
             for key in OPTIONS
             if key.startswith("llm.") and (value := self.get(key)) is not None
         }
-        if "endpoint" not in fields:
-            raise ValidationError("an LLM endpoint is required for this mode")
-        return LLMClient(**fields)
+        return fields, self.get("include_markers")
+
+    def refuse_unread(self, job: str) -> None:
+        """Refuse the first flag, in parser order, that the command line
+        gave and nothing read: call it once the job has read every value."""
+        for action in self.args.flags:
+            given = getattr(self.args, action.dest, action.default) != action.default
+            if given and action.dest not in self.read:
+                raise ValidationError(f"{action.option_strings[0]} does nothing in {job}")
 
 
 def _dest(key: str) -> str:
@@ -241,31 +254,42 @@ def _finite(flag: str):
     return number
 
 
-def _classes(args: argparse.Namespace, sidecars: list | None = None) -> list[str] | None:
-    """The ``--classes``/``--classes-file`` list; when neither names a class
-    and ground-truth ``sidecars`` are given, every label they name, sorted."""
-    classes = None
-    if args.classes:
-        classes = [normalize_concept(c) for c in args.classes.split(",") if normalize_concept(c)]
-    elif args.classes_file:
-        classes = []
-        for line in read_text(args.classes_file).splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                classes.append(normalize_concept(line))
-    if classes or sidecars is None:
-        return classes
-    return sorted({name for names, _, _ in sidecars for name in names.values()})
+def _cc_flags(settings: Settings, classes: bool = False) -> tuple:
+    """The CC mode and what it reads: the ``--cc-dict`` path in ``dict``
+    mode, the two class flags in ``privileged`` mode (in every mode with
+    ``classes``), the LLM settings in ``llm`` mode; Nones for the rest."""
+    mode = settings.get("cc_mode")
+    cc_dict = settings.arg("cc_dict") if mode == "dict" else None
+    class_flags = (None, None)
+    if classes or mode == "privileged":
+        names = settings.arg("classes")  # the file is read only without --classes
+        class_flags = (names, None if names else settings.arg("classes_file"))
+    return mode, cc_dict, class_flags, settings.llm() if mode == "llm" else None
 
 
-def _sidecars(args: argparse.Namespace, image_ids: list[str]) -> list:
+def _classes(classes: str | None, classes_file: str | None, sidecars=None) -> list[str] | None:
+    """The ``classes`` list, else the ``classes_file`` one; when neither
+    names a class and ground-truth ``sidecars`` are given, every label they
+    name, sorted."""
+    names = None
+    if classes:
+        names = [normalize_concept(c) for c in classes.split(",") if normalize_concept(c)]
+    elif classes_file:
+        lines = [line.strip() for line in read_text(classes_file).splitlines()]
+        names = [normalize_concept(line) for line in lines if line and not line.startswith("#")]
+    if names or sidecars is None:
+        return names
+    return sorted({name for labels, _, _ in sidecars for name in labels.values()})
+
+
+def _sidecars(gt_dir: str, image_ids: list[str]) -> list:
     """(class names by id, ignore id, background id) of each ground-truth
     sidecar that reads, in image order.  An unreadable sidecar is left to
     its image's own load."""
     sidecars = []
     for image_id in image_ids:
         try:
-            sidecars.append(metrics.read_gt_sidecar(_gt_path(args, image_id)))
+            sidecars.append(metrics.read_gt_sidecar(_gt_path(gt_dir, image_id)))
         except (OSError, CCMineError):
             continue
     return sidecars
@@ -282,32 +306,23 @@ def _scored_classes(sidecars: list) -> list[str]:
     return list(seen)
 
 
-def _cc_dictionary(settings: Settings) -> CCDictionary | None:
-    """The ``--cc-dict`` dictionary when the CC mode is ``dict``, else None."""
-    if settings.get("cc_mode") != "dict":
-        return None
-    if settings.args.cc_dict is None or not settings.args.embeddings:
+def _cc_dictionary(cc_dict: str | None, embeddings: str | None) -> CCDictionary:
+    """The ``--cc-dict`` dictionary of ``dict`` mode."""
+    if cc_dict is None or not embeddings:
         raise ValidationError("cc-mode 'dict' needs --cc-dict and --embeddings")
-    return CCDictionary.load(settings.args.cc_dict)
+    return CCDictionary.load(cc_dict)
 
 
-def _cc_source(
-    settings: Settings,
-    embeddings: EmbeddingTable | None,
-    classes: list[str] | None,
-    dictionary: CCDictionary | None = None,
-) -> metrics.CCSource:
-    """The CC generator ``cc_mode`` names, with what it needs loaded; ``dict``
-    mode takes ``dictionary``, or loads it when none is given."""
-    mode = settings.get("cc_mode")
+def _cc_source(cc: tuple, embeddings, classes, dictionary) -> metrics.CCSource:
+    """The CC generator of the ``_cc_flags`` ``cc``, with what it needs:
+    the ``dictionary`` in ``dict`` mode, a client of its LLM settings in
+    ``llm`` mode, the ``classes`` in ``privileged`` mode."""
+    mode, _, _, llm = cc
     if mode == "dict":
-        if dictionary is None:
-            dictionary = _cc_dictionary(settings)
         return partial(cc_d, dictionary=dictionary, embeddings=embeddings)
     if mode == "llm":
-        return partial(
-            cc_llm, client=settings.llm_client(), include_markers=settings.get("include_markers")
-        )
+        fields, include_markers = llm
+        return partial(cc_llm, client=LLMClient(**fields), include_markers=include_markers)
     if mode == "privileged":
         if classes is None:
             raise ValidationError("cc-mode 'privileged' needs the dataset class list")
@@ -315,28 +330,26 @@ def _cc_source(
     return cc_none if mode == "none" else cc_bg
 
 
-def _dataset_ids(args: argparse.Namespace) -> list[str]:
-    """Ids of the ``.feat`` files under ``--features-dir``, sorted."""
-    feature_paths = sorted(Path(args.features_dir).glob("*.feat"))
+def _dataset_ids(features_dir: str) -> list[str]:
+    """Ids of the ``.feat`` files under ``features_dir``, sorted."""
+    feature_paths = sorted(Path(features_dir).glob("*.feat"))
     if not feature_paths:
-        raise ValidationError(f"no .feat files under {args.features_dir}")
+        raise ValidationError(f"no .feat files under {features_dir}")
     return [path.name[: -len(".feat")] for path in feature_paths]
 
 
-def _gt_path(args: argparse.Namespace, image_id: str) -> Path:
-    return Path(args.gt_dir) / (image_id + ".seg")
+def _gt_path(gt_dir: str, image_id: str) -> Path:
+    return Path(gt_dir) / (image_id + ".seg")
 
 
-def _load_dataset(
-    args: argparse.Namespace, image_ids: list[str], failures: list[dict] | None = None
-):
+def _load_dataset(features_dir: str, gt_dir: str, image_ids: list[str], failures=None):
     """(image id, features, ground truth) of each image in turn, loaded only
     when the previous one is done with.  An image that fails to load is
     raised, or with ``failures`` given logged, recorded there and skipped."""
     for image_id in image_ids:
         try:
-            features = FeatureMap.load(Path(args.features_dir) / (image_id + ".feat"))
-            gt = metrics.load_ground_truth(_gt_path(args, image_id))
+            features = FeatureMap.load(Path(features_dir) / (image_id + ".feat"))
+            gt = metrics.load_ground_truth(_gt_path(gt_dir, image_id))
         except (OSError, CCMineError) as exc:
             if failures is None:
                 raise
@@ -348,91 +361,63 @@ def _load_dataset(
         del features, gt
 
 
-def _build_inputs(args: argparse.Namespace):
+_BUILD_INPUTS = ("lexicon", "matrix", "counts", "visibility")
+
+
+def _build_rules(settings: Settings) -> tuple:
+    """The stop-words and unknown-visibility policy of a dictionary build,
+    and the LLM settings that the ``llm`` policy reads (else None)."""
+    policy = settings.get("unknown_visibility")
+    return settings.get("stopwords"), policy, settings.llm() if policy == "llm" else None
+
+
+def _build_inputs(lexicon: str, matrix: str, counts: str, visibility: str | None):
     """Lexicon, co-occurrence matrix, occurrence counts and visibility table
     for building a dictionary."""
-    lexicon = Lexicon.from_file(args.lexicon)
-    matrix = CoocMatrix.load(args.matrix)
-    occurrence = load_counts(args.counts)
-    visibility = (
-        VisibilityTable.from_file(args.visibility) if args.visibility else VisibilityTable()
+    return (
+        Lexicon.from_file(lexicon),
+        CoocMatrix.load(matrix),
+        load_counts(counts),
+        VisibilityTable.from_file(visibility) if visibility else VisibilityTable(),
     )
-    return lexicon, matrix, occurrence, visibility
 
 
-def _dictionaries(
-    settings: Settings,
-    inputs,
-    embeddings: EmbeddingTable,
-    thresholds: list[tuple[float, float]],
-    extra_meta: dict | None = None,
-) -> list[CCDictionary]:
+def _dictionaries(inputs, embeddings, thresholds, rules, extra_meta=None) -> list[CCDictionary]:
     """The dictionary of each ``(gamma, delta)`` in ``thresholds``, built in
-    one pass with the run's stop-words and unknown-visibility policy."""
+    one pass from the ``_build_inputs`` with the ``_build_rules`` of the run."""
     lexicon, matrix, occurrence, visibility = inputs
-    policy = settings.get("unknown_visibility")
+    stopwords, policy, llm = rules
     if policy == "llm":
         # only the endpoint's answers go into the table: a policy's do not
         # hide a concept from a later run that asks the endpoint
-        ask = visibility_oracle(settings.llm_client(), settings.get("include_markers"))
+        fields, include_markers = llm
+        ask = visibility_oracle(LLMClient(**fields), include_markers)
         oracle = partial(visibility.resolve, oracle=ask, source="llm")
     else:
         oracle = accept_unknown if policy == "accept" else reject_unknown
     return build_dictionary(
-        matrix,
-        occurrence,
-        lexicon,
-        embeddings,
-        visibility,
-        thresholds,
-        stopwords=settings.get("stopwords"),
-        oracle=oracle,
-        extra_meta=extra_meta,
+        matrix, occurrence, lexicon, embeddings, visibility, thresholds,
+        stopwords=stopwords, oracle=oracle, extra_meta=extra_meta,
     )
 
 
-def _query_prompts(
-    settings: Settings,
-    queries: list[str],
-    cc_source,
-    embeddings: EmbeddingTable,
-    beta: float | None = None,
-) -> PromptSet:
-    """Prompts for explicit queries: their CC sets, merged when needed.
-    ``beta`` overrides the run's ``beta``."""
+def _query_prompts(queries: list[str], cc_source, embeddings, merge=None) -> PromptSet:
+    """Prompts for explicit queries: their CC sets, merged when there are
+    several, under ``merge``: the background label, beta and beta scope."""
     if len(queries) == 1:
         cc = cc_source(queries[0])
         labels = [queries[0]] + [c for c in cc.concepts if c != queries[0]]
         mask = [False] + [True] * (len(labels) - 1)
         return build_prompt_set(labels, mask, embeddings)
-    background_label = settings.get("background_label")
+    background_label, beta, scope = merge
     cc_sets = [
         CCSet(query=q, kind="none", concepts=[]) if q == background_label else cc_source(q)
         for q in queries
     ]
-    merged, _excluded = cc_multi(
-        cc_sets,
-        embeddings,
-        beta=settings.get("beta") if beta is None else beta,
-        scope=settings.get("beta_scope"),
-    )
+    merged, _excluded = cc_multi(cc_sets, embeddings, beta=beta, scope=scope)
     labels = queries + merged
     mask = [False] * len(queries) + [True] * len(merged)
     return build_prompt_set(labels, mask, embeddings)
-
-
-def _classic_prompts(
-    settings: Settings,
-    classes: list[str],
-    cc_source,
-    embeddings: EmbeddingTable,
-    beta: float | None = None,
-) -> PromptSet:
-    """Prompts of the classic protocol: the background query first, then
-    every other class, with their CCs merged."""
-    background_label = settings.get("background_label")
-    queries = [background_label] + [c for c in classes if c != background_label]
-    return _query_prompts(settings, queries, cc_source, embeddings, beta)
 
 
 @dataclass(frozen=True)
@@ -482,11 +467,35 @@ def _class_prompts(classes: list[str], sources, embeddings: EmbeddingTable) -> l
     return [ClassPrompts(cc, table) for cc in resolved]
 
 
-def _set_up(settings: Settings, job: str, values: list):
+def _classic_image(prompts, background_label, upsample, features, gt, image_id):
+    """``metrics.classic_image``, as a scorer: the image id is not scored."""
+    return metrics.classic_image(features, gt, prompts, background_label, upsample)
+
+
+def _set_up_flags(settings: Settings, job: str) -> tuple[str, tuple[str, str, str], dict]:
+    """The name ``job``'s refusals give it, its features, ground-truth and
+    embeddings paths, and what else ``_set_up`` reads for it: ``upsample``,
+    ``cc``, ``classic`` (background label and beta scope) and ``build``."""
+    data = (settings.arg("features_dir"), settings.arg("gt_dir"), settings.arg("embeddings"))
+    if job in ("eval --segmenter sigmoid", "a sigmoid sweep"):
+        return job, data, {}
+    flags = {"upsample": settings.get("upsample")}
+    if job in ("a gamma sweep", "a delta sweep"):
+        flags["build"] = ([settings.arg(name) for name in _BUILD_INPUTS], _build_rules(settings))
+        return job, data, flags
+    classic = job in ("eval --metric miou-classic", "a beta sweep")
+    flags["cc"] = _cc_flags(settings, classes=classic)
+    if classic:
+        flags["classic"] = (settings.get("background_label"), settings.get("beta_scope"))
+    return f"{job} with cc-mode {flags['cc'][0]}", data, flags
+
+
+def _set_up(job: str, data: tuple, values: list, upsample=None, cc=None, classic=None, build=None):
     """The dataset's image ids and ``job``'s scorer of one image for each
-    of ``values``: a sweep's grid, or an eval's ``[None]``, its one value
-    at the run's own settings.  The sigmoid sweep gets the table of its
-    classes' rows instead.
+    of ``values``: a sweep's grid, as (gamma, delta) pairs for a gamma or
+    delta sweep, or an eval's one value (the sigmoid threshold, the
+    classic beta, None for IoU-single).  The sigmoid sweep gets the table
+    of its classes' rows instead.
 
     Every record of the embedding table is read and checked, but only the
     rows the job can reach are kept: the scored classes' for the sigmoid
@@ -496,60 +505,51 @@ def _set_up(settings: Settings, job: str, values: list):
     locals of this call: they are freed on return, before the first image
     loads, so the image loop holds only the prompts it scores with.
     """
-    args = settings.args
-    image_ids = _dataset_ids(args)
-    sidecars = _sidecars(args, image_ids)
+    features_dir, gt_dir, embeddings = data
+    image_ids = _dataset_ids(features_dir)
+    sidecars = _sidecars(gt_dir, image_ids)
     scored = _scored_classes(sidecars)
     if job in ("eval --segmenter sigmoid", "a sigmoid sweep"):
-        table = EmbeddingTable.load(args.embeddings, scored)
+        table = EmbeddingTable.load(embeddings, scored)
         if job == "a sigmoid sweep":
             return image_ids, table
-        threshold = settings.get("sigmoid_threshold")
         return image_ids, [
-            partial(metrics.iou_single_image_sigmoid, threshold=threshold, embeddings=table)
+            partial(metrics.iou_single_image_sigmoid, threshold=v, embeddings=table)
+            for v in values
         ]
-    upsample = settings.get("upsample")
-    if job in ("a gamma sweep", "a delta sweep"):
-        embeddings = EmbeddingTable.load(args.embeddings)
-        gamma, delta = settings.get("gamma"), settings.get("delta")
-        thresholds = [(v, delta) if job == "a gamma sweep" else (gamma, v) for v in values]
-        dictionaries = _dictionaries(settings, _build_inputs(args), embeddings, thresholds)
-        sources = [partial(cc_d, dictionary=d, embeddings=embeddings) for d in dictionaries]
+    if build is not None:
+        paths, rules = build
+        table = EmbeddingTable.load(embeddings)
+        dictionaries = _dictionaries(_build_inputs(*paths), table, values, rules)
+        sources = [partial(cc_d, dictionary=d, embeddings=table) for d in dictionaries]
     else:
-        classes = _classes(args, sidecars)
-        classic = job in ("eval --metric miou-classic", "a beta sweep")
-        dictionary = _cc_dictionary(settings)
-        background_label = settings.get("background_label")
-        queries = classes if classic else scored
-        reach = cc_reach(settings.get("cc_mode"), queries, classes, dictionary)
-        if reach is not None:  # the classic prompts also score the background label
-            reach.add(background_label)
-        embeddings = EmbeddingTable.load(args.embeddings, reach)
-        source = _cc_source(settings, embeddings, classes, dictionary)
-        if classic:
-            if job == "a beta sweep":
-                source = cache(source)  # only the merge of the CC sets depends on beta
-            prompts = [
-                _classic_prompts(settings, classes, source, embeddings, beta) for beta in values
-            ]
-            # a classic scorer ignores the image id
-            return image_ids, [
-                lambda features, gt, image_id, p=p: metrics.classic_image(
-                    features, gt, p, background_label, upsample
-                )
-                for p in prompts
-            ]
+        mode, cc_dict, class_flags, _ = cc
+        classes = _classes(*class_flags, sidecars)
+        dictionary = _cc_dictionary(cc_dict, embeddings) if mode == "dict" else None
+        reach = cc_reach(mode, scored if classic is None else classes, classes, dictionary)
+        if classic is not None and reach is not None:
+            reach.add(classic[0])  # the classic prompts also score the background label
+        table = EmbeddingTable.load(embeddings, reach)
+        source = _cc_source(cc, table, classes, dictionary)
+        if classic is not None:
+            background_label, scope = classic
+            queries = [background_label] + [c for c in classes if c != background_label]
+            source = cache(source)  # only the merge of the CC sets depends on beta
+            merges = [(background_label, beta, scope) for beta in values]
+            prompts = [_query_prompts(queries, source, table, merge) for merge in merges]
+            return image_ids, [partial(_classic_image, p, background_label, upsample) for p in prompts]
         sources = [source]
     return image_ids, [
         partial(metrics.iou_single_image, cc_source=p.cc_set, embeddings=p.table, upsample=upsample)
-        for p in _class_prompts(scored, sources, embeddings)
+        for p in _class_prompts(scored, sources, table)
     ]
 
 
-def _score_images(args: argparse.Namespace, image_ids: list[str], scorers, failures=None):
-    """Each scorer's results, image by image: all score one before the next loads."""
+def _score_images(images, scorers) -> list[list]:
+    """Each scorer's results on the (image id, features, ground truth) of
+    ``images``: all score one image before the next loads."""
     results: list[list] = [[] for _ in scorers]
-    for image_id, features, gt in _load_dataset(args, image_ids, failures):
+    for image_id, features, gt in images:
         for score, out in zip(scorers, results):
             out.append(score(features, gt, image_id=image_id))
     return results
@@ -568,11 +568,14 @@ def _exit_code(image_failures: int, class_failures: int) -> int:
 
 def cmd_mine(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    lexicon = Lexicon.from_file(args.lexicon)
+    corpus, lexicon_path = settings.arg("corpus"), settings.arg("lexicon")
+    out_matrix, out_counts = settings.arg("out_matrix"), settings.arg("out_counts")
     workers = settings.workers()
-    matrix, stats = mine_corpus(args.corpus, lexicon, workers=workers)
-    matrix.save(args.out_matrix)
-    save_counts(args.out_counts, stats.occurrence)
+    settings.refuse_unread("mine")
+    lexicon = Lexicon.from_file(lexicon_path)
+    matrix, stats = mine_corpus(corpus, lexicon, workers=workers)
+    matrix.save(out_matrix)
+    save_counts(out_counts, stats.occurrence)
     summary = {
         "captions": stats.total,
         "malformed": stats.malformed,
@@ -590,25 +593,33 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_build_cc(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    inputs = _build_inputs(args)
+    _, matrix_path, counts_path, visibility_path = paths = [
+        settings.arg(name) for name in _BUILD_INPUTS
+    ]
+    embeddings_path, out = settings.arg("embeddings"), settings.arg("out")
+    save_visibility = settings.arg("save_visibility")
+    thresholds = [(settings.get("gamma"), settings.get("delta"))]
+    rules = _build_rules(settings)
+    settings.refuse_unread(f"build-cc with unknown-visibility {rules[1]}")
+    inputs = _build_inputs(*paths)
     lexicon, _matrix, _occurrence, visibility = inputs
-    embeddings = EmbeddingTable.load(args.embeddings)
+    embeddings = EmbeddingTable.load(embeddings_path)
     [dictionary] = _dictionaries(
-        settings,
         inputs,
         embeddings,
-        [(settings.get("gamma"), settings.get("delta"))],
+        thresholds,
+        rules,
         extra_meta={
             "lexicon_digest": lexicon.source_digest,
-            "corpus_digest": sha256_file(args.matrix),
-            "counts_digest": sha256_file(args.counts),
-            "embeddings_digest": sha256_file(args.embeddings),
-            "visibility_digest": sha256_file(args.visibility) if args.visibility else None,
+            "corpus_digest": sha256_file(matrix_path),
+            "counts_digest": sha256_file(counts_path),
+            "embeddings_digest": sha256_file(embeddings_path),
+            "visibility_digest": sha256_file(visibility_path) if visibility_path else None,
         },
     )
-    dictionary.save(args.out)
-    if args.save_visibility:
-        visibility.save(args.save_visibility)
+    dictionary.save(out)
+    if save_visibility:
+        visibility.save(save_visibility)
     nonempty = sum(1 for v in dictionary.cc.values() if v)
     print(json.dumps({"concepts": len(dictionary), "with_cc": nonempty}, sort_keys=True))
     return 0
@@ -619,8 +630,13 @@ def cmd_build_cc(args: argparse.Namespace) -> int:
 
 def cmd_gen_cc(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    embeddings = EmbeddingTable.load(args.embeddings) if args.embeddings else None
-    cc = _cc_source(settings, embeddings, _classes(args))(args.query)
+    query, out = settings.arg("query"), settings.arg("out")
+    mode, cc_dict, class_flags, _ = cc = _cc_flags(settings)
+    embeddings_path = settings.arg("embeddings") if mode == "dict" else None
+    settings.refuse_unread(f"gen-cc with cc-mode {mode}")
+    embeddings = EmbeddingTable.load(embeddings_path) if embeddings_path else None
+    dictionary = _cc_dictionary(cc_dict, embeddings_path) if mode == "dict" else None
+    cc = _cc_source(cc, embeddings, _classes(*class_flags), dictionary)(query)
     payload = {
         "query": cc.query,
         "kind": cc.kind,
@@ -628,8 +644,8 @@ def cmd_gen_cc(args: argparse.Namespace) -> int:
         "source_concept": cc.source_concept,
     }
     text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        atomic_write_text(args.out, text)
+    if out:
+        atomic_write_text(out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -640,113 +656,82 @@ def cmd_gen_cc(args: argparse.Namespace) -> int:
 
 def cmd_segment(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    features = FeatureMap.load(args.features)
-    embeddings = EmbeddingTable.load(args.embeddings)
-    queries = [normalize_concept(q) for q in args.query]
+    features_path, embeddings_path = settings.arg("features"), settings.arg("embeddings")
+    out, height, width = settings.arg("out"), settings.arg("height"), settings.arg("width")
+    queries = [normalize_concept(q) for q in settings.arg("query")]
     if not queries:
         raise ValidationError("at least one --query is required")
     if len(queries) != len(set(queries)):
         raise ValidationError("duplicate queries")
-    source = _cc_source(settings, embeddings, _classes(args))
-    prompts = _query_prompts(settings, queries, source, embeddings)
-    out_h = args.height or features.h
-    out_w = args.width or features.w
-    pixmap = segment_pixels(features, prompts, out_h, out_w, upsample=settings.get("upsample"))
-    if args.remap_background:
-        pixmap = remap_cc_to_background(pixmap, prompts, settings.get("background_label"))
-    elif not args.keep_cc:
+    mode, cc_dict, class_flags, _ = cc = _cc_flags(settings)
+    upsample = settings.get("upsample")
+    keep_cc, remap = settings.arg("keep_cc"), settings.arg("remap_background")
+    # one query's CC set is not merged, and only a remap names the background
+    several = len(queries) > 1
+    background_label = settings.get("background_label") if several or remap else None
+    merge = None
+    if several:
+        merge = (background_label, settings.get("beta"), settings.get("beta_scope"))
+    queried = "several queries" if several else "one query"
+    settings.refuse_unread(f"segment of {queried} with cc-mode {mode}")
+    features = FeatureMap.load(features_path)
+    embeddings = EmbeddingTable.load(embeddings_path)
+    dictionary = _cc_dictionary(cc_dict, embeddings_path) if mode == "dict" else None
+    source = _cc_source(cc, embeddings, _classes(*class_flags), dictionary)
+    prompts = _query_prompts(queries, source, embeddings, merge)
+    pixmap = segment_pixels(
+        features, prompts, height or features.h, width or features.w, upsample=upsample
+    )
+    if remap:
+        pixmap = remap_cc_to_background(pixmap, prompts, background_label)
+    elif not keep_cc:
         pixmap = apply_cc_mask(pixmap, prompts)
     names = {
-        k: label
-        for k, label in enumerate(prompts.labels)
-        if args.keep_cc or not prompts.cc_mask[k]
+        k: label for k, label in enumerate(prompts.labels) if keep_cc or not prompts.cc_mask[k]
     }
-    SegMap(pixmap, names).save(args.out)
+    SegMap(pixmap, names).save(out)
     return 0
 
 
 # ---- eval ----
 
 
-_CC_FLAGS = ("--cc-mode", "--cc-dict", "--classes", "--classes-file")
-_CLASSIC_FLAGS = ("--beta-scope", "--background-label")
-_BUILD_FLAGS = ("--matrix", "--counts", "--lexicon", "--visibility")
-# the flags of ``_add_llm_flags``, each with the attribute it stores its value in
-_LLM_FLAGS = {_flag(key): _dest(key) for key in OPTIONS if key.startswith("llm.")}
-_LLM_FLAGS["--no-markers"] = "include_markers"
-# the flags each job would leave unread, by the name its refusal gives it
-_UNREAD_FLAGS = {
-    "eval --metric miou-classic": ("--aggregation", "--segmenter", "--sigmoid-threshold"),
-    "eval --metric iou-single": ("--sigmoid-threshold", "--beta", *_CLASSIC_FLAGS),
-    "eval --segmenter sigmoid": (
-        "--upsample", "--beta", *_CC_FLAGS, *_CLASSIC_FLAGS, *_LLM_FLAGS
-    ),
-    "a sigmoid sweep": (
-        "--values", "--gamma", "--delta", *_BUILD_FLAGS, *_CC_FLAGS, *_CLASSIC_FLAGS
-    ),
-    "a gamma sweep": ("--gamma", "--steps", *_CC_FLAGS, *_CLASSIC_FLAGS),
-    "a delta sweep": ("--delta", "--steps", *_CC_FLAGS, *_CLASSIC_FLAGS),
-    "a beta sweep": ("--steps", "--gamma", "--delta", *_BUILD_FLAGS),
-}
-
-
-def _flag_dest(flag: str) -> str:
-    """The attribute that ``flag`` stores its value in."""
-    return _LLM_FLAGS.get(flag) or flag[2:].replace("-", "_")
-
-
-def _refuse_unread(settings: Settings, job: str) -> None:
-    """Refuse the first flag given on the command line that ``job`` would
-    not read: one that ``_UNREAD_FLAGS`` lists, or a CC or LLM flag that
-    the CC mode, from the flag or the run-config, does not read.  Only
-    ``dict`` mode reads ``--cc-dict`` and only ``llm`` mode the LLM flags;
-    an IoU-single eval reads the class list only in ``privileged`` mode,
-    where classic jobs score the classes it names."""
-    unread = dict.fromkeys(_UNREAD_FLAGS[job], job)
-    if "--cc-mode" not in unread:  # the job reads a CC mode
-        mode = settings.get("cc_mode")
-        in_mode = f"{job} with cc-mode {mode}"
-        if mode != "dict":
-            unread["--cc-dict"] = in_mode
-        if mode != "llm":  # a sweep has no LLM flags, which the lookup below allows
-            unread.update(dict.fromkeys(_LLM_FLAGS, in_mode))
-        if job == "eval --metric iou-single" and mode != "privileged":
-            unread["--classes"] = unread["--classes-file"] = in_mode
-    for flag, where in unread.items():
-        if getattr(settings.args, _flag_dest(flag), None) is not None:
-            raise ValidationError(f"{flag} does nothing in {where}")
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    segmenter = settings.get("segmenter")
-    if args.metric == "miou-classic":
-        job = "eval --metric miou-classic"
-    else:
-        job = "eval --segmenter sigmoid" if segmenter == "sigmoid" else "eval --metric iou-single"
-    _refuse_unread(settings, job)
-    if job == "eval --segmenter sigmoid" and settings.get("sigmoid_threshold") is None:
+    metric, out_json, out_tsv = (settings.arg(n) for n in ("metric", "out_json", "out_tsv"))
+    segmenter, aggregation, value = "argmax", None, None
+    if metric == "iou-single":
+        segmenter, aggregation = settings.get("segmenter"), settings.get("aggregation")
+    job = "eval --segmenter sigmoid" if segmenter == "sigmoid" else f"eval --metric {metric}"
+    if segmenter == "sigmoid":
+        value = settings.get("sigmoid_threshold")
+    elif metric == "miou-classic":
+        value = settings.get("beta")
+    where, data, flags = _set_up_flags(settings, job)
+    settings.refuse_unread(where)
+    if segmenter == "sigmoid" and value is None:
         raise ValidationError("--sigmoid-threshold is required for the sigmoid segmenter")
-    image_ids, scorers = _set_up(settings, job, [None])
+    image_ids, scorers = _set_up(job, data, [value], **flags)
     image_failures: list[dict] = []
-    [results] = _score_images(args, image_ids, scorers, image_failures)
-    if args.metric == "miou-classic":
+    [results] = _score_images(_load_dataset(*data[:2], image_ids, image_failures), scorers)
+    if metric == "miou-classic":
         report, class_failures = metrics.aggregate_classic(results), 0
     else:
-        report = metrics.aggregate_iou_single(results, mode=settings.get("aggregation"))
+        report = metrics.aggregate_iou_single(results, mode=aggregation)
         class_failures = sum(len(r.failures) for r in results)
 
+    mode, cc_dict = flags.get("cc", (None, None))[:2]
     report["meta"] = {
-        # the sigmoid segmenter uses no contrastive concepts
-        "cc_mode": None if job == "eval --segmenter sigmoid" else settings.get("cc_mode"),
-        "embeddings_digest": sha256_file(args.embeddings),
-        "cc_dict_digest": sha256_file(args.cc_dict) if args.cc_dict else None,
+        "cc_mode": mode,  # the sigmoid segmenter uses no contrastive concepts
+        "embeddings_digest": sha256_file(data[2]),
+        "cc_dict_digest": sha256_file(cc_dict) if cc_dict else None,
         "segmenter": segmenter,
-        "upsample": settings.get("upsample"),
+        # the sigmoid segmenter upsamples its scores as logits are
+        "upsample": flags.get("upsample", "logits"),
         "image_failures": image_failures,
     }
-    metrics.write_report(report, args.out_json, args.out_tsv)
-    print(json.dumps({"mean": report["mean"], "metric": args.metric}, sort_keys=True))
+    metrics.write_report(report, out_json, out_tsv)
+    print(json.dumps({"mean": report["mean"], "metric": metric}, sort_keys=True))
     return _exit_code(len(image_failures), class_failures)
 
 
@@ -755,43 +740,51 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    job = f"a {args.param} sweep"
-    _refuse_unread(settings, job)
-    values: list[float] = []
-    if args.param != "sigmoid":
-        if not args.values:
+    param, out_json, out_tsv = (settings.arg(n) for n in ("param", "out_json", "out_tsv"))
+    job = f"a {param} sweep"
+    steps = settings.get("steps") if param == "sigmoid" else None
+    text = settings.arg("values") if param != "sigmoid" else None
+    if param in ("gamma", "delta"):  # the threshold the sweep holds fixed
+        fixed = settings.get("delta" if param == "gamma" else "gamma")
+    where, data, flags = _set_up_flags(settings, job)
+    settings.refuse_unread(where)
+    grid: list[float] = []
+    if param != "sigmoid":
+        if not text:
             raise ValidationError(f"--values is required for {job}")
         number = _finite("--values")
         try:
-            values = [number(v) for v in args.values.split(",")]
+            grid = [number(v) for v in text.split(",")]
         except ValueError:
             raise ValidationError(
-                f"--values must be comma-separated finite numbers, got {args.values!r}"
+                f"--values must be comma-separated finite numbers, got {text!r}"
             ) from None
-        if args.param != "beta" and not (args.matrix and args.counts and args.lexicon):
+    values = grid
+    if param in ("gamma", "delta"):
+        if not all(flags["build"][0][:3]):
             raise ValidationError(f"{job} needs --matrix, --counts, and --lexicon")
-    image_ids, scorers = _set_up(settings, job, values)
+        values = [(v, fixed) if param == "gamma" else (fixed, v) for v in grid]
+    image_ids, scorers = _set_up(job, data, values, **flags)
     image_failures: list[dict] = []
-    if args.param == "sigmoid":
-        report, failures = metrics.sigmoid_sweep(
-            _load_dataset(args, image_ids, image_failures), scorers, settings.get("steps")
-        )
+    images = _load_dataset(*data[:2], image_ids, image_failures)
+    if param == "sigmoid":
+        report, failures = metrics.sigmoid_sweep(images, scorers, steps)
         class_failures = len(failures)
     else:
         rows = []
         failed: set[tuple[str, str]] = set()  # (image, class), once however many values
-        for value, results in zip(values, _score_images(args, image_ids, scorers, image_failures)):
-            if args.param == "beta":
+        for value, results in zip(grid, _score_images(images, scorers)):
+            if param == "beta":
                 row = {"mean_class": metrics.aggregate_classic(results)["mean"]}
             else:
                 agg = metrics.aggregate_iou_single(results)
                 row = {"mean_class": agg["mean_class"], "mean_image": agg["mean_image"]}
                 failed.update((r.image_id, label) for r in results for label, _ in r.failures)
             rows.append({"value": value, **row})
-        metric = "miou-classic-sweep" if args.param == "beta" else "iou-single-sweep"
-        report = {"metric": metric, "param": args.param, "rows": rows}
+        metric = "miou-classic-sweep" if param == "beta" else "iou-single-sweep"
+        report = {"metric": metric, "param": param, "rows": rows}
         class_failures = len(failed)
-    metrics.write_report(report, args.out_json, args.out_tsv)
+    metrics.write_report(report, out_json, out_tsv)
     return _exit_code(len(image_failures), class_failures)
 
 
@@ -851,7 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, func, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON run-config; explicit flags win")
-        p.set_defaults(func=func)
+        # every flag of the subcommand, for ``Settings.refuse_unread``
+        p.set_defaults(func=func, flags=p._actions)
         return p
 
     p = command("mine", cmd_mine, "count concept co-occurrences over a caption corpus")

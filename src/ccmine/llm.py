@@ -170,7 +170,7 @@ class LLMClient:
     choice's message content.
     """
 
-    endpoint: str
+    endpoint: str | None = None  # required; None raises ValidationError
     model: str = "default"
     api_style: str = "raw"
     temperature: float = 0.0
@@ -183,6 +183,8 @@ class LLMClient:
     sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
 
     def __post_init__(self):
+        if self.endpoint is None:
+            raise ValidationError("an LLM endpoint is required")
         if self.api_style not in API_STYLES:
             raise ValidationError(f"api_style must be 'raw' or 'chat', got {self.api_style!r}")
         # comparisons with NaN are false, so NaN fails every bound

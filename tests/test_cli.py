@@ -7,9 +7,11 @@ import gzip
 import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -327,11 +329,14 @@ class TestBuildCC:
             "--out-matrix", matrix, "--out-counts", counts,
         )
         assert code == 0
+        # only the llm policy reads an endpoint; the others refuse one
+        endpoint = []
+        if policy == "llm":
+            endpoint = ["--llm-endpoint", "http://127.0.0.1:1/v1/completions"]
         code, _, _ = run(
             capsys, "build-cc", "--matrix", matrix, "--counts", counts, "--lexicon", lexicon,
             "--embeddings", embeddings, "--visibility", visibility, "--delta", "0.5",
-            "--unknown-visibility", policy,
-            "--llm-endpoint", "http://127.0.0.1:1/v1/completions", "--out", out,
+            "--unknown-visibility", policy, *endpoint, "--out", out,
         )
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -620,7 +625,6 @@ class TestGenCC:
             "--config", config,
             "--mode", "bg",
             "--query", "car",
-            "--classes", "car,road",
         )
         assert code == 0
         assert json.loads(out)["kind"] == "bg"
@@ -901,6 +905,9 @@ class TestEval:
             "--segmenter sigmoid": ["--segmenter", "sigmoid", "--sigmoid-threshold", "0.6"],
         }[metric]
         if metric != "--segmenter sigmoid":
+            # every job that reads a CC mode names it; the case's job without
+            # one is in dict mode
+            job = job if mode else f"{job} with cc-mode dict"
             # the llm mode comes from a run-config, every other from --cc-mode
             # unless the case says otherwise
             job_flags += {
@@ -1544,7 +1551,8 @@ class TestSweep:
             config.write_text(json.dumps({"cc_mode": mode}))
             from_config = mode == "llm" or via_config
             job_flags = ["--config", config] if from_config else ["--cc-mode", mode]
-            job += f" with cc-mode {mode}"
+        if param == "beta":  # the one sweep that reads a CC mode names it
+            job += f" with cc-mode {mode or 'dict'}"
         grid = ["--steps", "5"] if param == "sigmoid" else ["--values", "0.5"]
         code, _, err = run(
             capsys, "sweep", "--param", param, *grid, *job_flags, flag, value,
@@ -1642,6 +1650,64 @@ class TestReportBytes:
         )
         assert code == 0, err
         assert hashlib.sha256(out_json.read_bytes()).hexdigest() == digest
+
+
+class TestPickledScorers:
+    """Every scorer ``_set_up`` returns pickles, so a worker process can
+    take it, and the copy scores as the original does."""
+
+    @pytest.mark.parametrize(
+        "job",
+        ["eval-dict", "eval-bg", "eval-privileged", "eval-none", "eval-llm", "eval-miou-classic",
+         "eval-sigmoid", "sweep-sigmoid", "sweep-gamma", "sweep-delta", "sweep-beta"],
+    )
+    def test_scorers_survive_a_pickle_round_trip(
+        self, capsys, tmp_path, monkeypatch, request, mined, toy_lexicon_path,
+        toy_visibility_path, toy_embeddings_path, dict_path, job,
+    ):
+        matrix_path, counts_path = mined
+        build = [
+            "--matrix", matrix_path, "--counts", counts_path,
+            "--lexicon", toy_lexicon_path, "--visibility", toy_visibility_path,
+        ]
+        cc = ["--cc-mode", "dict", "--cc-dict", dict_path]
+        job_flags = {
+            "eval-dict": ["eval", *cc],
+            "eval-bg": ["eval", "--cc-mode", "bg"],
+            "eval-privileged": ["eval", "--cc-mode", "privileged", "--classes", "boat,water,dock"],
+            "eval-none": ["eval", "--cc-mode", "none"],
+            "eval-llm": ["eval", "--cc-mode", "llm", "--llm-cache", tmp_path / "cache"],
+            "eval-miou-classic": ["eval", "--metric", "miou-classic", *cc],
+            "eval-sigmoid": ["eval", "--segmenter", "sigmoid", "--sigmoid-threshold", "0.6"],
+            "sweep-sigmoid": ["sweep", "--param", "sigmoid", "--steps", "12"],
+            "sweep-gamma": ["sweep", "--param", "gamma", "--values", "0.01,0.99", *build],
+            "sweep-delta": ["sweep", "--param", "delta", "--values", "0.5,0.9", *build],
+            "sweep-beta": ["sweep", "--param", "beta", "--values", "0.5,0.99", *cc],
+        }[job]
+        if job == "eval-llm":
+            job_flags += ["--llm-endpoint", request.getfixturevalue("llm_server").url]
+        made = []
+        set_up = cli._set_up
+
+        def spy(*args, **kwargs):
+            made.append(set_up(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "_set_up", spy)
+        features_dir, gt_dir = write_scene_dataset(tmp_path, ("img0", "img1"))
+        run(
+            capsys, *job_flags, "--features-dir", features_dir, "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path, "--out-json", tmp_path / "report.json",
+        )
+        [(image_ids, scorers)] = made
+        copies = pickle.loads(pickle.dumps(scorers))
+        images = partial(cli._load_dataset, features_dir, gt_dir, image_ids)
+        if job == "sweep-sigmoid":
+            assert cli.metrics.sigmoid_sweep(images(), copies, 12) == cli.metrics.sigmoid_sweep(
+                images(), scorers, 12
+            )
+        else:
+            assert cli._score_images(images(), copies) == cli._score_images(images(), scorers)
 
 
 def write_padded_inputs(root: Path, fillers: int, pad_dict: bool = True) -> tuple[Path, Path]:
@@ -2081,20 +2147,115 @@ def nest(key: str, value) -> dict:
     return {key: value}
 
 
-def unreadable_flags(job: str, flags) -> list[str]:
-    """Those of ``flags`` that ``cli._refuse_unread`` could not check in
-    ``job``: no option of the job's command, or one that stores its value
-    elsewhere than where the refusal looks (``cli._flag_dest``), or that
-    has a default."""
-    command = "eval" if job.startswith("eval") else "sweep"
-    actions = {flag: a for a in subparsers()[command]._actions for flag in a.option_strings}
-    return [
-        flag
-        for flag in flags
-        if flag not in actions
-        or actions[flag].dest != cli._flag_dest(flag)
-        or actions[flag].default is not None
-    ]
+_DATA = ["--features-dir", "f", "--gt-dir", "g", "--embeddings", "e", "--out-json", "o"]
+# every job of every command, by the name its refusals give it, with the
+# flags that make it that job
+JOBS = {
+    "mine": ["mine", "--corpus", "c", "--lexicon", "l", "--out-matrix", "m", "--out-counts", "n"],
+    **{
+        f"build-cc with unknown-visibility {policy}": [
+            "build-cc", "--matrix", "m", "--counts", "c", "--lexicon", "l", "--embeddings", "e",
+            "--out", "o", "--unknown-visibility", policy,
+        ]
+        for policy in ("accept", "llm", "reject")
+    },
+    **{
+        f"gen-cc with cc-mode {mode}": ["gen-cc", "--query", "q", "--mode", mode]
+        for mode in _CC_MODES
+    },
+    **{
+        f"segment of {several} with cc-mode {mode}": [
+            "segment", "--features", "f", "--embeddings", "e", "--out", "o", "--cc-mode", mode,
+            *queries,
+        ]
+        for several, queries in (
+            ("one query", ["--query", "q"]), ("several queries", ["--query", "q", "--query", "r"])
+        )
+        for mode in _CC_MODES
+    },
+    **{
+        f"eval --metric {metric} with cc-mode {mode}": [
+            "eval", *_DATA, "--metric", metric, "--cc-mode", mode
+        ]
+        for metric in ("iou-single", "miou-classic")
+        for mode in _CC_MODES
+    },
+    "eval --segmenter sigmoid": [
+        "eval", *_DATA, "--metric", "iou-single", "--segmenter", "sigmoid"
+    ],
+    **{
+        f"a {param} sweep": ["sweep", *_DATA, "--param", param]
+        for param in ("sigmoid", "gamma", "delta")
+    },
+    **{
+        f"a beta sweep with cc-mode {mode}": [
+            "sweep", *_DATA, "--param", "beta", "--cc-mode", mode
+        ]
+        for mode in _CC_MODES
+    },
+}
+
+
+class _Checked(Exception):
+    """Raised in place of running a job once its flags are checked."""
+
+
+_refuse_unread = cli.Settings.refuse_unread
+
+
+def _check_only(settings, job):
+    _refuse_unread(settings, job)
+    raise _Checked(settings.read)
+
+
+def checked(monkeypatch, argv) -> set[str] | str:
+    """The attributes that ``argv``'s job read before checking its flags,
+    or the message that refused one.  Nothing after the check runs."""
+    monkeypatch.setattr(cli.Settings, "refuse_unread", _check_only)
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    try:
+        args.func(args)
+    except _Checked as done:
+        return done.args[0]
+    except CCMineError as exc:
+        return str(exc)
+    raise AssertionError(f"{argv} finished without checking its flags")
+
+
+def given_alone(monkeypatch, tmp_path, job: str) -> dict:
+    """``checked`` of ``job`` with one more flag, for each flag of its
+    command that the job's own flags leave out, given with a valid value."""
+    argv = JOBS[job]
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    actions = {flag: a for a in subparsers()[argv[0]]._actions for flag in a.option_strings}
+    outcomes = {}
+    for flag in FLAG_INVENTORY[argv[0]]:
+        if flag in argv:
+            continue
+        action = actions[flag]
+        if action.nargs == 0:
+            value = []
+        elif flag == "--config":
+            value = [config]
+        elif action.choices:
+            value = [sorted(action.choices)[0]]
+        else:
+            value = ["2" if action.type is int else "0.5"]
+        outcomes[flag] = checked(monkeypatch, [*argv, flag, *value])
+    return outcomes
+
+
+def refused_alone(monkeypatch, tmp_path) -> dict[str, list[str]]:
+    """The flags each job refuses when given alone, in inventory order."""
+    return {
+        job: [
+            flag
+            for flag, got in given_alone(monkeypatch, tmp_path, job).items()
+            if isinstance(got, str)
+        ]
+        for job in JOBS
+    }
 
 
 def run_python(code: str, *argv) -> subprocess.CompletedProcess:
@@ -2157,36 +2318,51 @@ class TestWiring:
             }
         assert got == FLAG_INVENTORY
 
-    def test_unread_flags_are_options_the_refusal_can_read(self):
-        # the CC flags are refused by CC mode as well as by the table, and
-        # so are eval's LLM flags
-        unread = {
-            job: (*flags, *cli._CC_FLAGS, *(cli._LLM_FLAGS if job.startswith("eval") else ()))
-            for job, flags in cli._UNREAD_FLAGS.items()
-        }
-        assert {job: unreadable_flags(job, flags) for job, flags in unread.items()} == {
-            job: [] for job in unread
-        }
+    @pytest.mark.parametrize("job", list(JOBS))
+    def test_every_flag_is_read_or_refused(self, monkeypatch, tmp_path, job):
+        # no flag the command line gives is silently ignored: each is
+        # read, or refused with the job's name, whatever else is given
+        argv = JOBS[job]
+        actions = {flag: a for a in subparsers()[argv[0]]._actions for flag in a.option_strings}
+        read = checked(monkeypatch, argv)
+        assert {actions[flag].dest for flag in argv if flag in actions} <= read
+        for flag, got in given_alone(monkeypatch, tmp_path, job).items():
+            if isinstance(got, str):
+                assert got == f"{flag} does nothing in {job}"
+            else:
+                assert actions[flag].dest in got, flag
 
-    def test_unreadable_flags_are_found(self):
-        # --no-markers stores into include_markers and --api-style into
-        # llm_api_style, where the refusal looks; --metric has a default,
-        # and a sweep takes no LLM flag
-        flags = ("--no-markers", "--api-style", "--aggregation", "--metric", "--unknown")
-        assert unreadable_flags("eval --metric iou-single", flags) == ["--metric", "--unknown"]
-        assert unreadable_flags("a beta sweep", ("--no-markers", "--steps")) == ["--no-markers"]
-
-    def test_readme_lists_the_unread_flags(self):
+    def test_readme_lists_the_unread_flags(self, monkeypatch, tmp_path):
+        # each section's bullets name the jobs they hold for: a leading
+        # selector and an "every mode but `M`", each optional
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        listed = {}
-        for heading, job in (("### 5. Evaluate", "eval {}"), ("### 6. Sweep", "a {} sweep")):
-            section = readme[readme.index(heading):]
-            section = section[section.index("is refused with exit 3, naming it:"):]
-            bullets = section[: section.index("\n\n", section.index("\n- "))]
-            bullet = r"^- `([^`]+)`[^:]*:(.*?)(?=^- |\Z)"
-            for key, flags in re.findall(bullet, bullets, re.M | re.S):
-                listed[job.format(key)] = sorted(re.findall(r"`(--[a-z-]+)`", flags))
-        assert listed == {job: sorted(flags) for job, flags in cli._UNREAD_FLAGS.items()}
+        headings = ["### 1. Mine", "### 2. Build", "### 3. Generate", "### 4. Segment",
+                    "### 5. Evaluate", "### 6. Sweep", "## Configuration"]
+        commands = ["mine", "build-cc", "gen-cc", "segment", "eval", "sweep"]
+        listed = {job: set() for job in JOBS}
+        for heading, end, command in zip(headings, headings[1:], commands):
+            section = readme[readme.index(heading): readme.index(end)]
+            marker = "The flags each job refuses, with exit 3:\n\n"
+            if marker not in section:
+                continue
+            bullets = section[section.index(marker) + len(marker):].split("\n\n")[0]
+            for key, flags in re.findall(r"^- ([^:]+):(.*?)(?=^- |\Z)", bullets, re.M | re.S):
+                selector, _, but = re.sub(r"\s+", " ", key).partition("every ")
+                selector = re.sub(r"\bin$", "", selector.replace("`", "").strip()).strip()
+                but = re.search(r"but `(\w+)`", but)[1] if but else None
+                flags = re.sub(r"\([^)]*\)", "", flags).replace("the LLM flags", " ".join(
+                    f"`{flag}`" for flag in _LLM_FLAGS
+                ))
+                for job, argv in JOBS.items():
+                    mode = job.rsplit(" ", 1)[1] if " with " in job else None
+                    if argv[0] == command and selector in job and (
+                        but is None or mode not in (None, but)
+                    ):
+                        listed[job].update(re.findall(r"`(--[a-z-]+)`", flags))
+        refused = refused_alone(monkeypatch, tmp_path)
+        assert {job: sorted(flags) for job, flags in listed.items()} == {
+            job: sorted(flags) for job, flags in refused.items()
+        }
 
     def test_readme_config_loads(self, tmp_path, monkeypatch):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -2201,7 +2377,7 @@ class TestWiring:
             expected = (config["llm"] if key.startswith("llm.") else config)[name]
             assert settings.get(key) == expected
         monkeypatch.setenv("HOME", str(tmp_path))
-        assert settings.llm_client().cache_dir == tmp_path / ".cache" / "ccmine"
+        assert cli.LLMClient(**settings.llm()[0]).cache_dir == tmp_path / ".cache" / "ccmine"
 
     def test_numbers_for_float_keys_become_floats(self, tmp_path):
         path = write_config(tmp_path, {"gamma": 1, "llm": {"temperature": 0}})
@@ -2306,6 +2482,103 @@ class TestWiring:
         )
         assert code == 3
         assert "--values" in err
+
+
+class TestRefusal:
+    """A flag the job does not read exits 3 before anything opens: every
+    path here is missing, so a later refusal would exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["gen-cc", "--mode", "bg", "--query", "boat", "--cc-dict", "{missing}.json",
+              "--classes", "zzz"], "--cc-dict does nothing in gen-cc with cc-mode bg"),
+            (["gen-cc", "--mode", "bg", "--query", "boat", "--embeddings", "{missing}.emb"],
+             "--embeddings does nothing in gen-cc with cc-mode bg"),
+            (["gen-cc", "--mode", "privileged", "--query", "boat", "--classes", "boat,water",
+              "--classes-file", "{missing}.txt"],
+             "--classes-file does nothing in gen-cc with cc-mode privileged"),
+            (["gen-cc", "--mode", "dict", "--query", "boat", "--cc-dict", "{missing}.json",
+              "--embeddings", "{missing}.emb", "--llm-model", "m"],
+             "--llm-model does nothing in gen-cc with cc-mode dict"),
+            (["segment", "--features", "{missing}.feat", "--embeddings", "{missing}.emb",
+              "--query", "boat", "--cc-mode", "bg", "--cc-dict", "{missing}.json"],
+             "--cc-dict does nothing in segment of one query with cc-mode bg"),
+            (["segment", "--features", "{missing}.feat", "--embeddings", "{missing}.emb",
+              "--query", "boat", "--beta", "0.3", "--beta-scope", "source",
+              "--background-label", "zz"],
+             "--beta does nothing in segment of one query with cc-mode bg"),
+            (["segment", "--features", "{missing}.feat", "--embeddings", "{missing}.emb",
+              "--query", "boat", "--background-label", "zz"],
+             "--background-label does nothing in segment of one query with cc-mode bg"),
+            (["segment", "--features", "{missing}.feat", "--embeddings", "{missing}.emb",
+              "--query", "boat", "--query", "water", "--cc-mode", "privileged",
+              "--classes", "boat", "--classes-file", "{missing}.txt"],
+             "--classes-file does nothing in segment of several queries with cc-mode privileged"),
+            (["build-cc", "--matrix", "{missing}.cooc", "--counts", "{missing}.counts",
+              "--lexicon", "{missing}.txt", "--embeddings", "{missing}.emb",
+              "--unknown-visibility", "reject", "--llm-endpoint", "http://127.0.0.1:9/v1"],
+             "--llm-endpoint does nothing in build-cc with unknown-visibility reject"),
+            (["eval", "--features-dir", "{missing}", "--gt-dir", "{missing}",
+              "--embeddings", "{missing}.emb", "--cc-mode", "privileged", "--classes", "boat",
+              "--classes-file", "{missing}.txt"],
+             "--classes-file does nothing in eval --metric iou-single with cc-mode privileged"),
+            (["eval", "--features-dir", "{missing}", "--gt-dir", "{missing}",
+              "--embeddings", "{missing}.emb", "--metric", "miou-classic", "--classes", "boat",
+              "--classes-file", "{missing}.txt"],
+             "--classes-file does nothing in eval --metric miou-classic with cc-mode bg"),
+        ],
+    )
+    def test_refused_before_any_input_opens(self, capsys, tmp_path, argv, message):
+        missing = str(tmp_path / "missing")
+        out = tmp_path / "out"
+        argv = [a.replace("{missing}", missing) for a in argv]
+        # gen-cc writes to stdout without --out
+        outs = ([], ["--out", out]) if argv[0] == "gen-cc" else (["--out", out],)
+        if argv[0] == "eval":
+            outs = (["--out-json", out],)
+        for given in outs:
+            code, stdout, err = run(capsys, *argv, *given)
+            assert code == 3
+            assert err == f"error: {message}\n"
+            assert stdout == ""
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "job", ["eval", "eval-classic", "sweep-beta", "segment", "gen-cc"]
+    )
+    def test_refused_flag_asks_no_endpoint(
+        self, capsys, tmp_path, toy_embeddings_path, llm_server, job
+    ):
+        # the llm mode and its endpoint come from the run-config, and the
+        # same job without the refused flag asks the endpoint
+        features_dir, gt_dir = write_two_class_dataset(tmp_path, {"img0": make_scene_features()})
+        data = ["--features-dir", features_dir, "--gt-dir", gt_dir,
+                "--embeddings", toy_embeddings_path]
+        out = tmp_path / "out"
+        argv = {
+            "eval": ["eval", *data, "--out-json", out],
+            "eval-classic": ["eval", *data, "--metric", "miou-classic", "--out-json", out],
+            "sweep-beta": [
+                "sweep", *data, "--param", "beta", "--values", "0.5", "--out-json", out
+            ],
+            "segment": ["segment", "--features", features_dir / "img0.feat",
+                        "--embeddings", toy_embeddings_path, "--query", "boat", "--out", out],
+            "gen-cc": ["gen-cc", "--query", "boat", "--out", out],
+        }[job]
+        for cache, refused in (("asked", []), ("cold", ["--cc-dict", "cc.json"])):
+            out.unlink(missing_ok=True)
+            llm = {"endpoint": llm_server.url, "cache_dir": str(tmp_path / cache)}
+            config = write_config(tmp_path, {"cc_mode": "llm", "llm": llm})
+            code, _, err = run(capsys, *argv, "--config", config, *refused)
+            if not refused:
+                assert llm_server.requests
+                llm_server.requests.clear()
+        assert code == 3
+        assert err.startswith("error: --cc-dict does nothing in ")
+        assert err.endswith(" with cc-mode llm\n")
+        assert llm_server.requests == []
+        assert not out.exists()
 
 
 # a run's float flags, each with the arguments its subcommand requires;
