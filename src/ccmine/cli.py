@@ -306,28 +306,33 @@ def _scored_classes(sidecars: list) -> list[str]:
     return list(seen)
 
 
-def _cc_dictionary(cc_dict: str | None, embeddings: str | None) -> CCDictionary:
-    """The ``--cc-dict`` dictionary of ``dict`` mode."""
-    if cc_dict is None or not embeddings:
+def _cc_source(cc: tuple, embeddings, queries, classes, background_label=None) -> tuple:
+    """The CC generator of the ``_cc_flags`` ``cc`` for ``queries``, and the
+    ``embeddings`` table (None without a path) of only the rows their CC
+    sets (``ccgen.cc_reach``) and ``background_label``, a query that takes
+    none, can reach.  ``dict`` mode reads ``--cc-dict`` before the table."""
+    mode, cc_dict, _, llm = cc
+    if mode == "dict" and (cc_dict is None or not embeddings):
         raise ValidationError("cc-mode 'dict' needs --cc-dict and --embeddings")
-    return CCDictionary.load(cc_dict)
-
-
-def _cc_source(cc: tuple, embeddings, classes, dictionary) -> metrics.CCSource:
-    """The CC generator of the ``_cc_flags`` ``cc``, with what it needs:
-    the ``dictionary`` in ``dict`` mode, a client of its LLM settings in
-    ``llm`` mode, the ``classes`` in ``privileged`` mode."""
-    mode, _, _, llm = cc
+    dictionary = CCDictionary.load(cc_dict) if mode == "dict" else None
+    table = None
+    if embeddings is not None:
+        reach = cc_reach(mode, queries, classes or (), dictionary)
+        if reach is not None and background_label is not None:
+            reach.add(background_label)
+        table = EmbeddingTable.load(embeddings, reach)
     if mode == "dict":
-        return partial(cc_d, dictionary=dictionary, embeddings=embeddings)
-    if mode == "llm":
+        source = partial(cc_d, dictionary=dictionary, embeddings=table)
+    elif mode == "llm":
         fields, include_markers = llm
-        return partial(cc_llm, client=LLMClient(**fields), include_markers=include_markers)
-    if mode == "privileged":
+        source = partial(cc_llm, client=LLMClient(**fields), include_markers=include_markers)
+    elif mode == "privileged":
         if classes is None:
             raise ValidationError("cc-mode 'privileged' needs the dataset class list")
-        return partial(cc_privileged, classes=classes)
-    return cc_none if mode == "none" else cc_bg
+        source = partial(cc_privileged, classes=classes)
+    else:
+        source = cc_none if mode == "none" else cc_bg
+    return source, table
 
 
 def _dataset_ids(features_dir: str) -> list[str]:
@@ -499,8 +504,8 @@ def _set_up(job: str, data: tuple, values: list, upsample=None, cc=None, classic
 
     Every record of the embedding table is read and checked, but only the
     rows the job can reach are kept: the scored classes' for the sigmoid
-    jobs, those ``ccgen.cc_reach`` names and the background label for the
-    other evals and the beta sweep, every row for a gamma or delta sweep.
+    jobs, ``_cc_source``'s for the other evals and the beta sweep, every
+    row for a gamma or delta sweep.
     The table, and every dictionary and CC source made from it, are
     locals of this call: they are freed on return, before the first image
     loads, so the image loop holds only the prompts it scores with.
@@ -523,16 +528,12 @@ def _set_up(job: str, data: tuple, values: list, upsample=None, cc=None, classic
         dictionaries = _dictionaries(_build_inputs(*paths), table, values, rules)
         sources = [partial(cc_d, dictionary=d, embeddings=table) for d in dictionaries]
     else:
-        mode, cc_dict, class_flags, _ = cc
-        classes = _classes(*class_flags, sidecars)
-        dictionary = _cc_dictionary(cc_dict, embeddings) if mode == "dict" else None
-        reach = cc_reach(mode, scored if classic is None else classes, classes, dictionary)
-        if classic is not None and reach is not None:
-            reach.add(classic[0])  # the classic prompts also score the background label
-        table = EmbeddingTable.load(embeddings, reach)
-        source = _cc_source(cc, table, classes, dictionary)
+        classes = _classes(*cc[2], sidecars)
+        # the classic prompts score every class and the background label
+        background_label, scope = classic or (None, None)
+        queries = scored if classic is None else classes
+        source, table = _cc_source(cc, embeddings, queries, classes, background_label)
         if classic is not None:
-            background_label, scope = classic
             queries = [background_label] + [c for c in classes if c != background_label]
             source = cache(source)  # only the merge of the CC sets depends on beta
             merges = [(background_label, beta, scope) for beta in values]
@@ -593,7 +594,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_build_cc(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    _, matrix_path, counts_path, visibility_path = paths = [
+    lexicon_path, matrix_path, counts_path, visibility_path = paths = [
         settings.arg(name) for name in _BUILD_INPUTS
     ]
     embeddings_path, out = settings.arg("embeddings"), settings.arg("out")
@@ -602,7 +603,7 @@ def cmd_build_cc(args: argparse.Namespace) -> int:
     rules = _build_rules(settings)
     settings.refuse_unread(f"build-cc with unknown-visibility {rules[1]}")
     inputs = _build_inputs(*paths)
-    lexicon, _matrix, _occurrence, visibility = inputs
+    _lexicon, _matrix, _occurrence, visibility = inputs
     embeddings = EmbeddingTable.load(embeddings_path)
     [dictionary] = _dictionaries(
         inputs,
@@ -610,7 +611,7 @@ def cmd_build_cc(args: argparse.Namespace) -> int:
         thresholds,
         rules,
         extra_meta={
-            "lexicon_digest": lexicon.source_digest,
+            "lexicon_digest": sha256_file(lexicon_path),
             "corpus_digest": sha256_file(matrix_path),
             "counts_digest": sha256_file(counts_path),
             "embeddings_digest": sha256_file(embeddings_path),
@@ -631,12 +632,11 @@ def cmd_build_cc(args: argparse.Namespace) -> int:
 def cmd_gen_cc(args: argparse.Namespace) -> int:
     settings = Settings(args)
     query, out = settings.arg("query"), settings.arg("out")
-    mode, cc_dict, class_flags, _ = cc = _cc_flags(settings)
-    embeddings_path = settings.arg("embeddings") if mode == "dict" else None
+    mode, _, class_flags, _ = cc = _cc_flags(settings)
+    embeddings = settings.arg("embeddings") if mode == "dict" else None
     settings.refuse_unread(f"gen-cc with cc-mode {mode}")
-    embeddings = EmbeddingTable.load(embeddings_path) if embeddings_path else None
-    dictionary = _cc_dictionary(cc_dict, embeddings_path) if mode == "dict" else None
-    cc = _cc_source(cc, embeddings, _classes(*class_flags), dictionary)(query)
+    source, _ = _cc_source(cc, embeddings, [query], _classes(*class_flags))
+    cc = source(query)
     payload = {
         "query": cc.query,
         "kind": cc.kind,
@@ -663,7 +663,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         raise ValidationError("at least one --query is required")
     if len(queries) != len(set(queries)):
         raise ValidationError("duplicate queries")
-    mode, cc_dict, class_flags, _ = cc = _cc_flags(settings)
+    mode, _, class_flags, _ = cc = _cc_flags(settings)
     upsample = settings.get("upsample")
     keep_cc, remap = settings.arg("keep_cc"), settings.arg("remap_background")
     # one query's CC set is not merged, and only a remap names the background
@@ -674,10 +674,13 @@ def cmd_segment(args: argparse.Namespace) -> int:
         merge = (background_label, settings.get("beta"), settings.get("beta_scope"))
     queried = "several queries" if several else "one query"
     settings.refuse_unread(f"segment of {queried} with cc-mode {mode}")
+    if remap and background_label not in queries:
+        raise ValidationError(f"--remap-background needs --query {background_label}")
     features = FeatureMap.load(features_path)
-    embeddings = EmbeddingTable.load(embeddings_path)
-    dictionary = _cc_dictionary(cc_dict, embeddings_path) if mode == "dict" else None
-    source = _cc_source(cc, embeddings, _classes(*class_flags), dictionary)
+    # the merge gives the background label's query no CC set
+    takes_cc = [q for q in queries if not several or q != background_label]
+    classes = _classes(*class_flags)
+    source, embeddings = _cc_source(cc, embeddings_path, takes_cc, classes, background_label)
     prompts = _query_prompts(queries, source, embeddings, merge)
     pixmap = segment_pixels(
         features, prompts, height or features.h, width or features.w, upsample=upsample

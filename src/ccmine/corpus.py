@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import FormatError
-from .ioutil import open_maybe_gzip, read_text, sha256_file
+from .ioutil import open_maybe_gzip, read_text
 
 _PUNCT = string.punctuation
 _has_punct = re.compile(f"[{re.escape(_PUNCT)}]").search
@@ -74,7 +74,6 @@ class Lexicon:
             seen[c] = pos
         self.concepts: tuple[str, ...] = tuple(normalized)
         self.index: dict[str, int] = seen
-        self.source_digest: str | None = None
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -89,9 +88,7 @@ class Lexicon:
             line = line.strip()
             if line and not line.startswith("#"):
                 concepts.append(line)
-        lex = cls(concepts)
-        lex.source_digest = sha256_file(path)
-        return lex
+        return cls(concepts)
 
     @cached_property
     def matcher(self) -> "ConceptMatcher":

@@ -717,6 +717,26 @@ class TestSegment:
         expected[:, 0:2] = 0
         assert np.array_equal(seg.labels, expected)
 
+    @pytest.mark.parametrize("mode", ["bg", "none"])
+    @pytest.mark.parametrize("queries", [["boat"], ["boat", "water"]])
+    @pytest.mark.parametrize("label", [None, "sky"])
+    def test_remap_background_needs_its_query(self, capsys, tmp_path, mode, queries, label):
+        # checked before any file opens: none of these paths exists
+        argv = [
+            "segment", "--features", tmp_path / "missing.feat", "--embeddings",
+            tmp_path / "missing.emb", "--cc-mode", mode, "--remap-background",
+            "--out", tmp_path / "out.seg",
+        ]
+        for query in queries:
+            argv += ["--query", query]
+        if label is not None:
+            argv += ["--background-label", label]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert err == f"error: --remap-background needs --query {label or 'background'}\n"
+        assert out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_upsample_size_flags(self, capsys, tmp_path, dict_path, toy_embeddings_path):
         code, out_path, _ = self.seg(
             capsys,
@@ -1728,6 +1748,20 @@ def write_padded_inputs(root: Path, fillers: int, pad_dict: bool = True) -> tupl
     return table_path, dict_path
 
 
+def corrupt_filler_row(table_path: Path) -> str:
+    """Scale one filler row of a ``write_padded_inputs`` table off the unit
+    sphere; the message ``EmbeddingTable.loads`` raises for the file."""
+    data = bytearray(table_path.read_bytes())
+    start = data.index(b"filler00007") + len("filler00007")
+    vector = np.frombuffer(data, "<f4", 3, start) * np.float32(1.5)
+    data[start : start + 12] = vector.astype("<f4").tobytes()
+    table_path.write_bytes(bytes(data))
+    with pytest.raises(FormatError) as loads_error:
+        EmbeddingTable.loads(bytes(data))
+    assert "filler00007" in str(loads_error.value)
+    return str(loads_error.value)
+
+
 class TestEmbeddingReach:
     """Eval and the sigmoid and beta sweeps keep only the embedding rows
     they can reach, and still check every record of the table."""
@@ -1795,20 +1829,13 @@ class TestEmbeddingReach:
         features = {"img0": make_scene_features()}
         features_dir, gt_dir = write_two_class_dataset(tmp_path / "data", features)
         table_path, _ = write_padded_inputs(tmp_path / "inputs", 20, pad_dict=False)
-        data = bytearray(table_path.read_bytes())
-        start = data.index(b"filler00007") + len("filler00007")
-        vector = np.frombuffer(data, "<f4", 3, start) * np.float32(1.5)
-        data[start : start + 12] = vector.astype("<f4").tobytes()
-        table_path.write_bytes(bytes(data))
-        with pytest.raises(FormatError) as loads_error:
-            EmbeddingTable.loads(bytes(data))
-        assert "filler00007" in str(loads_error.value)
+        message = corrupt_filler_row(table_path)
         out = tmp_path / "out.json"
         code, _, err = run(
             capsys, *self.job(name, table_path, dict_path, features_dir, gt_dir, out)
         )
         assert code == 3
-        assert err == f"error: {loads_error.value}\n"
+        assert err == f"error: {message}\n"
         assert not out.exists()
 
     def test_llm_mode_reads_the_table_before_asking(self, capsys, tmp_path, llm_server):
@@ -1840,6 +1867,107 @@ class TestEmbeddingReach:
         lean, padded = peak("lean", 0), peak("padded", 16_000)
         # the whole job, load included: 16,000 more rows and names are some MB
         assert padded < lean + (256 << 10), (lean, padded)
+
+
+class TestQueryReach:
+    """gen-cc and segment keep only the embedding rows their queries' CC
+    sets can reach, and still check every record of the table."""
+
+    JOBS = {
+        "segment-several-remap": [
+            "segment", "--query", "boat", "--query", "background", "--remap-background",
+        ],
+        # a background label that is no dictionary key and takes no CC set
+        "segment-several-remap-liberty": [
+            "segment", "--query", "boat", "--query", "liberty", "--background-label", "liberty",
+            "--remap-background",
+        ],
+        "segment-one": ["segment", "--query", "boat"],
+        # no dictionary key: its nearest key's entry needs every key's row
+        "segment-one-ship": ["segment", "--query", "ship"],
+        "gen-cc": ["gen-cc", "--mode", "dict", "--query", "boat"],
+        "gen-cc-ship": ["gen-cc", "--mode", "dict", "--query", "ship"],
+    }
+
+    @staticmethod
+    def job(name: str, table: Path, dictionary: Path, out: Path) -> list:
+        argv = [*TestQueryReach.JOBS[name], "--cc-dict", dictionary, "--embeddings", table]
+        if argv[0] == "segment":
+            features = out.parent / "img.feat"
+            if not features.exists():
+                make_scene_features().save(features)
+            argv += ["--cc-mode", "dict", "--features", features]
+        return [*argv, "--out", out]
+
+    @pytest.mark.parametrize("name", list(JOBS))
+    def test_output_is_the_full_tables(self, capsys, tmp_path, monkeypatch, name):
+        # the filler keys of a padded dictionary are reached only by a query
+        # that is no key
+        table_path, dict_path = write_padded_inputs(
+            tmp_path / "inputs", 300, pad_dict="ship" not in name
+        )
+        load = EmbeddingTable.load.__func__
+        kept, outputs = [], []
+        for keep_all in (False, True):
+
+            def spy(cls, path, names=None, keep_all=keep_all):
+                table = load(cls, path, None if keep_all else names)
+                kept.append(len(table))
+                return table
+
+            monkeypatch.setattr(cli.EmbeddingTable, "load", classmethod(spy))
+            out_dir = tmp_path / f"out-{keep_all}"
+            out_dir.mkdir()
+            code, _, err = run(capsys, *self.job(name, table_path, dict_path, out_dir / "out"))
+            assert code == 0, err
+            outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.glob("out*"))})
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == (2 if name.startswith("segment") else 1)
+        reached, every = kept
+        assert every == len(TOY_VECTORS) + 300
+        assert reached <= len(TOY_VECTORS)  # no filler row, whatever the query
+
+    @pytest.mark.parametrize("name", ["segment-several-remap", "segment-one", "gen-cc"])
+    def test_corrupt_row_no_query_reaches_exits_3(self, capsys, tmp_path, dict_path, name):
+        table_path, _ = write_padded_inputs(tmp_path / "inputs", 20, pad_dict=False)
+        message = corrupt_filler_row(table_path)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *self.job(name, table_path, dict_path, out))
+        assert code == 3
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["segment-several-remap", "segment-one", "gen-cc"])
+    def test_peak_does_not_grow_with_rows_no_query_reaches(self, tmp_path, name):
+        def peak(tag: str, fillers: int) -> int:
+            table_path, dict_path = write_padded_inputs(tmp_path / tag, fillers, pad_dict=False)
+            argv = self.job(name, table_path, dict_path, tmp_path / tag / "out")
+            code, peak = traced_peak(lambda: main([str(a) for a in argv]))
+            assert code == 0
+            return peak
+
+        peak("warm-up", 0)  # first-call caches out of the way
+        lean, padded = peak("lean", 0), peak("padded", 16_000)
+        # the whole job, load included: 16,000 more rows and names are some MB
+        assert padded < lean + (256 << 10), (lean, padded)
+
+    @pytest.mark.parametrize("name", ["segment-one", "gen-cc"])
+    @pytest.mark.parametrize("given", [True, False])
+    def test_dictionary_is_reported_before_the_table(self, capsys, tmp_path, name, given):
+        table_path, _ = write_padded_inputs(tmp_path / "inputs", 20, pad_dict=False)
+        corrupt_filler_row(table_path)
+        argv = self.job(name, table_path, tmp_path / "missing.json", tmp_path / "out")
+        if not given:
+            at = argv.index("--cc-dict")
+            del argv[at : at + 2]
+        code, _, err = run(capsys, *argv)
+        if given:
+            assert code == 2
+            assert "missing.json" in err
+        else:
+            assert code == 3
+            assert err == "error: cc-mode 'dict' needs --cc-dict and --embeddings\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestClassesResolvedOnce:

@@ -66,7 +66,6 @@ class TestLexicon:
         path.write_text("".join(c + "\n" for c in toy_lexicon.concepts), encoding="utf-8")
         loaded = Lexicon.from_file(path)
         assert loaded.concepts == toy_lexicon.concepts
-        assert loaded.source_digest is not None
 
     def test_from_file_skips_comments_and_blanks(self, toy_lexicon_path):
         lex = Lexicon.from_file(toy_lexicon_path)

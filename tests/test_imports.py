@@ -35,3 +35,13 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_init_binds_only_the_version():
+    # submodules are imported by name, so the package re-exports nothing
+    tree = ast.parse(Path(ccmine.__file__).read_text(encoding="utf-8"))
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    docstring, *rest = tree.body
+    assert isinstance(docstring, ast.Expr)
+    assert all(isinstance(node, ast.Assign) for node in rest)
+    assert [target.id for node in rest for target in node.targets] == ["__version__"]
