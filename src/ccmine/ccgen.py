@@ -52,40 +52,37 @@ class CCSet:
     source_concept: str | None = None  # lexicon concept used for dictionary lookups
 
 
-def cc_bg(q: str) -> CCSet:
-    """The background-word baseline."""
+def _query(q: str, refused_for: str | None = None) -> str:
+    """``q`` normalized; an empty query raises, and so does the background
+    word when it is ``refused_for`` a generator (named in the message)."""
     qn = normalize_concept(q)
     if not qn:
         raise ValidationError("query is empty")
-    if qn == BACKGROUND:
-        raise ValidationError('"background" cannot be a query for the background baseline')
-    return CCSet(query=qn, kind="bg", concepts=[BACKGROUND])
+    if refused_for is not None and qn == BACKGROUND:
+        raise ValidationError(f'"{BACKGROUND}" cannot be a query for {refused_for}')
+    return qn
+
+
+def cc_bg(q: str) -> CCSet:
+    """The background-word baseline."""
+    return CCSet(query=_query(q, "the background baseline"), kind="bg", concepts=[BACKGROUND])
 
 
 def cc_none(q: str) -> CCSet:
     """No contrastive concepts; the query segments alone."""
-    qn = normalize_concept(q)
-    if not qn:
-        raise ValidationError("query is empty")
-    return CCSet(query=qn, kind="none", concepts=[])
+    return CCSet(query=_query(q), kind="none", concepts=[])
 
 
 def cc_privileged(q: str, classes: list[str]) -> CCSet:
     """All other dataset classes, order preserved."""
-    qn = normalize_concept(q)
-    if not qn:
-        raise ValidationError("query is empty")
+    qn = _query(q)
     concepts = [c for c in (normalize_concept(x) for x in classes) if c != qn]
     return CCSet(query=qn, kind="privileged", concepts=concepts)
 
 
 def cc_llm(q: str, client: LLMClient, include_markers: bool = True) -> CCSet:
     """Concepts generated by the language model, plus "background"."""
-    qn = normalize_concept(q)
-    if not qn:
-        raise ValidationError("query is empty")
-    if qn == BACKGROUND:
-        raise ValidationError('"background" cannot be a query for LLM generation')
+    qn = _query(q, "LLM generation")
     generated = [c for c in ask_cc(client, qn, include_markers) if c != qn and c != BACKGROUND]
     return CCSet(query=qn, kind="llm", concepts=[BACKGROUND] + generated)
 
@@ -212,7 +209,6 @@ def build_dictionary(
     thresholds: Sequence[tuple[float, float]] = ((DEFAULT_GAMMA, DEFAULT_DELTA),),
     stopwords: Iterable[str] = DEFAULT_STOPWORDS,
     oracle: VisibilityOracle | None = None,
-    extra_meta: dict | None = None,
 ) -> list[CCDictionary]:
     """The dictionary of each ``(gamma, delta)`` in ``thresholds``: every
     lexicon concept's candidates above ``gamma`` that pass the filtering
@@ -258,7 +254,6 @@ def build_dictionary(
                 {concepts[k] for k in col[stages["kept"] & masks.unresolved].tolist()}
             ),
         }
-        meta.update(extra_meta or {})
         dictionary = CCDictionary(cc, meta)
         dictionary._nn_cache = nn_cache
         dictionaries.append(dictionary)
@@ -273,11 +268,7 @@ def cc_d(q: str, dictionary: CCDictionary, embeddings: EmbeddingTable) -> CCSet:
     ``MissingEmbeddingError``) and uses the entry of the nearest lexicon
     concept in embedding space.
     """
-    qn = normalize_concept(q)
-    if not qn:
-        raise ValidationError("query is empty")
-    if qn == BACKGROUND:
-        raise ValidationError('"background" cannot be a query for dictionary lookup')
+    qn = _query(q, "dictionary lookup")
     if len(dictionary) == 0:
         raise ValidationError("CC dictionary is empty")
     if qn in dictionary:

@@ -366,31 +366,29 @@ def _load_dataset(features_dir: str, gt_dir: str, image_ids: list[str], failures
         del features, gt
 
 
-_BUILD_INPUTS = ("lexicon", "matrix", "counts", "visibility")
-
-
-def _build_rules(settings: Settings) -> tuple:
-    """The stop-words and unknown-visibility policy of a dictionary build,
-    and the LLM settings that the ``llm`` policy reads (else None)."""
+def _build_flags(settings: Settings) -> tuple:
+    """The lexicon, matrix, counts and visibility paths of a dictionary
+    build, and its rules: the stop-words, the unknown-visibility policy and
+    the LLM settings that the ``llm`` policy reads (else None)."""
+    paths = [settings.arg(name) for name in ("lexicon", "matrix", "counts", "visibility")]
     policy = settings.get("unknown_visibility")
-    return settings.get("stopwords"), policy, settings.llm() if policy == "llm" else None
+    return paths, (settings.get("stopwords"), policy, settings.llm() if policy == "llm" else None)
 
 
-def _build_inputs(lexicon: str, matrix: str, counts: str, visibility: str | None):
-    """Lexicon, co-occurrence matrix, occurrence counts and visibility table
-    for building a dictionary."""
-    return (
-        Lexicon.from_file(lexicon),
-        CoocMatrix.load(matrix),
-        load_counts(counts),
-        VisibilityTable.from_file(visibility) if visibility else VisibilityTable(),
-    )
-
-
-def _dictionaries(inputs, embeddings, thresholds, rules, extra_meta=None) -> list[CCDictionary]:
+def _build(paths, rules, embeddings: str, thresholds, queries=()) -> tuple:
     """The dictionary of each ``(gamma, delta)`` in ``thresholds``, built in
-    one pass from the ``_build_inputs`` with the ``_build_rules`` of the run."""
-    lexicon, matrix, occurrence, visibility = inputs
+    one pass from the run's ``_build_flags``, and the embedding and
+    visibility tables it used.  Lexicon, matrix, counts and visibility are
+    read in that order, then of ``embeddings`` only the rows of the
+    lexicon's concepts, ``background`` and ``queries``: all that the
+    dictionaries and a ``cc_d`` lookup of ``queries`` can reach."""
+    lexicon_path, matrix_path, counts_path, visibility_path = paths
+    lexicon = Lexicon.from_file(lexicon_path)
+    matrix, occurrence = CoocMatrix.load(matrix_path), load_counts(counts_path)
+    visibility = VisibilityTable.from_file(visibility_path) if visibility_path else VisibilityTable()
+    # a list, not a set: the loader builds the one set of the names; a
+    # second set of a large lexicon's names raised build-cc's peak RSS
+    table = EmbeddingTable.load(embeddings, [*lexicon.concepts, BACKGROUND, *queries])
     stopwords, policy, llm = rules
     if policy == "llm":
         # only the endpoint's answers go into the table: a policy's do not
@@ -400,10 +398,11 @@ def _dictionaries(inputs, embeddings, thresholds, rules, extra_meta=None) -> lis
         oracle = partial(visibility.resolve, oracle=ask, source="llm")
     else:
         oracle = accept_unknown if policy == "accept" else reject_unknown
-    return build_dictionary(
-        matrix, occurrence, lexicon, embeddings, visibility, thresholds,
-        stopwords=stopwords, oracle=oracle, extra_meta=extra_meta,
+    dictionaries = build_dictionary(
+        matrix, occurrence, lexicon, table, visibility, thresholds,
+        stopwords=stopwords, oracle=oracle,
     )
+    return dictionaries, table, visibility
 
 
 def _query_prompts(queries: list[str], cc_source, embeddings, merge=None) -> PromptSet:
@@ -486,12 +485,13 @@ def _set_up_flags(settings: Settings, job: str) -> tuple[str, tuple[str, str, st
         return job, data, {}
     flags = {"upsample": settings.get("upsample")}
     if job in ("a gamma sweep", "a delta sweep"):
-        flags["build"] = ([settings.arg(name) for name in _BUILD_INPUTS], _build_rules(settings))
+        flags["build"] = _build_flags(settings)
         return job, data, flags
     classic = job in ("eval --metric miou-classic", "a beta sweep")
     flags["cc"] = _cc_flags(settings, classes=classic)
     if classic:
-        flags["classic"] = (settings.get("background_label"), settings.get("beta_scope"))
+        background_label = normalize_concept(settings.get("background_label"))
+        flags["classic"] = (background_label, settings.get("beta_scope"))
     return f"{job} with cc-mode {flags['cc'][0]}", data, flags
 
 
@@ -504,8 +504,10 @@ def _set_up(job: str, data: tuple, values: list, upsample=None, cc=None, classic
 
     Every record of the embedding table is read and checked, but only the
     rows the job can reach are kept: the scored classes' for the sigmoid
-    jobs, ``_cc_source``'s for the other evals and the beta sweep, every
-    row for a gamma or delta sweep.
+    jobs, ``_cc_source``'s for the other evals and the beta sweep, and for
+    a gamma or delta sweep ``_build``'s, the scored classes among them;
+    that sweep reads its build inputs before the table, as ``build-cc``
+    does.
     The table, and every dictionary and CC source made from it, are
     locals of this call: they are freed on return, before the first image
     loads, so the image loop holds only the prompts it scores with.
@@ -523,9 +525,7 @@ def _set_up(job: str, data: tuple, values: list, upsample=None, cc=None, classic
             for v in values
         ]
     if build is not None:
-        paths, rules = build
-        table = EmbeddingTable.load(embeddings)
-        dictionaries = _dictionaries(_build_inputs(*paths), table, values, rules)
+        dictionaries, table, _ = _build(*build, embeddings, values, scored)
         sources = [partial(cc_d, dictionary=d, embeddings=table) for d in dictionaries]
     else:
         classes = _classes(*cc[2], sidecars)
@@ -594,29 +594,20 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_build_cc(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    lexicon_path, matrix_path, counts_path, visibility_path = paths = [
-        settings.arg(name) for name in _BUILD_INPUTS
-    ]
-    embeddings_path, out = settings.arg("embeddings"), settings.arg("out")
+    paths, rules = _build_flags(settings)
+    embeddings, out = settings.arg("embeddings"), settings.arg("out")
     save_visibility = settings.arg("save_visibility")
     thresholds = [(settings.get("gamma"), settings.get("delta"))]
-    rules = _build_rules(settings)
     settings.refuse_unread(f"build-cc with unknown-visibility {rules[1]}")
-    inputs = _build_inputs(*paths)
-    _lexicon, _matrix, _occurrence, visibility = inputs
-    embeddings = EmbeddingTable.load(embeddings_path)
-    [dictionary] = _dictionaries(
-        inputs,
-        embeddings,
-        thresholds,
-        rules,
-        extra_meta={
-            "lexicon_digest": sha256_file(lexicon_path),
-            "corpus_digest": sha256_file(matrix_path),
-            "counts_digest": sha256_file(counts_path),
-            "embeddings_digest": sha256_file(embeddings_path),
-            "visibility_digest": sha256_file(visibility_path) if visibility_path else None,
-        },
+    [dictionary], _, visibility = _build(paths, rules, embeddings, thresholds)
+    lexicon_path, matrix_path, counts_path, visibility_path = paths
+    # hashed once the build has read them: a bad input fails with its loader's error
+    dictionary.meta.update(
+        lexicon_digest=sha256_file(lexicon_path),
+        corpus_digest=sha256_file(matrix_path),
+        counts_digest=sha256_file(counts_path),
+        embeddings_digest=sha256_file(embeddings),
+        visibility_digest=sha256_file(visibility_path) if visibility_path else None,
     )
     dictionary.save(out)
     if save_visibility:
@@ -668,7 +659,9 @@ def cmd_segment(args: argparse.Namespace) -> int:
     keep_cc, remap = settings.arg("keep_cc"), settings.arg("remap_background")
     # one query's CC set is not merged, and only a remap names the background
     several = len(queries) > 1
-    background_label = settings.get("background_label") if several or remap else None
+    background_label = None
+    if several or remap:
+        background_label = normalize_concept(settings.get("background_label"))
     merge = None
     if several:
         merge = (background_label, settings.get("beta"), settings.get("beta_scope"))

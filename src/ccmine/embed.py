@@ -215,7 +215,11 @@ class EmbeddingTable:
             last = run[-1:]
             if starts:
                 rows = len(kept)
-                if wanted is None:
+                # a block whose every name is kept is gathered in place, as a
+                # full load's is; a file out of order fails once read, and
+                # may hold a kept name more often than ``unit`` has rows for it
+                in_place = wanted is None or not (unsorted or duplicate) and wanted.issuperset(part)
+                if in_place:
                     block = unit[rows : rows + len(starts)]
                 else:
                     block = np.empty((len(starts), dim))
@@ -229,9 +233,7 @@ class EmbeddingTable:
                     name, norm = part[j], norms[j]
                     raise FormatError(f"embedding for {name!r} is not unit norm ({norm:.6f})")
                 block /= norms[:, None]
-                if wanted is not None:
-                    # a file out of order fails once read, and may hold a
-                    # kept name more often than ``unit`` has rows for it
+                if not in_place:
                     picked = [] if unsorted or duplicate else [
                         j for j, name in enumerate(part) if name in wanted
                     ]

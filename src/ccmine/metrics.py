@@ -41,7 +41,6 @@ from .segment import (
     remap_cc_to_background,
     segment_pixels,
     sigmoid_patch_grid,
-    sigmoid_score_field,
 )
 
 # maps a query string to its contrastive concepts
@@ -223,7 +222,7 @@ def iou_single_image_sigmoid(
     for class_id in gt.evaluable_ids():
         label = gt.labels[class_id]
         try:
-            score = sigmoid_score_field(features, embeddings.vector(label), h, w)
+            score = bilinear_resize(sigmoid_patch_grid(features, embeddings.vector(label)), h, w)
         except CCMineError as exc:
             result.failures.append((label, str(exc)))
             continue

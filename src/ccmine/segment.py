@@ -467,14 +467,6 @@ def sigmoid_patch_grid(features: FeatureMap, query_vec: np.ndarray) -> np.ndarra
     return sigmoid(np.clip(features.unit @ (q / norm), -1.0, 1.0))
 
 
-def sigmoid_score_field(
-    features: FeatureMap, query_vec: np.ndarray, out_h: int, out_w: int
-) -> np.ndarray:
-    """Per-pixel sigmoid-squashed similarity to a single query: the patch
-    grid, upsampled."""
-    return bilinear_resize(sigmoid_patch_grid(features, query_vec), out_h, out_w)
-
-
 # ---- label-map artifact ----
 
 

@@ -82,6 +82,49 @@ class TestSimpleSources:
                 fn("  ")
 
 
+class TestQueryCheck:
+    """The five generators refuse an empty query, and three of them the
+    background word, each with its own message."""
+
+    @staticmethod
+    def generators(tmp_path, toy_embeddings) -> dict:
+        dictionary = CCDictionary({k: list(v) for k, v in EXPECTED_DICT_G001.items()})
+        return {
+            "bg": cc_bg,
+            "none": cc_none,
+            "privileged": partial(cc_privileged, classes=["boat", "background"]),
+            "llm": partial(cc_llm, client=stub_client(tmp_path, "tree")),
+            "dict": partial(cc_d, dictionary=dictionary, embeddings=toy_embeddings),
+        }
+
+    @pytest.mark.parametrize("mode", ["bg", "none", "privileged", "llm", "dict"])
+    @pytest.mark.parametrize("query", ["", "  ", " \t\n"])
+    def test_empty_query(self, tmp_path, toy_embeddings, mode, query):
+        generate = self.generators(tmp_path, toy_embeddings)[mode]
+        with pytest.raises(ValidationError) as exc:
+            generate(query)
+        assert str(exc.value) == "query is empty"
+
+    @pytest.mark.parametrize(
+        "mode,message",
+        [
+            ("bg", '"background" cannot be a query for the background baseline'),
+            ("llm", '"background" cannot be a query for LLM generation'),
+            ("dict", '"background" cannot be a query for dictionary lookup'),
+            ("none", None),
+            ("privileged", None),
+        ],
+    )
+    def test_background_query(self, tmp_path, toy_embeddings, mode, message):
+        generate = self.generators(tmp_path, toy_embeddings)[mode]
+        if message is None:
+            assert generate(" Background ").query == "background"
+            return
+        with pytest.raises(ValidationError) as exc:
+            generate(" Background ")
+        assert str(exc.value) == message
+
+
 class TestCCLLM:
     def test_documented_row(self, tmp_path):
         client = stub_client(tmp_path, "bicycle, road, nature, park")
@@ -132,17 +175,10 @@ class TestDictionaryBuild:
     def test_meta_fields(
         self, toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility
     ):
-        dictionary = self.build(
-            toy_corpus_path,
-            toy_lexicon,
-            toy_embeddings,
-            toy_visibility,
-            extra_meta={"lexicon_digest": "abc"},
-        )
+        dictionary = self.build(toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility)
         assert dictionary.meta["gamma"] == 0.01
         assert dictionary.meta["delta"] == 0.8
         assert dictionary.meta["built_at"] == "1970-01-01T00:00:00Z"
-        assert dictionary.meta["lexicon_digest"] == "abc"
 
     def test_dumps_deterministic(
         self, toy_corpus_path, toy_lexicon, toy_embeddings, toy_visibility

@@ -1970,6 +1970,172 @@ class TestQueryReach:
         assert not (tmp_path / "out").exists()
 
 
+class TestBuildReach:
+    """build-cc and the gamma and delta sweeps keep only the embedding rows
+    of the lexicon, the background label and the scored classes, read
+    their build inputs before the table, and still check every record."""
+
+    JOBS = {
+        "build-cc": ["build-cc"],
+        "sweep-gamma": ["sweep", "--param", "gamma", "--values", "0.01,0.99"],
+        "sweep-delta": ["sweep", "--param", "delta", "--values", "0.5,0.9"],
+        # a class that is no lexicon concept looks up its own row
+        "sweep-gamma-ship": ["sweep", "--param", "gamma", "--values", "0.01,0.99"],
+    }
+
+    @pytest.fixture
+    def build(self, mined, toy_lexicon_path, toy_visibility_path) -> list:
+        matrix_path, counts_path = mined
+        return [
+            "--matrix", matrix_path, "--counts", counts_path, "--lexicon", toy_lexicon_path,
+            "--visibility", toy_visibility_path,
+        ]
+
+    @staticmethod
+    def job(name: str, table: Path, build: list, root: Path) -> list:
+        """The command line of ``name``, writing its output under ``root``."""
+        argv = [*TestBuildReach.JOBS[name], *build, "--embeddings", table]
+        if argv[0] == "build-cc":
+            return [*argv, "--out", root / "out.json"]
+        data = root.parent / f"data-{name}"
+        if not data.exists():
+            features = {"img0": make_scene_features(), "img1": make_sweep_features()}
+            write_two_class_dataset(data, features)
+            if name.endswith("-ship"):
+                for sidecar in (data / "gt").glob("*.seg.json"):
+                    sidecar.write_text(sidecar.read_text().replace('"water"', '"ship"'))
+        return [
+            *argv, "--features-dir", data / "features", "--gt-dir", data / "gt",
+            "--out-json", root / "out.json",
+        ]
+
+    def runs(self, capsys, monkeypatch, argv) -> list:
+        """(exit code, stderr, output bytes, rows kept) of ``argv`` with
+        only the rows the job asks for, then with every row kept."""
+        load = EmbeddingTable.load.__func__
+        results = []
+        for keep_all in (False, True):
+            kept = []
+
+            def spy(cls, path, names=None, keep_all=keep_all):
+                table = load(cls, path, None if keep_all else names)
+                kept.append(len(table))
+                return table
+
+            monkeypatch.setattr(cli.EmbeddingTable, "load", classmethod(spy))
+            out = Path(argv[-1])
+            out.unlink(missing_ok=True)
+            code, _, err = run(capsys, *argv)
+            results.append((code, err, out.read_bytes() if out.exists() else None, kept))
+        return results
+
+    @pytest.mark.parametrize("name", list(JOBS))
+    def test_output_is_the_full_tables(self, capsys, tmp_path, monkeypatch, build, name):
+        table_path, _ = write_padded_inputs(tmp_path / "inputs", 300, pad_dict=False)
+        lean, full = self.runs(capsys, monkeypatch, self.job(name, table_path, build, tmp_path))
+        assert lean[0] == 0, lean[1]
+        assert lean[:3] == full[:3]
+        assert full[3] == [len(TOY_VECTORS) + 300]
+        [reached] = lean[3]
+        assert reached <= len(TOY_VECTORS)  # no filler row, whatever the job
+
+    @pytest.mark.parametrize("name", list(JOBS))
+    def test_corrupt_row_no_build_reaches_exits_3(self, capsys, tmp_path, build, name):
+        table_path, _ = write_padded_inputs(tmp_path / "inputs", 20, pad_dict=False)
+        message = corrupt_filler_row(table_path)
+        argv = self.job(name, table_path, build, tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err == f"error: {message}\n"
+        assert not Path(argv[-1]).exists()
+
+    @pytest.mark.parametrize("name", ["build-cc", "sweep-gamma", "sweep-delta"])
+    def test_lexicon_concept_without_a_row_fails_as_before(
+        self, capsys, tmp_path, monkeypatch, build, name
+    ):
+        # dock's cosine to boat is a semantic-filter check of the build
+        names = [n for n in sorted(TOY_VECTORS) if n != "dock"]
+        table_path = tmp_path / "no-dock.emb"
+        EmbeddingTable(names, np.array([TOY_VECTORS[n] for n in names])).save(table_path)
+        lean, full = self.runs(capsys, monkeypatch, self.job(name, table_path, build, tmp_path))
+        assert lean[:3] == full[:3] == (3, "error: no embedding available for concept: 'dock'\n", None)
+
+    @pytest.mark.parametrize("name", ["build-cc", "sweep-gamma"])
+    def test_peak_does_not_grow_with_rows_no_build_reaches(self, tmp_path, build, name):
+        def peak(tag: str, fillers: int) -> int:
+            table_path, _ = write_padded_inputs(tmp_path / tag, fillers, pad_dict=False)
+            argv = self.job(name, table_path, build, tmp_path / tag)
+            code, peak = traced_peak(lambda: main([str(a) for a in argv]))
+            assert code == 0
+            return peak
+
+        peak("warm-up", 0)  # first-call caches out of the way
+        lean, padded = peak("lean", 0), peak("padded", 16_000)
+        # the whole job, load included: 16,000 more rows and names are some MB
+        assert padded < lean + (256 << 10), (lean, padded)
+
+    @pytest.mark.parametrize("name", ["build-cc", "sweep-gamma", "sweep-delta"])
+    def test_matrix_is_reported_before_the_table(self, capsys, tmp_path, build, name):
+        table_path, _ = write_padded_inputs(tmp_path / "inputs", 20, pad_dict=False)
+        corrupt_filler_row(table_path)
+        matrix_path = tmp_path / "corrupt.cooc"
+        matrix_path.write_text("not a cooc file\n")
+        with pytest.raises(FormatError) as matrix_error:
+            CoocMatrix.load(matrix_path)
+        build = [matrix_path if a == build[1] else a for a in build]
+        argv = self.job(name, table_path, build, tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err == f"error: {matrix_error.value}\n"
+        assert not Path(argv[-1]).exists()
+
+
+class TestBackgroundLabelNormalized:
+    """``--background-label`` is read as a concept, as queries and classes
+    are: a label in another case or spacing writes its lowercase run's
+    bytes."""
+
+    @staticmethod
+    def outputs(capsys, root: Path, argv: list, label: str) -> dict:
+        out_dir = root / f"out-{label.strip()}"
+        out_dir.mkdir()
+        argv = [label if a == "{label}" else a for a in argv]
+        code, _, err = run(capsys, *argv, out_dir / "out")
+        assert code == 0, err
+        return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+    def test_segment_remap(self, capsys, tmp_path, toy_embeddings_path):
+        features = tmp_path / "img.feat"
+        make_scene_features().save(features)
+        argv = [
+            "segment", "--features", features, "--embeddings", toy_embeddings_path,
+            "--query", "boat", "--query", "{label}", "--background-label", "{label}",
+            "--remap-background", "--out",
+        ]
+        lower = self.outputs(capsys, tmp_path, argv, "background")
+        assert self.outputs(capsys, tmp_path, argv, "Background") == lower
+        assert len(lower) == 2
+
+    @pytest.mark.parametrize(
+        "job,label",
+        [
+            (["eval", "--metric", "miou-classic", "--cc-mode", "dict", "--cc-dict", "{dict}"],
+             "Background"),
+            (["sweep", "--param", "beta", "--values", "0.5,0.99", "--cc-mode", "bg"],
+             " Background"),
+        ],
+    )
+    def test_classic_jobs(self, capsys, tmp_path, toy_embeddings_path, dict_path, job, label):
+        features_dir, gt_dir = write_classic_dataset(tmp_path)
+        argv = [
+            *(str(dict_path) if a == "{dict}" else a for a in job),
+            "--features-dir", features_dir, "--gt-dir", gt_dir,
+            "--embeddings", toy_embeddings_path, "--background-label", "{label}", "--out-json",
+        ]
+        lower = self.outputs(capsys, tmp_path, argv, "background")
+        assert self.outputs(capsys, tmp_path, argv, label) == lower
+
+
 class TestClassesResolvedOnce:
     """Eval and the sweeps resolve each class's prompts before the first
     image and hold only those while they score."""

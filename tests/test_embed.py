@@ -242,6 +242,13 @@ class TestLoadsAgainstRecordReader:
     # a kept name repeated, adjacent or not: more rows match than are kept
     @example(data=_table_bytes(b"a", b"a"), block=256, names={"a"})
     @example(data=_table_bytes(b"a", b"b", b"a"), block=1, names={"a"})
+    # every name kept: each block is gathered in place, as a full load's is
+    @example(data=EmbeddingTable(list("abcde"), np.eye(5)).dumps(), block=1, names=set("abcde"))
+    @example(data=EmbeddingTable(list("abcde"), np.eye(5)).dumps(), block=3, names=set("abcde"))
+    @example(data=EmbeddingTable(list("abcde"), np.eye(5)).dumps(), block=256, names=set("abcde"))
+    # every name kept, out of order or repeated: still the record reader's error
+    @example(data=_table_bytes(b"a", b"c", b"b"), block=1, names=set("abc"))
+    @example(data=_table_bytes(b"a", b"b", b"b"), block=1, names=set("ab"))
     def test_file_load_keeps_the_record_readers_rows(self, data, block, names):
         # a file is read in blocks of about ``block`` records, every record
         # checked, and only the rows of ``names`` are kept, in file order

@@ -34,7 +34,7 @@ from ccmine.segment import (
     build_prompt_set,
     segment_pixels,
     sigmoid,
-    sigmoid_score_field,
+    sigmoid_patch_grid,
 )
 
 from conftest import (
@@ -501,10 +501,10 @@ class TestSigmoidSweep:
         with mock.patch.object(metrics, "bilinear_resize", resize):
             sigmoid_sweep([("img0", features, gt)], table, steps=3)
         expected = [
-            sigmoid_score_field(features, table.vector(gt.labels[c]), *out_hw).tobytes()
+            bilinear_resize(sigmoid_patch_grid(features, table.vector(gt.labels[c])), *out_hw)
             for c in gt.evaluable_ids()
         ]
-        assert upsampled == expected * 2
+        assert upsampled == [field.tobytes() for field in expected] * 2
 
 
 def sweep_reference(items, embeddings, steps):
@@ -518,7 +518,7 @@ def sweep_reference(items, embeddings, steps):
         keep = gt.keep_mask()
         for class_id in gt.evaluable_ids():
             label = gt.labels[class_id]
-            score = sigmoid_score_field(features, embeddings.vector(label), h, w)
+            score = bilinear_resize(sigmoid_patch_grid(features, embeddings.vector(label)), h, w)
             cached.append((image_id, class_id, label, score, gt.ids == class_id, keep))
             lo = min(lo, float(score.min()))
             hi = max(hi, float(score.max()))

@@ -27,7 +27,7 @@ from ccmine.segment import (
     remap_cc_to_background,
     segment_pixels,
     sigmoid,
-    sigmoid_score_field,
+    sigmoid_patch_grid,
     upsample_and_argmax,
 )
 
@@ -597,14 +597,14 @@ class TestSigmoid:
 
     def test_score_field_range(self):
         fm = make_scene_features()
-        field = sigmoid_score_field(fm, np.array([1.0, 0.0, 0.0]), 8, 8)
+        field = bilinear_resize(sigmoid_patch_grid(fm, np.array([1.0, 0.0, 0.0])), 8, 8)
         assert field.shape == (8, 8)
         assert np.all((field > 0.0) & (field < 1.0))
 
     def test_zero_query_rejected(self):
         fm = make_scene_features()
         with pytest.raises(ValidationError):
-            sigmoid_score_field(fm, np.zeros(3), 4, 4)
+            sigmoid_patch_grid(fm, np.zeros(3))
 
 
 class TestSegMap:
