@@ -254,6 +254,15 @@ def _finite(flag: str):
     return number
 
 
+def _background_label(settings: Settings) -> str:
+    """The background label, normalized as a concept; one that normalizes
+    to nothing names no query, so it is refused."""
+    label = normalize_concept(settings.get("background_label"))
+    if not label:
+        raise ValidationError("--background-label must name a concept, not an empty string")
+    return label
+
+
 def _cc_flags(settings: Settings, classes: bool = False) -> tuple:
     """The CC mode and what it reads: the ``--cc-dict`` path in ``dict``
     mode, the two class flags in ``privileged`` mode (in every mode with
@@ -490,17 +499,18 @@ def _set_up_flags(settings: Settings, job: str) -> tuple[str, tuple[str, str, st
     classic = job in ("eval --metric miou-classic", "a beta sweep")
     flags["cc"] = _cc_flags(settings, classes=classic)
     if classic:
-        background_label = normalize_concept(settings.get("background_label"))
-        flags["classic"] = (background_label, settings.get("beta_scope"))
+        flags["classic"] = (_background_label(settings), settings.get("beta_scope"))
     return f"{job} with cc-mode {flags['cc'][0]}", data, flags
 
 
 def _set_up(job: str, data: tuple, values: list, upsample=None, cc=None, classic=None, build=None):
-    """The dataset's image ids and ``job``'s scorer of one image for each
-    of ``values``: a sweep's grid, as (gamma, delta) pairs for a gamma or
-    delta sweep, or an eval's one value (the sigmoid threshold, the
-    classic beta, None for IoU-single).  The sigmoid sweep gets the table
-    of its classes' rows instead.
+    """The dataset's image ids, ``job``'s scorer of one image for each of
+    ``values`` and the embedding file's ``EmbeddingTable.digest``, taken
+    as the table is read.  ``values`` is a sweep's
+    grid, as (gamma, delta) pairs for a gamma or delta sweep, or an eval's
+    one value (the sigmoid threshold, the classic beta, None for
+    IoU-single).  The sigmoid sweep gets the table of its classes' rows
+    instead of scorers.
 
     Every record of the embedding table is read and checked, but only the
     rows the job can reach are kept: the scored classes' for the sigmoid
@@ -519,11 +529,12 @@ def _set_up(job: str, data: tuple, values: list, upsample=None, cc=None, classic
     if job in ("eval --segmenter sigmoid", "a sigmoid sweep"):
         table = EmbeddingTable.load(embeddings, scored)
         if job == "a sigmoid sweep":
-            return image_ids, table
-        return image_ids, [
+            return image_ids, table, table.digest
+        scorers = [
             partial(metrics.iou_single_image_sigmoid, threshold=v, embeddings=table)
             for v in values
         ]
+        return image_ids, scorers, table.digest
     if build is not None:
         dictionaries, table, _ = _build(*build, embeddings, values, scored)
         sources = [partial(cc_d, dictionary=d, embeddings=table) for d in dictionaries]
@@ -538,12 +549,14 @@ def _set_up(job: str, data: tuple, values: list, upsample=None, cc=None, classic
             source = cache(source)  # only the merge of the CC sets depends on beta
             merges = [(background_label, beta, scope) for beta in values]
             prompts = [_query_prompts(queries, source, table, merge) for merge in merges]
-            return image_ids, [partial(_classic_image, p, background_label, upsample) for p in prompts]
+            scorers = [partial(_classic_image, p, background_label, upsample) for p in prompts]
+            return image_ids, scorers, table.digest
         sources = [source]
-    return image_ids, [
+    scorers = [
         partial(metrics.iou_single_image, cc_source=p.cc_set, embeddings=p.table, upsample=upsample)
         for p in _class_prompts(scored, sources, table)
     ]
+    return image_ids, scorers, table.digest
 
 
 def _score_images(images, scorers) -> list[list]:
@@ -599,14 +612,14 @@ def cmd_build_cc(args: argparse.Namespace) -> int:
     save_visibility = settings.arg("save_visibility")
     thresholds = [(settings.get("gamma"), settings.get("delta"))]
     settings.refuse_unread(f"build-cc with unknown-visibility {rules[1]}")
-    [dictionary], _, visibility = _build(paths, rules, embeddings, thresholds)
+    [dictionary], table, visibility = _build(paths, rules, embeddings, thresholds)
     lexicon_path, matrix_path, counts_path, visibility_path = paths
     # hashed once the build has read them: a bad input fails with its loader's error
     dictionary.meta.update(
         lexicon_digest=sha256_file(lexicon_path),
         corpus_digest=sha256_file(matrix_path),
         counts_digest=sha256_file(counts_path),
-        embeddings_digest=sha256_file(embeddings),
+        embeddings_digest=table.digest,
         visibility_digest=sha256_file(visibility_path) if visibility_path else None,
     )
     dictionary.save(out)
@@ -661,7 +674,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     several = len(queries) > 1
     background_label = None
     if several or remap:
-        background_label = normalize_concept(settings.get("background_label"))
+        background_label = _background_label(settings)
     merge = None
     if several:
         merge = (background_label, settings.get("beta"), settings.get("beta_scope"))
@@ -707,7 +720,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     settings.refuse_unread(where)
     if segmenter == "sigmoid" and value is None:
         raise ValidationError("--sigmoid-threshold is required for the sigmoid segmenter")
-    image_ids, scorers = _set_up(job, data, [value], **flags)
+    image_ids, scorers, embeddings_digest = _set_up(job, data, [value], **flags)
     image_failures: list[dict] = []
     [results] = _score_images(_load_dataset(*data[:2], image_ids, image_failures), scorers)
     if metric == "miou-classic":
@@ -719,7 +732,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     mode, cc_dict = flags.get("cc", (None, None))[:2]
     report["meta"] = {
         "cc_mode": mode,  # the sigmoid segmenter uses no contrastive concepts
-        "embeddings_digest": sha256_file(data[2]),
+        "embeddings_digest": embeddings_digest,
         "cc_dict_digest": sha256_file(cc_dict) if cc_dict else None,
         "segmenter": segmenter,
         # the sigmoid segmenter upsamples its scores as logits are
@@ -760,7 +773,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not all(flags["build"][0][:3]):
             raise ValidationError(f"{job} needs --matrix, --counts, and --lexicon")
         values = [(v, fixed) if param == "gamma" else (fixed, v) for v in grid]
-    image_ids, scorers = _set_up(job, data, values, **flags)
+    image_ids, scorers, _ = _set_up(job, data, values, **flags)
     image_failures: list[dict] = []
     images = _load_dataset(*data[:2], image_ids, image_failures)
     if param == "sigmoid":

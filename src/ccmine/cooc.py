@@ -15,21 +15,27 @@ Cooc lines ascend in ``(i, j)``.  Every number, the header's too, is plain
 ASCII decimal, and lines end only in ``\\n``.  The digest covers exactly the
 bytes between header and trailer.  A count above 2^32 - 1 is a
 ``ValidationError`` when counted or written and a ``FormatError`` when read.
+Both directions work one bounded block at a time under one running
+sha256, so neither holds the text whole.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import math
 from collections import deque
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Lexicon, ScanStats, iter_caption_lines, scan_corpus
 from .errors import FormatError, ValidationError
-from .ioutil import atomic_write_text, decode_utf8
+from .ioutil import atomic_write_chunks, decode_utf8, seekable
 
 MAX_COUNT = 2**32 - 1
 _COOC_HEADER = "ccmine-cooc v1"
@@ -39,8 +45,11 @@ _BATCH_SETS = 1 << 16
 # pending pair codes folded into the running sums at the latest once they
 # outnumber both this and the distinct pairs summed so far
 _FOLD_MIN = 1 << 20
-# lines formatted at once by _frame; bounds its transient Python ints
-_DUMP_ROWS = 1 << 16
+# rows that the codec formats, or checks once parsed, at once: a block's
+# Python ints and text are all that a save holds besides the arrays
+_DUMP_ROWS = 1 << 12
+# bytes that a load reads at once, before the block is cut after a newline
+_READ_BYTES = 1 << 16
 # largest dimension whose pair codes i * dim + j fit in int64
 _MAX_DIM = 2**31
 
@@ -186,51 +195,176 @@ class CoocMatrix:
 
     # ---- serialization ----
 
+    def _chunks(self) -> Iterator[bytes]:
+        return _frame(_COOC_HEADER, self.dim, (self.i, self.j, self.count))
+
     def dumps(self) -> str:
-        return _frame(_COOC_HEADER, self.dim, np.stack([self.i, self.j, self.count], axis=1))
+        return b"".join(self._chunks()).decode()
 
     def save(self, path: str | Path) -> None:
-        atomic_write_text(path, self.dumps())
+        atomic_write_chunks(path, self._chunks())
 
     @classmethod
     def loads(cls, text: str) -> "CoocMatrix":
-        dim, rows = _read_table(text, _COOC_HEADER, "cooc", 3)
+        return cls._read(_text_file(text), "text")
+
+    @classmethod
+    def load(cls, path: str | Path) -> "CoocMatrix":
+        """The matrix in the file at ``path``, read in blocks (a pipe is
+        read whole first)."""
+        with open(path, "rb") as fh:
+            return cls._read(seekable(fh), path)
+
+    @classmethod
+    def _read(cls, file, what) -> "CoocMatrix":
+        dim, (i, j, count), line = _read_framed(file, _COOC_HEADER, "cooc", 3, what)
         if dim > _MAX_DIM:
             raise FormatError(f"cooc dimension {dim} outside [0, {_MAX_DIM}]")
-        i, j, count = rows.T.copy()
-        bad = np.flatnonzero((j <= i) | (j >= dim))
-        if len(bad):
-            raise FormatError(f"triplet ids out of order or range: {_line(text, bad[0])!r}")
-        bad = np.flatnonzero((count <= 0) | (count > MAX_COUNT))
-        if len(bad):
-            raise FormatError(f"triplet count out of range: {_line(text, bad[0])!r}")
-        if np.any((i[1:] < i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] <= j[:-1]))):
+        bad = _first_row(lambda i, j: (j <= i) | (j >= dim), i, j)
+        if bad is not None:
+            raise FormatError(f"triplet ids out of order or range: {line(bad)!r}")
+        bad = _first_row(lambda count: (count <= 0) | (count > MAX_COUNT), count)
+        if bad is not None:
+            raise FormatError(f"triplet count out of range: {line(bad)!r}")
+        if _first_row(_descends, i, j, overlap=1) is not None:
             raise FormatError("cooc triplets are not strictly ascending")
         matrix = cls(dim)
         matrix.i, matrix.j, matrix.count = i, j, count
         return matrix
 
-    @classmethod
-    def load(cls, path: str | Path) -> "CoocMatrix":
-        return cls.loads(decode_utf8(Path(path).read_bytes(), path))  # no \r translated
+
+def _frame(header: str, dim: int, columns) -> Iterator[bytes]:
+    """A digest-framed text artifact in UTF-8 chunks: the header with its
+    dimension, then ``_DUMP_ROWS`` lines at a time, each line a row of the
+    equal-length int ``columns`` joined by tabs, then a ``#sha256:``
+    trailer over the lines' bytes."""
+    yield f"{header} {dim}\n".encode()
+    line = "\t".join(["%d"] * len(columns)) + "\n"
+    digest = hashlib.sha256()
+    for lo in range(0, len(columns[0]), _DUMP_ROWS):
+        block = np.stack([column[lo : lo + _DUMP_ROWS] for column in columns], axis=1)
+        chunk = ((line * len(block)) % tuple(block.ravel().tolist())).encode()
+        digest.update(chunk)
+        yield chunk
+    yield f"#sha256:{digest.hexdigest()}\n".encode()
 
 
-def _frame(header: str, dim: int, rows: np.ndarray) -> str:
-    """A digest-framed text artifact: the header with its dimension, one
-    line per row of the ``(n, k)`` int array ``rows``, its fields joined by
-    tabs, and a ``#sha256:`` trailer over the lines' UTF-8 bytes."""
-    line = "\t".join(["%d"] * rows.shape[1]) + "\n"
-    body = "".join(
-        (line * len(block)) % tuple(block.ravel().tolist())
-        for block in np.split(rows, range(_DUMP_ROWS, len(rows), _DUMP_ROWS))
-    )
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return f"{header} {dim}\n{body}#sha256:{digest}\n"
+def _blocks(file, size=math.inf) -> Iterator[bytes]:
+    """The next ``size`` bytes of the binary ``file`` (all that are left by
+    default), read ``_READ_BYTES`` at a time, in blocks that each end after
+    a newline; only the last may end without one."""
+    carry = b""
+    while size and (chunk := file.read(min(size, _READ_BYTES))):
+        size -= len(chunk)
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield carry + chunk[:cut]
+            carry = chunk[cut:]
+        else:
+            carry += chunk
+    if carry:
+        yield carry
 
 
-def _line(text: str, row: int) -> str:
-    """Body line ``row`` of a framed text, cut out for an error message."""
-    return text.split("\n", row + 2)[row + 1]
+def _dimension(head: bytes, header: str, kind: str) -> int:
+    """The dimension of the header line ``head``."""
+    prefix = f"{header} ".encode()
+    if not head.startswith(prefix):
+        raise FormatError(f"not a {header} file")
+    digits = head[len(prefix) :]
+    # twenty digits at most, so int() never meets Python's digit limit
+    if not (digits.isdigit() and len(digits) <= 20) or b"%d" % int(digits) != digits:
+        raise FormatError(f"bad dimension in {kind} header")
+    return int(digits)
+
+
+def _check_frame(file, header: str, kind: str, width: int, what) -> tuple[int, int, int, int]:
+    """Check a digest-framed artifact, as ``_frame`` writes it, in one pass
+    over the binary ``file``; return its header dimension, the byte offsets
+    where its body starts and ends, and its line count.
+
+    Each block is checked for UTF-8, hashed and checked for syntax as it is
+    read; the last line read is held back, since it must be the trailer.
+    Bytes that are not UTF-8 raise at once, naming ``what``; any other
+    fault only once the whole file has decoded, the first of: the header,
+    its dimension, the trailer, the digest, a body line.
+    """
+    digest = hashlib.sha256()
+    head = bad = None
+    last = b""  # the last line read: the trailer, if no other follows
+    offset = rows = 0
+    for block in _blocks(file):
+        if not block.isascii():
+            decode_utf8(block, what, offset)  # a block starts a line, so a character
+        offset += len(block)
+        if head is None:
+            head, _, block = block.partition(b"\n")
+        data = last + block
+        cut = data.rfind(b"\n", 0, -1) + 1
+        body, last = data[:cut], data[cut:]
+        digest.update(body)
+        if bad is None and (found := _first_bad_row(body, width)) is not None:
+            bad = rows + found
+        rows += body.count(b"\n")
+    dim = _dimension(b"" if head is None else head, header, kind)
+    if not (last.startswith(b"#sha256:") and last.endswith(b"\n")):
+        raise FormatError(f"missing sha256 trailer in {kind} file")
+    if last[len(b"#sha256:") : -1] != digest.hexdigest().encode():
+        raise FormatError(f"{kind} file digest mismatch; file is corrupt or edited")
+    start = len(head) + 1
+    if bad is not None:
+        raise FormatError(f"bad {kind} line for row {bad}: {_line(file, start, bad)!r}")
+    return dim, start, offset - len(last), rows
+
+
+def _read_framed(file, header: str, kind: str, width: int, what) -> tuple[int, list, Callable]:
+    """Read a digest-framed artifact from the seekable binary ``file``: its
+    header dimension, its lines as ``width`` int64 columns (fields past
+    int64 saturate to its maximum, which loaders reject), and the function
+    that reads body line ``row`` again, for an error message.
+
+    ``_check_frame`` reads the file once and counts its lines, then a
+    second pass parses the body, one block at a time, into columns of that
+    length: besides the columns, a load holds one block.
+    """
+    dim, start, end, rows = _check_frame(file, header, kind, width, what)
+    columns = [np.empty(rows, dtype=np.int64) for _ in range(width)]
+    file.seek(start)
+    done = 0
+    for block in _blocks(file, end - start):
+        fields = np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, width)
+        for column, field in zip(columns, fields.T):
+            column[done : done + len(fields)] = field
+        done += len(fields)
+    return dim, columns, partial(_line, file, start)
+
+
+def _line(file, start: int, row: int) -> str:
+    """Body line ``row`` of a checked artifact whose body starts at byte
+    ``start`` of ``file``, read again for an error message."""
+    file.seek(start)
+    for block in _blocks(file):
+        lines = block.count(b"\n")
+        if row < lines:
+            return block.split(b"\n", row + 1)[row].decode()
+        row -= lines
+
+
+def _first_row(test, *columns, overlap: int = 0) -> int | None:
+    """Index of the first row at which the boolean array ``test(*columns)``
+    is true, or None; tested ``_DUMP_ROWS`` rows at a time, each block
+    with ``overlap`` rows of the next, so a test of adjacent rows
+    (``overlap=1``) sees every pair."""
+    for lo in range(0, len(columns[0]), _DUMP_ROWS):
+        hit = np.flatnonzero(test(*(column[lo : lo + _DUMP_ROWS + overlap] for column in columns)))
+        if len(hit):
+            return lo + int(hit[0])
+    return None
+
+
+def _descends(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Where a triplet is not above the one before it in ``(i, j)`` order."""
+    return (i[1:] < i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] <= j[:-1]))
 
 
 def _first_bad_row(body: bytes, width: int) -> int | None:
@@ -253,29 +387,16 @@ def _first_bad_row(body: bytes, width: int) -> int | None:
 
 
 def _read_table(text: str, header: str, kind: str, width: int) -> tuple[int, np.ndarray]:
-    """Check a digest-framed text artifact as ``_frame`` writes it; returns
-    its header dimension and its lines as an ``(n, width)`` int64 array
-    (fields past int64 saturate to its maximum, which loaders reject)."""
-    nl = text.find("\n")
-    head = text if nl < 0 else text[:nl]
-    if not head.startswith(header + " "):
-        raise FormatError(f"not a {header} file")
-    digits = head[len(header) + 1 :]
-    # twenty digits at most, so int() never meets Python's digit limit
-    plain = digits.isascii() and digits.isdigit() and len(digits) <= 20
-    if not plain or str(int(digits)) != digits:
-        raise FormatError(f"bad dimension in {kind} header")
-    start = len(head) + 1
-    end = text.rfind("\n", 0, -1) + 1  # the trailer's first character
-    if end < start or not text.endswith("\n") or not text.startswith("#sha256:", end):
-        raise FormatError(f"missing sha256 trailer in {kind} file")
-    body = text[start:end].encode("utf-8")
-    if text[end + len("#sha256:") : -1] != hashlib.sha256(body).hexdigest():
-        raise FormatError(f"{kind} file digest mismatch; file is corrupt or edited")
-    bad = _first_bad_row(body, width)
-    if bad is not None:
-        raise FormatError(f"bad {kind} line for row {bad}: {_line(text, bad)!r}")
-    return int(digits), np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, width)
+    """``_read_framed`` over the UTF-8 bytes of ``text``: its header
+    dimension and its lines as an ``(n, width)`` int64 array."""
+    dim, columns, _ = _read_framed(_text_file(text), header, kind, width, "text")
+    return dim, np.stack(columns, axis=1)
+
+
+def _text_file(text: str) -> io.BytesIO:
+    """``text`` as a binary file; a lone surrogate becomes bytes that are
+    not UTF-8, which the reader refuses."""
+    return io.BytesIO(text.encode("utf-8", "surrogatepass"))
 
 
 def build_cooc(concept_sets, dim: int) -> CoocMatrix:
@@ -290,31 +411,37 @@ def build_cooc(concept_sets, dim: int) -> CoocMatrix:
 # ---- occurrence-count artifact ----
 
 
+def _counts_chunks(occurrence: np.ndarray) -> Iterator[bytes]:
+    return _frame(_COUNTS_HEADER, len(occurrence), (np.arange(len(occurrence)), occurrence))
+
+
 def dumps_counts(occurrence) -> str:
-    occ = np.asarray(occurrence, dtype=np.int64)
-    return _frame(_COUNTS_HEADER, len(occ), np.stack([np.arange(len(occ)), occ], axis=1))
+    return b"".join(_counts_chunks(np.asarray(occurrence, dtype=np.int64))).decode()
 
 
 def save_counts(path: str | Path, occurrence) -> None:
-    over = np.flatnonzero(np.asarray(occurrence, dtype=np.int64) > MAX_COUNT)
+    occ = np.asarray(occurrence, dtype=np.int64)
+    over = np.flatnonzero(occ > MAX_COUNT)
     if len(over):
         raise ValidationError(f"occurrence count for concept {over[0]} exceeds 32-bit range")
-    atomic_write_text(path, dumps_counts(occurrence))
+    atomic_write_chunks(path, _counts_chunks(occ))
 
 
 def load_counts(path: str | Path) -> np.ndarray:
     """Occurrence counts as an int64 array, indexed by concept id."""
-    text = decode_utf8(Path(path).read_bytes(), path)  # no \r translated
-    dim, rows = _read_table(text, _COUNTS_HEADER, "counts", 2)
-    if len(rows) != dim:
-        raise FormatError("counts file row count does not match header dimension")
-    bad = np.flatnonzero(rows[:, 0] != np.arange(dim))
-    if len(bad):
-        raise FormatError(f"bad counts line for row {bad[0]}: {_line(text, bad[0])!r}")
-    bad = np.flatnonzero(rows[:, 1] > MAX_COUNT)
-    if len(bad):
-        raise FormatError(f"occurrence count out of range: {_line(text, bad[0])!r}")
-    return rows[:, 1].copy()
+    with open(path, "rb") as fh:
+        dim, (ids, occurrence), line = _read_framed(
+            seekable(fh), _COUNTS_HEADER, "counts", 2, path
+        )
+        if len(ids) != dim:
+            raise FormatError("counts file row count does not match header dimension")
+        bad = np.flatnonzero(ids != np.arange(dim))
+        if len(bad):
+            raise FormatError(f"bad counts line for row {bad[0]}: {line(bad[0])!r}")
+        bad = np.flatnonzero(occurrence > MAX_COUNT)
+        if len(bad):
+            raise FormatError(f"occurrence count out of range: {line(bad[0])!r}")
+    return occurrence
 
 
 # ---- row normalization and candidate selection ----

@@ -15,6 +15,7 @@ names so a table file has exactly one valid byte representation.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import operator
 import struct
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, MissingEmbeddingError, ValidationError
-from .ioutil import atomic_write_bytes, decode_utf8
+from .ioutil import atomic_write_bytes, decode_utf8, seekable
 
 _MAGIC = b"CCEMB1"
 _NAME_LENGTH = struct.Struct("<H")
@@ -42,6 +43,10 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 class EmbeddingTable:
     """Named unit vectors of a common dimension."""
+
+    # the sha256 of every byte a load read, the whole file's whether or not
+    # every row was kept; None for a table made in memory
+    digest: str | None = None
 
     def __init__(self, names: list[str], vectors) -> None:
         if len(names) != len(set(names)):
@@ -152,10 +157,10 @@ class EmbeddingTable:
         ``_GATHER_ROWS`` records at a time, and never held whole; a pipe
         is read whole first.  Every record is checked whether or not its row is kept, so
         a file fails with the error ``loads`` gives its bytes: the first
-        faulty record's.
+        faulty record's.  Every byte read is hashed into ``digest``.
         """
         with open(path, "rb") as fh:
-            return cls._read(_Blocks(fh if fh.seekable() else io.BytesIO(fh.read())), names)
+            return cls._read(_Blocks(seekable(fh)), names)
 
     @classmethod
     def _read(cls, blocks: "_Blocks", names) -> "EmbeddingTable":
@@ -253,18 +258,21 @@ class EmbeddingTable:
             raise FormatError("embedding table contains duplicate names")
         table = cls.__new__(cls)
         table._set_rows(kept, unit[: len(kept)], None)
+        table.digest = blocks.sha256.hexdigest()
         return table
 
 
 class _Blocks:
     """The bytes of a CCEMB1 table in a seekable binary file, ``data[pos:end]``
     of them at a time: a block of about ``size`` bytes, with the record that
-    a block cuts carried to the next.  ``total`` is the file's length."""
+    a block cuts carried to the next.  ``total`` is the file's length, and
+    ``sha256`` hashes every byte read."""
 
     def __init__(self, file) -> None:
         self.file, self.total = file, file.seek(0, io.SEEK_END)
         file.seek(0)
         self.data, self.pos, self.end, self.size = bytearray(), 0, 0, 0
+        self.sha256 = hashlib.sha256()
 
     def fill(self, need: int) -> bool:
         """Whether ``need`` bytes follow ``pos``, reading on until they do;
@@ -276,6 +284,7 @@ class _Blocks:
             self.data[:tail] = data[self.pos : self.end]
             with memoryview(self.data) as view:
                 got = self.file.readinto(view[tail:])
+                self.sha256.update(view[tail : tail + got])
             self.pos, self.end = 0, tail + got
             if not got:
                 return False

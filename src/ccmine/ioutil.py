@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import io
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 from typing import BinaryIO
 
@@ -23,13 +25,14 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def decode_utf8(data: bytes, what: object) -> str:
+def decode_utf8(data: bytes, what: object, offset: int = 0) -> str:
     """``data`` decoded as UTF-8; other bytes are a ``FormatError`` that
-    names ``what``."""
+    names ``what`` and the first bad byte, counting ``data`` as starting at
+    byte ``offset`` of ``what``."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{what} is not UTF-8 text (byte {exc.start})") from None
+        raise FormatError(f"{what} is not UTF-8 text (byte {offset + exc.start})") from None
 
 
 def read_text(path: str | Path) -> str:
@@ -38,6 +41,11 @@ def read_text(path: str | Path) -> str:
     naming the file."""
     text = decode_utf8(Path(path).read_bytes(), path)
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def seekable(fh: BinaryIO) -> BinaryIO:
+    """``fh``, or for a pipe its bytes read whole into a seekable file."""
+    return fh if fh.seekable() else io.BytesIO(fh.read())
 
 
 def open_maybe_gzip(path: str | Path) -> BinaryIO:
@@ -54,18 +62,21 @@ def open_maybe_gzip(path: str | Path) -> BinaryIO:
     return gzip.open(path, "rb")  # type: ignore[return-value]
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write a file so readers never observe a partial artifact.
+def atomic_write_chunks(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` one after another as one file, so readers never
+    observe a partial artifact.
 
-    The data goes to a temporary file in the destination directory and is
-    moved into place with os.replace, which is atomic on POSIX.
+    The chunks go to a temporary file in the destination directory, which
+    is moved into place with os.replace, atomic on POSIX, once the last is
+    written; if making a chunk raises, the temporary file is removed.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -73,6 +84,10 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    atomic_write_chunks(path, (data,))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

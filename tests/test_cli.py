@@ -1719,7 +1719,7 @@ class TestPickledScorers:
             capsys, *job_flags, "--features-dir", features_dir, "--gt-dir", gt_dir,
             "--embeddings", toy_embeddings_path, "--out-json", tmp_path / "report.json",
         )
-        [(image_ids, scorers)] = made
+        [(image_ids, scorers, _)] = made
         copies = pickle.loads(pickle.dumps(scorers))
         images = partial(cli._load_dataset, features_dir, gt_dir, image_ids)
         if job == "sweep-sigmoid":
@@ -2134,6 +2134,36 @@ class TestBackgroundLabelNormalized:
         ]
         lower = self.outputs(capsys, tmp_path, argv, "background")
         assert self.outputs(capsys, tmp_path, argv, label) == lower
+
+
+class TestEmptyBackgroundLabel:
+    """A background label that normalizes to nothing names no query: it is
+    refused, exit 3 naming the flag, before any input opens (no input
+    path below exists)."""
+
+    def test_segment_of_several_queries(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "segment", "--features", tmp_path / "none.feat",
+            "--embeddings", tmp_path / "none.emb", "--query", "cuzzn", "--query", "kaplrm",
+            "--background-label", "", "--out", tmp_path / "out.seg",
+        )
+        assert code == 3
+        assert "--background-label" in err
+        assert not (tmp_path / "out.seg").exists()
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_classic_eval(self, capsys, tmp_path, given):
+        label = ["--background-label", " "]
+        if given == "config":
+            label = ["--config", write_config(tmp_path, {"background_label": " "})]
+        code, _, err = run(
+            capsys, "eval", "--metric", "miou-classic", "--cc-mode", "bg", *label,
+            "--features-dir", tmp_path / "none", "--gt-dir", tmp_path / "none",
+            "--embeddings", tmp_path / "none.emb", "--out-json", tmp_path / "eval.json",
+        )
+        assert code == 3
+        assert "--background-label" in err
+        assert not (tmp_path / "eval.json").exists()
 
 
 class TestClassesResolvedOnce:

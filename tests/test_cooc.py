@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import os
 import re
+import threading
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from itertools import combinations
+from itertools import combinations, islice
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccmine import cooc
@@ -29,6 +33,7 @@ from ccmine.cooc import (
 )
 from ccmine.corpus import Lexicon, ScanStats, iter_caption_lines, scan_corpus
 from ccmine.errors import FormatError, ValidationError
+from ccmine.ioutil import decode_utf8
 
 from conftest import PLAIN, TOY_PAIRS, cooc_matrix, pair_counts, read_table_by_line
 
@@ -528,3 +533,243 @@ class TestMapWindow:
                 assert got == taken * taken
                 taken += 1
         assert taken == 20
+
+
+def one_shot_frame(header, dim, rows):
+    """The writer this codec replaced, as a reference: every line of the
+    ``(n, k)`` int array ``rows`` formatted at once, then framed."""
+    line = "\t".join(["%d"] * rows.shape[1]) + "\n"
+    body = (line * len(rows)) % tuple(rows.ravel().tolist())
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return f"{header} {dim}\n{body}#sha256:{digest}\n"
+
+
+@st.composite
+def block_and_rows(draw):
+    """A block size of 1 to 3 rows and a row count: 0, 1, or a multiple of
+    the block, one short of it or one past it."""
+    block = draw(st.integers(1, 3))
+    rows = draw(
+        st.sampled_from([0, 1])
+        | st.builds(lambda k, off: k * block + off, st.integers(1, 4), st.sampled_from([-1, 0, 1]))
+    )
+    return block, rows
+
+
+class TestStreamedWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(case=block_and_rows(), data=st.data())
+    def test_bytes_equal_the_one_shot_writer(self, scratch, case, data):
+        block, n = case
+        dim = n + data.draw(st.integers(1, 3))
+        # the first n pairs (i, j), i < j, in ascending order
+        pairs = list(islice(combinations(range(dim), 2), n))
+        counts = data.draw(st.lists(st.integers(1, MAX_COUNT), min_size=n, max_size=n))
+        matrix = cooc_matrix(dim, dict(zip(pairs, counts)))
+        occurrence = data.draw(st.lists(st.integers(0, MAX_COUNT), min_size=n, max_size=n))
+        rows = np.array([(i, j, c) for (i, j), c in zip(pairs, counts)], dtype=np.int64)
+        want_cooc = one_shot_frame("ccmine-cooc v1", dim, rows.reshape(-1, 3))
+        ids_and_counts = np.array(list(enumerate(occurrence)), dtype=np.int64).reshape(-1, 2)
+        want_counts = one_shot_frame("ccmine-counts v1", n, ids_and_counts)
+        with mock.patch.object(cooc, "_DUMP_ROWS", block):
+            assert matrix.dumps() == want_cooc
+            assert dumps_counts(occurrence) == want_counts
+            matrix.save(scratch / "w.cooc")
+            save_counts(scratch / "w.counts", occurrence)
+        assert (scratch / "w.cooc").read_bytes() == want_cooc.encode()
+        assert (scratch / "w.counts").read_bytes() == want_counts.encode()
+
+    @pytest.mark.parametrize("kind", ["cooc", "counts"])
+    def test_save_whose_block_raises_leaves_no_file(self, tmp_path, monkeypatch, kind):
+        frame = cooc._frame
+
+        def failing(*args):
+            chunks = frame(*args)
+            yield next(chunks)
+            yield next(chunks)
+            raise MemoryError("no room for the next block")
+
+        monkeypatch.setattr(cooc, "_DUMP_ROWS", 1)
+        monkeypatch.setattr(cooc, "_frame", failing)
+        path = tmp_path / "out.txt"
+        with pytest.raises(MemoryError):
+            if kind == "cooc":
+                cooc_matrix(4, {(0, 1): 2, (0, 3): 1, (2, 3): 5}).save(path)
+            else:
+                save_counts(path, [3, 0, 7])
+        assert list(tmp_path.iterdir()) == []
+
+
+def whole_text_load(kind, data, path):
+    """The loaders this codec replaced, as a reference: ``path``'s bytes
+    ``data`` decoded whole, the text framed and checked whole, then the
+    loader's own checks; a matrix's triplets or the occurrence counts as
+    lists, or the ``FormatError`` message."""
+    try:
+        text = decode_utf8(data, path)
+        header = {"cooc": "ccmine-cooc v1", "counts": "ccmine-counts v1"}[kind]
+        dim, rows = whole_text_table(text, header, kind, 2 if kind == "counts" else 3)
+        if kind == "counts":
+            if len(rows) != dim:
+                raise FormatError("counts file row count does not match header dimension")
+            bad = np.flatnonzero(rows[:, 0] != np.arange(dim))
+            if len(bad):
+                raise FormatError(f"bad counts line for row {bad[0]}: {body_line(text, bad[0])!r}")
+            bad = np.flatnonzero(rows[:, 1] > MAX_COUNT)
+            if len(bad):
+                raise FormatError(f"occurrence count out of range: {body_line(text, bad[0])!r}")
+            return rows[:, 1].tolist()
+        if dim > 2**31:
+            raise FormatError(f"cooc dimension {dim} outside [0, {2**31}]")
+        i, j, count = rows.T
+        bad = np.flatnonzero((j <= i) | (j >= dim))
+        if len(bad):
+            raise FormatError(f"triplet ids out of order or range: {body_line(text, bad[0])!r}")
+        bad = np.flatnonzero((count <= 0) | (count > MAX_COUNT))
+        if len(bad):
+            raise FormatError(f"triplet count out of range: {body_line(text, bad[0])!r}")
+        if np.any((i[1:] < i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] <= j[:-1]))):
+            raise FormatError("cooc triplets are not strictly ascending")
+        return rows.tolist()
+    except FormatError as exc:
+        return str(exc)
+
+
+def body_line(text, row):
+    return text.split("\n", row + 2)[row + 1]
+
+
+def whole_text_table(text, header, kind, width):
+    nl = text.find("\n")
+    head = text if nl < 0 else text[:nl]
+    if not head.startswith(header + " "):
+        raise FormatError(f"not a {header} file")
+    digits = head[len(header) + 1 :]
+    plain = digits.isascii() and digits.isdigit() and len(digits) <= 20
+    if not plain or str(int(digits)) != digits:
+        raise FormatError(f"bad dimension in {kind} header")
+    start = len(head) + 1
+    end = text.rfind("\n", 0, -1) + 1
+    if end < start or not text.endswith("\n") or not text.startswith("#sha256:", end):
+        raise FormatError(f"missing sha256 trailer in {kind} file")
+    body = text[start:end].encode("utf-8")
+    if text[end + len("#sha256:") : -1] != hashlib.sha256(body).hexdigest():
+        raise FormatError(f"{kind} file digest mismatch; file is corrupt or edited")
+    bad = cooc._first_bad_row(body, width)
+    if bad is not None:
+        raise FormatError(f"bad {kind} line for row {bad}: {body_line(text, bad)!r}")
+    return int(digits), np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, width)
+
+
+def block_load(kind, path):
+    """What the block reader makes of the file at ``path``, as
+    ``whole_text_load`` gives it."""
+    try:
+        if kind == "counts":
+            occurrence = load_counts(path)
+            assert occurrence.dtype == np.int64
+            return occurrence.tolist()
+        matrix = CoocMatrix.load(path)
+        return np.stack([matrix.i, matrix.j, matrix.count], axis=1).tolist()
+    except FormatError as exc:
+        return str(exc)
+
+
+@st.composite
+def artifact_bytes(draw):
+    """The bytes of a drawn cooc or counts text, sometimes with bytes that
+    are not UTF-8 dropped in."""
+    if draw(st.booleans()):
+        dim, body = draw(cooc_texts())
+        if body and not body.endswith("\n"):
+            body += "\n"
+        text = framed_cooc(dim, body)
+    else:
+        _, text = draw(framed_tables())
+    data = text.encode("utf-8")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+class TestBlockReader:
+    @settings(max_examples=500, deadline=None)
+    @given(data=artifact_bytes(), read=st.integers(1, 9), rows=st.integers(1, 3))
+    @example(data=b"ccmine-cooc v1 2\n\xff\n", read=1, rows=1)
+    @example(data=b"", read=1, rows=1)
+    @example(data=framed_counts(0, "").encode(), read=2, rows=1)
+    def test_same_arrays_or_same_error_as_whole_text(self, scratch, data, read, rows):
+        # reads of a few bytes cut inside lines, the header and the trailer;
+        # blocks of a few rows cut the id, count and order checks
+        path = scratch / "r.txt"
+        path.write_bytes(data)
+        with mock.patch.multiple(cooc, _READ_BYTES=read, _DUMP_ROWS=rows):
+            for kind in ("cooc", "counts"):
+                assert block_load(kind, path) == whole_text_load(kind, data, path)
+
+    def test_loads_reads_the_texts_bytes(self):
+        matrix = cooc_matrix(4, {(0, 1): 2, (0, 3): 1, (2, 3): 5})
+        with mock.patch.object(cooc, "_READ_BYTES", 3):
+            assert CoocMatrix.loads(matrix.dumps()) == matrix
+            dim, rows = cooc._read_table(matrix.dumps(), "ccmine-cooc v1", "cooc", 3)
+        assert dim == 4 and rows.tolist() == [[0, 1, 2], [0, 3, 1], [2, 3, 5]]
+
+
+    @pytest.mark.parametrize(
+        "kind,text,want",
+        [
+            ("cooc", valid_text("cooc"), [[0, 1, 2], [0, 3, 1], [2, 3, 5]]),
+            ("counts", valid_text("counts"), [3, 0, 7]),
+            # the error quotes its line, read again from the pipe's bytes
+            ("cooc", framed_cooc(3, "0\t1\t1\n2\t1\t1\n"),
+             "triplet ids out of order or range: '2\\t1\\t1'"),
+        ],
+    )
+    def test_load_reads_a_pipe(self, tmp_path, kind, text, want):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(text.encode(),))
+        writer.start()
+        try:
+            assert block_load(kind, pipe) == want
+        finally:
+            writer.join()
+
+
+def transient(fn, kept=lambda result: 0):
+    """The ``tracemalloc`` peak while ``fn`` ran, less what it held before
+    and ``kept(result)``, the bytes of what it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - before - kept(result)
+    finally:
+        tracemalloc.stop()
+
+
+class TestCodecMemory:
+    @staticmethod
+    def matrix(pairs):
+        dim = 1 << 11
+        rng = np.random.default_rng(pairs)
+        keys = np.unique(rng.integers(0, dim * dim, size=3 * pairs))
+        keys = keys[keys // dim < keys % dim][:pairs]
+        return CoocMatrix._from_codes(dim, keys, rng.integers(1, MAX_COUNT, size=pairs))
+
+    def test_save_and_load_transients_do_not_grow_with_the_file(self, tmp_path):
+        got = {}
+        for pairs in (20_000, 200_000):
+            matrix, path = self.matrix(pairs), tmp_path / f"{pairs}.cooc"
+            saved = transient(lambda: matrix.save(path))
+            del matrix
+            arrays = lambda m: m.i.nbytes + m.j.nbytes + m.count.nbytes  # noqa: E731
+            loaded = transient(lambda: CoocMatrix.load(path), arrays)
+            got[pairs] = saved, loaded
+        # a block of rows and a block of bytes, whatever the file's size:
+        # whole-file transients are 10 times larger at 200k pairs
+        (small_save, small_load), (large_save, large_load) = got[20_000], got[200_000]
+        assert large_save < small_save + 2**16 and large_save < 2**21, got
+        assert large_load < small_load + 2**16 and large_load < 2**21, got

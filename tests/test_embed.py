@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 import tempfile
@@ -279,6 +280,27 @@ class TestLoadsAgainstRecordReader:
             writer.join()
         assert table.names == ["b"]
         assert table._unit.tobytes() == EmbeddingTable.loads(data)._unit[1:].tobytes()
+
+    def test_digest_is_the_files_sha256(self, tmp_path):
+        # a full load, a subset load and a pipe all hash every byte they read
+        data = EmbeddingTable([f"c{k:03d}" for k in range(600)], np.eye(600)[:, :8] + 1).dumps()
+        path = tmp_path / "t.emb"
+        path.write_bytes(data)
+        want = hashlib.sha256(data).hexdigest()
+        assert EmbeddingTable.load(path).digest == want
+        assert EmbeddingTable.load(path, ["c001", "c599"]).digest == want
+        assert EmbeddingTable.loads(data).digest == want
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(data,))
+        writer.start()
+        try:
+            assert EmbeddingTable.load(pipe, ["c002"]).digest == want
+        finally:
+            writer.join()
+        # a table not read from bytes has none, nor does a subset of one
+        assert EmbeddingTable(["a"], [[1.0]]).digest is None
+        assert EmbeddingTable.load(path).subset(["c001"]).digest is None
 
     def test_error_names_the_first_faulty_record(self):
         def record(name: bytes, row) -> bytes:
