@@ -58,7 +58,7 @@ from .filters import (
     accept_unknown,
     reject_unknown,
 )
-from .ioutil import atomic_write_text, read_text, sha256_file
+from .ioutil import HashedInput, atomic_write_text, read_text
 from .llm import API_STYLES, LLMClient, visibility_oracle
 from .segment import (
     FeatureMap,
@@ -384,7 +384,7 @@ def _build_flags(settings: Settings) -> tuple:
     return paths, (settings.get("stopwords"), policy, settings.llm() if policy == "llm" else None)
 
 
-def _build(paths, rules, embeddings: str, thresholds, queries=()) -> tuple:
+def _build(paths, rules, embeddings, thresholds, queries=()) -> tuple:
     """The dictionary of each ``(gamma, delta)`` in ``thresholds``, built in
     one pass from the run's ``_build_flags``, and the embedding and
     visibility tables it used.  Lexicon, matrix, counts and visibility are
@@ -504,13 +504,11 @@ def _set_up_flags(settings: Settings, job: str) -> tuple[str, tuple[str, str, st
 
 
 def _set_up(job: str, data: tuple, values: list, upsample=None, cc=None, classic=None, build=None):
-    """The dataset's image ids, ``job``'s scorer of one image for each of
-    ``values`` and the embedding file's ``EmbeddingTable.digest``, taken
-    as the table is read.  ``values`` is a sweep's
-    grid, as (gamma, delta) pairs for a gamma or delta sweep, or an eval's
-    one value (the sigmoid threshold, the classic beta, None for
-    IoU-single).  The sigmoid sweep gets the table of its classes' rows
-    instead of scorers.
+    """The dataset's image ids and ``job``'s scorer of one image for each
+    of ``values``.  ``values`` is a sweep's grid, as (gamma, delta) pairs
+    for a gamma or delta sweep, or an eval's one value (the sigmoid
+    threshold, the classic beta, None for IoU-single).  The sigmoid sweep
+    gets the table of its classes' rows instead of scorers.
 
     Every record of the embedding table is read and checked, but only the
     rows the job can reach are kept: the scored classes' for the sigmoid
@@ -529,12 +527,12 @@ def _set_up(job: str, data: tuple, values: list, upsample=None, cc=None, classic
     if job in ("eval --segmenter sigmoid", "a sigmoid sweep"):
         table = EmbeddingTable.load(embeddings, scored)
         if job == "a sigmoid sweep":
-            return image_ids, table, table.digest
+            return image_ids, table
         scorers = [
             partial(metrics.iou_single_image_sigmoid, threshold=v, embeddings=table)
             for v in values
         ]
-        return image_ids, scorers, table.digest
+        return image_ids, scorers
     if build is not None:
         dictionaries, table, _ = _build(*build, embeddings, values, scored)
         sources = [partial(cc_d, dictionary=d, embeddings=table) for d in dictionaries]
@@ -550,13 +548,13 @@ def _set_up(job: str, data: tuple, values: list, upsample=None, cc=None, classic
             merges = [(background_label, beta, scope) for beta in values]
             prompts = [_query_prompts(queries, source, table, merge) for merge in merges]
             scorers = [partial(_classic_image, p, background_label, upsample) for p in prompts]
-            return image_ids, scorers, table.digest
+            return image_ids, scorers
         sources = [source]
     scorers = [
         partial(metrics.iou_single_image, cc_source=p.cc_set, embeddings=p.table, upsample=upsample)
         for p in _class_prompts(scored, sources, table)
     ]
-    return image_ids, scorers, table.digest
+    return image_ids, scorers
 
 
 def _score_images(images, scorers) -> list[list]:
@@ -612,15 +610,17 @@ def cmd_build_cc(args: argparse.Namespace) -> int:
     save_visibility = settings.arg("save_visibility")
     thresholds = [(settings.get("gamma"), settings.get("delta"))]
     settings.refuse_unread(f"build-cc with unknown-visibility {rules[1]}")
-    [dictionary], table, visibility = _build(paths, rules, embeddings, thresholds)
-    lexicon_path, matrix_path, counts_path, visibility_path = paths
-    # hashed once the build has read them: a bad input fails with its loader's error
+    # the five inputs are hashed as the build reads them, once each
+    paths = [path and HashedInput(path) for path in paths]
+    embeddings = HashedInput(embeddings)
+    [dictionary], _, visibility = _build(paths, rules, embeddings, thresholds)
+    lexicon, matrix, counts, visibility_path = paths
     dictionary.meta.update(
-        lexicon_digest=sha256_file(lexicon_path),
-        corpus_digest=sha256_file(matrix_path),
-        counts_digest=sha256_file(counts_path),
-        embeddings_digest=table.digest,
-        visibility_digest=sha256_file(visibility_path) if visibility_path else None,
+        lexicon_digest=lexicon.digest(),
+        corpus_digest=matrix.digest(),
+        counts_digest=counts.digest(),
+        embeddings_digest=embeddings.digest(),
+        visibility_digest=visibility_path.digest() if visibility_path else None,
     )
     dictionary.save(out)
     if save_visibility:
@@ -716,24 +716,30 @@ def cmd_eval(args: argparse.Namespace) -> int:
         value = settings.get("sigmoid_threshold")
     elif metric == "miou-classic":
         value = settings.get("beta")
-    where, data, flags = _set_up_flags(settings, job)
+    where, (features_dir, gt_dir, embeddings), flags = _set_up_flags(settings, job)
     settings.refuse_unread(where)
     if segmenter == "sigmoid" and value is None:
         raise ValidationError("--sigmoid-threshold is required for the sigmoid segmenter")
-    image_ids, scorers, embeddings_digest = _set_up(job, data, [value], **flags)
+    # the report records these two inputs' digests, taken as they are read
+    embeddings = embeddings and HashedInput(embeddings)
+    mode, cc_dict, *cc = flags.get("cc", (None, None))
+    cc_dict = cc_dict and HashedInput(cc_dict)
+    if cc:
+        flags["cc"] = (mode, cc_dict, *cc)
+    image_ids, scorers = _set_up(job, (features_dir, gt_dir, embeddings), [value], **flags)
     image_failures: list[dict] = []
-    [results] = _score_images(_load_dataset(*data[:2], image_ids, image_failures), scorers)
+    images = _load_dataset(features_dir, gt_dir, image_ids, image_failures)
+    [results] = _score_images(images, scorers)
     if metric == "miou-classic":
         report, class_failures = metrics.aggregate_classic(results), 0
     else:
         report = metrics.aggregate_iou_single(results, mode=aggregation)
         class_failures = sum(len(r.failures) for r in results)
 
-    mode, cc_dict = flags.get("cc", (None, None))[:2]
     report["meta"] = {
         "cc_mode": mode,  # the sigmoid segmenter uses no contrastive concepts
-        "embeddings_digest": embeddings_digest,
-        "cc_dict_digest": sha256_file(cc_dict) if cc_dict else None,
+        "embeddings_digest": embeddings.digest(),
+        "cc_dict_digest": cc_dict.digest() if cc_dict else None,
         "segmenter": segmenter,
         # the sigmoid segmenter upsamples its scores as logits are
         "upsample": flags.get("upsample", "logits"),
@@ -773,7 +779,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not all(flags["build"][0][:3]):
             raise ValidationError(f"{job} needs --matrix, --counts, and --lexicon")
         values = [(v, fixed) if param == "gamma" else (fixed, v) for v in grid]
-    image_ids, scorers, _ = _set_up(job, data, values, **flags)
+    image_ids, scorers = _set_up(job, data, values, **flags)
     image_failures: list[dict] = []
     images = _load_dataset(*data[:2], image_ids, image_failures)
     if param == "sigmoid":

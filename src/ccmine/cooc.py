@@ -22,7 +22,6 @@ sha256, so neither holds the text whole.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 from collections import deque
 from collections.abc import Callable, Iterator
@@ -35,7 +34,7 @@ import numpy as np
 
 from .corpus import Lexicon, ScanStats, iter_caption_lines, scan_corpus
 from .errors import FormatError, ValidationError
-from .ioutil import atomic_write_chunks, decode_utf8, seekable
+from .ioutil import atomic_write_chunks, decode_utf8, open_input
 
 MAX_COUNT = 2**32 - 1
 _COOC_HEADER = "ccmine-cooc v1"
@@ -205,29 +204,21 @@ class CoocMatrix:
         atomic_write_chunks(path, self._chunks())
 
     @classmethod
-    def loads(cls, text: str) -> "CoocMatrix":
-        return cls._read(_text_file(text), "text")
-
-    @classmethod
     def load(cls, path: str | Path) -> "CoocMatrix":
-        """The matrix in the file at ``path``, read in blocks (a pipe is
-        read whole first)."""
-        with open(path, "rb") as fh:
-            return cls._read(seekable(fh), path)
-
-    @classmethod
-    def _read(cls, file, what) -> "CoocMatrix":
-        dim, (i, j, count), line = _read_framed(file, _COOC_HEADER, "cooc", 3, what)
-        if dim > _MAX_DIM:
-            raise FormatError(f"cooc dimension {dim} outside [0, {_MAX_DIM}]")
-        bad = _first_row(lambda i, j: (j <= i) | (j >= dim), i, j)
-        if bad is not None:
-            raise FormatError(f"triplet ids out of order or range: {line(bad)!r}")
-        bad = _first_row(lambda count: (count <= 0) | (count > MAX_COUNT), count)
-        if bad is not None:
-            raise FormatError(f"triplet count out of range: {line(bad)!r}")
-        if _first_row(_descends, i, j, overlap=1) is not None:
-            raise FormatError("cooc triplets are not strictly ascending")
+        """The matrix in the file at ``path``, read in blocks through
+        ``ioutil.open_input`` (a pipe is read whole first)."""
+        with open_input(path) as file:
+            dim, (i, j, count), line = _read_framed(file, _COOC_HEADER, "cooc", 3, path)
+            if dim > _MAX_DIM:
+                raise FormatError(f"cooc dimension {dim} outside [0, {_MAX_DIM}]")
+            bad = _first_row(lambda i, j: (j <= i) | (j >= dim), i, j)
+            if bad is not None:
+                raise FormatError(f"triplet ids out of order or range: {line(bad)!r}")
+            bad = _first_row(lambda count: (count <= 0) | (count > MAX_COUNT), count)
+            if bad is not None:
+                raise FormatError(f"triplet count out of range: {line(bad)!r}")
+            if _first_row(_descends, i, j, overlap=1) is not None:
+                raise FormatError("cooc triplets are not strictly ascending")
         matrix = cls(dim)
         matrix.i, matrix.j, matrix.count = i, j, count
         return matrix
@@ -386,19 +377,6 @@ def _first_bad_row(body: bytes, width: int) -> int | None:
     return int(np.count_nonzero(seps[: bad[0]] == ord("\n")))
 
 
-def _read_table(text: str, header: str, kind: str, width: int) -> tuple[int, np.ndarray]:
-    """``_read_framed`` over the UTF-8 bytes of ``text``: its header
-    dimension and its lines as an ``(n, width)`` int64 array."""
-    dim, columns, _ = _read_framed(_text_file(text), header, kind, width, "text")
-    return dim, np.stack(columns, axis=1)
-
-
-def _text_file(text: str) -> io.BytesIO:
-    """``text`` as a binary file; a lone surrogate becomes bytes that are
-    not UTF-8, which the reader refuses."""
-    return io.BytesIO(text.encode("utf-8", "surrogatepass"))
-
-
 def build_cooc(concept_sets, dim: int) -> CoocMatrix:
     """Count concept pairs over a stream of per-caption concept-id sets.
 
@@ -429,10 +407,8 @@ def save_counts(path: str | Path, occurrence) -> None:
 
 def load_counts(path: str | Path) -> np.ndarray:
     """Occurrence counts as an int64 array, indexed by concept id."""
-    with open(path, "rb") as fh:
-        dim, (ids, occurrence), line = _read_framed(
-            seekable(fh), _COUNTS_HEADER, "counts", 2, path
-        )
+    with open_input(path) as file:
+        dim, (ids, occurrence), line = _read_framed(file, _COUNTS_HEADER, "counts", 2, path)
         if len(ids) != dim:
             raise FormatError("counts file row count does not match header dimension")
         bad = np.flatnonzero(ids != np.arange(dim))

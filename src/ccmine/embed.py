@@ -15,7 +15,6 @@ names so a table file has exactly one valid byte representation.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import operator
 import struct
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, MissingEmbeddingError, ValidationError
-from .ioutil import atomic_write_bytes, decode_utf8, seekable
+from .ioutil import atomic_write_bytes, decode_utf8, open_input
 
 _MAGIC = b"CCEMB1"
 _NAME_LENGTH = struct.Struct("<H")
@@ -43,10 +42,6 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 class EmbeddingTable:
     """Named unit vectors of a common dimension."""
-
-    # the sha256 of every byte a load read, the whole file's whether or not
-    # every row was kept; None for a table made in memory
-    digest: str | None = None
 
     def __init__(self, names: list[str], vectors) -> None:
         if len(names) != len(set(names)):
@@ -153,14 +148,15 @@ class EmbeddingTable:
         """The table in the file at ``path``; given ``names``, only the rows
         of those it has, in file order (bit for bit the full table's rows).
 
-        A regular file is read once, the bytes of about half
-        ``_GATHER_ROWS`` records at a time, and never held whole; a pipe
-        is read whole first.  Every record is checked whether or not its row is kept, so
-        a file fails with the error ``loads`` gives its bytes: the first
-        faulty record's.  Every byte read is hashed into ``digest``.
+        The file is read once through ``ioutil.open_input`` (a pipe is read
+        whole first), the bytes of about half ``_GATHER_ROWS`` records at a
+        time, and never held whole.  Every record is checked whether or not
+        its row is kept, so a file fails with the error ``loads`` gives its
+        bytes: the first faulty record's.  A ``HashedInput`` path is hashed
+        as it is read, so its ``digest`` reads nothing again.
         """
-        with open(path, "rb") as fh:
-            return cls._read(_Blocks(seekable(fh)), names)
+        with open_input(path) as file:
+            return cls._read(_Blocks(file), names)
 
     @classmethod
     def _read(cls, blocks: "_Blocks", names) -> "EmbeddingTable":
@@ -258,21 +254,18 @@ class EmbeddingTable:
             raise FormatError("embedding table contains duplicate names")
         table = cls.__new__(cls)
         table._set_rows(kept, unit[: len(kept)], None)
-        table.digest = blocks.sha256.hexdigest()
         return table
 
 
 class _Blocks:
     """The bytes of a CCEMB1 table in a seekable binary file, ``data[pos:end]``
     of them at a time: a block of about ``size`` bytes, with the record that
-    a block cuts carried to the next.  ``total`` is the file's length, and
-    ``sha256`` hashes every byte read."""
+    a block cuts carried to the next.  ``total`` is the file's length."""
 
     def __init__(self, file) -> None:
         self.file, self.total = file, file.seek(0, io.SEEK_END)
         file.seek(0)
         self.data, self.pos, self.end, self.size = bytearray(), 0, 0, 0
-        self.sha256 = hashlib.sha256()
 
     def fill(self, need: int) -> bool:
         """Whether ``need`` bytes follow ``pos``, reading on until they do;
@@ -284,7 +277,6 @@ class _Blocks:
             self.data[:tail] = data[self.pos : self.end]
             with memoryview(self.data) as view:
                 got = self.file.readinto(view[tail:])
-                self.sha256.update(view[tail : tail + got])
             self.pos, self.end = 0, tail + got
             if not got:
                 return False

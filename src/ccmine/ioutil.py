@@ -1,4 +1,5 @@
-"""Small I/O helpers: digests, atomic writes, gzip detection, UTF-8 reads."""
+"""Small I/O helpers: one input reader and the input digests it takes,
+atomic writes, gzip detection, UTF-8 reads."""
 
 from __future__ import annotations
 
@@ -16,13 +17,74 @@ from .errors import FormatError
 GZIP_MAGIC = b"\x1f\x8b"
 
 
-def sha256_file(path: str | Path) -> str:
-    """SHA-256 of a file, read 64 KiB at a time."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+class HashedInput(os.PathLike):
+    """An input path whose sha256 ``open_input`` takes as a loader reads
+    it, for a job that records the digest.  To all else it is the path, so
+    the loader's errors name the file."""
+
+    def __init__(self, path: str | os.PathLike) -> None:
+        self.path, self.sha256 = os.fspath(path), hashlib.sha256()
+        self.mark = 0  # the bytes before it are hashed, and no others
+        self.whole = False  # whether a read found the end of the file at the mark
+
+    def __fspath__(self) -> str:
+        return self.path
+
+    __str__ = __fspath__
+
+    def digest(self) -> str:
+        """The file's sha256, reading and hashing what the loaders left."""
+        if not self.whole:
+            with open_input(self) as file:
+                file.seek(self.mark)
+                file.read()
+        return self.sha256.hexdigest()
+
+
+class _Input(io.RawIOBase):
+    """A seekable binary file, or a pipe's bytes read whole.  ``readinto``
+    is its one refill, and hashes each byte of a ``HashedInput`` the first
+    time a read reaches it in file order, so a byte read again is hashed
+    once."""
+
+    def __init__(self, file, hashed: HashedInput | None) -> None:
+        self.file, self.hashed = file, hashed
+        if not file.seekable():
+            with file:
+                data = file.read()
+            self.file = io.BytesIO(data)
+            if hashed is not None:  # the pipe cannot be read again
+                hashed.sha256.update(data)
+                hashed.mark, hashed.whole = len(data), True
+
+    def readable(self) -> bool:
+        return True
+
+    seekable = readable
+
+    def readinto(self, buffer) -> int:
+        pos, got, hashed = self.file.tell(), self.file.readinto(buffer), self.hashed
+        if hashed is not None and pos <= hashed.mark < pos + got:
+            with memoryview(buffer) as view:
+                hashed.sha256.update(view[hashed.mark - pos : got])
+            hashed.mark = pos + got
+        elif hashed is not None and not got and len(buffer) and pos == hashed.mark:
+            hashed.whole = True
+        return got
+
+    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
+        return self.file.seek(offset, whence)
+
+    def close(self) -> None:
+        self.file.close()
+        super().close()
+
+
+def open_input(path: str | os.PathLike) -> BinaryIO:
+    """The file at ``path`` for binary reading, seekable even when it is a
+    pipe; a ``HashedInput`` is hashed as it is read."""
+    hashed = path if isinstance(path, HashedInput) else None
+    return _Input(open(os.fspath(path), "rb", buffering=0), hashed)
 
 
 def decode_utf8(data: bytes, what: object, offset: int = 0) -> str:
@@ -39,13 +101,9 @@ def read_text(path: str | Path) -> str:
     """A UTF-8 text file with every line end made ``\\n``, as text-mode
     ``open`` reads it; bytes that are not UTF-8 are a ``FormatError``
     naming the file."""
-    text = decode_utf8(Path(path).read_bytes(), path)
+    with open_input(path) as fh:
+        text = decode_utf8(fh.read(), path)
     return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def seekable(fh: BinaryIO) -> BinaryIO:
-    """``fh``, or for a pipe its bytes read whole into a seekable file."""
-    return fh if fh.seekable() else io.BytesIO(fh.read())
 
 
 def open_maybe_gzip(path: str | Path) -> BinaryIO:

@@ -3,27 +3,32 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gzip
 import hashlib
 import json
 import os
 import pickle
 import re
+import stat
 import subprocess
 import sys
+import threading
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ccmine import cli
+from ccmine import cli, ioutil
 from ccmine.ccgen import CCDictionary
 from ccmine.cli import main
 from ccmine.cooc import CoocMatrix
 from ccmine.embed import EmbeddingTable
 from ccmine.errors import CCMineError, FormatError
 from ccmine.filters import VisibilityTable
+from ccmine.ioutil import HashedInput
 from ccmine.llm import CC_GENERATION, render
 from ccmine.metrics import GroundTruth
 from ccmine.segment import BOTTOM, FeatureMap, SegMap, sigmoid
@@ -807,7 +812,8 @@ class TestEval:
         assert report["per_class"]["boat"]["iou"] == 1.0
         assert report["images_scored"] == 2
         assert report["meta"]["cc_mode"] == "dict"
-        assert len(report["meta"]["embeddings_digest"]) == 64
+        assert report["meta"]["embeddings_digest"] == sha256_file(toy_embeddings_path)
+        assert report["meta"]["cc_dict_digest"] == sha256_file(dict_path)
         assert report["meta"]["image_failures"] == []
         tsv = (tmp_path / "report.tsv").read_text()
         assert "class\tboat\t1.000000" in tsv
@@ -1719,7 +1725,7 @@ class TestPickledScorers:
             capsys, *job_flags, "--features-dir", features_dir, "--gt-dir", gt_dir,
             "--embeddings", toy_embeddings_path, "--out-json", tmp_path / "report.json",
         )
-        [(image_ids, scorers, _)] = made
+        [(image_ids, scorers)] = made
         copies = pickle.loads(pickle.dumps(scorers))
         images = partial(cli._load_dataset, features_dir, gt_dir, image_ids)
         if job == "sweep-sigmoid":
@@ -1728,6 +1734,151 @@ class TestPickledScorers:
             )
         else:
             assert cli._score_images(images(), copies) == cli._score_images(images(), scorers)
+
+
+def sha256_file(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@contextlib.contextmanager
+def fed(root: Path, files: dict, piped: bool):
+    """The paths of ``files`` (name to path) as strings; with ``piped``,
+    FIFOs under ``root`` instead, each fed its file's bytes by a thread."""
+    if not piped:
+        yield {name: str(path) for name, path in files.items()}
+        return
+    fifos, writers = {}, []
+    for name, path in files.items():
+        fifos[name] = fifo = root / f"{name}.pipe"
+        os.mkfifo(fifo)
+
+        def feed(fifo=fifo, data=Path(path).read_bytes()):
+            with contextlib.suppress(BrokenPipeError):  # a reader that stopped early
+                fifo.write_bytes(data)
+
+        writers.append((fifo, threading.Thread(target=feed, daemon=True)))
+        writers[-1][1].start()
+    try:
+        yield {name: str(fifo) for name, fifo in fifos.items()}
+    finally:
+        for fifo, writer in writers:
+            while writer.is_alive():  # never opened: open it so the writer ends
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+                writer.join(0.1)
+
+
+class TestRecordedDigests:
+    """``build-cc`` and ``eval`` record the sha256 of each input they read,
+    hashed as its loader reads it: every input, a pipe too, is opened
+    once.  The jobs that record no digest hash nothing."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """How often ``ioutil`` opened each path; a FIFO opened again is an
+        error, as it would wait for a writer that is gone."""
+        opens = Counter()
+
+        def counting_open(file, *args, **kwargs):
+            opens[file] += 1
+            if opens[file] > 1 and stat.S_ISFIFO(os.stat(file).st_mode):
+                raise AssertionError(f"{file} opened again")
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(ioutil, "open", counting_open, raising=False)
+        return opens
+
+    @pytest.mark.parametrize("piped", [False, True], ids=["files", "pipes"])
+    def test_build_cc(
+        self, capsys, tmp_path, mined, toy_lexicon_path, toy_visibility_path,
+        toy_embeddings_path, opened, piped,
+    ):
+        matrix_path, counts_path = mined
+        inputs = {
+            "lexicon": toy_lexicon_path,
+            "corpus": matrix_path,
+            "counts": counts_path,
+            "visibility": toy_visibility_path,
+            "embeddings": toy_embeddings_path,
+        }
+        out = tmp_path / "cc.json"
+        with fed(tmp_path, inputs, piped) as paths:
+            code, _, err = run(
+                capsys, "build-cc", "--lexicon", paths["lexicon"], "--matrix", paths["corpus"],
+                "--counts", paths["counts"], "--visibility", paths["visibility"],
+                "--embeddings", paths["embeddings"], "--out", out,
+            )
+        assert code == 0, err
+        meta = CCDictionary.load(out).meta
+        assert {name: meta[f"{name}_digest"] for name in inputs} == {
+            name: sha256_file(path) for name, path in inputs.items()
+        }
+        assert [opened[path] for path in paths.values()] == [1] * len(inputs)
+
+    @pytest.mark.parametrize("piped", [False, True], ids=["files", "pipes"])
+    @pytest.mark.parametrize("job", ["iou-single", "miou-classic", "sigmoid"])
+    def test_eval(self, capsys, tmp_path, opened, job, piped):
+        # fillers that no class reaches: every job loads a subset of the rows
+        table, dictionary = write_padded_inputs(tmp_path / "inputs", 300, pad_dict=False)
+        inputs = {"embeddings": table}
+        if job != "sigmoid":
+            inputs["cc_dict"] = dictionary
+        features_dir, gt_dir = write_scene_dataset(tmp_path, ("img0", "img1"))
+        out_json = tmp_path / "report.json"
+        with fed(tmp_path, inputs, piped) as paths:
+            cc = ["--cc-mode", "dict", "--cc-dict", paths.get("cc_dict")]
+            flags = {
+                "iou-single": cc,
+                "miou-classic": ["--metric", "miou-classic", *cc],
+                "sigmoid": ["--segmenter", "sigmoid", "--sigmoid-threshold", "0.6"],
+            }[job]
+            code, _, err = run(
+                capsys, "eval", *flags, "--embeddings", paths["embeddings"],
+                "--features-dir", features_dir, "--gt-dir", gt_dir, "--out-json", out_json,
+            )
+        assert code == 0, err
+        meta = json.loads(out_json.read_text())["meta"]
+        assert meta["embeddings_digest"] == sha256_file(table)
+        assert meta["cc_dict_digest"] == (None if job == "sigmoid" else sha256_file(dictionary))
+        assert [opened[path] for path in paths.values()] == [1] * len(inputs)
+
+    @pytest.mark.parametrize(
+        "job", ["sweep-sigmoid", "sweep-gamma", "sweep-beta", "gen-cc", "segment"]
+    )
+    def test_jobs_that_record_no_digest_hash_nothing(
+        self, capsys, tmp_path, monkeypatch, mined, toy_lexicon_path, toy_embeddings_path,
+        dict_path, job,
+    ):
+        def refuse(self, path):
+            raise AssertionError(f"{path} is hashed")
+
+        monkeypatch.setattr(HashedInput, "__init__", refuse)
+        matrix_path, counts_path = mined
+        cc = ["--cc-mode", "dict", "--cc-dict", dict_path, "--embeddings", toy_embeddings_path]
+        features_dir, gt_dir = write_scene_dataset(tmp_path, ("img0",))
+        dataset = [
+            "--features-dir", features_dir, "--gt-dir", gt_dir, "--out-json", tmp_path / "r.json"
+        ]
+        features = tmp_path / "img.feat"
+        make_scene_features().save(features)
+        argv = {
+            "sweep-sigmoid": [
+                "sweep", "--param", "sigmoid", "--embeddings", toy_embeddings_path, *dataset
+            ],
+            "sweep-gamma": [
+                "sweep", "--param", "gamma", "--values", "0.01", "--matrix", matrix_path,
+                "--counts", counts_path, "--lexicon", toy_lexicon_path,
+                "--embeddings", toy_embeddings_path, *dataset,
+            ],
+            "sweep-beta": ["sweep", "--param", "beta", "--values", "0.5", *cc, *dataset],
+            "gen-cc": ["gen-cc", "--query", "boat", *cc],
+            "segment": [
+                "segment", "--query", "boat", "--features", features, *cc, "--out", tmp_path / "o.seg"
+            ],
+        }[job]
+        if job == "gen-cc":
+            argv[argv.index("--cc-mode")] = "--mode"
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
 
 
 def write_padded_inputs(root: Path, fillers: int, pad_dict: bool = True) -> tuple[Path, Path]:

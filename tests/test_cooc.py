@@ -33,7 +33,7 @@ from ccmine.cooc import (
 )
 from ccmine.corpus import Lexicon, ScanStats, iter_caption_lines, scan_corpus
 from ccmine.errors import FormatError, ValidationError
-from ccmine.ioutil import decode_utf8
+from ccmine.ioutil import decode_utf8, open_input
 
 from conftest import PLAIN, TOY_PAIRS, cooc_matrix, pair_counts, read_table_by_line
 
@@ -82,7 +82,7 @@ _TRIPLET = re.compile("\t".join([PLAIN] * 3))
 
 
 def line_by_line_loads(text):
-    """``CoocMatrix.loads`` on a well-framed text as a loop over the lines:
+    """``CoocMatrix.load`` of a well-framed text as a loop over the lines:
     the syntax by regex, then the ids, counts and order, each with its
     first offending line."""
     body = text.split("\n")[1:-2]
@@ -141,7 +141,7 @@ def cooc_texts(draw):
 class TestLoadsAgainstLineByLine:
     @settings(max_examples=500, deadline=None)
     @given(case=cooc_texts())
-    def test_same_triplets_or_same_error(self, case):
+    def test_same_triplets_or_same_error(self, scratch, case):
         dim, body = case
         # the body as drawn, ended by a newline and under its own digest, so
         # that every body reaches the syntax check
@@ -155,7 +155,7 @@ class TestLoadsAgainstLineByLine:
             except FormatError as exc:
                 return str(exc)
 
-        got = outcome(CoocMatrix.loads)
+        got = outcome(lambda text: load_kind("cooc", text, scratch / "m.cooc"))
         if isinstance(got, CoocMatrix):
             got = list(zip(got.i.tolist(), got.j.tolist(), got.count.tolist()))
         assert got == outcome(line_by_line_loads)
@@ -210,11 +210,17 @@ def framed_tables(draw):
 
 
 def load_kind(kind, text, path):
-    """``text`` loaded as a ``kind`` artifact; counts are read from ``path``."""
-    if kind == "cooc":
-        return CoocMatrix.loads(text)
+    """``text`` written to ``path`` and loaded as a ``kind`` artifact."""
     path.write_bytes(text.encode("utf-8"))
-    return load_counts(path)
+    return CoocMatrix.load(path) if kind == "cooc" else load_counts(path)
+
+
+def read_table(path, header, kind, width):
+    """``cooc._read_framed`` over the file at ``path``: its header
+    dimension and its lines as an ``(n, width)`` int64 array."""
+    with open_input(path) as file:
+        dim, columns, _ = cooc._read_framed(file, header, kind, width, path)
+    return dim, np.stack(columns, axis=1)
 
 
 def valid_text(kind):
@@ -231,22 +237,22 @@ class TestCodecAgainstLineByLine:
         kind, text = case
         header, width = _KINDS[kind]
         want = read_table_by_line(text, header, width)
+        path = scratch / "t.txt"
+        path.write_bytes(text.encode("utf-8"))
         try:
-            dim, rows = cooc._read_table(text, header, kind, width)
+            dim, rows = read_table(path, header, kind, width)
         except FormatError:
             assert want is None
             return
         assert want is not None and dim == want[0]
         assert rows.dtype == np.int64 and rows.shape == (len(want[1]), width)
-        # fields past int64 saturate, as _read_table documents
+        # fields past int64 saturate, as _read_framed documents
         assert rows.tolist() == [[min(v, 2**63 - 1) for v in row] for row in want[1]]
         # whatever the loader accepts (its range or order checks may not),
         # its writer writes back byte for byte
         with contextlib.suppress(FormatError):
-            if kind == "cooc":
-                assert CoocMatrix.loads(text).dumps() == text
-            else:
-                assert dumps_counts(load_kind(kind, text, scratch / "occ.counts")) == text
+            loaded = load_kind(kind, text, path)
+            assert (loaded.dumps() if kind == "cooc" else dumps_counts(loaded)) == text
 
 
 class TestStrictCodec:
@@ -287,7 +293,7 @@ class TestStrictCodec:
     def test_error_names_the_offending_line(self, tmp_path):
         body = "0\t1\t1\n0\t2\t1\n1\t 2\t1\n"
         with pytest.raises(FormatError, match=r"row 2: '1\\t 2\\t1'$"):
-            CoocMatrix.loads(framed_cooc(3, body))
+            load_kind("cooc", framed_cooc(3, body), tmp_path / "x")
         body = "0\t1\n1\t1\n3\t1\n"
         with pytest.raises(FormatError, match=r"bad counts line for row 2: '3\\t1'$"):
             load_kind("counts", framed_counts(3, body), tmp_path / "x")
@@ -348,10 +354,10 @@ class TestBuildCooc:
         with pytest.raises(ValidationError, match=r"pair \(1, 2\) exceeds 32-bit range"):
             CoocMatrix._from_codes(3, *sums.fold())
 
-    def test_equality_compares_counts(self):
+    def test_equality_compares_counts(self, tmp_path):
         m = cooc_matrix(3, {(0, 1): 2, (1, 2): 1})
         assert m == cooc_matrix(3, {(2, 1): 1, (1, 0): 2})
-        assert m == CoocMatrix.loads(m.dumps())
+        assert m == load_kind("cooc", m.dumps(), tmp_path / "m.cooc")
         assert m != cooc_matrix(3, {(0, 1): 2, (1, 2): 2})
         assert m != cooc_matrix(3, {(0, 1): 2, (0, 2): 1})
         assert m != cooc_matrix(4, {(0, 1): 2, (1, 2): 1})
@@ -405,14 +411,14 @@ class TestSerialization:
             "0\t1\t9223372036854775808",
         ],
     )
-    def test_field_past_int64_rejected(self, line):
+    def test_field_past_int64_rejected(self, line, tmp_path):
         with pytest.raises(FormatError, match="out of"):
-            CoocMatrix.loads(framed_cooc(3, line + "\n"))
+            load_kind("cooc", framed_cooc(3, line + "\n"), tmp_path / "m.cooc")
 
     @pytest.mark.parametrize("dim", [-1, 2**31 + 1, 99999999999999999999])
-    def test_dimension_out_of_range_rejected(self, dim):
+    def test_dimension_out_of_range_rejected(self, dim, tmp_path):
         with pytest.raises(FormatError, match="dimension"):
-            CoocMatrix.loads(framed_cooc(dim, "0\t1\t1\n"))
+            load_kind("cooc", framed_cooc(dim, "0\t1\t1\n"), tmp_path / "m.cooc")
 
     def test_counts_roundtrip(self, toy_corpus_path, toy_lexicon, tmp_path):
         _, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
@@ -709,11 +715,12 @@ class TestBlockReader:
             for kind in ("cooc", "counts"):
                 assert block_load(kind, path) == whole_text_load(kind, data, path)
 
-    def test_loads_reads_the_texts_bytes(self):
+    def test_three_byte_reads_load_the_file(self, tmp_path):
         matrix = cooc_matrix(4, {(0, 1): 2, (0, 3): 1, (2, 3): 5})
+        path = tmp_path / "m.cooc"
         with mock.patch.object(cooc, "_READ_BYTES", 3):
-            assert CoocMatrix.loads(matrix.dumps()) == matrix
-            dim, rows = cooc._read_table(matrix.dumps(), "ccmine-cooc v1", "cooc", 3)
+            assert load_kind("cooc", matrix.dumps(), path) == matrix
+            dim, rows = read_table(path, "ccmine-cooc v1", "cooc", 3)
         assert dim == 4 and rows.tolist() == [[0, 1, 2], [0, 3, 1], [2, 3, 5]]
 
 

@@ -16,13 +16,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccmine import embed
+from ccmine import embed, ioutil
 from ccmine.embed import (
     EmbeddingTable,
     cosines,
     nearest_neighbor,
 )
 from ccmine.errors import FormatError, MissingEmbeddingError, ValidationError
+from ccmine.ioutil import HashedInput
 
 from conftest import cosine, embeddings_loads_by_record, traced_peak
 
@@ -282,25 +283,23 @@ class TestLoadsAgainstRecordReader:
         assert table._unit.tobytes() == EmbeddingTable.loads(data)._unit[1:].tobytes()
 
     def test_digest_is_the_files_sha256(self, tmp_path):
-        # a full load, a subset load and a pipe all hash every byte they read
+        # a full load, a subset load and a pipe hash every byte as they read
+        # it, so the digest reads nothing again
         data = EmbeddingTable([f"c{k:03d}" for k in range(600)], np.eye(600)[:, :8] + 1).dumps()
-        path = tmp_path / "t.emb"
+        path, pipe = tmp_path / "t.emb", tmp_path / "pipe"
         path.write_bytes(data)
-        want = hashlib.sha256(data).hexdigest()
-        assert EmbeddingTable.load(path).digest == want
-        assert EmbeddingTable.load(path, ["c001", "c599"]).digest == want
-        assert EmbeddingTable.loads(data).digest == want
-        pipe = tmp_path / "pipe"
         os.mkfifo(pipe)
+        inputs = [HashedInput(path), HashedInput(path), HashedInput(pipe)]
+        EmbeddingTable.load(inputs[0])
+        EmbeddingTable.load(inputs[1], ["c001", "c599"])
         writer = threading.Thread(target=pipe.write_bytes, args=(data,))
         writer.start()
         try:
-            assert EmbeddingTable.load(pipe, ["c002"]).digest == want
+            EmbeddingTable.load(inputs[2], ["c002"])
         finally:
             writer.join()
-        # a table not read from bytes has none, nor does a subset of one
-        assert EmbeddingTable(["a"], [[1.0]]).digest is None
-        assert EmbeddingTable.load(path).subset(["c001"]).digest is None
+        with mock.patch.object(ioutil, "open_input", side_effect=AssertionError):
+            assert [hashed.digest() for hashed in inputs] == [hashlib.sha256(data).hexdigest()] * 3
 
     def test_error_names_the_first_faulty_record(self):
         def record(name: bytes, row) -> bytes:

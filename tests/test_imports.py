@@ -45,3 +45,18 @@ def test_package_init_binds_only_the_version():
     assert isinstance(docstring, ast.Expr)
     assert all(isinstance(node, ast.Assign) for node in rest)
     assert [target.id for node in rest for target in node.targets] == ["__version__"]
+
+
+# input digests are taken only by ``ioutil``; ``cooc`` hashes its trailer
+# and ``llm`` its cache keys
+HASHERS = {"ioutil.py", "cooc.py", "llm.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_hashers_import_hashlib(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    assert ("hashlib" in modules) == (path.name in HASHERS)
