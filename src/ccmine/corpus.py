@@ -9,7 +9,8 @@ Matching is deliberately simple and fast: captions are lowercased, split on
 Unicode whitespace, and ASCII punctuation is stripped at token boundaries
 only.  A concept matches when its token sequence appears as a contiguous run
 of caption tokens.  Repeated matches within one caption count once (set
-semantics).  No stemming is applied.
+semantics).  No stemming is applied.  A caption's stripped tokens come from
+a bounded memo, since a corpus holds few distinct tokens.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ _JSON_WS = " \t\n\r"
 # what surrogateescape decodes a non-UTF-8 byte to; valid UTF-8 never
 # decodes to a surrogate
 _undecodable = re.compile("[\udc80-\udcff]").search
+# the most stripped tokens a matcher keeps; more clears its memo
+_MEMO_MAX = 1 << 16
 
 
 def normalize_concept(raw: str) -> str:
@@ -95,6 +98,19 @@ class Lexicon:
         return ConceptMatcher(self)
 
 
+class _StripMemo(dict):
+    """Lowercased whitespace tokens to their ``tokenize`` form, which is
+    empty for a token of punctuation only; at most ``_MEMO_MAX`` of them."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> str:
+        if len(self) >= _MEMO_MAX:
+            self.clear()
+        self[token] = stripped = token.strip(_PUNCT)
+        return stripped
+
+
 class ConceptMatcher:
     """Precomputed token lookup tables for one lexicon.
 
@@ -102,10 +118,13 @@ class ConceptMatcher:
     Multi-token concepts, and single-token concepts whose token an earlier
     concept already claims (``boat`` and ``boat.``), are indexed by their
     first token and verified as a contiguous slice; captions holding none of
-    those first tokens skip that scan.
+    those first tokens skip that scan.  A caption with ASCII punctuation
+    strips its tokens through a bounded memo, which ``scan_corpus`` clears
+    when it ends.
     """
 
     def __init__(self, lexicon: Lexicon):
+        self._memo = _StripMemo()
         self._single: dict[str, int] = {}
         self._multi: dict[str, list[tuple[list[str], int]]] = {}
         for cid, concept in enumerate(lexicon.concepts):
@@ -118,11 +137,19 @@ class ConceptMatcher:
                 self._multi.setdefault(toks[0], []).append((toks, cid))
 
     def match(self, caption: str) -> set[int]:
-        toks = tokenize(caption)
+        # tokenize(caption), but a stripped-empty token stays until a scan
+        # of contiguous runs needs it gone; no concept token is empty
+        text = caption.lower()
+        toks = text.split()
+        if _has_punct(text):
+            toks = list(map(self._memo.__getitem__, toks))
         out = set(map(self._single.get, toks))
         out.discard(None)
         multi = self._multi
-        for tok in multi.keys() & toks:
+        firsts = multi.keys() & toks
+        if firsts and "" in toks:
+            toks = list(filter(None, toks))
+        for tok in firsts:
             i = -1
             for _ in range(toks.count(tok)):
                 i = toks.index(tok, i + 1)
@@ -202,17 +229,20 @@ def scan_corpus(lines, lexicon: Lexicon, stats: ScanStats):
         stats.occurrence = [0] * len(lexicon)
     occurrence = stats.occurrence
     matcher = lexicon.matcher
-    for line in lines:
-        if not line or line.isspace():
-            continue
-        parsed = parse_caption(line)
-        stats.total += 1
-        if parsed is None:
-            stats.malformed += 1
-            continue
-        matched = matcher.match(parsed[1])
-        if matched:
-            stats.matched_captions += 1
-            for cid in matched:
-                occurrence[cid] += 1
-        yield matched
+    try:
+        for line in lines:
+            if not line or line.isspace():
+                continue
+            parsed = parse_caption(line)
+            stats.total += 1
+            if parsed is None:
+                stats.malformed += 1
+                continue
+            matched = matcher.match(parsed[1])
+            if matched:
+                stats.matched_captions += 1
+                for cid in matched:
+                    occurrence[cid] += 1
+            yield matched
+    finally:
+        matcher._memo.clear()

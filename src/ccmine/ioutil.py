@@ -72,6 +72,17 @@ class _Input(io.RawIOBase):
             hashed.whole = True
         return got
 
+    def readall(self) -> bytes:
+        """The rest of the file, read by one ``readinto`` sized from its
+        length; the read after it finds the end (or what a growing file
+        added)."""
+        pos = self.file.tell()
+        rest = bytearray(max(self.file.seek(0, io.SEEK_END) - pos, 0))
+        self.file.seek(pos)
+        del rest[self.readinto(rest) :]
+        rest += super().readall()
+        return bytes(rest)
+
     def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
         return self.file.seek(offset, whence)
 
@@ -109,15 +120,18 @@ def read_text(path: str | Path) -> str:
 def open_maybe_gzip(path: str | Path) -> BinaryIO:
     """Open a file for binary reading, transparently decompressing gzip.
 
-    Detection is by the two magic bytes, not the file extension.
+    Detection is by the two magic bytes, not the file extension.  The file
+    is opened once and read in order, so a pipe serves as well as a file.
     """
     fh = open(path, "rb")
-    if fh.read(2) != GZIP_MAGIC:
-        fh.seek(0)
+    # a peek takes no bytes away; from a pipe it gets at least the first
+    # write, and gzip writers write the magic in one
+    if fh.peek(2)[:2] != GZIP_MAGIC:
         return fh
-    fh.close()
-    # opened by name, so closing the gzip stream closes the file too
-    return gzip.open(path, "rb")  # type: ignore[return-value]
+    stream = gzip.GzipFile(fileobj=fh)
+    # GzipFile closes its myfileobj, the file it opens from a name, on close
+    stream.myfileobj = fh
+    return stream  # type: ignore[return-value]
 
 
 def atomic_write_chunks(path: str | Path, chunks: Iterable[bytes]) -> None:

@@ -5,10 +5,12 @@ endpoint on a loopback socket."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import gzip
 import hashlib
 import json
+import os
 import re
 import struct
 import sys
@@ -162,6 +164,27 @@ def make_toy_visibility() -> VisibilityTable:
     entries["ship"] = (True, "manual")
     entries["liberty"] = (False, "manual")
     return VisibilityTable(entries)
+
+
+@contextlib.contextmanager
+def substituted(data: bytes):
+    """A path that reads ``data`` from a pipe, as a shell's ``<(cat file)``
+    gives.  Opening the path again gives the same pipe, part read, so a
+    reader that opens it twice fails instead of waiting for a writer."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(write_end, "wb", buffering=0) as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)  # a writer still blocked on a full pipe gets EPIPE
+        writer.join(10)
+        assert not writer.is_alive()
 
 
 def traced_peak(fn):

@@ -43,6 +43,7 @@ from conftest import (
     pair_counts,
     peak_inside,
     send,
+    substituted,
     traced_peak,
     write_gt_file,
     write_scene_dataset,
@@ -207,6 +208,28 @@ class TestMine:
         assert summary["captions"] == len(good) + len(bad)
         assert summary["malformed"] == len(bad)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_piped_corpus_mines_as_the_file_does(
+        self, tmp_path, toy_lexicon_path, capsys, compress, workers
+    ):
+        records = [*TOY_CAPTIONS, {"id": "p1", "text": "A boat, at the dock... (sunset)!"}]
+        body = "".join(json.dumps(r) + "\n" for r in records).encode()
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(gzip.compress(body) if compress else body)
+        outputs = []
+        for piped in (False, True):
+            m, c = tmp_path / f"m{piped}", tmp_path / f"c{piped}"
+            with substituted(corpus.read_bytes()) if piped else contextlib.nullcontext(corpus) as path:
+                code, out, err = run(
+                    capsys, "mine", "--corpus", path, "--lexicon", toy_lexicon_path,
+                    "--out-matrix", m, "--out-counts", c, "--workers", workers,
+                )
+            assert code == 0, err
+            outputs.append((m.read_bytes(), c.read_bytes(), out))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][2])["captions"] == len(records)
 
     def test_bad_workers_rejected(
         self, tmp_path, toy_corpus_path, toy_lexicon_path, capsys

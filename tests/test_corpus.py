@@ -7,11 +7,14 @@ import json
 import string
 import warnings
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ccmine import corpus
+from ccmine.cooc import mine_corpus, save_counts
 from ccmine.corpus import (
     ConceptMatcher,
     Lexicon,
@@ -169,6 +172,131 @@ class TestMatcherAgainstBruteForce:
     def test_phrase_across_punctuation_only_token(self):
         lexicon = Lexicon(["red car", "car"])
         assert lexicon.matcher.match("a red -- car, a red car") == {0, 1}
+
+
+def tokenize_then_scan(matcher: ConceptMatcher, caption: str) -> set[int]:
+    """The matcher's lookups over ``tokenize(caption)``, as ``match`` made
+    them before its tokens came from the memo."""
+    toks = tokenize(caption)
+    out = set(map(matcher._single.get, toks))
+    out.discard(None)
+    for tok in matcher._multi.keys() & toks:
+        i = -1
+        for _ in range(toks.count(tok)):
+            i = toks.index(tok, i + 1)
+            for ctoks, cid in matcher._multi[tok]:
+                if toks[i : i + len(ctoks)] == ctoks:
+                    out.add(cid)
+    return out
+
+
+# İ lowercases to two characters; red and boat start several phrases
+_MEMO_WORDS = ["boat", "red", "car", "dock", "İzmir", "x-ray", "it's"]
+_EDGE = st.sampled_from(["", "", "", ".", ",", "!", "(", ")", "'", "...", "?!"])
+_INNER = st.sampled_from(["-", "'", ".", "&", "/"])
+_MEMO_WS = st.sampled_from([" ", " ", "\t", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])
+
+
+@st.composite
+def _memo_lexicon_and_captions(draw):
+    """Phrases sharing a first token, single words with a punctuated twin
+    (``boat`` and ``boat.``), and captions drawn from a small pool of
+    tokens, so tokens repeat within a caption and across captions."""
+    heads = st.sampled_from(["red", "boat", "red.", "(boat"])
+    phrase = st.builds(
+        lambda head, tail: " ".join([head, *tail]),
+        heads, st.lists(st.sampled_from(_MEMO_WORDS), min_size=1, max_size=2),
+    )
+    single = st.builds(lambda w, post: w + post, st.sampled_from(_MEMO_WORDS), _EDGE)
+    concepts = draw(
+        st.lists(st.one_of(phrase, single), min_size=1, max_size=10, unique_by=normalize_concept)
+    )
+    words = [*_MEMO_WORDS, *(w for c in concepts for w in c.split())]
+    core = st.one_of(
+        st.sampled_from(words),
+        st.builds(lambda a, mid, b: a + mid + b, st.sampled_from(words), _INNER, st.sampled_from(words)),
+    )
+    edged = st.builds(lambda pre, w, post: pre + w + post, _EDGE, core, _EDGE)
+    punct_only = st.sampled_from(["-", "...", "&", "--", "!?", "'"])
+    pool = draw(st.lists(st.one_of(edged, edged, edged, punct_only), min_size=1, max_size=8))
+    captions = []
+    for picks in draw(st.lists(st.lists(st.sampled_from(pool), max_size=14), max_size=8)):
+        caption = "".join(draw(_MEMO_WS) + tok for tok in picks) + draw(_MEMO_WS)
+        captions.append(draw(st.sampled_from([caption, caption.upper()])))
+    return concepts, captions
+
+
+class TestMemoAgainstTokenizeThenScan:
+    """``match`` takes a caption's stripped tokens from the matcher's memo;
+    it must match exactly what scanning ``tokenize``'s tokens matches."""
+
+    @pytest.mark.parametrize("memo_max", [corpus._MEMO_MAX, 1])
+    @given(_memo_lexicon_and_captions())
+    def test_match_equals_the_scan_it_replaced(self, memo_max, lexicon_and_captions):
+        # a bound of 1 clears the memo on almost every caption
+        concepts, captions = lexicon_and_captions
+        lexicon = Lexicon(concepts)
+        matcher = ConceptMatcher(lexicon)
+        with mock.patch.object(corpus, "_MEMO_MAX", memo_max):
+            for caption in captions:
+                got = matcher.match(caption)
+                assert got == tokenize_then_scan(matcher, caption)
+                assert got == brute_force_match(caption, lexicon)
+                assert len(matcher._memo) <= memo_max
+
+    def test_memo_holds_stripped_tokens(self):
+        lexicon = Lexicon(["red car", "boat."])
+        matcher = lexicon.matcher
+        assert matcher.match("A red -- car, a Boat!") == {0, 1}
+        assert matcher._memo == {
+            "a": "a", "red": "red", "--": "", "car,": "car", "boat!": "boat",
+        }
+        # no ASCII punctuation: the memo is not consulted
+        assert matcher.match("a red car near the dock") == {0}
+        assert "dock" not in matcher._memo and len(matcher._memo) == 5
+
+
+class TestMemoBound:
+    def test_memo_never_outgrows_its_bound(self, tmp_path, monkeypatch):
+        bound = 8
+        path = tmp_path / "corpus.jsonl"
+        # 60 distinct punctuated tokens, and one caption holding 20 of them
+        records = [{"id": f"c{i}", "text": f"a Boat, near w{i}. red car!"} for i in range(40)]
+        records.append({"id": "many", "text": " ".join(f"(x{i})" for i in range(20)) + " boat."})
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        lexicon = Lexicon(["boat", "red car", "w3", "x7"])
+
+        def mined():
+            matrix, stats = mine_corpus(path, lexicon)
+            matrix.save(tmp_path / "cooc.txt")
+            save_counts(tmp_path / "counts.txt", stats.occurrence)
+            return (tmp_path / "cooc.txt").read_bytes(), (tmp_path / "counts.txt").read_bytes()
+
+        unbounded = mined()
+        sizes = []
+        missing = corpus._StripMemo.__missing__
+
+        def recording(memo, token):
+            stripped = missing(memo, token)
+            sizes.append(len(memo))
+            return stripped
+
+        monkeypatch.setattr(corpus, "_MEMO_MAX", bound)
+        monkeypatch.setattr(corpus._StripMemo, "__missing__", recording)
+        assert mined() == unbounded
+        # the bound was reached and cleared, never passed
+        assert max(sizes) == bound and sizes.count(1) > 1
+        assert lexicon.matcher._memo == {}
+
+    def test_scan_releases_the_memo_when_it_ends(self, toy_lexicon):
+        lines = [json.dumps({"id": f"c{i}", "text": f"a boat, w{i}."}) for i in range(5)]
+        scan = scan_corpus(lines, toy_lexicon, ScanStats())
+        assert next(scan) == {toy_lexicon.index["boat"]}
+        assert len(toy_lexicon.matcher._memo) == 3
+        scan.close()  # a scan abandoned early releases it too
+        assert toy_lexicon.matcher._memo == {}
+        assert len(list(scan_corpus(lines, toy_lexicon, ScanStats()))) == 5
+        assert toy_lexicon.matcher._memo == {}
 
 
 class TestParseCaption:

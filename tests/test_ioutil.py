@@ -3,6 +3,7 @@ byte of a ``HashedInput`` once, the first time a read reaches it."""
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import os
 import threading
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 from ccmine import ioutil
 from ccmine.corpus import Lexicon
 from ccmine.errors import FormatError
-from ccmine.ioutil import HashedInput, open_input
+from ccmine.ioutil import HashedInput, open_input, open_maybe_gzip, read_text
+
+from conftest import substituted
 
 
 def sha256(data: bytes) -> str:
@@ -116,3 +119,44 @@ def test_a_hashed_input_is_its_path_to_loaders(tmp_path):
         errors.append(str(caught.value))
     assert errors[0] == errors[1] == f"{path} is not UTF-8 text (byte 5)"
     assert errors[2] == errors[3]
+
+
+@pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
+def test_read_text_reads_the_rest_in_one_refill(tmp_path, monkeypatch, piped):
+    data = "caf\u00e9 boat\r\n".encode() * 50_000
+    path = tmp_path / ("pipe" if piped else "f.txt")
+    if piped:
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(data,))
+        writer.start()
+    else:
+        path.write_bytes(data)
+    read = []
+    readinto = ioutil._Input.readinto
+
+    def counted(fh, buffer):
+        read.append(readinto(fh, buffer))
+        return read[-1]
+
+    monkeypatch.setattr(ioutil._Input, "readinto", counted)
+    hashed = HashedInput(path)
+    try:
+        assert read_text(hashed) == data.decode().replace("\r\n", "\n")
+    finally:
+        if piped:
+            writer.join()
+    # the whole rest, then the read that finds the end
+    assert read == [len(data), 0]
+    with mock.patch.object(ioutil, "open_input", side_effect=AssertionError):
+        assert hashed.digest() == sha256(data)
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_open_maybe_gzip_reads_a_pipe(compress):
+    data = b"".join(b'{"id": "c%d", "text": "a boat."}\n' % i for i in range(5000))
+    with substituted(gzip.compress(data) if compress else data) as pipe:
+        with open_maybe_gzip(pipe) as fh:
+            file = fh.fileobj if compress else fh
+            assert fh.read() == data
+    # closing the stream closes the one file it read
+    assert file.closed
