@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cooc import CoocMatrix, normalize as cooc_normalize, select_all
+from .cooc import FreqMatrix, select_all
 from .corpus import Lexicon, normalize_concept
 from .embed import EmbeddingTable, nearest_neighbor
 from .errors import FormatError, ValidationError
@@ -201,8 +201,7 @@ def build_timestamp() -> str:
 
 
 def build_dictionary(
-    matrix: CoocMatrix,
-    occurrence: np.ndarray | list[int],
+    freq: FreqMatrix,
     lexicon: Lexicon,
     embeddings: EmbeddingTable,
     visibility: VisibilityTable,
@@ -211,8 +210,9 @@ def build_dictionary(
     oracle: VisibilityOracle | None = None,
 ) -> list[CCDictionary]:
     """The dictionary of each ``(gamma, delta)`` in ``thresholds``: every
-    lexicon concept's candidates above ``gamma`` that pass the filtering
-    pipeline at ``delta``.
+    lexicon concept's candidates above ``gamma`` in ``freq``, the
+    lexicon's normalized counts, that pass the filtering pipeline at
+    ``delta``.
 
     Candidates are selected and filtered once, at the smallest gamma, so the
     oracle is asked once per concept; each pair thresholds the same
@@ -224,7 +224,6 @@ def build_dictionary(
     """
     if not len(thresholds) or not np.isfinite(thresholds).all():
         raise ValidationError(f"need one or more finite (gamma, delta) pairs, got {thresholds!r}")
-    freq = cooc_normalize(matrix, occurrence, lexicon)
     row, col, value = select_all(freq, min(gamma for gamma, _ in thresholds))
     concepts = lexicon.concepts
     masks = filter_rows(concepts, len(lexicon), row, col, embeddings, visibility, stopwords, oracle)

@@ -41,7 +41,7 @@ from .ccgen import (
     cc_privileged,
     cc_reach,
 )
-from .cooc import CoocMatrix, load_counts, mine_corpus, save_counts
+from .cooc import CoocMatrix, load_counts, mine_corpus, normalize, save_counts
 from .corpus import Lexicon, normalize_concept
 from .embed import EmbeddingTable
 from .errors import (
@@ -387,13 +387,16 @@ def _build_flags(settings: Settings) -> tuple:
 def _build(paths, rules, embeddings, thresholds, queries=()) -> tuple:
     """The dictionary of each ``(gamma, delta)`` in ``thresholds``, built in
     one pass from the run's ``_build_flags``, and the embedding and
-    visibility tables it used.  Lexicon, matrix, counts and visibility are
-    read in that order, then of ``embeddings`` only the rows of the
-    lexicon's concepts, ``background`` and ``queries``: all that the
-    dictionaries and a ``cc_d`` lookup of ``queries`` can reach."""
+    visibility tables it used.  Lexicon, matrix and counts are read in
+    that order and normalized, then visibility is read, then of
+    ``embeddings`` only the rows of the lexicon's concepts, ``background``
+    and ``queries``: all that the dictionaries and a ``cc_d`` lookup of
+    ``queries`` can reach."""
     lexicon_path, matrix_path, counts_path, visibility_path = paths
     lexicon = Lexicon.from_file(lexicon_path)
-    matrix, occurrence = CoocMatrix.load(matrix_path), load_counts(counts_path)
+    # the counts are normalized as soon as they are read, and nothing holds
+    # the matrix after that: it is freed before the embedding rows load
+    freq = normalize(CoocMatrix.load(matrix_path), load_counts(counts_path), lexicon)
     visibility = VisibilityTable.from_file(visibility_path) if visibility_path else VisibilityTable()
     # a list, not a set: the loader builds the one set of the names; a
     # second set of a large lexicon's names raised build-cc's peak RSS
@@ -408,7 +411,7 @@ def _build(paths, rules, embeddings, thresholds, queries=()) -> tuple:
     else:
         oracle = accept_unknown if policy == "accept" else reject_unknown
     dictionaries = build_dictionary(
-        matrix, occurrence, lexicon, table, visibility, thresholds,
+        freq, lexicon, table, visibility, thresholds,
         stopwords=stopwords, oracle=oracle,
     )
     return dictionaries, table, visibility

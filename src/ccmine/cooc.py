@@ -56,22 +56,65 @@ _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
 
 
-def _sum_by_key(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys in ascending order and the int64 sum of their counts.
+def _sum_by_key(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in ascending order and the int64 sum of their counts
+    over ``(keys, counts)`` runs, which the list gives up.
 
-    The sort is stable and run-aware, so concatenated sorted parts merge in
-    about linear time.
+    The runs are let go once concatenated, and each array once the next is
+    made from it.  The sort is stable and run-aware, so sorted runs merge
+    in about linear time.
     """
+    keys, counts = map(np.concatenate, zip(*runs))
+    runs.clear()
     if not len(keys):
         return _EMPTY, _EMPTY
     order = np.argsort(keys, kind="stable")
-    keys, counts = keys[order], counts[order].astype(np.int64, copy=False)
+    keys = keys[order]
+    counts = counts[order].astype(np.int64, copy=False)
+    del order
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     return keys[starts], np.add.reduceat(counts, starts)
 
 
+def _merge(
+    keys: np.ndarray, counts: np.ndarray, new_keys: np.ndarray, new_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The union of two ascending runs of distinct keys, each key with the
+    sum of its counts in both.
+
+    ``searchsorted`` places each new key among the old ones.  Both runs are
+    scattered into the preallocated result, and then a key in both adds
+    its new count there in place.
+    """
+    if not len(keys):
+        return new_keys, new_counts
+    if not len(new_keys):
+        return keys, counts
+    at = np.searchsorted(keys, new_keys)
+    fresh = np.take(keys, at, mode="clip") != new_keys  # a key past the last is fresh
+    # each new key's place in the result: after the old keys below it and
+    # the fresh new keys before it
+    at += np.cumsum(fresh)
+    at -= fresh
+    placed, shared = at[fresh], at[~fresh]
+    del at
+    merged_keys = np.empty(len(keys) + len(placed), dtype=np.int64)
+    merged_counts = np.empty_like(merged_keys)
+    old = np.ones(len(merged_keys), dtype=bool)
+    old[placed] = False
+    merged_keys[old] = keys
+    merged_counts[old] = counts
+    del old
+    merged_keys[placed] = new_keys[fresh]
+    merged_counts[placed] = new_counts[fresh]
+    merged_counts[shared] += new_counts[~fresh]
+    return merged_keys, merged_counts
+
+
 class _PairSums:
-    """Running per-pair sums keyed by the pair code ``i * dim + j``."""
+    """Running per-pair sums keyed by the pair code ``i * dim + j``, from
+    parts that are each an ascending run of distinct codes and their
+    counts."""
 
     def __init__(self) -> None:
         self.keys, self.counts = _EMPTY, _EMPTY
@@ -85,12 +128,13 @@ class _PairSums:
             self.fold()
 
     def fold(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._parts:
-            parts = [(self.keys, self.counts), *self._parts]
-            self.keys, self.counts = _sum_by_key(
-                np.concatenate([k for k, _ in parts]), np.concatenate([c for _, c in parts])
-            )
-            self._parts, self._pending = [], 0
+        """The sums with every pending part added.  The parts are summed
+        with each other first, so that the running sums, the larger run,
+        are merged with them, and copied, once per fold."""
+        parts, self._parts, self._pending = self._parts, [], 0
+        if parts:
+            part = parts.pop() if len(parts) == 1 else _sum_by_key(parts)
+            self.keys, self.counts = _merge(self.keys, self.counts, *part)
         return self.keys, self.counts
 
 
@@ -99,7 +143,9 @@ def _expand_pairs(ids: list[int], sizes: list[int], dim: int) -> tuple[np.ndarra
     concatenated ids and their sizes (each at least 2).
 
     Sets of equal size form one ``(sets, size)`` block of sorted ids, whose
-    ``triu_indices`` columns give every pair ``i < j`` at once.
+    ``triu_indices`` columns give every pair ``i < j`` at once.  The codes
+    of every block go into one array, which is sorted in place and counted
+    by runs.
     """
     if not sizes:
         return _EMPTY, _EMPTY
@@ -109,12 +155,19 @@ def _expand_pairs(ids: list[int], sizes: list[int], dim: int) -> tuple[np.ndarra
         raise ValidationError(f"concept ids must lie in [0, {dim})")
     sizes_a = np.array(sizes, dtype=np.int64)
     starts = np.cumsum(sizes_a) - sizes_a
-    codes = []
+    codes = np.empty(int((sizes_a * (sizes_a - 1) // 2).sum()), dtype=np.int64)
+    done = 0
     for k in sorted(set(sizes)):
         block = np.sort(ids_a[starts[sizes_a == k][:, None] + np.arange(k)], axis=1)
         a, b = np.triu_indices(k, 1)
-        codes.append((block[:, a] * dim + block[:, b]).ravel())
-    return np.unique(np.concatenate(codes), return_counts=True)
+        out = codes[done : done + len(block) * len(a)].reshape(len(block), len(a))
+        np.take(block, a, axis=1, out=out)
+        out *= dim
+        out += block[:, b]
+        done += out.size
+    codes.sort()
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    return codes[starts], np.diff(starts, append=len(codes))
 
 
 def _count_sets(concept_sets, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,8 +205,8 @@ class CoocMatrix:
     @classmethod
     def _from_codes(cls, dim: int, keys: np.ndarray, counts: np.ndarray) -> "CoocMatrix":
         """Matrix from ascending distinct pair codes ``i * dim + j``, ``i < j``
-        inside ``[0, dim)``, and their positive counts, as ``_sum_by_key``
-        gives them; unchecked but for overflow."""
+        inside ``[0, dim)``, and their positive counts, as ``_PairSums``
+        sums them; unchecked but for overflow."""
         matrix = cls(dim)
         matrix._set(keys, counts)
         return matrix
@@ -446,6 +499,13 @@ def normalize(matrix: CoocMatrix, occurrence, lexicon: Lexicon) -> FreqMatrix:
 
     A concept that never occurs but has stored pairs is an inconsistency in
     the inputs and raises, naming the offending pair.
+
+    No sort of both halves is needed: CSR row ``r`` holds first its columns
+    ``i < r``, the stored pairs ``(i, r)``, then its columns ``j > r``, the
+    stored pairs ``(r, j)``.  The stored order is already that of the
+    upper half, and a stable sort by ``j`` gives the lower half, since
+    ``i`` ascends within each ``j``.  Each half is scattered into the
+    preallocated ``indices`` and ``data`` at its rows' offsets.
     """
     if len(occurrence) != matrix.dim or len(lexicon) != matrix.dim:
         raise ValidationError("occurrence counts, lexicon, and matrix dimensions disagree")
@@ -466,15 +526,36 @@ def normalize(matrix: CoocMatrix, occurrence, lexicon: Lexicon) -> FreqMatrix:
                     f"pair count {count[k]} for ({lexicon.concepts[a]!r}, "
                     f"{lexicon.concepts[b]!r}) exceeds occurrence count {n}"
                 )
-    row = np.concatenate([i, j])
-    col = np.concatenate([j, i])
-    freq = np.concatenate([count / n_i, count / n_j])
-    order = np.argsort(row * matrix.dim + col)
+    del n_i, n_j  # freed before the output is allocated
+    below = np.bincount(j, minlength=matrix.dim)  # each row's columns i < r
+    above = np.bincount(i, minlength=matrix.dim)  # and its columns j > r
     indptr = np.zeros(matrix.dim + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=matrix.dim), out=indptr[1:])
+    np.cumsum(below + above, out=indptr[1:])
+    indices = np.empty(2 * len(count), dtype=np.int64)
+    data = np.empty(2 * len(count), dtype=np.float64)
+    # int64 true division divides the operands' float64 casts, so this
+    # gives the same bits
+    occ = occ.astype(np.float64)
+    # upper half: the stored pair k, (i, j), lands after the k upper-half
+    # entries before it and the lower-half entries of rows 0 to i
+    at = np.cumsum(below)[i]
+    at += np.arange(len(count))
+    indices[at] = j
+    data[at] = count / occ[i]
+    del at
+    # lower half, in order of j: its m-th entry, (i, j), lands after the m
+    # lower-half entries before it and the upper-half entries of rows
+    # before j
+    order = np.argsort(j, kind="stable")
+    at = (np.cumsum(above) - above)[j[order]]
+    at += np.arange(len(count))
+    indices[at] = i[order]
+    freq = occ[j[order]]
+    np.divide(count[order], freq, out=freq)
+    data[at] = freq
     rank = np.empty(matrix.dim, dtype=np.int64)
     rank[sorted(range(matrix.dim), key=lexicon.concepts.__getitem__)] = np.arange(matrix.dim)
-    return FreqMatrix(matrix.dim, indptr, col[order], freq[order], rank)
+    return FreqMatrix(matrix.dim, indptr, indices, data, rank)
 
 
 def select_all(freq: FreqMatrix, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

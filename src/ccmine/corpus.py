@@ -15,10 +15,12 @@ a bounded memo, since a corpus holds few distinct tokens.
 
 from __future__ import annotations
 
+import gzip
 import io
 import json
 import re
 import string
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -184,12 +186,17 @@ def iter_caption_lines(path: str | Path):
 
     Bytes that are not UTF-8 decode to lone surrogates (``surrogateescape``)
     instead of raising, so ``parse_caption`` can count their line as one
-    malformed record.
+    malformed record.  A gzip stream that is cut short or whose deflate
+    data is corrupt raises ``gzip.BadGzipFile``, an ``OSError``, as one
+    whose checksum fails does.
     """
     with open_maybe_gzip(path) as fh, io.TextIOWrapper(
         fh, encoding="utf-8", errors="surrogateescape"
     ) as text:
-        yield from text
+        try:
+            yield from text
+        except (EOFError, zlib.error) as exc:
+            raise gzip.BadGzipFile(f"{path}: {exc}") from None
 
 
 def parse_caption(line: str) -> tuple[str, str] | None:

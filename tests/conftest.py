@@ -256,7 +256,7 @@ def cooc_matrix(dim: int, pairs: dict) -> CoocMatrix:
     matter, and a pair given in both orders sums its counts."""
     codes = np.array([min(a, b) * dim + max(a, b) for a, b in pairs], dtype=np.int64)
     counts = np.array(list(pairs.values()), dtype=np.int64)
-    return CoocMatrix._from_codes(dim, *_sum_by_key(codes, counts))
+    return CoocMatrix._from_codes(dim, *_sum_by_key([(codes, counts)]))
 
 
 def embeddings_loads_by_record(data: bytes) -> EmbeddingTable:

@@ -274,9 +274,8 @@ def test_criterion_03_filter_contraction(verdict, toy_corpus_path):
 
         lexicon = Lexicon(list(TOY_CONCEPTS))
         matrix, stats = mine_corpus(toy_corpus_path, lexicon)
-        [dictionary] = build_dictionary(
-            matrix, stats.occurrence, lexicon, make_toy_embeddings(), make_toy_visibility()
-        )
+        freq = normalize(matrix, stats.occurrence, lexicon)
+        [dictionary] = build_dictionary(freq, lexicon, make_toy_embeddings(), make_toy_visibility())
         assert dictionary.cc == EXPECTED_DICT_G001
         assert dictionary.meta["gamma"] == 0.01
         assert dictionary.meta["delta"] == 0.8

@@ -145,9 +145,8 @@ class TestCCLLM:
 class TestDictionaryBuild:
     def build(self, corpus_path, lexicon, embeddings, visibility, **kwargs):
         matrix, stats = mine_corpus(corpus_path, lexicon)
-        [dictionary] = build_dictionary(
-            matrix, stats.occurrence, lexicon, embeddings, visibility, **kwargs
-        )
+        freq = normalize(matrix, stats.occurrence, lexicon)
+        [dictionary] = build_dictionary(freq, lexicon, embeddings, visibility, **kwargs)
         return dictionary
 
     def test_toy_dictionary_defaults(
@@ -341,7 +340,8 @@ class TestDictionaryIO:
         # the dictionaries of one build hold the lexicon's concepts, so one
         # view serves them all; another build's dictionary has its own
         matrix, stats = mine_corpus(toy_corpus_path, toy_lexicon)
-        args = (matrix, stats.occurrence, toy_lexicon, toy_embeddings, toy_visibility)
+        freq = normalize(matrix, stats.occurrence, toy_lexicon)
+        args = (freq, toy_lexicon, toy_embeddings, toy_visibility)
         first, second = build_dictionary(*args, [(0.01, 0.8), (0.99, 0.5)])
         view = first.lexicon_table(toy_embeddings)
         assert second.lexicon_table(toy_embeddings) is view
@@ -728,21 +728,14 @@ def run_build(case, build, **params):
 
 
 def array_build(matrix, occurrence, lexicon, embeddings, visibility, oracle, thresholds, stopwords):
+    freq = normalize(matrix, occurrence, lexicon)
     dictionaries = build_dictionary(
-        matrix,
-        occurrence,
-        lexicon,
-        embeddings,
-        visibility,
-        thresholds,
-        stopwords=stopwords,
-        oracle=oracle,
+        freq, lexicon, embeddings, visibility, thresholds, stopwords=stopwords, oracle=oracle
     )
     # a second pass at each pair with no oracle, every answer the build got
     # now being in the table, repeats the pair's stage masks; split into
     # per-row lists
     concepts = lexicon.concepts
-    freq = normalize(matrix, occurrence, lexicon)
     out = []
     for dictionary, (gamma, delta) in zip(dictionaries, thresholds, strict=True):
         row, col, _ = select_all(freq, gamma)
@@ -788,8 +781,9 @@ class TestBuildAgainstPerConceptLoop:
             return True
 
         matrix, stats = mine_corpus(toy_corpus_path, toy_lexicon)
+        freq = normalize(matrix, stats.occurrence, toy_lexicon)
         [dictionary] = build_dictionary(
-            matrix, stats.occurrence, toy_lexicon, toy_embeddings, VisibilityTable(), oracle=oracle
+            freq, toy_lexicon, toy_embeddings, VisibilityTable(), oracle=oracle
         )
         assert calls.count("sunset") == 1
         assert dictionary.cc == EXPECTED_DICT_G001

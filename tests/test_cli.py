@@ -14,6 +14,7 @@ import stat
 import subprocess
 import sys
 import threading
+import weakref
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccmine import cli, ioutil
+from ccmine import ccgen, cli, ioutil
 from ccmine.ccgen import CCDictionary
 from ccmine.cli import main
 from ccmine.cooc import CoocMatrix
@@ -231,6 +232,47 @@ class TestMine:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0][2])["captions"] == len(records)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("cut", "Compressed file ended before the end-of-stream marker was reached"),
+            ("deflate", "invalid distance too far back"),
+            ("crc", "CRC check failed"),
+        ],
+        ids=["cut", "deflate", "crc"],
+    )
+    def test_damaged_gzip_corpus_exits_2(
+        self, tmp_path, toy_lexicon_path, capsys, damage, message, workers
+    ):
+        # a stream cut short raises EOFError and corrupt deflate data
+        # zlib.error; both are I/O errors, as a failed CRC is
+        rng = np.random.default_rng(5)
+        words = np.array(["boat", "water", "dock", "sunset", "a", "the", "on", "red", "small"])
+        body = "".join(
+            json.dumps({"id": str(k), "text": " ".join(rng.choice(words, 8))}) + "\n"
+            for k in range(2000)
+        ).encode()
+        data = bytearray(gzip.compress(body, mtime=0))
+        if damage == "cut":
+            del data[len(data) // 2 :]
+        elif damage == "deflate":
+            data[2000:2100] = bytes(b ^ 0xFF for b in data[2000:2100])
+        else:
+            data[-8] ^= 1
+        work = tmp_path / "work"
+        work.mkdir()
+        corpus = tmp_path / "corpus.jsonl.gz"
+        corpus.write_bytes(data)
+        code, out, err = run(
+            capsys, "mine", "--corpus", corpus, "--lexicon", toy_lexicon_path,
+            "--out-matrix", work / "m", "--out-counts", work / "c", "--workers", workers,
+        )
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err and out == ""
+        assert list(work.iterdir()) == []
+
     def test_bad_workers_rejected(
         self, tmp_path, toy_corpus_path, toy_lexicon_path, capsys
     ):
@@ -281,6 +323,29 @@ class TestBuildCC:
         assert len(built.meta["corpus_digest"]) == 64
         summary = json.loads(stdout)
         assert summary == {"concepts": 7, "with_cc": 5}
+
+    def test_matrix_is_freed_before_selection(self, capsys, mined, paths, tmp_path, monkeypatch):
+        # only normalize reads the counts matrix; selection and filtering
+        # run without it
+        load, select_all = CoocMatrix.load.__func__, ccgen.select_all
+        loaded, alive = [], []
+
+        def tracked_load(cls, path):
+            matrix = load(cls, path)
+            loaded.append(weakref.ref(matrix))
+            return matrix
+
+        def checked_select_all(*args):
+            alive.append([ref() is not None for ref in loaded])
+            return select_all(*args)
+
+        monkeypatch.setattr(CoocMatrix, "load", classmethod(tracked_load))
+        monkeypatch.setattr(ccgen, "select_all", checked_select_all)
+        code, _, err = self.build(
+            capsys, mined, paths, tmp_path / "cc.json", "--unknown-visibility", "accept"
+        )
+        assert code == 0, err
+        assert alive == [[False]]
 
     def test_reject_policy_empties_unknowns(self, capsys, mined, paths, tmp_path):
         out = tmp_path / "cc.json"

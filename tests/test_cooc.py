@@ -299,6 +299,29 @@ class TestStrictCodec:
             load_kind("counts", framed_counts(3, body), tmp_path / "x")
 
 
+@st.composite
+def pair_runs(draw):
+    """Ascending runs of distinct keys with positive counts, as the pair
+    counter's parts are: each empty (the read-only ``_EMPTY``), equal to
+    an earlier run's keys, above every earlier key, or drawn from a range
+    that earlier runs share."""
+    runs, top = [], -1
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["empty", "equal", "disjoint", "interleaved"]))
+        if kind == "empty":
+            runs.append((cooc._EMPTY, cooc._EMPTY))
+            continue
+        if kind == "equal" and runs:
+            keys = runs[draw(st.integers(0, len(runs) - 1))][0].copy()
+        else:
+            low = top + 1 if kind == "disjoint" else 0
+            keys = np.array(sorted(draw(st.sets(st.integers(low, low + 40), max_size=25))))
+        counts = draw(st.lists(st.integers(1, 2**40), min_size=len(keys), max_size=len(keys)))
+        runs.append((keys.astype(np.int64), np.array(counts, dtype=np.int64)))
+        top = max([top, *keys.tolist()])
+    return runs
+
+
 class TestBuildCooc:
     def test_toy_pair_counts(self, toy_corpus_path, toy_lexicon):
         matrix, _ = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
@@ -375,6 +398,28 @@ class TestBuildCooc:
         finally:
             cooc._BATCH_SETS, cooc._FOLD_MIN = batch, fold_min
         assert pair_counts(build_cooc(iter(sets), 8)) == brute
+
+    @given(
+        runs=pair_runs(),
+        fold_min=st.integers(0, 60),
+        folds=st.lists(st.booleans(), max_size=6),
+    )
+    def test_pair_sums_equal_one_sort_of_every_part(self, runs, fold_min, folds):
+        # whatever the parts and wherever folds fall, the running sums are
+        # the one stable sort of every part, and the parts are left as given
+        given_runs = [(keys.copy(), counts.copy()) for keys, counts in runs]
+        with mock.patch.object(cooc, "_FOLD_MIN", fold_min):
+            sums = cooc._PairSums()
+            for k, (keys, counts) in enumerate(runs):
+                sums.add(keys, counts)
+                if k < len(folds) and folds[k]:
+                    sums.fold()
+            got = sums.fold()
+        want = cooc._sum_by_key([(cooc._EMPTY, cooc._EMPTY), *runs])
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+        for run, before in zip(runs, given_runs):
+            assert all(np.array_equal(a, b) for a, b in zip(run, before))
 
 
 class TestSerialization:
@@ -460,7 +505,80 @@ class TestSerialization:
             load_counts(path)
 
 
+def normalize_by_sort(matrix, occurrence, lexicon):
+    """``normalize`` as one argsort of both halves' codes ``row * dim +
+    col``: the reference for the sort-free form."""
+    if len(occurrence) != matrix.dim or len(lexicon) != matrix.dim:
+        raise ValidationError("occurrence counts, lexicon, and matrix dimensions disagree")
+    i, j, count = matrix.i, matrix.j, matrix.count
+    occ = np.asarray(occurrence, dtype=np.int64)
+    n_i, n_j = occ[i], occ[j]
+    bad = np.flatnonzero((n_i == 0) | (n_j == 0) | (count > n_i) | (count > n_j))
+    if len(bad):
+        k = bad[0]
+        for a, b, n in ((i[k], j[k], n_i[k]), (j[k], i[k], n_j[k])):
+            if n == 0:
+                raise ValidationError(
+                    f"concept {lexicon.concepts[a]!r} has pairs (e.g. with "
+                    f"{lexicon.concepts[b]!r}) but zero occurrences; inputs are inconsistent"
+                )
+            if count[k] > n:
+                raise ValidationError(
+                    f"pair count {count[k]} for ({lexicon.concepts[a]!r}, "
+                    f"{lexicon.concepts[b]!r}) exceeds occurrence count {n}"
+                )
+    row = np.concatenate([i, j])
+    col = np.concatenate([j, i])
+    freq = np.concatenate([count / n_i, count / n_j])
+    order = np.argsort(row * matrix.dim + col)
+    indptr = np.zeros(matrix.dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=matrix.dim), out=indptr[1:])
+    rank = np.empty(matrix.dim, dtype=np.int64)
+    rank[sorted(range(matrix.dim), key=lexicon.concepts.__getitem__)] = np.arange(matrix.dim)
+    return cooc.FreqMatrix(matrix.dim, indptr, col[order], freq[order], rank)
+
+
+@st.composite
+def normalize_inputs(draw):
+    """A symmetric matrix, occurrence counts and a lexicon; the counts are
+    sometimes inconsistent, with a concept that has pairs occurring never
+    or less often than one of its pairs."""
+    dim = draw(st.integers(0, 9))
+    concepts = st.integers(0, max(dim - 1, 0))
+    count = st.one_of(st.integers(1, 9), st.integers(1, MAX_COUNT // 4))
+    triples = draw(st.lists(st.tuples(concepts, concepts, count), max_size=30)) if dim > 1 else []
+    matrix = cooc_matrix(dim, {(a, b): n for a, b, n in triples if a != b})
+    need = np.zeros(dim, dtype=np.int64)
+    np.maximum.at(need, matrix.i, matrix.count)
+    np.maximum.at(need, matrix.j, matrix.count)
+    spare = st.one_of(st.integers(0, 3), st.integers(0, MAX_COUNT // 4))
+    occurrence = [int(n) + draw(spare) for n in need]
+    paired = sorted({*matrix.i.tolist(), *matrix.j.tolist()})
+    if paired and draw(st.booleans()):
+        c = draw(st.sampled_from(paired))
+        occurrence[c] = draw(st.sampled_from([0, int(need[c]) - 1]))
+    names = draw(st.lists(st.text("abcd", min_size=1, max_size=3), min_size=dim, max_size=dim, unique=True))
+    if draw(st.booleans()):
+        occurrence = np.array(occurrence, dtype=np.int64)
+    return matrix, occurrence, Lexicon(names)
+
+
 class TestNormalize:
+    @given(normalize_inputs())
+    def test_equals_the_sorting_form_bit_for_bit(self, inputs):
+        try:
+            want = normalize_by_sort(*inputs)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                normalize(*inputs)
+            assert str(raised.value) == str(exc)
+            return
+        got = normalize(*inputs)
+        assert got.dim == want.dim
+        for field in ("indptr", "indices", "data", "rank"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
     def test_directional_frequencies(self, toy_corpus_path, toy_lexicon):
         matrix, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
         freq = normalize(matrix, stats.occurrence, toy_lexicon)
@@ -780,3 +898,26 @@ class TestCodecMemory:
         (small_save, small_load), (large_save, large_load) = got[20_000], got[200_000]
         assert large_save < small_save + 2**16 and large_save < 2**21, got
         assert large_load < small_load + 2**16 and large_load < 2**21, got
+
+
+class TestCountingMemory:
+    @pytest.mark.parametrize("parts", [1, 4])
+    def test_fold_transient_follows_what_it_keeps(self, parts):
+        # about 200k running sums and as many pending codes: a fold that
+        # concatenates the sums with the parts and sorts the lot peaked at
+        # 2.04-2.05 times the bytes it kept; summing the parts and merging
+        # them into the sums peaks at 0.53 (one part) and 1.04 (four parts)
+        rng = np.random.default_rng(parts)
+
+        def run(n):
+            keys = np.unique(rng.integers(0, 1 << 22, size=n))
+            return keys, rng.integers(1, 1000, size=len(keys))
+
+        sums = cooc._PairSums()
+        sums.add(*run(200_000))
+        sums.fold()
+        for _ in range(parts):
+            sums.add(*run(200_000 // parts))
+        arrays = lambda result: result[0].nbytes + result[1].nbytes  # noqa: E731
+        grew = transient(sums.fold, arrays)
+        assert grew < 1.5 * arrays((sums.keys, sums.counts)), grew
