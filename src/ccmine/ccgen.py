@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
@@ -171,7 +172,15 @@ class CCDictionary:
         # writer writes has none, and is kept as parsed
         moved = {s: n for s in set(cc).union(*values) if (n := normalize_concept(s)) != s}
         if moved:
-            cc = {moved.get(k, k): [moved.get(v, v) for v in vals] for k, vals in cc.items()}
+            keys = [moved.get(k, k) for k in cc]
+            cc = dict(zip(keys, ([moved.get(v, v) for v in vals] for vals in values)))
+            if len(cc) < len(keys):
+                [(concept, _)] = Counter(keys).most_common(1)
+                raise FormatError(f"CC dictionary repeats concept {concept!r} once normalized")
+        for concept, vals in cc.items():
+            if len(set(vals)) < len(vals):
+                [(twice, _)] = Counter(vals).most_common(1)
+                raise FormatError(f"CC dictionary entry {concept!r} lists {twice!r} twice")
         return cls(cc, meta)
 
     @classmethod

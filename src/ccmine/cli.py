@@ -284,7 +284,7 @@ def _classes(classes: str | None, classes_file: str | None, sidecars=None) -> li
     if classes:
         names = [normalize_concept(c) for c in classes.split(",") if normalize_concept(c)]
     elif classes_file:
-        lines = [line.strip() for line in read_text(classes_file).splitlines()]
+        lines = [line.strip() for line in read_text(classes_file).split("\n")]
         names = [normalize_concept(line) for line in lines if line and not line.startswith("#")]
     if names or sidecars is None:
         return names
@@ -588,9 +588,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
     workers = settings.workers()
     settings.refuse_unread("mine")
     lexicon = Lexicon.from_file(lexicon_path)
-    matrix, stats = mine_corpus(corpus, lexicon, workers=workers)
+    matrix, occurrence, stats = mine_corpus(corpus, lexicon, workers=workers)
     matrix.save(out_matrix)
-    save_counts(out_counts, stats.occurrence)
+    save_counts(out_counts, occurrence)
     summary = {
         "captions": stats.total,
         "malformed": stats.malformed,

@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from collections import deque
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -138,26 +141,28 @@ class _PairSums:
         return self.keys, self.counts
 
 
-def _expand_pairs(ids: list[int], sizes: list[int], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Count the pair codes of a batch of concept-id sets, given as their
-    concatenated ids and their sizes (each at least 2).
+def _count_batch(ids, sizes, dim: int, occurrence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Add a batch of concept-id sets, given as their concatenated ids and
+    their sizes (each at least 1), to the int64 ``occurrence`` counts, and
+    count their pair codes.
 
-    Sets of equal size form one ``(sets, size)`` block of sorted ids, whose
-    ``triu_indices`` columns give every pair ``i < j`` at once.  The codes
-    of every block go into one array, which is sorted in place and counted
-    by runs.
+    Sets of equal size 2 or more form one ``(sets, size)`` block of sorted
+    ids, whose ``triu_indices`` columns give every pair ``i < j`` at once.
+    The codes of every block go into one array, which is sorted in place
+    and counted by runs.
     """
-    if not sizes:
-        return _EMPTY, _EMPTY
     ids_a = np.array(ids, dtype=np.int64)
-    if ids_a.min() < 0 or ids_a.max() >= dim:
+    if ids and (ids_a.min() < 0 or ids_a.max() >= dim):
         # a code i * dim + j would alias another pair
         raise ValidationError(f"concept ids must lie in [0, {dim})")
+    occurrence += np.bincount(ids_a, minlength=dim)
     sizes_a = np.array(sizes, dtype=np.int64)
     starts = np.cumsum(sizes_a) - sizes_a
     codes = np.empty(int((sizes_a * (sizes_a - 1) // 2).sum()), dtype=np.int64)
+    if not len(codes):
+        return _EMPTY, _EMPTY
     done = 0
-    for k in sorted(set(sizes)):
+    for k in sorted(set(sizes) - {1}):
         block = np.sort(ids_a[starts[sizes_a == k][:, None] + np.arange(k)], axis=1)
         a, b = np.triu_indices(k, 1)
         out = codes[done : done + len(block) * len(a)].reshape(len(block), len(a))
@@ -170,25 +175,24 @@ def _expand_pairs(ids: list[int], sizes: list[int], dim: int) -> tuple[np.ndarra
     return codes[starts], np.diff(starts, append=len(codes))
 
 
-def _count_sets(concept_sets, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct pair codes and their counts over concept-id sets.
+def _count_sets(concept_sets, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct pair codes and their counts over concept-id sets,
+    and the int64 number of sets that hold each concept.
 
-    Sets are buffered as plain ints, not as set objects, which keeps the
-    garbage collector's work independent of the batch size.
+    Non-empty sets are buffered as plain ints, not as set objects, which
+    keeps the garbage collector's work independent of the batch size.
     """
-    sums = _PairSums()
-    ids: list[int] = []
-    sizes: list[int] = []
+    sums, occurrence = _PairSums(), np.zeros(dim, dtype=np.int64)
+    ids, sizes = [], []  # every set's ids, concatenated, and each set's size
     for matched in concept_sets:
-        k = len(matched)
-        if k > 1:
+        if matched:
             ids.extend(matched)
-            sizes.append(k)
+            sizes.append(len(matched))
             if len(sizes) == _BATCH_SETS:
-                sums.add(*_expand_pairs(ids, sizes, dim))
+                sums.add(*_count_batch(ids, sizes, dim, occurrence))
                 ids, sizes = [], []
-    sums.add(*_expand_pairs(ids, sizes, dim))
-    return sums.fold()
+    sums.add(*_count_batch(ids, sizes, dim, occurrence))
+    return *sums.fold(), occurrence
 
 
 class CoocMatrix:
@@ -206,9 +210,20 @@ class CoocMatrix:
     def _from_codes(cls, dim: int, keys: np.ndarray, counts: np.ndarray) -> "CoocMatrix":
         """Matrix from ascending distinct pair codes ``i * dim + j``, ``i < j``
         inside ``[0, dim)``, and their positive counts, as ``_PairSums``
-        sums them; unchecked but for overflow."""
+        sums them; unchecked but for overflow.  It takes both arrays over:
+        once ``j`` is split off, ``i`` is divided out of ``keys`` in place."""
+        over = np.flatnonzero(counts > MAX_COUNT)
+        if len(over):
+            k = over[0]
+            key = divmod(int(keys[k]), dim)
+            raise ValidationError(
+                f"co-occurrence count for pair {key} exceeds 32-bit range ({int(counts[k])})"
+            )
         matrix = cls(dim)
-        matrix._set(keys, counts)
+        if len(keys):
+            matrix.j = keys % dim
+            matrix.i = np.floor_divide(keys, dim, out=keys)
+        matrix.count = counts
         return matrix
 
     def __eq__(self, other: object) -> bool:
@@ -223,20 +238,6 @@ class CoocMatrix:
 
     def __repr__(self) -> str:
         return f"CoocMatrix(dim={self.dim}, stored_pairs={len(self.count)})"
-
-    def _set(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        over = np.flatnonzero(counts > MAX_COUNT)
-        if len(over):
-            k = over[0]
-            key = tuple(divmod(int(keys[k]), self.dim))
-            raise ValidationError(
-                f"co-occurrence count for pair {key} exceeds 32-bit range ({int(counts[k])})"
-            )
-        if len(keys):
-            self.i, self.j = np.divmod(keys, self.dim)
-        else:
-            self.i = self.j = _EMPTY
-        self.count = counts
 
     @property
     def pairs(self) -> np.ndarray:
@@ -436,7 +437,7 @@ def build_cooc(concept_sets, dim: int) -> CoocMatrix:
     Each caption contributes at most one count per unordered pair, however
     often the concepts repeat in its text.
     """
-    return CoocMatrix._from_codes(dim, *_count_sets(concept_sets, dim))
+    return CoocMatrix._from_codes(dim, *_count_sets(concept_sets, dim)[:2])
 
 
 # ---- occurrence-count artifact ----
@@ -571,7 +572,7 @@ def select_all(freq: FreqMatrix, gamma: float) -> tuple[np.ndarray, np.ndarray, 
     return row, freq.indices[keep], freq.data[keep]  # ``row`` ascends, so the sort keeps it
 
 
-# ---- parallel corpus mining ----
+# ---- corpus mining ----
 
 _WORKER_LEXICON: Lexicon | None = None
 # chunks in flight per worker: one running, the rest queued so no worker
@@ -584,23 +585,18 @@ def _worker_init(concepts: list[str]) -> None:
     _WORKER_LEXICON = Lexicon(concepts)
 
 
-def _count_chunk(lines: list[str]):
-    lex = _WORKER_LEXICON
-    assert lex is not None
+def _count_chunk(lines, lexicon: Lexicon | None = None) -> tuple:
+    """Scan stats, pair codes, pair counts and occurrence counts of corpus
+    lines, matched by ``lexicon`` or else by a pool worker's own."""
+    lexicon = _WORKER_LEXICON if lexicon is None else lexicon
     stats = ScanStats()
-    keys, counts = _count_sets(scan_corpus(lines, lex, stats), len(lex))
-    return stats, keys, counts
+    return stats, *_count_sets(scan_corpus(lines, lexicon, stats), len(lexicon))
 
 
-def _chunked(iterable, size: int):
-    chunk: list[str] = []
-    for item in iterable:
-        chunk.append(item)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform tells."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _map_window(pool, fn, items, window: int):
@@ -624,29 +620,32 @@ def mine_corpus(
     lexicon: Lexicon,
     workers: int = 1,
     chunk_size: int = 8192,
-) -> tuple[CoocMatrix, ScanStats]:
-    """Scan a corpus file and produce co-occurrence counts plus scan stats.
+) -> tuple[CoocMatrix, np.ndarray, ScanStats]:
+    """Scan a corpus file into co-occurrence counts, the int64 occurrence
+    count of each concept, and scan stats.
 
-    With ``workers > 1`` the caption stream is processed in chunks by a
-    process pool, with ``_WINDOW_PER_WORKER`` chunks in flight per worker.
-    Partial counts merge by integer addition, so the result is identical
-    for every worker count and chunk size.
+    A pool of ``min(workers, usable CPUs)`` processes counts the corpus in
+    parts: a pool of one, the whole stream in this process; a larger pool,
+    chunks of ``chunk_size`` lines, ``_WINDOW_PER_WORKER`` per process in
+    flight.  Parts add up by integer addition, the same for any split.
     """
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
+    if workers < 1 or chunk_size < 1:
+        raise ValidationError("workers and chunk_size must be >= 1")
     lines = iter_caption_lines(corpus_path)
-    stats = ScanStats(occurrence=[0] * len(lexicon))
-    if workers == 1:
-        matrix = build_cooc(scan_corpus(lines, lexicon, stats), dim=len(lexicon))
-        return matrix, stats
-    sums = _PairSums()
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(lexicon.concepts,)
-    ) as pool:
-        chunks = _chunked(lines, chunk_size)
-        for chunk_stats, keys, counts in _map_window(
-            pool, _count_chunk, chunks, _WINDOW_PER_WORKER * workers
-        ):
-            stats.merge(chunk_stats)
+    pool_size = min(workers, _usable_cpus())
+    stats, occurrence, sums = ScanStats(), np.zeros(len(lexicon), dtype=np.int64), _PairSums()
+    with ExitStack() as stack:
+        if pool_size == 1:
+            parts = [_count_chunk(lines, lexicon)]
+        else:
+            concepts = (lexicon.concepts,)
+            pool = stack.enter_context(
+                ProcessPoolExecutor(pool_size, initializer=_worker_init, initargs=concepts)
+            )
+            chunks = iter(lambda: list(islice(lines, chunk_size)), [])
+            parts = _map_window(pool, _count_chunk, chunks, _WINDOW_PER_WORKER * pool_size)
+        for part_stats, keys, counts, part_occurrence in parts:
+            stats.merge(part_stats)
+            occurrence += part_occurrence
             sums.add(keys, counts)
-    return CoocMatrix._from_codes(len(lexicon), *sums.fold()), stats
+    return CoocMatrix._from_codes(len(lexicon), *sums.fold()), occurrence, stats

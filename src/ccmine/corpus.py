@@ -21,7 +21,7 @@ import json
 import re
 import string
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
@@ -163,22 +163,16 @@ class ConceptMatcher:
 
 @dataclass
 class ScanStats:
-    """Diagnostics and occurrence counts accumulated by a corpus scan."""
+    """Diagnostics accumulated by a corpus scan."""
 
     total: int = 0
     malformed: int = 0
     matched_captions: int = 0
-    occurrence: list[int] = field(default_factory=list)
 
     def merge(self, other: "ScanStats") -> None:
         self.total += other.total
         self.malformed += other.malformed
         self.matched_captions += other.matched_captions
-        if not self.occurrence:
-            self.occurrence = list(other.occurrence)
-        else:
-            for i, v in enumerate(other.occurrence):
-                self.occurrence[i] += v
 
 
 def iter_caption_lines(path: str | Path):
@@ -229,12 +223,9 @@ def scan_corpus(lines, lexicon: Lexicon, stats: ScanStats):
     """Yield the concept-id set of each caption while accumulating stats.
 
     Malformed records are counted into ``stats.malformed`` and skipped; the
-    scan never raises on record content.  ``stats.occurrence[i]`` ends up as
-    the number of captions containing concept ``i`` at least once.
+    scan never raises on record content.  Occurrence counts are left to the
+    pair counter (``cooc._count_sets``), which counts the sets this yields.
     """
-    if not stats.occurrence:
-        stats.occurrence = [0] * len(lexicon)
-    occurrence = stats.occurrence
     matcher = lexicon.matcher
     try:
         for line in lines:
@@ -248,8 +239,6 @@ def scan_corpus(lines, lexicon: Lexicon, stats: ScanStats):
             matched = matcher.match(parsed[1])
             if matched:
                 stats.matched_captions += 1
-                for cid in matched:
-                    occurrence[cid] += 1
             yield matched
     finally:
         matcher._memo.clear()

@@ -16,6 +16,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -305,7 +306,8 @@ def embeddings_loads_by_record(data: bytes) -> EmbeddingTable:
 
 def cc_dictionary_loads_by_entry(text: str) -> CCDictionary:
     """Reference ``cc.json`` reader, one entry at a time: each entry's shape
-    is checked in key order, then every key and list item is normalized."""
+    is checked in key order, then every key and list item is normalized,
+    and then no key and no item of one list may repeat another."""
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError):
@@ -323,8 +325,19 @@ def cc_dictionary_loads_by_entry(text: str) -> CCDictionary:
     meta = payload.get("meta", {})
     if not isinstance(meta, dict):
         raise FormatError("CC dictionary 'meta' member must be an object")
+    # a repeat is named as the most repeated string, the first of a tie
     norm = normalize_concept
-    return CCDictionary({norm(k): [norm(v) for v in vals] for k, vals in cc.items()}, meta)
+    keys = Counter(map(norm, cc))
+    if len(keys) < len(cc):
+        concept = max(keys, key=keys.get)
+        raise FormatError(f"CC dictionary repeats concept {concept!r} once normalized")
+    normalized = {norm(k): [norm(v) for v in vals] for k, vals in cc.items()}
+    for key, vals in normalized.items():
+        counts = Counter(vals)
+        if len(counts) < len(vals):
+            twice = max(counts, key=counts.get)
+            raise FormatError(f"CC dictionary entry {key!r} lists {twice!r} twice")
+    return CCDictionary(normalized, meta)
 
 
 # a plain ASCII decimal: no sign, no leading zero, no other script's digits

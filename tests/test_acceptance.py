@@ -22,7 +22,7 @@ from ccmine.bench import CI_FLOOR_FRACTION, NOMINAL_RATE
 from ccmine.bench import run as bench_run
 from ccmine.ccgen import CCDictionary, CCSet, build_dictionary, cc_bg, cc_d, cc_none
 from ccmine.cli import main
-from ccmine.cooc import build_cooc, mine_corpus, normalize
+from ccmine.cooc import CoocMatrix, _count_sets, build_cooc, mine_corpus, normalize
 from ccmine.corpus import Lexicon, ScanStats, scan_corpus
 from ccmine.embed import EmbeddingTable, nearest_neighbor
 from ccmine.filters import DEFAULT_DELTA, DEFAULT_STOPWORDS, VisibilityTable
@@ -152,16 +152,17 @@ def test_criterion_01_counting_oracle(verdict):
                     lines.append("{not json")
                 if rng.random() < 0.03:
                     lines.append("   ")
-            stats = ScanStats()
-            sets = list(scan_corpus(lines, lexicon, stats))
-            matrix = build_cooc(iter(sets), dim=len(lexicon))
+            sets = list(scan_corpus(lines, lexicon, ScanStats()))
+            keys, counts, counted = _count_sets(iter(sets), len(lexicon))
+            matrix = CoocMatrix._from_codes(len(lexicon), keys, counts)
+            assert matrix == build_cooc(iter(sets), dim=len(lexicon))
             occurrence, pairs = brute_force_counts(sets, len(lexicon))
-            assert stats.occurrence == occurrence
+            assert counted.tolist() == occurrence
             assert coo_as_dict(matrix) == pairs
             # stored in ascending (i, j) order, each unordered pair once
             codes = matrix.i * matrix.dim + matrix.j
             assert np.all(matrix.i < matrix.j) and np.all(np.diff(codes) > 0)
-            freq = normalize(matrix, stats.occurrence, lexicon)
+            freq = normalize(matrix, counted, lexicon)
             assert csr_as_dict(freq) == brute_force_freq(pairs, occurrence)
             for i in range(freq.dim):
                 assert np.all(np.diff(freq.indices[freq.indptr[i] : freq.indptr[i + 1]]) > 0)
@@ -273,8 +274,8 @@ def test_criterion_03_filter_contraction(verdict, toy_corpus_path):
             assert sorted(outcome.kept + removed) == sorted(candidates)
 
         lexicon = Lexicon(list(TOY_CONCEPTS))
-        matrix, stats = mine_corpus(toy_corpus_path, lexicon)
-        freq = normalize(matrix, stats.occurrence, lexicon)
+        matrix, occurrence, _ = mine_corpus(toy_corpus_path, lexicon)
+        freq = normalize(matrix, occurrence, lexicon)
         [dictionary] = build_dictionary(freq, lexicon, make_toy_embeddings(), make_toy_visibility())
         assert dictionary.cc == EXPECTED_DICT_G001
         assert dictionary.meta["gamma"] == 0.01

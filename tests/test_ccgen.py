@@ -144,8 +144,8 @@ class TestCCLLM:
 
 class TestDictionaryBuild:
     def build(self, corpus_path, lexicon, embeddings, visibility, **kwargs):
-        matrix, stats = mine_corpus(corpus_path, lexicon)
-        freq = normalize(matrix, stats.occurrence, lexicon)
+        matrix, occurrence, _ = mine_corpus(corpus_path, lexicon)
+        freq = normalize(matrix, occurrence, lexicon)
         [dictionary] = build_dictionary(freq, lexicon, embeddings, visibility, **kwargs)
         return dictionary
 
@@ -248,7 +248,7 @@ class TestDictionaryIO:
         "cc",
         [
             {k: list(v) for k, v in EXPECTED_DICT_G001.items()},
-            {" Boat ": ["  Water", "DOCK", "water "], "WATER": ["boat", " BOAT"], "dock": []},
+            {" Boat ": ["  Water", "DOCK"], "WATER": [" BOAT"], "dock": []},
         ],
     )
     def test_loads_normalizes_as_each_string_alone(self, cc):
@@ -257,6 +257,20 @@ class TestDictionaryIO:
             normalize_concept(k): [normalize_concept(v) for v in vals] for k, vals in cc.items()
         }
         assert CCDictionary.loads(text).cc == want
+
+    @pytest.mark.parametrize(
+        "cc, message",
+        [
+            ({"Boat": ["water"], "boat": ["sky"]}, "repeats concept 'boat' once normalized"),
+            ({"dock": [], "boat": ["Water", "water"]}, "entry 'boat' lists 'water' twice"),
+            ({"boat": ["sky", "water", "sky"]}, "entry 'boat' lists 'sky' twice"),
+        ],
+    )
+    def test_loads_rejects_a_repeated_concept(self, cc, message):
+        # merged entries, or a repeat in a list, would lose a list or give
+        # cc_d a prompt label twice
+        with pytest.raises(FormatError, match=message):
+            CCDictionary.loads(json.dumps({"cc": cc}))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -339,8 +353,8 @@ class TestDictionaryIO:
     ):
         # the dictionaries of one build hold the lexicon's concepts, so one
         # view serves them all; another build's dictionary has its own
-        matrix, stats = mine_corpus(toy_corpus_path, toy_lexicon)
-        freq = normalize(matrix, stats.occurrence, toy_lexicon)
+        matrix, occurrence, _ = mine_corpus(toy_corpus_path, toy_lexicon)
+        freq = normalize(matrix, occurrence, toy_lexicon)
         args = (freq, toy_lexicon, toy_embeddings, toy_visibility)
         first, second = build_dictionary(*args, [(0.01, 0.8), (0.99, 0.5)])
         view = first.lexicon_table(toy_embeddings)
@@ -780,8 +794,8 @@ class TestBuildAgainstPerConceptLoop:
                 raise CCMineError("visibility service down")
             return True
 
-        matrix, stats = mine_corpus(toy_corpus_path, toy_lexicon)
-        freq = normalize(matrix, stats.occurrence, toy_lexicon)
+        matrix, occurrence, _ = mine_corpus(toy_corpus_path, toy_lexicon)
+        freq = normalize(matrix, occurrence, toy_lexicon)
         [dictionary] = build_dictionary(
             freq, toy_lexicon, toy_embeddings, VisibilityTable(), oracle=oracle
         )

@@ -18,14 +18,16 @@ import weakref
 from collections import Counter
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from ccmine import ccgen, cli, ioutil
+from ccmine import ccgen, cli, cooc, ioutil
 from ccmine.ccgen import CCDictionary
 from ccmine.cli import main
 from ccmine.cooc import CoocMatrix
+from ccmine.corpus import Lexicon
 from ccmine.embed import EmbeddingTable
 from ccmine.errors import CCMineError, FormatError
 from ccmine.filters import VisibilityTable
@@ -146,6 +148,25 @@ class TestMine:
             assert code == 0
             blobs.append((m.read_bytes(), c.read_bytes()))
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_summary_echoes_workers_past_the_usable_cpus(
+        self, mined, tmp_path, toy_corpus_path, toy_lexicon_path, capsys, monkeypatch
+    ):
+        # the pool never outgrows the usable CPUs: one counts in process
+        monkeypatch.setattr(cooc, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cooc, "ProcessPoolExecutor", mock.Mock(side_effect=AssertionError))
+        code, out, _ = run(
+            capsys,
+            "mine",
+            "--corpus", toy_corpus_path,
+            "--lexicon", toy_lexicon_path,
+            "--out-matrix", tmp_path / "m",
+            "--out-counts", tmp_path / "c",
+            "--workers", "10000",
+        )
+        assert code == 0
+        assert json.loads(out)["workers"] == 10000
+        assert [(tmp_path / name).read_bytes() for name in "mc"] == [p.read_bytes() for p in mined]
 
     def test_workers_env(
         self, tmp_path, toy_corpus_path, toy_lexicon_path, capsys, monkeypatch
@@ -695,6 +716,17 @@ class TestGenCC:
         )
         assert code == 0
         assert json.loads(out)["concepts"] == ["road", "sky"]
+
+    def test_classes_file_lines_end_only_in_newline(self, capsys, tmp_path):
+        # \x85 and \x1c end a line for str.splitlines, not for the lexicon
+        path = tmp_path / "classes.txt"
+        path.write_text("car\ntraffic\x85light\r\n# a comment\nsky\x1croad\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "gen-cc", "--mode", "privileged", "--query", "car", "--classes-file", path
+        )
+        assert code == 0
+        assert json.loads(out)["concepts"] == ["traffic light", "sky road"]
+        assert Lexicon.from_file(path).concepts == ("car", "traffic light", "sky road")
 
     def test_mode_from_config(self, capsys, tmp_path):
         config = tmp_path / "run.json"

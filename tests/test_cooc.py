@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import os
 import re
 import threading
@@ -56,10 +57,10 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("cooc")
 
 
-def toy_matrix_and_stats(corpus_path, lexicon):
-    stats = ScanStats()
-    sets = scan_corpus(iter_caption_lines(corpus_path), lexicon, stats)
-    return build_cooc(sets, len(lexicon.concepts)), stats
+def toy_matrix_and_occurrence(corpus_path, lexicon):
+    sets = scan_corpus(iter_caption_lines(corpus_path), lexicon, ScanStats())
+    keys, counts, occurrence = cooc._count_sets(sets, len(lexicon))
+    return CoocMatrix._from_codes(len(lexicon), keys, counts), occurrence
 
 
 def freq_of(freq, i, j):
@@ -324,7 +325,7 @@ def pair_runs(draw):
 
 class TestBuildCooc:
     def test_toy_pair_counts(self, toy_corpus_path, toy_lexicon):
-        matrix, _ = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
+        matrix, _ = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
         expected = {
             tuple(sorted((toy_lexicon.index[a], toy_lexicon.index[b]))): n
             for (a, b), n in TOY_PAIRS.items()
@@ -333,14 +334,14 @@ class TestBuildCooc:
 
     def test_symmetric_get(self, toy_corpus_path, toy_lexicon):
         # an unordered pair is stored once, under (smaller id, larger id)
-        matrix, _ = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
+        matrix, _ = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
         boat = toy_lexicon.index["boat"]
         water = toy_lexicon.index["water"]
         assert pair_counts(matrix)[(min(boat, water), max(boat, water))] == 1
         assert (max(boat, water), min(boat, water)) not in pair_counts(matrix)
 
     def test_no_self_pairs(self, toy_corpus_path, toy_lexicon):
-        matrix, _ = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
+        matrix, _ = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
         for i, j in matrix.pairs:
             assert i < j
 
@@ -356,9 +357,11 @@ class TestBuildCooc:
         whole = build_cooc(iter(sets), 10)
         for order in (parts, parts[::-1]):
             sums = cooc._PairSums()
-            for keys, counts in order:
+            for keys, counts, _ in order:
                 sums.add(keys, counts)
             assert CoocMatrix._from_codes(10, *sums.fold()) == whole
+        occurrence = np.bincount([c for s in sets for c in s], minlength=10)
+        assert np.array_equal(parts[0][2] + parts[1][2], occurrence)
 
     def test_overflow_rejected(self):
         top = CoocMatrix._from_codes(3, np.array([0 * 3 + 1]), np.array([2**32 - 1]))
@@ -400,6 +403,32 @@ class TestBuildCooc:
         assert pair_counts(build_cooc(iter(sets), 8)) == brute
 
     @given(
+        sets=st.lists(st.sets(st.integers(0, 7), max_size=6), max_size=40),
+        batch=st.integers(1, 5),
+    )
+    def test_count_sets_matches_brute_force(self, sets, batch):
+        # empty sets, singletons and batches of every size; the occurrence
+        # reference is the per-caption loop the counter replaced
+        occurrence = [0] * 8
+        for matched in sets:
+            for cid in matched:
+                occurrence[cid] += 1
+        brute = Counter(pair for s in sets for pair in combinations(sorted(s), 2))
+        with mock.patch.object(cooc, "_BATCH_SETS", batch), mock.patch.object(cooc, "_FOLD_MIN", 2):
+            keys, counts, counted = cooc._count_sets(iter(sets), 8)
+        assert counted.dtype == np.int64 and counted.tolist() == occurrence
+        assert keys.dtype == counts.dtype == np.int64
+        want = {i * 8 + j: n for (i, j), n in brute.items()}
+        assert dict(zip(keys.tolist(), counts.tolist())) == want
+        assert np.all(np.diff(keys) > 0)
+
+    @pytest.mark.parametrize("sets", [[{8}], [{0, 1}, {-1}], [set(), {3, 9}]])
+    def test_count_sets_rejects_ids_outside_the_lexicon(self, sets):
+        # a singleton is checked too, since its id is counted
+        with pytest.raises(ValidationError, match=r"concept ids must lie in \[0, 8\)"):
+            cooc._count_sets(sets, 8)
+
+    @given(
         runs=pair_runs(),
         fold_min=st.integers(0, 60),
         folds=st.lists(st.booleans(), max_size=6),
@@ -424,7 +453,7 @@ class TestBuildCooc:
 
 class TestSerialization:
     def test_roundtrip_byte_identical(self, toy_corpus_path, toy_lexicon, tmp_path):
-        matrix, _ = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
+        matrix, _ = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
         path = tmp_path / "pairs.cooc"
         matrix.save(path)
         first = path.read_bytes()
@@ -432,7 +461,7 @@ class TestSerialization:
         assert path.read_bytes() == first
 
     def test_digest_tamper_detected(self, toy_corpus_path, toy_lexicon, tmp_path):
-        matrix, _ = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
+        matrix, _ = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
         path = tmp_path / "pairs.cooc"
         matrix.save(path)
         lines = path.read_text().splitlines(keepends=True)
@@ -466,12 +495,13 @@ class TestSerialization:
             load_kind("cooc", framed_cooc(dim, "0\t1\t1\n"), tmp_path / "m.cooc")
 
     def test_counts_roundtrip(self, toy_corpus_path, toy_lexicon, tmp_path):
-        _, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
+        _, counted = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
         path = tmp_path / "occ.counts"
-        save_counts(path, stats.occurrence)
+        save_counts(path, counted)
         occurrence = load_counts(path)
-        assert occurrence.dtype == np.int64 and occurrence.tolist() == stats.occurrence
+        assert occurrence.dtype == np.int64 and np.array_equal(occurrence, counted)
         assert dumps_counts(occurrence) == path.read_text()
+        assert dumps_counts(occurrence.tolist()) == path.read_text()
 
     def test_counts_above_32_bits_not_saved(self, tmp_path):
         with pytest.raises(ValidationError, match="concept 1 exceeds 32-bit range"):
@@ -479,9 +509,9 @@ class TestSerialization:
         assert not (tmp_path / "occ.counts").exists()
 
     def test_counts_tamper_detected(self, toy_corpus_path, toy_lexicon, tmp_path):
-        _, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
+        _, occurrence = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
         path = tmp_path / "occ.counts"
-        save_counts(path, stats.occurrence)
+        save_counts(path, occurrence)
         lines = path.read_text().splitlines(keepends=True)
         lines[1] = lines[1].replace("3", "4")
         path.write_text("".join(lines))
@@ -580,8 +610,8 @@ class TestNormalize:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
     def test_directional_frequencies(self, toy_corpus_path, toy_lexicon):
-        matrix, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
-        freq = normalize(matrix, stats.occurrence, toy_lexicon)
+        matrix, occurrence = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
+        freq = normalize(matrix, occurrence, toy_lexicon)
         boat = toy_lexicon.index["boat"]
         water = toy_lexicon.index["water"]
         assert freq_of(freq, boat, water) == pytest.approx(1 / 3)
@@ -605,39 +635,154 @@ class TestNormalize:
 
 class TestSelectCandidates:
     def test_order_frequency_then_name(self, toy_corpus_path, toy_lexicon):
-        matrix, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
-        freq = normalize(matrix, stats.occurrence, toy_lexicon)
+        matrix, occurrence = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
+        freq = normalize(matrix, occurrence, toy_lexicon)
         got = members(freq, toy_lexicon, toy_lexicon.index["boat"], 0.3)
         assert got == ["dock", "sunset", "trailer", "water"]
 
     def test_threshold_is_strict(self, toy_corpus_path, toy_lexicon):
-        matrix, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
-        freq = normalize(matrix, stats.occurrence, toy_lexicon)
+        matrix, occurrence = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
+        freq = normalize(matrix, occurrence, toy_lexicon)
         boat = toy_lexicon.index["boat"]
         exactly = freq_of(freq, boat, toy_lexicon.index["water"])
         assert members(freq, toy_lexicon, boat, exactly) == []
 
     def test_high_gamma_keeps_certain_partners(self, toy_corpus_path, toy_lexicon):
-        matrix, stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
-        freq = normalize(matrix, stats.occurrence, toy_lexicon)
+        matrix, occurrence = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
+        freq = normalize(matrix, occurrence, toy_lexicon)
         assert members(freq, toy_lexicon, toy_lexicon.index["water"], 0.99) == ["boat"]
 
 
 class TestMineCorpus:
     def test_single_worker(self, toy_corpus_path, toy_lexicon):
-        matrix, stats = mine_corpus(toy_corpus_path, toy_lexicon, workers=1)
-        direct, direct_stats = toy_matrix_and_stats(toy_corpus_path, toy_lexicon)
+        matrix, occurrence, _ = mine_corpus(toy_corpus_path, toy_lexicon, workers=1)
+        direct, direct_occurrence = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
         assert matrix == direct
-        assert stats.occurrence == direct_stats.occurrence
+        assert occurrence.dtype == np.int64 and np.array_equal(occurrence, direct_occurrence)
 
     def test_parallel_matches_serial(self, toy_corpus_path, toy_lexicon):
-        serial, serial_stats = mine_corpus(toy_corpus_path, toy_lexicon, workers=1)
-        parallel, parallel_stats = mine_corpus(
+        serial, serial_occurrence, serial_stats = mine_corpus(
+            toy_corpus_path, toy_lexicon, workers=1
+        )
+        parallel, parallel_occurrence, parallel_stats = mine_corpus(
             toy_corpus_path, toy_lexicon, workers=3, chunk_size=2
         )
         assert parallel == serial
-        assert parallel_stats.occurrence == serial_stats.occurrence
+        assert np.array_equal(parallel_occurrence, serial_occurrence)
         assert parallel_stats.total == serial_stats.total
+
+
+def write_mixed_corpus(path, captions=40):
+    """Captions over the toy lexicon's words with blank, malformed and
+    undecodable lines among them."""
+    rng = np.random.default_rng(captions)
+    words = ["boat", "water", "dock", "sunset", "trailer", "cat", "a", "the", "on"]
+    lines = []
+    for k in range(captions):
+        text = " ".join(rng.choice(words, size=rng.integers(0, 7)))
+        lines.append(json.dumps({"id": f"c{k}", "text": text}).encode())
+        if k % 7 == 0:
+            lines += [b"", b"   ", b"{broken", json.dumps({"id": k, "text": "boat"}).encode()]
+        if k % 11 == 0:
+            lines.append(b'{"id": "x", "text": "boat \xff water"}')
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return path
+
+
+def mined_bytes(corpus_path, lexicon, out, **kwargs):
+    """The cooc and counts bytes and the stats of one ``mine_corpus`` run."""
+    matrix, occurrence, stats = mine_corpus(corpus_path, lexicon, **kwargs)
+    matrix.save(out / "cooc.txt")
+    save_counts(out / "counts.txt", occurrence)
+    return (out / "cooc.txt").read_bytes(), (out / "counts.txt").read_bytes(), stats
+
+
+class FakePool:
+    """A ``ProcessPoolExecutor`` stand-in that runs each call at submit in
+    this process and records its size and the most calls pending at once:
+    submitted, with the result not yet taken."""
+
+    seen: dict = {}
+
+    def __init__(self, max_workers, initializer, initargs):
+        FakePool.seen = {"max_workers": max_workers, "pending": 0, "peak": 0}
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def submit(self, fn, item):
+        seen = FakePool.seen
+        seen["pending"] += 1
+        seen["peak"] = max(seen["peak"], seen["pending"])
+        return self.Done(fn(item))
+
+    class Done:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            FakePool.seen["pending"] -= 1
+            return self.value
+
+
+class TestOneCountingPath:
+    def test_artifacts_equal_for_every_worker_count_and_chunk_size(
+        self, tmp_path, toy_lexicon, monkeypatch
+    ):
+        # two usable CPUs, so that two workers start a real pool of two
+        monkeypatch.setattr(cooc, "_usable_cpus", lambda: 2)
+        corpus_path = write_mixed_corpus(tmp_path / "corpus.jsonl")
+        got = {}
+        for workers in (1, 2):
+            for chunk_size in (1, 3, 8192):
+                out = tmp_path / f"{workers}-{chunk_size}"
+                out.mkdir()
+                got[workers, chunk_size] = mined_bytes(
+                    corpus_path, toy_lexicon, out, workers=workers, chunk_size=chunk_size
+                )
+        first = got[1, 8192]
+        assert all(value == first for value in got.values())
+        # 40 captions, 12 malformed records and 4 undecodable lines
+        stats = first[2]
+        assert (stats.total, stats.malformed) == (56, 16) and 0 < stats.matched_captions < 40
+        assert b"\t2\n" in first[0]  # some pair is counted twice
+
+    @pytest.mark.parametrize("workers, cpus", [(1, 2), (4, 1)])
+    def test_a_pool_of_one_counts_in_process(
+        self, tmp_path, toy_lexicon, monkeypatch, workers, cpus
+    ):
+        corpus_path = write_mixed_corpus(tmp_path / "corpus.jsonl")
+        want = mined_bytes(corpus_path, toy_lexicon, tmp_path)
+        monkeypatch.setattr(cooc, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cooc, "ProcessPoolExecutor", mock.Mock(side_effect=AssertionError))
+        got = mined_bytes(corpus_path, toy_lexicon, tmp_path, workers=workers, chunk_size=1)
+        assert got == want
+
+    def test_pool_and_window_follow_the_usable_cpus(self, tmp_path, toy_lexicon, monkeypatch):
+        # ten thousand workers asked for start three, with three chunks in
+        # flight each; the fake starts no process
+        corpus_path = write_mixed_corpus(tmp_path / "corpus.jsonl")
+        want = mined_bytes(corpus_path, toy_lexicon, tmp_path)
+        monkeypatch.setattr(cooc, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(cooc, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cooc, "_WORKER_LEXICON", None)
+        got = mined_bytes(corpus_path, toy_lexicon, tmp_path, workers=10_000, chunk_size=1)
+        assert got == want
+        assert FakePool.seen == {
+            "max_workers": 3, "pending": 0, "peak": 3 * cooc._WINDOW_PER_WORKER
+        }
+
+    def test_usable_cpus(self, monkeypatch):
+        assert cooc._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert cooc._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert cooc._usable_cpus() == 1
 
 
 class TestMapWindow:
@@ -901,6 +1046,21 @@ class TestCodecMemory:
 
 
 class TestCountingMemory:
+    def test_from_codes_allocates_one_array(self):
+        # j is split off into one new array; i is divided out of the codes
+        # in place, and the counts are kept as given
+        n, dim = 200_000, 1 << 12
+        rng = np.random.default_rng(5)
+        keys = np.unique(rng.integers(0, dim * dim, size=2 * n))
+        keys = keys[keys // dim < keys % dim][:n]
+        want_i, want_j = np.divmod(keys, dim)
+        counts = rng.integers(1, 1000, size=len(keys))
+        grew = transient(lambda: CoocMatrix._from_codes(dim, keys, counts))
+        assert grew <= keys.nbytes + 2**12, grew
+        matrix = CoocMatrix._from_codes(dim, want_i * dim + want_j, counts)
+        assert np.array_equal(matrix.i, want_i) and np.array_equal(matrix.j, want_j)
+        assert matrix.count is counts
+
     @pytest.mark.parametrize("parts", [1, 4])
     def test_fold_transient_follows_what_it_keeps(self, parts):
         # about 200k running sums and as many pending codes: a fold that

@@ -267,9 +267,9 @@ class TestMemoBound:
         lexicon = Lexicon(["boat", "red car", "w3", "x7"])
 
         def mined():
-            matrix, stats = mine_corpus(path, lexicon)
+            matrix, occurrence, _ = mine_corpus(path, lexicon)
             matrix.save(tmp_path / "cooc.txt")
-            save_counts(tmp_path / "counts.txt", stats.occurrence)
+            save_counts(tmp_path / "counts.txt", occurrence)
             return (tmp_path / "cooc.txt").read_bytes(), (tmp_path / "counts.txt").read_bytes()
 
         unbounded = mined()
@@ -348,10 +348,8 @@ class TestScanCorpus:
         assert stats.malformed == 0
         assert stats.matched_captions == 4
         assert len(sets) == 4
-        occurrence = {
-            toy_lexicon.concepts[i]: stats.occurrence[i]
-            for i in range(len(toy_lexicon.concepts))
-        }
+        _, counted, _ = mine_corpus(toy_corpus_path, toy_lexicon)
+        occurrence = dict(zip(toy_lexicon.concepts, counted.tolist()))
         assert occurrence == TOY_OCCURRENCE
 
     def test_gzip_transparent(self, toy_corpus_gz_path, toy_lexicon):
@@ -395,15 +393,14 @@ class TestScanCorpus:
         assert len(sets) == 2
 
     def test_stats_merge(self):
-        a = ScanStats(total=2, malformed=1, matched_captions=1, occurrence=[1, 0, 2])
-        b = ScanStats(total=3, malformed=0, matched_captions=2, occurrence=[2, 0, 1])
+        a = ScanStats(total=2, malformed=1, matched_captions=1)
+        b = ScanStats(total=3, malformed=0, matched_captions=2)
         a.merge(b)
         assert a.total == 5
         assert a.malformed == 1
         assert a.matched_captions == 3
-        assert a.occurrence == [3, 0, 3]
 
     def test_merge_into_empty(self):
         a = ScanStats()
-        a.merge(ScanStats(total=1, occurrence=[0, 1]))
-        assert a.occurrence == [0, 1]
+        a.merge(ScanStats(total=1, malformed=1))
+        assert a == ScanStats(total=1, malformed=1)
