@@ -22,7 +22,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -34,7 +34,7 @@ from .corpus import Lexicon, normalize_concept
 from .embed import EmbeddingTable, nearest_neighbor
 from .errors import FormatError, ValidationError
 from .filters import DEFAULT_DELTA, DEFAULT_STOPWORDS, VisibilityOracle, VisibilityTable, filter_rows
-from .ioutil import atomic_write_text, read_text
+from .ioutil import atomic_write_text, parse_json, read_text
 from .llm import LLMClient, ask_cc
 
 BACKGROUND = "background"
@@ -147,10 +147,7 @@ class CCDictionary:
 
     @classmethod
     def loads(cls, text: str) -> "CCDictionary":
-        try:
-            payload = json.loads(text)
-        except (ValueError, RecursionError):  # RecursionError: nested too deep
-            raise FormatError("CC dictionary is not valid JSON") from None
+        payload = parse_json(text, "CC dictionary")
         if not isinstance(payload, dict) or "cc" not in payload:
             raise FormatError("CC dictionary must be an object with a 'cc' member")
         cc = payload["cc"]
@@ -322,55 +319,34 @@ def cc_multi(
     embeddings: EmbeddingTable,
     beta: float = DEFAULT_BETA,
     scope: str = "all",
-) -> tuple[list[str], list[str]]:
-    """Merge per-query CC sets for multi-query segmentation.
-
-    A merged concept is kept only while its cosine similarity to the
-    queries stays at or below ``beta``; anything more similar would steal
-    pixels from a query.  ``scope`` selects which queries a concept is
-    checked against: ``"all"`` (default) checks every query, ``"source"``
-    checks only the query whose CC set contributed the concept.
-
-    Returns (kept, excluded), each deduplicated in first-seen order.
+) -> list[str]:
+    """Merge per-query CC sets for multi-query segmentation: the concepts
+    of every set in first-seen order, less the queries, each kept only
+    while its cosine similarity to the queries stays at or below ``beta``
+    (anything more similar would steal pixels from a query).  ``scope``
+    ``"all"`` (default) checks a concept against every query, ``"source"``
+    against the queries whose CC sets hold it, one of which must admit it.
     """
     if scope not in ("all", "source"):
         raise ValidationError(f"scope must be 'all' or 'source', got {scope!r}")
     queries = [s.query for s in cc_sets]
-    if len(queries) != len(set(queries)):
+    if len(queries) != len(unique := set(queries)):
         raise ValidationError("duplicate queries in multi-query merge")
     query_rows = embeddings.rows(queries)
-    query_index = {qn: k for k, qn in enumerate(queries)}
-    order: list[str] = []
-    sources: dict[str, list[str]] = {}
-    for cc_set in cc_sets:
-        for concept in cc_set.concepts:
-            contributed = sources.setdefault(concept, [])
-            if not contributed:
-                order.append(concept)
-            if cc_set.query not in contributed:
-                contributed.append(cc_set.query)
-    merged = [c for c in order if c not in query_index]
-    merged_rows = embeddings.rows(merged)
-    # admitted[q, m]: merged concept m is at most beta similar to query q
+    seen = dict.fromkeys(chain.from_iterable(s.concepts for s in cc_sets))
+    merged = [c for c in seen if c not in unique]
     sims = embeddings.pair_cosines(
-        np.tile(merged_rows, len(queries)), np.repeat(query_rows, len(merged))
+        np.tile(embeddings.rows(merged), len(queries)), np.repeat(query_rows, len(merged))
     )
+    # admitted[q, m]: merged concept m is at most beta similar to query q
     admitted = (sims <= beta).reshape(len(queries), len(merged))
-    column = {concept: m for m, concept in enumerate(merged)}
-    kept: list[str] = []
-    excluded: list[str] = []
-    for concept in order:
-        if concept in query_index:
-            excluded.append(concept)
-            continue
-        if scope == "all":
-            ok = admitted[:, column[concept]].all()
-        else:
-            # the union over source queries keeps a concept admitted by any
-            # of the queries that contributed it
-            ok = any(admitted[query_index[src], column[concept]] for src in sources[concept])
-        if ok:
-            kept.append(concept)
-        else:
-            excluded.append(concept)
-    return kept, excluded
+    if scope == "all":
+        keep = admitted.all(axis=0)
+    else:
+        # held[q, m]: query q's CC set holds merged concept m
+        column = {concept: m for m, concept in enumerate(merged)}
+        held = np.zeros_like(admitted)
+        for q, cc_set in enumerate(cc_sets):
+            held[q, [column[c] for c in cc_set.concepts if c in column]] = True
+        keep = (admitted & held).any(axis=0)
+    return list(compress(merged, keep.tolist()))

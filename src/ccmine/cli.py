@@ -58,7 +58,7 @@ from .filters import (
     accept_unknown,
     reject_unknown,
 )
-from .ioutil import HashedInput, atomic_write_text, read_text
+from .ioutil import HashedInput, atomic_write_text, parse_json, read_text
 from .llm import API_STYLES, LLMClient, visibility_oracle
 from .segment import (
     FeatureMap,
@@ -142,11 +142,7 @@ def _has_type(value, kind: type) -> bool:
 def _load_config(path: str) -> dict:
     """The run-config as ``OPTIONS`` keys, each value checked against its
     option; numbers for float options come back as floats."""
-    raw = read_text(path)
-    try:
-        config = json.loads(raw)
-    except (ValueError, RecursionError):  # RecursionError: nested too deep
-        raise ValidationError(f"run config {path} is not valid JSON") from None
+    config = parse_json(read_text(path), f"run config {path}")
     if not isinstance(config, dict):
         raise ValidationError("run config must be a JSON object")
     llm_cfg = config.pop("llm", {})
@@ -430,7 +426,7 @@ def _query_prompts(queries: list[str], cc_source, embeddings, merge=None) -> Pro
         CCSet(query=q, kind="none", concepts=[]) if q == background_label else cc_source(q)
         for q in queries
     ]
-    merged, _excluded = cc_multi(cc_sets, embeddings, beta=beta, scope=scope)
+    merged = cc_multi(cc_sets, embeddings, beta=beta, scope=scope)
     labels = queries + merged
     mask = [False] * len(queries) + [True] * len(merged)
     return build_prompt_set(labels, mask, embeddings)
@@ -691,9 +687,10 @@ def cmd_segment(args: argparse.Namespace) -> int:
     classes = _classes(*class_flags)
     source, embeddings = _cc_source(cc, embeddings_path, takes_cc, classes, background_label)
     prompts = _query_prompts(queries, source, embeddings, merge)
-    pixmap = segment_pixels(
-        features, prompts, height or features.h, width or features.w, upsample=upsample
-    )
+    # only an absent flag takes the feature map's size: 0 is refused
+    height = features.h if height is None else height
+    width = features.w if width is None else width
+    pixmap = segment_pixels(features, prompts, height, width, upsample=upsample)
     if remap:
         pixmap = remap_cc_to_background(pixmap, prompts, background_label)
     elif not keep_cc:

@@ -24,7 +24,7 @@ import numpy as np
 from .corpus import normalize_concept
 from .embed import EmbeddingTable
 from .errors import CCMineError, FormatError, MissingEmbeddingError, ValidationError
-from .ioutil import atomic_write_text, read_text
+from .ioutil import atomic_write_text, parse_json, read_text
 
 DEFAULT_STOPWORDS = frozenset({"image", "photo", "picture", "view"})
 DEFAULT_DELTA = 0.8
@@ -93,10 +93,7 @@ class VisibilityTable:
             line = line.strip()
             if not line:
                 continue
-            try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError):  # RecursionError: nested too deep
-                raise FormatError(f"visibility table line {lineno} is not JSON") from None
+            rec = parse_json(line, f"visibility table line {lineno}")
             if (
                 not isinstance(rec, dict)
                 or not isinstance(rec.get("concept"), str)

@@ -1,11 +1,12 @@
 """Small I/O helpers: one input reader and the input digests it takes,
-atomic writes, gzip detection, UTF-8 reads."""
+atomic writes, gzip detection, UTF-8 reads, strict JSON parses."""
 
 from __future__ import annotations
 
 import gzip
 import hashlib
 import io
+import json
 import os
 import tempfile
 from collections.abc import Iterable
@@ -115,6 +116,38 @@ def read_text(path: str | Path) -> str:
     with open_input(path) as fh:
         text = decode_utf8(fh.read(), path)
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+class _RepeatedKey(Exception):
+    """A JSON object names the key ``args[0]`` twice."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # plain json keeps the last of a repeated key silently
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(key)
+            seen.add(key)
+    return obj
+
+
+# one decoder for every parse: json.loads with a hook builds one per call
+_STRICT_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def parse_json(text: str, what: object) -> object:
+    """The JSON value ``text`` holds.  Text that is not JSON, nests too
+    deep, or repeats a key within one object is a ``FormatError`` that
+    names ``what``."""
+    try:
+        return _STRICT_JSON.decode(text)
+    except _RepeatedKey as exc:
+        raise FormatError(f"{what} repeats the key {exc.args[0]!r}") from None
+    except (ValueError, RecursionError):  # RecursionError: nested too deep
+        raise FormatError(f"{what} is not valid JSON") from None
 
 
 def open_maybe_gzip(path: str | Path) -> BinaryIO:

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +38,6 @@ class PromptTemplate:
     """A fixed prompt body with exactly one ``{q}`` slot."""
 
     kind: str
-    version: str
     body: str
 
     def __post_init__(self):
@@ -47,7 +47,6 @@ class PromptTemplate:
 
 CC_GENERATION = PromptTemplate(
     kind="cc-generation",
-    version="cc-generation/v1",
     body=(
         "<s> [INST] You are a helpful AI assistant with visual abilities.\n"
         "\n"
@@ -76,7 +75,6 @@ CC_GENERATION = PromptTemplate(
 
 VISIBILITY = PromptTemplate(
     kind="visibility",
-    version="visibility/v1",
     body=(
         "<s> [INST] Please specify whether {q} is something that one can see.\n"
         "\n"
@@ -88,7 +86,6 @@ VISIBILITY = PromptTemplate(
 
 PART_REMOVAL = PromptTemplate(
     kind="part-removal",
-    version="part-removal/v1",
     body=(
         "<s> [INST] You are a helpful AI assistant with visual abilities.\n"
         "\n"
@@ -191,7 +188,9 @@ class LLMClient:
         for name, ok, need in (
             ("max_attempts", self.max_attempts >= 1, "at least 1"),
             ("max_tokens", self.max_tokens >= 1, "at least 1"),
-            ("timeout", 0 < self.timeout < math.inf, "finite and above 0"),
+            # a socket timeout past TIMEOUT_MAX overflows the platform's clock
+            ("timeout", 0 < self.timeout <= threading.TIMEOUT_MAX,
+             f"above 0 and at most {threading.TIMEOUT_MAX:.0f} s"),
             ("temperature", 0 <= self.temperature < math.inf, "finite and at least 0"),
             ("backoff_base", 0 <= self.backoff_base < math.inf, "finite and at least 0"),
         ):

@@ -20,11 +20,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from .ccgen import CCSet
 from .corpus import normalize_concept
 from .embed import EmbeddingTable
 from .errors import CCMineError, FormatError, ValidationError
@@ -43,8 +42,8 @@ from .segment import (
     sigmoid_patch_grid,
 )
 
-# maps a query string to its contrastive concepts
-CCSource = Callable[[str], CCSet]
+if TYPE_CHECKING:  # ccgen pulls in cooc, filters and llm, which scoring never runs
+    from .ccgen import CCSet
 
 
 def intersection_union(
@@ -155,7 +154,7 @@ class ImageResult:
 def iou_single_image(
     features: FeatureMap,
     gt: GroundTruth,
-    cc_source: CCSource,
+    cc_source: Callable[[str], CCSet],  # a query's contrastive concepts
     embeddings: EmbeddingTable,
     upsample: str = "logits",
     image_id: str = "",

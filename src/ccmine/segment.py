@@ -26,7 +26,7 @@ import numpy as np
 
 from .embed import EmbeddingTable
 from .errors import FormatError, MissingEmbeddingError, ValidationError
-from .ioutil import atomic_write_bytes, atomic_write_text, read_text
+from .ioutil import atomic_write_bytes, atomic_write_text, parse_json, read_text
 
 BOTTOM = -1  # in-memory dummy label; serialized as 0xFFFF
 _BOTTOM_U16 = 0xFFFF
@@ -501,22 +501,11 @@ def read_sidecar(path: str | Path) -> tuple[dict, dict[int, str]]:
     ``"01"`` or ``"+1"``) and no key of an object repeats, so no two
     entries can name the same index."""
     sidecar_path = Path(str(path) + ".json")
-
-    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-        # plain json keeps the last of a repeated key silently
-        obj: dict = {}
-        for k, v in pairs:
-            if k in obj:
-                raise FormatError(f"label map sidecar {sidecar_path} repeats the key {k!r}")
-            obj[k] = v
-        return obj
-
     try:
-        sidecar = json.loads(read_text(sidecar_path), object_pairs_hook=unique_keys)
+        text = read_text(sidecar_path)
     except FileNotFoundError:
         raise FormatError(f"label map sidecar missing: {sidecar_path}") from None
-    except (ValueError, RecursionError):  # RecursionError: nested too deep
-        raise FormatError(f"label map sidecar {sidecar_path} is not valid JSON") from None
+    sidecar = parse_json(text, f"label map sidecar {sidecar_path}")
     raw_names = sidecar.get("labels") if isinstance(sidecar, dict) else None
     if not isinstance(raw_names, dict):
         raise FormatError(f"label map sidecar {sidecar_path} must carry a 'labels' object")

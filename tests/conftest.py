@@ -307,9 +307,18 @@ def embeddings_loads_by_record(data: bytes) -> EmbeddingTable:
 def cc_dictionary_loads_by_entry(text: str) -> CCDictionary:
     """Reference ``cc.json`` reader, one entry at a time: each entry's shape
     is checked in key order, then every key and list item is normalized,
-    and then no key and no item of one list may repeat another."""
+    and then no key and no item of one list may repeat another.  No object
+    may name a raw key twice, the innermost object first."""
+
+    def no_repeat(pairs):
+        keys = [k for k, _ in pairs]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise FormatError(f"CC dictionary repeats the key {key!r}")
+        return dict(pairs)
+
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=no_repeat)
     except (ValueError, RecursionError):
         raise FormatError("CC dictionary is not valid JSON") from None
     if not isinstance(payload, dict) or "cc" not in payload:

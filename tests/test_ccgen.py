@@ -272,6 +272,20 @@ class TestDictionaryIO:
         with pytest.raises(FormatError, match=message):
             CCDictionary.loads(json.dumps({"cc": cc}))
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"cc": {"boat": ["water"], "boat": ["sky"]}}', "boat"),
+            ('{"cc": {}, "cc": {"boat": []}}', "cc"),
+            ('{"cc": {}, "meta": {"gamma": 0.1, "gamma": 0.2}}', "gamma"),
+        ],
+    )
+    @pytest.mark.parametrize("loads", [CCDictionary.loads, cc_dictionary_loads_by_entry])
+    def test_loads_rejects_a_repeated_raw_key(self, loads, text, key):
+        # plain json would keep the last of the two without a word
+        with pytest.raises(FormatError, match=f"^CC dictionary repeats the key '{key}'$"):
+            loads(text)
+
     @settings(max_examples=300, deadline=None)
     @given(
         cc=st.dictionaries(
@@ -449,21 +463,19 @@ def multi_table():
 
 
 class TestCCMulti:
-    def test_near_query_concept_excluded(self):
+    def test_near_query_concept_dropped(self):
+        # "puppy" is too near dog and "cat" is a query: only "bone" is kept
         sets = [
             CCSet("dog", "llm", ["puppy", "bone", "cat"]),
             CCSet("cat", "llm", ["bone"]),
         ]
-        kept, excluded = cc_multi(sets, multi_table(), beta=0.9)
-        assert kept == ["bone"]
-        assert excluded == ["puppy", "cat"]
+        assert cc_multi(sets, multi_table(), beta=0.9) == ["bone"]
 
     def test_boundary_is_inclusive(self):
         table = multi_table()
         exactly = cosine(table.vector("puppy"), table.vector("dog"))
         sets = [CCSet("dog", "llm", ["puppy"])]
-        kept, _ = cc_multi(sets, table, beta=exactly)
-        assert kept == ["puppy"]
+        assert cc_multi(sets, table, beta=exactly) == ["puppy"]
 
     def test_scope_all_vs_source(self):
         # "lure" comes only from dog's set; dog admits it, cat does not
@@ -471,12 +483,8 @@ class TestCCMulti:
             CCSet("dog", "llm", ["lure"]),
             CCSet("cat", "llm", []),
         ]
-        kept_all, excluded_all = cc_multi(sets, multi_table(), beta=0.9, scope="all")
-        assert kept_all == []
-        assert excluded_all == ["lure"]
-        kept_src, excluded_src = cc_multi(sets, multi_table(), beta=0.9, scope="source")
-        assert kept_src == ["lure"]
-        assert excluded_src == []
+        assert cc_multi(sets, multi_table(), beta=0.9, scope="all") == []
+        assert cc_multi(sets, multi_table(), beta=0.9, scope="source") == ["lure"]
 
     def test_scope_source_union_semantics(self):
         # contributed by both queries; one admitting source suffices
@@ -484,16 +492,42 @@ class TestCCMulti:
             CCSet("cat", "llm", ["lure"]),
             CCSet("dog", "llm", ["lure"]),
         ]
-        kept, _ = cc_multi(sets, multi_table(), beta=0.9, scope="source")
-        assert kept == ["lure"]
+        assert cc_multi(sets, multi_table(), beta=0.9, scope="source") == ["lure"]
+
+    def test_scope_source_checks_only_holders(self):
+        # at beta 0.2 dog admits "lure" and neither query admits "puppy";
+        # at 0.9 cat admits "puppy" but does not hold it, and dog rejects it
+        sets = [
+            CCSet("dog", "llm", ["lure", "puppy"]),
+            CCSet("cat", "llm", ["puppy", "lure"]),
+        ]
+        assert cc_multi(sets, multi_table(), beta=0.2, scope="source") == ["lure"]
+        sets = [CCSet("dog", "llm", ["puppy"]), CCSet("cat", "llm", [])]
+        assert cc_multi(sets, multi_table(), beta=0.9, scope="source") == []
 
     def test_first_seen_order(self):
         sets = [
             CCSet("dog", "llm", ["bone", "lure"]),
             CCSet("cat", "llm", ["lure", "bone"]),
         ]
-        kept, _ = cc_multi(sets, multi_table(), beta=0.99)
-        assert kept == ["bone", "lure"]
+        assert cc_multi(sets, multi_table(), beta=0.99) == ["bone", "lure"]
+
+    @pytest.mark.parametrize("scope", ["all", "source"])
+    @pytest.mark.parametrize(
+        "concepts", [([], []), (["cat", "dog"], ["dog"])], ids=["empty", "only-queries"]
+    )
+    def test_no_merged_concept(self, scope, concepts):
+        sets = [CCSet("dog", "llm", concepts[0]), CCSet("cat", "llm", concepts[1])]
+        assert cc_multi(sets, multi_table(), beta=1.0, scope=scope) == []
+
+    def test_no_sets(self):
+        assert cc_multi([], multi_table()) == []
+
+    def test_missing_query_reported_before_missing_concept(self):
+        sets = [CCSet("dog", "llm", ["yak"]), CCSet("cow", "llm", ["yak"])]
+        with pytest.raises(MissingEmbeddingError) as info:
+            cc_multi(sets, multi_table())
+        assert info.value.concept == "cow"
 
     def test_duplicate_queries_rejected(self):
         sets = [CCSet("dog", "llm", []), CCSet("dog", "bg", [])]
@@ -607,18 +641,18 @@ def loop_cc_multi(cc_sets, embeddings, beta, scope):
                 order.append(concept)
             if cc_set.query not in contributed:
                 contributed.append(cc_set.query)
-    kept, excluded = [], []
+    kept = []
     for concept in order:
         if concept in query_vecs:
-            excluded.append(concept)
             continue
         vec = embeddings.vector(concept)
         if scope == "all":
             ok = all(cosine(vec, query_vecs[qn]) <= beta for qn in queries)
         else:
             ok = any(cosine(vec, query_vecs[src]) <= beta for src in sources[concept])
-        (kept if ok else excluded).append(concept)
-    return kept, excluded
+        if ok:
+            kept.append(concept)
+    return kept
 
 
 # names sort differently from their ids once shuffled, and two are stop-words
@@ -814,7 +848,7 @@ class TestBuildAgainstPerConceptLoop:
 class TestCCMultiAgainstLoop:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
-    def test_same_kept_and_excluded(self, data):
+    def test_same_kept(self, data):
         concepts = data.draw(st.permutations(POOL))[: data.draw(st.integers(1, 8))]
         table = data.draw(st.one_of(embedding_tables(concepts), near_tables(concepts)))
         queries = data.draw(st.lists(st.sampled_from(concepts), unique=True, max_size=4))

@@ -761,6 +761,20 @@ class TestGenCC:
         assert code == 3
         assert "cc_mod" in err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"gamma": 0.5, "gamma": 0.01}', "gamma"),
+            ('{"llm": {"model": "a", "model": "b"}}', "model"),
+        ],
+    )
+    def test_repeated_config_key_rejected(self, capsys, tmp_path, text, key):
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        code, _, err = run(capsys, "gen-cc", "--config", config, "--query", "car")
+        assert code == 3
+        assert f"run config {config} repeats the key {key!r}" in err
+
     def test_llm_mode_unreachable_endpoint(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,
@@ -874,6 +888,17 @@ class TestSegment:
         )
         assert code == 0
         assert SegMap.load(out_path).labels.shape == (8, 12)
+
+    @pytest.mark.parametrize("size", [("--height", "0"), ("--width", "0"), ("--height", "-3")])
+    def test_upsample_size_must_be_positive(
+        self, capsys, tmp_path, dict_path, toy_embeddings_path, size
+    ):
+        code, out_path, err = self.seg(
+            capsys, tmp_path, dict_path, toy_embeddings_path, "--query", "boat", *size
+        )
+        assert code == 3
+        assert err == "error: output size must be positive\n"
+        assert not out_path.exists()
 
     def test_query_required(self, capsys, tmp_path, dict_path, toy_embeddings_path):
         code, _, err = self.seg(capsys, tmp_path, dict_path, toy_embeddings_path)
@@ -3254,6 +3279,7 @@ _LLM_BOUNDS = [
     ("--llm-max-tokens", "max_tokens", 0),
     ("--llm-timeout", "timeout", 0),
     ("--llm-timeout", "timeout", -1),
+    ("--llm-timeout", "timeout", 1e12),  # a socket timeout this long overflows
     ("--llm-temperature", "temperature", -0.5),
 ]
 
@@ -3273,6 +3299,21 @@ class TestLLMBounds:
         assert code == 3
         assert err.startswith(f"error: LLM {name} must be") and err.count("\n") == 1
         assert llm_server.requests == []
+
+    def test_overlong_timeout_opens_no_socket(self, capsys, tmp_path):
+        with mock.patch("socket.socket", side_effect=AssertionError("a socket opened")):
+            code, _, err = run(
+                capsys,
+                "gen-cc",
+                "--mode", "llm",
+                "--query", "boat",
+                "--llm-endpoint", "http://127.0.0.1:9/",
+                "--llm-cache", tmp_path / "cache",
+                "--llm-timeout", "1e12",
+            )
+        assert code == 3
+        bound = f"{threading.TIMEOUT_MAX:.0f}"
+        assert err.startswith(f"error: LLM timeout must be above 0 and at most {bound} s")
 
     @pytest.mark.parametrize("flag,name,value", _LLM_BOUNDS)
     def test_config_exits_3_without_a_request(self, capsys, tmp_path, llm_server, flag, name, value):

@@ -118,6 +118,16 @@ class TestVisibilityTable:
         with pytest.raises(FormatError):
             VisibilityTable.from_file(path)
 
+    def test_from_file_rejects_a_repeated_key(self, tmp_path):
+        # plain json would read the last "visible", false
+        path = tmp_path / "vis.jsonl"
+        path.write_text(
+            '{"concept": "sky", "visible": true, "source": "manual"}\n'
+            '{"concept": "boat", "visible": true, "source": "manual", "visible": false}\n'
+        )
+        with pytest.raises(FormatError, match="^visibility table line 2 repeats the key 'visible'$"):
+            VisibilityTable.from_file(path)
+
     def test_from_file_rejects_duplicate(self, tmp_path):
         path = tmp_path / "vis.jsonl"
         row = '{"concept": "boat", "visible": true, "source": "manual"}\n'

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +63,19 @@ def test_only_the_hashers_import_hashlib(path):
         if isinstance(node, ast.Import):
             modules += [alias.name for alias in node.names]
     assert ("hashlib" in modules) == (path.name in HASHERS)
+
+
+def test_scoring_leaves_the_cc_machinery_unloaded():
+    # segment and score need no dictionary build, LLM client or process pool
+    code = (
+        "import sys, ccmine.metrics, ccmine.segment\n"
+        "names = ['ccmine.ccgen', 'ccmine.cooc', 'ccmine.filters', 'ccmine.llm',\n"
+        "         'concurrent.futures.process']\n"
+        "print(sorted(name for name in names if name in sys.modules))"
+    )
+    src = str(Path(ccmine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ccmine import ioutil
 from ccmine.corpus import Lexicon
 from ccmine.errors import FormatError
-from ccmine.ioutil import HashedInput, open_input, open_maybe_gzip, read_text
+from ccmine.ioutil import HashedInput, open_input, open_maybe_gzip, parse_json, read_text
 
 from conftest import substituted
 
@@ -160,3 +160,27 @@ def test_open_maybe_gzip_reads_a_pipe(compress):
             assert fh.read() == data
     # closing the stream closes the one file it read
     assert file.closed
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"a": 1, "a": 2}', "a"),
+        ('{"a": {"b": 1, "c": 2, "c": 3, "b": 4}}', "c"),
+        ('[{"a": 1}, {"b": 1, "b": 1}]', "b"),
+        ('{"a": {}, "a": {}}', "a"),
+    ],
+)
+def test_parse_json_refuses_a_repeated_key(text, key):
+    with pytest.raises(FormatError, match=f"^thing repeats the key '{key}'$"):
+        parse_json(text, "thing")
+
+
+@pytest.mark.parametrize("text", ["{bad", "", "\ufeff{}", "[" * 100_000])
+def test_parse_json_refuses_what_is_not_json(text):
+    with pytest.raises(FormatError, match="^thing is not valid JSON$"):
+        parse_json(text, "thing")
+
+
+def test_parse_json_keeps_distinct_keys_in_order():
+    assert list(parse_json('{"b": 1, "a": {"b": [], "a": null}}', "thing")) == ["b", "a"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import socket
+import threading
 from pathlib import Path
 
 import pytest
@@ -90,7 +91,7 @@ class TestRender:
         from ccmine.llm import PromptTemplate
 
         with pytest.raises(ValidationError):
-            PromptTemplate(kind="bad", version="bad/v1", body="no slot here")
+            PromptTemplate(kind="bad", body="no slot here")
 
 
 class TestClient:
@@ -248,6 +249,7 @@ class TestClientBounds:
             ("timeout", 0.0),
             ("timeout", -1.0),
             ("timeout", float("inf")),
+            ("timeout", 1e12),  # past threading.TIMEOUT_MAX, where a socket overflows
             ("timeout", float("nan")),
             ("temperature", -0.1),
             ("temperature", float("nan")),
@@ -266,6 +268,12 @@ class TestClientBounds:
             tmp_path, lambda *a: None, max_attempts=1, max_tokens=1, temperature=0.0, backoff_base=0.0
         )
         assert (client.max_attempts, client.temperature, client.backoff_base) == (1, 0.0, 0.0)
+
+    def test_the_longest_timeout_is_one_a_socket_takes(self, tmp_path):
+        client, _ = make_client(tmp_path, lambda *a: None, timeout=threading.TIMEOUT_MAX)
+        with socket.socket() as sock:
+            sock.settimeout(client.timeout)
+            assert sock.gettimeout() == threading.TIMEOUT_MAX
 
 
 class TestAsks:
