@@ -29,7 +29,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cooc import FreqMatrix, select_all
 from .corpus import Lexicon, normalize_concept
 from .embed import EmbeddingTable, nearest_neighbor
 from .errors import FormatError, ValidationError
@@ -207,7 +206,7 @@ def build_timestamp() -> str:
 
 
 def build_dictionary(
-    freq: FreqMatrix,
+    candidates: tuple[np.ndarray, np.ndarray, np.ndarray],
     lexicon: Lexicon,
     embeddings: EmbeddingTable,
     visibility: VisibilityTable,
@@ -216,13 +215,14 @@ def build_dictionary(
     oracle: VisibilityOracle | None = None,
 ) -> list[CCDictionary]:
     """The dictionary of each ``(gamma, delta)`` in ``thresholds``: every
-    lexicon concept's candidates above ``gamma`` in ``freq``, the
-    lexicon's normalized counts, that pass the filtering pipeline at
-    ``delta``.
+    lexicon concept's candidates above ``gamma`` that pass the filtering
+    pipeline at ``delta``.
 
-    Candidates are selected and filtered once, at the smallest gamma, so the
-    oracle is asked once per concept; each pair thresholds the same
-    frequencies and cosines.  The dictionaries share one lexicon view.
+    ``candidates`` are ``cooc.normalize``'s (row, column, frequency)
+    arrays at a gamma no larger than the smallest of ``thresholds``.  They
+    are filtered once, so the oracle is asked once per concept; each pair
+    thresholds the same frequencies and cosines.  The dictionaries share
+    one lexicon view.
 
     ``meta`` records the build parameters, the candidates each filter stage
     removed over all concepts (``filter_counts``) and the kept concepts
@@ -230,7 +230,7 @@ def build_dictionary(
     """
     if not len(thresholds) or not np.isfinite(thresholds).all():
         raise ValidationError(f"need one or more finite (gamma, delta) pairs, got {thresholds!r}")
-    row, col, value = select_all(freq, min(gamma for gamma, _ in thresholds))
+    row, col, value = candidates
     concepts = lexicon.concepts
     masks = filter_rows(concepts, len(lexicon), row, col, embeddings, visibility, stopwords, oracle)
     names, built_at, nn_cache = np.array(concepts, dtype=object), build_timestamp(), []

@@ -315,10 +315,14 @@ def _cc_source(cc: tuple, embeddings, queries, classes, background_label=None) -
     """The CC generator of the ``_cc_flags`` ``cc`` for ``queries``, and the
     ``embeddings`` table (None without a path) of only the rows their CC
     sets (``ccgen.cc_reach``) and ``background_label``, a query that takes
-    none, can reach.  ``dict`` mode reads ``--cc-dict`` before the table."""
+    none, can reach.  ``llm`` mode checks its settings before anything is
+    read, and ``dict`` mode reads ``--cc-dict`` before the table."""
     mode, cc_dict, _, llm = cc
     if mode == "dict" and (cc_dict is None or not embeddings):
         raise ValidationError("cc-mode 'dict' needs --cc-dict and --embeddings")
+    if mode == "llm":
+        fields, include_markers = llm
+        source = partial(cc_llm, client=LLMClient(**fields), include_markers=include_markers)
     dictionary = CCDictionary.load(cc_dict) if mode == "dict" else None
     table = None
     if embeddings is not None:
@@ -328,14 +332,11 @@ def _cc_source(cc: tuple, embeddings, queries, classes, background_label=None) -
         table = EmbeddingTable.load(embeddings, reach)
     if mode == "dict":
         source = partial(cc_d, dictionary=dictionary, embeddings=table)
-    elif mode == "llm":
-        fields, include_markers = llm
-        source = partial(cc_llm, client=LLMClient(**fields), include_markers=include_markers)
     elif mode == "privileged":
         if classes is None:
             raise ValidationError("cc-mode 'privileged' needs the dataset class list")
         source = partial(cc_privileged, classes=classes)
-    else:
+    elif mode != "llm":
         source = cc_none if mode == "none" else cc_bg
     return source, table
 
@@ -388,26 +389,29 @@ def _build(paths, rules, embeddings, thresholds, queries=()) -> tuple:
     ``embeddings`` only the rows of the lexicon's concepts, ``background``
     and ``queries``: all that the dictionaries and a ``cc_d`` lookup of
     ``queries`` can reach."""
+    stopwords, policy, llm = rules
+    if policy == "llm":  # bad LLM settings are refused before any input is read
+        fields, include_markers = llm
+        ask = visibility_oracle(LLMClient(**fields), include_markers)
     lexicon_path, matrix_path, counts_path, visibility_path = paths
     lexicon = Lexicon.from_file(lexicon_path)
-    # the counts are normalized as soon as they are read, and nothing holds
-    # the matrix after that: it is freed before the embedding rows load
-    freq = normalize(CoocMatrix.load(matrix_path), load_counts(counts_path), lexicon)
+    # the counts are normalized and selected as soon as they are read, and
+    # nothing holds the matrix after that: it is freed before the embedding
+    # rows load
+    gamma = min(gamma for gamma, _ in thresholds)
+    candidates = normalize(CoocMatrix.load(matrix_path), load_counts(counts_path), lexicon, gamma)
     visibility = VisibilityTable.from_file(visibility_path) if visibility_path else VisibilityTable()
     # a list, not a set: the loader builds the one set of the names; a
     # second set of a large lexicon's names raised build-cc's peak RSS
     table = EmbeddingTable.load(embeddings, [*lexicon.concepts, BACKGROUND, *queries])
-    stopwords, policy, llm = rules
     if policy == "llm":
         # only the endpoint's answers go into the table: a policy's do not
         # hide a concept from a later run that asks the endpoint
-        fields, include_markers = llm
-        ask = visibility_oracle(LLMClient(**fields), include_markers)
         oracle = partial(visibility.resolve, oracle=ask, source="llm")
     else:
         oracle = accept_unknown if policy == "accept" else reject_unknown
     dictionaries = build_dictionary(
-        freq, lexicon, table, visibility, thresholds,
+        candidates, lexicon, table, visibility, thresholds,
         stopwords=stopwords, oracle=oracle,
     )
     return dictionaries, table, visibility
@@ -638,6 +642,8 @@ def cmd_gen_cc(args: argparse.Namespace) -> int:
     mode, _, class_flags, _ = cc = _cc_flags(settings)
     embeddings = settings.arg("embeddings") if mode == "dict" else None
     settings.refuse_unread(f"gen-cc with cc-mode {mode}")
+    if not normalize_concept(query):
+        raise ValidationError("query is empty")
     source, _ = _cc_source(cc, embeddings, [query], _classes(*class_flags))
     cc = source(query)
     payload = {
@@ -679,6 +685,10 @@ def cmd_segment(args: argparse.Namespace) -> int:
         merge = (background_label, settings.get("beta"), settings.get("beta_scope"))
     queried = "several queries" if several else "one query"
     settings.refuse_unread(f"segment of {queried} with cc-mode {mode}")
+    if "" in queries:
+        raise ValidationError("query is empty")
+    if any(size is not None and size < 1 for size in (height, width)):
+        raise ValidationError("output size must be positive")
     if remap and background_label not in queries:
         raise ValidationError(f"--remap-background needs --query {background_label}")
     features = FeatureMap.load(features_path)
@@ -687,7 +697,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     classes = _classes(*class_flags)
     source, embeddings = _cc_source(cc, embeddings_path, takes_cc, classes, background_label)
     prompts = _query_prompts(queries, source, embeddings, merge)
-    # only an absent flag takes the feature map's size: 0 is refused
+    # only an absent flag takes the feature map's size
     height = features.h if height is None else height
     width = features.w if width is None else width
     pixmap = segment_pixels(features, prompts, height, width, upsample=upsample)
@@ -763,6 +773,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fixed = settings.get("delta" if param == "gamma" else "gamma")
     where, data, flags = _set_up_flags(settings, job)
     settings.refuse_unread(where)
+    if param == "sigmoid" and steps < 2:
+        raise ValidationError("a sweep needs at least two threshold steps")
     grid: list[float] = []
     if param != "sigmoid":
         if not text:

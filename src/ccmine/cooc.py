@@ -28,7 +28,6 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -477,36 +476,18 @@ def load_counts(path: str | Path) -> np.ndarray:
 # ---- row normalization and candidate selection ----
 
 
-@dataclass(eq=False)
-class FreqMatrix:
-    """Row-normalized co-occurrence frequencies; directional by design.
-
-    CSR arrays: row ``i``'s columns are ``indices[indptr[i]:indptr[i + 1]]``,
-    ascending, with frequencies ``data`` at the same positions.  ``rank``
-    is each concept's position in ascending string order, which breaks
-    frequency ties in candidate selection.
-    """
-
-    dim: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    rank: np.ndarray
-
-
-def normalize(matrix: CoocMatrix, occurrence, lexicon: Lexicon) -> FreqMatrix:
-    """Divide each row of the symmetric counts by the row concept's
-    occurrence count, given as a list or an array.
+def normalize(
+    matrix: CoocMatrix, occurrence, lexicon: Lexicon, gamma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every concept's candidates, as (row, column, frequency) arrays: the
+    stored pairs in both directions, each count divided by the row
+    concept's occurrence count (a list or an array), whose frequency is
+    strictly above ``gamma`` (one exactly equal to it is excluded), by
+    ascending row, then descending frequency, then ascending concept
+    string.  Frequencies are directional by design.
 
     A concept that never occurs but has stored pairs is an inconsistency in
     the inputs and raises, naming the offending pair.
-
-    No sort of both halves is needed: CSR row ``r`` holds first its columns
-    ``i < r``, the stored pairs ``(i, r)``, then its columns ``j > r``, the
-    stored pairs ``(r, j)``.  The stored order is already that of the
-    upper half, and a stable sort by ``j`` gives the lower half, since
-    ``i`` ascends within each ``j``.  Each half is scattered into the
-    preallocated ``indices`` and ``data`` at its rows' offsets.
     """
     if len(occurrence) != matrix.dim or len(lexicon) != matrix.dim:
         raise ValidationError("occurrence counts, lexicon, and matrix dimensions disagree")
@@ -527,49 +508,22 @@ def normalize(matrix: CoocMatrix, occurrence, lexicon: Lexicon) -> FreqMatrix:
                     f"pair count {count[k]} for ({lexicon.concepts[a]!r}, "
                     f"{lexicon.concepts[b]!r}) exceeds occurrence count {n}"
                 )
-    del n_i, n_j  # freed before the output is allocated
-    below = np.bincount(j, minlength=matrix.dim)  # each row's columns i < r
-    above = np.bincount(i, minlength=matrix.dim)  # and its columns j > r
-    indptr = np.zeros(matrix.dim + 1, dtype=np.int64)
-    np.cumsum(below + above, out=indptr[1:])
-    indices = np.empty(2 * len(count), dtype=np.int64)
-    data = np.empty(2 * len(count), dtype=np.float64)
+    del n_i, n_j, bad  # freed before the halves are allocated
     # int64 true division divides the operands' float64 casts, so this
     # gives the same bits
     occ = occ.astype(np.float64)
-    # upper half: the stored pair k, (i, j), lands after the k upper-half
-    # entries before it and the lower-half entries of rows 0 to i
-    at = np.cumsum(below)[i]
-    at += np.arange(len(count))
-    indices[at] = j
-    data[at] = count / occ[i]
-    del at
-    # lower half, in order of j: its m-th entry, (i, j), lands after the m
-    # lower-half entries before it and the upper-half entries of rows
-    # before j
-    order = np.argsort(j, kind="stable")
-    at = (np.cumsum(above) - above)[j[order]]
-    at += np.arange(len(count))
-    indices[at] = i[order]
-    freq = occ[j[order]]
-    np.divide(count[order], freq, out=freq)
-    data[at] = freq
+    halves = []
+    for row, col in ((i, j), (j, i)):
+        freq = occ[row]
+        np.divide(count, freq, out=freq)
+        keep = freq > gamma
+        halves.append((row[keep], col[keep], freq[keep]))
+    row, col, freq = map(np.concatenate, zip(*halves))
     rank = np.empty(matrix.dim, dtype=np.int64)
     rank[sorted(range(matrix.dim), key=lexicon.concepts.__getitem__)] = np.arange(matrix.dim)
-    return FreqMatrix(matrix.dim, indptr, indices, data, rank)
-
-
-def select_all(freq: FreqMatrix, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every row's candidates at once, as (row, column, frequency) arrays:
-    the entries with frequency strictly above ``gamma`` (one exactly equal
-    to it is excluded), by ascending row, then descending frequency, then
-    ascending concept string."""
-    keep = np.flatnonzero(freq.data > gamma)
-    row = np.searchsorted(freq.indptr, keep, side="right") - 1
-    ids = np.min_scalar_type(freq.dim)  # ids of 16 bits or fewer sort by radix
-    rank = freq.rank[freq.indices[keep]].astype(ids)
-    keep = keep[np.lexsort((rank, -freq.data[keep], row.astype(ids)))]
-    return row, freq.indices[keep], freq.data[keep]  # ``row`` ascends, so the sort keeps it
+    ids = np.min_scalar_type(matrix.dim)  # ids of 16 bits or fewer sort by radix
+    order = np.lexsort((rank[col].astype(ids), -freq, row.astype(ids)))
+    return row[order], col[order], freq[order]
 
 
 # ---- corpus mining ----

@@ -42,7 +42,7 @@ from .segment import (
     sigmoid_patch_grid,
 )
 
-if TYPE_CHECKING:  # ccgen pulls in cooc, filters and llm, which scoring never runs
+if TYPE_CHECKING:  # ccgen pulls in filters and llm, which scoring never runs
     from .ccgen import CCSet
 
 

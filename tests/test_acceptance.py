@@ -120,15 +120,13 @@ def coo_as_dict(matrix):
     return dict(zip(zip(matrix.i.tolist(), matrix.j.tolist()), matrix.count.tolist()))
 
 
-def csr_as_dict(freq):
+def candidates_as_dict(row, col, freq):
     """``{i: {j: freq}}`` over the rows holding entries, read straight off
-    the CSR arrays."""
+    the candidate triplets; each (i, j) must come once."""
     rows = {}
-    indptr = freq.indptr.tolist()
-    for i in range(freq.dim):
-        lo, hi = indptr[i], indptr[i + 1]
-        if hi > lo:
-            rows[i] = dict(zip(freq.indices[lo:hi].tolist(), freq.data[lo:hi].tolist()))
+    for i, j, f in zip(row.tolist(), col.tolist(), freq.tolist()):
+        assert j not in rows.setdefault(i, {})
+        rows[i][j] = f
     return rows
 
 
@@ -162,10 +160,13 @@ def test_criterion_01_counting_oracle(verdict):
             # stored in ascending (i, j) order, each unordered pair once
             codes = matrix.i * matrix.dim + matrix.j
             assert np.all(matrix.i < matrix.j) and np.all(np.diff(codes) > 0)
-            freq = normalize(matrix, counted, lexicon)
-            assert csr_as_dict(freq) == brute_force_freq(pairs, occurrence)
-            for i in range(freq.dim):
-                assert np.all(np.diff(freq.indices[freq.indptr[i] : freq.indptr[i + 1]]) > 0)
+            # every frequency is above 0, so gamma 0 keeps every entry
+            row, col, freq = normalize(matrix, counted, lexicon, 0.0)
+            assert candidates_as_dict(row, col, freq) == brute_force_freq(pairs, occurrence)
+            # by row, then descending frequency, then ascending concept string
+            triplets = zip(row.tolist(), col.tolist(), freq.tolist())
+            keys = [(i, -f, lexicon.concepts[j]) for i, j, f in triplets]
+            assert keys == sorted(keys)
         assert time.perf_counter() - start <= 60.0
 
 
@@ -275,8 +276,10 @@ def test_criterion_03_filter_contraction(verdict, toy_corpus_path):
 
         lexicon = Lexicon(list(TOY_CONCEPTS))
         matrix, occurrence, _ = mine_corpus(toy_corpus_path, lexicon)
-        freq = normalize(matrix, occurrence, lexicon)
-        [dictionary] = build_dictionary(freq, lexicon, make_toy_embeddings(), make_toy_visibility())
+        candidates = normalize(matrix, occurrence, lexicon, 0.01)
+        [dictionary] = build_dictionary(
+            candidates, lexicon, make_toy_embeddings(), make_toy_visibility()
+        )
         assert dictionary.cc == EXPECTED_DICT_G001
         assert dictionary.meta["gamma"] == 0.01
         assert dictionary.meta["delta"] == 0.8

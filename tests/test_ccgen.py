@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccmine.ccgen import (
+    DEFAULT_GAMMA,
     CCDictionary,
     CCSet,
     build_dictionary,
@@ -23,7 +24,7 @@ from ccmine.ccgen import (
     cc_privileged,
     cc_reach,
 )
-from ccmine.cooc import mine_corpus, normalize, select_all
+from ccmine.cooc import mine_corpus, normalize
 from ccmine.corpus import Lexicon, normalize_concept
 from ccmine.embed import EmbeddingTable
 from ccmine.errors import CCMineError, FormatError, MissingEmbeddingError, ValidationError
@@ -145,8 +146,11 @@ class TestCCLLM:
 class TestDictionaryBuild:
     def build(self, corpus_path, lexicon, embeddings, visibility, **kwargs):
         matrix, occurrence, _ = mine_corpus(corpus_path, lexicon)
-        freq = normalize(matrix, occurrence, lexicon)
-        [dictionary] = build_dictionary(freq, lexicon, embeddings, visibility, **kwargs)
+        # selected at the smallest gamma, as the command line does
+        thresholds = kwargs.get("thresholds", [(DEFAULT_GAMMA, None)])
+        gamma = min((gamma for gamma, _ in thresholds), default=0.0)
+        candidates = normalize(matrix, occurrence, lexicon, gamma)
+        [dictionary] = build_dictionary(candidates, lexicon, embeddings, visibility, **kwargs)
         return dictionary
 
     def test_toy_dictionary_defaults(
@@ -368,8 +372,8 @@ class TestDictionaryIO:
         # the dictionaries of one build hold the lexicon's concepts, so one
         # view serves them all; another build's dictionary has its own
         matrix, occurrence, _ = mine_corpus(toy_corpus_path, toy_lexicon)
-        freq = normalize(matrix, occurrence, toy_lexicon)
-        args = (freq, toy_lexicon, toy_embeddings, toy_visibility)
+        candidates = normalize(matrix, occurrence, toy_lexicon, 0.01)
+        args = (candidates, toy_lexicon, toy_embeddings, toy_visibility)
         first, second = build_dictionary(*args, [(0.01, 0.8), (0.99, 0.5)])
         view = first.lexicon_table(toy_embeddings)
         assert second.lexicon_table(toy_embeddings) is view
@@ -776,9 +780,9 @@ def run_build(case, build, **params):
 
 
 def array_build(matrix, occurrence, lexicon, embeddings, visibility, oracle, thresholds, stopwords):
-    freq = normalize(matrix, occurrence, lexicon)
+    candidates = normalize(matrix, occurrence, lexicon, min(gamma for gamma, _ in thresholds))
     dictionaries = build_dictionary(
-        freq, lexicon, embeddings, visibility, thresholds, stopwords=stopwords, oracle=oracle
+        candidates, lexicon, embeddings, visibility, thresholds, stopwords=stopwords, oracle=oracle
     )
     # a second pass at each pair with no oracle, every answer the build got
     # now being in the table, repeats the pair's stage masks; split into
@@ -786,7 +790,7 @@ def array_build(matrix, occurrence, lexicon, embeddings, visibility, oracle, thr
     concepts = lexicon.concepts
     out = []
     for dictionary, (gamma, delta) in zip(dictionaries, thresholds, strict=True):
-        row, col, _ = select_all(freq, gamma)
+        row, col, _ = normalize(matrix, occurrence, lexicon, gamma)
         masks = filter_rows(concepts, len(concepts), row, col, embeddings, visibility, stopwords)
         stages = split_masks(concepts, len(concepts), row, col, masks, delta)
         meta = dictionary.meta
@@ -829,9 +833,9 @@ class TestBuildAgainstPerConceptLoop:
             return True
 
         matrix, occurrence, _ = mine_corpus(toy_corpus_path, toy_lexicon)
-        freq = normalize(matrix, occurrence, toy_lexicon)
+        candidates = normalize(matrix, occurrence, toy_lexicon, DEFAULT_GAMMA)
         [dictionary] = build_dictionary(
-            freq, toy_lexicon, toy_embeddings, VisibilityTable(), oracle=oracle
+            candidates, toy_lexicon, toy_embeddings, VisibilityTable(), oracle=oracle
         )
         assert calls.count("sunset") == 1
         assert dictionary.cc == EXPECTED_DICT_G001

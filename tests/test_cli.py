@@ -23,7 +23,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ccmine import ccgen, cli, cooc, ioutil
+from ccmine import cli, cooc, ioutil
 from ccmine.ccgen import CCDictionary
 from ccmine.cli import main
 from ccmine.cooc import CoocMatrix
@@ -345,10 +345,12 @@ class TestBuildCC:
         summary = json.loads(stdout)
         assert summary == {"concepts": 7, "with_cc": 5}
 
-    def test_matrix_is_freed_before_selection(self, capsys, mined, paths, tmp_path, monkeypatch):
-        # only normalize reads the counts matrix; selection and filtering
-        # run without it
-        load, select_all = CoocMatrix.load.__func__, ccgen.select_all
+    def test_matrix_is_freed_before_the_embeddings_load(
+        self, capsys, mined, paths, tmp_path, monkeypatch
+    ):
+        # only normalize reads the counts matrix; the embedding rows load,
+        # and filtering runs, without it
+        load, load_table = CoocMatrix.load.__func__, EmbeddingTable.load.__func__
         loaded, alive = [], []
 
         def tracked_load(cls, path):
@@ -356,12 +358,12 @@ class TestBuildCC:
             loaded.append(weakref.ref(matrix))
             return matrix
 
-        def checked_select_all(*args):
+        def checked_load_table(cls, *args, **kwargs):
             alive.append([ref() is not None for ref in loaded])
-            return select_all(*args)
+            return load_table(cls, *args, **kwargs)
 
         monkeypatch.setattr(CoocMatrix, "load", classmethod(tracked_load))
-        monkeypatch.setattr(ccgen, "select_all", checked_select_all)
+        monkeypatch.setattr(EmbeddingTable, "load", classmethod(checked_load_table))
         code, _, err = self.build(
             capsys, mined, paths, tmp_path / "cc.json", "--unknown-visibility", "accept"
         )
@@ -3163,6 +3165,66 @@ class TestRefusal:
             assert err == f"error: {message}\n"
             assert stdout == ""
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["segment", "--features", "{missing}.feat", "--embeddings", "{missing}.emb",
+              "--query", "boat", "--height", "0"], "output size must be positive"),
+            (["segment", "--features", "{missing}.feat", "--embeddings", "{missing}.emb",
+              "--query", "boat", "--height", "4", "--width", "-3"],
+             "output size must be positive"),
+            (["segment", "--features", "{missing}.feat", "--embeddings", "{missing}.emb",
+              "--query", "boat", "--query", " "], "query is empty"),
+            (["gen-cc", "--mode", "dict", "--query", " ", "--cc-dict", "{missing}.json",
+              "--embeddings", "{missing}.emb"], "query is empty"),
+            (["build-cc", "--matrix", "{missing}.cooc", "--counts", "{missing}.counts",
+              "--lexicon", "{missing}.txt", "--embeddings", "{missing}.emb",
+              "--unknown-visibility", "llm"], "an LLM endpoint is required"),
+            (["build-cc", "--matrix", "{missing}.cooc", "--counts", "{missing}.counts",
+              "--lexicon", "{missing}.txt", "--embeddings", "{missing}.emb",
+              "--unknown-visibility", "llm", "--llm-endpoint", "http://127.0.0.1:9/v1",
+              "--llm-max-tokens", "0"], "LLM max_tokens must be at least 1, got 0"),
+        ],
+    )
+    def test_invalid_value_refused_before_any_input_opens(
+        self, capsys, tmp_path, argv, message
+    ):
+        missing = str(tmp_path / "missing")
+        out = tmp_path / "out"
+        argv = [a.replace("{missing}", missing) for a in argv]
+        code, stdout, err = run(capsys, *argv, "--out", out)
+        assert code == 3
+        assert err == f"error: {message}\n"
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--param", "sigmoid", "--steps", "1"],
+             "a sweep needs at least two threshold steps"),
+            (["eval", "--cc-mode", "llm"], "an LLM endpoint is required"),
+            (["eval", "--metric", "miou-classic", "--cc-mode", "llm",
+              "--llm-endpoint", "http://127.0.0.1:9/v1", "--llm-timeout", "0"],
+             "LLM timeout must be above 0"),
+        ],
+    )
+    def test_invalid_value_refused_before_the_embeddings_load(
+        self, capsys, tmp_path, argv, message
+    ):
+        # the dataset reads, the embedding table is missing: a refusal
+        # after the table load would exit 2
+        features_dir, gt_dir = write_two_class_dataset(tmp_path, {"img0": make_scene_features()})
+        out = tmp_path / "out.json"
+        code, stdout, err = run(
+            capsys, *argv, "--features-dir", features_dir, "--gt-dir", gt_dir,
+            "--embeddings", tmp_path / "missing.emb", "--out-json", out,
+        )
+        assert code == 3
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "job", ["eval", "eval-classic", "sweep-beta", "segment", "gen-cc"]

@@ -12,6 +12,7 @@ import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, islice
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,6 @@ from ccmine.cooc import (
     mine_corpus,
     normalize,
     save_counts,
-    select_all,
 )
 from ccmine.corpus import Lexicon, ScanStats, iter_caption_lines, scan_corpus
 from ccmine.errors import FormatError, ValidationError
@@ -63,20 +63,17 @@ def toy_matrix_and_occurrence(corpus_path, lexicon):
     return CoocMatrix._from_codes(len(lexicon), keys, counts), occurrence
 
 
-def freq_of(freq, i, j):
-    """Row ``i``'s frequency of ``j``, looked up in the CSR arrays."""
-    lo, hi = freq.indptr[i], freq.indptr[i + 1]
-    (k,) = np.flatnonzero(freq.indices[lo:hi] == j)
-    return float(freq.data[lo + k])
-
-
-def members(freq, lexicon, i, gamma):
-    """Row ``i``'s run of ``select_all``, as concept strings; each comes
-    with its own frequency."""
-    row, col, data = select_all(freq, gamma)
+def run_of(candidates, lexicon, i):
+    """Row ``i``'s run of ``normalize``'s triplets, as (concept, frequency)
+    pairs in their order."""
+    row, col, freq = candidates
     run = row == i
-    assert data[run].tolist() == [freq_of(freq, i, j) for j in col[run].tolist()]
-    return [lexicon.concepts[j] for j in col[run].tolist()]
+    return [(lexicon.concepts[j], f) for j, f in zip(col[run].tolist(), freq[run].tolist())]
+
+
+def members(candidates, lexicon, i):
+    """Row ``i``'s candidates, as concept strings in their order."""
+    return [concept for concept, _ in run_of(candidates, lexicon, i)]
 
 
 _TRIPLET = re.compile("\t".join([PLAIN] * 3))
@@ -535,9 +532,23 @@ class TestSerialization:
             load_counts(path)
 
 
+class FreqCSR(NamedTuple):
+    """Row-normalized frequencies of both halves as CSR arrays: row ``i``'s
+    columns are ``indices[indptr[i]:indptr[i + 1]]``, ascending, with
+    frequencies ``data``; ``rank`` is each concept's position in ascending
+    string order."""
+
+    dim: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    rank: np.ndarray
+
+
 def normalize_by_sort(matrix, occurrence, lexicon):
-    """``normalize`` as one argsort of both halves' codes ``row * dim +
-    col``: the reference for the sort-free form."""
+    """The full frequency matrix, as one argsort of both halves' codes
+    ``row * dim + col``; with ``select_by_csr``, the reference for
+    ``normalize``."""
     if len(occurrence) != matrix.dim or len(lexicon) != matrix.dim:
         raise ValidationError("occurrence counts, lexicon, and matrix dimensions disagree")
     i, j, count = matrix.i, matrix.j, matrix.count
@@ -565,7 +576,19 @@ def normalize_by_sort(matrix, occurrence, lexicon):
     np.cumsum(np.bincount(row, minlength=matrix.dim), out=indptr[1:])
     rank = np.empty(matrix.dim, dtype=np.int64)
     rank[sorted(range(matrix.dim), key=lexicon.concepts.__getitem__)] = np.arange(matrix.dim)
-    return cooc.FreqMatrix(matrix.dim, indptr, col[order], freq[order], rank)
+    return FreqCSR(matrix.dim, indptr, col[order], freq[order], rank)
+
+
+def select_by_csr(freq, gamma):
+    """Every row's entries of the CSR ``freq`` strictly above ``gamma``, as
+    (row, column, frequency) arrays, by ascending row, then descending
+    frequency, then ascending concept string."""
+    keep = np.flatnonzero(freq.data > gamma)
+    row = np.searchsorted(freq.indptr, keep, side="right") - 1
+    ids = np.min_scalar_type(freq.dim)  # ids of 16 bits or fewer sort by radix
+    rank = freq.rank[freq.indices[keep]].astype(ids)
+    keep = keep[np.lexsort((rank, -freq.data[keep], row.astype(ids)))]
+    return row, freq.indices[keep], freq.data[keep]
 
 
 @st.composite
@@ -593,64 +616,83 @@ def normalize_inputs(draw):
     return matrix, occurrence, Lexicon(names)
 
 
+@st.composite
+def normalize_cases(draw):
+    """``normalize_inputs`` and a gamma: a stored frequency exactly, 0, a
+    negative value, 1 or more, or any number between."""
+    matrix, occurrence, lexicon = inputs = draw(normalize_inputs())
+    occ = np.asarray(occurrence, dtype=np.int64)
+    stored = [
+        count / n
+        for row in (matrix.i, matrix.j)
+        for count, n in zip(matrix.count.tolist(), occ[row].tolist())
+        if n
+    ]
+    gamma = draw(st.one_of(st.sampled_from([0.0, -0.5, 1.0, 1.5, *stored]), st.floats(-0.5, 1.5)))
+    return (*inputs, gamma)
+
+
+def toy_candidates(corpus_path, lexicon, gamma):
+    return normalize(*toy_matrix_and_occurrence(corpus_path, lexicon), lexicon, gamma)
+
+
 class TestNormalize:
-    @given(normalize_inputs())
-    def test_equals_the_sorting_form_bit_for_bit(self, inputs):
+    @given(normalize_cases())
+    @settings(max_examples=300)
+    def test_equals_the_csr_selection_bit_for_bit(self, case):
+        *inputs, gamma = case
         try:
-            want = normalize_by_sort(*inputs)
+            want = select_by_csr(normalize_by_sort(*inputs), gamma)
         except ValidationError as exc:
             with pytest.raises(ValidationError) as raised:
-                normalize(*inputs)
+                normalize(*inputs, gamma)
             assert str(raised.value) == str(exc)
             return
-        got = normalize(*inputs)
-        assert got.dim == want.dim
-        for field in ("indptr", "indices", "data", "rank"):
-            a, b = getattr(got, field), getattr(want, field)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        got = normalize(*inputs, gamma)
+        assert len(got) == 3
+        for name, a, b in zip(("row", "col", "freq"), got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_directional_frequencies(self, toy_corpus_path, toy_lexicon):
-        matrix, occurrence = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
-        freq = normalize(matrix, occurrence, toy_lexicon)
-        boat = toy_lexicon.index["boat"]
-        water = toy_lexicon.index["water"]
-        assert freq_of(freq, boat, water) == pytest.approx(1 / 3)
-        assert freq_of(freq, water, boat) == 1.0
+        candidates = toy_candidates(toy_corpus_path, toy_lexicon, 0.0)
+        boat = dict(run_of(candidates, toy_lexicon, toy_lexicon.index["boat"]))
+        water = dict(run_of(candidates, toy_lexicon, toy_lexicon.index["water"]))
+        assert boat["water"] == pytest.approx(1 / 3)
+        assert water["boat"] == 1.0
 
     def test_zero_occurrence_with_pairs_rejected(self, toy_lexicon):
         matrix = cooc_matrix(7, {(0, 1): 1})
         with pytest.raises(ValidationError, match="zero occurrences"):
-            normalize(matrix, [0, 1, 1, 1, 1, 1, 1], toy_lexicon)
+            normalize(matrix, [0, 1, 1, 1, 1, 1, 1], toy_lexicon, 0.01)
 
     def test_count_exceeding_occurrence_rejected(self, toy_lexicon):
         matrix = cooc_matrix(7, {(0, 1): 5})
         with pytest.raises(ValidationError, match="exceeds occurrence"):
-            normalize(matrix, [2, 5, 1, 1, 1, 1, 1], toy_lexicon)
+            normalize(matrix, [2, 5, 1, 1, 1, 1, 1], toy_lexicon, 0.01)
 
     def test_dimension_mismatch_rejected(self, toy_lexicon):
         matrix = CoocMatrix(7)
         with pytest.raises(ValidationError):
-            normalize(matrix, [1, 1], toy_lexicon)
+            normalize(matrix, [1, 1], toy_lexicon, 0.01)
 
 
 class TestSelectCandidates:
     def test_order_frequency_then_name(self, toy_corpus_path, toy_lexicon):
-        matrix, occurrence = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
-        freq = normalize(matrix, occurrence, toy_lexicon)
-        got = members(freq, toy_lexicon, toy_lexicon.index["boat"], 0.3)
+        candidates = toy_candidates(toy_corpus_path, toy_lexicon, 0.3)
+        got = members(candidates, toy_lexicon, toy_lexicon.index["boat"])
         assert got == ["dock", "sunset", "trailer", "water"]
 
     def test_threshold_is_strict(self, toy_corpus_path, toy_lexicon):
-        matrix, occurrence = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
-        freq = normalize(matrix, occurrence, toy_lexicon)
         boat = toy_lexicon.index["boat"]
-        exactly = freq_of(freq, boat, toy_lexicon.index["water"])
-        assert members(freq, toy_lexicon, boat, exactly) == []
+        exactly = dict(run_of(toy_candidates(toy_corpus_path, toy_lexicon, 0.0), toy_lexicon, boat))
+        candidates = toy_candidates(toy_corpus_path, toy_lexicon, exactly["water"])
+        assert members(candidates, toy_lexicon, boat) == []
 
     def test_high_gamma_keeps_certain_partners(self, toy_corpus_path, toy_lexicon):
-        matrix, occurrence = toy_matrix_and_occurrence(toy_corpus_path, toy_lexicon)
-        freq = normalize(matrix, occurrence, toy_lexicon)
-        assert members(freq, toy_lexicon, toy_lexicon.index["water"], 0.99) == ["boat"]
+        candidates = toy_candidates(toy_corpus_path, toy_lexicon, 0.99)
+        assert members(candidates, toy_lexicon, toy_lexicon.index["water"]) == ["boat"]
+        # a frequency is at most 1, so a gamma of 1 keeps nothing
+        assert all(len(a) == 0 for a in toy_candidates(toy_corpus_path, toy_lexicon, 1.0))
 
 
 class TestMineCorpus:

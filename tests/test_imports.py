@@ -65,17 +65,30 @@ def test_only_the_hashers_import_hashlib(path):
     assert ("hashlib" in modules) == (path.name in HASHERS)
 
 
-def test_scoring_leaves_the_cc_machinery_unloaded():
-    # segment and score need no dictionary build, LLM client or process pool
+def loaded_after(imports: str, names: list[str]) -> list[str]:
+    """Which of ``names`` a fresh interpreter has loaded after ``imports``,
+    sorted."""
     code = (
-        "import sys, ccmine.metrics, ccmine.segment\n"
-        "names = ['ccmine.ccgen', 'ccmine.cooc', 'ccmine.filters', 'ccmine.llm',\n"
-        "         'concurrent.futures.process']\n"
-        "print(sorted(name for name in names if name in sys.modules))"
+        f"import sys, {imports}\n"
+        f"print(sorted(name for name in {names!r} if name in sys.modules))"
     )
     src = str(Path(ccmine.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout == "[]\n"
+    return ast.literal_eval(proc.stdout)
+
+
+def test_scoring_leaves_the_cc_machinery_unloaded():
+    # segment and score need no dictionary build, LLM client or process pool
+    names = [
+        "ccmine.ccgen", "ccmine.cooc", "ccmine.filters", "ccmine.llm", "concurrent.futures.process"
+    ]
+    assert loaded_after("ccmine.metrics, ccmine.segment", names) == []
+
+
+def test_cc_generation_leaves_the_counting_unloaded():
+    # a dictionary is built from candidate arrays and looked up without
+    # the pair counter or its process pool
+    assert loaded_after("ccmine.ccgen", ["ccmine.cooc", "concurrent.futures.process"]) == []
