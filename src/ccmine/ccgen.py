@@ -25,21 +25,25 @@ from datetime import datetime, timezone
 from itertools import chain, compress
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Lexicon, normalize_concept
 from .embed import EmbeddingTable, nearest_neighbor
 from .errors import FormatError, ValidationError
-from .filters import DEFAULT_DELTA, DEFAULT_STOPWORDS, VisibilityOracle, VisibilityTable, filter_rows
 from .ioutil import atomic_write_text, parse_json, read_text
-from .llm import LLMClient, ask_cc
+
+if TYPE_CHECKING:  # the filter stage and the LLM client load where they run
+    from .filters import VisibilityOracle, VisibilityTable
+    from .llm import LLMClient
 
 BACKGROUND = "background"
 
 DEFAULT_GAMMA = 0.01
+DEFAULT_DELTA = 0.8
 DEFAULT_BETA = 0.9
+DEFAULT_STOPWORDS = frozenset({"image", "photo", "picture", "view"})
 
 
 @dataclass
@@ -82,6 +86,8 @@ def cc_privileged(q: str, classes: list[str]) -> CCSet:
 
 def cc_llm(q: str, client: LLMClient, include_markers: bool = True) -> CCSet:
     """Concepts generated by the language model, plus "background"."""
+    from .llm import ask_cc
+
     qn = _query(q, "LLM generation")
     generated = [c for c in ask_cc(client, qn, include_markers) if c != qn and c != BACKGROUND]
     return CCSet(query=qn, kind="llm", concepts=[BACKGROUND] + generated)
@@ -228,6 +234,8 @@ def build_dictionary(
     removed over all concepts (``filter_counts``) and the kept concepts
     whose visibility stayed unresolved (``unresolved_kept``).
     """
+    from .filters import filter_rows
+
     if not len(thresholds) or not np.isfinite(thresholds).all():
         raise ValidationError(f"need one or more finite (gamma, delta) pairs, got {thresholds!r}")
     row, col, value = candidates

@@ -41,22 +41,15 @@ from .ccgen import (
     cc_privileged,
     cc_reach,
 )
-from .cooc import CoocMatrix, load_counts, mine_corpus, normalize, save_counts
 from .corpus import Lexicon, normalize_concept
 from .embed import EmbeddingTable
 from .errors import (
     CCMineError,
+    FormatError,
     ResponseParseError,
     ServiceError,
     TransportError,
     ValidationError,
-)
-from .filters import (
-    DEFAULT_DELTA,
-    DEFAULT_STOPWORDS,
-    VisibilityTable,
-    accept_unknown,
-    reject_unknown,
 )
 from .ioutil import HashedInput, atomic_write_text, parse_json, read_text
 from .llm import API_STYLES, LLMClient, visibility_oracle
@@ -93,10 +86,10 @@ class Option:
 OPTIONS: dict[str, Option] = {
     "workers": Option(int),
     "gamma": Option(float, ccgen.DEFAULT_GAMMA),
-    "delta": Option(float, DEFAULT_DELTA),
+    "delta": Option(float, ccgen.DEFAULT_DELTA),
     "beta": Option(float, ccgen.DEFAULT_BETA),
     "beta_scope": Option(str, "all", ("all", "source")),
-    "stopwords": Option(list, DEFAULT_STOPWORDS),
+    "stopwords": Option(list, ccgen.DEFAULT_STOPWORDS),
     "aggregation": Option(str, "class", ("class", "image")),
     "upsample": Option(str, "logits", ("logits", "labels")),
     "cc_mode": Option(str, "bg", ("none", "bg", "dict", "llm", "privileged")),
@@ -272,16 +265,37 @@ def _cc_flags(settings: Settings, classes: bool = False) -> tuple:
     return mode, cc_dict, class_flags, settings.llm() if mode == "llm" else None
 
 
-def _classes(classes: str | None, classes_file: str | None, sidecars=None) -> list[str] | None:
-    """The ``classes`` list, else the ``classes_file`` one; when neither
-    names a class and ground-truth ``sidecars`` are given, every label they
-    name, sorted."""
-    names = None
+def _refuse_cc(cc: tuple, embeddings, sidecars: bool = False) -> tuple:
+    """The ``_cc_flags`` ``cc``, with ``llm`` mode's settings made its
+    generator; called before any input opens, it refuses a mode that lacks
+    what it needs (a class list only where no ``sidecars`` can supply one)."""
+    mode, cc_dict, (classes, classes_file), llm = cc
+    if mode == "dict" and (cc_dict is None or not embeddings):
+        raise ValidationError("cc-mode 'dict' needs --cc-dict and --embeddings")
+    if mode == "privileged" and not (classes or classes_file or sidecars):
+        raise ValidationError("cc-mode 'privileged' needs the dataset class list")
+    if mode == "llm":
+        fields, include_markers = llm
+        llm = partial(cc_llm, client=LLMClient(**fields), include_markers=include_markers)
+    _classes(classes, None)  # refuses a class named twice
+    return mode, cc_dict, (classes, classes_file), llm
+
+
+def _classes(classes: str | None, classes_file: str | None, sidecars=None) -> list[str]:
+    """The ``classes`` list, else the ``classes_file`` one, refused if it
+    names a class twice; when neither names a class and ground-truth
+    ``sidecars`` are given, every label they name, sorted."""
+    names, source, error = [], "--classes", ValidationError
     if classes:
-        names = [normalize_concept(c) for c in classes.split(",") if normalize_concept(c)]
+        names = classes.split(",")
     elif classes_file:
         lines = [line.strip() for line in read_text(classes_file).split("\n")]
-        names = [normalize_concept(line) for line in lines if line and not line.startswith("#")]
+        names = [line for line in lines if line and not line.startswith("#")]
+        source, error = f"class file {classes_file}", FormatError
+    names = [name for name in map(normalize_concept, names) if name]
+    if len(set(names)) < len(names):
+        twice = next(name for k, name in enumerate(names) if name in names[:k])
+        raise error(f"{source} names class {twice!r} twice")
     if names or sidecars is None:
         return names
     return sorted({name for labels, _, _ in sidecars for name in labels.values()})
@@ -312,17 +326,12 @@ def _scored_classes(sidecars: list) -> list[str]:
 
 
 def _cc_source(cc: tuple, embeddings, queries, classes, background_label=None) -> tuple:
-    """The CC generator of the ``_cc_flags`` ``cc`` for ``queries``, and the
-    ``embeddings`` table (None without a path) of only the rows their CC
-    sets (``ccgen.cc_reach``) and ``background_label``, a query that takes
-    none, can reach.  ``llm`` mode checks its settings before anything is
-    read, and ``dict`` mode reads ``--cc-dict`` before the table."""
-    mode, cc_dict, _, llm = cc
-    if mode == "dict" and (cc_dict is None or not embeddings):
-        raise ValidationError("cc-mode 'dict' needs --cc-dict and --embeddings")
-    if mode == "llm":
-        fields, include_markers = llm
-        source = partial(cc_llm, client=LLMClient(**fields), include_markers=include_markers)
+    """The CC generator of the ``_refuse_cc`` ``cc`` for ``queries``, and
+    the ``embeddings`` table (None without a path) of only the rows their
+    CC sets (``ccgen.cc_reach``) and ``background_label``, a query that
+    takes none, can reach.  ``dict`` mode reads ``--cc-dict`` before the
+    table."""
+    mode, cc_dict, _, source = cc
     dictionary = CCDictionary.load(cc_dict) if mode == "dict" else None
     table = None
     if embeddings is not None:
@@ -333,8 +342,6 @@ def _cc_source(cc: tuple, embeddings, queries, classes, background_label=None) -
     if mode == "dict":
         source = partial(cc_d, dictionary=dictionary, embeddings=table)
     elif mode == "privileged":
-        if classes is None:
-            raise ValidationError("cc-mode 'privileged' needs the dataset class list")
         source = partial(cc_privileged, classes=classes)
     elif mode != "llm":
         source = cc_none if mode == "none" else cc_bg
@@ -389,6 +396,9 @@ def _build(paths, rules, embeddings, thresholds, queries=()) -> tuple:
     ``embeddings`` only the rows of the lexicon's concepts, ``background``
     and ``queries``: all that the dictionaries and a ``cc_d`` lookup of
     ``queries`` can reach."""
+    from .cooc import CoocMatrix, load_counts, normalize
+    from .filters import VisibilityTable, accept_unknown, reject_unknown
+
     stopwords, policy, llm = rules
     if policy == "llm":  # bad LLM settings are refused before any input is read
         fields, include_markers = llm
@@ -524,6 +534,8 @@ def _set_up(job: str, data: tuple, values: list, upsample=None, cc=None, classic
     loads, so the image loop holds only the prompts it scores with.
     """
     features_dir, gt_dir, embeddings = data
+    if cc is not None:
+        cc = _refuse_cc(cc, embeddings, sidecars=True)
     image_ids = _dataset_ids(features_dir)
     sidecars = _sidecars(gt_dir, image_ids)
     scored = _scored_classes(sidecars)
@@ -582,6 +594,8 @@ def _exit_code(image_failures: int, class_failures: int) -> int:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
+    from .cooc import mine_corpus, save_counts
+
     settings = Settings(args)
     corpus, lexicon_path = settings.arg("corpus"), settings.arg("lexicon")
     out_matrix, out_counts = settings.arg("out_matrix"), settings.arg("out_counts")
@@ -644,6 +658,7 @@ def cmd_gen_cc(args: argparse.Namespace) -> int:
     settings.refuse_unread(f"gen-cc with cc-mode {mode}")
     if not normalize_concept(query):
         raise ValidationError("query is empty")
+    cc = _refuse_cc(cc, embeddings)
     source, _ = _cc_source(cc, embeddings, [query], _classes(*class_flags))
     cc = source(query)
     payload = {
@@ -691,6 +706,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         raise ValidationError("output size must be positive")
     if remap and background_label not in queries:
         raise ValidationError(f"--remap-background needs --query {background_label}")
+    cc = _refuse_cc(cc, embeddings_path)
     features = FeatureMap.load(features_path)
     # the merge gives the background label's query no CC set
     takes_cc = [q for q in queries if not several or q != background_label]

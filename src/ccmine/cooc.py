@@ -26,7 +26,6 @@ import math
 import os
 from collections import deque
 from collections.abc import Callable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from functools import partial
 from itertools import islice
@@ -592,6 +591,7 @@ def mine_corpus(
         if pool_size == 1:
             parts = [_count_chunk(lines, lexicon)]
         else:
+            from concurrent.futures import ProcessPoolExecutor
             concepts = (lexicon.concepts,)
             pool = stack.enter_context(
                 ProcessPoolExecutor(pool_size, initializer=_worker_init, initargs=concepts)

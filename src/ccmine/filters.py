@@ -21,13 +21,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .ccgen import DEFAULT_STOPWORDS
 from .corpus import normalize_concept
 from .embed import EmbeddingTable
 from .errors import CCMineError, FormatError, MissingEmbeddingError, ValidationError
 from .ioutil import atomic_write_text, parse_json, read_text
-
-DEFAULT_STOPWORDS = frozenset({"image", "photo", "picture", "view"})
-DEFAULT_DELTA = 0.8
 
 _ALLOWED_SOURCES = ("cached", "llm", "manual")
 

@@ -25,12 +25,12 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ccmine.ccgen import CCDictionary
+from ccmine.ccgen import DEFAULT_DELTA, CCDictionary
 from ccmine.cooc import CoocMatrix, _sum_by_key
 from ccmine.corpus import Lexicon, normalize_concept
 from ccmine.embed import EmbeddingTable, cosines
 from ccmine.errors import FormatError
-from ccmine.filters import DEFAULT_DELTA, DEFAULT_STOPWORDS, VisibilityTable, filter_rows
+from ccmine.filters import DEFAULT_STOPWORDS, VisibilityTable, filter_rows
 from ccmine.ioutil import decode_utf8
 from ccmine.metrics import GroundTruth
 from ccmine.segment import FeatureMap, SegMap

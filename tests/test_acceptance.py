@@ -20,12 +20,12 @@ import pytest
 
 from ccmine.bench import CI_FLOOR_FRACTION, NOMINAL_RATE
 from ccmine.bench import run as bench_run
-from ccmine.ccgen import CCDictionary, CCSet, build_dictionary, cc_bg, cc_d, cc_none
+from ccmine.ccgen import DEFAULT_DELTA, CCDictionary, CCSet, build_dictionary, cc_bg, cc_d, cc_none
 from ccmine.cli import main
 from ccmine.cooc import CoocMatrix, _count_sets, build_cooc, mine_corpus, normalize
 from ccmine.corpus import Lexicon, ScanStats, scan_corpus
 from ccmine.embed import EmbeddingTable, nearest_neighbor
-from ccmine.filters import DEFAULT_DELTA, DEFAULT_STOPWORDS, VisibilityTable
+from ccmine.filters import DEFAULT_STOPWORDS, VisibilityTable
 from ccmine.llm import (
     CC_GENERATION,
     PART_REMOVAL,

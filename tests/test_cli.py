@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import contextlib
 import gzip
 import hashlib
@@ -154,7 +155,9 @@ class TestMine:
     ):
         # the pool never outgrows the usable CPUs: one counts in process
         monkeypatch.setattr(cooc, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(cooc, "ProcessPoolExecutor", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", mock.Mock(side_effect=AssertionError)
+        )
         code, out, _ = run(
             capsys,
             "mine",
@@ -3106,6 +3109,25 @@ class TestWiring:
         assert "--values" in err
 
 
+def assert_refused_before_any_input_opens(capsys, tmp_path, argv, message):
+    """``argv``, with ``{missing}`` spelling a path that does not exist,
+    exits 3 with ``message`` and writes nothing: any input opened first
+    would exit 2."""
+    missing = str(tmp_path / "missing")
+    out = tmp_path / "out"
+    argv = [a.replace("{missing}", missing) for a in argv]
+    # gen-cc writes to stdout without --out
+    outs = ([], ["--out", out]) if argv[0] == "gen-cc" else (["--out", out],)
+    if argv[0] in ("eval", "sweep"):
+        outs = (["--out-json", out],)
+    for given in outs:
+        code, stdout, err = run(capsys, *argv, *given)
+        assert code == 3
+        assert err == f"error: {message}\n"
+        assert stdout == ""
+        assert not out.exists()
+
+
 class TestRefusal:
     """A flag the job does not read exits 3 before anything opens: every
     path here is missing, so a later refusal would exit 2."""
@@ -3152,19 +3174,61 @@ class TestRefusal:
         ],
     )
     def test_refused_before_any_input_opens(self, capsys, tmp_path, argv, message):
-        missing = str(tmp_path / "missing")
-        out = tmp_path / "out"
-        argv = [a.replace("{missing}", missing) for a in argv]
-        # gen-cc writes to stdout without --out
-        outs = ([], ["--out", out]) if argv[0] == "gen-cc" else (["--out", out],)
-        if argv[0] == "eval":
-            outs = (["--out-json", out],)
-        for given in outs:
-            code, stdout, err = run(capsys, *argv, *given)
-            assert code == 3
-            assert err == f"error: {message}\n"
-            assert stdout == ""
-            assert not out.exists()
+        assert_refused_before_any_input_opens(capsys, tmp_path, argv, message)
+
+    _NO_DATA = ["--features-dir", "{missing}", "--gt-dir", "{missing}",
+                "--embeddings", "{missing}.emb"]
+    _SEGMENT = ["segment", "--features", "{missing}.feat", "--embeddings", "{missing}.emb",
+                "--query", "boat"]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ([*_SEGMENT, "--cc-mode", "llm"], "an LLM endpoint is required"),
+            ([*_SEGMENT, "--cc-mode", "privileged"],
+             "cc-mode 'privileged' needs the dataset class list"),
+            ([*_SEGMENT, "--cc-mode", "dict"], "cc-mode 'dict' needs --cc-dict and --embeddings"),
+            (["eval", *_NO_DATA, "--cc-mode", "dict"],
+             "cc-mode 'dict' needs --cc-dict and --embeddings"),
+            (["eval", *_NO_DATA, "--metric", "miou-classic", "--cc-mode", "llm"],
+             "an LLM endpoint is required"),
+            (["sweep", *_NO_DATA, "--param", "beta", "--values", "0.5", "--cc-mode", "dict"],
+             "cc-mode 'dict' needs --cc-dict and --embeddings"),
+        ],
+    )
+    def test_cc_mode_needs_refused_before_any_input_opens(
+        self, capsys, tmp_path, argv, message
+    ):
+        assert_refused_before_any_input_opens(capsys, tmp_path, argv, message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-cc", "--mode", "privileged", "--query", "a"],
+            [*_SEGMENT, "--cc-mode", "privileged"],
+            ["eval", *_NO_DATA, "--cc-mode", "privileged"],
+            ["eval", *_NO_DATA, "--metric", "miou-classic"],
+            ["sweep", *_NO_DATA, "--param", "beta", "--values", "0.5"],
+        ],
+    )
+    def test_class_named_twice_refused_before_any_input_opens(self, capsys, tmp_path, argv):
+        # named twice once normalized
+        argv = [*argv, "--classes", "cuzzn,ejcwcxj, Ejcwcxj"]
+        message = "--classes names class 'ejcwcxj' twice"
+        assert_refused_before_any_input_opens(capsys, tmp_path, argv, message)
+
+    def test_class_file_naming_a_class_twice_is_refused(self, capsys, tmp_path):
+        classes = tmp_path / "classes.txt"
+        classes.write_text("# classes\nboat\nejcwcxj\nEjcwcxj\n", encoding="utf-8")
+        out = tmp_path / "out.json"
+        code, stdout, err = run(
+            capsys, "gen-cc", "--mode", "privileged", "--query", "boat",
+            "--classes-file", classes, "--out", out,
+        )
+        assert code == 3
+        assert err == f"error: class file {classes} names class 'ejcwcxj' twice\n"
+        assert stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import hashlib
 import json
@@ -800,7 +801,9 @@ class TestOneCountingPath:
         corpus_path = write_mixed_corpus(tmp_path / "corpus.jsonl")
         want = mined_bytes(corpus_path, toy_lexicon, tmp_path)
         monkeypatch.setattr(cooc, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(cooc, "ProcessPoolExecutor", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", mock.Mock(side_effect=AssertionError)
+        )
         got = mined_bytes(corpus_path, toy_lexicon, tmp_path, workers=workers, chunk_size=1)
         assert got == want
 
@@ -810,7 +813,7 @@ class TestOneCountingPath:
         corpus_path = write_mixed_corpus(tmp_path / "corpus.jsonl")
         want = mined_bytes(corpus_path, toy_lexicon, tmp_path)
         monkeypatch.setattr(cooc, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(cooc, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cooc, "_WORKER_LEXICON", None)
         got = mined_bytes(corpus_path, toy_lexicon, tmp_path, workers=10_000, chunk_size=1)
         assert got == want
